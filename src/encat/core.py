@@ -421,26 +421,35 @@ def canonical(value: Any) -> Any:
     finite maps become key-sorted tuples, sequences become tuples.  Two
     structures are equal exactly when their canonical forms are.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    # the common exact types first: the dataclass and Mapping tests are slow
+    if isinstance(value, str):
+        return value
+    if type(value) is tuple:
+        return tuple(canonical(v) for v in value)
+    if (type(value) is not dict and dataclasses.is_dataclass(value)
+            and not isinstance(value, type)):
         return (type(value).__name__,) + tuple(
             (f.name, canonical(getattr(value, f.name))) for f in dataclasses.fields(value)
         )
-    if isinstance(value, Mapping):
+    if type(value) is dict or isinstance(value, Mapping):
         return ("map",) + tuple(sorted(
             ((canonical(k), canonical(v)) for k, v in value.items()),
             key=lambda kv: kv[0],
         ))
     if isinstance(value, (list, tuple)):
-        items = tuple(canonical(v) for v in value)
-        return items
-    if isinstance(value, (str, int, bool, float)) or value is None:
+        return tuple(canonical(v) for v in value)
+    if isinstance(value, (int, bool, float)) or value is None:
         return value
     raise TypeError(f"no canonical form for {type(value).__name__}")
 
 
 def structural_equal(a: Any, b: Any) -> bool:
-    """Exact table equality after canonical id-sorted normalization."""
-    return canonical(a) == canonical(b)
+    """Exact table equality after canonical id-sorted normalization.
+
+    Values that are ``==`` have equal canonical forms, so plain equality
+    answers first and the canonical forms are built only when it fails.
+    """
+    return a == b or canonical(a) == canonical(b)
 
 
 def canonical_diff(a: Any, b: Any, path: str = "") -> str | None:

@@ -11,8 +11,6 @@ verify by brute force that the extracted morphism induces the whole family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     EngineBugError,
     Mor,
@@ -34,23 +32,10 @@ from .vmodule import (
 )
 from .vstruct import (
     CylinderAssignment,
-    PathAssignment,
     VStructureData,
     associated_vcategory,
     induced_tensor_bifunctor,
 )
-
-
-@dataclass(frozen=True)
-class CorrespondenceBundle:
-    """Both sides of a correspondence run, with a note saying which direction
-    produced which side."""
-
-    vstructure: VStructureData
-    cylinder: CylinderAssignment
-    module: TensorClosedModuleData | ClosedVModuleData | ClosedBimoduleData
-    path: PathAssignment | None = None
-    provenance: str = ""
 
 
 def cylinder_to_tensored(vs: VStructureData, cyl: CylinderAssignment) -> TensoredData:

@@ -1,8 +1,9 @@
 """Monoidal, symmetric and closed structure on a finite category.
 
 The closed structure is given by the hom-object table and the evaluation
-family only; the transpose is recovered by exhaustive search with a
-uniqueness check, so the search doubles as validation of the adjunction.
+family only; the transpose is recovered by inverting evaluation over each
+hom-set, once per instance, with a uniqueness check at every lookup, so the
+inversion doubles as validation of the adjunction.
 
 Derived laws (the unit-coincidence law, the unitor/associator compatibility
 triangle, the evaluation squares, the double-transpose characterization) are
@@ -14,14 +15,17 @@ the evaluator is wrong, not the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .core import (
     CapabilityError,
     CheckReport,
+    EncatError,
     EngineBugError,
     FinCategory,
     FunctorData,
+    MalformedReferenceError,
     MissingTableError,
     Mor,
     Obj,
@@ -67,6 +71,15 @@ class MonoidalData:
     runit: Mapping[Obj, Mor]
     symmetry: SymmetryData | None = None
     closed: ClosedData | None = None
+
+    @cached_property
+    def _transposes(self) -> dict[tuple[Obj, Obj, Obj], dict[Mor | None, list[Mor]]]:
+        """Per (X, Y, Z), the preimages of each f under g |-> ev . (g (x) 1_Y)
+        on hom(X, hom(Y, Z)), in lexicographic order (an undefined image is
+        keyed ``None``); filled by :func:`transpose_pi` on first need.  An
+        entry is a pure function of the tables, so concurrent callers at
+        worst build it twice."""
+        return {}
 
     def tobj(self, x: Obj, y: Obj) -> Obj:
         try:
@@ -135,8 +148,6 @@ class MonoidalData:
 
 def _guarded(fn):
     """Evaluate a composite; ``None`` when a component is missing/ill-shaped."""
-    from .core import EncatError
-
     try:
         return fn()
     except EncatError:
@@ -336,15 +347,20 @@ def transpose_pi_inv(m: MonoidalData, g: Mor, y: Obj, z: Obj) -> Mor:
 def transpose_pi(m: MonoidalData, f: Mor, x: Obj, y: Obj) -> Mor:
     """Transpose f : X (x) Y -> Z into the unique g : X -> hom(Y, Z).
 
-    Found by exhaustive search over the hom-set in lexicographic order; zero
-    or several witnesses raise :class:`WitnessError` (the closed data is then
-    invalid).
+    Looked up in the inverse table of the forward map, which an exhaustive
+    pass over the hom-set builds once per (X, Y, Z) of ``m``; the witnesses
+    keep lexicographic order.  Zero or several witnesses raise
+    :class:`WitnessError` on every call (the closed data is then invalid).
     """
     m.require_closed()
-    base = m.base
-    z = base.dst(f)
-    candidates = [g for g in base.hom(x, m.hom_obj(y, z))
-                  if _guarded(lambda: _transpose_forward(m, g, y, z)) == f]
+    z = m.base.dst(f)
+    table = m._transposes.get((x, y, z))
+    if table is None:
+        table = {}
+        for g in m.base.hom(x, m.hom_obj(y, z)):
+            table.setdefault(_guarded(lambda: _transpose_forward(m, g, y, z)), []).append(g)
+        m._transposes[(x, y, z)] = table
+    candidates = table.get(f, [])
     if len(candidates) != 1:
         raise WitnessError(
             f"transpose of {f!r} at ({x!r}, {y!r}, {z!r}) has "

@@ -8,6 +8,7 @@ side) are stored as explicit tables; units and counits are derived from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .core import (
@@ -105,6 +106,22 @@ class TensorClosedModuleData:
             return self.phi[(k, x, y)][f]
         except KeyError:
             raise MissingTableError(f"adjunction table missing ({k!r}, {x!r}, {y!r}, {f!r})") from None
+
+    @cached_property
+    def _is_self_module(self) -> bool:
+        """Whether these are exactly the tables of the base acting on itself;
+        decided once per instance."""
+        from .instances import module_self_tensorclosed
+
+        m = self.module.baseV
+        if m.closed is None:
+            return False
+        if tuple(self.module.baseS.objects) != tuple(m.base.objects):
+            return False
+        try:
+            return structural_equal(self, module_self_tensorclosed(m))
+        except EncatError:
+            return False
 
     def phi_inv(self, k: Obj, x: Obj, y: Obj, t: Mor) -> Mor:
         table = self.phi.get((k, x, y), {})
@@ -549,27 +566,16 @@ def enriched_action(tc: TensorClosedModuleData) -> EnrichedActionData:
     return EnrichedActionData(components=components)
 
 
-def _is_self_module(tc: TensorClosedModuleData) -> bool:
-    from .instances import module_self_tensorclosed
-
-    if tc.module.baseV.closed is None:
-        return False
-    if tuple(tc.module.baseS.objects) != tuple(tc.module.baseV.base.objects):
-        return False
-    try:
-        return structural_equal(tc, module_self_tensorclosed(tc.module.baseV))
-    except EncatError:
-        return False
-
-
 def module_phibar(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj,
                   *, verify: bool = True) -> Mor:
     """The internal adjunct hom(K (x) X, Y) -> hom_V(K, hom(X, Y)).
 
     Computed as the inverse of evaluate-then-act and, when ``verify`` is set,
     checked against its universal characterization over every tensor factor;
-    a mismatch there is an engine bug.  On the self module it must agree with
-    the internal double transpose, including the unravelled evaluation form.
+    a mismatch there is an engine bug.  On the self module (decided once per
+    ``tc``, see :attr:`TensorClosedModuleData._is_self_module`) it must also
+    agree at every site with the internal double transpose, including the
+    unravelled evaluation form.
     """
     mod = tc.module
     m = mod.baseV
@@ -600,7 +606,7 @@ def module_phibar(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj,
                     f"derived law failed: internal adjunct characterization at "
                     f"({k!r}, {x!r}, {y!r}, L={l!r}, {g!r})")
 
-    if _is_self_module(tc):
+    if tc._is_self_module:
         if phibar != internal_pi_bar(m, k, x, y):
             raise EngineBugError(
                 "derived law failed: self-module internal adjunct differs from "

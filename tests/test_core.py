@@ -9,6 +9,7 @@ from encat.core import (
     FinCategory,
     MalformedReferenceError,
     NonComposablePathError,
+    canonical,
     compose_path,
     morphism_inverse,
     opposite_category,
@@ -18,7 +19,13 @@ from encat.core import (
     structural_equal,
     validate_category,
 )
-from encat.instances import build_bool, build_cyc, build_trop
+from encat.instances import (
+    build_bool,
+    build_cyc,
+    build_instance,
+    build_trop,
+    parse_instance_name,
+)
 
 
 def mutate_comp(cat: FinCategory, key, value) -> FinCategory:
@@ -161,6 +168,55 @@ def test_structural_equal_is_table_identity(bool_m):
     renamed = rename_category(bool_m.base, mor_map={"m01": "arrow"})
     assert validate_category(renamed) == []
     assert not structural_equal(bool_m.base, renamed)
+
+
+def _as_lists(value):
+    """A deep copy with every tuple a list: unequal under ``==``, but with
+    the same canonical form."""
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{
+            f.name: _as_lists(getattr(value, f.name)) for f in dataclasses.fields(value)})
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_as_lists(v) for v in value]
+    return value
+
+
+def _one_entry_changed(value):
+    """A copy in which the first entry of the first string-valued table
+    names a different id."""
+    changed = False
+
+    def walk(v):
+        nonlocal changed
+        if changed:
+            return v
+        if dataclasses.is_dataclass(v):
+            return dataclasses.replace(v, **{
+                f.name: walk(getattr(v, f.name)) for f in dataclasses.fields(v)})
+        if isinstance(v, dict):
+            if v and all(isinstance(w, str) for w in v.values()):
+                key = next(iter(v))
+                changed = True
+                return {**v, key: v[key] + "'"}
+            return {k: walk(w) for k, w in v.items()}
+        return v
+
+    return walk(value)
+
+
+@pytest.mark.parametrize(
+    "name", ["bool", "trop(3)", "cyc(3)", "poset-diamond", "self(trop(3))"])
+def test_structural_equal_agrees_with_canonical(name):
+    _kind, value = build_instance(parse_instance_name(name))
+    _kind, fresh = build_instance(parse_instance_name(name))
+    listed, mutated = _as_lists(value), _one_entry_changed(value)
+    assert value != listed
+    for other in (value, fresh, listed, mutated):
+        assert structural_equal(value, other) == (canonical(value) == canonical(other))
+    assert structural_equal(value, listed)
+    assert not structural_equal(value, mutated)
 
 
 _CATS = st.sampled_from(["bool", "trop3", "trop4", "cyc3"])

@@ -2,7 +2,6 @@ import dataclasses
 
 from encat.core import structural_equal
 from encat.equiv import (
-    CorrespondenceBundle,
     bimodule_completion,
     cylinder_to_module,
     cylinder_to_tensored,
@@ -138,12 +137,3 @@ def test_bimodule_completion_is_idempotent(poset_cm, self_trop3, self_cyc3):
         assert check_closed_bimodule(bm) == []
         again = bimodule_completion(bm.closedModule)
         assert structural_equal(again, bm)
-
-
-def test_bundle_carries_both_sides(poset_cm):
-    vs, cyl = module_to_cylinder(poset_cm.tensorClosed)
-    bundle = CorrespondenceBundle(
-        vstructure=vs, cylinder=cyl, module=poset_cm,
-        provenance="module-to-cylinder")
-    assert check_vstructure(bundle.vstructure) == []
-    assert check_cylinder(bundle.vstructure, bundle.cylinder) == []

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from encat.core import EngineBugError, WitnessError
+from encat.core import EngineBugError, MalformedReferenceError, WitnessError
 from encat.instances import build_bool, build_cyc, build_trop
 from encat.monoidal import (
     check_closed,
@@ -112,6 +112,28 @@ def test_transpose_failure_is_witness_error(bool_m):
     bad = mutate_closed(bool_m, "hom_obj", ("1", "0"), "1")
     with pytest.raises(WitnessError):
         transpose_pi(bad, "id:0", "1", "1")
+
+
+def test_transpose_errors_repeat_on_every_call(trop3):
+    # the transpose table is built once per (X, Y, Z); a failed lookup must
+    # still raise, with the same witness count, on the second call
+    bad = mutate_closed(trop3, "ev", ("1", "1"), "m:2:1")
+    counts = []
+    for _ in range(2):
+        with pytest.raises(WitnessError) as err:
+            transpose_pi(bad, "m:2:1", "1", "1")
+        counts.append((err.value.count, str(err.value)))
+    assert counts[0] == counts[1]
+    assert counts[0][0] == 0
+    for _ in range(2):
+        with pytest.raises(MalformedReferenceError):
+            transpose_pi(trop3, "undeclared", "1", "1")
+
+
+def test_undeclared_tensor_morphism_is_malformed_reference(trop3):
+    bad = mutate(trop3, "tensor_mor", ("id:0", "id:0"), "undeclared")
+    with pytest.raises(MalformedReferenceError):
+        check_monoidal(bad)
 
 
 def test_hom_on_morphisms(bool_m, cyc3):

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from encat.core import (
+    EngineBugError,
     FinCategory,
     FunctorData,
     WitnessError,
@@ -169,6 +170,34 @@ def test_module_phibar_matches_internal_transpose_on_self(trop3):
         for x in trop3.base.objects:
             for y in trop3.base.objects:
                 assert module_phibar(tc, k, x, y) == internal_pi_bar(trop3, k, x, y)
+
+
+def test_self_module_oracle_runs_at_every_site(monkeypatch, trop3):
+    # the self-module decision is cached per module; the oracle it enables
+    # must still compare at a site visited after the decision was made
+    import encat.vmodule as vm
+
+    tc = module_self_tensorclosed(trop3)
+    assert module_phibar(tc, "0", "0", "0") == "id:0"
+    real = internal_pi_bar(trop3, "1", "1", "2")
+    wrong = next(f for f in trop3.base.mor_ids() if f != real)
+    monkeypatch.setattr(vm, "internal_pi_bar", lambda *a, **k: wrong)
+    with pytest.raises(EngineBugError):
+        module_phibar(tc, "1", "1", "2")
+
+
+def test_module_to_cylinder_decides_self_module_once(monkeypatch, trop4):
+    import encat.instances as inst
+    from encat.equiv import module_to_cylinder
+
+    tc = module_self_tensorclosed(trop4)
+    calls = []
+    original = inst.module_self_tensorclosed
+    monkeypatch.setattr(inst, "module_self_tensorclosed",
+                        lambda m: calls.append(m) or original(m))
+    module_to_cylinder(tc)
+    assert tc._is_self_module
+    assert len(calls) <= 1
 
 
 def test_module_phibar_inverse_absent_is_witness_error(poset_cm):
