@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 Obj = str
 Mor = str
@@ -191,7 +191,11 @@ def compose_path(cat: FinCategory, path: list[Mor]) -> Mor:
                 f"{acc!r} ends at {cat.dst(acc)!r} but {step!r} starts at {cat.src(step)!r}",
                 index=i,
             )
-        acc = cat.comp[(acc, step)]
+        try:
+            acc = cat.comp[(acc, step)]
+        except KeyError:
+            raise MissingTableError(
+                f"composition table missing entry ({acc!r}, {step!r})") from None
     return acc
 
 
@@ -324,6 +328,56 @@ def morphism_inverse(cat: FinCategory, f: Mor) -> Mor | None:
         raise AmbiguousInverseError(
             f"{f!r} has {len(found)} two-sided inverses; the tables are corrupt")
     return found[0] if found else None
+
+
+def morphism_inverse_checked(cat: FinCategory, f: Mor) -> Mor:
+    """The inverse of a morphism that must be an isomorphism."""
+    g = morphism_inverse(cat, f)
+    if g is None:
+        raise WitnessError(f"required isomorphism {f!r} has no inverse", count=0)
+    return g
+
+
+class Preimages:
+    """The fibres of a finite map ``table`` (argument -> image), read off in
+    one pass; an image that could not be computed is keyed ``None``.
+
+    The one inversion serves both uses of an adjunction-style table: deciding
+    that it is a bijection from one hom-set onto another (:meth:`check`) and
+    the unique-preimage lookups such a bijection licenses (:meth:`unique`),
+    so a checker and the lookups it vouches for read the same fibres.
+    """
+
+    __slots__ = ("table", "fibres")
+
+    def __init__(self, table: Mapping[Mor, Mor | None]):
+        self.table = table
+        self.fibres: dict[Mor | None, list[Mor]] = {}
+        for arg, image in table.items():
+            self.fibres.setdefault(image, []).append(arg)
+
+    def check(self, law: str, site: tuple[str, ...], dom: Iterable[Mor],
+              cod: tuple[Mor, ...], what: str) -> list[CheckReport]:
+        """No report iff the table is a bijection from ``dom`` onto ``cod``.
+        A failure counts the distinct defined images as its witnesses;
+        ``what`` names the table in the note."""
+        if sorted(self.table) != sorted(dom):
+            return [CheckReport(law, site, witness_count=len(self.table),
+                                note=f"{what} domain mismatch")]
+        if (len(self.fibres) != len(cod)
+                or any(len(self.fibres.get(c, ())) != 1 for c in cod)):
+            images = len(self.fibres) - (None in self.fibres)
+            return [CheckReport(law, site, witness_count=images,
+                                note=f"{what} not a bijection onto {len(cod)} elements")]
+        return []
+
+    def unique(self, image: Mor, describe: Callable[[int], str]) -> Mor:
+        """The only argument sent to ``image``; otherwise a
+        :class:`WitnessError` whose message is ``describe(count)``."""
+        found = self.fibres.get(image, ())
+        if len(found) != 1:
+            raise WitnessError(describe(len(found)), count=len(found))
+        return found[0]
 
 
 @dataclass(frozen=True)

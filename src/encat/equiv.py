@@ -15,7 +15,9 @@ from .core import (
     EngineBugError,
     Mor,
     Obj,
+    Preimages,
     WitnessError,
+    morphism_inverse_checked,
     structural_equal,
 )
 from .monoidal import transpose_pi_inv, varpi_inv
@@ -96,7 +98,7 @@ def _module_phi_tables(vs: VStructureData, cyl: CylinderAssignment) -> dict:
             table = {}
             for f in s.hom(kx, y):
                 composed = base.compose(
-                    m.inv(m.l(k)),
+                    morphism_inverse_checked(base, m.l(k)),
                     m.tmor(vs.phi_of(kx, y, f), cyl.alpha[(k, x)]),
                     vs.b(x, kx, y))
                 transported = varpi_inv(
@@ -155,12 +157,9 @@ def cylinder_to_module(vs: VStructureData,
     phi = _module_phi_tables(vs, cyl)
 
     def phi_inv(k: Obj, x: Obj, y: Obj, t: Mor) -> Mor:
-        found = sorted(f for f, w in phi[(k, x, y)].items() if w == t)
-        if len(found) != 1:
-            raise WitnessError(
-                f"induced adjunction at ({k!r}, {x!r}, {y!r}) has {len(found)} "
-                f"preimages of {t!r}", count=len(found))
-        return found[0]
+        return Preimages(phi[(k, x, y)]).unique(
+            t, lambda n: f"induced adjunction at ({k!r}, {x!r}, {y!r}) has {n} "
+                         f"preimages of {t!r}")
 
     assoc = {}
     for k in base.objects:

@@ -29,8 +29,9 @@ from .core import (
     MissingTableError,
     Mor,
     Obj,
-    WitnessError,
+    Preimages,
     morphism_inverse,
+    morphism_inverse_checked,
     opposite_category,
     pair_id,
     product_category,
@@ -73,11 +74,10 @@ class MonoidalData:
     closed: ClosedData | None = None
 
     @cached_property
-    def _transposes(self) -> dict[tuple[Obj, Obj, Obj], dict[Mor | None, list[Mor]]]:
-        """Per (X, Y, Z), the preimages of each f under g |-> ev . (g (x) 1_Y)
-        on hom(X, hom(Y, Z)), in lexicographic order (an undefined image is
-        keyed ``None``); filled by :func:`transpose_pi` on first need.  An
-        entry is a pure function of the tables, so concurrent callers at
+    def _transposes(self) -> dict[tuple[Obj, Obj, Obj], Preimages]:
+        """Per (X, Y, Z), the preimages under g |-> ev . (g (x) 1_Y) on
+        hom(X, hom(Y, Z)); filled by :func:`_transpose_table` on first need.
+        An entry is a pure function of the tables, so concurrent callers at
         worst build it twice."""
         return {}
 
@@ -110,12 +110,6 @@ class MonoidalData:
             return self.runit[x]
         except KeyError:
             raise MissingTableError(f"right unitor table missing {x!r}") from None
-
-    def inv(self, f: Mor) -> Mor:
-        g = morphism_inverse(self.base, f)
-        if g is None:
-            raise WitnessError(f"structure morphism {f!r} is not invertible", count=0)
-        return g
 
     def require_closed(self) -> ClosedData:
         if self.closed is None:
@@ -344,28 +338,28 @@ def transpose_pi_inv(m: MonoidalData, g: Mor, y: Obj, z: Obj) -> Mor:
     return _transpose_forward(m, g, y, z)
 
 
+def _transpose_table(m: MonoidalData, x: Obj, y: Obj, z: Obj) -> Preimages:
+    """The inverse of the forward map over hom(X, hom(Y, Z)), built by one
+    exhaustive pass per (X, Y, Z) of ``m``; an undefined image is keyed
+    ``None``.  Both :func:`transpose_pi` and ``closed.bijection`` read it."""
+    table = m._transposes.get((x, y, z))
+    if table is None:
+        table = m._transposes[(x, y, z)] = Preimages({
+            g: _guarded(lambda: _transpose_forward(m, g, y, z))
+            for g in m.base.hom(x, m.hom_obj(y, z))})
+    return table
+
+
 def transpose_pi(m: MonoidalData, f: Mor, x: Obj, y: Obj) -> Mor:
     """Transpose f : X (x) Y -> Z into the unique g : X -> hom(Y, Z).
 
-    Looked up in the inverse table of the forward map, which an exhaustive
-    pass over the hom-set builds once per (X, Y, Z) of ``m``; the witnesses
-    keep lexicographic order.  Zero or several witnesses raise
+    Looked up in :func:`_transpose_table`.  Zero or several witnesses raise
     :class:`WitnessError` on every call (the closed data is then invalid).
     """
     m.require_closed()
     z = m.base.dst(f)
-    table = m._transposes.get((x, y, z))
-    if table is None:
-        table = {}
-        for g in m.base.hom(x, m.hom_obj(y, z)):
-            table.setdefault(_guarded(lambda: _transpose_forward(m, g, y, z)), []).append(g)
-        m._transposes[(x, y, z)] = table
-    candidates = table.get(f, [])
-    if len(candidates) != 1:
-        raise WitnessError(
-            f"transpose of {f!r} at ({x!r}, {y!r}, {z!r}) has "
-            f"{len(candidates)} witnesses", count=len(candidates))
-    return candidates[0]
+    return _transpose_table(m, x, y, z).unique(
+        f, lambda n: f"transpose of {f!r} at ({x!r}, {y!r}, {z!r}) has {n} witnesses")
 
 
 def check_closed(m: MonoidalData, cl: ClosedData | None = None) -> list[CheckReport]:
@@ -401,11 +395,8 @@ def check_closed(m: MonoidalData, cl: ClosedData | None = None) -> list[CheckRep
                             "closed.bijection", (x, y, z), witness_count=len(dom),
                             note=f"{len(dom)} transposes for {len(cod)} morphisms"))
                     continue
-                images = [_transpose_forward(m, g, y, z) for g in dom]
-                if len(set(images)) != len(images) or set(images) != set(cod):
-                    reports.append(CheckReport(
-                        "closed.bijection", (x, y, z), witness_count=len(set(images)),
-                        note=f"image size {len(set(images))}, hom-set size {len(cod)}"))
+                reports += _transpose_table(m, x, y, z).check(
+                    "closed.bijection", (x, y, z), dom, cod, "transpose")
 
     if reports:
         return sort_reports(reports)
@@ -530,7 +521,8 @@ def varpi_inv(m: MonoidalData, t: Mor, x: Obj, y: Obj) -> Mor:
     """Inverse of :func:`varpi`: recover f : X -> Y from I -> hom(X, Y)."""
     m.require_closed()
     base = m.base
-    return base.compose(m.inv(m.l(x)), transpose_pi_inv(m, t, x, y))
+    return base.compose(morphism_inverse_checked(base, m.l(x)),
+                        transpose_pi_inv(m, t, x, y))
 
 
 def internal_pi_bar(m: MonoidalData, x: Obj, y: Obj, z: Obj) -> Mor:
@@ -628,7 +620,7 @@ def self_path(m: MonoidalData, s: SymmetryData | None = None):
                 m, base.compose(s.braid[(k, kx)], m.ev(k, x)), k, kx)
             for y in base.objects:
                 psibar[(k, x, y)] = base.compose(
-                    m.inv(internal_pi_bar(m, y, k, x)),
+                    morphism_inverse_checked(base, internal_pi_bar(m, y, k, x)),
                     hom_on_morphisms(m, s.braid[(k, y)], base.id_(x)),
                     internal_pi_bar(m, k, y, x))
     return PathAssignment(path_obj=path_obj, beta=beta, psibar=psibar)

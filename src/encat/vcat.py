@@ -22,6 +22,7 @@ from .core import (
     Mor,
     Obj,
     morphism_inverse,
+    morphism_inverse_checked,
     opposite_category,
     pair_id,
     product_category,
@@ -190,7 +191,7 @@ def underlying_category(vc: VCategoryData):
             witness_of[eid] = (a, b, w)
     identity = {a: element_id(a, a, vc.j(a)) for a in objs}
 
-    l_inv = m.inv(m.l(m.unit))
+    l_inv = morphism_inverse_checked(base, m.l(m.unit))
     comp = {}
     for a in objs:
         for b in objs:
@@ -205,14 +206,14 @@ def underlying_category(vc: VCategoryData):
     def contra_action(f_witness: Mor, x_new: Obj, x_old: Obj, y: Obj) -> Mor:
         # hom(f, Y) for f : x_new -> x_old, as tensoring the witness on the right
         h = vc.hom(x_old, y)
-        return base.compose(m.inv(m.r(h)),
+        return base.compose(morphism_inverse_checked(base, m.r(h)),
                             m.tmor(base.id_(h), f_witness),
                             vc.b(x_new, x_old, y))
 
     def cova_action(g_witness: Mor, x: Obj, y_old: Obj, y_new: Obj) -> Mor:
         # hom(X, g) for g : y_old -> y_new, as tensoring the witness on the left
         h = vc.hom(x, y_old)
-        return base.compose(m.inv(m.l(h)),
+        return base.compose(morphism_inverse_checked(base, m.l(h)),
                             m.tmor(g_witness, base.id_(h)),
                             vc.b(x, y_old, y_new))
 
@@ -305,11 +306,11 @@ def check_vnat(nt: VNatData) -> list[CheckReport]:
             hab = s.src.hom(a, bb)
             _law(reports, "vnat.square", (a, bb),
                  _guarded(lambda: base.compose(
-                     m.inv(m.l(hab)),
+                     morphism_inverse_checked(base, m.l(hab)),
                      m.tmor(nt.components[bb], s.hom(a, bb)),
                      s.dst.b(s.obj(a), s.obj(bb), t.obj(bb)))),
                  _guarded(lambda: base.compose(
-                     m.inv(m.r(hab)),
+                     morphism_inverse_checked(base, m.r(hab)),
                      m.tmor(t.hom(a, bb), nt.components[a]),
                      s.dst.b(s.obj(a), t.obj(a), t.obj(bb)))))
     return sort_reports(reports)

@@ -3,6 +3,11 @@ closed variants, comodules and closed bimodules.
 
 The adjunction bijections (phi for the tensor side, psi for the cotensor
 side) are stored as explicit tables; units and counits are derived from them.
+In a closed module the cotensor adjunction psi is the action adjunction phi
+of the reversed side (the cotensor acting on the opposite category), so psi
+is checked by running the action-side adjunction checks on that reversed
+tensor-closed module; a closed bimodule, whose reversed side is that same
+module, reports each cotensor failure once.
 """
 
 from __future__ import annotations
@@ -20,9 +25,11 @@ from .core import (
     MissingTableError,
     Mor,
     Obj,
+    Preimages,
     WitnessError,
     canonical_diff,
     morphism_inverse,
+    morphism_inverse_checked,
     opposite_category,
     pair_id,
     product_category,
@@ -124,13 +131,9 @@ class TensorClosedModuleData:
             return False
 
     def phi_inv(self, k: Obj, x: Obj, y: Obj, t: Mor) -> Mor:
-        table = self.phi.get((k, x, y), {})
-        found = sorted(f for f, w in table.items() if w == t)
-        if len(found) != 1:
-            raise WitnessError(
-                f"adjunction table at ({k!r}, {x!r}, {y!r}) has {len(found)} "
-                f"preimages of {t!r}", count=len(found))
-        return found[0]
+        return Preimages(self.phi.get((k, x, y), {})).unique(
+            t, lambda n: f"adjunction table at ({k!r}, {x!r}, {y!r}) has {n} "
+                         f"preimages of {t!r}")
 
 
 @dataclass(frozen=True)
@@ -161,13 +164,9 @@ class ClosedVModuleData:
             raise MissingTableError(f"cotensor adjunction missing ({k!r}, {x!r}, {y!r}, {g!r})") from None
 
     def psi_inv(self, k: Obj, x: Obj, y: Obj, t: Mor) -> Mor:
-        table = self.psi.get((k, x, y), {})
-        found = sorted(g for g, w in table.items() if w == t)
-        if len(found) != 1:
-            raise WitnessError(
-                f"cotensor adjunction at ({k!r}, {x!r}, {y!r}) has {len(found)} "
-                f"preimages of {t!r}", count=len(found))
-        return found[0]
+        return Preimages(self.psi.get((k, x, y), {})).unique(
+            t, lambda n: f"cotensor adjunction at ({k!r}, {x!r}, {y!r}) has {n} "
+                         f"preimages of {t!r}")
 
 
 @dataclass(frozen=True)
@@ -296,42 +295,23 @@ def module_eta_eps(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj) -> tuple[
     return eta, eps
 
 
-def check_tensor_closed(tc: TensorClosedModuleData, *,
-                        include_module: bool = True) -> list[CheckReport]:
-    """Module axioms, hom functoriality, bijectivity of the adjunction tables
-    and their naturality in all three variables."""
+def _adjunction_checks(tc: TensorClosedModuleData, what: str) -> list[CheckReport]:
+    """Bijectivity of the adjunction tables and their naturality in all three
+    variables; ``what`` names the tables in notes and errors."""
     mod = tc.module
-    m = mod.baseV
-    vbase = m.base
+    vbase = mod.baseV.base
     s = mod.baseS
     reports: list[CheckReport] = []
 
-    if include_module:
-        reports.extend(check_vmodule(mod))
-    reports.extend(validate_functor(tc.homFunctor, tag="moduleclosed.functor"))
-
-    tables_ok = True
     for k in vbase.objects:
         for x in s.objects:
             for y in s.objects:
                 table = tc.phi.get((k, x, y))
                 if table is None:
-                    raise MissingTableError(f"adjunction table missing ({k!r}, {x!r}, {y!r})")
-                dom = s.hom(mod.act_obj(k, x), y)
-                cod = vbase.hom(k, tc.hom_obj(x, y))
-                if sorted(table) != sorted(dom):
-                    reports.append(CheckReport(
-                        "moduleclosed.naturality", (k, x, y), witness_count=len(table),
-                        note="adjunction table domain mismatch"))
-                    tables_ok = False
-                    continue
-                images = [table[f] for f in dom]
-                if len(set(images)) != len(images) or set(images) != set(cod):
-                    reports.append(CheckReport(
-                        "moduleclosed.naturality", (k, x, y),
-                        witness_count=len(set(images)),
-                        note=f"not a bijection onto {len(cod)} elements"))
-                    tables_ok = False
+                    raise MissingTableError(f"{what} missing ({k!r}, {x!r}, {y!r})")
+                reports += Preimages(table).check(
+                    "moduleclosed.naturality", (k, x, y), s.hom(mod.act_obj(k, x), y),
+                    vbase.hom(k, tc.hom_obj(x, y)), what)
 
     for u in vbase.mor_ids():  # naturality in the tensor variable
         kp, k = vbase.src(u), vbase.dst(u)
@@ -361,82 +341,53 @@ def check_tensor_closed(tc: TensorClosedModuleData, *,
                          _guarded(lambda: tc.phi_of(k, x, yp, s.then(f, w))),
                          _guarded(lambda: vbase.compose(
                              tc.phi_of(k, x, y, f), tc.hom_mor(s.id_(x), w))))
+    return reports
 
+
+def _evaluation_square(tc: TensorClosedModuleData) -> None:
+    """The evaluation square of the action adjunction, a consequence of the
+    axioms: run only after they pass, so a failure is an engine bug."""
+    mod = tc.module
+    vbase = mod.baseV.base
+    s = mod.baseS
+    for f in s.mor_ids():
+        x, y = s.src(f), s.dst(f)
+        for z in s.objects:
+            lhs = s.compose(mod.act_mor(vbase.id_(tc.hom_obj(y, z)), f),
+                            _counit(tc, y, z))
+            rhs = s.compose(mod.act_mor(tc.hom_mor(f, s.id_(z)), s.id_(x)),
+                            _counit(tc, x, z))
+            if lhs != rhs:
+                raise EngineBugError(
+                    f"derived law failed: module evaluation square at ({f!r}, {z!r})")
+
+
+def check_tensor_closed(tc: TensorClosedModuleData) -> list[CheckReport]:
+    """Module axioms, hom functoriality, bijectivity of the adjunction tables
+    and their naturality in all three variables."""
+    reports = check_vmodule(tc.module)
+    reports += validate_functor(tc.homFunctor, tag="moduleclosed.functor")
+    reports += _adjunction_checks(tc, "adjunction table")
     reports = sort_reports(reports)
-    if not reports and tables_ok:
-        for f in s.mor_ids():
-            x, y = s.src(f), s.dst(f)
-            for z in s.objects:
-                lhs = s.compose(mod.act_mor(vbase.id_(tc.hom_obj(y, z)), f),
-                                _counit(tc, y, z))
-                rhs = s.compose(mod.act_mor(tc.hom_mor(f, s.id_(z)), s.id_(x)),
-                                _counit(tc, x, z))
-                if lhs != rhs:
-                    raise EngineBugError(
-                        f"derived law failed: module evaluation square at ({f!r}, {z!r})")
+    if not reports:
+        _evaluation_square(tc)
     return reports
 
 
 def check_closed_module(cm: ClosedVModuleData) -> list[CheckReport]:
-    """Tensor-closed checks plus cotensor functoriality and bijectivity and
-    naturality of the cotensor adjunction tables."""
-    tc = cm.tensorClosed
-    mod = tc.module
-    m = mod.baseV
-    vbase = m.base
-    s = mod.baseS
-    reports = list(check_tensor_closed(tc))
-    reports.extend(validate_functor(cm.cotensor, tag="moduleclosed.cotensor"))
-
-    for k in vbase.objects:
-        for x in s.objects:
-            for y in s.objects:
-                table = cm.psi.get((k, x, y))
-                if table is None:
-                    raise MissingTableError(f"cotensor adjunction missing ({k!r}, {x!r}, {y!r})")
-                dom = s.hom(y, cm.cot_obj(k, x))
-                cod = vbase.hom(k, tc.hom_obj(y, x))
-                if sorted(table) != sorted(dom):
-                    reports.append(CheckReport(
-                        "moduleclosed.naturality", (k, x, y), witness_count=len(table),
-                        note="cotensor table domain mismatch"))
-                    continue
-                images = [table[g] for g in dom]
-                if len(set(images)) != len(images) or set(images) != set(cod):
-                    reports.append(CheckReport(
-                        "moduleclosed.naturality", (k, x, y),
-                        witness_count=len(set(images)),
-                        note=f"cotensor table not a bijection onto {len(cod)} elements"))
-
-    for u in vbase.mor_ids():  # naturality in the tensor variable
-        kp, k = vbase.src(u), vbase.dst(u)
-        for x in s.objects:
-            t = cm.cot_mor(u, s.id_(x))  # as a morphism K cot X -> K' cot X of S
-            for y in s.objects:
-                for g in s.hom(y, cm.cot_obj(k, x)):
-                    _law(reports, "moduleclosed.naturality", (u, x, y, g),
-                         _guarded(lambda: cm.psi_of(kp, x, y, s.then(g, t))),
-                         _guarded(lambda: vbase.compose(u, cm.psi_of(k, x, y, g))))
-    for v in s.mor_ids():  # naturality in the cotensored variable
-        x, xp = s.src(v), s.dst(v)
-        for k in vbase.objects:
-            t = cm.cot_mor(vbase.id_(k), v)  # K cot X -> K cot X' in S
-            for y in s.objects:
-                for g in s.hom(y, cm.cot_obj(k, x)):
-                    _law(reports, "moduleclosed.naturality", (k, v, y, g),
-                         _guarded(lambda: cm.psi_of(k, xp, y, s.then(g, t))),
-                         _guarded(lambda: vbase.compose(
-                             cm.psi_of(k, x, y, g), tc.hom_mor(s.id_(y), v))))
-    for w in s.mor_ids():  # naturality in the probe variable
-        yp, y = s.src(w), s.dst(w)
-        for k in vbase.objects:
-            for x in s.objects:
-                for g in s.hom(y, cm.cot_obj(k, x)):
-                    _law(reports, "moduleclosed.naturality", (k, x, w, g),
-                         _guarded(lambda: cm.psi_of(k, x, yp, s.then(w, g))),
-                         _guarded(lambda: vbase.compose(
-                             cm.psi_of(k, x, y, g), tc.hom_mor(w, s.id_(x)))))
-    return sort_reports(reports)
+    """Tensor-closed checks, cotensor functoriality, and the action-side
+    adjunction checks run on the reversed side, whose adjunction tables are
+    psi.  Its hom functor is the hom functor with swapped arguments, already
+    validated, so it is not validated again."""
+    reports = check_tensor_closed(cm.tensorClosed)
+    reports += validate_functor(cm.cotensor, tag="moduleclosed.cotensor")
+    reversed_side = dual_tensorclosed(
+        ClosedBimoduleData(closedModule=cm, comodAssoc={}, comodLunit={}))
+    reports += _adjunction_checks(reversed_side, "cotensor adjunction")
+    reports = sort_reports(reports)
+    if not reports:
+        _evaluation_square(reversed_side)
+    return reports
 
 
 def induced_vstructure(tc: TensorClosedModuleData) -> VStructureData:
@@ -476,13 +427,6 @@ def _action_component(tc: TensorClosedModuleData, k: Obj, l: Obj, x: Obj) -> Mor
         morphism_inverse_checked(s, mod.a(hkl, k, x)),
         mod.act_mor(m.ev(k, l), s.id_(x)))
     return tc.phi_of(hkl, mod.act_obj(k, x), mod.act_obj(l, x), composite)
-
-
-def morphism_inverse_checked(cat: FinCategory, f: Mor) -> Mor:
-    g = morphism_inverse(cat, f)
-    if g is None:
-        raise WitnessError(f"required isomorphism {f!r} has no inverse", count=0)
-    return g
 
 
 def enriched_action(tc: TensorClosedModuleData) -> EnrichedActionData:
@@ -646,18 +590,15 @@ def dualize_to_comodule(mod: VModuleData) -> VModuleData:
 
 
 def dual_module(bm: ClosedBimoduleData) -> VModuleData:
-    """The reversed-side module of a bimodule: the cotensor acting on the
-    reversed category, with the stored comodule isomorphisms."""
+    """The reversed-side module of a bimodule: the cotensor, a functor
+    V x S^op -> S^op, acting on the reversed category, with the stored
+    comodule isomorphisms."""
     cm = bm.closedModule
-    s_op = opposite_category(cm.tensorClosed.module.baseS)
+    mod = cm.tensorClosed.module
     return VModuleData(
-        baseV=cm.tensorClosed.module.baseV,
-        baseS=s_op,
-        action=FunctorData(
-            srcCat=product_category(cm.tensorClosed.module.baseV.base, s_op),
-            dstCat=s_op,
-            onObjects=dict(cm.cotensor.onObjects),
-            onMorphisms=dict(cm.cotensor.onMorphisms)),
+        baseV=mod.baseV,
+        baseS=opposite_category(mod.baseS),
+        action=cm.cotensor,
         assoc=dict(bm.comodAssoc),
         lunit=dict(bm.comodLunit))
 
@@ -670,10 +611,11 @@ def dual_tensorclosed(bm: ClosedBimoduleData) -> TensorClosedModuleData:
     s = tc.module.baseS
     mod = dual_module(bm)
     src_prod = product_category(opposite_category(mod.baseS), mod.baseS)
-    on_objects = {pair_id(x, y): tc.hom_obj(y, x)
-                  for x in s.objects for y in s.objects}
-    on_morphisms = {pair_id(u, v): tc.hom_mor(v, u)
-                    for u in s.mor_ids() for v in s.mor_ids()}
+    hom = tc.homFunctor  # swapped verbatim: a missing entry stays missing
+    on_objects = {pair_id(x, y): h for x in s.objects for y in s.objects
+                  if (h := hom.onObjects.get(pair_id(y, x))) is not None}
+    on_morphisms = {pair_id(u, v): h for u in s.mor_ids() for v in s.mor_ids()
+                    if (h := hom.onMorphisms.get(pair_id(v, u))) is not None}
     return TensorClosedModuleData(
         module=mod,
         homFunctor=FunctorData(src_prod, tc.module.baseV.base, on_objects, on_morphisms),
@@ -683,33 +625,32 @@ def dual_tensorclosed(bm: ClosedBimoduleData) -> TensorClosedModuleData:
 _COMODULE_RELABEL = ("module.", "comodule.")
 
 
-def _relabel(reports: list[CheckReport], swap=_COMODULE_RELABEL) -> list[CheckReport]:
+def _relabel(reports: list[CheckReport]) -> list[CheckReport]:
+    """Reversed-side module reports under their comodule names."""
+    old, new = _COMODULE_RELABEL
     out = []
     for r in reports:
         law = r.law
-        if law.startswith(swap[0]):
-            law = swap[1] + law[len(swap[0]):]
+        if law.startswith(old):
+            law = new + law[len(old):]
         out.append(CheckReport(law, r.site, r.lhs, r.rhs, r.witness_count, r.note))
     return out
 
 
 def check_closed_bimodule(bm: ClosedBimoduleData,
                           sym: SymmetryData | None = None) -> list[CheckReport]:
-    """Both sides' module checks, the requirement that the reversed side carry
-    the reversed hom structure, and the three transport diagrams that pin the
-    comodule isomorphisms."""
+    """The closed-module checks (which already cover the reversed side's
+    adjunction), the reversed side's module checks, the requirement that the
+    reversed side carry the reversed hom structure, and the three transport
+    diagrams that pin the comodule isomorphisms."""
     cm = bm.closedModule
     tc = cm.tensorClosed
     m = tc.module.baseV
     sym = sym or m.require_symmetry()
-    vbase = m.base
-    s = tc.module.baseS
     reports = list(check_closed_module(cm))
 
-    dmod = dual_module(bm)
-    reports.extend(_relabel(check_vmodule(dmod)))
+    reports.extend(_relabel(check_vmodule(dual_module(bm))))
     dtc = dual_tensorclosed(bm)
-    reports.extend(_relabel(check_tensor_closed(dtc, include_module=False)))
 
     # the reversed side's hom structure must be the reversed hom structure
     try:

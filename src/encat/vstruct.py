@@ -20,13 +20,15 @@ from .core import (
     MissingTableError,
     Mor,
     Obj,
+    Preimages,
+    WitnessError,
     morphism_inverse,
+    morphism_inverse_checked,
     opposite_category,
     pair_id,
     product_category,
     sort_reports,
     validate_functor,
-    WitnessError,
 )
 from .monoidal import (
     MonoidalData,
@@ -75,13 +77,9 @@ class VStructureData:
             raise MissingTableError(f"element table missing ({x!r}, {y!r}, {f!r})") from None
 
     def phi_inv(self, x: Obj, y: Obj, t: Mor) -> Mor:
-        table = self.phi.get((x, y), {})
-        found = sorted(f for f, w in table.items() if w == t)
-        if len(found) != 1:
-            raise WitnessError(
-                f"element correspondence at ({x!r}, {y!r}) has {len(found)} "
-                f"preimages of {t!r}", count=len(found))
-        return found[0]
+        return Preimages(self.phi.get((x, y), {})).unique(
+            t, lambda n: f"element correspondence at ({x!r}, {y!r}) has {n} "
+                         f"preimages of {t!r}")
 
 
 @dataclass(frozen=True)
@@ -128,19 +126,9 @@ def check_vstructure(vs: VStructureData) -> list[CheckReport]:
             table = vs.phi.get((x, y))
             if table is None:
                 raise MissingTableError(f"element table missing ({x!r}, {y!r})")
-            dom = s.hom(x, y)
-            cod = base.hom(m.unit, vs.hom_obj(x, y))
-            if sorted(table) != sorted(dom):
-                reports.append(CheckReport("vstructure.phi-bijection", (x, y),
-                                           witness_count=len(table),
-                                           note="domain mismatch"))
-                continue
-            images = [table[f] for f in dom]
-            if len(set(images)) != len(images) or set(images) != set(cod):
-                reports.append(CheckReport("vstructure.phi-bijection", (x, y),
-                                           witness_count=len(set(images)),
-                                           note=f"image size {len(set(images))}, "
-                                                f"element count {len(cod)}"))
+            reports += Preimages(table).check(
+                "vstructure.phi-bijection", (x, y), s.hom(x, y),
+                base.hom(m.unit, vs.hom_obj(x, y)), "element table")
 
     # naturality of the element correspondence in both arguments
     for f in s.mor_ids():
@@ -177,7 +165,7 @@ def check_vstructure(vs: VStructureData) -> list[CheckReport]:
             _law(reports, "vstructure.right-action", (f, z),
                  _guarded(lambda: vs.hom_mor(f, s.id_(z))),
                  _guarded(lambda: base.compose(
-                     m.inv(m.r(vs.hom_obj(y, z))),
+                     morphism_inverse_checked(base, m.r(vs.hom_obj(y, z))),
                      m.tmor(base.id_(vs.hom_obj(y, z)), vs.phi_of(x, y, f)),
                      vs.b(x, y, z))))
     # covariant action: hom(X, g) likewise, with the element on the left
@@ -187,7 +175,7 @@ def check_vstructure(vs: VStructureData) -> list[CheckReport]:
             _law(reports, "vstructure.left-action", (x, g),
                  _guarded(lambda: vs.hom_mor(s.id_(x), g)),
                  _guarded(lambda: base.compose(
-                     m.inv(m.l(vs.hom_obj(x, y))),
+                     morphism_inverse_checked(base, m.l(vs.hom_obj(x, y))),
                      m.tmor(vs.phi_of(y, z, g), base.id_(vs.hom_obj(x, y))),
                      vs.b(x, y, z))))
     return sort_reports(reports)
@@ -364,7 +352,7 @@ def _alpha_transport(vs: VStructureData, cyl: CylinderAssignment,
     m = vs.baseV
     kx = cyl.tensor_obj[(k, x)]
     t = varpi(m, element)
-    t2 = m.base.compose(t, m.inv(cyl.phibar[(k, x, target)]))
+    t2 = m.base.compose(t, morphism_inverse_checked(m.base, cyl.phibar[(k, x, target)]))
     return vs.phi_inv(kx, target, t2)
 
 

@@ -8,10 +8,14 @@ from encat.core import (
     AmbiguousInverseError,
     FinCategory,
     MalformedReferenceError,
+    MissingTableError,
     NonComposablePathError,
+    Preimages,
+    WitnessError,
     canonical,
     compose_path,
     morphism_inverse,
+    morphism_inverse_checked,
     opposite_category,
     pair_id,
     product_category,
@@ -101,6 +105,16 @@ def test_compose_path_error_carries_index(bool_m):
         compose_path(bool_m.base, [])
 
 
+def test_compose_path_missing_entry_is_missing_table_error(bool_m):
+    comp = dict(bool_m.base.comp)
+    del comp[("m01", "id:1")]
+    partial = dataclasses.replace(bool_m.base, comp=comp)
+    with pytest.raises(MissingTableError):
+        compose_path(partial, ["m01", "id:1"])
+    with pytest.raises(MissingTableError):
+        partial.then("m01", "id:1")
+
+
 def test_product_category_counts(bool_m):
     prod = product_category(bool_m.base, bool_m.base)
     assert len(prod.objects) == 4
@@ -130,6 +144,47 @@ def test_morphism_inverse_symmetry(cyc3, trop4):
             g = morphism_inverse(cat, f)
             if g is not None:
                 assert morphism_inverse(cat, g) == f
+
+
+def test_morphism_inverse_checked(bool_m, cyc3):
+    assert morphism_inverse_checked(cyc3.base, "1") == "2"
+    with pytest.raises(WitnessError) as err:
+        morphism_inverse_checked(bool_m.base, "m01")
+    assert err.value.count == 0
+    assert str(err.value) == "required isomorphism 'm01' has no inverse"
+
+
+def _verdict(table, dom, cod):
+    return Preimages(table).check("law", ("s",), dom, cod, "table")
+
+
+def test_preimages_bijection_verdicts():
+    dom, cod = ("a", "b", "c"), ("x", "y", "z")
+    assert _verdict({"a": "y", "b": "z", "c": "x"}, dom, cod) == []
+    # non-injective: two arguments share an image, so one element is missed
+    [r] = _verdict({"a": "x", "b": "x", "c": "y"}, dom, cod)
+    assert (r.law, r.site, r.witness_count) == ("law", ("s",), 2)
+    assert r.note == "table not a bijection onto 3 elements"
+    # non-surjective: injective but with an image outside the hom-set
+    [r] = _verdict({"a": "x", "b": "y", "c": "w"}, dom, cod)
+    assert r.witness_count == 3
+    # undefined images are keyed None and are not counted as images
+    [r] = _verdict({"a": "x", "b": "y", "c": None}, dom, cod)
+    assert r.witness_count == 2
+    # keys that differ from the hom-set: a missing and a stray argument
+    for table in ({"a": "x", "b": "y"}, {"a": "x", "b": "y", "c": "z", "d": "w"}):
+        [r] = _verdict(table, dom, cod)
+        assert (r.witness_count, r.note) == (len(table), "table domain mismatch")
+
+
+def test_preimages_unique_lookup():
+    inv = Preimages({"a": "x", "b": "x", "c": "y"})
+    assert inv.unique("y", lambda n: f"{n} preimages") == "c"
+    for image, count in (("x", 2), ("z", 0)):
+        for _ in range(2):
+            with pytest.raises(WitnessError) as err:
+                inv.unique(image, lambda n: f"{n} preimages")
+            assert (err.value.count, str(err.value)) == (count, f"{count} preimages")
 
 
 def test_ambiguous_inverse_detected():

@@ -177,6 +177,21 @@ def test_cli_construct_and_roundtrip(tmp_path):
     assert cli(["check", str(under)], out=out) == 0
 
 
+def test_cli_check_partial_composition_table(tmp_path):
+    # a composable pair missing from the module's base composition table is
+    # an input error (exit 1 or 2), never a KeyError traceback
+    out = io.StringIO()
+    doc = tmp_path / "pm.doc"
+    assert cli(["instance", "poset-diamond", "-o", str(doc)], out=out) == 0
+    data = json.loads(doc.read_text(encoding="utf-8"))
+    rows = data["body"]["tensor_closed"]["module"]["base_s"]["comp"]
+    rows.remove(["m:bot:x", "m:x:top", "m:bot:top"])
+    bad = tmp_path / "bad.doc"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    out = io.StringIO()
+    assert cli(["check", str(bad)], out=out) in (1, 2)
+
+
 def test_cli_error_exit_codes(tmp_path):
     out = io.StringIO()
     assert cli(["check", str(tmp_path / "missing.doc")], out=out) == 2

@@ -130,6 +130,47 @@ def test_transpose_errors_repeat_on_every_call(trop3):
             transpose_pi(trop3, "undeclared", "1", "1")
 
 
+def _same_error_twice(m, f, x, y):
+    seen = []
+    for _ in range(2):
+        with pytest.raises(WitnessError) as err:
+            transpose_pi(m, f, x, y)
+        seen.append((err.value.count, str(err.value)))
+    assert seen[0] == seen[1]
+    return seen[0]
+
+
+def test_closed_bijection_reads_the_transpose_table(trop3, cyc3):
+    # a larger internal hom with a well-shaped evaluation: the transpose of
+    # id:1 at (0, 1, 1) would need a morphism 0 -> 1, and there is none
+    bad = mutate_closed(mutate_closed(trop3, "hom_obj", ("1", "1"), "1"),
+                        "ev", ("1", "1"), "m:2:1")
+    reports = check_closed(bad)
+    assert [(r.law, r.site, r.witness_count) for r in reports] == [
+        ("closed.bijection", ("0", "1", "1"), 0)]
+    assert _same_error_twice(bad, "id:1", "0", "1") == (
+        0, "transpose of 'id:1' at ('0', '1', '1') has 0 witnesses")
+
+    # 1 (x) 0 sent to 0: g |-> ev . (g (x) 1) identifies 0 and 1
+    bad = mutate(cyc3, "tensor_mor", ("1", "0"), "0")
+    reports = check_closed(bad)
+    assert [(r.law, r.site, r.witness_count) for r in reports] == [
+        ("closed.bijection", ("*", "*", "*"), 2)]
+    assert _same_error_twice(bad, "0", "*", "*")[0] == 2
+    assert _same_error_twice(bad, "1", "*", "*")[0] == 0
+
+
+def test_closed_bijection_reports_an_undefined_transpose_image(bool_m):
+    # id:0 (x) id:1 redirected to id:1 cannot be followed by ev(1, 0) : 0 -> 0,
+    # so the forward image of id:0 at (0, 1, 0) is undefined: a report, not
+    # an exception
+    bad = mutate(bool_m, "tensor_mor", ("id:0", "id:1"), "id:1")
+    reports = check_closed(bad)
+    bij = {r.site: r.witness_count for r in reports if r.law == "closed.bijection"}
+    assert bij[("0", "1", "0")] == 0
+    assert _same_error_twice(bad, "id:0", "0", "1")[0] == 0
+
+
 def test_undeclared_tensor_morphism_is_malformed_reference(trop3):
     bad = mutate(trop3, "tensor_mor", ("id:0", "id:0"), "undeclared")
     with pytest.raises(MalformedReferenceError):

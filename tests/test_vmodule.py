@@ -29,7 +29,7 @@ from encat.vmodule import (
 )
 from encat.vstruct import check_vstructure
 from encat.equiv import bimodule_completion
-from encat.instances import build_trop, module_self_tensorclosed
+from encat.instances import build_cyc, build_trop, module_self, module_self_tensorclosed
 
 
 def tower_module() -> VModuleData:
@@ -260,3 +260,38 @@ def test_bimodule_mutations(self_cyc3, poset_cm):
     lunit["x"] = "id:top"
     bad = dataclasses.replace(pbm, comodLunit=lunit)
     assert "comodule.unit" in {r.law for r in check_closed_bimodule(bad)}
+
+
+def test_bimodule_reports_each_cotensor_failure_once():
+    bm = bimodule_completion(module_self(build_cyc(3)))
+    psi = {k: dict(t) for k, t in bm.closedModule.psi.items()}
+    psi[("*", "*", "*")]["0"] = "1"
+    bad = dataclasses.replace(
+        bm, closedModule=dataclasses.replace(bm.closedModule, psi=psi))
+    reports = check_closed_bimodule(bad)
+    keys = [(r.law, r.site, r.lhs, r.rhs) for r in reports]
+    assert "moduleclosed.naturality" in {r.law for r in reports}
+    assert len(keys) == len(set(keys))
+    # the closed module's own reports are all of its cotensor failures
+    closed = check_closed_module(bad.closedModule)
+    assert [r for r in reports if r.law.startswith("moduleclosed.")] == closed
+
+
+def test_closed_module_runs_the_reversed_evaluation_square(monkeypatch, self_cyc3):
+    # the derived square runs on the action side and, once the whole closed
+    # module is clean, on the reversed side whose adjunction tables are psi
+    import encat.vmodule as vm
+
+    seen = []
+    real = vm._evaluation_square
+    monkeypatch.setattr(vm, "_evaluation_square",
+                        lambda tc: seen.append(tc.phi) or real(tc))
+    cm = self_cyc3
+    assert check_closed_module(cm) == []
+    assert seen == [cm.tensorClosed.phi, cm.psi]
+
+    seen.clear()
+    psi = {k: dict(t) for k, t in cm.psi.items()}
+    psi[("*", "*", "*")]["0"] = "1"
+    assert check_closed_module(dataclasses.replace(cm, psi=psi))
+    assert seen == [cm.tensorClosed.phi]
