@@ -622,19 +622,11 @@ def dual_tensorclosed(bm: ClosedBimoduleData) -> TensorClosedModuleData:
         phi={key: dict(table) for key, table in cm.psi.items()})
 
 
-_COMODULE_RELABEL = ("module.", "comodule.")
-
-
 def _relabel(reports: list[CheckReport]) -> list[CheckReport]:
     """Reversed-side module reports under their comodule names."""
-    old, new = _COMODULE_RELABEL
-    out = []
-    for r in reports:
-        law = r.law
-        if law.startswith(old):
-            law = new + law[len(old):]
-        out.append(CheckReport(law, r.site, r.lhs, r.rhs, r.witness_count, r.note))
-    return out
+    return [CheckReport("co" + r.law if r.law.startswith("module.") else r.law,
+                        r.site, r.lhs, r.rhs, r.witness_count, r.note)
+            for r in reports]
 
 
 def check_closed_bimodule(bm: ClosedBimoduleData,
