@@ -12,6 +12,7 @@ import json
 import os
 import sys
 
+from . import core, monoidal, vcat, vmodule, vstruct
 from .core import (
     CheckReport,
     EncatError,
@@ -37,57 +38,22 @@ from .vmodule import (
     check_closed_module,
     check_tensor_closed,
     check_vmodule,
+    comodule_name,
     induced_vstructure,
 )
 from .vstruct import associated_vcategory, check_cylinder, check_path, check_vstructure
 
-LAW_REGISTRY = (
-    "pentagon", "triangle",
-    "symmetry.invol", "symmetry.hexagon", "symmetry.unit",
-    "closed.bijection",
-    "vcat.assoc", "vcat.unit",
-    "vstructure.assoc", "vstructure.left-action", "vstructure.right-action",
-    "cylinder.cp1-1", "path.cp2-1-25",
-    "module.assoc", "module.unit",
-    "moduleclosed.naturality",
-    "bimodule.cp2-8-1", "bimodule.cp2-8-2", "bimodule.cp2-8-3",
-    "comodule.assoc", "comodule.unit",
-)
+_CHECKER_MODULES = (monoidal, vcat, vstruct, vmodule)
+_LAWS = tuple(law for mod in _CHECKER_MODULES for law in mod.LAWS)
+_NAMES = {law.name for law in _LAWS}.union(
+    core.CHECKS, *(mod.CHECKS for mod in _CHECKER_MODULES))
 
-_AUX_LAWS = (
-    "category.assoc", "category.composable", "category.identity-shape",
-    "category.reserved-id", "category.shape", "category.total", "category.unit",
-    "tensor.identity", "tensor.interchange", "tensor.shape",
-    "assoc.iso", "assoc.natural", "assoc.shape",
-    "lunit.iso", "lunit.natural", "lunit.shape",
-    "runit.iso", "runit.natural", "runit.shape",
-    "symmetry.natural", "symmetry.shape",
-    "closed.shape", "closed.pi-natural",
-    "vcat.shape",
-    "vfunctor.comp", "vfunctor.shape", "vfunctor.unit",
-    "vnat.shape", "vnat.square", "vnat.hom-square",
-    "tensored.iso", "tensored.shape", "tensored.vnatural",
-    "vstructure.functor.composition", "vstructure.functor.identity",
-    "vstructure.functor.shape", "vstructure.functor.total",
-    "vstructure.phi-bijection", "vstructure.phi-natural", "vstructure.shape",
-    "cylinder.phibar-iso", "cylinder.shape",
-    "path.psibar-iso", "path.shape",
-    "module.assoc-iso", "module.assoc-natural",
-    "module.functor.composition", "module.functor.identity",
-    "module.functor.shape", "module.functor.total",
-    "module.lunit-iso", "module.lunit-natural", "module.shape",
-    "moduleclosed.cotensor.composition", "moduleclosed.cotensor.identity",
-    "moduleclosed.cotensor.shape", "moduleclosed.cotensor.total",
-    "moduleclosed.functor.composition", "moduleclosed.functor.identity",
-    "moduleclosed.functor.shape", "moduleclosed.functor.total",
-    "comodule.assoc-iso", "comodule.assoc-natural",
-    "comodule.functor.composition", "comodule.functor.identity",
-    "comodule.functor.shape", "comodule.functor.total",
-    "comodule.lunit-iso", "comodule.lunit-natural", "comodule.shape",
-    "bimodule.opposite-vstructure",
-)
+# every name a checker reports under, the reversed side's under comodule names
+KNOWN_LAWS = tuple(sorted(_NAMES | {comodule_name(name) for name in _NAMES}))
 
-KNOWN_LAWS = tuple(sorted(LAW_REGISTRY + _AUX_LAWS))
+# the documented core: the named diagrams of the theory
+_CORE = {law.name for law in _LAWS if law.core} | {monoidal.CLOSED_BIJECTION}
+LAW_REGISTRY = tuple(sorted(_CORE | {comodule_name(name) for name in _CORE}))
 
 CONSTRUCT_OPS = (
     "underlying", "associated-vcat", "induced-vstructure", "module-to-cylinder",
@@ -135,7 +101,7 @@ def run_checks(doc: Document) -> list[CheckReport]:
         return check_vstructure(vs) + check_cylinder(vs, cyl)
     if kind == "path":
         vs, pth = data
-        return check_vstructure(vs) + check_path(vs, None, pth)
+        return check_vstructure(vs) + check_path(vs, pth)
     if kind == "vmodule":
         return check_vmodule(data)
     if kind == "tensorclosed":

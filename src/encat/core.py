@@ -100,6 +100,72 @@ def sort_reports(reports: Iterable[CheckReport]) -> list[CheckReport]:
 
 
 @dataclass(frozen=True)
+class Law:
+    """One commuting diagram, declared once beside the checker that runs it.
+
+    At every site ``sites(*data)`` yields, the composites ``lhs(*data, *site)``
+    and ``rhs(*data, *site)`` must be defined and equal.  The enumeration is
+    not guarded: what it reads must exist, and its errors escape
+    :func:`evaluate`.  ``core`` marks the named diagrams of the theory.
+    """
+
+    name: str
+    sites: Callable[..., Iterable[tuple[str, ...]]]
+    lhs: Callable[..., Mor]
+    rhs: Callable[..., Mor]
+    core: bool = False
+
+
+def required(side: Callable[..., Mor]) -> Callable[..., Mor]:
+    """Mark (in place) a side defined wherever its law is evaluated: an error
+    there is an error of the input, and escapes :func:`evaluate`."""
+    side.on_error = "raise"
+    return side
+
+
+def explained(side: Callable[..., Mor]) -> Callable[..., Mor]:
+    """Mark (in place) a side whose undefined composite is reported with the
+    error's message instead of ``composite undefined``."""
+    side.on_error = "explain"
+    return side
+
+
+def _undefined(side: Callable[..., Mor], exc: EncatError) -> str:
+    on_error = getattr(side, "on_error", None)
+    if on_error == "raise":
+        raise exc
+    return str(exc) if on_error == "explain" else "composite undefined"
+
+
+def evaluate(laws: Iterable[Law], *data: Any) -> list[CheckReport]:
+    """Judge every site of ``laws`` on ``data``, law by law in order.
+
+    A side that raises :class:`EncatError` leaves its site undefined: one
+    report with ``witness_count=0`` and the note of the first undefined side.
+    Both sides are always evaluated, so a :func:`required` side raises even
+    where the other is undefined.  Unequal sides give a report carrying both.
+    """
+    reports: list[CheckReport] = []
+    for law in laws:
+        for site in law.sites(*data):
+            note = None
+            try:
+                lhs = law.lhs(*data, *site)
+            except EncatError as exc:
+                lhs, note = None, _undefined(law.lhs, exc)
+            try:
+                rhs = law.rhs(*data, *site)
+            except EncatError as exc:
+                rhs, rhs_note = None, _undefined(law.rhs, exc)
+                note = note or rhs_note
+            if note is not None:
+                reports.append(CheckReport(law.name, site, witness_count=0, note=note))
+            elif lhs != rhs:
+                reports.append(CheckReport(law.name, site, lhs=lhs, rhs=rhs))
+    return reports
+
+
+@dataclass(frozen=True)
 class FinCategory:
     """A finite category: objects, morphisms and a total composition table."""
 
@@ -221,6 +287,11 @@ def _check_category_references(cat: FinCategory) -> None:
         for m in (f, g, h):
             if m not in morset:
                 raise MalformedReferenceError(f"composition table references undeclared morphism {m!r}")
+
+
+#: The names :func:`validate_category` reports under.
+CHECKS = ("category.total", "category.identity-shape", "category.reserved-id",
+          "category.composable", "category.unit", "category.shape", "category.assoc")
 
 
 def validate_category(cat: FinCategory) -> list[CheckReport]:
@@ -400,6 +471,11 @@ class FunctorData:
             return self.onMorphisms[f]
         except KeyError:
             raise MissingTableError(f"functor morphism table missing {f!r}") from None
+
+
+def functor_law_names(tag: str) -> tuple[str, ...]:
+    """The names :func:`validate_functor` reports under for ``tag``."""
+    return tuple(f"{tag}.{check}" for check in ("total", "shape", "identity", "composition"))
 
 
 def validate_functor(fn: FunctorData, tag: str = "functor") -> list[CheckReport]:

@@ -18,6 +18,7 @@ from .core import (
     Preimages,
     WitnessError,
     morphism_inverse_checked,
+    opposite_category,
     structural_equal,
 )
 from .monoidal import transpose_pi_inv, varpi_inv
@@ -27,8 +28,8 @@ from .vmodule import (
     ClosedVModuleData,
     TensorClosedModuleData,
     VModuleData,
-    _unit_transport,
     _assoc_transport,
+    _unit_transport,
     induced_vstructure,
     module_phibar,
 )
@@ -114,21 +115,6 @@ def _module_phi_tables(vs: VStructureData, cyl: CylinderAssignment) -> dict:
     return phi
 
 
-def _yoneda_unique_post(s, src: Obj, dst: Obj, family, what: str) -> Mor:
-    """The unique h : src -> dst with family(Y, g) = h . g for all probes
-    g : Y -> src."""
-    candidates = []
-    for h in s.hom(src, dst):
-        if all(s.then(g, h) == family(y, g)
-               for y in s.objects for g in s.hom(y, src)):
-            candidates.append(h)
-    if len(candidates) != 1:
-        raise WitnessError(
-            f"{what}: {len(candidates)} witnesses representing the family",
-            count=len(candidates))
-    return candidates[0]
-
-
 def _yoneda_unique_pre(s, src: Obj, dst: Obj, family, what: str) -> Mor:
     """The unique h : src -> dst with family(Y, g) = g . h for all probes
     g : dst -> Y."""
@@ -206,16 +192,18 @@ def roundtrip_cylinder_module(vs: VStructureData, cyl: CylinderAssignment) -> bo
     return structural_equal(back, (vs, cyl))
 
 
-def bimodule_completion(cm: ClosedVModuleData, sym=None) -> ClosedBimoduleData:
+def bimodule_completion(cm: ClosedVModuleData) -> ClosedBimoduleData:
     """Extend a closed module to the unique closed bimodule: the comodule
     structure morphisms are extracted by representing the adjoint-transport
-    families, with brute-force uniqueness at every site."""
+    families (by post-composition, so pre-composition in the opposite
+    category), with brute-force uniqueness at every site."""
     tc = cm.tensorClosed
     m = tc.module.baseV
-    sym = sym or m.require_symmetry()
+    m.require_symmetry()
     m.require_closed()
     base = m.base
     s = tc.module.baseS
+    s_op = opposite_category(s)
 
     placeholder = ClosedBimoduleData(closedModule=cm, comodAssoc={}, comodLunit={})
     comod_assoc = {}
@@ -224,15 +212,15 @@ def bimodule_completion(cm: ClosedVModuleData, sym=None) -> ClosedBimoduleData:
             for x in s.objects:
                 src = cm.cot_obj(k, cm.cot_obj(l, x))
                 dst = cm.cot_obj(m.tobj(k, l), x)
-                comod_assoc[(k, l, x)] = _yoneda_unique_post(
-                    s, src, dst,
+                comod_assoc[(k, l, x)] = _yoneda_unique_pre(
+                    s_op, dst, src,
                     lambda y, g, k=k, l=l, x=x:
-                        _assoc_transport(placeholder, sym, k, l, x, y, g),
+                        _assoc_transport(placeholder, k, l, x, y, g),
                     f"comodule associator at ({k!r}, {l!r}, {x!r})")
     comod_lunit = {}
     for x in s.objects:
-        comod_lunit[x] = _yoneda_unique_post(
-            s, x, cm.cot_obj(m.unit, x),
+        comod_lunit[x] = _yoneda_unique_pre(
+            s_op, cm.cot_obj(m.unit, x), x,
             lambda y, g, x=x: _unit_transport(placeholder, x, y, g),
             f"comodule unitor at {x!r}")
     return ClosedBimoduleData(closedModule=cm, comodAssoc=comod_assoc,

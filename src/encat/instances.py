@@ -255,7 +255,7 @@ def module_self_tensorclosed(m: MonoidalData) -> TensorClosedModuleData:
 def module_self(m: MonoidalData) -> ClosedVModuleData:
     """A closed symmetric monoidal category as a closed module over itself:
     internal homs are the cotensors."""
-    s = m.require_symmetry()
+    m.require_symmetry()
     m.require_closed()
     base = m.base
     tc = module_self_tensorclosed(m)
@@ -274,7 +274,7 @@ def module_self(m: MonoidalData) -> ClosedVModuleData:
                 for g in base.hom(y, m.hom_obj(k, x)):
                     flat = transpose_pi_inv(m, g, k, x)
                     table[g] = transpose_pi(
-                        m, base.compose(s.braid[(k, y)], flat), k, y)
+                        m, base.compose(m.braid(k, y), flat), k, y)
                 psi[(k, x, y)] = table
     return ClosedVModuleData(tensorClosed=tc, cotensor=cotensor, psi=psi)
 

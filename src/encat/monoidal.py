@@ -1,5 +1,10 @@
 """Monoidal, symmetric and closed structure on a finite category.
 
+Each axiom that equates two composites is a :class:`~encat.core.Law` in
+``MONOIDAL_LAWS``, ``SYMMETRY_LAWS`` or ``CLOSED_LAWS``, judged by
+:func:`~encat.core.evaluate`; the checkers keep the shape, isomorphism,
+totality and bijection checks and the order between them.
+
 The closed structure is given by the hom-object table and the evaluation
 family only; the transpose is recovered by inverting evaluation over each
 hom-set, once per instance, with a uniqueness check at every lookup, so the
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Mapping
 
 from .core import (
@@ -25,16 +31,19 @@ from .core import (
     EngineBugError,
     FinCategory,
     FunctorData,
+    Law,
     MalformedReferenceError,
     MissingTableError,
     Mor,
     Obj,
     Preimages,
+    evaluate,
     morphism_inverse,
     morphism_inverse_checked,
     opposite_category,
     pair_id,
     product_category,
+    required,
     sort_reports,
     validate_functor,
 )
@@ -140,22 +149,35 @@ class MonoidalData:
             raise MissingTableError(f"braiding table missing ({x!r}, {y!r})") from None
 
 
-def _guarded(fn):
-    """Evaluate a composite; ``None`` when a component is missing/ill-shaped."""
-    try:
-        return fn()
-    except EncatError:
-        return None
-
-
-def _law(reports: list[CheckReport], law: str, site: tuple[str, ...],
-         lhs: Mor | None, rhs: Mor | None, note: str = "") -> None:
-    """Record a failed diagram: unequal composites or an undefined side."""
-    if lhs is None or rhs is None:
-        reports.append(CheckReport(law, site, witness_count=0,
-                                   note=note or "composite undefined"))
-    elif lhs != rhs:
-        reports.append(CheckReport(law, site, lhs=lhs, rhs=rhs, note=note))
+MONOIDAL_LAWS = (
+    Law("tensor.identity", lambda m, base: product(base.objects, repeat=2),
+        lambda m, base, x, y: m.tmor(base.id_(x), base.id_(y)),
+        required(lambda m, base, x, y: base.id_(m.tobj(x, y)))),
+    Law("tensor.interchange",
+        lambda m, base: ((f, f2, g, g2) for f, g in base.comp for f2, g2 in base.comp),
+        lambda m, base, f, f2, g, g2: m.tmor(base.comp[(f, g)], base.comp[(f2, g2)]),
+        lambda m, base, f, f2, g, g2: base.compose(m.tmor(f, f2), m.tmor(g, g2))),
+    Law("assoc.natural", lambda m, base: product(base.mor_ids(), repeat=3),
+        lambda m, base, f, g, h: base.compose(
+            m.tmor(m.tmor(f, g), h), m.a(base.dst(f), base.dst(g), base.dst(h))),
+        lambda m, base, f, g, h: base.compose(
+            m.a(base.src(f), base.src(g), base.src(h)), m.tmor(f, m.tmor(g, h)))),
+    Law("lunit.natural", lambda m, base: product(base.mor_ids()),
+        lambda m, base, f: base.compose(m.tmor(base.id_(m.unit), f), m.l(base.dst(f))),
+        lambda m, base, f: base.compose(m.l(base.src(f)), f)),
+    Law("runit.natural", lambda m, base: product(base.mor_ids()),
+        lambda m, base, f: base.compose(m.tmor(f, base.id_(m.unit)), m.r(base.dst(f))),
+        lambda m, base, f: base.compose(m.r(base.src(f)), f)),
+    Law("pentagon", lambda m, base: product(base.objects, repeat=4),
+        lambda m, base, w, x, y, z: base.compose(
+            m.a(m.tobj(w, x), y, z), m.a(w, x, m.tobj(y, z))),
+        lambda m, base, w, x, y, z: base.compose(
+            m.tmor(m.a(w, x, y), base.id_(z)), m.a(w, m.tobj(x, y), z),
+            m.tmor(base.id_(w), m.a(x, y, z))), core=True),
+    Law("triangle", lambda m, base: product(base.objects, repeat=2),
+        lambda m, base, x, y: base.compose(m.a(x, m.unit, y), m.tmor(base.id_(x), m.l(y))),
+        lambda m, base, x, y: m.tmor(m.r(x), base.id_(y)), core=True),
+)
 
 
 def check_monoidal(m: MonoidalData) -> list[CheckReport]:
@@ -181,7 +203,6 @@ def check_monoidal(m: MonoidalData) -> list[CheckReport]:
         for g in mors:
             m.tmor(f, g)
 
-    # tensor is a bifunctor
     for f in mors:
         for g in mors:
             fg = m.tmor(f, g)
@@ -191,18 +212,8 @@ def check_monoidal(m: MonoidalData) -> list[CheckReport]:
             if (base.src(fg) != m.tobj(base.src(f), base.src(g))
                     or base.dst(fg) != m.tobj(base.dst(f), base.dst(g))):
                 reports.append(CheckReport("tensor.shape", (f, g), witness_count=0))
-    for x in objs:
-        for y in objs:
-            _law(reports, "tensor.identity", (x, y),
-                 _guarded(lambda: m.tmor(base.id_(x), base.id_(y))),
-                 base.id_(m.tobj(x, y)))
-    for (f, g), h in base.comp.items():
-        for (f2, g2), h2 in base.comp.items():
-            _law(reports, "tensor.interchange", (f, f2, g, g2),
-                 _guarded(lambda: m.tmor(h, h2)),
-                 _guarded(lambda: base.compose(m.tmor(f, f2), m.tmor(g, g2))))
+    reports += evaluate(MONOIDAL_LAWS, m, base)
 
-    # associator: shape, isomorphism, naturality
     for x in objs:
         for y in objs:
             for z in objs:
@@ -213,18 +224,6 @@ def check_monoidal(m: MonoidalData) -> list[CheckReport]:
                     reports.append(CheckReport("assoc.shape", (x, y, z), witness_count=0))
                 elif morphism_inverse(base, av) is None:
                     reports.append(CheckReport("assoc.iso", (x, y, z), witness_count=0))
-    for f in mors:
-        for g in mors:
-            for h in mors:
-                _law(reports, "assoc.natural", (f, g, h),
-                     _guarded(lambda: base.compose(
-                         m.tmor(m.tmor(f, g), h),
-                         m.a(base.dst(f), base.dst(g), base.dst(h)))),
-                     _guarded(lambda: base.compose(
-                         m.a(base.src(f), base.src(g), base.src(h)),
-                         m.tmor(f, m.tmor(g, h)))))
-
-    # unitors: shape, isomorphism, naturality
     for x in objs:
         lv, rv = m.l(x), m.r(x)
         if base.src(lv) != m.tobj(m.unit, x) or base.dst(lv) != x:
@@ -235,32 +234,6 @@ def check_monoidal(m: MonoidalData) -> list[CheckReport]:
             reports.append(CheckReport("runit.shape", (x,), witness_count=0))
         elif morphism_inverse(base, rv) is None:
             reports.append(CheckReport("runit.iso", (x,), witness_count=0))
-    for f in mors:
-        _law(reports, "lunit.natural", (f,),
-             _guarded(lambda: base.compose(m.tmor(base.id_(m.unit), f), m.l(base.dst(f)))),
-             _guarded(lambda: base.compose(m.l(base.src(f)), f)))
-        _law(reports, "runit.natural", (f,),
-             _guarded(lambda: base.compose(m.tmor(f, base.id_(m.unit)), m.r(base.dst(f)))),
-             _guarded(lambda: base.compose(m.r(base.src(f)), f)))
-
-    # the two coherence axioms
-    for w in objs:
-        for x in objs:
-            for y in objs:
-                for z in objs:
-                    _law(reports, "pentagon", (w, x, y, z),
-                         _guarded(lambda: base.compose(
-                             m.a(m.tobj(w, x), y, z), m.a(w, x, m.tobj(y, z)))),
-                         _guarded(lambda: base.compose(
-                             m.tmor(m.a(w, x, y), base.id_(z)),
-                             m.a(w, m.tobj(x, y), z),
-                             m.tmor(base.id_(w), m.a(x, y, z)))))
-    for x in objs:
-        for y in objs:
-            _law(reports, "triangle", (x, y),
-                 _guarded(lambda: base.compose(
-                     m.a(x, m.unit, y), m.tmor(base.id_(x), m.l(y)))),
-                 _guarded(lambda: m.tmor(m.r(x), base.id_(y))))
 
     reports = sort_reports(reports)
     if not reports:
@@ -283,47 +256,36 @@ def _derived_monoidal(m: MonoidalData) -> None:
                     f"derived law failed: left-unitor triangle at ({x!r}, {y!r})")
 
 
-def check_symmetry(m: MonoidalData, s: SymmetryData | None = None) -> list[CheckReport]:
+SYMMETRY_LAWS = (
+    Law("symmetry.natural", lambda m, base: product(base.mor_ids(), repeat=2),
+        lambda m, base, f, g: base.compose(m.tmor(f, g), m.braid(base.dst(f), base.dst(g))),
+        lambda m, base, f, g: base.compose(m.braid(base.src(f), base.src(g)), m.tmor(g, f))),
+    Law("symmetry.invol", lambda m, base: product(base.objects, repeat=2),
+        lambda m, base, x, y: base.compose(m.braid(x, y), m.braid(y, x)),
+        required(lambda m, base, x, y: base.id_(m.tobj(x, y))), core=True),
+    Law("symmetry.hexagon", lambda m, base: product(base.objects, repeat=3),
+        lambda m, base, x, y, z: base.compose(
+            m.a(x, y, z), m.braid(x, m.tobj(y, z)), m.a(y, z, x)),
+        lambda m, base, x, y, z: base.compose(
+            m.tmor(m.braid(x, y), base.id_(z)), m.a(y, x, z),
+            m.tmor(base.id_(y), m.braid(x, z))), core=True),
+    Law("symmetry.unit", lambda m, base: product(base.objects),
+        lambda m, base, x: base.compose(m.braid(m.unit, x), m.r(x)),
+        required(lambda m, base, x: m.l(x)), core=True),
+)
+
+
+def check_symmetry(m: MonoidalData) -> list[CheckReport]:
     """Naturality plus the three braiding axioms."""
-    s = s or m.require_symmetry()
+    m.require_symmetry()
     base = m.base
     reports: list[CheckReport] = []
-    objs = base.objects
-    for x in objs:
-        for y in objs:
-            c = s.braid.get((x, y))
-            if c is None:
-                raise MissingTableError(f"braiding table missing ({x!r}, {y!r})")
+    for x in base.objects:
+        for y in base.objects:
+            c = m.braid(x, y)
             if base.src(c) != m.tobj(x, y) or base.dst(c) != m.tobj(y, x):
                 reports.append(CheckReport("symmetry.shape", (x, y), witness_count=0))
-    for f in base.mor_ids():
-        for g in base.mor_ids():
-            _law(reports, "symmetry.natural", (f, g),
-                 _guarded(lambda: base.compose(
-                     m.tmor(f, g), s.braid[(base.dst(f), base.dst(g))])),
-                 _guarded(lambda: base.compose(
-                     s.braid[(base.src(f), base.src(g))], m.tmor(g, f))))
-    for x in objs:
-        for y in objs:
-            _law(reports, "symmetry.invol", (x, y),
-                 _guarded(lambda: base.compose(s.braid[(x, y)], s.braid[(y, x)])),
-                 base.id_(m.tobj(x, y)))
-    for x in objs:
-        for y in objs:
-            for z in objs:
-                _law(reports, "symmetry.hexagon", (x, y, z),
-                     _guarded(lambda: base.compose(
-                         m.a(x, y, z),
-                         s.braid[(x, m.tobj(y, z))],
-                         m.a(y, z, x))),
-                     _guarded(lambda: base.compose(
-                         m.tmor(s.braid[(x, y)], base.id_(z)),
-                         m.a(y, x, z),
-                         m.tmor(base.id_(y), s.braid[(x, z)]))))
-    for x in objs:
-        _law(reports, "symmetry.unit", (x,),
-             _guarded(lambda: base.compose(s.braid[(m.unit, x)], m.r(x))),
-             m.l(x))
+    reports += evaluate(SYMMETRY_LAWS, m, base)
     return sort_reports(reports)
 
 
@@ -344,9 +306,13 @@ def _transpose_table(m: MonoidalData, x: Obj, y: Obj, z: Obj) -> Preimages:
     ``None``.  Both :func:`transpose_pi` and ``closed.bijection`` read it."""
     table = m._transposes.get((x, y, z))
     if table is None:
-        table = m._transposes[(x, y, z)] = Preimages({
-            g: _guarded(lambda: _transpose_forward(m, g, y, z))
-            for g in m.base.hom(x, m.hom_obj(y, z))})
+        images: dict[Mor, Mor | None] = {}
+        for g in m.base.hom(x, m.hom_obj(y, z)):
+            try:
+                images[g] = _transpose_forward(m, g, y, z)
+            except EncatError:
+                images[g] = None
+        table = m._transposes[(x, y, z)] = Preimages(images)
     return table
 
 
@@ -362,12 +328,32 @@ def transpose_pi(m: MonoidalData, f: Mor, x: Obj, y: Obj) -> Mor:
         f, lambda n: f"transpose of {f!r} at ({x!r}, {y!r}, {z!r}) has {n} witnesses")
 
 
-def check_closed(m: MonoidalData, cl: ClosedData | None = None) -> list[CheckReport]:
+# Naturality of the transpose in X and in Z: redundant given bijectivity,
+# kept as an explicit check of the adjunction contract.  It runs once the
+# bijection holds, so both composites must exist; an error is the input's.
+CLOSED_LAWS = (
+    Law("closed.pi-natural",  # h : X' -> X before g : X -> hom(Y, Z)
+        lambda m, base: ((y, z, h, g) for y, z in product(base.objects, repeat=2)
+                         for h in base.mor_ids() for g in base.hom(base.dst(h), m.hom_obj(y, z))),
+        required(lambda m, base, y, z, h, g: _transpose_forward(m, base.compose(h, g), y, z)),
+        required(lambda m, base, y, z, h, g: base.compose(
+            m.tmor(h, base.id_(y)), _transpose_forward(m, g, y, z)))),
+    Law("closed.pi-natural",  # k : Z -> Z' after the transpose of g : X -> hom(Y, Z)
+        lambda m, base: ((y, z, k, g) for y, z in product(base.objects, repeat=2)
+                         for k in base.mor_ids() if base.src(k) == z
+                         for x in base.objects for g in base.hom(x, m.hom_obj(y, z))),
+        required(lambda m, base, y, z, k, g: _transpose_forward(m, base.compose(
+            g, transpose_pi(m, base.compose(m.ev(y, z), k), m.hom_obj(y, z), y)),
+            y, base.dst(k))),
+        required(lambda m, base, y, z, k, g: base.compose(_transpose_forward(m, g, y, z), k))),
+)
+
+CLOSED_BIJECTION = "closed.bijection"
+
+
+def check_closed(m: MonoidalData) -> list[CheckReport]:
     """Bijectivity of the transpose at every (X, Y, Z), plus its naturality."""
-    cl = cl or m.require_closed()
-    if cl is not m.closed:
-        m = MonoidalData(m.base, m.tensor_obj, m.tensor_mor, m.unit, m.assoc,
-                         m.lunit, m.runit, m.symmetry, cl)
+    m.require_closed()
     base = m.base
     reports: list[CheckReport] = []
     objs = base.objects
@@ -392,37 +378,15 @@ def check_closed(m: MonoidalData, cl: ClosedData | None = None) -> list[CheckRep
                 if not ev_ok[(y, z)]:
                     if len(dom) != len(cod):
                         reports.append(CheckReport(
-                            "closed.bijection", (x, y, z), witness_count=len(dom),
+                            CLOSED_BIJECTION, (x, y, z), witness_count=len(dom),
                             note=f"{len(dom)} transposes for {len(cod)} morphisms"))
                     continue
                 reports += _transpose_table(m, x, y, z).check(
-                    "closed.bijection", (x, y, z), dom, cod, "transpose")
+                    CLOSED_BIJECTION, (x, y, z), dom, cod, "transpose")
 
     if reports:
         return sort_reports(reports)
-
-    # naturality of the transpose in X and Z (redundant given bijectivity,
-    # kept as an explicit check of the adjunction contract)
-    for y in objs:
-        for z in objs:
-            for h in base.mor_ids():  # h : X' -> X
-                x, xp = base.dst(h), base.src(h)
-                for g in base.hom(x, m.hom_obj(y, z)):
-                    lhs = _transpose_forward(m, base.compose(h, g), y, z)
-                    rhs = base.compose(m.tmor(h, base.id_(y)),
-                                       _transpose_forward(m, g, y, z))
-                    _law(reports, "closed.pi-natural", (y, z, h, g), lhs, rhs)
-            for k in base.mor_ids():  # k : Z -> Z'
-                if base.src(k) != z:
-                    continue
-                hom_k = transpose_pi(m, base.compose(m.ev(y, z), k), m.hom_obj(y, z), y)
-                for x in objs:
-                    for g in base.hom(x, m.hom_obj(y, z)):
-                        lhs = _transpose_forward(m, base.compose(g, hom_k), y, base.dst(k))
-                        rhs = base.compose(_transpose_forward(m, g, y, z), k)
-                        _law(reports, "closed.pi-natural", (y, z, k, g), lhs, rhs)
-
-    reports = sort_reports(reports)
+    reports = sort_reports(evaluate(CLOSED_LAWS, m, base))
     if not reports:
         _derived_closed(m)
     return reports
@@ -602,11 +566,11 @@ def self_cylinder(m: MonoidalData):
     return CylinderAssignment(tensor_obj=tensor_obj, alpha=alpha, phibar=phibar)
 
 
-def self_path(m: MonoidalData, s: SymmetryData | None = None):
+def self_path(m: MonoidalData):
     """The tautological path structure; needs symmetry as well as closedness."""
     from .vstruct import PathAssignment
 
-    s = s or m.require_symmetry()
+    m.require_symmetry()
     m.require_closed()
     base = m.base
     path_obj = {}
@@ -617,10 +581,16 @@ def self_path(m: MonoidalData, s: SymmetryData | None = None):
             kx = m.hom_obj(k, x)
             path_obj[(k, x)] = kx
             beta[(k, x)] = transpose_pi(
-                m, base.compose(s.braid[(k, kx)], m.ev(k, x)), k, kx)
+                m, base.compose(m.braid(k, kx), m.ev(k, x)), k, kx)
             for y in base.objects:
                 psibar[(k, x, y)] = base.compose(
                     morphism_inverse_checked(base, internal_pi_bar(m, y, k, x)),
-                    hom_on_morphisms(m, s.braid[(k, y)], base.id_(x)),
+                    hom_on_morphisms(m, m.braid(k, y), base.id_(x)),
                     internal_pi_bar(m, k, y, x))
     return PathAssignment(path_obj=path_obj, beta=beta, psibar=psibar)
+
+
+#: The laws declared here, and the names the checkers report under outside them.
+LAWS = MONOIDAL_LAWS + SYMMETRY_LAWS + CLOSED_LAWS
+CHECKS = ("tensor.shape", "assoc.shape", "assoc.iso", "lunit.shape", "lunit.iso",
+          "runit.shape", "runit.iso", "symmetry.shape", "closed.shape", CLOSED_BIJECTION)

@@ -10,6 +10,7 @@ makes the round trip with the enriched-hom structure an exact table equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping
 
 from .core import (
@@ -18,9 +19,11 @@ from .core import (
     EngineBugError,
     FinCategory,
     FunctorData,
+    Law,
     MissingTableError,
     Mor,
     Obj,
+    evaluate,
     morphism_inverse,
     morphism_inverse_checked,
     opposite_category,
@@ -30,9 +33,6 @@ from .core import (
 )
 from .monoidal import (
     MonoidalData,
-    SymmetryData,
-    _guarded,
-    _law,
     hom_on_morphisms,
     internal_composition_b,
     transpose_pi,
@@ -109,6 +109,24 @@ class TensoredData:
     phibar: Mapping[tuple[Obj, Obj, Obj], Mor]
 
 
+VCATEGORY_LAWS = (
+    Law("vcat.assoc", lambda vc, m: product(vc.objects, repeat=4),
+        lambda vc, m, a, bb, c, d: m.base.compose(
+            m.tmor(vc.b(bb, c, d), m.base.id_(vc.hom(a, bb))), vc.b(a, bb, d)),
+        lambda vc, m, a, bb, c, d: m.base.compose(
+            m.a(vc.hom(c, d), vc.hom(bb, c), vc.hom(a, bb)),
+            m.tmor(m.base.id_(vc.hom(c, d)), vc.b(a, bb, c)), vc.b(a, c, d)), core=True),
+    Law("vcat.unit", lambda vc, m: ((a, bb, "left") for a, bb in product(vc.objects, repeat=2)),
+        lambda vc, m, a, bb, _: m.base.compose(
+            m.tmor(vc.j(bb), m.base.id_(vc.hom(a, bb))), vc.b(a, bb, bb)),
+        lambda vc, m, a, bb, _: m.l(vc.hom(a, bb)), core=True),
+    Law("vcat.unit", lambda vc, m: ((a, bb, "right") for a, bb in product(vc.objects, repeat=2)),
+        lambda vc, m, a, bb, _: m.base.compose(
+            m.tmor(m.base.id_(vc.hom(a, bb)), vc.j(a)), vc.b(a, a, bb)),
+        lambda vc, m, a, bb, _: m.r(vc.hom(a, bb)), core=True),
+)
+
+
 def check_vcategory(vc: VCategoryData) -> list[CheckReport]:
     """Shape, associativity and unit laws of the enriched structure."""
     m = vc.baseV
@@ -135,29 +153,7 @@ def check_vcategory(vc: VCategoryData) -> list[CheckReport]:
                         and base.dst(bv) == vc.hom(a, c)):
                     reports.append(CheckReport("vcat.shape", (a, bb, c, bv), witness_count=0))
 
-    for a in objs:
-        for bb in objs:
-            for c in objs:
-                for d in objs:
-                    _law(reports, "vcat.assoc", (a, bb, c, d),
-                         _guarded(lambda: base.compose(
-                             m.tmor(vc.b(bb, c, d), base.id_(vc.hom(a, bb))),
-                             vc.b(a, bb, d))),
-                         _guarded(lambda: base.compose(
-                             m.a(vc.hom(c, d), vc.hom(bb, c), vc.hom(a, bb)),
-                             m.tmor(base.id_(vc.hom(c, d)), vc.b(a, bb, c)),
-                             vc.b(a, c, d))))
-    for a in objs:
-        for bb in objs:
-            hab = vc.hom(a, bb)
-            _law(reports, "vcat.unit", (a, bb, "left"),
-                 _guarded(lambda: base.compose(
-                     m.tmor(vc.j(bb), base.id_(hab)), vc.b(a, bb, bb))),
-                 _guarded(lambda: m.l(hab)))
-            _law(reports, "vcat.unit", (a, bb, "right"),
-                 _guarded(lambda: base.compose(
-                     m.tmor(base.id_(hab), vc.j(a)), vc.b(a, a, bb))),
-                 _guarded(lambda: m.r(hab)))
+    reports += evaluate(VCATEGORY_LAWS, vc, m)
     return sort_reports(reports)
 
 
@@ -235,6 +231,17 @@ def underlying_category(vc: VCategoryData):
     return cat, vs
 
 
+VFUNCTOR_LAWS = (
+    Law("vfunctor.comp", lambda t, m: product(t.src.objects, repeat=3),
+        lambda t, m, a, bb, c: m.base.compose(
+            m.tmor(t.hom(bb, c), t.hom(a, bb)), t.dst.b(t.obj(a), t.obj(bb), t.obj(c))),
+        lambda t, m, a, bb, c: m.base.compose(t.src.b(a, bb, c), t.hom(a, c))),
+    Law("vfunctor.unit", lambda t, m: product(t.src.objects),
+        lambda t, m, a: m.base.compose(t.src.j(a), t.hom(a, a)),
+        lambda t, m, a: t.dst.j(t.obj(a))),
+)
+
+
 def check_vfunctor(t: VFunctorData) -> list[CheckReport]:
     """Shape plus the composition and unit squares of an enriched functor."""
     m = t.src.baseV
@@ -253,18 +260,7 @@ def check_vfunctor(t: VFunctorData) -> list[CheckReport]:
             if not (base.has_mor(comp) and base.src(comp) == t.src.hom(a, bb)
                     and base.dst(comp) == t.dst.hom(t.obj(a), t.obj(bb))):
                 reports.append(CheckReport("vfunctor.shape", (a, bb, comp), witness_count=0))
-    for a in t.src.objects:
-        for bb in t.src.objects:
-            for c in t.src.objects:
-                _law(reports, "vfunctor.comp", (a, bb, c),
-                     _guarded(lambda: base.compose(
-                         m.tmor(t.hom(bb, c), t.hom(a, bb)),
-                         t.dst.b(t.obj(a), t.obj(bb), t.obj(c)))),
-                     _guarded(lambda: base.compose(t.src.b(a, bb, c), t.hom(a, c))))
-    for a in t.src.objects:
-        _law(reports, "vfunctor.unit", (a,),
-             _guarded(lambda: base.compose(t.src.j(a), t.hom(a, a))),
-             _guarded(lambda: t.dst.j(t.obj(a))))
+    reports += evaluate(VFUNCTOR_LAWS, t, m)
     return sort_reports(reports)
 
 
@@ -286,6 +282,25 @@ def compose_vfunctors(t1: VFunctorData, t2: VFunctorData) -> VFunctorData:
             for a in t1.src.objects for b in t1.src.objects})
 
 
+def _vnat_sites(nt: VNatData, m: MonoidalData):
+    for a, bb in product(nt.source.src.objects, repeat=2):
+        nt.source.src.hom(a, bb)  # read by both sides: a gap is not a failed square
+        yield a, bb
+
+
+VNAT_LAWS = (
+    Law("vnat.square", _vnat_sites,
+        lambda nt, m, a, bb: m.base.compose(
+            morphism_inverse_checked(m.base, m.l(nt.source.src.hom(a, bb))),
+            m.tmor(nt.components[bb], nt.source.hom(a, bb)),
+            nt.source.dst.b(nt.source.obj(a), nt.source.obj(bb), nt.target.obj(bb))),
+        lambda nt, m, a, bb: m.base.compose(
+            morphism_inverse_checked(m.base, m.r(nt.source.src.hom(a, bb))),
+            m.tmor(nt.target.hom(a, bb), nt.components[a]),
+            nt.source.dst.b(nt.source.obj(a), nt.target.obj(a), nt.target.obj(bb)))),
+)
+
+
 def check_vnat(nt: VNatData) -> list[CheckReport]:
     """The enriched naturality rectangle for every pair of objects."""
     s, t = nt.source, nt.target
@@ -301,19 +316,19 @@ def check_vnat(nt: VNatData) -> list[CheckReport]:
             reports.append(CheckReport("vnat.shape", (a, c), witness_count=0))
     if reports:
         return sort_reports(reports)
-    for a in s.src.objects:
-        for bb in s.src.objects:
-            hab = s.src.hom(a, bb)
-            _law(reports, "vnat.square", (a, bb),
-                 _guarded(lambda: base.compose(
-                     morphism_inverse_checked(base, m.l(hab)),
-                     m.tmor(nt.components[bb], s.hom(a, bb)),
-                     s.dst.b(s.obj(a), s.obj(bb), t.obj(bb)))),
-                 _guarded(lambda: base.compose(
-                     morphism_inverse_checked(base, m.r(hab)),
-                     m.tmor(t.hom(a, bb), nt.components[a]),
-                     s.dst.b(s.obj(a), t.obj(a), t.obj(bb)))))
+    reports += evaluate(VNAT_LAWS, nt, m)
     return sort_reports(reports)
+
+
+# evaluated on (S, T, alpha, base), alpha[A] the underlying morphism SA -> TA
+# of the component at A
+HOM_SQUARE_LAWS = (
+    Law("vnat.hom-square", lambda s, t, alpha, m: product(s.src.objects, repeat=2),
+        lambda s, t, alpha, m, a, bb: m.base.compose(
+            s.hom(a, bb), hom_on_morphisms(m, m.base.id_(s.obj(a)), alpha[bb])),
+        lambda s, t, alpha, m, a, bb: m.base.compose(
+            t.hom(a, bb), hom_on_morphisms(m, alpha[a], m.base.id_(t.obj(bb))))),
+)
 
 
 def check_vnat_into_V(nt: VNatData) -> list[CheckReport]:
@@ -321,21 +336,10 @@ def check_vnat_into_V(nt: VNatData) -> list[CheckReport]:
     through the hom-square characterization; the two must agree."""
     m = nt.source.src.baseV
     m.require_closed()
-    base = m.base
     direct = check_vnat(nt)
     s, t = nt.source, nt.target
-    reports: list[CheckReport] = []
-    for a in s.src.objects:
-        for bb in s.src.objects:
-            alpha_a = varpi_inv(m, nt.components[a], s.obj(a), t.obj(a))
-            alpha_b = varpi_inv(m, nt.components[bb], s.obj(bb), t.obj(bb))
-            _law(reports, "vnat.hom-square", (a, bb),
-                 _guarded(lambda: base.compose(
-                     s.hom(a, bb),
-                     hom_on_morphisms(m, base.id_(s.obj(a)), alpha_b))),
-                 _guarded(lambda: base.compose(
-                     t.hom(a, bb),
-                     hom_on_morphisms(m, alpha_a, base.id_(t.obj(bb))))))
+    alpha = {a: varpi_inv(m, nt.components[a], s.obj(a), t.obj(a)) for a in s.src.objects}
+    reports = evaluate(HOM_SQUARE_LAWS, s, t, alpha, m)
     if bool(direct) != bool(reports):
         raise EngineBugError(
             "oracle disagreement: direct enriched naturality and the hom-square "
@@ -367,21 +371,34 @@ def hom_vfunctor(vc: VCategoryData, a: Obj) -> VFunctorData:
                for b in vc.objects for c in vc.objects})
 
 
-def opposite_vcategory(vc: VCategoryData, s: SymmetryData | None = None) -> VCategoryData:
+def opposite_vcategory(vc: VCategoryData) -> VCategoryData:
     """Reverse an enriched category; the braiding reorders the compositions."""
     m = vc.baseV
-    s = s or m.require_symmetry()
+    m.require_symmetry()
     base = m.base
     comp = {}
     for a in vc.objects:
         for bb in vc.objects:
             for c in vc.objects:
                 comp[(a, bb, c)] = base.compose(
-                    s.braid[(vc.hom(bb, a), vc.hom(c, bb))], vc.b(c, bb, a))
+                    m.braid(vc.hom(bb, a), vc.hom(c, bb)), vc.b(c, bb, a))
     return VCategoryData(
         baseV=m, objects=vc.objects,
         homObj={(a, b): vc.hom(b, a) for a in vc.objects for b in vc.objects},
         comp=comp, unit=dict(vc.unit))
+
+
+# evaluated on (td, delta, base), delta[(K, X, Y, Z)] the composition
+# hom(K, hom(X, Y)) (x) hom(Y, Z) -> hom(K, hom(X, Z)) through the enriched
+# hom functors; the sites are delta's keys
+TENSORED_LAWS = (
+    Law("tensored.vnatural", lambda td, delta, m: delta,
+        lambda td, delta, m, k, x, y, z: m.base.compose(
+            td.vcat.b(td.tensorObj[(k, x)], y, z), td.phibar[(k, x, z)]),
+        lambda td, delta, m, k, x, y, z: m.base.compose(
+            m.tmor(m.base.id_(td.vcat.hom(y, z)), td.phibar[(k, x, y)]),
+            delta[(k, x, y, z)])),
+)
 
 
 def check_tensored(td: TensoredData) -> list[CheckReport]:
@@ -414,23 +431,18 @@ def check_tensored(td: TensoredData) -> list[CheckReport]:
     if any(r.law == "tensored.shape" for r in reports):
         return sort_reports(reports)
 
-    route_a_failed = False
-    for (k, x), kx in sorted(td.tensorObj.items()):
+    delta = {}
+    for k, x in sorted(td.tensorObj):
         hom_x = hom_vfunctor(vc, x)
         hom_k = hom_vfunctor(vself, k)
         for y in vc.objects:
             for z in vc.objects:
                 t_yz = base.compose(hom_x.hom(y, z),
                                     hom_k.hom(vc.hom(x, y), vc.hom(x, z)))
-                delta = transpose_pi_inv(
+                delta[(k, x, y, z)] = transpose_pi_inv(
                     m, t_yz, m.hom_obj(k, vc.hom(x, y)), m.hom_obj(k, vc.hom(x, z)))
-                lhs = _guarded(lambda: base.compose(
-                    vc.b(kx, y, z), td.phibar[(k, x, z)]))
-                rhs = _guarded(lambda: base.compose(
-                    m.tmor(base.id_(vc.hom(y, z)), td.phibar[(k, x, y)]), delta))
-                before = len(reports)
-                _law(reports, "tensored.vnatural", (k, x, y, z), lhs, rhs)
-                route_a_failed = route_a_failed or len(reports) > before
+    route_a = evaluate(TENSORED_LAWS, td, delta, m)
+    reports += route_a
 
     route_b_failed = False
     for (k, x), kx in sorted(td.tensorObj.items()):
@@ -444,8 +456,13 @@ def check_tensored(td: TensoredData) -> list[CheckReport]:
                                        r.witness_count, r.note))
         route_b_failed = route_b_failed or bool(sub)
 
-    if route_a_failed != route_b_failed:
+    if bool(route_a) != route_b_failed:
         raise EngineBugError(
             "oracle disagreement: the composition-compatibility route and the "
             "enriched-naturality route disagree about the tensor structure")
     return sort_reports(reports)
+
+
+#: The laws declared here, and the names the checkers report under outside them.
+LAWS = VCATEGORY_LAWS + VFUNCTOR_LAWS + VNAT_LAWS + HOM_SQUARE_LAWS + TENSORED_LAWS
+CHECKS = ("vcat.shape", "vfunctor.shape", "vnat.shape", "tensored.shape", "tensored.iso")

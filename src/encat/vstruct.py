@@ -10,18 +10,23 @@ uniqueness operation documents the remaining freedom.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping
 
 from .core import (
     CheckReport,
+    EncatError,
     EngineBugError,
     FinCategory,
     FunctorData,
+    Law,
     MissingTableError,
     Mor,
     Obj,
     Preimages,
     WitnessError,
+    evaluate,
+    functor_law_names,
     morphism_inverse,
     morphism_inverse_checked,
     opposite_category,
@@ -30,14 +35,7 @@ from .core import (
     sort_reports,
     validate_functor,
 )
-from .monoidal import (
-    MonoidalData,
-    SymmetryData,
-    _guarded,
-    _law,
-    hom_on_morphisms,
-    varpi,
-)
+from .monoidal import MonoidalData, hom_on_morphisms, varpi
 
 
 @dataclass(frozen=True)
@@ -101,6 +99,53 @@ class PathAssignment:
     psibar: Mapping[tuple[Obj, Obj, Obj], Mor]
 
 
+def _phi_acted(vs: VStructureData, m: MonoidalData, s: FinCategory, f: Mor, h: Mor,
+               post: bool) -> Mor:
+    """For a composable pair (f, h): the element of f post-composed with h,
+    or the element of h pre-composed with f."""
+    if post:
+        return m.base.compose(vs.phi_of(s.src(f), s.dst(f), f), vs.hom_mor(s.id_(s.src(f)), h))
+    return m.base.compose(vs.phi_of(s.src(h), s.dst(h), h), vs.hom_mor(f, s.id_(s.dst(h))))
+
+
+VSTRUCTURE_LAWS = (
+    # Naturality of the element correspondence: each composable pair (f, h)
+    # has two squares, f's element post-composed with h and h's element
+    # pre-composed with f.  A sweep over the morphisms meets the square of
+    # the lesser id first, so two failures at one pair are listed that way.
+    *(Law("vstructure.phi-natural",
+          lambda vs, m, s: ((f, h) for f, h in product(s.mor_ids(), repeat=2)
+                            if s.dst(f) == s.src(h)),
+          lambda vs, m, s, f, h: vs.phi_of(s.src(f), s.dst(h), s.then(f, h)),
+          lambda vs, m, s, f, h, first=first: _phi_acted(vs, m, s, f, h, (f <= h) == first))
+      for first in (True, False)),
+    Law("vstructure.assoc", lambda vs, m, s: product(s.objects, repeat=4),
+        lambda vs, m, s, x, y, z, w: m.base.compose(
+            m.tmor(vs.b(y, z, w), m.base.id_(vs.hom_obj(x, y))), vs.b(x, y, w)),
+        lambda vs, m, s, x, y, z, w: m.base.compose(
+            m.a(vs.hom_obj(z, w), vs.hom_obj(y, z), vs.hom_obj(x, y)),
+            m.tmor(m.base.id_(vs.hom_obj(z, w)), vs.b(x, y, z)), vs.b(x, z, w)), core=True),
+    # the hom functor acts by composition with elements: hom(f, Z) tensors
+    # the element of f : X -> Y on the right, hom(X, g) that of g on the left
+    Law("vstructure.right-action", lambda vs, m, s: product(s.mor_ids(), s.objects),
+        lambda vs, m, s, f, z: vs.hom_mor(f, s.id_(z)),
+        lambda vs, m, s, f, z: m.base.compose(
+            morphism_inverse_checked(m.base, m.r(vs.hom_obj(s.dst(f), z))),
+            m.tmor(m.base.id_(vs.hom_obj(s.dst(f), z)), vs.phi_of(s.src(f), s.dst(f), f)),
+            vs.b(s.src(f), s.dst(f), z)), core=True),
+    Law("vstructure.left-action",
+        lambda vs, m, s: ((x, g) for g in s.mor_ids() for x in s.objects),
+        lambda vs, m, s, x, g: vs.hom_mor(s.id_(x), g),
+        lambda vs, m, s, x, g: m.base.compose(
+            morphism_inverse_checked(m.base, m.l(vs.hom_obj(x, s.src(g)))),
+            m.tmor(vs.phi_of(s.src(g), s.dst(g), g), m.base.id_(vs.hom_obj(x, s.src(g)))),
+            vs.b(x, s.src(g), s.dst(g))), core=True),
+)
+
+
+_HOM_FUNCTOR = "vstructure.functor"
+
+
 def check_vstructure(vs: VStructureData) -> list[CheckReport]:
     """Functoriality of the hom tables, bijectivity and naturality of the
     element correspondence, internal associativity, and the two laws tying
@@ -110,7 +155,7 @@ def check_vstructure(vs: VStructureData) -> list[CheckReport]:
     s = vs.baseS
     reports: list[CheckReport] = []
 
-    reports.extend(validate_functor(vs.homFunctor, tag="vstructure.functor"))
+    reports.extend(validate_functor(vs.homFunctor, tag=_HOM_FUNCTOR))
 
     for x in s.objects:
         for y in s.objects:
@@ -130,54 +175,7 @@ def check_vstructure(vs: VStructureData) -> list[CheckReport]:
                 "vstructure.phi-bijection", (x, y), s.hom(x, y),
                 base.hom(m.unit, vs.hom_obj(x, y)), "element table")
 
-    # naturality of the element correspondence in both arguments
-    for f in s.mor_ids():
-        x, y = s.src(f), s.dst(f)
-        for h in s.mor_ids():
-            if s.src(h) == y:  # post-composition
-                _law(reports, "vstructure.phi-natural", (f, h),
-                     _guarded(lambda: vs.phi_of(x, s.dst(h), s.then(f, h))),
-                     _guarded(lambda: base.compose(
-                         vs.phi_of(x, y, f), vs.hom_mor(s.id_(x), h))))
-            if s.dst(h) == x:  # pre-composition
-                _law(reports, "vstructure.phi-natural", (h, f),
-                     _guarded(lambda: vs.phi_of(s.src(h), y, s.then(h, f))),
-                     _guarded(lambda: base.compose(
-                         vs.phi_of(x, y, f), vs.hom_mor(h, s.id_(y)))))
-
-    for x in s.objects:
-        for y in s.objects:
-            for z in s.objects:
-                for w in s.objects:
-                    _law(reports, "vstructure.assoc", (x, y, z, w),
-                         _guarded(lambda: base.compose(
-                             m.tmor(vs.b(y, z, w), base.id_(vs.hom_obj(x, y))),
-                             vs.b(x, y, w))),
-                         _guarded(lambda: base.compose(
-                             m.a(vs.hom_obj(z, w), vs.hom_obj(y, z), vs.hom_obj(x, y)),
-                             m.tmor(base.id_(vs.hom_obj(z, w)), vs.b(x, y, z)),
-                             vs.b(x, z, w))))
-
-    # contravariant action: hom(f, Z) must be composition with the element of f
-    for f in s.mor_ids():
-        x, y = s.src(f), s.dst(f)
-        for z in s.objects:
-            _law(reports, "vstructure.right-action", (f, z),
-                 _guarded(lambda: vs.hom_mor(f, s.id_(z))),
-                 _guarded(lambda: base.compose(
-                     morphism_inverse_checked(base, m.r(vs.hom_obj(y, z))),
-                     m.tmor(base.id_(vs.hom_obj(y, z)), vs.phi_of(x, y, f)),
-                     vs.b(x, y, z))))
-    # covariant action: hom(X, g) likewise, with the element on the left
-    for g in s.mor_ids():
-        y, z = s.src(g), s.dst(g)
-        for x in s.objects:
-            _law(reports, "vstructure.left-action", (x, g),
-                 _guarded(lambda: vs.hom_mor(s.id_(x), g)),
-                 _guarded(lambda: base.compose(
-                     morphism_inverse_checked(base, m.l(vs.hom_obj(x, y))),
-                     m.tmor(vs.phi_of(y, z, g), base.id_(vs.hom_obj(x, y))),
-                     vs.b(x, y, z))))
+    reports += evaluate(VSTRUCTURE_LAWS, vs, m, s)
     return sort_reports(reports)
 
 
@@ -193,6 +191,18 @@ def associated_vcategory(vs: VStructureData):
                 for a in vs.baseS.objects for b in vs.baseS.objects},
         comp=dict(vs.comp),
         unit={a: vs.phi_of(a, a, vs.baseS.id_(a)) for a in vs.baseS.objects})
+
+
+CYLINDER_LAWS = (
+    Law("cylinder.cp1-1",
+        lambda vs, cyl, m: ((k, x, y) for k, x in sorted(cyl.tensor_obj) for y in vs.baseS.objects),
+        lambda vs, cyl, m, k, x, y: m.base.compose(
+            m.tmor(m.base.id_(vs.hom_obj(cyl.tensor_obj[(k, x)], y)), cyl.alpha[(k, x)]),
+            vs.b(x, cyl.tensor_obj[(k, x)], y)),
+        lambda vs, cyl, m, k, x, y: m.base.compose(
+            m.tmor(cyl.phibar[(k, x, y)], m.base.id_(k)), m.ev(k, vs.hom_obj(x, y))),
+        core=True),
+)
 
 
 def check_cylinder(vs: VStructureData, cyl: CylinderAssignment) -> list[CheckReport]:
@@ -227,15 +237,7 @@ def check_cylinder(vs: VStructureData, cyl: CylinderAssignment) -> list[CheckRep
                 elif morphism_inverse(base, pb) is None:
                     reports.append(CheckReport("cylinder.phibar-iso", (k, x, y), witness_count=0))
 
-    for (k, x), kx in sorted(cyl.tensor_obj.items()):
-        for y in s.objects:
-            _law(reports, "cylinder.cp1-1", (k, x, y),
-                 _guarded(lambda: base.compose(
-                     m.tmor(base.id_(vs.hom_obj(kx, y)), cyl.alpha[(k, x)]),
-                     vs.b(x, kx, y))),
-                 _guarded(lambda: base.compose(
-                     m.tmor(cyl.phibar[(k, x, y)], base.id_(k)),
-                     m.ev(k, vs.hom_obj(x, y)))))
+    reports += evaluate(CYLINDER_LAWS, vs, cyl, m)
     reports = sort_reports(reports)
     if not reports and not check_vstructure(vs):
         _derived_cylinder(vs, cyl)
@@ -265,12 +267,25 @@ def dualize_path(pth: PathAssignment) -> CylinderAssignment:
                               phibar=dict(pth.psibar))
 
 
-def check_path(vs: VStructureData, sym: SymmetryData | None,
-               pth: PathAssignment) -> list[CheckReport]:
+PATH_LAWS = (
+    Law("path.cp2-1-25",
+        lambda vs, pth, m: ((k, x, y) for k, x in sorted(pth.path_obj) for y in vs.baseS.objects),
+        lambda vs, pth, m, k, x, y: m.base.compose(
+            m.tmor(m.base.id_(vs.hom_obj(y, pth.path_obj[(k, x)])), pth.beta[(k, x)]),
+            m.braid(vs.hom_obj(y, pth.path_obj[(k, x)]), vs.hom_obj(pth.path_obj[(k, x)], x)),
+            vs.b(y, pth.path_obj[(k, x)], x)),
+        lambda vs, pth, m, k, x, y: m.base.compose(
+            m.tmor(pth.psibar[(k, x, y)], m.base.id_(k)), m.ev(k, vs.hom_obj(y, x))),
+        core=True),
+)
+
+
+def check_path(vs: VStructureData, pth: PathAssignment) -> list[CheckReport]:
     """The dual compatibility square, cross-checked against the cylinder
-    checker on the reversed structure; the two must agree."""
+    checker on the reversed structure; the two must agree.  The oracle is
+    skipped when the reversed structure cannot be built or checked."""
     m = vs.baseV
-    sym = sym or m.require_symmetry()
+    m.require_symmetry()
     m.require_closed()
     base = m.base
     s = vs.baseS
@@ -299,31 +314,25 @@ def check_path(vs: VStructureData, sym: SymmetryData | None,
                 elif morphism_inverse(base, pb) is None:
                     reports.append(CheckReport("path.psibar-iso", (k, x, y), witness_count=0))
 
-    for (k, x), kx in sorted(pth.path_obj.items()):
-        for y in s.objects:
-            _law(reports, "path.cp2-1-25", (k, x, y),
-                 _guarded(lambda: base.compose(
-                     m.tmor(base.id_(vs.hom_obj(y, kx)), pth.beta[(k, x)]),
-                     sym.braid[(vs.hom_obj(y, kx), vs.hom_obj(kx, x))],
-                     vs.b(y, kx, x))),
-                 _guarded(lambda: base.compose(
-                     m.tmor(pth.psibar[(k, x, y)], base.id_(k)),
-                     m.ev(k, vs.hom_obj(y, x)))))
+    reports += evaluate(PATH_LAWS, vs, pth, m)
     reports = sort_reports(reports)
 
-    dual = _guarded(lambda: check_cylinder(opposite_vstructure(vs, sym), dualize_path(pth)))
-    if dual is not None and bool(dual) != bool(reports):
+    try:
+        dual = check_cylinder(opposite_vstructure(vs), dualize_path(pth))
+    except EncatError:
+        return reports
+    if bool(dual) != bool(reports):
         raise EngineBugError(
             "oracle disagreement: the path checker and the cylinder checker on "
             "the reversed structure disagree")
     return reports
 
 
-def opposite_vstructure(vs: VStructureData, sym: SymmetryData | None = None) -> VStructureData:
+def opposite_vstructure(vs: VStructureData) -> VStructureData:
     """The same hom data read over the reversed category; the braiding reorders
     the internal composition and the element tables swap their indices."""
     m = vs.baseV
-    sym = sym or m.require_symmetry()
+    m.require_symmetry()
     base = m.base
     s = vs.baseS
     s_op = opposite_category(s)
@@ -337,7 +346,7 @@ def opposite_vstructure(vs: VStructureData, sym: SymmetryData | None = None) -> 
         for y in s.objects:
             for z in s.objects:
                 comp[(x, y, z)] = base.compose(
-                    sym.braid[(vs.hom_obj(z, y), vs.hom_obj(y, x))],
+                    m.braid(vs.hom_obj(z, y), vs.hom_obj(y, x)),
                     vs.b(z, y, x))
     phi = {(x, y): dict(vs.phi[(y, x)]) for x in s.objects for y in s.objects}
     return VStructureData(baseS=s_op, baseV=m,
@@ -482,3 +491,10 @@ def _check_phibar_naturality(vs: VStructureData, cyl: CylinderAssignment,
                                hom_on_morphisms(m, base.id_(k), vs.hom_mor(s.id_(x), w)))
             if lhs != rhs:
                 fail("the target variable", (w, k, x))
+
+
+#: The laws declared here, and the names the checkers report under outside them.
+LAWS = VSTRUCTURE_LAWS + CYLINDER_LAWS + PATH_LAWS
+CHECKS = functor_law_names(_HOM_FUNCTOR) + (
+    "vstructure.shape", "vstructure.phi-bijection", "cylinder.shape",
+    "cylinder.phibar-iso", "path.shape", "path.psibar-iso")

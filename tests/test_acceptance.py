@@ -176,7 +176,6 @@ def test_criterion_6_bimodule_completion():
             tc = cm.tensorClosed
             m = tc.module.baseV
             s = tc.module.baseS
-            sym = m.symmetry
             probe = dataclasses.replace(bm, comodAssoc={}, comodLunit={})
             for k in m.base.objects:
                 for l in m.base.objects:
@@ -186,7 +185,7 @@ def test_criterion_6_bimodule_completion():
                         witnesses = [
                             h for h in s.hom(src, dst)
                             if all(s.then(g, h) ==
-                                   _assoc_transport(probe, sym, k, l, x, y, g)
+                                   _assoc_transport(probe, k, l, x, y, g)
                                    for y in s.objects for g in s.hom(y, src))]
                         assert witnesses == [bm.comodAssoc[(k, l, x)]], name
             for x in s.objects:
@@ -299,7 +298,7 @@ def _mutation_table():
             hom_entry(self_vs3, ("1", "0"), "2"))),
         ("cylinder.cp1-1", lambda: ccyl(self_vs3, dataclasses.replace(
             self_cylinder(cyc3), alpha={("*", "*"): "1"}))),
-        ("path.cp2-1-25", lambda: cpath(self_vs3, None, dataclasses.replace(
+        ("path.cp2-1-25", lambda: cpath(self_vs3, dataclasses.replace(
             self_path(cyc3), beta={("*", "*"): "1"}))),
         ("module.assoc", lambda: check_vmodule(replace_table(
             tower_module(), "assoc", ("1", "1", "s0"), "g:2:2:1"))),

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from encat.core import (
     AmbiguousInverseError,
+    CheckReport,
     FinCategory,
+    Law,
     MalformedReferenceError,
     MissingTableError,
     NonComposablePathError,
@@ -14,12 +16,15 @@ from encat.core import (
     WitnessError,
     canonical,
     compose_path,
+    evaluate,
+    explained,
     morphism_inverse,
     morphism_inverse_checked,
     opposite_category,
     pair_id,
     product_category,
     rename_category,
+    required,
     structural_equal,
     validate_category,
 )
@@ -321,3 +326,42 @@ def test_pair_id_is_parseable_when_nested():
     first, second = split_pair_id(nested)
     assert first == pair_id("a", "b") and second == pair_id("c:d", "e")
     assert split_pair_id(second) == ("c:d", "e")
+
+
+def _missing(data, x):
+    raise MissingTableError(f"no entry {x!r}")
+
+
+def test_evaluate_judges_every_site():
+    sites = lambda data: [("a",), ("b",)]
+    same = Law("t.same", sites, lambda d, x: x, lambda d, x: x)
+    differ = Law("t.differ", sites, lambda d, x: x, lambda d, x: "b")
+    undefined = Law("t.undefined", lambda data: [("a",)], lambda d, x: x, _missing)
+    assert evaluate([same, differ, undefined], None) == [
+        CheckReport("t.differ", ("a",), lhs="a", rhs="b"),
+        CheckReport("t.undefined", ("a",), witness_count=0, note="composite undefined"),
+    ]
+
+
+def test_evaluate_lets_other_errors_escape():
+    def broken(data, x):
+        raise KeyError(x)
+
+    with pytest.raises(KeyError):
+        evaluate([Law("t.broken", lambda data: [("a",)], broken, lambda d, x: x)], None)
+    with pytest.raises(MissingTableError):  # the enumeration is not guarded
+        evaluate([Law("t.sites", lambda data: _missing(data, "s"),
+                      lambda d, x: x, lambda d, x: x)], None)
+
+
+def test_evaluate_marked_sides():
+    sites = lambda data: [("a",)]
+    # a required side raises even where the other side is undefined
+    with pytest.raises(MissingTableError):
+        evaluate([Law("t.required", sites, lambda d, x: _missing(d, "lhs"),
+                      required(lambda d, x: _missing(d, x)))], None)
+    # an explained side reports its own message; the first undefined side wins
+    law = Law("t.explained", sites, explained(lambda d, x: _missing(d, x)),
+              lambda d, x: _missing(d, "rhs"))
+    assert evaluate([law], None) == [
+        CheckReport("t.explained", ("a",), witness_count=0, note="no entry 'a'")]

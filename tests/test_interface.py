@@ -1,12 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import encat
 from encat.core import structural_equal
 from encat.cli import KNOWN_LAWS, LAW_REGISTRY, cli, run_checks
 from encat.equiv import bimodule_completion, module_to_cylinder
-from encat.instances import build_cyc
+from encat.instances import build_cyc, module_self
 from encat.interface import (
     Document,
     DuplicateIdError,
@@ -92,6 +96,39 @@ def test_unknown_kind(bool_m):
 
 def test_registry_is_part_of_known_laws():
     assert set(LAW_REGISTRY) <= set(KNOWN_LAWS)
+
+
+def _row_mutations(body):
+    """Copies of a document body with one row of one table deleted, or its
+    value replaced by the first other value in the same table."""
+    if isinstance(body, dict):
+        for key, value in body.items():
+            for mutated in _row_mutations(value):
+                yield {**body, key: mutated}
+    elif body and all(isinstance(row, list) and isinstance(row[-1], str) for row in body):
+        yield body[1:]
+        other = next((row[-1] for row in body if row[-1] != body[0][-1]), None)
+        if other is not None:
+            yield [body[0][:-1] + [other]] + body[1:]
+
+
+def test_every_reported_law_is_known(bool_m, trop3, cyc3, poset_cm, self_trop3):
+    from encat.core import EncatError
+    from tests.test_acceptance import _mutation_table
+
+    reported = set()
+    for _, run in _mutation_table():
+        reported |= {r.law for r in run()}
+    for doc in _all_documents(bool_m, trop3, cyc3, poset_cm, self_trop3):
+        payload = json.loads(serialize(doc))
+        for body in _row_mutations(payload["body"]):
+            try:
+                reports = run_checks(parse(json.dumps({**payload, "body": body})))
+            except EncatError:
+                continue
+            reported |= {r.law for r in reports}
+    assert reported <= set(KNOWN_LAWS), sorted(reported - set(KNOWN_LAWS))
+    assert len(reported) >= 60  # the sweep reaches well past the core laws
 
 
 def test_cli_check_flow(tmp_path):
@@ -200,3 +237,26 @@ def test_cli_error_exit_codes(tmp_path):
     garbled = tmp_path / "garbled.doc"
     garbled.write_text("{not json", encoding="utf-8")
     assert cli(["check", str(garbled)], out=out) == 2
+
+
+@pytest.mark.parametrize("kind", ["path", "bimodule"])
+def test_cli_check_missing_braid_entry(tmp_path, kind):
+    # a braiding table without the entry a law reads is reported (exit 1),
+    # never a KeyError traceback
+    cyc3 = build_cyc(3)
+    if kind == "path":
+        payload = json.loads(serialize(Document("path", (self_vstructure(cyc3), self_path(cyc3)))))
+        payload["body"]["vstructure"]["base_v"]["symmetry"]["braid"] = []
+    else:
+        payload = json.loads(serialize(Document("bimodule", bimodule_completion(module_self(cyc3)))))
+        base_v = payload["body"]["closed_module"]["tensor_closed"]["module"]["base_v"]
+        base_v["symmetry"]["braid"] = []
+    doc = tmp_path / "bad.doc"
+    doc.write_text(json.dumps(payload), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(encat.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", "from encat.cli import main; main()", "check", str(doc)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    assert "failing check(s)" in result.stdout

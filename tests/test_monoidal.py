@@ -225,7 +225,7 @@ def test_self_structures_validate(bool_m, trop3, cyc3):
         vs = self_vstructure(m)
         assert check_vstructure(vs) == []
         assert check_cylinder(vs, self_cylinder(m)) == []
-        assert check_path(vs, None, self_path(m)) == []
+        assert check_path(vs, self_path(m)) == []
 
 
 def test_self_cylinder_values(trop3, cyc3):

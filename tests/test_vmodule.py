@@ -21,7 +21,6 @@ from encat.vmodule import (
     check_vmodule,
     dual_module,
     dual_tensorclosed,
-    dualize_to_comodule,
     enriched_action,
     induced_vstructure,
     module_eta_eps,
@@ -214,11 +213,20 @@ def test_dualize_roundtrip_and_dual_module(poset_cm):
     bm = bimodule_completion(poset_cm)
     dm = dual_module(bm)
     assert check_vmodule(dm) == []
-    assert structural_equal(dualize_to_comodule(dualize_to_comodule(dm)), dm)
     # cotensor facts: the false coordinate cotensors to the top
     assert poset_cm.cot_obj("0", "x") == "top"
     assert dual_tensorclosed(bm).hom_obj("x", "y") == \
         poset_cm.tensorClosed.hom_obj("y", "x")
+
+
+def test_bimodule_check_builds_the_reversed_side_once(self_cyc3, monkeypatch):
+    import encat.vmodule as vm
+
+    built = []
+    original = vm.dual_tensorclosed
+    monkeypatch.setattr(vm, "dual_tensorclosed", lambda bm: built.append(bm) or original(bm))
+    assert vm.check_closed_bimodule(bimodule_completion(self_cyc3)) == []
+    assert len(built) == 1
 
 
 def test_bimodule_checks(poset_cm, self_trop3, self_cyc3):

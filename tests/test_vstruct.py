@@ -97,13 +97,13 @@ def test_cylinder_checks_and_mutation(bool_m, trop3, cyc3):
 def test_path_checks_and_mutation(bool_m, cyc3):
     for m in (bool_m, cyc3):
         vs = self_vstructure(m)
-        assert check_path(vs, None, self_path(m)) == []
+        assert check_path(vs, self_path(m)) == []
     vs = self_vstructure(cyc3)
     pth = self_path(cyc3)
     beta = dict(pth.beta)
     beta[("*", "*")] = "1"
     bad = dataclasses.replace(pth, beta=beta)
-    reports = check_path(vs, None, bad)
+    reports = check_path(vs, bad)
     assert "path.cp2-1-25" in {r.law for r in reports}
 
 
