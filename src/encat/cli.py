@@ -115,7 +115,8 @@ def run_checks(doc: Document) -> list[CheckReport]:
 
 def _print_reports(reports: list[CheckReport], fmt: str, out) -> None:
     if fmt == "json":
-        records = [{"law": r.law, "site": list(r.site), "lhs": r.lhs, "rhs": r.rhs}
+        records = [{"law": r.law, "site": list(r.site), "lhs": r.lhs, "rhs": r.rhs,
+                    "witness_count": r.witness_count, "note": r.note}
                    for r in reports]
         print(json.dumps({"reports": records}, indent=2, sort_keys=True), file=out)
         return

@@ -451,6 +451,11 @@ class Preimages:
         return found[0]
 
 
+#: The fibres of an absent table: every lookup is a :class:`WitnessError`
+#: with ``count=0``.
+NO_PREIMAGES = Preimages({})
+
+
 @dataclass(frozen=True)
 class FunctorData:
     """A functor between finite categories, as explicit object/morphism maps."""
@@ -573,19 +578,66 @@ def canonical(value: Any) -> Any:
     raise TypeError(f"no canonical form for {type(value).__name__}")
 
 
+def _same_dataclass(a: Any, b: Any) -> bool:
+    return (type(a) is type(b) and dataclasses.is_dataclass(a)
+            and not isinstance(a, type))
+
+
 def structural_equal(a: Any, b: Any) -> bool:
     """Exact table equality after canonical id-sorted normalization.
 
     Values that are ``==`` have equal canonical forms, so plain equality
-    answers first and the canonical forms are built only when it fails.
+    answers first.  Two dataclasses of one type are equal exactly when each
+    pair of fields is, so they are compared field by field, and canonical
+    forms are built only for the fields that are not ``==``.
     """
-    return a == b or canonical(a) == canonical(b)
+    return _equal(a, b)
+
+
+def _equal(a: Any, b: Any) -> bool:
+    if a == b:
+        return True
+    if _same_dataclass(a, b):
+        return all(_equal(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    return canonical(a) == canonical(b)
 
 
 def canonical_diff(a: Any, b: Any, path: str = "") -> str | None:
-    """Human-readable path to the first difference between canonical forms."""
-    ca, cb = canonical(a), canonical(b)
-    return _diff(ca, cb, path)
+    """Human-readable path to the first difference between canonical forms.
+
+    The text is ``_diff(canonical(a), canonical(b), path)``; two dataclasses
+    of one type are walked field by field, so only the fields that are not
+    ``==`` are canonicalised.
+    """
+    if not _same_dataclass(a, b):
+        return _diff(canonical(a), canonical(b), path)
+    for f in dataclasses.fields(a):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if va != vb:
+            d = canonical_diff(va, vb, f"{path}/{f.name}/{_head(va)}")
+            if d is not None:
+                return d
+    return None
+
+
+def _label(x: Any, i: int) -> str:
+    """The path step :func:`_diff` takes into the ``i``-th entry ``x`` of a
+    canonical form: a named entry (a dataclass field, a map, a sequence of
+    ids) by its leading name, any other by its index."""
+    return x[0] if isinstance(x, tuple) and x and isinstance(x[0], str) else str(i)
+
+
+def _head(value: Any) -> str:
+    """``_label(canonical(value), 1)``, read without building the canonical
+    form: the step from a dataclass field's name to its value."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return type(value).__name__
+    if isinstance(value, Mapping):
+        return "map"
+    if isinstance(value, (list, tuple)) and value and isinstance(value[0], str):
+        return value[0]
+    return "1"
 
 
 def _diff(ca: Any, cb: Any, path: str) -> str | None:
@@ -595,8 +647,7 @@ def _diff(ca: Any, cb: Any, path: str) -> str | None:
         if len(ca) != len(cb):
             return f"{path or '<root>'}: sizes differ ({len(ca)} vs {len(cb)})"
         for i, (x, y) in enumerate(zip(ca, cb)):
-            label = x[0] if isinstance(x, tuple) and x and isinstance(x[0], str) else str(i)
-            d = _diff(x, y, f"{path}/{label}")
+            d = _diff(x, y, f"{path}/{_label(x, i)}")
             if d is not None:
                 return d
         return f"{path or '<root>'}: differ"

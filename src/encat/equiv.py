@@ -141,9 +141,10 @@ def cylinder_to_module(vs: VStructureData,
     s = vs.baseS
     action = induced_tensor_bifunctor(vs, cyl)
     phi = _module_phi_tables(vs, cyl)
+    fibres = {key: Preimages(table) for key, table in phi.items()}
 
     def phi_inv(k: Obj, x: Obj, y: Obj, t: Mor) -> Mor:
-        return Preimages(phi[(k, x, y)]).unique(
+        return fibres[(k, x, y)].unique(
             t, lambda n: f"induced adjunction at ({k!r}, {x!r}, {y!r}) has {n} "
                          f"preimages of {t!r}")
 

@@ -407,7 +407,8 @@ def check_tensored(td: TensoredData) -> list[CheckReport]:
     Checked along two independent routes: the composition-compatibility square
     in the base, and the direct enriched-naturality laws of the element family.
     The two must agree on whether the family is natural; disagreement is an
-    engine bug.
+    engine bug.  Both routes assume a lawful enriched category, so the
+    enriched category's own reports, if any, are returned before either runs.
     """
     vc = td.vcat
     m = vc.baseV
@@ -430,15 +431,18 @@ def check_tensored(td: TensoredData) -> list[CheckReport]:
                 reports.append(CheckReport("tensored.iso", (k, x, y), witness_count=0))
     if any(r.law == "tensored.shape" for r in reports):
         return sort_reports(reports)
+    vcat_reports = check_vcategory(vc)
+    if vcat_reports:
+        return sort_reports(reports + vcat_reports)
 
+    hom_x = {x: hom_vfunctor(vc, x) for _, x in td.tensorObj}
+    hom_k = {k: hom_vfunctor(vself, k) for k, _ in td.tensorObj}
     delta = {}
     for k, x in sorted(td.tensorObj):
-        hom_x = hom_vfunctor(vc, x)
-        hom_k = hom_vfunctor(vself, k)
         for y in vc.objects:
             for z in vc.objects:
-                t_yz = base.compose(hom_x.hom(y, z),
-                                    hom_k.hom(vc.hom(x, y), vc.hom(x, z)))
+                t_yz = base.compose(hom_x[x].hom(y, z),
+                                    hom_k[k].hom(vc.hom(x, y), vc.hom(x, z)))
                 delta[(k, x, y, z)] = transpose_pi_inv(
                     m, t_yz, m.hom_obj(k, vc.hom(x, y)), m.hom_obj(k, vc.hom(x, z)))
     route_a = evaluate(TENSORED_LAWS, td, delta, m)
@@ -447,7 +451,7 @@ def check_tensored(td: TensoredData) -> list[CheckReport]:
     route_b_failed = False
     for (k, x), kx in sorted(td.tensorObj.items()):
         s_fn = hom_vfunctor(vc, kx)
-        t_fn = compose_vfunctors(hom_vfunctor(vc, x), hom_vfunctor(vself, k))
+        t_fn = compose_vfunctors(hom_x[x], hom_k[k])
         nt = VNatData(source=s_fn, target=t_fn,
                       components={y: varpi(m, td.phibar[(k, x, y)]) for y in vc.objects})
         sub = check_vnat_into_V(nt)

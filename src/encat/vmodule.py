@@ -18,6 +18,7 @@ from itertools import product
 from typing import Mapping
 
 from .core import (
+    NO_PREIMAGES,
     CheckReport,
     EncatError,
     EngineBugError,
@@ -117,6 +118,19 @@ class TensorClosedModuleData:
             raise MissingTableError(f"adjunction table missing ({k!r}, {x!r}, {y!r}, {f!r})") from None
 
     @cached_property
+    def _phi_fibres(self) -> dict[tuple[Obj, Obj, Obj], Preimages]:
+        """The fibres of each adjunction table, read once per instance; the
+        bijection check and every :meth:`phi_inv` lookup share them."""
+        return {key: Preimages(table) for key, table in self.phi.items()}
+
+    @cached_property
+    def _adjuncts(self) -> dict[tuple[Obj, Obj, Obj], tuple[Mor, bool]]:
+        """Per (K, X, Y), the internal adjunct of :func:`module_phibar` and
+        whether its characterization and oracles have passed; a failure is
+        not stored."""
+        return {}
+
+    @cached_property
     def _is_self_module(self) -> bool:
         """Whether these are exactly the tables of the base acting on itself;
         decided once per instance."""
@@ -133,7 +147,7 @@ class TensorClosedModuleData:
             return False
 
     def phi_inv(self, k: Obj, x: Obj, y: Obj, t: Mor) -> Mor:
-        return Preimages(self.phi.get((k, x, y), {})).unique(
+        return self._phi_fibres.get((k, x, y), NO_PREIMAGES).unique(
             t, lambda n: f"adjunction table at ({k!r}, {x!r}, {y!r}) has {n} "
                          f"preimages of {t!r}")
 
@@ -165,8 +179,14 @@ class ClosedVModuleData:
         except KeyError:
             raise MissingTableError(f"cotensor adjunction missing ({k!r}, {x!r}, {y!r}, {g!r})") from None
 
+    @cached_property
+    def _psi_fibres(self) -> dict[tuple[Obj, Obj, Obj], Preimages]:
+        """The fibres of each cotensor adjunction table, read once per
+        instance."""
+        return {key: Preimages(table) for key, table in self.psi.items()}
+
     def psi_inv(self, k: Obj, x: Obj, y: Obj, t: Mor) -> Mor:
-        return Preimages(self.psi.get((k, x, y), {})).unique(
+        return self._psi_fibres.get((k, x, y), NO_PREIMAGES).unique(
             t, lambda n: f"cotensor adjunction at ({k!r}, {x!r}, {y!r}) has {n} "
                          f"preimages of {t!r}")
 
@@ -329,10 +349,10 @@ def _adjunction_checks(tc: TensorClosedModuleData, what: str) -> list[CheckRepor
     for k in vbase.objects:
         for x in s.objects:
             for y in s.objects:
-                table = tc.phi.get((k, x, y))
-                if table is None:
+                fibres = tc._phi_fibres.get((k, x, y))
+                if fibres is None:
                     raise MissingTableError(f"{what} missing ({k!r}, {x!r}, {y!r})")
-                reports += Preimages(table).check(
+                reports += fibres.check(
                     "moduleclosed.naturality", (k, x, y), s.hom(mod.act_obj(k, x), y),
                     vbase.hom(k, tc.hom_obj(x, y)), what)
 
@@ -522,6 +542,10 @@ def module_phibar(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj,
     ``tc``, see :attr:`TensorClosedModuleData._is_self_module`) it must also
     agree at every site with the internal double transpose, including the
     unravelled evaluation form.
+
+    Each runs once per distinct (K, X, Y) of ``tc``: the inverse is kept in a
+    per-instance table, and the checks run at the first call with ``verify``
+    set.  A failure is never kept, so it raises again on every call.
     """
     mod = tc.module
     m = mod.baseV
@@ -530,14 +554,17 @@ def module_phibar(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj,
     s = mod.baseS
     hxy = tc.hom_obj(x, y)
     kx = mod.act_obj(k, x)
-    forward = vbase.compose(_action_component(tc, k, hxy, x),
-                            tc.hom_mor(s.id_(kx), _counit(tc, x, y)))
-    phibar = morphism_inverse(vbase, forward)
+    phibar, verified = tc._adjuncts.get((k, x, y), (None, False))
     if phibar is None:
-        raise WitnessError(
-            f"internal adjunct at ({k!r}, {x!r}, {y!r}) is not invertible; "
-            "the module is not tensor-closed", count=0)
-    if not verify:
+        forward = vbase.compose(_action_component(tc, k, hxy, x),
+                                tc.hom_mor(s.id_(kx), _counit(tc, x, y)))
+        phibar = morphism_inverse(vbase, forward)
+        if phibar is None:
+            raise WitnessError(
+                f"internal adjunct at ({k!r}, {x!r}, {y!r}) is not invertible; "
+                "the module is not tensor-closed", count=0)
+        tc._adjuncts[(k, x, y)] = (phibar, False)
+    if verified or not verify:
         return phibar
 
     for l in vbase.objects:
@@ -568,6 +595,7 @@ def module_phibar(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj,
             raise EngineBugError(
                 "derived law failed: unravelled self-module adjunct "
                 "differs from the double evaluation")
+    tc._adjuncts[(k, x, y)] = (phibar, True)
     return phibar
 
 

@@ -10,10 +10,12 @@ uniqueness operation documents the remaining freedom.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import product
 from typing import Mapping
 
 from .core import (
+    NO_PREIMAGES,
     CheckReport,
     EncatError,
     EngineBugError,
@@ -74,8 +76,14 @@ class VStructureData:
         except KeyError:
             raise MissingTableError(f"element table missing ({x!r}, {y!r}, {f!r})") from None
 
+    @cached_property
+    def _phi_fibres(self) -> dict[tuple[Obj, Obj], Preimages]:
+        """The fibres of each element table, read once per instance; the
+        bijection check and every :meth:`phi_inv` lookup share them."""
+        return {key: Preimages(table) for key, table in self.phi.items()}
+
     def phi_inv(self, x: Obj, y: Obj, t: Mor) -> Mor:
-        return Preimages(self.phi.get((x, y), {})).unique(
+        return self._phi_fibres.get((x, y), NO_PREIMAGES).unique(
             t, lambda n: f"element correspondence at ({x!r}, {y!r}) has {n} "
                          f"preimages of {t!r}")
 
@@ -168,10 +176,10 @@ def check_vstructure(vs: VStructureData) -> list[CheckReport]:
 
     for x in s.objects:
         for y in s.objects:
-            table = vs.phi.get((x, y))
-            if table is None:
+            fibres = vs._phi_fibres.get((x, y))
+            if fibres is None:
                 raise MissingTableError(f"element table missing ({x!r}, {y!r})")
-            reports += Preimages(table).check(
+            reports += fibres.check(
                 "vstructure.phi-bijection", (x, y), s.hom(x, y),
                 base.hom(m.unit, vs.hom_obj(x, y)), "element table")
 
@@ -390,8 +398,7 @@ def cylinder_unique_iso(vs: VStructureData, cyl_a: CylinderAssignment,
     if witnesses[0] != f:
         raise EngineBugError("derived law failed: cylinder-iso transport disagrees "
                              "with the exhaustive search")
-    if morphism_inverse(s, f) is None:
-        raise WitnessError(f"cylinder comparison morphism {f!r} is not invertible", count=0)
+    morphism_inverse_checked(s, f)
     return f
 
 
@@ -399,13 +406,15 @@ def induced_tensor_bifunctor(vs: VStructureData, cyl: CylinderAssignment) -> Fun
     """The action bifunctor forced by a cylinder assignment.
 
     Each partial application is computed by element transport and verified to
-    be the unique morphism making the defining square commute; the two partial
-    routes of a general pair must agree.
+    be the unique morphism making the defining square commute, once per
+    argument within one call; the two partial routes of a general pair must
+    agree.
     """
     m = vs.baseV
     base = m.base
     s = vs.baseS
 
+    @cache
     def u_tensor(u: Mor, x: Obj) -> Mor:
         k, l = base.src(u), base.dst(u)
         element = base.compose(u, cyl.alpha[(l, x)])
@@ -418,6 +427,7 @@ def induced_tensor_bifunctor(vs: VStructureData, cyl: CylinderAssignment) -> Fun
                 count=len(witnesses))
         return f
 
+    @cache
     def k_tensor(k: Obj, v: Mor) -> Mor:
         x, y = s.src(v), s.dst(v)
         ky = cyl.tensor_obj[(k, y)]

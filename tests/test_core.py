@@ -14,7 +14,9 @@ from encat.core import (
     NonComposablePathError,
     Preimages,
     WitnessError,
+    _diff,
     canonical,
+    canonical_diff,
     compose_path,
     evaluate,
     explained,
@@ -275,8 +277,59 @@ def test_structural_equal_agrees_with_canonical(name):
     assert value != listed
     for other in (value, fresh, listed, mutated):
         assert structural_equal(value, other) == (canonical(value) == canonical(other))
+        assert canonical_diff(value, other) == _diff(canonical(value), canonical(other), "")
     assert structural_equal(value, listed)
     assert not structural_equal(value, mutated)
+
+
+def _deep_mutations():
+    """Pairs of structures of one type that differ in a single entry deep
+    inside, or in one field's type or order, with what each pair is."""
+    from encat.equiv import bimodule_completion
+    from encat.instances import module_self
+    from encat.monoidal import self_vstructure
+
+    m = build_cyc(3)
+    vs = self_vstructure(m)
+    bm = bimodule_completion(module_self(m))
+    cm = bm.closedModule
+    tc = cm.tensorClosed
+    action = tc.module.action
+    psi = {key: dict(table) for key, table in cm.psi.items()}
+    psi[("*", "*", "*")]["0"] = "1"
+    on_morphisms = dict(action.onMorphisms)
+    on_morphisms[pair_id("1", "2")] = "1"
+    deep_action = dataclasses.replace(bm, closedModule=dataclasses.replace(
+        cm, tensorClosed=dataclasses.replace(tc, module=dataclasses.replace(
+            tc.module, action=dataclasses.replace(action, onMorphisms=on_morphisms)))))
+    hom_fn = dataclasses.replace(vs.homFunctor, onMorphisms={
+        **vs.homFunctor.onMorphisms, pair_id("1", "1"): "0"})
+    cat = build_bool().base
+    return [
+        ("category object order", cat, dataclasses.replace(cat, objects=cat.objects[::-1])),
+        ("vstructure comp", vs, dataclasses.replace(vs, comp={**vs.comp, ("*", "*", "*"): "1"})),
+        ("vstructure hom functor", vs, dataclasses.replace(vs, homFunctor=hom_fn)),
+        ("vstructure base order", vs, dataclasses.replace(vs, baseS=dataclasses.replace(
+            vs.baseS, morphisms=vs.baseS.morphisms[::-1]))),
+        ("vstructure without symmetry", vs, dataclasses.replace(
+            vs, baseV=dataclasses.replace(m, symmetry=None))),
+        ("vstructure as lists", vs, _as_lists(vs)),
+        ("bimodule psi", bm, dataclasses.replace(
+            bm, closedModule=dataclasses.replace(cm, psi=psi))),
+        ("bimodule action", bm, deep_action),
+        ("bimodule comodule unitor", bm, dataclasses.replace(bm, comodLunit={"*": "1"})),
+    ]
+
+
+def test_field_by_field_comparison_agrees_with_canonical_forms():
+    equal = []
+    for what, a, b in _deep_mutations():
+        assert structural_equal(a, b) == (canonical(a) == canonical(b)), what
+        assert canonical_diff(a, b) == _diff(canonical(a), canonical(b), ""), what
+        assert canonical_diff(b, a, "/x") == _diff(canonical(b), canonical(a), "/x"), what
+        if structural_equal(a, b):
+            equal.append(what)
+    assert equal == ["vstructure as lists"]
 
 
 _CATS = st.sampled_from(["bool", "trop3", "trop4", "cyc3"])

@@ -63,6 +63,19 @@ def test_tensored_naturality_mutation(cyc3):
     assert any("Q" in r.site for r in reports)
 
 
+def test_tensored_check_reports_an_invalid_enriched_category(bool_m):
+    # both routes assume a lawful enriched category; an invalid one is the
+    # input's fault, reported as such, not an oracle disagreement
+    from encat.vcat import check_vcategory
+
+    vs = self_vstructure(bool_m)
+    bad = dataclasses.replace(vs, comp={**vs.comp, ("1", "0", "0"): "m01"})
+    td = cylinder_to_tensored(bad, self_cylinder(bool_m))
+    vcat_reports = check_vcategory(td.vcat)
+    assert vcat_reports
+    assert check_tensored(td) == vcat_reports
+
+
 def test_module_to_cylinder(poset_cm, self_trop3, self_cyc3, trop3):
     for cm in (poset_cm, self_trop3, self_cyc3):
         vs, cyl = module_to_cylinder(cm.tensorClosed)

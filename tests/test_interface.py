@@ -147,7 +147,8 @@ def test_cli_check_flow(tmp_path):
     out = io.StringIO()
     assert cli(["check", str(bad_doc), "--format", "json"], out=out) == 1
     records = json.loads(out.getvalue())["reports"]
-    assert all(set(r) == {"law", "site", "lhs", "rhs"} for r in records)
+    assert all(set(r) == {"law", "site", "lhs", "rhs", "witness_count", "note"}
+               for r in records)
     assert "pentagon" in {r["law"] for r in records}
 
     out = io.StringIO()

@@ -272,6 +272,58 @@ def test_engine_bug_channel_fires_on_corrupt_evaluator(monkeypatch, cyc3):
         mon.check_closed(cyc3)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_check_closed_reports_a_broken_associator(n):
+    # the derived closed laws rest on the monoidal axioms, which check_closed
+    # does not check: their failure is the input's, not the engine's
+    bad = mutate(build_cyc(n), "assoc", ("*", "*", "*"), "1")
+    monoidal_reports = check_monoidal(bad)
+    assert len(monoidal_reports) == 2
+    assert check_closed(bad) == monoidal_reports
+
+
+def test_internal_pi_bar_is_computed_once_per_argument(monkeypatch):
+    import encat.monoidal as mon
+
+    m = build_trop(3)
+    first = internal_pi_bar(m, "1", "1", "2")
+    calls = []
+    real = mon.transpose_pi
+    monkeypatch.setattr(mon, "transpose_pi", lambda *a: calls.append(a) or real(*a))
+    assert internal_pi_bar(m, "1", "1", "2") == first
+    assert calls == []
+    internal_pi_bar(m, "0", "1", "2")  # another argument is computed and verified
+    assert calls
+
+
+def test_internal_pi_bar_failures_raise_on_every_call(monkeypatch):
+    import encat.monoidal as mon
+
+    # a corrupted evaluation: the transpose has no witness
+    bad = mutate_closed(build_trop(3), "ev", ("0", "1"), "m:1:0")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(WitnessError) as exc:
+            internal_pi_bar(bad, "0", "0", "1")
+        errors.append((str(exc.value), exc.value.count))
+    assert errors[0] == errors[1]
+
+    # a transpose that lies only where the characterization asks, at
+    # (W, X) = ("0", "1"): the check fails on every call, and nothing is kept
+    m = build_bool()
+    real = mon.transpose_pi
+    monkeypatch.setattr(mon, "transpose_pi",
+                        lambda m_, f, x, y: "bogus" if (x, y) == ("0", "1") else real(m_, f, x, y))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(EngineBugError) as exc:
+            internal_pi_bar(m, "1", "0", "0")
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    monkeypatch.undo()
+    assert internal_pi_bar(m, "1", "0", "0") == internal_pi_bar(build_bool(), "1", "0", "0")
+
+
 _NAMES = st.sampled_from(["bool", "trop3", "cyc2", "cyc3"])
 
 

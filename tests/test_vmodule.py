@@ -209,6 +209,52 @@ def test_module_phibar_inverse_absent_is_witness_error(poset_cm):
         module_phibar(broken, "1", "x", "y", verify=False)
 
 
+def test_module_phibar_verifies_once_per_argument(monkeypatch, trop3):
+    import encat.vmodule as vm
+
+    tc = module_self_tensorclosed(trop3)
+    calls = []
+    real = vm.transpose_pi
+    monkeypatch.setattr(vm, "transpose_pi", lambda *a: calls.append(a) or real(*a))
+    first = module_phibar(tc, "1", "1", "2")
+    assert calls  # the characterization ran
+    calls.clear()
+    assert module_phibar(tc, "1", "1", "2") == first
+    assert calls == []
+
+    # an unverified call keeps the inverse, not a verdict
+    module_phibar(tc, "0", "1", "2", verify=False)
+    assert calls == []
+    module_phibar(tc, "0", "1", "2")
+    assert calls
+    # ... so a lying evaluator is still caught at the first verifying call
+    module_phibar(tc, "2", "1", "2", verify=False)
+    monkeypatch.setattr(vm, "transpose_pi", lambda *a: "bogus")
+    with pytest.raises(EngineBugError):
+        module_phibar(tc, "2", "1", "2")
+
+
+def test_module_phibar_failures_raise_on_every_call(poset_cm):
+    tc = poset_cm.tensorClosed
+    phi = {key: dict(table) for key, table in tc.phi.items()}
+    phi[("0", "bot", "bot")]["id:bot"] = "id:1"
+    bad = dataclasses.replace(tc, phi=phi)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(WitnessError) as exc:
+            module_phibar(bad, "0", "bot", "bot")
+        errors.append((str(exc.value), exc.value.count))
+    assert errors[0] == errors[1]
+
+    module_phibar(bad, "0", "top", "bot", verify=False)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(EngineBugError) as exc:
+            module_phibar(bad, "0", "top", "bot")
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
 def test_dualize_roundtrip_and_dual_module(poset_cm):
     bm = bimodule_completion(poset_cm)
     dm = dual_module(bm)
