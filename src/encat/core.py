@@ -606,38 +606,24 @@ def _equal(a: Any, b: Any) -> bool:
 def canonical_diff(a: Any, b: Any, path: str = "") -> str | None:
     """Human-readable path to the first difference between canonical forms.
 
-    The text is ``_diff(canonical(a), canonical(b), path)``; two dataclasses
-    of one type are walked field by field, so only the fields that are not
-    ``==`` are canonicalised.
+    The text is ``_diff(canonical(a), canonical(b), path)``.  Two dataclasses
+    of one type are walked field by field, as in :func:`structural_equal`, so
+    only the fields that are not ``==`` are canonicalised; the step into a
+    nested dataclass is its class name, the head of its canonical form.
     """
     if not _same_dataclass(a, b):
         return _diff(canonical(a), canonical(b), path)
     for f in dataclasses.fields(a):
         va, vb = getattr(a, f.name), getattr(b, f.name)
-        if va != vb:
-            d = canonical_diff(va, vb, f"{path}/{f.name}/{_head(va)}")
-            if d is not None:
-                return d
+        if va == vb:
+            continue
+        if _same_dataclass(va, vb):
+            d = canonical_diff(va, vb, f"{path}/{f.name}/{type(va).__name__}")
+        else:
+            d = _diff((f.name, canonical(va)), (f.name, canonical(vb)), f"{path}/{f.name}")
+        if d is not None:
+            return d
     return None
-
-
-def _label(x: Any, i: int) -> str:
-    """The path step :func:`_diff` takes into the ``i``-th entry ``x`` of a
-    canonical form: a named entry (a dataclass field, a map, a sequence of
-    ids) by its leading name, any other by its index."""
-    return x[0] if isinstance(x, tuple) and x and isinstance(x[0], str) else str(i)
-
-
-def _head(value: Any) -> str:
-    """``_label(canonical(value), 1)``, read without building the canonical
-    form: the step from a dataclass field's name to its value."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return type(value).__name__
-    if isinstance(value, Mapping):
-        return "map"
-    if isinstance(value, (list, tuple)) and value and isinstance(value[0], str):
-        return value[0]
-    return "1"
 
 
 def _diff(ca: Any, cb: Any, path: str) -> str | None:
@@ -647,7 +633,8 @@ def _diff(ca: Any, cb: Any, path: str) -> str | None:
         if len(ca) != len(cb):
             return f"{path or '<root>'}: sizes differ ({len(ca)} vs {len(cb)})"
         for i, (x, y) in enumerate(zip(ca, cb)):
-            d = _diff(x, y, f"{path}/{_label(x, i)}")
+            label = x[0] if isinstance(x, tuple) and x and isinstance(x[0], str) else str(i)
+            d = _diff(x, y, f"{path}/{label}")
             if d is not None:
                 return d
         return f"{path or '<root>'}: differ"

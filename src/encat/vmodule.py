@@ -124,10 +124,9 @@ class TensorClosedModuleData:
         return {key: Preimages(table) for key, table in self.phi.items()}
 
     @cached_property
-    def _adjuncts(self) -> dict[tuple[Obj, Obj, Obj], tuple[Mor, bool]]:
-        """Per (K, X, Y), the internal adjunct of :func:`module_phibar` and
-        whether its characterization and oracles have passed; a failure is
-        not stored."""
+    def _adjuncts(self) -> dict[tuple[Obj, Obj, Obj], Mor]:
+        """Per (K, X, Y), the inverse computed by :func:`module_phibar`; a
+        failure is not stored."""
         return {}
 
     @cached_property
@@ -543,8 +542,8 @@ def module_phibar(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj,
     agree at every site with the internal double transpose, including the
     unravelled evaluation form.
 
-    Each runs once per distinct (K, X, Y) of ``tc``: the inverse is kept in a
-    per-instance table, and the checks run at the first call with ``verify``
+    The inverse is computed once per distinct (K, X, Y) of ``tc`` and kept
+    in a per-instance table; the checks run on every call with ``verify``
     set.  A failure is never kept, so it raises again on every call.
     """
     mod = tc.module
@@ -554,7 +553,7 @@ def module_phibar(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj,
     s = mod.baseS
     hxy = tc.hom_obj(x, y)
     kx = mod.act_obj(k, x)
-    phibar, verified = tc._adjuncts.get((k, x, y), (None, False))
+    phibar = tc._adjuncts.get((k, x, y))
     if phibar is None:
         forward = vbase.compose(_action_component(tc, k, hxy, x),
                                 tc.hom_mor(s.id_(kx), _counit(tc, x, y)))
@@ -563,8 +562,8 @@ def module_phibar(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj,
             raise WitnessError(
                 f"internal adjunct at ({k!r}, {x!r}, {y!r}) is not invertible; "
                 "the module is not tensor-closed", count=0)
-        tc._adjuncts[(k, x, y)] = (phibar, False)
-    if verified or not verify:
+        tc._adjuncts[(k, x, y)] = phibar
+    if not verify:
         return phibar
 
     for l in vbase.objects:
@@ -595,7 +594,6 @@ def module_phibar(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj,
             raise EngineBugError(
                 "derived law failed: unravelled self-module adjunct "
                 "differs from the double evaluation")
-    tc._adjuncts[(k, x, y)] = (phibar, True)
     return phibar
 
 

@@ -209,29 +209,31 @@ def test_module_phibar_inverse_absent_is_witness_error(poset_cm):
         module_phibar(broken, "1", "x", "y", verify=False)
 
 
-def test_module_phibar_verifies_once_per_argument(monkeypatch, trop3):
+def test_module_phibar_keeps_the_inverse_and_checks_every_call(monkeypatch, trop3):
     import encat.vmodule as vm
 
     tc = module_self_tensorclosed(trop3)
-    calls = []
-    real = vm.transpose_pi
-    monkeypatch.setattr(vm, "transpose_pi", lambda *a: calls.append(a) or real(*a))
+    inverses, calls = [], []
+    real_inverse, real_transpose = vm.morphism_inverse, vm.transpose_pi
+    monkeypatch.setattr(vm, "morphism_inverse",
+                        lambda *a: inverses.append(a) or real_inverse(*a))
+    monkeypatch.setattr(vm, "transpose_pi", lambda *a: calls.append(a) or real_transpose(*a))
     first = module_phibar(tc, "1", "1", "2")
-    assert calls  # the characterization ran
+    assert len(inverses) == 1 and calls
     calls.clear()
     assert module_phibar(tc, "1", "1", "2") == first
-    assert calls == []
+    assert len(inverses) == 1  # the inverse is kept
+    assert calls  # the characterization ran again
 
-    # an unverified call keeps the inverse, not a verdict
-    module_phibar(tc, "0", "1", "2", verify=False)
-    assert calls == []
-    module_phibar(tc, "0", "1", "2")
-    assert calls
-    # ... so a lying evaluator is still caught at the first verifying call
-    module_phibar(tc, "2", "1", "2", verify=False)
+    # an unverified call runs no check and reuses the inverse
+    calls.clear()
+    assert module_phibar(tc, "1", "1", "2", verify=False) == first
+    assert calls == [] and len(inverses) == 1
+    # ... and a lying evaluator is still caught at every verifying call
     monkeypatch.setattr(vm, "transpose_pi", lambda *a: "bogus")
-    with pytest.raises(EngineBugError):
-        module_phibar(tc, "2", "1", "2")
+    for _ in range(2):
+        with pytest.raises(EngineBugError):
+            module_phibar(tc, "1", "1", "2")
 
 
 def test_module_phibar_failures_raise_on_every_call(poset_cm):
