@@ -113,12 +113,14 @@ def run_checks(doc: Document) -> list[CheckReport]:
     raise DocumentError(f"no checker for kind {kind!r}")
 
 
-def _print_reports(reports: list[CheckReport], fmt: str, out) -> None:
+def _print_reports(reports: list[CheckReport], fmt: str, out, unselected: int) -> None:
+    """``unselected`` counts the failing checks a ``--laws`` selection hid."""
     if fmt == "json":
         records = [{"law": r.law, "site": list(r.site), "lhs": r.lhs, "rhs": r.rhs,
                     "witness_count": r.witness_count, "note": r.note}
                    for r in reports]
-        print(json.dumps({"reports": records}, indent=2, sort_keys=True), file=out)
+        extra = {"unselected": unselected} if unselected else {}
+        print(json.dumps({"reports": records, **extra}, indent=2, sort_keys=True), file=out)
         return
     for r in reports:
         site = "(" + ", ".join(r.site) + ")"
@@ -126,6 +128,9 @@ def _print_reports(reports: list[CheckReport], fmt: str, out) -> None:
               f"lhs={r.lhs} rhs={r.rhs}", file=out)
     if reports:
         print(f"{len(reports)} failing check(s)", file=out)
+    elif unselected:
+        print(f"NOT CHECKED: {unselected} failing check(s) outside the selected laws; "
+              "the selected laws may not have been evaluated", file=out)
     else:
         print("OK: all checks passed", file=out)
 
@@ -251,6 +256,7 @@ def cli(argv: list[str] | None = None, out=None) -> int:
         if args.command == "check":
             doc = _load(args.file)
             reports = run_checks(doc)
+            unselected = 0  # failing checks outside --laws, which may gate the laws in it
             if args.laws is not None:
                 wanted = [w.strip() for w in args.laws.split(",") if w.strip()]
                 unknown = [w for w in wanted if w not in KNOWN_LAWS]
@@ -258,9 +264,10 @@ def cli(argv: list[str] | None = None, out=None) -> int:
                     print(f"unknown law name(s): {', '.join(unknown)}", file=out)
                     print("known laws: " + ", ".join(KNOWN_LAWS), file=out)
                     return 2
-                reports = [r for r in reports if r.law in wanted]
-            _print_reports(reports, args.format, out)
-            return 1 if reports else 0
+                selected = [r for r in reports if r.law in wanted]
+                reports, unselected = selected, 0 if selected else len(reports)
+            _print_reports(reports, args.format, out, unselected)
+            return 1 if reports or unselected else 0
 
         if args.command == "construct":
             doc = _load(args.file)

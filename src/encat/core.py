@@ -65,6 +65,10 @@ class ParameterError(EncatError):
     """An instance builder was given parameters outside its domain."""
 
 
+class LawFailureError(EncatError):
+    """A construction was given input that fails a law its checkers decide."""
+
+
 class EngineBugError(EncatError):
     """A derived law failed on an input that passed the axiom checks.
 
@@ -179,6 +183,10 @@ class FinCategory:
         return {m: (s, d) for m, s, d in self.morphisms}
 
     @cached_property
+    def _objs(self) -> frozenset[Obj]:
+        return frozenset(self.objects)
+
+    @cached_property
     def _homs(self) -> dict[tuple[Obj, Obj], tuple[Mor, ...]]:
         table: dict[tuple[Obj, Obj], list[Mor]] = {}
         for m, s, d in self.morphisms:
@@ -186,7 +194,7 @@ class FinCategory:
         return {k: tuple(sorted(v)) for k, v in table.items()}
 
     def has_obj(self, x: Obj) -> bool:
-        return x in set(self.objects)
+        return x in self._objs
 
     def has_mor(self, f: Mor) -> bool:
         return f in self._mors

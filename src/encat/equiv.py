@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from .core import (
     EngineBugError,
+    LawFailureError,
     Mor,
     Obj,
     Preimages,
@@ -37,6 +38,8 @@ from .vstruct import (
     CylinderAssignment,
     VStructureData,
     associated_vcategory,
+    check_cylinder,
+    check_vstructure,
     induced_tensor_bifunctor,
 )
 
@@ -140,7 +143,15 @@ def cylinder_to_module(vs: VStructureData,
     base = m.base
     s = vs.baseS
     action = induced_tensor_bifunctor(vs, cyl)
-    phi = _module_phi_tables(vs, cyl)
+    try:
+        phi = _module_phi_tables(vs, cyl)
+    except EngineBugError:
+        # the routes agree on lawful cylinders, so a checker report blames the input
+        first = next(iter(check_vstructure(vs) or check_cylinder(vs, cyl)), None)
+        if first is None:
+            raise
+        raise LawFailureError(
+            f"the cylinder fails {first.law} at ({', '.join(first.site)})") from None
     fibres = {key: Preimages(table) for key, table in phi.items()}
 
     def phi_inv(k: Obj, x: Obj, y: Obj, t: Mor) -> Mor:

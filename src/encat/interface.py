@@ -1,40 +1,26 @@
 """Textual document format for every structure kind.
 
-A document is a JSON object ``{"format": "encat/1", "kind": ..., "body": ...}``;
-the custom layer is the schema, not the syntax.  The serializer emits all
-tables in a canonical sorted order so that serialized documents are
-byte-comparable, and ``parse`` / ``serialize`` are mutually inverse on
-normalized documents.
+A document is a JSON object ``{"format": "encat/1", "kind": ..., "body": ...}``.
+:data:`SCHEMA` declares each kind once, as the type it denotes and its fields
+(document key, attribute, column spec); ``parse`` and ``serialize`` both walk
+it, and every table is written in sorted order, so the bytes are canonical.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
-from .core import (
-    EncatError,
-    FinCategory,
-    FunctorData,
-    opposite_category,
-    pair_id,
-    product_category,
-)
+from .core import (EncatError, FinCategory, FunctorData, opposite_category, pair_id,
+                   product_category)
 from .monoidal import ClosedData, MonoidalData, SymmetryData
 from .vcat import VCategoryData
-from .vmodule import (
-    ClosedBimoduleData,
-    ClosedVModuleData,
-    TensorClosedModuleData,
-    VModuleData,
-)
+from .vmodule import (ClosedBimoduleData, ClosedVModuleData, TensorClosedModuleData,
+                      VModuleData)
 from .vstruct import CylinderAssignment, PathAssignment, VStructureData
 
 FORMAT = "encat/1"
-
-KINDS = ("fincategory", "monoidal", "vcategory", "vstructure", "cylinder",
-         "path", "vmodule", "tensorclosed", "closedmodule", "bimodule")
 
 
 class DocumentError(EncatError):
@@ -71,7 +57,6 @@ class Document:
 
     kind: str
     data: Any
-    meta: str = FORMAT
 
 
 def _position_of(text: str, token: str) -> tuple[int, int]:
@@ -102,11 +87,11 @@ def split_pair_id(pid: str) -> tuple[str, str]:
     raise ParseError(f"not a pair id: {pid!r}")
 
 
+@dataclass(frozen=True)
 class _Reader:
     """Schema-checking view over parsed JSON, with positioned diagnostics."""
 
-    def __init__(self, text: str):
-        self.text = text
+    text: str
 
     def fail(self, exc_type, message: str, token: str = "") -> None:
         line, col = _position_of(self.text, token) if token else (0, 0)
@@ -117,430 +102,309 @@ class _Reader:
             self.fail(ParseError, f"{where}: missing field {key!r}", key)
         value = obj[key]
         if not isinstance(value, kind):
-            self.fail(ParseError,
-                      f"{where}: field {key!r} must be {kind.__name__}", key)
+            self.fail(ParseError, f"{where}: field {key!r} must be {kind.__name__}", key)
         return value
 
-    def table(self, obj: Any, key: str, arity: int, where: str) -> dict:
-        rows = self.expect(obj, key, list, where)
+    def ids(self, cells: list, where: str, token: str) -> None:
+        """The one id rule: every id is a string."""
+        if not all(isinstance(v, str) for v in cells):
+            self.fail(ParseError, f"{where}: ids must be strings", token)
+
+    def rows(self, rows: list, arity: int, where: str, tail: type = str,
+             token: str = "") -> dict:
+        """Rows of ``arity`` string ids then one ``tail`` cell, keyed by the
+        ids (a lone id for arity 1); a repeated key is an error."""
+        token = token or where.rpartition(".")[2]
+        if not all(isinstance(row, list) and len(row) == arity + 1
+                   and isinstance(row[arity], tail) for row in rows):
+            self.fail(ParseError, f"{where}: rows must be {arity} ids and a "
+                                  f"{tail.__name__}", token)
+        self.ids([v for row in rows for v in row[:arity]], where, token)
         out = {}
         for row in rows:
-            if not isinstance(row, list) or len(row) != arity + 1 \
-                    or not all(isinstance(v, str) for v in row):
-                self.fail(ParseError,
-                          f"{where}: {key!r} rows must be {arity + 1} strings", key)
             k = row[0] if arity == 1 else tuple(row[:arity])
             if k in out:
-                self.fail(DuplicateIdError,
-                          f"{where}: duplicate {key!r} entry", row[0])
+                self.fail(DuplicateIdError, f"{where}: duplicate entry", row[0])
             out[k] = row[arity]
         return out
 
-    def bijections(self, obj: Any, key: str, arity: int, where: str) -> dict:
-        rows = self.expect(obj, key, list, where)
-        out = {}
-        for row in rows:
-            if not isinstance(row, list) or len(row) != arity + 1 \
-                    or not all(isinstance(v, str) for v in row[:arity]) \
-                    or not isinstance(row[arity], list):
-                self.fail(ParseError,
-                          f"{where}: {key!r} rows must end in a pair list", key)
-            k = tuple(row[:arity])
-            if k in out:
-                self.fail(DuplicateIdError,
-                          f"{where}: duplicate {key!r} entry", row[0])
-            table = {}
-            for pair in row[arity]:
-                if not (isinstance(pair, list) and len(pair) == 2
-                        and all(isinstance(v, str) for v in pair)):
-                    self.fail(ParseError,
-                              f"{where}: {key!r} pairs must be two strings", key)
-                if pair[0] in table:
-                    self.fail(DuplicateIdError,
-                              f"{where}: duplicate correspondence key", pair[0])
-                table[pair[0]] = pair[1]
-            out[k] = table
+
+class _Column:
+    """How one field is held in JSON: the type of its cell, ``read`` from
+    that cell and ``write`` back to it."""
+
+    json: type = str
+
+    def field(self, r: _Reader, obj: dict, key: str, where: str, ctx: dict) -> Any:
+        return self.read(r, r.expect(obj, key, self.json, where), f"{where}.{key}", ctx)
+
+
+class Id(_Column):
+    """A string id: an object or a morphism of the scope category, which is
+    the ``base`` field of the innermost enclosing record, or unresolved."""
+
+    def __init__(self, kind: str = "", known=None):
+        self.kind, self.known = kind, known
+
+    def read(self, r, value, where, ctx):
+        self.check(r, (value,), where, ctx)
+        return value
+
+    def check(self, r: _Reader, ids, where: str, ctx: dict) -> None:
+        if self.known is not None:
+            known = self.known(ctx["base"])
+            bad = next((v for v in ids if v not in known), None)
+            if bad is not None:
+                r.fail(UnresolvedReferenceError,
+                       f"{where}: {bad!r} is not a declared {self.kind}", bad)
+
+    def write(self, value):
+        return value
+
+
+OBJ = Id("object", lambda cat: cat._objs)
+MOR = Id("morphism", lambda cat: cat._mors)
+ANY = Id()
+
+
+class IdList(_Column):
+    """A list of string ids, held sorted."""
+
+    json = list
+
+    def read(self, r, ids, where, ctx):
+        r.ids(ids, where, where.rpartition(".")[2])
+        return tuple(sorted(ids))
+
+    def write(self, ids):
+        return sorted(ids)
+
+
+class Table(_Column):
+    """An id table: ``arity`` key columns and a value column, each an
+    :class:`Id`; a ``Table`` value makes every row a bijection, held as its
+    table of pairs."""
+
+    json = list
+
+    def __init__(self, arity: int, keys: Id = ANY, value: _Column = ANY):
+        self.arity, self.keys, self.value = arity, keys, value
+
+    def read(self, r, rows, where, ctx):
+        out = r.rows(rows, self.arity, where, self.value.json)
+        self.keys.check(r, out if self.arity == 1 else (p for k in out for p in k), where, ctx)
+        if isinstance(self.value, Table):
+            return {k: self.value.read(r, v, where, ctx) for k, v in out.items()}
+        self.value.check(r, out.values(), where, ctx)
         return out
 
-
-# ---------------------------------------------------------------- serializers
-
-def _sorted_rows(table: dict, arity: int) -> list:
-    rows = []
-    for k, v in table.items():
-        key = (k,) if arity == 1 else tuple(k)
-        rows.append(list(key) + [v])
-    return sorted(rows)
+    def write(self, table):
+        return sorted([*((k,) if self.arity == 1 else k), self.value.write(v)]
+                      for k, v in table.items())
 
 
-def _bij_rows(tables: dict, arity: int) -> list:
-    rows = []
-    for k, table in tables.items():
-        rows.append(list(k) + [sorted([f, w] for f, w in table.items())])
-    return sorted(rows)
+class Record(_Column):
+    """A JSON object read field by field into ``type`` (a tuple when the
+    attributes are indices); a ``null`` record may be absent.  Each field
+    sees the fields read before it, here and in the enclosing records."""
+
+    json = dict
+
+    def __init__(self, type: Any, *fields: tuple[str, Any, _Column], null: bool = False):
+        self.type, self.fields, self.null = type, fields, null
+
+    def field(self, r, obj, key, where, ctx):
+        if self.null:
+            value = obj.get(key)
+            return None if value is None else self.read(r, value, f"{where}.{key}", ctx)
+        return super().field(r, obj, key, where, ctx)
+
+    def read(self, r, obj, where, ctx):
+        values = dict(ctx)
+        for key, attr, spec in self.fields:
+            values[attr] = spec.field(r, obj, key, where, values)
+        args = {attr: values[attr] for _, attr, _ in self.fields}
+        return tuple(args.values()) if self.type is tuple else self.type(**args)
+
+    def write(self, data):
+        if data is None:
+            return None
+        get = data.__getitem__ if self.type is tuple else data.__getattribute__
+        return {key: spec.write(get(attr)) for key, attr, spec in self.fields}
 
 
-def _fincategory_body(cat: FinCategory) -> dict:
-    return {
-        "objects": sorted(cat.objects),
-        "morphisms": [{"id": m, "src": s, "dst": d}
-                      for m, s, d in sorted(cat.morphisms)],
-        "identity": dict(sorted(cat.identity.items())),
-        "comp": _sorted_rows(dict(cat.comp), 2),
-    }
+class Functor(_Column):
+    """A functor's object and morphism tables, keyed by pair ids, between the
+    categories that ``categories`` derives from the fields read before it."""
+
+    json = dict
+    TABLES = (("on_objects", "onObjects", Table(2, value=OBJ)),
+              ("on_morphisms", "onMorphisms", Table(2, value=MOR)))
+
+    def __init__(self, categories):
+        self.categories = categories
+
+    def read(self, r, obj, where, ctx):
+        src, dst = self.categories(ctx)
+        tables = {attr: {pair_id(*k): v for k, v in
+                         spec.field(r, obj, key, where, {"base": dst}).items()}
+                  for key, attr, spec in self.TABLES}
+        return FunctorData(srcCat=src, dstCat=dst, **tables)
+
+    def write(self, fn):
+        return {key: spec.write({split_pair_id(k): v for k, v in getattr(fn, attr).items()})
+                for key, attr, spec in self.TABLES}
 
 
-def _functor_tables(fn: FunctorData) -> dict:
-    on_objects = sorted(list(split_pair_id(k)) + [v]
-                        for k, v in fn.onObjects.items())
-    on_morphisms = sorted(list(split_pair_id(k)) + [v]
-                          for k, v in fn.onMorphisms.items())
-    return {"on_objects": on_objects, "on_morphisms": on_morphisms}
+class Assignment(_Column):
+    """Cylinder or path rows ``[K, X, {obj, elem, family}]``: an object and
+    an element per (K, X), and a family member per (K, X, Y)."""
+
+    json = list
+    FAMILY = Table(1)
+
+    def __init__(self, type: type, elem: str, family: str):
+        self.type, self.elem, self.family = type, elem, family
+
+    def read(self, r, rows, where, ctx):
+        objs, elems, members = {}, {}, {}
+        for kx, cell in r.rows(rows, 2, where, dict, token="obj").items():
+            objs[kx] = r.expect(cell, "obj", str, where)
+            elems[kx] = r.expect(cell, self.elem, str, where)
+            members.update({(*kx, y): v for y, v in
+                            self.FAMILY.field(r, cell, self.family, where, ctx).items()})
+        return self.type(objs, elems, members)
+
+    def write(self, data):
+        objs, elems, members = (getattr(data, f.name) for f in fields(data))
+        families: dict = {kx: {} for kx in objs}
+        for (k, x, y), v in members.items():
+            families.setdefault((k, x), {})[y] = v
+        return sorted(([k, x, {"obj": obj, self.elem: elems[(k, x)],
+                               self.family: self.FAMILY.write(families[(k, x)])}]
+                       for (k, x), obj in objs.items()), key=lambda row: row[:2])
 
 
-def _monoidal_body(m: MonoidalData) -> dict:
-    body = {
-        "base": _fincategory_body(m.base),
-        "unit": m.unit,
-        "tensor_obj": _sorted_rows(dict(m.tensor_obj), 2),
-        "tensor_mor": _sorted_rows(dict(m.tensor_mor), 2),
-        "assoc": _sorted_rows(dict(m.assoc), 3),
-        "lunit": _sorted_rows(dict(m.lunit), 1),
-        "runit": _sorted_rows(dict(m.runit), 1),
-        "symmetry": None,
-        "closed": None,
-    }
-    if m.symmetry is not None:
-        body["symmetry"] = {"braid": _sorted_rows(dict(m.symmetry.braid), 2)}
-    if m.closed is not None:
-        body["closed"] = {"hom_obj": _sorted_rows(dict(m.closed.hom_obj), 2),
-                          "eval": _sorted_rows(dict(m.closed.ev), 2)}
-    return body
+class _FinCategory(_Column):
+    """Objects, ``{id, src, dst}`` morphism rows, identities and composites;
+    every id resolves in the category itself."""
+
+    json = dict
+    COMP = Table(2, MOR, MOR)
+
+    def read(self, r, obj, where, ctx):
+        objects = IdList().field(r, obj, "objects", where, ctx)
+        dups = sorted(o for o in set(objects) if objects.count(o) > 1)
+        if dups:
+            r.fail(DuplicateIdError, f"{where}: duplicate object id", dups[0])
+        morphisms = {}
+        for row in r.expect(obj, "morphisms", list, where):
+            if not isinstance(row, dict) or set(row) != {"id", "src", "dst"}:
+                r.fail(ParseError, f"{where}: morphism rows need id/src/dst", "morphisms")
+            r.ids(list(row.values()), where, "morphisms")
+            if row["id"] in morphisms:
+                r.fail(DuplicateIdError, f"{where}: duplicate morphism id", row["id"])
+            morphisms[row["id"]] = (row["id"], row["src"], row["dst"])
+        morphisms = tuple(sorted(morphisms.values()))
+        scope = {"base": FinCategory(objects, morphisms, {}, {})}
+        OBJ.check(r, (o for _, s, d in morphisms for o in (s, d)), where, scope)
+        identity = r.expect(obj, "identity", dict, where)
+        r.ids(list(identity.values()), where, "identity")
+        OBJ.check(r, identity, where, scope)
+        MOR.check(r, identity.values(), where, scope)
+        return FinCategory(objects, morphisms, identity,
+                           self.COMP.field(r, obj, "comp", where, scope))
+
+    def write(self, cat):
+        return {"objects": sorted(cat.objects),
+                "morphisms": [{"id": m, "src": s, "dst": d} for m, s, d in sorted(cat.morphisms)],
+                "identity": dict(sorted(cat.identity.items())),
+                "comp": self.COMP.write(cat.comp)}
 
 
-def _vcategory_body(vc: VCategoryData) -> dict:
-    return {
-        "base_v": _monoidal_body(vc.baseV),
-        "objects": sorted(vc.objects),
-        "hom_obj": _sorted_rows(dict(vc.homObj), 2),
-        "comp": _sorted_rows(dict(vc.comp), 3),
-        "unit": _sorted_rows(dict(vc.unit), 1),
-    }
+def _hom(v: FinCategory, s: FinCategory):
+    """S^op x S -> V, the categories of a hom functor."""
+    return product_category(opposite_category(s), s), v
 
 
-def _vstructure_body(vs: VStructureData) -> dict:
-    return {
-        "base_v": _monoidal_body(vs.baseV),
-        "base_s": _fincategory_body(vs.baseS),
-        "hom_functor": _functor_tables(vs.homFunctor),
-        "comp": _sorted_rows(dict(vs.comp), 3),
-        "phi": _bij_rows(dict(vs.phi), 2),
-    }
+def _cotensor(mod: VModuleData):
+    """V x S^op -> S^op, the categories of a module's cotensor."""
+    s_op = opposite_category(mod.baseS)
+    return product_category(mod.baseV.base, s_op), s_op
 
 
-def _assignment_rows(tensor_obj, alpha, families, obj_key, elem_key, fam_key) -> list:
-    rows = []
-    for (k, x), obj in tensor_obj.items():
-        fam = sorted([y, v] for (k2, x2, y), v in families.items()
-                     if (k2, x2) == (k, x))
-        rows.append([k, x, {obj_key: obj, elem_key: alpha[(k, x)], fam_key: fam}])
-    return sorted(rows, key=lambda r: (r[0], r[1]))
+_FINCATEGORY = _FinCategory()
+_MONOIDAL = Record(MonoidalData,
+                   ("base", "base", _FINCATEGORY),
+                   ("unit", "unit", OBJ),
+                   ("tensor_obj", "tensor_obj", Table(2, OBJ, OBJ)),
+                   ("tensor_mor", "tensor_mor", Table(2, MOR, MOR)),
+                   ("assoc", "assoc", Table(3, OBJ, MOR)),
+                   ("lunit", "lunit", Table(1, OBJ, MOR)),
+                   ("runit", "runit", Table(1, OBJ, MOR)),
+                   ("symmetry", "symmetry", Record(
+                       SymmetryData, ("braid", "braid", Table(2, value=MOR)), null=True)),
+                   ("closed", "closed", Record(
+                       ClosedData, ("hom_obj", "hom_obj", Table(2, value=OBJ)),
+                       ("eval", "ev", Table(2, value=MOR)), null=True)))
+_VSTRUCTURE = Record(VStructureData,
+                     ("base_v", "baseV", _MONOIDAL),
+                     ("base_s", "baseS", _FINCATEGORY),
+                     ("hom_functor", "homFunctor",
+                      Functor(lambda c: _hom(c["baseV"].base, c["baseS"]))),
+                     ("comp", "comp", Table(3)),
+                     ("phi", "phi", Table(2, value=Table(1))))
+_VMODULE = Record(VModuleData,
+                  ("base_v", "baseV", _MONOIDAL),
+                  ("base_s", "baseS", _FINCATEGORY),
+                  ("action", "action", Functor(lambda c: (
+                      product_category(c["baseV"].base, c["baseS"]), c["baseS"]))),
+                  ("assoc", "assoc", Table(3)),
+                  ("lunit", "lunit", Table(1)))
+_TENSORCLOSED = Record(TensorClosedModuleData,
+                       ("module", "module", _VMODULE),
+                       ("hom_functor", "homFunctor", Functor(
+                           lambda c: _hom(c["module"].baseV.base, c["module"].baseS))),
+                       ("phi", "phi", Table(3, value=Table(1))))
+_CLOSEDMODULE = Record(ClosedVModuleData,
+                       ("tensor_closed", "tensorClosed", _TENSORCLOSED),
+                       ("cotensor", "cotensor",
+                        Functor(lambda c: _cotensor(c["tensorClosed"].module))),
+                       ("psi", "psi", Table(3, value=Table(1))))
 
-
-def _cylinder_body(vs: VStructureData, cyl: CylinderAssignment) -> dict:
-    return {
-        "vstructure": _vstructure_body(vs),
-        "cylinder": _assignment_rows(cyl.tensor_obj, cyl.alpha, cyl.phibar,
-                                     "obj", "alpha", "phibar"),
-    }
-
-
-def _path_body(vs: VStructureData, pth: PathAssignment) -> dict:
-    return {
-        "vstructure": _vstructure_body(vs),
-        "path": _assignment_rows(pth.path_obj, pth.beta, pth.psibar,
-                                 "obj", "beta", "psibar"),
-    }
-
-
-def _vmodule_body(mod: VModuleData) -> dict:
-    return {
-        "base_v": _monoidal_body(mod.baseV),
-        "base_s": _fincategory_body(mod.baseS),
-        "action": _functor_tables(mod.action),
-        "assoc": _sorted_rows(dict(mod.assoc), 3),
-        "lunit": _sorted_rows(dict(mod.lunit), 1),
-    }
-
-
-def _tensorclosed_body(tc: TensorClosedModuleData) -> dict:
-    return {
-        "module": _vmodule_body(tc.module),
-        "hom_functor": _functor_tables(tc.homFunctor),
-        "phi": _bij_rows(dict(tc.phi), 3),
-    }
-
-
-def _closedmodule_body(cm: ClosedVModuleData) -> dict:
-    return {
-        "tensor_closed": _tensorclosed_body(cm.tensorClosed),
-        "cotensor": _functor_tables(cm.cotensor),
-        "psi": _bij_rows(dict(cm.psi), 3),
-    }
-
-
-def _bimodule_body(bm: ClosedBimoduleData) -> dict:
-    return {
-        "closed_module": _closedmodule_body(bm.closedModule),
-        "comodule_assoc": _sorted_rows(dict(bm.comodAssoc), 3),
-        "comodule_lunit": _sorted_rows(dict(bm.comodLunit), 1),
-    }
+SCHEMA: dict[str, _Column] = {
+    "fincategory": _FINCATEGORY,
+    "monoidal": _MONOIDAL,
+    "vcategory": Record(VCategoryData,
+                        ("base_v", "baseV", _MONOIDAL),
+                        ("objects", "objects", IdList()),
+                        ("hom_obj", "homObj", Table(2)),
+                        ("comp", "comp", Table(3)),
+                        ("unit", "unit", Table(1))),
+    "vstructure": _VSTRUCTURE,
+    "cylinder": Record(tuple,
+                       ("vstructure", 0, _VSTRUCTURE),
+                       ("cylinder", 1, Assignment(CylinderAssignment, "alpha", "phibar"))),
+    "path": Record(tuple,
+                   ("vstructure", 0, _VSTRUCTURE),
+                   ("path", 1, Assignment(PathAssignment, "beta", "psibar"))),
+    "vmodule": _VMODULE,
+    "tensorclosed": _TENSORCLOSED,
+    "closedmodule": _CLOSEDMODULE,
+    "bimodule": Record(ClosedBimoduleData,
+                       ("closed_module", "closedModule", _CLOSEDMODULE),
+                       ("comodule_assoc", "comodAssoc", Table(3)),
+                       ("comodule_lunit", "comodLunit", Table(1))),
+}
+KINDS = tuple(SCHEMA)
 
 
 def serialize(doc: Document) -> str:
     """Canonical text form: sorted tables, sorted keys, stable bytes."""
-    if doc.kind == "fincategory":
-        body = _fincategory_body(doc.data)
-    elif doc.kind == "monoidal":
-        body = _monoidal_body(doc.data)
-    elif doc.kind == "vcategory":
-        body = _vcategory_body(doc.data)
-    elif doc.kind == "vstructure":
-        body = _vstructure_body(doc.data)
-    elif doc.kind == "cylinder":
-        body = _cylinder_body(*doc.data)
-    elif doc.kind == "path":
-        body = _path_body(*doc.data)
-    elif doc.kind == "vmodule":
-        body = _vmodule_body(doc.data)
-    elif doc.kind == "tensorclosed":
-        body = _tensorclosed_body(doc.data)
-    elif doc.kind == "closedmodule":
-        body = _closedmodule_body(doc.data)
-    elif doc.kind == "bimodule":
-        body = _bimodule_body(doc.data)
-    else:
+    if doc.kind not in KINDS:
         raise ParseError(f"unknown document kind {doc.kind!r}")
-    payload = {"format": doc.meta, "kind": doc.kind, "body": body}
+    payload = {"format": FORMAT, "kind": doc.kind, "body": SCHEMA[doc.kind].write(doc.data)}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-# ------------------------------------------------------------------- parsers
-
-def _read_fincategory(r: _Reader, obj: Any, where: str) -> FinCategory:
-    objects = r.expect(obj, "objects", list, where)
-    if len(set(objects)) != len(objects):
-        dup = sorted(o for o in set(objects) if objects.count(o) > 1)[0]
-        r.fail(DuplicateIdError, f"{where}: duplicate object id", dup)
-    mor_rows = r.expect(obj, "morphisms", list, where)
-    morphisms = []
-    seen = set()
-    for row in mor_rows:
-        if not isinstance(row, dict) or set(row) != {"id", "src", "dst"}:
-            r.fail(ParseError, f"{where}: morphism rows need id/src/dst", "morphisms")
-        if row["id"] in seen:
-            r.fail(DuplicateIdError, f"{where}: duplicate morphism id", row["id"])
-        seen.add(row["id"])
-        morphisms.append((row["id"], row["src"], row["dst"]))
-    identity = r.expect(obj, "identity", dict, where)
-    comp = r.table(obj, "comp", 2, where)
-    objset, morset = set(objects), seen
-    for m, s, d in morphisms:
-        for o in (s, d):
-            if o not in objset:
-                r.fail(UnresolvedReferenceError,
-                       f"{where}: morphism endpoint not declared", o)
-    for x, v in identity.items():
-        if x not in objset:
-            r.fail(UnresolvedReferenceError, f"{where}: identity of unknown object", x)
-        if v not in morset:
-            r.fail(UnresolvedReferenceError, f"{where}: identity is unknown morphism", v)
-    for (f, g), h in comp.items():
-        for t in (f, g, h):
-            if t not in morset:
-                r.fail(UnresolvedReferenceError,
-                       f"{where}: composition references unknown morphism", t)
-    return FinCategory(tuple(sorted(objects)), tuple(sorted(morphisms)),
-                       identity, comp)
-
-
-def _read_monoidal(r: _Reader, obj: Any, where: str) -> MonoidalData:
-    base = _read_fincategory(r, r.expect(obj, "base", dict, where), where + ".base")
-    unit = r.expect(obj, "unit", str, where)
-    if not base.has_obj(unit):
-        r.fail(UnresolvedReferenceError, f"{where}: unit is not a declared object", unit)
-    tensor_obj = r.table(obj, "tensor_obj", 2, where)
-    tensor_mor = r.table(obj, "tensor_mor", 2, where)
-    assoc = r.table(obj, "assoc", 3, where)
-    lunit = r.table(obj, "lunit", 1, where)
-    runit = r.table(obj, "runit", 1, where)
-    objset = set(base.objects)
-    morset = set(base.mor_ids())
-    for table, val_ok, label in ((tensor_obj, objset, "tensor_obj"),
-                                 (tensor_mor, morset, "tensor_mor"),
-                                 (assoc, morset, "assoc"),
-                                 (lunit, morset, "lunit"),
-                                 (runit, morset, "runit")):
-        keyset = objset if label in ("tensor_obj", "assoc", "lunit", "runit") else morset
-        for k, v in table.items():
-            parts = (k,) if isinstance(k, str) else k
-            for p in parts:
-                if p not in keyset:
-                    r.fail(UnresolvedReferenceError,
-                           f"{where}: {label} key not declared", p)
-            if v not in val_ok:
-                r.fail(UnresolvedReferenceError,
-                       f"{where}: {label} value not declared", v)
-    symmetry = None
-    if obj.get("symmetry") is not None:
-        braid = r.table(obj["symmetry"], "braid", 2, where + ".symmetry")
-        for k, v in braid.items():
-            if v not in morset:
-                r.fail(UnresolvedReferenceError, f"{where}: braid value unknown", v)
-        symmetry = SymmetryData(braid=braid)
-    closed = None
-    if obj.get("closed") is not None:
-        hom_obj = r.table(obj["closed"], "hom_obj", 2, where + ".closed")
-        ev = r.table(obj["closed"], "eval", 2, where + ".closed")
-        for k, v in hom_obj.items():
-            if v not in objset:
-                r.fail(UnresolvedReferenceError, f"{where}: hom object unknown", v)
-        for k, v in ev.items():
-            if v not in morset:
-                r.fail(UnresolvedReferenceError, f"{where}: evaluation unknown", v)
-        closed = ClosedData(hom_obj=hom_obj, ev=ev)
-    return MonoidalData(base=base, tensor_obj=tensor_obj, tensor_mor=tensor_mor,
-                        unit=unit, assoc=assoc, lunit=lunit, runit=runit,
-                        symmetry=symmetry, closed=closed)
-
-
-def _read_functor(r: _Reader, obj: Any, src: FinCategory, dst: FinCategory,
-                  where: str) -> FunctorData:
-    raw_obj = r.expect(obj, "on_objects", list, where)
-    raw_mor = r.expect(obj, "on_morphisms", list, where)
-    on_objects = {}
-    for row in raw_obj:
-        if not (isinstance(row, list) and len(row) == 3
-                and all(isinstance(v, str) for v in row)):
-            r.fail(ParseError, f"{where}: on_objects rows must be 3 strings",
-                   "on_objects")
-        key = pair_id(row[0], row[1])
-        if key in on_objects:
-            r.fail(DuplicateIdError, f"{where}: duplicate on_objects entry", row[0])
-        if not dst.has_obj(row[2]):
-            r.fail(UnresolvedReferenceError, f"{where}: functor object unknown", row[2])
-        on_objects[key] = row[2]
-    on_morphisms = {}
-    for row in raw_mor:
-        if not (isinstance(row, list) and len(row) == 3
-                and all(isinstance(v, str) for v in row)):
-            r.fail(ParseError, f"{where}: on_morphisms rows must be 3 strings",
-                   "on_morphisms")
-        key = pair_id(row[0], row[1])
-        if key in on_morphisms:
-            r.fail(DuplicateIdError, f"{where}: duplicate on_morphisms entry", row[0])
-        if not dst.has_mor(row[2]):
-            r.fail(UnresolvedReferenceError, f"{where}: functor morphism unknown", row[2])
-        on_morphisms[key] = row[2]
-    return FunctorData(srcCat=src, dstCat=dst, onObjects=on_objects,
-                       onMorphisms=on_morphisms)
-
-
-def _read_vcategory(r: _Reader, obj: Any, where: str) -> VCategoryData:
-    base_v = _read_monoidal(r, r.expect(obj, "base_v", dict, where), where + ".base_v")
-    objects = r.expect(obj, "objects", list, where)
-    return VCategoryData(
-        baseV=base_v,
-        objects=tuple(sorted(objects)),
-        homObj=r.table(obj, "hom_obj", 2, where),
-        comp=r.table(obj, "comp", 3, where),
-        unit=r.table(obj, "unit", 1, where))
-
-
-def _read_vstructure(r: _Reader, obj: Any, where: str) -> VStructureData:
-    base_v = _read_monoidal(r, r.expect(obj, "base_v", dict, where), where + ".base_v")
-    base_s = _read_fincategory(r, r.expect(obj, "base_s", dict, where), where + ".base_s")
-    hom_fn = _read_functor(r, r.expect(obj, "hom_functor", dict, where),
-                           product_category(opposite_category(base_s), base_s),
-                           base_v.base, where + ".hom_functor")
-    return VStructureData(
-        baseS=base_s, baseV=base_v, homFunctor=hom_fn,
-        comp=r.table(obj, "comp", 3, where),
-        phi=r.bijections(obj, "phi", 2, where))
-
-
-def _read_assignment(r: _Reader, rows: Any, obj_key: str, elem_key: str,
-                     fam_key: str, where: str) -> tuple[dict, dict, dict]:
-    tensor_obj, alpha, families = {}, {}, {}
-    for row in rows:
-        if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], dict)):
-            r.fail(ParseError, f"{where}: assignment rows must be [K, X, tables]",
-                   obj_key)
-        k, x, tables = row
-        tensor_obj[(k, x)] = r.expect(tables, obj_key, str, where)
-        alpha[(k, x)] = r.expect(tables, elem_key, str, where)
-        for y, v in r.table(tables, fam_key, 1, where).items():
-            families[(k, x, y)] = v
-    return tensor_obj, alpha, families
-
-
-def _read_cylinder(r: _Reader, obj: Any, where: str):
-    vs = _read_vstructure(r, r.expect(obj, "vstructure", dict, where),
-                          where + ".vstructure")
-    rows = r.expect(obj, "cylinder", list, where)
-    tensor_obj, alpha, phibar = _read_assignment(
-        r, rows, "obj", "alpha", "phibar", where + ".cylinder")
-    return vs, CylinderAssignment(tensor_obj=tensor_obj, alpha=alpha, phibar=phibar)
-
-
-def _read_path(r: _Reader, obj: Any, where: str):
-    vs = _read_vstructure(r, r.expect(obj, "vstructure", dict, where),
-                          where + ".vstructure")
-    rows = r.expect(obj, "path", list, where)
-    path_obj, beta, psibar = _read_assignment(
-        r, rows, "obj", "beta", "psibar", where + ".path")
-    return vs, PathAssignment(path_obj=path_obj, beta=beta, psibar=psibar)
-
-
-def _read_vmodule(r: _Reader, obj: Any, where: str) -> VModuleData:
-    base_v = _read_monoidal(r, r.expect(obj, "base_v", dict, where), where + ".base_v")
-    base_s = _read_fincategory(r, r.expect(obj, "base_s", dict, where), where + ".base_s")
-    action = _read_functor(r, r.expect(obj, "action", dict, where),
-                           product_category(base_v.base, base_s), base_s,
-                           where + ".action")
-    return VModuleData(baseV=base_v, baseS=base_s, action=action,
-                       assoc=r.table(obj, "assoc", 3, where),
-                       lunit=r.table(obj, "lunit", 1, where))
-
-
-def _read_tensorclosed(r: _Reader, obj: Any, where: str) -> TensorClosedModuleData:
-    module = _read_vmodule(r, r.expect(obj, "module", dict, where), where + ".module")
-    hom_fn = _read_functor(
-        r, r.expect(obj, "hom_functor", dict, where),
-        product_category(opposite_category(module.baseS), module.baseS),
-        module.baseV.base, where + ".hom_functor")
-    return TensorClosedModuleData(module=module, homFunctor=hom_fn,
-                                  phi=r.bijections(obj, "phi", 3, where))
-
-
-def _read_closedmodule(r: _Reader, obj: Any, where: str) -> ClosedVModuleData:
-    tc = _read_tensorclosed(r, r.expect(obj, "tensor_closed", dict, where),
-                            where + ".tensor_closed")
-    s_op = opposite_category(tc.module.baseS)
-    cotensor = _read_functor(r, r.expect(obj, "cotensor", dict, where),
-                             product_category(tc.module.baseV.base, s_op), s_op,
-                             where + ".cotensor")
-    return ClosedVModuleData(tensorClosed=tc, cotensor=cotensor,
-                             psi=r.bijections(obj, "psi", 3, where))
-
-
-def _read_bimodule(r: _Reader, obj: Any, where: str) -> ClosedBimoduleData:
-    cm = _read_closedmodule(r, r.expect(obj, "closed_module", dict, where),
-                            where + ".closed_module")
-    return ClosedBimoduleData(
-        closedModule=cm,
-        comodAssoc=r.table(obj, "comodule_assoc", 3, where),
-        comodLunit=r.table(obj, "comodule_lunit", 1, where))
 
 
 def parse(text: str) -> Document:
@@ -560,20 +424,6 @@ def parse(text: str) -> Document:
             *_position_of(text, str(fmt)), token=str(fmt))
     kind = payload.get("kind")
     if kind not in KINDS:
-        r.fail(ParseError, f"unknown kind {kind!r}; known kinds: {', '.join(KINDS)}",
-               str(kind))
+        r.fail(ParseError, f"unknown kind {kind!r}; known kinds: {', '.join(KINDS)}", str(kind))
     body = r.expect(payload, "body", dict, "document")
-    readers = {
-        "fincategory": _read_fincategory,
-        "monoidal": _read_monoidal,
-        "vcategory": _read_vcategory,
-        "vstructure": _read_vstructure,
-        "cylinder": _read_cylinder,
-        "path": _read_path,
-        "vmodule": _read_vmodule,
-        "tensorclosed": _read_tensorclosed,
-        "closedmodule": _read_closedmodule,
-        "bimodule": _read_bimodule,
-    }
-    data = readers[kind](r, body, kind)
-    return Document(kind=kind, data=data)
+    return Document(kind=kind, data=SCHEMA[kind].read(r, body, kind, {}))

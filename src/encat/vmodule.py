@@ -166,12 +166,6 @@ class ClosedVModuleData:
         except KeyError:
             raise MissingTableError(f"cotensor object table missing ({k!r}, {x!r})") from None
 
-    def cot_mor(self, u: Mor, v: Mor) -> Mor:
-        try:
-            return self.cotensor.onMorphisms[pair_id(u, v)]
-        except KeyError:
-            raise MissingTableError(f"cotensor morphism table missing ({u!r}, {v!r})") from None
-
     def psi_of(self, k: Obj, x: Obj, y: Obj, g: Mor) -> Mor:
         try:
             return self.psi[(k, x, y)][g]

@@ -10,7 +10,8 @@ rule, chosen without looking at the outcomes:
 - the same rule recurses into every dict value and into the first row of
   every list.
 
-Each input's outcome is the exception class, line, column and token, or the
+Each input's outcome is the class, line, column and token of the
+:class:`EncatError` it raises (any other exception fails the test), or the
 sha256 of ``serialize(parse(text))``.  The per-kind digests of those lists
 and the digest of every document's serialized bytes are compared with
 ``codec_golden.json``; ``python tests/test_codec_corpus.py`` rewrites it.
@@ -21,6 +22,7 @@ import json
 import os
 import sys
 
+from encat.core import EncatError
 from encat.interface import serialize, parse
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "codec_golden.json")
@@ -77,7 +79,7 @@ def _sha(text: str) -> str:
 def outcome(text: str) -> list:
     try:
         return ["bytes", _sha(serialize(parse(text)))]
-    except Exception as exc:  # the corpus records whatever escapes
+    except EncatError as exc:
         return [type(exc).__name__, getattr(exc, "line", None),
                 getattr(exc, "col", None), getattr(exc, "token", None)]
 

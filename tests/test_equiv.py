@@ -150,3 +150,24 @@ def test_bimodule_completion_is_idempotent(poset_cm, self_trop3, self_cyc3):
         assert check_closed_bimodule(bm) == []
         again = bimodule_completion(bm.closedModule)
         assert structural_equal(again, bm)
+
+
+def test_cylinder_to_module_blames_an_invalid_cylinder(tmp_path, self_bool):
+    # the two adjunction routes disagree on this cylinder because its hom
+    # structure is invalid: the CLI says which law fails (exit 2), and does
+    # not report an engine bug (exit 3)
+    import io
+
+    from encat.cli import cli
+    from encat.interface import Document, serialize
+
+    vs, cyl = module_to_cylinder(self_bool.tensorClosed)
+    bad = dataclasses.replace(vs, comp={**vs.comp, ("1", "0", "0"): "m01"})
+    first = check_vstructure(bad)[0]
+    doc = tmp_path / "cyl.doc"
+    doc.write_text(serialize(Document("cylinder", (bad, cyl))), encoding="utf-8")
+    out = io.StringIO()
+    assert cli(["construct", str(doc), "--op", "cylinder-to-module",
+                "-o", str(tmp_path / "module.doc")], out=out) == 2
+    assert f"fails {first.law} at ({', '.join(first.site)})" in out.getvalue()
+    assert "engine bug" not in out.getvalue()

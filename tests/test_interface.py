@@ -20,7 +20,7 @@ from encat.interface import (
     parse,
     serialize,
 )
-from encat.monoidal import self_path, self_vstructure
+from encat.monoidal import self_cylinder, self_path, self_vstructure
 from encat.vcat import self_enriched
 
 
@@ -261,3 +261,47 @@ def test_cli_check_missing_braid_entry(tmp_path, kind):
     assert result.returncode == 1, result.stderr
     assert "Traceback" not in result.stdout + result.stderr
     assert "failing check(s)" in result.stdout
+
+
+def _run_cli(*argv):
+    src = os.path.dirname(os.path.dirname(encat.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", "from encat.cli import main; main()", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+
+
+def test_cli_non_string_ids_are_parse_errors(tmp_path, bool_m, trop3):
+    # an id that is not a string is an input error (exit 2), never a
+    # TypeError traceback from sorting or serializing mixed ids
+    vcat = json.loads(serialize(Document("vcategory", self_enriched(trop3))))
+    vcat["body"]["objects"][0] = 0
+    cyl = json.loads(serialize(Document("cylinder", (self_vstructure(bool_m),
+                                                     self_cylinder(bool_m)))))
+    cyl["body"]["cylinder"][0][0] = 1
+    for name, payload in (("vcat", vcat), ("cyl", cyl)):
+        doc = tmp_path / f"{name}.doc"
+        doc.write_text(json.dumps(payload), encoding="utf-8")
+        for argv in (("check", str(doc)),
+                     ("construct", str(doc), "--op", "cylinder-to-tensored",
+                      "-o", str(tmp_path / "out.doc"))):
+            result = _run_cli(*argv)
+            assert result.returncode == 2, result.stdout + result.stderr
+            assert "Traceback" not in result.stdout + result.stderr
+            assert "ids must be strings" in result.stdout
+
+
+def test_cli_laws_selection_never_passes_an_unevaluated_law(tmp_path):
+    # the broken associator fails the monoidal laws, so symmetry is never
+    # evaluated: selecting only a symmetry law must not print OK
+    import dataclasses
+
+    bad = dataclasses.replace(build_cyc(3), assoc={("*", "*", "*"): "1"})
+    doc = tmp_path / "bad.doc"
+    doc.write_text(serialize(Document("monoidal", bad)), encoding="utf-8")
+    result = _run_cli("check", str(doc), "--laws", "symmetry.hexagon")
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "OK: all checks passed" not in result.stdout
+    assert "failing check(s) outside the selected laws" in result.stdout
+    result = _run_cli("check", str(doc), "--laws", "symmetry.hexagon", "--format", "json")
+    assert result.returncode == 1
+    assert json.loads(result.stdout) == {"reports": [], "unselected": 2}

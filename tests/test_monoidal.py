@@ -280,6 +280,14 @@ def test_check_closed_reports_a_broken_associator(n):
     monoidal_reports = check_monoidal(bad)
     assert len(monoidal_reports) == 2
     assert check_closed(bad) == monoidal_reports
+    # on bool the same kind of fault makes a closed-law side, or a derived
+    # law, meet a non-composable path
+    for field, key, value in (("tensor_mor", ("id:0", "id:0"), "m01"),
+                              ("assoc", ("0", "0", "0"), "id:1")):
+        bad = mutate(build_bool(), field, key, value)
+        monoidal_reports = check_monoidal(bad)
+        assert monoidal_reports
+        assert check_closed(bad) == monoidal_reports
 
 
 def test_internal_pi_bar_is_computed_once_per_argument(monkeypatch):
