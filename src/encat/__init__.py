@@ -8,6 +8,7 @@ from .core import (
     EngineBugError,
     FinCategory,
     FunctorData,
+    LawFailureError,
     MalformedReferenceError,
     MissingTableError,
     NatTransData,

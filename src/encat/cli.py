@@ -114,7 +114,6 @@ def run_checks(doc: Document) -> list[CheckReport]:
 
 
 def _print_reports(reports: list[CheckReport], fmt: str, out, unselected: int) -> None:
-    """``unselected`` counts the failing checks a ``--laws`` selection hid."""
     if fmt == "json":
         records = [{"law": r.law, "site": list(r.site), "lhs": r.lhs, "rhs": r.rhs,
                     "witness_count": r.witness_count, "note": r.note}

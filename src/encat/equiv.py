@@ -147,11 +147,11 @@ def cylinder_to_module(vs: VStructureData,
         phi = _module_phi_tables(vs, cyl)
     except EngineBugError:
         # the routes agree on lawful cylinders, so a checker report blames the input
-        first = next(iter(check_vstructure(vs) or check_cylinder(vs, cyl)), None)
-        if first is None:
+        reports = check_vstructure(vs) or check_cylinder(vs, cyl)
+        if not reports:
             raise
         raise LawFailureError(
-            f"the cylinder fails {first.law} at ({', '.join(first.site)})") from None
+            f"the cylinder fails {reports[0].law} at ({', '.join(reports[0].site)})") from None
     fibres = {key: Preimages(table) for key, table in phi.items()}
 
     def phi_inv(k: Obj, x: Obj, y: Obj, t: Mor) -> Mor:

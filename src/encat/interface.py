@@ -277,11 +277,11 @@ class Assignment(_Column):
 
     def write(self, data):
         objs, elems, members = (getattr(data, f.name) for f in fields(data))
-        families: dict = {kx: {} for kx in objs}
+        families: dict = {}
         for (k, x, y), v in members.items():
             families.setdefault((k, x), {})[y] = v
         return sorted(([k, x, {"obj": obj, self.elem: elems[(k, x)],
-                               self.family: self.FAMILY.write(families[(k, x)])}]
+                               self.family: self.FAMILY.write(families.get((k, x), {}))}]
                        for (k, x), obj in objs.items()), key=lambda row: row[:2])
 
 
