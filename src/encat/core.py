@@ -111,6 +111,12 @@ class Law:
     and ``rhs(*data, *site)`` must be defined and equal.  The enumeration is
     not guarded: what it reads must exist, and its errors escape
     :func:`evaluate`.  ``core`` marks the named diagrams of the theory.
+
+    ``gate``, when set, enumerates a smaller family of the law's own sites
+    that decides the whole law once some prerequisites hold (for a
+    multi-variable law, the sites where all but one variable is an
+    identity).  Only a checker that has established those prerequisites
+    passes the law with its gate; elsewhere it is replaced with ``gate=None``.
     """
 
     name: str
@@ -118,6 +124,7 @@ class Law:
     lhs: Callable[..., Mor]
     rhs: Callable[..., Mor]
     core: bool = False
+    gate: Callable[..., Iterable[tuple[str, ...]]] | None = None
 
 
 def required(side: Callable[..., Mor]) -> Callable[..., Mor]:
@@ -148,24 +155,40 @@ def evaluate(laws: Iterable[Law], *data: Any) -> list[CheckReport]:
     report with ``witness_count=0`` and the note of the first undefined side.
     Both sides are always evaluated, so a :func:`required` side raises even
     where the other is undefined.  Unequal sides give a report carrying both.
+
+    A law with a gate holds when its gate sites give no report and raise no
+    :class:`EncatError`; otherwise every site is judged, so the reports are
+    those of the full sweep.
     """
     reports: list[CheckReport] = []
     for law in laws:
-        for site in law.sites(*data):
-            note = None
+        if law.gate is not None:
             try:
-                lhs = law.lhs(*data, *site)
-            except EncatError as exc:
-                lhs, note = None, _undefined(law.lhs, exc)
-            try:
-                rhs = law.rhs(*data, *site)
-            except EncatError as exc:
-                rhs, rhs_note = None, _undefined(law.rhs, exc)
-                note = note or rhs_note
-            if note is not None:
-                reports.append(CheckReport(law.name, site, witness_count=0, note=note))
-            elif lhs != rhs:
-                reports.append(CheckReport(law.name, site, lhs=lhs, rhs=rhs))
+                if not _judge(law, law.gate(*data), data):
+                    continue
+            except EncatError:
+                pass
+        reports += _judge(law, law.sites(*data), data)
+    return reports
+
+
+def _judge(law: Law, sites: Iterable[tuple[str, ...]], data: tuple) -> list[CheckReport]:
+    reports: list[CheckReport] = []
+    for site in sites:
+        note = None
+        try:
+            lhs = law.lhs(*data, *site)
+        except EncatError as exc:
+            lhs, note = None, _undefined(law.lhs, exc)
+        try:
+            rhs = law.rhs(*data, *site)
+        except EncatError as exc:
+            rhs, rhs_note = None, _undefined(law.rhs, exc)
+            note = note or rhs_note
+        if note is not None:
+            reports.append(CheckReport(law.name, site, witness_count=0, note=note))
+        elif lhs != rhs:
+            reports.append(CheckReport(law.name, site, lhs=lhs, rhs=rhs))
     return reports
 
 
@@ -192,6 +215,12 @@ class FinCategory:
         for m, s, d in self.morphisms:
             table.setdefault((s, d), []).append(m)
         return {k: tuple(sorted(v)) for k, v in table.items()}
+
+    @cached_property
+    def _verdict(self) -> tuple[CheckReport, ...]:
+        """The reports of :func:`validate_category`, found once per instance;
+        a raised error is not kept."""
+        return tuple(_category_reports(self))
 
     def has_obj(self, x: Obj) -> bool:
         return x in self._objs
@@ -303,7 +332,14 @@ CHECKS = ("category.total", "category.identity-shape", "category.reserved-id",
 
 
 def validate_category(cat: FinCategory) -> list[CheckReport]:
-    """Exhaustively check the category axioms; empty list iff they all hold."""
+    """Exhaustively check the category axioms; empty list iff they all hold.
+
+    The sweep runs once per instance: a later call returns the same reports.
+    """
+    return list(cat._verdict)
+
+
+def _category_reports(cat: FinCategory) -> list[CheckReport]:
     _check_category_references(cat)
     reports: list[CheckReport] = []
 

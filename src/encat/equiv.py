@@ -12,6 +12,7 @@ verify by brute force that the extracted morphism induces the whole family.
 from __future__ import annotations
 
 from .core import (
+    EncatError,
     EngineBugError,
     LawFailureError,
     Mor,
@@ -145,8 +146,9 @@ def cylinder_to_module(vs: VStructureData,
     action = induced_tensor_bifunctor(vs, cyl)
     try:
         phi = _module_phi_tables(vs, cyl)
-    except EngineBugError:
-        # the routes agree on lawful cylinders, so a checker report blames the input
+    except EncatError:
+        # the tables are defined and the routes agree on lawful cylinders, so
+        # a checker report blames the input
         reports = check_vstructure(vs) or check_cylinder(vs, cyl)
         if not reports:
             raise

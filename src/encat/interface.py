@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass, fields
 from typing import Any
 
-from .core import (EncatError, FinCategory, FunctorData, opposite_category, pair_id,
-                   product_category)
+from .core import (EncatError, FinCategory, FunctorData, MalformedReferenceError,
+                   opposite_category, pair_id, product_category)
 from .monoidal import ClosedData, MonoidalData, SymmetryData
 from .vcat import VCategoryData
 from .vmodule import (ClosedBimoduleData, ClosedVModuleData, TensorClosedModuleData,
@@ -245,7 +245,10 @@ class Functor(_Column):
         self.categories = categories
 
     def read(self, r, obj, where, ctx):
-        src, dst = self.categories(ctx)
+        try:
+            src, dst = self.categories(ctx)
+        except MalformedReferenceError as exc:  # a category without an identity
+            r.fail(ParseError, f"{where}: {exc}", where.rpartition(".")[2])
         tables = {attr: {pair_id(*k): v for k, v in
                          spec.field(r, obj, key, where, {"base": dst}).items()}
                   for key, attr, spec in self.TABLES}

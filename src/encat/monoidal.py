@@ -5,6 +5,20 @@ Each axiom that equates two composites is a :class:`~encat.core.Law` in
 :func:`~encat.core.evaluate`; the checkers keep the shape, isomorphism,
 totality and bijection checks and the order between them.
 
+Two monoidal laws carry a gate that decides them one variable at a time
+(Mac Lane, *Categories for the Working Mathematician*, §II.3).  By Prop. 1 a
+tensor table is a bifunctor iff it is functorial in each variable and
+f (x) g = (f (x) 1)(1 (x) g) = (1 (x) g)(f (x) 1), so ``tensor.interchange``
+is decided on O(|comp| |obj| + |mor|^2) sites instead of |comp|^2.  By
+Prop. 2 a family between functors is natural iff it is natural in each
+variable separately, so ``assoc.natural`` is decided on O(|mor| |obj|^2)
+sites instead of |mor|^3.  Both rest on prerequisites, and
+:func:`check_monoidal` passes a law with its gate only when they hold: the
+base is a valid category, no ``tensor.shape`` report, and every law declared
+before it holds (``tensor.identity``; for ``assoc.natural`` also
+``tensor.interchange``).  A gate that reports or raises falls back to the
+full sweep, so the reports never depend on the gate.
+
 The closed structure is given by the hom-object table and the evaluation
 family only; the transpose is recovered by inverting evaluation over each
 hom-set, once per instance, with a uniqueness check at every lookup, so the
@@ -20,7 +34,7 @@ the evaluator is wrong, not the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
 from typing import Mapping
@@ -46,6 +60,7 @@ from .core import (
     product_category,
     required,
     sort_reports,
+    validate_category,
     validate_functor,
 )
 
@@ -95,6 +110,12 @@ class MonoidalData:
     def _pi_bars(self) -> dict[tuple[Obj, Obj, Obj], Mor]:
         """Per (X, Y, Z), the internal transpose :func:`internal_pi_bar`
         computed and verified; a failure is not stored."""
+        return {}
+
+    @cached_property
+    def _swaps(self) -> dict[tuple[Obj, Obj, Obj], tuple[Mor, Mor, Mor]]:
+        """Per (K, L, Z), the steps of :func:`internal_swap`; a failure is
+        not stored."""
         return {}
 
     def tobj(self, x: Obj, y: Obj) -> Obj:
@@ -156,6 +177,31 @@ class MonoidalData:
             raise MissingTableError(f"braiding table missing ({x!r}, {y!r})") from None
 
 
+def _interchange_gate(m: MonoidalData, base: FinCategory):
+    """The interchange sites that decide it (CWM II.3, Prop. 1): functoriality
+    in each variable, then f (x) g = (1 (x) g)(f (x) 1) = (f (x) 1)(1 (x) g)."""
+    for f, g in base.comp:
+        for y in base.objects:
+            i = base.id_(y)
+            yield f, i, g, i
+            yield i, f, i, g
+    mors = base.mor_ids()
+    for f in mors:
+        for g in mors:
+            yield f, base.id_(base.src(g)), base.id_(base.dst(f)), g
+            yield base.id_(base.src(f)), g, f, base.id_(base.dst(g))
+
+
+def _assoc_natural_gate(m: MonoidalData, base: FinCategory):
+    """The associator's naturality in each variable alone (CWM II.3, Prop. 2)."""
+    ids = [base.id_(x) for x in base.objects]
+    for f in base.mor_ids():
+        for i, j in product(ids, repeat=2):
+            yield f, i, j
+            yield i, f, j
+            yield i, j, f
+
+
 MONOIDAL_LAWS = (
     Law("tensor.identity", lambda m, base: product(base.objects, repeat=2),
         lambda m, base, x, y: m.tmor(base.id_(x), base.id_(y)),
@@ -163,12 +209,14 @@ MONOIDAL_LAWS = (
     Law("tensor.interchange",
         lambda m, base: ((f, f2, g, g2) for f, g in base.comp for f2, g2 in base.comp),
         lambda m, base, f, f2, g, g2: m.tmor(base.comp[(f, g)], base.comp[(f2, g2)]),
-        lambda m, base, f, f2, g, g2: base.compose(m.tmor(f, f2), m.tmor(g, g2))),
+        lambda m, base, f, f2, g, g2: base.compose(m.tmor(f, f2), m.tmor(g, g2)),
+        gate=_interchange_gate),
     Law("assoc.natural", lambda m, base: product(base.mor_ids(), repeat=3),
         lambda m, base, f, g, h: base.compose(
             m.tmor(m.tmor(f, g), h), m.a(base.dst(f), base.dst(g), base.dst(h))),
         lambda m, base, f, g, h: base.compose(
-            m.a(base.src(f), base.src(g), base.src(h)), m.tmor(f, m.tmor(g, h)))),
+            m.a(base.src(f), base.src(g), base.src(h)), m.tmor(f, m.tmor(g, h))),
+        gate=_assoc_natural_gate),
     Law("lunit.natural", lambda m, base: product(base.mor_ids()),
         lambda m, base, f: base.compose(m.tmor(base.id_(m.unit), f), m.l(base.dst(f))),
         lambda m, base, f: base.compose(m.l(base.src(f)), f)),
@@ -219,7 +267,16 @@ def check_monoidal(m: MonoidalData) -> list[CheckReport]:
             if (base.src(fg) != m.tobj(base.src(f), base.src(g))
                     or base.dst(fg) != m.tobj(base.dst(f), base.dst(g))):
                 reports.append(CheckReport("tensor.shape", (f, g), witness_count=0))
-    reports += evaluate(MONOIDAL_LAWS, m, base)
+    # a gate decides its law once every law declared before it holds, on a
+    # valid base with a well-shaped tensor
+    try:
+        trusted = not reports and not validate_category(base)
+    except MalformedReferenceError:
+        trusted = False
+    for law in MONOIDAL_LAWS:
+        found = evaluate([law if trusted else replace(law, gate=None)], m, base)
+        trusted = trusted and not found
+        reports += found
 
     for x in objs:
         for y in objs:
@@ -542,6 +599,21 @@ def internal_pi_bar(m: MonoidalData, x: Obj, y: Obj, z: Obj) -> Mor:
     return outer
 
 
+def internal_swap(m: MonoidalData, k: Obj, l: Obj, z: Obj) -> tuple[Mor, Mor, Mor]:
+    """The steps hom(L, hom(K, Z)) -> hom(L (x) K, Z) -> hom(K (x) L, Z) ->
+    hom(K, hom(L, Z)): the inverse internal transpose, the hom of the
+    braiding, the internal transpose.  Callers compose them in their own
+    paths; the steps are computed once per (K, L, Z) of ``m``."""
+    steps = m._swaps.get((k, l, z))
+    if steps is None:
+        base = m.base
+        steps = m._swaps[(k, l, z)] = (
+            morphism_inverse_checked(base, internal_pi_bar(m, l, k, z)),
+            hom_on_morphisms(m, m.braid(k, l), base.id_(z)),
+            internal_pi_bar(m, k, l, z))
+    return steps
+
+
 def iota(m: MonoidalData, x: Obj) -> Mor:
     """The unit-coordinate isomorphism X -> hom(I, X)."""
     m.require_closed()
@@ -608,10 +680,7 @@ def self_path(m: MonoidalData):
             beta[(k, x)] = transpose_pi(
                 m, base.compose(m.braid(k, kx), m.ev(k, x)), k, kx)
             for y in base.objects:
-                psibar[(k, x, y)] = base.compose(
-                    morphism_inverse_checked(base, internal_pi_bar(m, y, k, x)),
-                    hom_on_morphisms(m, m.braid(k, y), base.id_(x)),
-                    internal_pi_bar(m, k, y, x))
+                psibar[(k, x, y)] = base.compose(*internal_swap(m, k, y, x))
     return PathAssignment(path_obj=path_obj, beta=beta, psibar=psibar)
 
 

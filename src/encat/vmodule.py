@@ -47,6 +47,7 @@ from .monoidal import (
     MonoidalData,
     hom_on_morphisms,
     internal_pi_bar,
+    internal_swap,
     transpose_pi,
     transpose_pi_inv,
     varpi,
@@ -684,9 +685,7 @@ def _hexagon_braided(bm: ClosedBimoduleData, dual: TensorClosedModuleData, m: Mo
     return m.base.compose(
         module_phibar(dual, l, y, tc.module.act_obj(k, x), verify=False),
         hom_on_morphisms(m, m.base.id_(l), module_phibar(tc, k, x, y, verify=False)),
-        morphism_inverse_checked(m.base, internal_pi_bar(m, l, k, sxy)),
-        hom_on_morphisms(m, m.braid(k, l), m.base.id_(sxy)),
-        internal_pi_bar(m, k, l, sxy))
+        *internal_swap(m, k, l, sxy))
 
 
 def _comod_assoc_sites(bm: ClosedBimoduleData, dual, m: MonoidalData, s: FinCategory):

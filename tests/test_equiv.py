@@ -153,21 +153,23 @@ def test_bimodule_completion_is_idempotent(poset_cm, self_trop3, self_cyc3):
 
 
 def test_cylinder_to_module_blames_an_invalid_cylinder(tmp_path, self_bool):
-    # the two adjunction routes disagree on this cylinder because its hom
-    # structure is invalid: the CLI says which law fails (exit 2), and does
-    # not report an engine bug (exit 3)
+    # the hom structure of this cylinder is invalid, so the two adjunction
+    # routes disagree (m01), or one of them meets a non-composable path
+    # (id:1): the CLI says which law fails (exit 2), and reports neither an
+    # engine bug (exit 3) nor the broken path
     import io
 
     from encat.cli import cli
     from encat.interface import Document, serialize
 
     vs, cyl = module_to_cylinder(self_bool.tensorClosed)
-    bad = dataclasses.replace(vs, comp={**vs.comp, ("1", "0", "0"): "m01"})
-    first = check_vstructure(bad)[0]
-    doc = tmp_path / "cyl.doc"
-    doc.write_text(serialize(Document("cylinder", (bad, cyl))), encoding="utf-8")
-    out = io.StringIO()
-    assert cli(["construct", str(doc), "--op", "cylinder-to-module",
-                "-o", str(tmp_path / "module.doc")], out=out) == 2
-    assert f"fails {first.law} at ({', '.join(first.site)})" in out.getvalue()
-    assert "engine bug" not in out.getvalue()
+    for value in ("m01", "id:1"):
+        bad = dataclasses.replace(vs, comp={**vs.comp, ("1", "0", "0"): value})
+        first = check_vstructure(bad)[0]
+        doc = tmp_path / "cyl.doc"
+        doc.write_text(serialize(Document("cylinder", (bad, cyl))), encoding="utf-8")
+        out = io.StringIO()
+        assert cli(["construct", str(doc), "--op", "cylinder-to-module",
+                    "-o", str(tmp_path / "module.doc")], out=out) == 2
+        assert f"fails {first.law} at ({', '.join(first.site)})" in out.getvalue()
+        assert "engine bug" not in out.getvalue()

@@ -13,6 +13,7 @@ from encat.monoidal import (
     hom_on_morphisms,
     internal_composition_b,
     internal_pi_bar,
+    internal_swap,
     iota,
     self_cylinder,
     self_path,
@@ -330,6 +331,20 @@ def test_internal_pi_bar_failures_raise_on_every_call(monkeypatch):
     assert messages[0] == messages[1]
     monkeypatch.undo()
     assert internal_pi_bar(m, "1", "0", "0") == internal_pi_bar(build_bool(), "1", "0", "0")
+
+
+def test_internal_swap_is_kept_per_argument_and_failures_are_not():
+    m = build_trop(3)
+    assert internal_swap(m, "1", "2", "0") is internal_swap(m, "1", "2", "0")
+    # a corrupted evaluation: the internal transpose at (0, 0, 1) has no witness
+    bad = mutate_closed(build_trop(3), "ev", ("0", "1"), "m:1:0")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(WitnessError) as exc:
+            internal_swap(bad, "0", "0", "1")
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert not bad._swaps
 
 
 _NAMES = st.sampled_from(["bool", "trop3", "cyc2", "cyc3"])
