@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 Obj = str
 Mor = str
@@ -112,11 +112,11 @@ class Law:
     not guarded: what it reads must exist, and its errors escape
     :func:`evaluate`.  ``core`` marks the named diagrams of the theory.
 
-    ``gate``, when set, enumerates a smaller family of the law's own sites
-    that decides the whole law once some prerequisites hold (for a
-    multi-variable law, the sites where all but one variable is an
-    identity).  Only a checker that has established those prerequisites
-    passes the law with its gate; elsewhere it is replaced with ``gate=None``.
+    ``gate``, when set, localizes the law: ``gate(*data)`` is ``None`` when
+    the premises it rests on fail, and otherwise a pair of site families of
+    the law, the gate and the cover.  Once the gate holds, every site outside
+    the cover holds, so only the cover is judged.  ``replace(law, gate=None)``
+    judges every site.
     """
 
     name: str
@@ -156,19 +156,23 @@ def evaluate(laws: Iterable[Law], *data: Any) -> list[CheckReport]:
     Both sides are always evaluated, so a :func:`required` side raises even
     where the other is undefined.  Unequal sides give a report carrying both.
 
-    A law with a gate holds when its gate sites give no report and raise no
-    :class:`EncatError`; otherwise every site is judged, so the reports are
-    those of the full sweep.
+    A law whose gate gives a pair judges the gate's sites first; when they
+    give no report and raise no :class:`EncatError`, the cover's sites are
+    judged, and otherwise every site, so the reports are those of the full
+    sweep.
     """
     reports: list[CheckReport] = []
     for law in laws:
-        if law.gate is not None:
+        sites = None
+        local = law.gate(*data) if law.gate is not None else None
+        if local is not None:
+            gate, cover = local
             try:
-                if not _judge(law, law.gate(*data), data):
-                    continue
+                if not _judge(law, gate, data):
+                    sites = cover
             except EncatError:
                 pass
-        reports += _judge(law, law.sites(*data), data)
+        reports += _judge(law, law.sites(*data) if sites is None else sites, data)
     return reports
 
 
@@ -257,49 +261,64 @@ class FinCategory:
     def is_identity(self, f: Mor) -> bool:
         return self.identity.get(self.src(f)) == f and self.src(f) == self.dst(f)
 
+    @cached_property
+    def _composites(self) -> dict[tuple[Mor, Mor], Mor]:
+        """The entries of ``comp`` whose keys are declared and composable:
+        the only pairs :meth:`then` and :func:`compose_path` answer."""
+        mors = self._mors
+        return {(f, g): h for (f, g), h in self.comp.items()
+                if f in mors and g in mors and mors[f][1] == mors[g][0]}
+
     def then(self, f: Mor, g: Mor) -> Mor:
         """The composite 'g after f'."""
-        if self.dst(f) != self.src(g):
-            raise NonComposablePathError(
-                f"{f!r} (-> {self.dst(f)!r}) is not composable with {g!r} (<- {self.src(g)!r})",
-                index=0,
-            )
-        try:
-            return self.comp[(f, g)]
-        except KeyError:
-            raise MissingTableError(f"composition table missing entry ({f!r}, {g!r})") from None
+        h = self._composites.get((f, g))
+        if h is None:
+            if self.dst(f) != self.src(g):
+                raise NonComposablePathError(
+                    f"{f!r} (-> {self.dst(f)!r}) is not composable with {g!r} (<- {self.src(g)!r})",
+                    index=0,
+                )
+            raise MissingTableError(f"composition table missing entry ({f!r}, {g!r})")
+        return h
 
     def compose(self, *path: Mor) -> Mor:
         """Compose a nonempty sequence of morphisms given in diagram order."""
-        return compose_path(self, list(path))
+        return compose_path(self, path)
 
 
-def compose_path(cat: FinCategory, path: list[Mor]) -> Mor:
+def compose_path(cat: FinCategory, path: Sequence[Mor]) -> Mor:
     """Left fold of the composition table over a nonempty path.
 
-    Raises :class:`NonComposablePathError` carrying the index of the first bad
-    adjacency.
+    Each step is one lookup of the declared, composable entries; only a miss
+    is diagnosed.  Raises :class:`NonComposablePathError` carrying the index
+    of the first bad adjacency.
     """
     if not path:
         raise NonComposablePathError("cannot compose an empty path", index=0)
     acc = path[0]
-    if not cat.has_mor(acc):
+    if acc not in cat._mors:
         raise MalformedReferenceError(f"unknown morphism {acc!r}")
-    for i, step in enumerate(path[1:], start=1):
-        if not cat.has_mor(step):
-            raise MalformedReferenceError(f"unknown morphism {step!r}")
-        if cat.dst(acc) != cat.src(step):
-            raise NonComposablePathError(
-                f"path breaks between positions {i - 1} and {i}: "
-                f"{acc!r} ends at {cat.dst(acc)!r} but {step!r} starts at {cat.src(step)!r}",
-                index=i,
-            )
-        try:
-            acc = cat.comp[(acc, step)]
-        except KeyError:
-            raise MissingTableError(
-                f"composition table missing entry ({acc!r}, {step!r})") from None
+    composites = cat._composites
+    for i in range(1, len(path)):
+        step = path[i]
+        h = composites.get((acc, step))
+        if h is None:
+            _composite_miss(cat, acc, step, i)
+        acc = h
     return acc
+
+
+def _composite_miss(cat: FinCategory, acc: Mor, step: Mor, i: int) -> None:
+    """Raise the error of the step ``acc`` then ``step`` at path index ``i``."""
+    if not cat.has_mor(step):
+        raise MalformedReferenceError(f"unknown morphism {step!r}")
+    if cat.dst(acc) != cat.src(step):
+        raise NonComposablePathError(
+            f"path breaks between positions {i - 1} and {i}: "
+            f"{acc!r} ends at {cat.dst(acc)!r} but {step!r} starts at {cat.src(step)!r}",
+            index=i,
+        )
+    raise MissingTableError(f"composition table missing entry ({acc!r}, {step!r})")
 
 
 def _check_category_references(cat: FinCategory) -> None:

@@ -5,19 +5,21 @@ Each axiom that equates two composites is a :class:`~encat.core.Law` in
 :func:`~encat.core.evaluate`; the checkers keep the shape, isomorphism,
 totality and bijection checks and the order between them.
 
-Two monoidal laws carry a gate that decides them one variable at a time
-(Mac Lane, *Categories for the Working Mathematician*, §II.3).  By Prop. 1 a
-tensor table is a bifunctor iff it is functorial in each variable and
-f (x) g = (f (x) 1)(1 (x) g) = (1 (x) g)(f (x) 1), so ``tensor.interchange``
-is decided on O(|comp| |obj| + |mor|^2) sites instead of |comp|^2.  By
-Prop. 2 a family between functors is natural iff it is natural in each
-variable separately, so ``assoc.natural`` is decided on O(|mor| |obj|^2)
-sites instead of |mor|^3.  Both rest on prerequisites, and
-:func:`check_monoidal` passes a law with its gate only when they hold: the
-base is a valid category, no ``tensor.shape`` report, and every law declared
-before it holds (``tensor.identity``; for ``assoc.natural`` also
-``tensor.interchange``).  A gate that reports or raises falls back to the
-full sweep, so the reports never depend on the gate.
+Two monoidal laws are judged only where they can fail (Mac Lane,
+*Categories for the Working Mathematician*, §II.3).  The premises are pure
+predicates: the base is a valid category, every axis entry T(f, 1_y) and
+T(1_x, g) is well shaped, ``tensor.identity`` holds, each axis is a functor
+and the axes commute.  Under them R(f, g) = T(f, 1) T(1, g) is a bifunctor
+(Prop. 1) that equals T on the axes; B is the set of entries where T and R
+differ.  A ``tensor.interchange`` site that reads no entry of B has the
+sides of R, so it holds: only the sites reading B through T(f.g, f2.g2),
+T(f, f2) or T(g, g2) are judged.  ``assoc.natural`` is first judged on its
+separate-variable sites (f, 1, 1), (1, f, 1), (1, 1, f), which read only
+axis entries; when they hold, Prop. 2 makes the associator natural for R,
+and only the sites where (f, g), (T(f, g), h), (g, h) or (f, T(g, h)) is in
+B are judged.  When a premise fails, or those sites report, every site is
+judged, so the reports never depend on the localization.  On a lawful table
+B is empty and so are both covers.
 
 The closed structure is given by the hom-object table and the evaluation
 family only; the transpose is recovered by inverting evaluation over each
@@ -34,7 +36,7 @@ the evaluator is wrong, not the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Mapping
@@ -97,6 +99,11 @@ class MonoidalData:
     runit: Mapping[Obj, Mor]
     symmetry: SymmetryData | None = None
     closed: ClosedData | None = None
+
+    @cached_property
+    def _defects(self) -> frozenset[tuple[Mor, Mor]] | None:
+        """B of :func:`_tensor_defects`, found once per instance."""
+        return _tensor_defects(self)
 
     @cached_property
     def _transposes(self) -> dict[tuple[Obj, Obj, Obj], Preimages]:
@@ -177,29 +184,96 @@ class MonoidalData:
             raise MissingTableError(f"braiding table missing ({x!r}, {y!r})") from None
 
 
+def _tensor_defects(m: MonoidalData) -> frozenset[tuple[Mor, Mor]] | None:
+    """The entries where the tensor table differs from its rebuild from the
+    axes, or ``None`` when a premise of the rebuild fails.
+
+    The premises: the base is a valid category, every axis entry
+    T(f, 1_y), T(1_x, g) is well shaped, T(1_x, 1_y) = 1_{x (x) y}, each axis
+    is a functor, and the axes commute, T(f, 1)T(1, g) = T(1, g)T(f, 1).
+    Under them R(f, g) = T(f, 1_{src g}) T(1_{dst f}, g) is a bifunctor
+    (CWM II.3, Prop. 1) equal to T on the axes, and the result is
+    B = {(f, g) : T(f, g) != R(f, g)}.  Reads totality of the tensor tables
+    as :func:`check_monoidal` has established it.
+    """
+    base = m.base
+    try:
+        if validate_category(base):
+            return None
+    except MalformedReferenceError:
+        return None
+    tmor, tobj, comp = m.tensor_mor, m.tensor_obj, base.comp
+    ends = {f: (s, d) for f, s, d in base.morphisms}
+    ids = dict(base.identity)
+    for f, (s, d) in ends.items():
+        for y, i in ids.items():
+            if (ends.get(tmor[(f, i)]) != (tobj[(s, y)], tobj[(d, y)])
+                    or ends.get(tmor[(i, f)]) != (tobj[(y, s)], tobj[(y, d)])):
+                return None
+    for x, i in ids.items():
+        for y, j in ids.items():
+            if tmor[(i, j)] != ids.get(tobj[(x, y)]):
+                return None
+    for (f, g), h in comp.items():
+        for i in ids.values():
+            if (tmor[(h, i)] != comp[(tmor[(f, i)], tmor[(g, i)])]
+                    or tmor[(i, h)] != comp[(tmor[(i, f)], tmor[(i, g)])]):
+                return None
+    defects = set()
+    for f, (s, d) in ends.items():
+        for g, (s2, d2) in ends.items():
+            r = comp[(tmor[(f, ids[s2])], tmor[(ids[d], g)])]
+            if comp[(tmor[(ids[s], g)], tmor[(f, ids[d2])])] != r:
+                return None
+            if tmor[(f, g)] != r:
+                defects.add((f, g))
+    return frozenset(defects)
+
+
 def _interchange_gate(m: MonoidalData, base: FinCategory):
-    """The interchange sites that decide it (CWM II.3, Prop. 1): functoriality
-    in each variable, then f (x) g = (1 (x) g)(f (x) 1) = (f (x) 1)(1 (x) g)."""
-    for f, g in base.comp:
-        for y in base.objects:
-            i = base.id_(y)
-            yield f, i, g, i
-            yield i, f, i, g
-    mors = base.mor_ids()
-    for f in mors:
-        for g in mors:
-            yield f, base.id_(base.src(g)), base.id_(base.dst(f)), g
-            yield base.id_(base.src(f)), g, f, base.id_(base.dst(g))
+    """No gate sites, and as cover the sites that read an entry of B: a site
+    reading none has the sides of the bifunctor R, so it holds."""
+    defects = m._defects
+    if defects is None:
+        return None
+    post: dict[Obj, list[Mor]] = {}
+    pre: dict[Obj, list[Mor]] = {}
+    for f, s, d in base.morphisms:
+        post.setdefault(s, []).append(f)
+        pre.setdefault(d, []).append(f)
+    fibres = Preimages(base.comp).fibres
+    cover: dict[tuple[Mor, ...], None] = {}
+    for b, b2 in sorted(defects):  # at T(f, f2), at T(g, g2), at T(f.g, f2.g2)
+        cover.update(dict.fromkeys(
+            (b, b2, g, g2) for g in post[base.dst(b)] for g2 in post[base.dst(b2)]))
+        cover.update(dict.fromkeys(
+            (f, f2, b, b2) for f in pre[base.src(b)] for f2 in pre[base.src(b2)]))
+        cover.update(dict.fromkeys(
+            (f, f2, g, g2) for f, g in fibres.get(b, ()) for f2, g2 in fibres.get(b2, ())))
+    return (), tuple(cover)
 
 
 def _assoc_natural_gate(m: MonoidalData, base: FinCategory):
-    """The associator's naturality in each variable alone (CWM II.3, Prop. 2)."""
+    """As gate, naturality in each variable alone (CWM II.3, Prop. 2), each
+    site once; these read only axis entries, where T = R.  As cover, the
+    sites (f, g, h) where (f, g), (T(f, g), h), (g, h) or (f, T(g, h)) is in
+    B: by Prop. 2 for R every other site holds once the gate does."""
+    defects = m._defects
+    if defects is None:
+        return None
     ids = [base.id_(x) for x in base.objects]
-    for f in base.mor_ids():
-        for i, j in product(ids, repeat=2):
-            yield f, i, j
-            yield i, f, j
-            yield i, j, f
+    mors = base.mor_ids()
+    gate = [(f, i, j) for f in mors for i, j in product(ids, repeat=2)]
+    gate += [site for f in mors if not base.is_identity(f)
+             for i, j in product(ids, repeat=2) for site in ((i, f, j), (i, j, f))]
+    fibres = Preimages({fg: m.tensor_mor[fg] for fg in product(mors, repeat=2)}).fibres
+    cover: dict[tuple[Mor, ...], None] = {}
+    for b, b2 in sorted(defects):
+        cover.update(dict.fromkeys((b, b2, h) for h in mors))
+        cover.update(dict.fromkeys((f, b, b2) for f in mors))
+        cover.update(dict.fromkeys((f, g, b2) for f, g in fibres.get(b, ())))
+        cover.update(dict.fromkeys((b, g, h) for g, h in fibres.get(b2, ())))
+    return gate, tuple(cover)
 
 
 MONOIDAL_LAWS = (
@@ -267,16 +341,7 @@ def check_monoidal(m: MonoidalData) -> list[CheckReport]:
             if (base.src(fg) != m.tobj(base.src(f), base.src(g))
                     or base.dst(fg) != m.tobj(base.dst(f), base.dst(g))):
                 reports.append(CheckReport("tensor.shape", (f, g), witness_count=0))
-    # a gate decides its law once every law declared before it holds, on a
-    # valid base with a well-shaped tensor
-    try:
-        trusted = not reports and not validate_category(base)
-    except MalformedReferenceError:
-        trusted = False
-    for law in MONOIDAL_LAWS:
-        found = evaluate([law if trusted else replace(law, gate=None)], m, base)
-        trusted = trusted and not found
-        reports += found
+    reports += evaluate(MONOIDAL_LAWS, m, base)
 
     for x in objs:
         for y in objs:

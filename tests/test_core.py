@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from encat.core import (
     AmbiguousInverseError,
     CheckReport,
+    EncatError,
     FinCategory,
     Law,
     MalformedReferenceError,
@@ -120,6 +122,63 @@ def test_compose_path_missing_entry_is_missing_table_error(bool_m):
         compose_path(partial, ["m01", "id:1"])
     with pytest.raises(MissingTableError):
         partial.then("m01", "id:1")
+
+
+def _fold(cat: FinCategory, path) -> str:
+    """A reference left fold of ``comp``: every step checked, then looked up."""
+    if not path:
+        raise NonComposablePathError("cannot compose an empty path", index=0)
+    acc = path[0]
+    if not cat.has_mor(acc):
+        raise MalformedReferenceError(f"unknown morphism {acc!r}")
+    for i, step in enumerate(path[1:], start=1):
+        if not cat.has_mor(step):
+            raise MalformedReferenceError(f"unknown morphism {step!r}")
+        if cat.dst(acc) != cat.src(step):
+            raise NonComposablePathError(
+                f"path breaks between positions {i - 1} and {i}: "
+                f"{acc!r} ends at {cat.dst(acc)!r} but {step!r} starts at {cat.src(step)!r}",
+                index=i)
+        if (acc, step) not in cat.comp:
+            raise MissingTableError(f"composition table missing entry ({acc!r}, {step!r})")
+        acc = cat.comp[(acc, step)]
+    return acc
+
+
+def _then(cat: FinCategory, f: str, g: str) -> str:
+    if cat.dst(f) != cat.src(g):
+        raise NonComposablePathError(
+            f"{f!r} (-> {cat.dst(f)!r}) is not composable with {g!r} (<- {cat.src(g)!r})",
+            index=0)
+    if (f, g) not in cat.comp:
+        raise MissingTableError(f"composition table missing entry ({f!r}, {g!r})")
+    return cat.comp[(f, g)]
+
+
+def _result(fn, *args):
+    try:
+        return fn(*args)
+    except EncatError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "index", None)
+
+
+def test_compose_agrees_with_a_reference_fold(bool_m, cyc3, poset_cm):
+    b = bool_m.base
+    partial = dataclasses.replace(
+        b, comp={k: v for k, v in b.comp.items() if k != ("m01", "id:1")})
+    # a key that is not composable, and a composite that is not declared
+    loose = dataclasses.replace(
+        b, comp={**b.comp, ("m01", "m01"): "m01", ("id:0", "id:0"): "ghost"})
+    cats = (b, cyc3.base, poset_cm.tensorClosed.module.baseS, partial, loose)
+    for cat in cats:
+        ids = cat.mor_ids() + ("ghost",)
+        for n in range(4):
+            for path in product(ids, repeat=n):
+                want = _result(_fold, cat, path)
+                assert _result(compose_path, cat, list(path)) == want, path
+                assert _result(cat.compose, *path) == want, path
+                if n == 2:
+                    assert _result(cat.then, *path) == _result(_then, cat, *path), path
 
 
 def test_product_category_counts(bool_m):
@@ -405,6 +464,27 @@ def test_evaluate_lets_other_errors_escape():
     with pytest.raises(MissingTableError):  # the enumeration is not guarded
         evaluate([Law("t.sites", lambda data: _missing(data, "s"),
                       lambda d, x: x, lambda d, x: x)], None)
+
+
+def test_evaluate_judges_the_cover_once_the_gate_holds():
+    sites = lambda data: [("a",), ("b",), ("c",)]
+    lhs = lambda d, x: x
+    rhs = lambda d, x: "a"
+
+    def judged(gate):
+        seen = []
+        law = Law("t.local", sites, lambda d, x: seen.append(x) or lhs(d, x), rhs, gate=gate)
+        return evaluate([law], None), seen
+
+    # the gate holds: only the cover is judged
+    reports, seen = judged(lambda data: ([("a",)], [("b",)]))
+    assert seen == ["a", "b"]
+    assert reports == [CheckReport("t.local", ("b",), lhs="b", rhs="a")]
+    # the gate fails, or the premises do: every site is judged
+    full = [CheckReport("t.local", (x,), lhs=x, rhs="a") for x in "bc"]
+    reports, seen = judged(lambda data: ([("c",)], []))
+    assert seen == ["c", "a", "b", "c"] and reports == full
+    assert judged(lambda data: None) == (full, ["a", "b", "c"])
 
 
 def test_evaluate_marked_sides():

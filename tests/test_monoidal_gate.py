@@ -1,12 +1,15 @@
-"""The separate-variable gates of ``check_monoidal`` against the full sweep.
+"""The localized monoidal sweeps of ``check_monoidal`` against the full sweep.
 
-``check_monoidal`` may decide ``tensor.interchange`` and ``assoc.natural``
-from their gates; with ``gate=None`` it judges every site.  On every
+``check_monoidal`` rebuilds the tensor from its axes and judges
+``tensor.interchange`` and ``assoc.natural`` only on the sites that read an
+entry where the table and the rebuild differ (after the associator's
+separate-variable gate); with ``gate=None`` it judges every site.  On every
 single-entry swap (the value replaced by each other morphism of the base) and
 deletion of ``tensor_mor``, ``assoc``, ``lunit`` and ``runit``, both must give
 the same reports, or raise the same error with the same message.  Tier-1
-compares a fixed stride of the mutants of the larger bases (see ``STRIDE``),
-``-m slow`` every mutant.
+compares a fixed stride of the mutants of the larger bases (see ``STRIDE``)
+and every ``tensor_mor`` swap that meets the premises of the rebuild;
+``-m slow`` compares every mutant.
 """
 
 import dataclasses
@@ -14,6 +17,7 @@ from itertools import product
 
 import pytest
 
+import encat.core as core
 import encat.monoidal as mon
 from encat.core import EncatError, FinCategory
 from encat.instances import build_bool, build_cyc, build_trop
@@ -74,6 +78,34 @@ def outcome(m: MonoidalData):
         return type(exc).__name__, str(exc)
 
 
+def spy(mp) -> dict[str, list[list[tuple[str, ...]]]]:
+    """Record, per law name, the site families ``core.evaluate`` judges."""
+    seen: dict[str, list[list[tuple[str, ...]]]] = {}
+    judge = core._judge
+
+    def recording(law, sites, data):
+        sites = list(sites)
+        seen.setdefault(law.name, []).append(sites)
+        return judge(law, sites, data)
+
+    mp.setattr(core, "_judge", recording)
+    return seen
+
+
+def full_outcome(m: MonoidalData):
+    """The reference: ``check_monoidal`` with gate-free laws, asserted to
+    have judged every site of every law once."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mon, "MONOIDAL_LAWS", tuple(
+            dataclasses.replace(law, gate=None) for law in mon.MONOIDAL_LAWS))
+        seen = spy(mp)
+        got = outcome(m)
+    if isinstance(got, list):
+        for law in mon.MONOIDAL_LAWS:
+            assert seen[law.name] == [list(law.sites(m, m.base))], law.name
+    return got
+
+
 def test_doubled_cyc_is_a_non_strict_monoidal_category():
     m = doubled_cyc(2)
     assert check_monoidal(m) == []
@@ -96,21 +128,73 @@ BASES = {
 STRIDE = {"trop(3)": 5, "trop(4)": 31, "doubled-cyc(2)": 7}
 
 
-def agree(name: str, stride: int, monkeypatch) -> None:
-    cases = list(mutants(BASES[name]()))[::stride]
-    gated = [outcome(mutant) for _, mutant in cases]
-    monkeypatch.setattr(mon, "MONOIDAL_LAWS", tuple(
-        dataclasses.replace(law, gate=None) for law in mon.MONOIDAL_LAWS))
-    for (where, mutant), got in zip(cases, gated):
-        assert got == outcome(mutant), where
+def agree(name: str, stride: int) -> None:
+    for where, mutant in list(mutants(BASES[name]()))[::stride]:
+        assert outcome(mutant) == full_outcome(mutant), where
 
 
 @pytest.mark.parametrize("name", list(BASES))
-def test_gates_agree_with_the_full_sweep(name, monkeypatch):
-    agree(name, STRIDE.get(name, 1), monkeypatch)
+def test_gates_agree_with_the_full_sweep(name):
+    agree(name, STRIDE.get(name, 1))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", list(STRIDE))
-def test_gates_agree_with_the_full_sweep_on_every_mutant(name, monkeypatch):
-    agree(name, 1, monkeypatch)
+def test_gates_agree_with_the_full_sweep_on_every_mutant(name):
+    agree(name, 1)
+
+
+def test_localized_sweeps_agree_on_every_tensor_swap_meeting_the_premises():
+    """Every ``tensor_mor`` swap of every base whose axes rebuild a
+    bifunctor: the covers of the defects must find exactly the full sweep's
+    reports."""
+    met = 0
+    for name, build in BASES.items():
+        for (field, key, other), mutant in mutants(build()):
+            if field != "tensor_mor" or other is None or mutant._defects is None:
+                continue
+            met += 1
+            assert outcome(mutant) == full_outcome(mutant), (name, key, other)
+    assert met == 661
+
+
+def test_a_tensor_whose_axes_do_not_commute_is_judged_on_every_site():
+    """The left-zero monoid {e, a, b} (x then y is x unless x is e),
+    tensored by its own product: both axes are identity functors, but
+    a (x) e then e (x) b is a while e (x) b then a (x) e is b, so no
+    bifunctor rebuilds it."""
+    mors = ("a", "b", "e")
+    comp = {(f, g): g if f == "e" else f for f in mors for g in mors}
+    base = FinCategory(("*",), tuple((f, "*", "*") for f in mors), {"*": "e"}, comp)
+    m = MonoidalData(base=base, tensor_obj={("*", "*"): "*"}, tensor_mor=comp, unit="*",
+                     assoc={("*", "*", "*"): "e"}, lunit={"*": "e"}, runit={"*": "e"})
+    assert m._defects is None
+    got = check_monoidal(m)
+    assert any(r.law == "tensor.interchange" for r in got) and got == full_outcome(m)
+
+
+def test_an_off_axis_mutant_is_judged_on_its_cover_only(monkeypatch):
+    m = build_trop(8)
+    key = ("m:5:4", "m:5:2")
+    mutant = dataclasses.replace(m, tensor_mor={**m.tensor_mor, key: "m:4:2"})
+    base, t = mutant.base, mutant.tensor_mor
+    assert mutant._defects == {key}
+    seen = spy(monkeypatch)
+    got = check_monoidal(mutant)
+    monkeypatch.undo()
+    assert got == full_outcome(mutant) and len(got) == 110
+
+    # interchange: no gate sites, then exactly the sites reading T at key
+    no_gate, cover = seen["tensor.interchange"]
+    reads = {(f, f2, g, g2) for (f, g), h in base.comp.items()
+             for (f2, g2), h2 in base.comp.items()
+             if key in ((h, h2), (f, f2), (g, g2))}
+    assert no_gate == [] and len(cover) == len(set(cover)) == 30 and set(cover) == reads
+
+    # associator: each separate-variable site once, then the sites reading key
+    gate, cover = seen["assoc.natural"]
+    mors, objs = base.mor_ids(), len(base.objects)
+    assert len(gate) == len(set(gate)) == (3 * len(mors) - 2 * objs) * objs ** 2 == 5888
+    reads = {(f, g, h) for f, g, h in product(mors, repeat=3)
+             if key in ((f, g), (t[(f, g)], h), (g, h), (f, t[(g, h)]))}
+    assert len(cover) == len(set(cover)) == 91 and set(cover) == reads
