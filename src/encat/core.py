@@ -113,10 +113,9 @@ class Law:
     :func:`evaluate`.  ``core`` marks the named diagrams of the theory.
 
     ``gate``, when set, localizes the law: ``gate(*data)`` is ``None`` when
-    the premises it rests on fail, and otherwise a pair of site families of
-    the law, the gate and the cover.  Once the gate holds, every site outside
-    the cover holds, so only the cover is judged.  ``replace(law, gate=None)``
-    judges every site.
+    the premises it rests on fail, and otherwise the cover, sites of the law
+    outside which every site holds, so only the cover is judged.
+    ``replace(law, gate=None)`` judges every site.
     """
 
     name: str
@@ -124,7 +123,7 @@ class Law:
     lhs: Callable[..., Mor]
     rhs: Callable[..., Mor]
     core: bool = False
-    gate: Callable[..., Iterable[tuple[str, ...]]] | None = None
+    gate: Callable[..., Iterable[tuple[str, ...]] | None] | None = None
 
 
 def required(side: Callable[..., Mor]) -> Callable[..., Mor]:
@@ -156,23 +155,13 @@ def evaluate(laws: Iterable[Law], *data: Any) -> list[CheckReport]:
     Both sides are always evaluated, so a :func:`required` side raises even
     where the other is undefined.  Unequal sides give a report carrying both.
 
-    A law whose gate gives a pair judges the gate's sites first; when they
-    give no report and raise no :class:`EncatError`, the cover's sites are
-    judged, and otherwise every site, so the reports are those of the full
-    sweep.
+    A law whose gate gives a cover judges only the cover's sites; the
+    reports are those of the full sweep.
     """
     reports: list[CheckReport] = []
     for law in laws:
-        sites = None
-        local = law.gate(*data) if law.gate is not None else None
-        if local is not None:
-            gate, cover = local
-            try:
-                if not _judge(law, gate, data):
-                    sites = cover
-            except EncatError:
-                pass
-        reports += _judge(law, law.sites(*data) if sites is None else sites, data)
+        cover = law.gate(*data) if law.gate is not None else None
+        reports += _judge(law, law.sites(*data) if cover is None else cover, data)
     return reports
 
 

@@ -6,20 +6,24 @@ Each axiom that equates two composites is a :class:`~encat.core.Law` in
 totality and bijection checks and the order between them.
 
 Two monoidal laws are judged only where they can fail (Mac Lane,
-*Categories for the Working Mathematician*, §II.3).  The premises are pure
-predicates: the base is a valid category, every axis entry T(f, 1_y) and
-T(1_x, g) is well shaped, ``tensor.identity`` holds, each axis is a functor
-and the axes commute.  Under them R(f, g) = T(f, 1) T(1, g) is a bifunctor
-(Prop. 1) that equals T on the axes; B is the set of entries where T and R
-differ.  A ``tensor.interchange`` site that reads no entry of B has the
-sides of R, so it holds: only the sites reading B through T(f.g, f2.g2),
-T(f, f2) or T(g, g2) are judged.  ``assoc.natural`` is first judged on its
-separate-variable sites (f, 1, 1), (1, f, 1), (1, 1, f), which read only
-axis entries; when they hold, Prop. 2 makes the associator natural for R,
-and only the sites where (f, g), (T(f, g), h), (g, h) or (f, T(g, h)) is in
-B are judged.  When a premise fails, or those sites report, every site is
-judged, so the reports never depend on the localization.  On a lawful table
-B is empty and so are both covers.
+*Categories for the Working Mathematician*, §II.3).  The tensor is rebuilt
+from its axes A, the entries T(f, 1_y) and T(1_x, g).  The premises are pure
+predicates on A: the base is a valid category, every entry of A is well
+shaped, A(1_x, 1_y) = 1_{x (x) y}, each axis is a functor and the axes
+commute.  When A breaks one, one of the entries that premise reads is
+replaced by another morphism of its shape under which all hold, if there is
+one, so a single faulty axis entry is repaired.  Under the premises
+R(f, g) = A(f, 1) A(1, g) is a bifunctor (Prop. 1) that equals A on the
+axes; B is the set of entries where T and R differ.  A ``tensor.interchange``
+site that reads no entry of B has the sides of R, so it holds: only the sites
+reading B through T(f.g, f2.g2), T(f, f2) or T(g, g2) are judged.  For
+``assoc.natural`` the separate-variable sites (f, 1, 1), (1, f, 1),
+(1, 1, f) are decided on R; when they hold, Prop. 2 makes the associator
+natural for R, and only the sites where (f, g), (T(f, g), h), (g, h) or
+(f, T(g, h)) is in B are judged.  When no rebuild is found, or the
+associator is not natural for R in one variable, every site is judged, so
+the reports never depend on the localization.  On a lawful table B is empty
+and so are both covers.
 
 The closed structure is given by the hom-object table and the evaluation
 family only; the transpose is recovered by inverting evaluation over each
@@ -67,6 +71,10 @@ from .core import (
 )
 
 
+# A tensor rebuilt from its axes, and the entries B where the table differs.
+Rebuild = tuple[dict[tuple[Mor, Mor], Mor], frozenset[tuple[Mor, Mor]]]
+
+
 @dataclass(frozen=True)
 class SymmetryData:
     """The braiding components c[(X, Y)] : X (x) Y -> Y (x) X."""
@@ -101,9 +109,9 @@ class MonoidalData:
     closed: ClosedData | None = None
 
     @cached_property
-    def _defects(self) -> frozenset[tuple[Mor, Mor]] | None:
-        """B of :func:`_tensor_defects`, found once per instance."""
-        return _tensor_defects(self)
+    def _rebuild(self) -> Rebuild | None:
+        """R and B of :func:`_rebuild_tensor`, found once per instance."""
+        return _rebuild_tensor(self)
 
     @cached_property
     def _transposes(self) -> dict[tuple[Obj, Obj, Obj], Preimages]:
@@ -184,17 +192,68 @@ class MonoidalData:
             raise MissingTableError(f"braiding table missing ({x!r}, {y!r})") from None
 
 
-def _tensor_defects(m: MonoidalData) -> frozenset[tuple[Mor, Mor]] | None:
-    """The entries where the tensor table differs from its rebuild from the
-    axes, or ``None`` when a premise of the rebuild fails.
+def _broken_premise(m: MonoidalData, axes: Mapping[tuple[Mor, Mor], Mor]) -> tuple:
+    """The axis entries read by the first premise of the rebuild that
+    ``axes`` breaks, or ``()`` when all hold.
 
-    The premises: the base is a valid category, every axis entry
-    T(f, 1_y), T(1_x, g) is well shaped, T(1_x, 1_y) = 1_{x (x) y}, each axis
-    is a functor, and the axes commute, T(f, 1)T(1, g) = T(1, g)T(f, 1).
-    Under them R(f, g) = T(f, 1_{src g}) T(1_{dst f}, g) is a bifunctor
-    (CWM II.3, Prop. 1) equal to T on the axes, and the result is
-    B = {(f, g) : T(f, g) != R(f, g)}.  Reads totality of the tensor tables
-    as :func:`check_monoidal` has established it.
+    ``axes`` maps every (f, 1_y) and (1_x, g) to a morphism.  The premises:
+    each entry is well shaped, A(1_x, 1_y) = 1_{x (x) y}, each axis is a
+    functor, and the axes commute, A(f, 1)A(1, g) = A(1, g)A(f, 1).
+    """
+    base = m.base
+    tobj, comp, ends, ids = m.tensor_obj, base.comp, base._mors, base.identity
+    for (f, g), t in axes.items():
+        (s, d), (s2, d2) = ends[f], ends[g]
+        if ends.get(t) != (tobj[(s, s2)], tobj[(d, d2)]):
+            return ((f, g),)
+    for x, i in ids.items():
+        for y, j in ids.items():
+            if axes[(i, j)] != ids.get(tobj[(x, y)]):
+                return ((i, j),)
+    for (f, g), h in comp.items():
+        for i in ids.values():
+            if axes[(h, i)] != comp[(axes[(f, i)], axes[(g, i)])]:
+                return (h, i), (f, i), (g, i)
+            if axes[(i, h)] != comp[(axes[(i, f)], axes[(i, g)])]:
+                return (i, h), (i, f), (i, g)
+    for f, (s, d) in ends.items():
+        for g, (s2, d2) in ends.items():
+            keys = (f, ids[s2]), (ids[d], g), (ids[s], g), (f, ids[d2])
+            if comp[(axes[keys[0]], axes[keys[1]])] != comp[(axes[keys[2]], axes[keys[3]])]:
+                return keys
+    return ()
+
+
+def _repaired(m: MonoidalData, axes: dict[tuple[Mor, Mor], Mor], keys) -> dict | None:
+    """``axes`` with one of ``keys`` set to another morphism of its shape,
+    the first (in key order, then sorted) under which every premise holds;
+    ``None`` when there is none."""
+    base, tobj = m.base, m.tensor_obj
+    homs: dict[tuple[Obj, Obj], list[Mor]] = {}
+    for f, s, d in sorted(base.morphisms):
+        homs.setdefault((s, d), []).append(f)
+    for f, g in dict.fromkeys(keys):
+        (s, d), (s2, d2) = base._mors[f], base._mors[g]
+        for v in homs.get((tobj[(s, s2)], tobj[(d, d2)]), ()):
+            if v != axes[(f, g)]:
+                trial = {**axes, (f, g): v}
+                if not _broken_premise(m, trial):
+                    return trial
+    return None
+
+
+def _rebuild_tensor(m: MonoidalData) -> Rebuild | None:
+    """A bifunctor R rebuilt from the axes of the tensor table, and the set
+    B = {(f, g) : T(f, g) != R(f, g)}; ``None`` when no rebuild is found.
+
+    The axes A are the table's entries T(f, 1_y) and T(1_x, g).  When they
+    break a premise of :func:`_broken_premise`, one of the entries that the
+    first broken premise reads is replaced, as :func:`_repaired` finds; a
+    single faulty axis entry of a lawful table is always among them, and its
+    lawful value passes.  Under the premises, on a valid base,
+    R(f, g) = A(f, 1_{src g}) A(1_{dst f}, g) is a bifunctor (CWM II.3,
+    Prop. 1) equal to A on the axes, so a replaced entry is in B.  Reads
+    totality of the tensor tables as :func:`check_monoidal` has established it.
     """
     base = m.base
     try:
@@ -202,39 +261,29 @@ def _tensor_defects(m: MonoidalData) -> frozenset[tuple[Mor, Mor]] | None:
             return None
     except MalformedReferenceError:
         return None
-    tmor, tobj, comp = m.tensor_mor, m.tensor_obj, base.comp
-    ends = {f: (s, d) for f, s, d in base.morphisms}
-    ids = dict(base.identity)
-    for f, (s, d) in ends.items():
-        for y, i in ids.items():
-            if (ends.get(tmor[(f, i)]) != (tobj[(s, y)], tobj[(d, y)])
-                    or ends.get(tmor[(i, f)]) != (tobj[(y, s)], tobj[(y, d)])):
-                return None
-    for x, i in ids.items():
-        for y, j in ids.items():
-            if tmor[(i, j)] != ids.get(tobj[(x, y)]):
-                return None
-    for (f, g), h in comp.items():
+    tmor, comp, ids = m.tensor_mor, base.comp, base.identity
+    axes = {}
+    for f in base._mors:
         for i in ids.values():
-            if (tmor[(h, i)] != comp[(tmor[(f, i)], tmor[(g, i)])]
-                    or tmor[(i, h)] != comp[(tmor[(i, f)], tmor[(i, g)])]):
-                return None
-    defects = set()
-    for f, (s, d) in ends.items():
-        for g, (s2, d2) in ends.items():
-            r = comp[(tmor[(f, ids[s2])], tmor[(ids[d], g)])]
-            if comp[(tmor[(ids[s], g)], tmor[(f, ids[d2])])] != r:
-                return None
+            axes[(f, i)], axes[(i, f)] = tmor[(f, i)], tmor[(i, f)]
+    broken = _broken_premise(m, axes)
+    if broken:
+        axes = _repaired(m, axes, broken)
+        if axes is None:
+            return None
+    rebuilt, defects = {}, set()
+    for f, (s, d) in base._mors.items():
+        for g, (s2, d2) in base._mors.items():
+            r = rebuilt[(f, g)] = comp[(axes[(f, ids[s2])], axes[(ids[d], g)])]
             if tmor[(f, g)] != r:
                 defects.add((f, g))
-    return frozenset(defects)
+    return rebuilt, frozenset(defects)
 
 
 def _interchange_gate(m: MonoidalData, base: FinCategory):
-    """No gate sites, and as cover the sites that read an entry of B: a site
-    reading none has the sides of the bifunctor R, so it holds."""
-    defects = m._defects
-    if defects is None:
+    """The sites that read an entry of B: a site reading none has the sides
+    of the bifunctor R, so it holds."""
+    if m._rebuild is None:
         return None
     post: dict[Obj, list[Mor]] = {}
     pre: dict[Obj, list[Mor]] = {}
@@ -243,29 +292,36 @@ def _interchange_gate(m: MonoidalData, base: FinCategory):
         pre.setdefault(d, []).append(f)
     fibres = Preimages(base.comp).fibres
     cover: dict[tuple[Mor, ...], None] = {}
-    for b, b2 in sorted(defects):  # at T(f, f2), at T(g, g2), at T(f.g, f2.g2)
+    for b, b2 in sorted(m._rebuild[1]):  # at T(f, f2), at T(g, g2), at T(f.g, f2.g2)
         cover.update(dict.fromkeys(
             (b, b2, g, g2) for g in post[base.dst(b)] for g2 in post[base.dst(b2)]))
         cover.update(dict.fromkeys(
             (f, f2, b, b2) for f in pre[base.src(b)] for f2 in pre[base.src(b2)]))
         cover.update(dict.fromkeys(
             (f, f2, g, g2) for f, g in fibres.get(b, ()) for f2, g2 in fibres.get(b2, ())))
-    return (), tuple(cover)
+    return tuple(cover)
 
 
 def _assoc_natural_gate(m: MonoidalData, base: FinCategory):
-    """As gate, naturality in each variable alone (CWM II.3, Prop. 2), each
-    site once; these read only axis entries, where T = R.  As cover, the
-    sites (f, g, h) where (f, g), (T(f, g), h), (g, h) or (f, T(g, h)) is in
-    B: by Prop. 2 for R every other site holds once the gate does."""
-    defects = m._defects
-    if defects is None:
+    """The sites (f, g, h) where (f, g), (T(f, g), h), (g, h) or (f, T(g, h))
+    is in B, once the associator is natural for R in each variable alone
+    (CWM II.3, Prop. 2): by Prop. 2 for R every other site then holds.  The
+    separate-variable sites (f, 1, 1), (1, f, 1), (1, 1, f) are decided on R
+    as a predicate; when one fails, ``None``."""
+    if m._rebuild is None:
         return None
+    rebuilt, defects = m._rebuild
+    ends, comp, a = base._mors, base.comp, m.assoc
     ids = [base.id_(x) for x in base.objects]
     mors = base.mor_ids()
     gate = [(f, i, j) for f in mors for i, j in product(ids, repeat=2)]
     gate += [site for f in mors if not base.is_identity(f)
              for i, j in product(ids, repeat=2) for site in ((i, f, j), (i, j, f))]
+    for f, g, h in gate:
+        (s, d), (s2, d2), (s3, d3) = ends[f], ends[g], ends[h]
+        lhs = comp.get((rebuilt[(rebuilt[(f, g)], h)], a[(d, d2, d3)]))
+        if lhs is None or lhs != comp.get((a[(s, s2, s3)], rebuilt[(f, rebuilt[(g, h)])])):
+            return None
     fibres = Preimages({fg: m.tensor_mor[fg] for fg in product(mors, repeat=2)}).fibres
     cover: dict[tuple[Mor, ...], None] = {}
     for b, b2 in sorted(defects):
@@ -273,7 +329,7 @@ def _assoc_natural_gate(m: MonoidalData, base: FinCategory):
         cover.update(dict.fromkeys((f, b, b2) for f in mors))
         cover.update(dict.fromkeys((f, g, b2) for f, g in fibres.get(b, ())))
         cover.update(dict.fromkeys((b, g, h) for g, h in fibres.get(b2, ())))
-    return gate, tuple(cover)
+    return tuple(cover)
 
 
 MONOIDAL_LAWS = (

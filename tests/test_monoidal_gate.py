@@ -1,15 +1,15 @@
 """The localized monoidal sweeps of ``check_monoidal`` against the full sweep.
 
-``check_monoidal`` rebuilds the tensor from its axes and judges
-``tensor.interchange`` and ``assoc.natural`` only on the sites that read an
-entry where the table and the rebuild differ (after the associator's
-separate-variable gate); with ``gate=None`` it judges every site.  On every
-single-entry swap (the value replaced by each other morphism of the base) and
-deletion of ``tensor_mor``, ``assoc``, ``lunit`` and ``runit``, both must give
-the same reports, or raise the same error with the same message.  Tier-1
-compares a fixed stride of the mutants of the larger bases (see ``STRIDE``)
-and every ``tensor_mor`` swap that meets the premises of the rebuild;
-``-m slow`` compares every mutant.
+``check_monoidal`` rebuilds the tensor from its axes, repairing one axis
+entry if it must, and judges ``tensor.interchange`` and ``assoc.natural``
+only on the sites that read an entry where the table and the rebuild differ
+(once the associator is natural in each variable alone for the rebuild);
+with ``gate=None`` it judges every site.  On every single-entry swap (the
+value replaced by each other morphism of the base) and deletion of
+``tensor_mor``, ``assoc``, ``lunit`` and ``runit``, both must give the same
+reports, or raise the same error with the same message.  Tier-1 compares a
+fixed stride of the mutants of the larger bases (see ``STRIDE``) and every
+``tensor_mor`` swap; ``-m slow`` compares every mutant.
 """
 
 import dataclasses
@@ -144,57 +144,92 @@ def test_gates_agree_with_the_full_sweep_on_every_mutant(name):
     agree(name, 1)
 
 
-def test_localized_sweeps_agree_on_every_tensor_swap_meeting_the_premises():
-    """Every ``tensor_mor`` swap of every base whose axes rebuild a
-    bifunctor: the covers of the defects must find exactly the full sweep's
-    reports."""
-    met = 0
+def test_localized_sweeps_agree_on_every_tensor_swap():
+    """Every ``tensor_mor`` swap of every base is rebuilt, on an axis entry
+    by repairing one, and the covers of the defects must find exactly the
+    full sweep's reports.  In a group the repair need not restore the swapped
+    entry: in cyc(2), T(0, 1) = 0 makes 0 (x) - constant, and the projection
+    R(f, g) = f rebuilds the table with B = {(1, 1)}."""
+    swaps = axis = 0
     for name, build in BASES.items():
         for (field, key, other), mutant in mutants(build()):
-            if field != "tensor_mor" or other is None or mutant._defects is None:
+            if field != "tensor_mor" or other is None:
                 continue
-            met += 1
+            swaps += 1
+            axis += any(map(mutant.base.is_identity, key))
+            assert mutant._rebuild is not None, (name, key, other)
             assert outcome(mutant) == full_outcome(mutant), (name, key, other)
-    assert met == 661
+    assert (swaps, axis) == (1616, 957)
+    m = build_cyc(2)
+    mutant = dataclasses.replace(m, tensor_mor={**m.tensor_mor, ("0", "1"): "0"})
+    assert mutant._rebuild[1] == {("1", "1")}
 
 
 def test_a_tensor_whose_axes_do_not_commute_is_judged_on_every_site():
     """The left-zero monoid {e, a, b} (x then y is x unless x is e),
     tensored by its own product: both axes are identity functors, but
-    a (x) e then e (x) b is a while e (x) b then a (x) e is b, so no
-    bifunctor rebuilds it."""
+    a (x) e then e (x) b is a while e (x) b then a (x) e is b, and no
+    change of a (x) e or of e (x) b makes them commute, so no bifunctor
+    rebuilds it."""
     mors = ("a", "b", "e")
     comp = {(f, g): g if f == "e" else f for f in mors for g in mors}
     base = FinCategory(("*",), tuple((f, "*", "*") for f in mors), {"*": "e"}, comp)
     m = MonoidalData(base=base, tensor_obj={("*", "*"): "*"}, tensor_mor=comp, unit="*",
                      assoc={("*", "*", "*"): "e"}, lunit={"*": "e"}, runit={"*": "e"})
-    assert m._defects is None
+    assert m._rebuild is None
     got = check_monoidal(m)
     assert any(r.law == "tensor.interchange" for r in got) and got == full_outcome(m)
+
+
+def covers(monkeypatch, mutant: MonoidalData, count: int):
+    """Run ``check_monoidal`` on ``mutant``, expecting ``count`` reports equal
+    to the full sweep's; return the one site family judged per localized law,
+    each asserted free of repeats."""
+    seen = spy(monkeypatch)
+    got = check_monoidal(mutant)
+    monkeypatch.undo()
+    assert got == full_outcome(mutant) and len(got) == count
+    judged = {}
+    for law in ("tensor.interchange", "assoc.natural"):
+        [judged[law]] = seen[law]
+        assert len(judged[law]) == len(set(judged[law])), law
+    return judged
+
+
+def reads(mutant: MonoidalData, key):
+    """The sites of the two localized laws that read T at ``key``."""
+    base, t = mutant.base, mutant.tensor_mor
+    interchange = {(f, f2, g, g2) for (f, g), h in base.comp.items()
+                   for (f2, g2), h2 in base.comp.items()
+                   if key in ((h, h2), (f, f2), (g, g2))}
+    assoc = {(f, g, h) for f, g, h in product(base.mor_ids(), repeat=3)
+             if key in ((f, g), (t[(f, g)], h), (g, h), (f, t[(g, h)]))}
+    return interchange, assoc
 
 
 def test_an_off_axis_mutant_is_judged_on_its_cover_only(monkeypatch):
     m = build_trop(8)
     key = ("m:5:4", "m:5:2")
     mutant = dataclasses.replace(m, tensor_mor={**m.tensor_mor, key: "m:4:2"})
-    base, t = mutant.base, mutant.tensor_mor
-    assert mutant._defects == {key}
-    seen = spy(monkeypatch)
-    got = check_monoidal(mutant)
-    monkeypatch.undo()
-    assert got == full_outcome(mutant) and len(got) == 110
+    assert mutant._rebuild[1] == {key}
+    judged = covers(monkeypatch, mutant, 110)
+    interchange, assoc = reads(mutant, key)
+    assert len(judged["tensor.interchange"]) == 30
+    assert set(judged["tensor.interchange"]) == interchange
+    assert len(judged["assoc.natural"]) == 91 and set(judged["assoc.natural"]) == assoc
 
-    # interchange: no gate sites, then exactly the sites reading T at key
-    no_gate, cover = seen["tensor.interchange"]
-    reads = {(f, f2, g, g2) for (f, g), h in base.comp.items()
-             for (f2, g2), h2 in base.comp.items()
-             if key in ((h, h2), (f, f2), (g, g2))}
-    assert no_gate == [] and len(cover) == len(set(cover)) == 30 and set(cover) == reads
 
-    # associator: each separate-variable site once, then the sites reading key
-    gate, cover = seen["assoc.natural"]
-    mors, objs = base.mor_ids(), len(base.objects)
-    assert len(gate) == len(set(gate)) == (3 * len(mors) - 2 * objs) * objs ** 2 == 5888
-    reads = {(f, g, h) for f, g, h in product(mors, repeat=3)
-             if key in ((f, g), (t[(f, g)], h), (g, h), (f, t[(g, h)]))}
-    assert len(cover) == len(set(cover)) == 91 and set(cover) == reads
+def test_an_axis_mutant_is_repaired_and_judged_on_its_cover_only(monkeypatch):
+    """T(m:5:4, 1_2) is swapped for a morphism of another shape: the axis
+    breaks the shape premise, and the lawful entry, the only morphism of its
+    shape in the poset, repairs it."""
+    m = build_trop(8)
+    key = ("m:5:4", "id:2")
+    mutant = dataclasses.replace(m, tensor_mor={**m.tensor_mor, key: "m:4:2"})
+    rebuilt, defects = mutant._rebuild
+    assert defects == {key} and rebuilt[key] == m.tensor_mor[key]
+    assert rebuilt == m.tensor_mor
+    judged = covers(monkeypatch, mutant, 104)
+    interchange, assoc = reads(mutant, key)
+    assert set(judged["tensor.interchange"]) == interchange
+    assert set(judged["assoc.natural"]) == assoc
