@@ -14,9 +14,10 @@ order (first argument is applied first).
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 Obj = str
 Mor = str
@@ -392,19 +393,21 @@ def _category_reports(cat: FinCategory) -> list[CheckReport]:
             if cat.src(h) != cat.src(f) or cat.dst(h) != cat.dst(g):
                 reports.append(CheckReport("category.shape", (f, g, h), witness_count=0))
 
+    ends, comp = cat._mors, cat.comp
+    post: dict[Obj, list[Mor]] = {}  # the morphisms out of each object, in id order
     for f in mor_ids:
-        for g in mor_ids:
-            if cat.dst(f) != cat.src(g):
+        post.setdefault(ends[f][0], []).append(f)
+    for f in mor_ids:
+        for g in post.get(ends[f][1], ()):
+            fg = comp.get((f, g))
+            if fg is None:
                 continue
-            fg = cat.comp.get((f, g))
-            for h in mor_ids:
-                if cat.dst(g) != cat.src(h):
+            for h in post.get(ends[g][1], ()):
+                gh = comp.get((g, h))
+                if gh is None:
                     continue
-                gh = cat.comp.get((g, h))
-                if fg is None or gh is None:
-                    continue
-                lhs = cat.comp.get((fg, h)) if cat.dst(fg) == cat.src(h) else None
-                rhs = cat.comp.get((f, gh)) if cat.dst(f) == cat.src(gh) else None
+                lhs = comp.get((fg, h)) if ends[fg][1] == ends[h][0] else None
+                rhs = comp.get((f, gh)) if ends[f][1] == ends[gh][0] else None
                 if lhs is None or rhs is None:
                     continue  # already reported as unit/shape failure
                 if lhs != rhs:
@@ -417,19 +420,82 @@ def pair_id(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
+class ProductComp(Mapping):
+    """The composition table of ``a`` x ``b``, read off the factors' tables.
+
+    The entry at (pair_id(f1, f2), pair_id(g1, g2)) is pair_id(h1, h2) for
+    the entries (f1, g1) -> h1 of ``a.comp`` and (f2, g2) -> h2 of
+    ``b.comp``; it is computed when asked for.  Iteration order, ``len``,
+    lookups and ``KeyError`` are those of the table written out in full,
+    ``a``'s entries outermost.  ``parts`` maps the pair id of each morphism
+    (f, g) to (f, g).  Two such tables with equal factor tables are equal
+    without writing either out.
+    """
+
+    __slots__ = ("a", "b", "parts")
+
+    def __init__(self, a: FinCategory, b: FinCategory, parts: dict[Mor, tuple[Mor, Mor]]):
+        self.a, self.b, self.parts = a, b, parts
+
+    def __getitem__(self, key: tuple[Mor, Mor]) -> Mor:
+        if isinstance(key, tuple) and len(key) == 2:
+            f, g = self.parts.get(key[0]), self.parts.get(key[1])
+            if f is not None and g is not None:
+                try:
+                    return pair_id(self.a.comp[(f[0], g[0])], self.b.comp[(f[1], g[1])])
+                except KeyError:
+                    pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        return (key for key, _ in self.items())
+
+    def __len__(self) -> int:
+        return len(self.a.comp) * len(self.b.comp)
+
+    def items(self):
+        return _ProductItems(self)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ProductComp):
+            if self.a.comp == other.a.comp and self.b.comp == other.b.comp:
+                return True
+            if len(self) != len(other):
+                return False
+        return Mapping.__eq__(self, other)
+
+
+class _ProductItems(ItemsView):
+    """The entries of a :class:`ProductComp`, each computed once."""
+
+    def __iter__(self):
+        b_items = tuple(self._mapping.b.comp.items())
+        for (f1, g1), h1 in self._mapping.a.comp.items():
+            for (f2, g2), h2 in b_items:
+                yield (pair_id(f1, f2), pair_id(g1, g2)), pair_id(h1, h2)
+
+
 def product_category(a: FinCategory, b: FinCategory) -> FinCategory:
-    """The product category; ids of objects and morphisms are encoded pairs."""
+    """The product category; ids of objects and morphisms are encoded pairs.
+
+    Its ``comp`` is a :class:`ProductComp`, computed entry by entry from the
+    factors', when every id in the factors' composition tables is a declared
+    morphism and distinct pairs of morphisms get distinct pair ids.  Failing
+    either, ``comp`` is the table written out, as a ``dict``.
+    """
     objects = tuple(sorted(pair_id(x, y) for x in a.objects for y in b.objects))
+    pairs = [(pair_id(f, g), f, g) for f in a.mor_ids() for g in b.mor_ids()]
     morphisms = tuple(sorted(
-        (pair_id(f, g), pair_id(a.src(f), b.src(g)), pair_id(a.dst(f), b.dst(g)))
-        for f in a.mor_ids() for g in b.mor_ids()
+        (p, pair_id(a.src(f), b.src(g)), pair_id(a.dst(f), b.dst(g))) for p, f, g in pairs
     ))
+    parts = {p: (f, g) for p, f, g in pairs}
     identity = {pair_id(x, y): pair_id(a.id_(x), b.id_(y))
                 for x in a.objects for y in b.objects}
-    comp = {}
-    for (f1, g1), h1 in a.comp.items():
-        for (f2, g2), h2 in b.comp.items():
-            comp[(pair_id(f1, f2), pair_id(g1, g2))] = pair_id(h1, h2)
+    comp: Mapping[tuple[Mor, Mor], Mor] = ProductComp(a, b, parts)
+    if (len(parts) != len(a._mors) * len(b._mors)
+            or not all(f in a._mors and g in a._mors for f, g in a.comp)
+            or not all(f in b._mors and g in b._mors for f, g in b.comp)):
+        comp = dict(comp.items())
     return FinCategory(objects, morphisms, identity, comp)
 
 
@@ -536,7 +602,19 @@ def functor_law_names(tag: str) -> tuple[str, ...]:
 
 
 def validate_functor(fn: FunctorData, tag: str = "functor") -> list[CheckReport]:
-    """Check totality, src/dst preservation, identities and composition."""
+    """Check totality, src/dst preservation, identities and composition.
+
+    Out of a product A x B (a source whose ``comp`` is a
+    :class:`ProductComp`) composition is decided one variable at a time (Mac
+    Lane, CWM II.3, Prop. 1), once totality, shapes and identities hold.
+    :func:`rebuild_bifunctor` rebuilds ``fn`` from its axes F(f, 1_y) and
+    F(1_x, g) when its premises hold: A, B and the target are valid
+    categories, and the axes are well shaped, send identities to
+    identities, are functors and commute.  When it does, with no entry
+    where the rebuild and ``fn`` differ, ``fn`` is a bifunctor and no
+    composition site is judged.  In every other case every site is judged,
+    so the reports never depend on the shortcut.
+    """
     reports: list[CheckReport] = []
     src, dst = fn.srcCat, fn.dstCat
     for x in src.objects:
@@ -562,12 +640,138 @@ def validate_functor(fn: FunctorData, tag: str = "functor") -> list[CheckReport]
         if fn.mor(src.id_(x)) != dst.id_(fn.obj(x)):
             reports.append(CheckReport(f"{tag}.identity", (x,),
                                        lhs=fn.mor(src.id_(x)), rhs=dst.id_(fn.obj(x))))
-    for (f, g), h in src.comp.items():
-        lhs = dst.comp.get((fn.mor(f), fn.mor(g)))
+    proved = not reports and _is_bifunctor(fn)
+    reports += _composition_reports(fn, tag, () if proved else src.comp.items())
+    return sort_reports(reports)
+
+
+def _composition_reports(fn: FunctorData, tag: str,
+                         sites: Iterable[tuple[tuple[Mor, Mor], Mor]]) -> list[CheckReport]:
+    """The composition law of ``fn`` judged at ``sites``, entries of the
+    source's composition table."""
+    reports: list[CheckReport] = []
+    dst_comp = fn.dstCat.comp
+    for (f, g), h in sites:
+        lhs = dst_comp.get((fn.mor(f), fn.mor(g)))
         rhs = fn.mor(h)
         if lhs != rhs:
             reports.append(CheckReport(f"{tag}.composition", (f, g), lhs=lhs, rhs=rhs))
-    return sort_reports(reports)
+    return reports
+
+
+def _is_bifunctor(fn: FunctorData) -> bool:
+    """Whether ``fn``, total and well shaped out of a product, equals the
+    bifunctor :func:`rebuild_bifunctor` rebuilds from its axes."""
+    comp = fn.srcCat.comp
+    if not isinstance(comp, ProductComp):
+        return False
+    a, b = comp.a, comp.b
+    obj = {(x, y): fn.onObjects[pair_id(x, y)] for x in a.objects for y in b.objects}
+    mor = {fg: fn.onMorphisms[p] for p, fg in comp.parts.items()}
+    rebuild = rebuild_bifunctor(a, b, fn.dstCat, obj, mor)
+    return rebuild is not None and not rebuild[1]
+
+
+# A bifunctor rebuilt from its axes, and the entries B where the table differs.
+Rebuild = tuple[dict[tuple[Mor, Mor], Mor], frozenset[tuple[Mor, Mor]]]
+
+
+def rebuild_bifunctor(a: FinCategory, b: FinCategory, c: FinCategory,
+                      obj: Mapping[tuple[Obj, Obj], Obj],
+                      mor: Mapping[tuple[Mor, Mor], Mor]) -> Rebuild | None:
+    """A bifunctor R : A x B -> C rebuilt from the axes of the map F given
+    by ``obj`` and ``mor``, and the set B = {(f, g) : F(f, g) != R(f, g)};
+    ``None`` when no rebuild is found.
+
+    The axes are F's entries F(f, 1_y) and F(1_x, g).  The premises, checked
+    by :func:`_broken_premise`: A, B and C are valid categories, every axis
+    entry is well shaped, F(1_x, 1_y) = 1_{F(x, y)}, each axis is a functor
+    and the axes commute.  When the axes break one, one of the entries that
+    the first broken premise reads is replaced, as :func:`_repaired` finds;
+    a single faulty axis entry of a bifunctor is always among them, and its
+    lawful value passes.  Under the premises
+    R(f, g) = F(f, 1_{src g}) F(1_{dst f}, g) is a bifunctor (Mac Lane,
+    CWM II.3, Prop. 1) equal to the axes, so a replaced entry is in B.
+    ``obj`` and ``mor`` must be total, with values declared in C.
+    """
+    try:
+        if validate_category(a) or validate_category(b) or validate_category(c):
+            return None
+    except MalformedReferenceError:
+        return None
+    ids_a, ids_b = a.identity, b.identity
+    axes = {}
+    for f in a._mors:
+        for j in ids_b.values():
+            axes[(f, j)] = mor[(f, j)]
+    for g in b._mors:
+        for i in ids_a.values():
+            axes[(i, g)] = mor[(i, g)]
+    broken = _broken_premise(a, b, c, obj, axes)
+    if broken:
+        axes = _repaired(a, b, c, obj, axes, broken)
+        if axes is None:
+            return None
+    comp = c.comp
+    rebuilt, defects = {}, set()
+    for f, (s, d) in a._mors.items():
+        for g, (s2, d2) in b._mors.items():
+            r = rebuilt[(f, g)] = comp[(axes[(f, ids_b[s2])], axes[(ids_a[d], g)])]
+            if mor[(f, g)] != r:
+                defects.add((f, g))
+    return rebuilt, frozenset(defects)
+
+
+def _broken_premise(a: FinCategory, b: FinCategory, c: FinCategory,
+                    obj: Mapping[tuple[Obj, Obj], Obj],
+                    axes: Mapping[tuple[Mor, Mor], Mor]) -> tuple:
+    """The axis entries read by the first premise of the rebuild that
+    ``axes`` breaks, or ``()`` when all hold; A, B and C are valid.
+
+    ``axes`` maps every (f, 1_y) and (1_x, g) to a morphism of C.  The
+    premises: each entry is well shaped, A(1_x, 1_y) = 1_{F(x, y)}, each
+    axis is a functor, and the axes commute, A(f, 1)A(1, g) = A(1, g)A(f, 1).
+    """
+    ends_a, ends_b, ids_a, ids_b = a._mors, b._mors, a.identity, b.identity
+    comp = c.comp
+    for (f, g), t in axes.items():
+        (s, d), (s2, d2) = ends_a[f], ends_b[g]
+        if c._mors.get(t) != (obj[(s, s2)], obj[(d, d2)]):
+            return ((f, g),)
+    for x, i in ids_a.items():
+        for y, j in ids_b.items():
+            if axes[(i, j)] != c.identity.get(obj[(x, y)]):
+                return ((i, j),)
+    for (f, g), h in a.comp.items():
+        for j in ids_b.values():
+            if axes[(h, j)] != comp[(axes[(f, j)], axes[(g, j)])]:
+                return (h, j), (f, j), (g, j)
+    for (f, g), h in b.comp.items():
+        for i in ids_a.values():
+            if axes[(i, h)] != comp[(axes[(i, f)], axes[(i, g)])]:
+                return (i, h), (i, f), (i, g)
+    for f, (s, d) in ends_a.items():
+        for g, (s2, d2) in ends_b.items():
+            keys = (f, ids_b[s2]), (ids_a[d], g), (ids_a[s], g), (f, ids_b[d2])
+            if comp[(axes[keys[0]], axes[keys[1]])] != comp[(axes[keys[2]], axes[keys[3]])]:
+                return keys
+    return ()
+
+
+def _repaired(a: FinCategory, b: FinCategory, c: FinCategory,
+              obj: Mapping[tuple[Obj, Obj], Obj], axes: dict[tuple[Mor, Mor], Mor],
+              keys) -> dict | None:
+    """``axes`` with one of ``keys`` set to another morphism of its shape,
+    the first (in key order, then sorted) under which every premise holds;
+    ``None`` when there is none."""
+    for f, g in dict.fromkeys(keys):
+        (s, d), (s2, d2) = a._mors[f], b._mors[g]
+        for v in c.hom(obj[(s, s2)], obj[(d, d2)]):
+            if v != axes[(f, g)]:
+                trial = {**axes, (f, g): v}
+                if not _broken_premise(a, b, c, obj, trial):
+                    return trial
+    return None
 
 
 @dataclass(frozen=True)

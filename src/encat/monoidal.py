@@ -7,12 +7,14 @@ totality and bijection checks and the order between them.
 
 Two monoidal laws are judged only where they can fail (Mac Lane,
 *Categories for the Working Mathematician*, §II.3).  The tensor is rebuilt
-from its axes A, the entries T(f, 1_y) and T(1_x, g).  The premises are pure
-predicates on A: the base is a valid category, every entry of A is well
-shaped, A(1_x, 1_y) = 1_{x (x) y}, each axis is a functor and the axes
-commute.  When A breaks one, one of the entries that premise reads is
-replaced by another morphism of its shape under which all hold, if there is
-one, so a single faulty axis entry is repaired.  Under the premises
+from its axes A, the entries T(f, 1_y) and T(1_x, g), by
+:func:`~encat.core.rebuild_bifunctor`, the rebuild that also decides every
+functor out of a product in :func:`~encat.core.validate_functor`.  Its
+premises are pure predicates on A: the base is a valid category, every entry
+of A is well shaped, A(1_x, 1_y) = 1_{x (x) y}, each axis is a functor and
+the axes commute.  When A breaks one, one of the entries that premise reads
+is replaced by another morphism of its shape under which all hold, if there
+is one, so a single faulty axis entry is repaired.  Under the premises
 R(f, g) = A(f, 1) A(1, g) is a bifunctor (Prop. 1) that equals A on the
 axes; B is the set of entries where T and R differ.  A ``tensor.interchange``
 site that reads no entry of B has the sides of R, so it holds: only the sites
@@ -58,21 +60,18 @@ from .core import (
     Mor,
     Obj,
     Preimages,
+    Rebuild,
     evaluate,
     morphism_inverse,
     morphism_inverse_checked,
     opposite_category,
     pair_id,
     product_category,
+    rebuild_bifunctor,
     required,
     sort_reports,
-    validate_category,
     validate_functor,
 )
-
-
-# A tensor rebuilt from its axes, and the entries B where the table differs.
-Rebuild = tuple[dict[tuple[Mor, Mor], Mor], frozenset[tuple[Mor, Mor]]]
 
 
 @dataclass(frozen=True)
@@ -110,8 +109,11 @@ class MonoidalData:
 
     @cached_property
     def _rebuild(self) -> Rebuild | None:
-        """R and B of :func:`_rebuild_tensor`, found once per instance."""
-        return _rebuild_tensor(self)
+        """The tensor rebuilt from its axes by
+        :func:`~encat.core.rebuild_bifunctor`, found once per instance;
+        reads the tables as total, as :func:`check_monoidal` has found them."""
+        base = self.base
+        return rebuild_bifunctor(base, base, base, self.tensor_obj, self.tensor_mor)
 
     @cached_property
     def _transposes(self) -> dict[tuple[Obj, Obj, Obj], Preimages]:
@@ -190,94 +192,6 @@ class MonoidalData:
             return self.require_symmetry().braid[(x, y)]
         except KeyError:
             raise MissingTableError(f"braiding table missing ({x!r}, {y!r})") from None
-
-
-def _broken_premise(m: MonoidalData, axes: Mapping[tuple[Mor, Mor], Mor]) -> tuple:
-    """The axis entries read by the first premise of the rebuild that
-    ``axes`` breaks, or ``()`` when all hold.
-
-    ``axes`` maps every (f, 1_y) and (1_x, g) to a morphism.  The premises:
-    each entry is well shaped, A(1_x, 1_y) = 1_{x (x) y}, each axis is a
-    functor, and the axes commute, A(f, 1)A(1, g) = A(1, g)A(f, 1).
-    """
-    base = m.base
-    tobj, comp, ends, ids = m.tensor_obj, base.comp, base._mors, base.identity
-    for (f, g), t in axes.items():
-        (s, d), (s2, d2) = ends[f], ends[g]
-        if ends.get(t) != (tobj[(s, s2)], tobj[(d, d2)]):
-            return ((f, g),)
-    for x, i in ids.items():
-        for y, j in ids.items():
-            if axes[(i, j)] != ids.get(tobj[(x, y)]):
-                return ((i, j),)
-    for (f, g), h in comp.items():
-        for i in ids.values():
-            if axes[(h, i)] != comp[(axes[(f, i)], axes[(g, i)])]:
-                return (h, i), (f, i), (g, i)
-            if axes[(i, h)] != comp[(axes[(i, f)], axes[(i, g)])]:
-                return (i, h), (i, f), (i, g)
-    for f, (s, d) in ends.items():
-        for g, (s2, d2) in ends.items():
-            keys = (f, ids[s2]), (ids[d], g), (ids[s], g), (f, ids[d2])
-            if comp[(axes[keys[0]], axes[keys[1]])] != comp[(axes[keys[2]], axes[keys[3]])]:
-                return keys
-    return ()
-
-
-def _repaired(m: MonoidalData, axes: dict[tuple[Mor, Mor], Mor], keys) -> dict | None:
-    """``axes`` with one of ``keys`` set to another morphism of its shape,
-    the first (in key order, then sorted) under which every premise holds;
-    ``None`` when there is none."""
-    base, tobj = m.base, m.tensor_obj
-    homs: dict[tuple[Obj, Obj], list[Mor]] = {}
-    for f, s, d in sorted(base.morphisms):
-        homs.setdefault((s, d), []).append(f)
-    for f, g in dict.fromkeys(keys):
-        (s, d), (s2, d2) = base._mors[f], base._mors[g]
-        for v in homs.get((tobj[(s, s2)], tobj[(d, d2)]), ()):
-            if v != axes[(f, g)]:
-                trial = {**axes, (f, g): v}
-                if not _broken_premise(m, trial):
-                    return trial
-    return None
-
-
-def _rebuild_tensor(m: MonoidalData) -> Rebuild | None:
-    """A bifunctor R rebuilt from the axes of the tensor table, and the set
-    B = {(f, g) : T(f, g) != R(f, g)}; ``None`` when no rebuild is found.
-
-    The axes A are the table's entries T(f, 1_y) and T(1_x, g).  When they
-    break a premise of :func:`_broken_premise`, one of the entries that the
-    first broken premise reads is replaced, as :func:`_repaired` finds; a
-    single faulty axis entry of a lawful table is always among them, and its
-    lawful value passes.  Under the premises, on a valid base,
-    R(f, g) = A(f, 1_{src g}) A(1_{dst f}, g) is a bifunctor (CWM II.3,
-    Prop. 1) equal to A on the axes, so a replaced entry is in B.  Reads
-    totality of the tensor tables as :func:`check_monoidal` has established it.
-    """
-    base = m.base
-    try:
-        if validate_category(base):
-            return None
-    except MalformedReferenceError:
-        return None
-    tmor, comp, ids = m.tensor_mor, base.comp, base.identity
-    axes = {}
-    for f in base._mors:
-        for i in ids.values():
-            axes[(f, i)], axes[(i, f)] = tmor[(f, i)], tmor[(i, f)]
-    broken = _broken_premise(m, axes)
-    if broken:
-        axes = _repaired(m, axes, broken)
-        if axes is None:
-            return None
-    rebuilt, defects = {}, set()
-    for f, (s, d) in base._mors.items():
-        for g, (s2, d2) in base._mors.items():
-            r = rebuilt[(f, g)] = comp[(axes[(f, ids[s2])], axes[(ids[d], g)])]
-            if tmor[(f, g)] != r:
-                defects.add((f, g))
-    return rebuilt, frozenset(defects)
 
 
 def _interchange_gate(m: MonoidalData, base: FinCategory):

@@ -8,8 +8,9 @@ with ``gate=None`` it judges every site.  On every single-entry swap (the
 value replaced by each other morphism of the base) and deletion of
 ``tensor_mor``, ``assoc``, ``lunit`` and ``runit``, both must give the same
 reports, or raise the same error with the same message.  Tier-1 compares a
-fixed stride of the mutants of the larger bases (see ``STRIDE``) and every
-``tensor_mor`` swap; ``-m slow`` compares every mutant.
+fixed stride of the mutants of the larger bases (see ``STRIDE``), also among
+the ``tensor_mor`` swaps, every one of which it rebuilds; ``-m slow``
+compares every mutant.
 """
 
 import dataclasses
@@ -144,25 +145,37 @@ def test_gates_agree_with_the_full_sweep_on_every_mutant(name):
     agree(name, 1)
 
 
-def test_localized_sweeps_agree_on_every_tensor_swap():
+def localized_sweeps_agree(stride) -> None:
     """Every ``tensor_mor`` swap of every base is rebuilt, on an axis entry
-    by repairing one, and the covers of the defects must find exactly the
-    full sweep's reports.  In a group the repair need not restore the swapped
-    entry: in cyc(2), T(0, 1) = 0 makes 0 (x) - constant, and the projection
-    R(f, g) = f rebuilds the table with B = {(1, 1)}."""
+    by repairing one, and on the swaps at every ``stride(name)``-th mutant
+    the covers of the defects must find exactly the full sweep's reports.
+    In a group the repair need not restore the swapped entry: in cyc(2),
+    T(0, 1) = 0 makes 0 (x) - constant, and the projection R(f, g) = f
+    rebuilds the table with B = {(1, 1)}."""
     swaps = axis = 0
     for name, build in BASES.items():
-        for (field, key, other), mutant in mutants(build()):
+        step = stride(name)
+        for i, ((field, key, other), mutant) in enumerate(mutants(build())):
             if field != "tensor_mor" or other is None:
                 continue
             swaps += 1
             axis += any(map(mutant.base.is_identity, key))
             assert mutant._rebuild is not None, (name, key, other)
-            assert outcome(mutant) == full_outcome(mutant), (name, key, other)
+            if i % step == 0:
+                assert outcome(mutant) == full_outcome(mutant), (name, key, other)
     assert (swaps, axis) == (1616, 957)
     m = build_cyc(2)
     mutant = dataclasses.replace(m, tensor_mor={**m.tensor_mor, ("0", "1"): "0"})
     assert mutant._rebuild[1] == {("1", "1")}
+
+
+def test_localized_sweeps_agree_on_every_tensor_swap():
+    localized_sweeps_agree(lambda name: STRIDE.get(name, 1))
+
+
+@pytest.mark.slow
+def test_localized_sweeps_agree_on_every_tensor_swap_exhaustively():
+    localized_sweeps_agree(lambda name: 1)
 
 
 def test_a_tensor_whose_axes_do_not_commute_is_judged_on_every_site():
