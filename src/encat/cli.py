@@ -184,25 +184,20 @@ def _as_tensorclosed(doc: Document):
 
 def _roundtrip(doc: Document, pair: str, out) -> int:
     if pair == "module-cylinder":
-        tc = _as_tensorclosed(doc)
-        back = cylinder_to_module(*module_to_cylinder(tc))
-        if structural_equal(back, tc):
-            print("equal", file=out)
-            return 0
-        print(f"unequal: {canonical_diff(back, tc)}", file=out)
-        return 1
-    if pair == "cylinder-tensored":
+        want = _as_tensorclosed(doc)
+        back = cylinder_to_module(*module_to_cylinder(want))
+    elif pair == "cylinder-tensored":
         if doc.kind != "cylinder":
             raise DocumentError("cylinder-tensored round trip needs a cylinder document")
-        vs, cyl = doc.data
-        back = tensored_to_cylinder(associated_vcategory(vs),
-                                    cylinder_to_tensored(vs, cyl))
-        if structural_equal(back, cyl):
-            print("equal", file=out)
-            return 0
-        print(f"unequal: {canonical_diff(back, cyl)}", file=out)
-        return 1
-    raise DocumentError(f"unknown round-trip pair {pair!r}")
+        vs, want = doc.data
+        back = tensored_to_cylinder(associated_vcategory(vs), cylinder_to_tensored(vs, want))
+    else:
+        raise DocumentError(f"unknown round-trip pair {pair!r}")
+    if structural_equal(back, want):
+        print("equal", file=out)
+        return 0
+    print(f"unequal: {canonical_diff(back, want)}", file=out)
+    return 1
 
 
 def _load(path: str) -> Document:

@@ -9,6 +9,11 @@ Composition convention, used everywhere: ``comp[(f, g)]`` is "g after f".
 A composite written ``g . f`` in the usual right-to-left notation is looked up
 as ``comp[(f, g)]``; :meth:`FinCategory.compose` takes its steps in diagram
 order (first argument is applied first).
+
+Every equation outside category validation is a :class:`Law`, judged by one
+site loop, in :func:`evaluate` (reports) or :func:`assert_derived` (laws the
+axioms imply).  Out of a product, a functor's composition law is judged on
+its :func:`bifunctor_cover`, as the tensor's interchange law is.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import dataclasses
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Sequence
+from itertools import product
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 Obj = str
 Mor = str
@@ -148,6 +154,13 @@ def _undefined(side: Callable[..., Mor], exc: EncatError) -> str:
     return str(exc) if on_error == "explain" else "composite undefined"
 
 
+def derived_law(name: str, sites: Callable[..., Iterable[tuple[str, ...]]],
+                lhs: Callable[..., Mor], rhs: Callable[..., Mor]) -> Law:
+    """A law the axioms imply, for :func:`assert_derived`: both sides are
+    :func:`required`, since each is defined wherever the axioms hold."""
+    return Law(name, sites, required(lhs), required(rhs))
+
+
 def evaluate(laws: Iterable[Law], *data: Any) -> list[CheckReport]:
     """Judge every site of ``laws`` on ``data``, law by law in order.
 
@@ -159,15 +172,28 @@ def evaluate(laws: Iterable[Law], *data: Any) -> list[CheckReport]:
     A law whose gate gives a cover judges only the cover's sites; the
     reports are those of the full sweep.
     """
-    reports: list[CheckReport] = []
+    return list(_reports(laws, data))
+
+
+def assert_derived(laws: Iterable[Law], *data: Any,
+                   fail: Callable[[str, tuple[str, ...]], EncatError] | None = None) -> None:
+    """Judge :func:`derived_law` laws on ``data``, as :func:`evaluate` does,
+    up to the first unequal site, which raises ``fail(law name, site)``, by
+    default :class:`EngineBugError` ("derived law failed: <law> at <site>")."""
+    for report in _reports(laws, data):
+        if fail is not None:
+            raise fail(report.law, report.site)
+        raise EngineBugError(f"derived law failed: {report.law} at {report.site!r}")
+
+
+def _reports(laws: Iterable[Law], data: tuple) -> Iterator[CheckReport]:
+    """The reports of ``laws`` on ``data``, found as they are asked for."""
     for law in laws:
         cover = law.gate(*data) if law.gate is not None else None
-        reports += _judge(law, law.sites(*data) if cover is None else cover, data)
-    return reports
+        yield from _judge(law, law.sites(*data) if cover is None else cover, data)
 
 
-def _judge(law: Law, sites: Iterable[tuple[str, ...]], data: tuple) -> list[CheckReport]:
-    reports: list[CheckReport] = []
+def _judge(law: Law, sites: Iterable[tuple[str, ...]], data: tuple) -> Iterator[CheckReport]:
     for site in sites:
         note = None
         try:
@@ -180,10 +206,9 @@ def _judge(law: Law, sites: Iterable[tuple[str, ...]], data: tuple) -> list[Chec
             rhs, rhs_note = None, _undefined(law.rhs, exc)
             note = note or rhs_note
         if note is not None:
-            reports.append(CheckReport(law.name, site, witness_count=0, note=note))
+            yield CheckReport(law.name, site, witness_count=0, note=note)
         elif lhs != rhs:
-            reports.append(CheckReport(law.name, site, lhs=lhs, rhs=rhs))
-    return reports
+            yield CheckReport(law.name, site, lhs=lhs, rhs=rhs)
 
 
 @dataclass(frozen=True)
@@ -215,6 +240,14 @@ class FinCategory:
         """The reports of :func:`validate_category`, found once per instance;
         a raised error is not kept."""
         return tuple(_category_reports(self))
+
+    @cached_property
+    def _opposite(self) -> FinCategory:
+        """The opposite category, built once; its own opposite is ``self``."""
+        op = FinCategory(self.objects, tuple(sorted((m, d, s) for m, s, d in self.morphisms)),
+                         dict(self.identity), {(g, f): h for (f, g), h in self.comp.items()})
+        op.__dict__["_opposite"] = self
+        return op
 
     def has_obj(self, x: Obj) -> bool:
         return x in self._objs
@@ -500,10 +533,10 @@ def product_category(a: FinCategory, b: FinCategory) -> FinCategory:
 
 
 def opposite_category(a: FinCategory) -> FinCategory:
-    """Reverse all morphisms; ids are preserved, so this is an involution."""
-    morphisms = tuple(sorted((m, d, s) for m, s, d in a.morphisms))
-    comp = {(g, f): h for (f, g), h in a.comp.items()}
-    return FinCategory(a.objects, morphisms, dict(a.identity), comp)
+    """Reverse all morphisms; ids are preserved.  Each ``a`` has one
+    opposite, built once, whose opposite is ``a`` itself, so the verdict of
+    :func:`validate_category` on either is found once."""
+    return a._opposite
 
 
 def morphism_inverse(cat: FinCategory, f: Mor) -> Mor | None:
@@ -602,19 +635,11 @@ def functor_law_names(tag: str) -> tuple[str, ...]:
 
 
 def validate_functor(fn: FunctorData, tag: str = "functor") -> list[CheckReport]:
-    """Check totality, src/dst preservation, identities and composition.
-
-    Out of a product A x B (a source whose ``comp`` is a
-    :class:`ProductComp`) composition is decided one variable at a time (Mac
-    Lane, CWM II.3, Prop. 1), once totality, shapes and identities hold.
-    :func:`rebuild_bifunctor` rebuilds ``fn`` from its axes F(f, 1_y) and
-    F(1_x, g) when its premises hold: A, B and the target are valid
-    categories, and the axes are well shaped, send identities to
-    identities, are functors and commute.  When it does, with no entry
-    where the rebuild and ``fn`` differ, ``fn`` is a bifunctor and no
-    composition site is judged.  In every other case every site is judged,
-    so the reports never depend on the shortcut.
-    """
+    """Check totality, src/dst preservation, then the ``FUNCTOR_LAWS`` under
+    ``tag``.  Out of a product A x B (a source whose ``comp`` is a
+    :class:`ProductComp`) composition is judged on its :func:`bifunctor_cover`
+    when :func:`rebuild_bifunctor` rebuilds ``fn`` from its axes (Mac Lane,
+    CWM II.3, Prop. 1), otherwise on every site: the reports are the same."""
     reports: list[CheckReport] = []
     src, dst = fn.srcCat, fn.dstCat
     for x in src.objects:
@@ -634,42 +659,65 @@ def validate_functor(fn: FunctorData, tag: str = "functor") -> list[CheckReport]
         if want_s is not None and want_d is not None:
             if dst.src(ff) != want_s or dst.dst(ff) != want_d:
                 reports.append(CheckReport(f"{tag}.shape", (f, ff), witness_count=0))
-    if reports:
-        return sort_reports(reports)
-    for x in src.objects:
-        if fn.mor(src.id_(x)) != dst.id_(fn.obj(x)):
-            reports.append(CheckReport(f"{tag}.identity", (x,),
-                                       lhs=fn.mor(src.id_(x)), rhs=dst.id_(fn.obj(x))))
-    proved = not reports and _is_bifunctor(fn)
-    reports += _composition_reports(fn, tag, () if proved else src.comp.items())
+    if not reports:
+        reports = evaluate(_tagged(FUNCTOR_LAWS, tag), fn)
     return sort_reports(reports)
 
 
-def _composition_reports(fn: FunctorData, tag: str,
-                         sites: Iterable[tuple[tuple[Mor, Mor], Mor]]) -> list[CheckReport]:
-    """The composition law of ``fn`` judged at ``sites``, entries of the
-    source's composition table."""
-    reports: list[CheckReport] = []
-    dst_comp = fn.dstCat.comp
-    for (f, g), h in sites:
-        lhs = dst_comp.get((fn.mor(f), fn.mor(g)))
-        rhs = fn.mor(h)
-        if lhs != rhs:
-            reports.append(CheckReport(f"{tag}.composition", (f, g), lhs=lhs, rhs=rhs))
-    return reports
+def _tagged(laws: Iterable[Law], tag: str) -> list[Law]:
+    """``laws`` named ``<tag>.<name>``."""
+    return [dataclasses.replace(law, name=f"{tag}.{law.name}") for law in laws]
 
 
-def _is_bifunctor(fn: FunctorData) -> bool:
-    """Whether ``fn``, total and well shaped out of a product, equals the
-    bifunctor :func:`rebuild_bifunctor` rebuilds from its axes."""
+def _composition_gate(fn: FunctorData) -> list[tuple[Mor, Mor]] | None:
+    """The cover of ``fn``'s composition law, in pair ids, or ``None``."""
     comp = fn.srcCat.comp
     if not isinstance(comp, ProductComp):
-        return False
+        return None
     a, b = comp.a, comp.b
     obj = {(x, y): fn.onObjects[pair_id(x, y)] for x in a.objects for y in b.objects}
     mor = {fg: fn.onMorphisms[p] for p, fg in comp.parts.items()}
     rebuild = rebuild_bifunctor(a, b, fn.dstCat, obj, mor)
-    return rebuild is not None and not rebuild[1]
+    if rebuild is None:
+        return None
+    return [(pair_id(f, f2), pair_id(g, g2)) for f, f2, g, g2 in bifunctor_cover(a, b, rebuild[1])]
+
+
+# A functor's own laws, on (fn,): it preserves identities and composites.
+FUNCTOR_LAWS = (
+    Law("identity", lambda fn: product(fn.srcCat.objects),
+        required(lambda fn, x: fn.mor(fn.srcCat.id_(x))),
+        required(lambda fn, x: fn.dstCat.id_(fn.obj(x)))),
+    Law("composition", lambda fn: fn.srcCat.comp,
+        required(lambda fn, f, g: fn.dstCat.comp.get((fn.mor(f), fn.mor(g)))),
+        required(lambda fn, f, g: fn.mor(fn.srcCat.comp[(f, g)])), gate=_composition_gate),
+)
+
+
+def bifunctor_cover(a: FinCategory, b: FinCategory,
+                    defects: Iterable[tuple[Mor, Mor]]) -> tuple[tuple[Mor, Mor, Mor, Mor], ...]:
+    """The composable pairs (f, f2), (g, g2) of valid A x B, as (f, f2, g, g2),
+    at which F : A x B -> C reads an entry of ``defects`` through F(f, f2),
+    F(g, g2) or F(f.g, f2.g2), each once: off ``defects`` F is the bifunctor
+    of :func:`rebuild_bifunctor`, so F's composition law holds off the cover."""
+    def index(cat: FinCategory):
+        post: dict[Obj, list[Mor]] = {}
+        pre: dict[Obj, list[Mor]] = {}
+        for f, s, d in cat.morphisms:
+            post.setdefault(s, []).append(f)
+            pre.setdefault(d, []).append(f)
+        return post, pre, Preimages(cat.comp).fibres
+
+    (post_a, pre_a, fibres_a), (post_b, pre_b, fibres_b) = index(a), index(b)
+    cover: dict[tuple[Mor, ...], None] = {}
+    for d, d2 in sorted(defects):  # at F(f, f2), at F(g, g2), at F(f.g, f2.g2)
+        cover.update(dict.fromkeys(
+            (d, d2, g, g2) for g in post_a[a.dst(d)] for g2 in post_b[b.dst(d2)]))
+        cover.update(dict.fromkeys(
+            (f, f2, d, d2) for f in pre_a[a.src(d)] for f2 in pre_b[b.src(d2)]))
+        cover.update(dict.fromkeys(
+            (f, f2, g, g2) for f, g in fibres_a.get(d, ()) for f2, g2 in fibres_b.get(d2, ())))
+    return tuple(cover)
 
 
 # A bifunctor rebuilt from its axes, and the entries B where the table differs.
@@ -783,6 +831,16 @@ class NatTransData:
     components: Mapping[Obj, Mor]
 
 
+# The naturality square of a transformation, on (nt,), at each morphism.
+NATTRANS_LAWS = (
+    Law("square", lambda nt: product(nt.source.srcCat.mor_ids()),
+        required(lambda nt, f: nt.source.dstCat.compose(
+            nt.source.mor(f), nt.components[nt.source.srcCat.dst(f)])),
+        required(lambda nt, f: nt.source.dstCat.compose(
+            nt.components[nt.source.srcCat.src(f)], nt.target.mor(f)))),
+)
+
+
 def validate_nattrans(nt: NatTransData, tag: str = "nattrans") -> list[CheckReport]:
     reports: list[CheckReport] = []
     src = nt.source.srcCat
@@ -794,14 +852,8 @@ def validate_nattrans(nt: NatTransData, tag: str = "nattrans") -> list[CheckRepo
             continue
         if dst.src(c) != nt.source.obj(x) or dst.dst(c) != nt.target.obj(x):
             reports.append(CheckReport(f"{tag}.shape", (x, c), witness_count=0))
-    if reports:
-        return sort_reports(reports)
-    for f in src.mor_ids():
-        x, y = src.src(f), src.dst(f)
-        lhs = dst.compose(nt.source.mor(f), nt.components[y])
-        rhs = dst.compose(nt.components[x], nt.target.mor(f))
-        if lhs != rhs:
-            reports.append(CheckReport(f"{tag}.square", (f,), lhs=lhs, rhs=rhs))
+    if not reports:
+        reports = evaluate(_tagged(NATTRANS_LAWS, tag), nt)
     return sort_reports(reports)
 
 

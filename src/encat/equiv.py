@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from .core import (
     EncatError,
-    EngineBugError,
     LawFailureError,
     Mor,
     Obj,
     Preimages,
     WitnessError,
+    assert_derived,
+    derived_law,
     morphism_inverse_checked,
     opposite_category,
     structural_equal,
@@ -96,27 +97,23 @@ def _module_phi_tables(vs: VStructureData, cyl: CylinderAssignment) -> dict:
     adjunct-transport route."""
     m = vs.baseV
     base = m.base
-    s = vs.baseS
-    phi: dict = {}
-    for (k, x), kx in cyl.tensor_obj.items():
-        for y in s.objects:
-            table = {}
-            for f in s.hom(kx, y):
-                composed = base.compose(
-                    morphism_inverse_checked(base, m.l(k)),
-                    m.tmor(vs.phi_of(kx, y, f), cyl.alpha[(k, x)]),
-                    vs.b(x, kx, y))
-                transported = varpi_inv(
-                    m,
-                    base.compose(vs.phi_of(kx, y, f), cyl.phibar[(k, x, y)]),
-                    k, vs.hom_obj(x, y))
-                if composed != transported:
-                    raise EngineBugError(
-                        f"derived law failed: the two adjunction routes differ "
-                        f"at ({k!r}, {x!r}, {y!r}, {f!r})")
-                table[f] = composed
-            phi[(k, x, y)] = table
+    phi = {(k, x, y): {f: base.compose(morphism_inverse_checked(base, m.l(k)),
+                                       m.tmor(vs.phi_of(kx, y, f), cyl.alpha[(k, x)]),
+                                       vs.b(x, kx, y)) for f in vs.baseS.hom(kx, y)}
+           for (k, x), kx in cyl.tensor_obj.items() for y in vs.baseS.objects}
+    assert_derived(ADJUNCTION_ROUTE_LAWS, vs, cyl, phi)
     return phi
+
+
+# The element-composition route agrees with the adjunct-transport route.
+ADJUNCTION_ROUTE_LAWS = (
+    derived_law("adjunction routes",
+                lambda vs, cyl, phi: ((*key, f) for key, table in phi.items() for f in table),
+                lambda vs, cyl, phi, k, x, y, f: phi[(k, x, y)][f],
+                lambda vs, cyl, phi, k, x, y, f: varpi_inv(vs.baseV, vs.baseV.base.compose(
+                    vs.phi_of(cyl.tensor_obj[(k, x)], y, f), cyl.phibar[(k, x, y)]),
+                    k, vs.hom_obj(x, y))),
+)
 
 
 def _yoneda_unique_pre(s, src: Obj, dst: Obj, family, what: str) -> Mor:

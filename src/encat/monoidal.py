@@ -18,7 +18,8 @@ is one, so a single faulty axis entry is repaired.  Under the premises
 R(f, g) = A(f, 1) A(1, g) is a bifunctor (Prop. 1) that equals A on the
 axes; B is the set of entries where T and R differ.  A ``tensor.interchange``
 site that reads no entry of B has the sides of R, so it holds: only the sites
-reading B through T(f.g, f2.g2), T(f, f2) or T(g, g2) are judged.  For
+reading B through T(f.g, f2.g2), T(f, f2) or T(g, g2), its
+:func:`~encat.core.bifunctor_cover`, are judged.  For
 ``assoc.natural`` the separate-variable sites (f, 1, 1), (1, f, 1),
 (1, 1, f) are decided on R; when they hold, Prop. 2 makes the associator
 natural for R, and only the sites where (f, g), (T(f, g), h), (g, h) or
@@ -34,10 +35,11 @@ inversion doubles as validation of the adjunction.  The internal transpose
 is likewise computed and verified once per argument and instance.
 
 Derived laws (the unit-coincidence law, the unitor/associator compatibility
-triangle, the evaluation squares, the double-transpose characterization) are
-consequences of the axioms.  Checkers evaluate them only after the axioms
-pass, and raise :class:`EngineBugError` on failure: disagreement there means
-the evaluator is wrong, not the input.
+triangle, the evaluation squares, the double-transpose square and the
+characterizations) are consequences of the axioms, declared outside ``LAWS``
+and judged by :func:`~encat.core.assert_derived` only after the axioms pass;
+it raises :class:`EngineBugError` on failure: disagreement there means the
+evaluator is wrong, not the input.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ from .core import (
     Obj,
     Preimages,
     Rebuild,
+    assert_derived,
+    bifunctor_cover,
+    derived_law,
     evaluate,
     morphism_inverse,
     morphism_inverse_checked,
@@ -194,28 +199,6 @@ class MonoidalData:
             raise MissingTableError(f"braiding table missing ({x!r}, {y!r})") from None
 
 
-def _interchange_gate(m: MonoidalData, base: FinCategory):
-    """The sites that read an entry of B: a site reading none has the sides
-    of the bifunctor R, so it holds."""
-    if m._rebuild is None:
-        return None
-    post: dict[Obj, list[Mor]] = {}
-    pre: dict[Obj, list[Mor]] = {}
-    for f, s, d in base.morphisms:
-        post.setdefault(s, []).append(f)
-        pre.setdefault(d, []).append(f)
-    fibres = Preimages(base.comp).fibres
-    cover: dict[tuple[Mor, ...], None] = {}
-    for b, b2 in sorted(m._rebuild[1]):  # at T(f, f2), at T(g, g2), at T(f.g, f2.g2)
-        cover.update(dict.fromkeys(
-            (b, b2, g, g2) for g in post[base.dst(b)] for g2 in post[base.dst(b2)]))
-        cover.update(dict.fromkeys(
-            (f, f2, b, b2) for f in pre[base.src(b)] for f2 in pre[base.src(b2)]))
-        cover.update(dict.fromkeys(
-            (f, f2, g, g2) for f, g in fibres.get(b, ()) for f2, g2 in fibres.get(b2, ())))
-    return tuple(cover)
-
-
 def _assoc_natural_gate(m: MonoidalData, base: FinCategory):
     """The sites (f, g, h) where (f, g), (T(f, g), h), (g, h) or (f, T(g, h))
     is in B, once the associator is natural for R in each variable alone
@@ -254,7 +237,7 @@ MONOIDAL_LAWS = (
         lambda m, base: ((f, f2, g, g2) for f, g in base.comp for f2, g2 in base.comp),
         lambda m, base, f, f2, g, g2: m.tmor(base.comp[(f, g)], base.comp[(f2, g2)]),
         lambda m, base, f, f2, g, g2: base.compose(m.tmor(f, f2), m.tmor(g, g2)),
-        gate=_interchange_gate),
+        gate=lambda m, base: None if m._rebuild is None else bifunctor_cover(base, base, m._rebuild[1])),
     Law("assoc.natural", lambda m, base: product(base.mor_ids(), repeat=3),
         lambda m, base, f, g, h: base.compose(
             m.tmor(m.tmor(f, g), h), m.a(base.dst(f), base.dst(g), base.dst(h))),
@@ -336,23 +319,18 @@ def check_monoidal(m: MonoidalData) -> list[CheckReport]:
 
     reports = sort_reports(reports)
     if not reports:
-        _derived_monoidal(m)
+        assert_derived(DERIVED_MONOIDAL_LAWS, m, base)
     return reports
 
 
-def _derived_monoidal(m: MonoidalData) -> None:
-    base = m.base
-    if m.l(m.unit) != m.r(m.unit):
-        raise EngineBugError(
-            f"derived law failed: unitors at the unit differ "
-            f"({m.l(m.unit)!r} vs {m.r(m.unit)!r})")
-    for x in base.objects:
-        for y in base.objects:
-            lhs = base.compose(m.a(m.unit, x, y), m.l(m.tobj(x, y)))
-            rhs = m.tmor(m.l(x), base.id_(y))
-            if lhs != rhs:
-                raise EngineBugError(
-                    f"derived law failed: left-unitor triangle at ({x!r}, {y!r})")
+# Consequences of the monoidal axioms, judged once they hold.
+DERIVED_MONOIDAL_LAWS = (
+    derived_law("unitors at the unit", lambda m, base: [()],
+                lambda m, base: m.l(m.unit), lambda m, base: m.r(m.unit)),
+    derived_law("left-unitor triangle", lambda m, base: product(base.objects, repeat=2),
+                lambda m, base, x, y: base.compose(m.a(m.unit, x, y), m.l(m.tobj(x, y))),
+                lambda m, base, x, y: m.tmor(m.l(x), base.id_(y))),
+)
 
 
 SYMMETRY_LAWS = (
@@ -492,7 +470,9 @@ def check_closed(m: MonoidalData) -> list[CheckReport]:
     try:
         reports = sort_reports(evaluate(CLOSED_LAWS, m, base))
         if not reports:
-            _derived_closed(m)
+            assert_derived(DERIVED_CLOSED_LAWS, m, base)
+            for x in objs:
+                iota(m, x)
     except EncatError:
         # these laws also rest on the monoidal axioms, which are not checked
         # here: a failure is the input's exactly when those fail
@@ -503,45 +483,28 @@ def check_closed(m: MonoidalData) -> list[CheckReport]:
     return reports
 
 
-def _derived_closed(m: MonoidalData) -> None:
-    base = m.base
-    objs = base.objects
-    # transpose and un-transpose are mutually inverse
-    for x in objs:
-        for y in objs:
-            for z in objs:
-                for g in base.hom(x, m.hom_obj(y, z)):
-                    if transpose_pi(m, _transpose_forward(m, g, y, z), x, y) != g:
-                        raise EngineBugError("transpose round trip failed")
-    # evaluation square: ev . (1 (x) f) = ev . (hom(f, Z) (x) 1)
-    for f in base.mor_ids():
-        xp, x = base.src(f), base.dst(f)
-        for z in objs:
-            lhs = base.compose(m.tmor(base.id_(m.hom_obj(x, z)), f), m.ev(x, z))
-            rhs = base.compose(
-                m.tmor(hom_on_morphisms(m, f, base.id_(z)), base.id_(xp)), m.ev(xp, z))
-            if lhs != rhs:
-                raise EngineBugError(
-                    f"derived law failed: evaluation square at ({f!r}, {z!r})")
-    # transposing around the right unitor lands in the unit coordinate
-    for f in base.mor_ids():
-        x, y = base.src(f), base.dst(f)
-        lhs = transpose_pi(m, base.compose(m.r(x), f), x, m.unit)
-        rhs = base.compose(f, iota(m, y))
-        if lhs != rhs:
-            raise EngineBugError(f"derived law failed: unit-coordinate square at {f!r}")
-    # the double transpose commutes with the global-element correspondence
-    for x in objs:
-        for y in objs:
-            for z in objs:
-                pb = internal_pi_bar(m, x, y, z)
-                for h in base.hom(m.tobj(x, y), z):
-                    lhs = base.compose(varpi(m, h, m.tobj(x, y), z), pb)
-                    rhs = varpi(m, transpose_pi(m, h, x, y), x, m.hom_obj(y, z))
-                    if lhs != rhs:
-                        raise EngineBugError(
-                            f"derived law failed: double-transpose square at "
-                            f"({x!r}, {y!r}, {z!r}, {h!r})")
+# Consequences of the closed axioms, judged once they hold; with them
+# check_closed runs iota, whose unit-coordinate squares are its own.
+DERIVED_CLOSED_LAWS = (
+    derived_law("transpose round trip",  # transpose and un-transpose are mutually inverse
+        lambda m, base: ((x, y, z, g) for x, y, z in product(base.objects, repeat=3)
+                         for g in base.hom(x, m.hom_obj(y, z))),
+        lambda m, base, x, y, z, g: transpose_pi(m, _transpose_forward(m, g, y, z), x, y),
+        lambda m, base, x, y, z, g: g),
+    derived_law("evaluation square",  # ev . (1 (x) f) = ev . (hom(f, Z) (x) 1)
+        lambda m, base: product(base.mor_ids(), base.objects),
+        lambda m, base, f, z: base.compose(
+            m.tmor(base.id_(m.hom_obj(base.dst(f), z)), f), m.ev(base.dst(f), z)),
+        lambda m, base, f, z: base.compose(
+            m.tmor(hom_on_morphisms(m, f, base.id_(z)), base.id_(base.src(f))),
+            m.ev(base.src(f), z))),
+    derived_law("double-transpose square",  # it commutes with the global elements
+        lambda m, base: ((x, y, z, h) for x, y, z in product(base.objects, repeat=3)
+                         for h in base.hom(m.tobj(x, y), z)),
+        lambda m, base, x, y, z, h: base.compose(
+            varpi(m, h, m.tobj(x, y), z), internal_pi_bar(m, x, y, z)),
+        lambda m, base, x, y, z, h: varpi(m, transpose_pi(m, h, x, y), x, m.hom_obj(y, z))),
+)
 
 
 def hom_on_morphisms(m: MonoidalData, f: Mor, h: Mor) -> Mor:
@@ -619,19 +582,23 @@ def internal_pi_bar(m: MonoidalData, x: Obj, y: Obj, z: Obj) -> Mor:
     composite = base.compose(m.a(h0, x, y), m.ev(xy, z))
     inner = transpose_pi(m, composite, m.tobj(h0, x), y)
     outer = transpose_pi(m, inner, h0, x)
-    # characterization: for every W and f : W (x) (X (x) Y) -> Z the double
-    # transpose of f . a equals pi(f) post-composed with the internal transpose
-    for w in base.objects:
-        for f in base.hom(m.tobj(w, xy), z):
-            lhs = transpose_pi(
-                m, transpose_pi(m, base.compose(m.a(w, x, y), f), m.tobj(w, x), y), w, x)
-            rhs = base.compose(transpose_pi(m, f, w, xy), outer)
-            if lhs != rhs:
-                raise EngineBugError(
-                    f"derived law failed: internal transpose characterization at "
-                    f"({x!r}, {y!r}, {z!r}, W={w!r}, {f!r})")
+    assert_derived(PI_BAR_LAWS, m, outer, (x, y, z))
     m._pi_bars[(x, y, z)] = outer
     return outer
+
+
+# The characterization of the internal transpose ``outer`` at (X, Y, Z): for
+# every W and f : W (x) (X (x) Y) -> Z the double transpose of f . a equals
+# pi(f) post-composed with ``outer``.
+PI_BAR_LAWS = (
+    derived_law("internal transpose characterization",
+                lambda m, outer, key: ((*key, w, f) for w in m.base.objects for f in m.base.hom(
+                    m.tobj(w, m.tobj(*key[:2])), key[2])),
+                lambda m, outer, key, x, y, z, w, f: transpose_pi(m, transpose_pi(
+                    m, m.base.compose(m.a(w, x, y), f), m.tobj(w, x), y), w, x),
+                lambda m, outer, key, x, y, z, w, f: m.base.compose(
+                    transpose_pi(m, f, w, m.tobj(x, y)), outer)),
+)
 
 
 def internal_swap(m: MonoidalData, k: Obj, l: Obj, z: Obj) -> tuple[Mor, Mor, Mor]:
@@ -652,16 +619,19 @@ def internal_swap(m: MonoidalData, k: Obj, l: Obj, z: Obj) -> tuple[Mor, Mor, Mo
 def iota(m: MonoidalData, x: Obj) -> Mor:
     """The unit-coordinate isomorphism X -> hom(I, X)."""
     m.require_closed()
-    base = m.base
     out = transpose_pi(m, m.r(x), x, m.unit)
-    for f in base.mor_ids():
-        if base.dst(f) != x:
-            continue
-        lhs = transpose_pi(m, base.compose(m.r(base.src(f)), f), base.src(f), m.unit)
-        rhs = base.compose(f, out)
-        if lhs != rhs:
-            raise EngineBugError(f"derived law failed: unit-coordinate square at {f!r}")
+    assert_derived(IOTA_LAWS, m, x, out)
     return out
+
+
+# The unit-coordinate square of ``out`` = iota(X) at each f into X.
+IOTA_LAWS = (
+    derived_law("unit-coordinate square",
+                lambda m, x, out: ((f,) for f in m.base.mor_ids() if m.base.dst(f) == x),
+                lambda m, x, out, f: transpose_pi(
+                    m, m.base.compose(m.r(m.base.src(f)), f), m.base.src(f), m.unit),
+                lambda m, x, out, f: m.base.compose(f, out)),
+)
 
 
 def self_vstructure(m: MonoidalData):

@@ -30,7 +30,9 @@ from .core import (
     Obj,
     Preimages,
     WitnessError,
+    assert_derived,
     canonical_diff,
+    derived_law,
     evaluate,
     explained,
     functor_law_names,
@@ -46,6 +48,7 @@ from .core import (
 from .monoidal import (
     MonoidalData,
     hom_on_morphisms,
+    internal_composition_b,
     internal_pi_bar,
     internal_swap,
     transpose_pi,
@@ -262,14 +265,16 @@ def check_vmodule(mod: VModuleData) -> list[CheckReport]:
     reports += evaluate(MODULE_LAWS, mod, m, s)
     reports = sort_reports(reports)
     if not reports:
-        for k in vbase.objects:
-            for x in s.objects:
-                lhs = s.compose(mod.a(m.unit, k, x), mod.l(mod.act_obj(k, x)))
-                rhs = mod.act_mor(m.l(k), s.id_(x))
-                if lhs != rhs:
-                    raise EngineBugError(
-                        f"derived law failed: unit-absorption triangle at ({k!r}, {x!r})")
+        assert_derived(DERIVED_MODULE_LAWS, mod, m, s)
     return reports
+
+
+# A consequence of the module axioms, judged once they hold.
+DERIVED_MODULE_LAWS = (
+    derived_law("unit-absorption triangle", lambda mod, m, s: product(m.base.objects, s.objects),
+                lambda mod, m, s, k, x: s.compose(mod.a(m.unit, k, x), mod.l(mod.act_obj(k, x))),
+                lambda mod, m, s, k, x: mod.act_mor(m.l(k), s.id_(x))),
+)
 
 
 def _counit(tc: TensorClosedModuleData, x: Obj, y: Obj) -> Mor:
@@ -353,22 +358,21 @@ def _adjunction_checks(tc: TensorClosedModuleData, what: str) -> list[CheckRepor
     return reports + evaluate(ADJUNCTION_LAWS, tc, mod, vbase, s)
 
 
+# The evaluation square of the action adjunction, a consequence of the
+# axioms, on the data of ADJUNCTION_LAWS: judged once they hold.
+EVALUATION_SQUARE = (
+    derived_law("module evaluation square",
+                lambda tc, mod, vbase, s: product(s.mor_ids(), s.objects),
+                lambda tc, mod, vbase, s, f, z: s.compose(
+                    mod.act_mor(vbase.id_(tc.hom_obj(s.dst(f), z)), f), _counit(tc, s.dst(f), z)),
+                lambda tc, mod, vbase, s, f, z: s.compose(
+                    mod.act_mor(tc.hom_mor(f, s.id_(z)), s.id_(s.src(f))),
+                    _counit(tc, s.src(f), z))),
+)
+
+
 def _evaluation_square(tc: TensorClosedModuleData) -> None:
-    """The evaluation square of the action adjunction, a consequence of the
-    axioms: run only after they pass, so a failure is an engine bug."""
-    mod = tc.module
-    vbase = mod.baseV.base
-    s = mod.baseS
-    for f in s.mor_ids():
-        x, y = s.src(f), s.dst(f)
-        for z in s.objects:
-            lhs = s.compose(mod.act_mor(vbase.id_(tc.hom_obj(y, z)), f),
-                            _counit(tc, y, z))
-            rhs = s.compose(mod.act_mor(tc.hom_mor(f, s.id_(z)), s.id_(x)),
-                            _counit(tc, x, z))
-            if lhs != rhs:
-                raise EngineBugError(
-                    f"derived law failed: module evaluation square at ({f!r}, {z!r})")
+    assert_derived(EVALUATION_SQUARE, tc, tc.module, tc.module.baseV.base, tc.module.baseS)
 
 
 def check_tensor_closed(tc: TensorClosedModuleData) -> list[CheckReport]:
@@ -451,79 +455,69 @@ def enriched_action(tc: TensorClosedModuleData) -> EnrichedActionData:
     mod = tc.module
     m = mod.baseV
     m.require_closed()
-    vbase = m.base
-    s = mod.baseS
-    from .monoidal import internal_composition_b
-
     ivs = induced_vstructure(tc)
     components = {(k, l, x): _action_component(tc, k, l, x)
-                  for k in vbase.objects for l in vbase.objects for x in s.objects}
-
-    def fail(what: str, site: tuple) -> None:
-        raise EngineBugError(f"derived law failed: {what} at {site!r}")
-
-    for x in s.objects:
-        # composition law of the enriched action
-        for k in vbase.objects:
-            for l in vbase.objects:
-                for mm in vbase.objects:
-                    kx, lx, mx = (mod.act_obj(k, x), mod.act_obj(l, x),
-                                  mod.act_obj(mm, x))
-                    lhs = vbase.compose(internal_composition_b(m, k, l, mm),
-                                        components[(k, mm, x)])
-                    rhs = vbase.compose(
-                        m.tmor(components[(l, mm, x)], components[(k, l, x)]),
-                        ivs.b(kx, lx, mx))
-                    if lhs != rhs:
-                        fail("enriched action composition", (k, l, mm, x))
-        # unit law of the enriched action
-        for k in vbase.objects:
-            kx = mod.act_obj(k, x)
-            lhs = vbase.compose(varpi(m, vbase.id_(k)), components[(k, k, x)])
-            rhs = tc.phi_of(m.unit, kx, kx, mod.l(kx))
-            if lhs != rhs:
-                fail("enriched action unit", (k, x))
-        # enriched naturality of the components in the target variable
-        for k in vbase.objects:
-            for l in vbase.objects:
-                for mm in vbase.objects:
-                    kx, lx, mx = (mod.act_obj(k, x), mod.act_obj(l, x),
-                                  mod.act_obj(mm, x))
-                    lhs = vbase.compose(
-                        transpose_pi(m, internal_composition_b(m, k, l, mm),
-                                     m.hom_obj(l, mm), m.hom_obj(k, l)),
-                        hom_on_morphisms(m, vbase.id_(m.hom_obj(k, l)),
-                                         components[(k, mm, x)]))
-                    rhs = vbase.compose(
-                        components[(l, mm, x)],
-                        transpose_pi(m, ivs.b(kx, lx, mx),
-                                     tc.hom_obj(lx, mx), tc.hom_obj(kx, lx)),
-                        hom_on_morphisms(m, components[(k, l, x)],
-                                         vbase.id_(tc.hom_obj(kx, mx))))
-                    if lhs != rhs:
-                        fail("enriched action naturality", (k, l, mm, x))
-        # element transport: acting on an element is the element of the action
-        for u in vbase.mor_ids():
-            k, l = vbase.src(u), vbase.dst(u)
-            kx, lx = mod.act_obj(k, x), mod.act_obj(l, x)
-            lhs = vbase.compose(varpi(m, u), components[(k, l, x)])
-            rhs = tc.phi_of(m.unit, kx, lx,
-                            s.compose(mod.l(kx), mod.act_mor(u, s.id_(x))))
-            if lhs != rhs:
-                fail("enriched action element transport", (u, x))
-        # enriched naturality of the evaluations
-        for y in s.objects:
-            for z in s.objects:
-                sxy = tc.hom_obj(x, y)
-                sxy_x = mod.act_obj(sxy, x)
-                lhs = tc.hom_mor(_counit(tc, x, y), s.id_(z))
-                rhs = vbase.compose(
-                    transpose_pi(m, ivs.b(x, y, z), tc.hom_obj(y, z), sxy),
-                    components[(sxy, tc.hom_obj(x, z), x)],
-                    tc.hom_mor(s.id_(sxy_x), _counit(tc, x, z)))
-                if lhs != rhs:
-                    fail("evaluation enriched naturality", (x, y, z))
+                  for k in m.base.objects for l in m.base.objects for x in mod.baseS.objects}
+    assert_derived(ENRICHED_ACTION_LAWS, tc, mod, m, ivs, components)
     return EnrichedActionData(components=components)
+
+
+def _action_naturality(tc, mod, m, ivs, c, k, l, mm, x) -> Mor:
+    kx, lx, mx = mod.act_obj(k, x), mod.act_obj(l, x), mod.act_obj(mm, x)
+    return m.base.compose(
+        c[(l, mm, x)],
+        transpose_pi(m, ivs.b(kx, lx, mx), tc.hom_obj(lx, mx), tc.hom_obj(kx, lx)),
+        hom_on_morphisms(m, c[(k, l, x)], m.base.id_(tc.hom_obj(kx, mx))))
+
+
+def _evaluation_naturality(tc, mod, m, ivs, c, x, y, z) -> Mor:
+    sxy = tc.hom_obj(x, y)
+    return m.base.compose(
+        transpose_pi(m, ivs.b(x, y, z), tc.hom_obj(y, z), sxy), c[(sxy, tc.hom_obj(x, z), x)],
+        tc.hom_mor(mod.baseS.id_(mod.act_obj(sxy, x)), _counit(tc, x, z)))
+
+
+def _action_sites(tc, mod, m, ivs, c):
+    """Sites (K, L, M, X), X outermost."""
+    return ((*klm, x) for x in mod.baseS.objects for klm in product(m.base.objects, repeat=3))
+
+
+# The laws of the enriched action, consequences of the axioms, on (tc, its
+# module, the base, the induced hom structure ivs, the components c).
+ENRICHED_ACTION_LAWS = (
+    derived_law("enriched action composition", _action_sites,
+                lambda tc, mod, m, ivs, c, k, l, mm, x: m.base.compose(
+                    internal_composition_b(m, k, l, mm), c[(k, mm, x)]),
+                lambda tc, mod, m, ivs, c, k, l, mm, x: m.base.compose(
+                    m.tmor(c[(l, mm, x)], c[(k, l, x)]),
+                    ivs.b(mod.act_obj(k, x), mod.act_obj(l, x), mod.act_obj(mm, x)))),
+    derived_law("enriched action unit",
+                lambda tc, mod, m, ivs, c: ((k, x) for x in mod.baseS.objects
+                                            for k in m.base.objects),
+                lambda tc, mod, m, ivs, c, k, x: m.base.compose(
+                    varpi(m, m.base.id_(k)), c[(k, k, x)]),
+                lambda tc, mod, m, ivs, c, k, x: tc.phi_of(
+                    m.unit, mod.act_obj(k, x), mod.act_obj(k, x), mod.l(mod.act_obj(k, x)))),
+    derived_law("enriched action naturality", _action_sites,  # in the target variable
+                lambda tc, mod, m, ivs, c, k, l, mm, x: m.base.compose(
+                    transpose_pi(m, internal_composition_b(m, k, l, mm),
+                                 m.hom_obj(l, mm), m.hom_obj(k, l)),
+                    hom_on_morphisms(m, m.base.id_(m.hom_obj(k, l)), c[(k, mm, x)])),
+                _action_naturality),
+    derived_law("enriched action element transport",  # acting on an element
+                lambda tc, mod, m, ivs, c: product(m.base.mor_ids(), mod.baseS.objects),
+                lambda tc, mod, m, ivs, c, u, x: m.base.compose(
+                    varpi(m, u), c[(m.base.src(u), m.base.dst(u), x)]),
+                lambda tc, mod, m, ivs, c, u, x: tc.phi_of(
+                    m.unit, mod.act_obj(m.base.src(u), x), mod.act_obj(m.base.dst(u), x),
+                    mod.baseS.compose(mod.l(mod.act_obj(m.base.src(u), x)),
+                                      mod.act_mor(u, mod.baseS.id_(x))))),
+    derived_law("evaluation enriched naturality",
+                lambda tc, mod, m, ivs, c: product(mod.baseS.objects, repeat=3),
+                lambda tc, mod, m, ivs, c, x, y, z: tc.hom_mor(
+                    _counit(tc, x, y), mod.baseS.id_(z)),
+                _evaluation_naturality),
+)
 
 
 def module_phibar(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj,
@@ -561,18 +555,7 @@ def module_phibar(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj,
     if not verify:
         return phibar
 
-    for l in vbase.objects:
-        for g in s.hom(mod.act_obj(l, kx), y):
-            lhs = transpose_pi(
-                m,
-                tc.phi_of(m.tobj(l, k), x, y, s.compose(mod.a(l, k, x), g)),
-                l, k)
-            rhs = vbase.compose(tc.phi_of(l, kx, y, g), phibar)
-            if lhs != rhs:
-                raise EngineBugError(
-                    f"derived law failed: internal adjunct characterization at "
-                    f"({k!r}, {x!r}, {y!r}, L={l!r}, {g!r})")
-
+    assert_derived(PHIBAR_LAWS, mod, tc, phibar, (k, x, y))
     if tc._is_self_module:
         if phibar != internal_pi_bar(m, k, x, y):
             raise EngineBugError(
@@ -590,6 +573,21 @@ def module_phibar(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj,
                 "derived law failed: unravelled self-module adjunct "
                 "differs from the double evaluation")
     return phibar
+
+
+# The characterization of the internal adjunct ``phibar`` at (K, X, Y): for
+# every L and g : L (x) (K (x) X) -> Y, transposing the adjunct of g . a
+# gives the adjunct of g followed by ``phibar``.
+PHIBAR_LAWS = (
+    derived_law("internal adjunct characterization",
+                lambda mod, tc, phibar, key: ((*key, l, g) for l in mod.baseV.base.objects
+                                              for g in mod.baseS.hom(mod.act_obj(
+                                                  l, mod.act_obj(*key[:2])), key[2])),
+                lambda mod, tc, phibar, key, k, x, y, l, g: transpose_pi(mod.baseV, tc.phi_of(
+                    mod.baseV.tobj(l, k), x, y, mod.baseS.compose(mod.a(l, k, x), g)), l, k),
+                lambda mod, tc, phibar, key, k, x, y, l, g: mod.baseV.base.compose(
+                    tc.phi_of(l, mod.act_obj(k, x), y, g), phibar)),
+)
 
 
 def dual_module(bm: ClosedBimoduleData) -> VModuleData:

@@ -27,6 +27,8 @@ from .core import (
     Obj,
     Preimages,
     WitnessError,
+    assert_derived,
+    derived_law,
     evaluate,
     functor_law_names,
     morphism_inverse,
@@ -213,58 +215,65 @@ CYLINDER_LAWS = (
 )
 
 
+def _assignment_reports(vs: VStructureData, kind: str, names: tuple[str, str],
+                        objs: Mapping, elements: Mapping, isos: Mapping,
+                        hom) -> list[CheckReport]:
+    """Shapes of a cylinder (``hom`` is the hom object) or path (``hom`` with
+    its arguments swapped) assignment and isomorphy of its family, at every
+    (K, X, Y); a missing entry raises.  ``names`` name the two tables."""
+    m = vs.baseV
+    base = m.base
+    s = vs.baseS
+    element, iso = names
+    reports: list[CheckReport] = []
+    for k in base.objects:
+        for x in s.objects:
+            kx = objs.get((k, x))
+            if kx is None or not s.has_obj(kx):
+                raise MissingTableError(f"{kind} object missing/undeclared at ({k!r}, {x!r})")
+            al = elements.get((k, x))
+            if al is None:
+                raise MissingTableError(f"{kind} {element} missing at ({k!r}, {x!r})")
+            if not (base.has_mor(al) and base.src(al) == k and base.dst(al) == hom(x, kx)):
+                reports.append(CheckReport(f"{kind}.shape", (k, x, al), witness_count=0))
+            for y in s.objects:
+                pb = isos.get((k, x, y))
+                if pb is None:
+                    raise MissingTableError(f"{kind} {iso} missing at ({k!r}, {x!r}, {y!r})")
+                ok = (base.has_mor(pb) and base.src(pb) == hom(kx, y)
+                      and base.dst(pb) == m.hom_obj(k, hom(x, y)))
+                if not ok:
+                    reports.append(CheckReport(f"{kind}.shape", (k, x, y, pb), witness_count=0))
+                elif morphism_inverse(base, pb) is None:
+                    reports.append(CheckReport(f"{kind}.{iso}-iso", (k, x, y), witness_count=0))
+    return reports
+
+
 def check_cylinder(vs: VStructureData, cyl: CylinderAssignment) -> list[CheckReport]:
     """Isomorphy of the adjunct family and its compatibility square with the
     coevaluation elements, at every (K, X, Y)."""
     m = vs.baseV
     m.require_closed()
-    base = m.base
-    s = vs.baseS
-    reports: list[CheckReport] = []
-
-    for k in base.objects:
-        for x in s.objects:
-            kx = cyl.tensor_obj.get((k, x))
-            if kx is None or not s.has_obj(kx):
-                raise MissingTableError(f"cylinder object missing/undeclared at ({k!r}, {x!r})")
-            al = cyl.alpha.get((k, x))
-            if al is None:
-                raise MissingTableError(f"cylinder alpha missing at ({k!r}, {x!r})")
-            if not (base.has_mor(al) and base.src(al) == k
-                    and base.dst(al) == vs.hom_obj(x, kx)):
-                reports.append(CheckReport("cylinder.shape", (k, x, al), witness_count=0))
-            for y in s.objects:
-                pb = cyl.phibar.get((k, x, y))
-                if pb is None:
-                    raise MissingTableError(f"cylinder phibar missing at ({k!r}, {x!r}, {y!r})")
-                ok = (base.has_mor(pb)
-                      and base.src(pb) == vs.hom_obj(kx, y)
-                      and base.dst(pb) == m.hom_obj(k, vs.hom_obj(x, y)))
-                if not ok:
-                    reports.append(CheckReport("cylinder.shape", (k, x, y, pb), witness_count=0))
-                elif morphism_inverse(base, pb) is None:
-                    reports.append(CheckReport("cylinder.phibar-iso", (k, x, y), witness_count=0))
-
+    reports = _assignment_reports(vs, "cylinder", ("alpha", "phibar"), cyl.tensor_obj,
+                                  cyl.alpha, cyl.phibar, vs.hom_obj)
     reports += evaluate(CYLINDER_LAWS, vs, cyl, m)
     reports = sort_reports(reports)
     if not reports and not check_vstructure(vs):
-        _derived_cylinder(vs, cyl)
+        assert_derived(DERIVED_CYLINDER_LAWS, vs, cyl, m)
     return reports
 
 
-def _derived_cylinder(vs: VStructureData, cyl: CylinderAssignment) -> None:
-    """Adjunct transport of elements agrees with the coevaluation route."""
-    m = vs.baseV
-    base = m.base
-    s = vs.baseS
-    for (k, x), kx in cyl.tensor_obj.items():
-        for y in s.objects:
-            for f in s.hom(kx, y):
-                lhs = base.compose(vs.phi_of(kx, y, f), cyl.phibar[(k, x, y)])
-                rhs = varpi(m, base.compose(cyl.alpha[(k, x)], vs.hom_mor(s.id_(x), f)))
-                if lhs != rhs:
-                    raise EngineBugError(
-                        f"derived law failed: element transport at ({k!r}, {x!r}, {y!r}, {f!r})")
+# Adjunct transport of elements agrees with the coevaluation route: a
+# consequence of the cylinder and hom-structure axioms, judged once they hold.
+DERIVED_CYLINDER_LAWS = (
+    derived_law("element transport",
+                lambda vs, cyl, m: ((k, x, y, f) for (k, x), kx in cyl.tensor_obj.items()
+                                    for y in vs.baseS.objects for f in vs.baseS.hom(kx, y)),
+                lambda vs, cyl, m, k, x, y, f: m.base.compose(
+                    vs.phi_of(cyl.tensor_obj[(k, x)], y, f), cyl.phibar[(k, x, y)]),
+                lambda vs, cyl, m, k, x, y, f: varpi(m, m.base.compose(
+                    cyl.alpha[(k, x)], vs.hom_mor(vs.baseS.id_(x), f)))),
+)
 
 
 def dualize_path(pth: PathAssignment) -> CylinderAssignment:
@@ -295,33 +304,8 @@ def check_path(vs: VStructureData, pth: PathAssignment) -> list[CheckReport]:
     m = vs.baseV
     m.require_symmetry()
     m.require_closed()
-    base = m.base
-    s = vs.baseS
-    reports: list[CheckReport] = []
-
-    for k in base.objects:
-        for x in s.objects:
-            kx = pth.path_obj.get((k, x))
-            if kx is None or not s.has_obj(kx):
-                raise MissingTableError(f"path object missing/undeclared at ({k!r}, {x!r})")
-            be = pth.beta.get((k, x))
-            if be is None:
-                raise MissingTableError(f"path beta missing at ({k!r}, {x!r})")
-            if not (base.has_mor(be) and base.src(be) == k
-                    and base.dst(be) == vs.hom_obj(kx, x)):
-                reports.append(CheckReport("path.shape", (k, x, be), witness_count=0))
-            for y in s.objects:
-                pb = pth.psibar.get((k, x, y))
-                if pb is None:
-                    raise MissingTableError(f"path psibar missing at ({k!r}, {x!r}, {y!r})")
-                ok = (base.has_mor(pb)
-                      and base.src(pb) == vs.hom_obj(y, kx)
-                      and base.dst(pb) == m.hom_obj(k, vs.hom_obj(y, x)))
-                if not ok:
-                    reports.append(CheckReport("path.shape", (k, x, y, pb), witness_count=0))
-                elif morphism_inverse(base, pb) is None:
-                    reports.append(CheckReport("path.psibar-iso", (k, x, y), witness_count=0))
-
+    reports = _assignment_reports(vs, "path", ("beta", "psibar"), pth.path_obj, pth.beta,
+                                  pth.psibar, lambda x, y: vs.hom_obj(y, x))
     reports += evaluate(PATH_LAWS, vs, pth, m)
     reports = sort_reports(reports)
 
@@ -402,6 +386,20 @@ def cylinder_unique_iso(vs: VStructureData, cyl_a: CylinderAssignment,
     return f
 
 
+def _first_route(base, s, u_tensor, k_tensor, u: Mor, v: Mor) -> Mor:
+    """K (x) v, then u (x) Y, for u : K -> L and v : X -> Y."""
+    return s.compose(k_tensor(base.src(u), v), u_tensor(u, s.dst(v)))
+
+
+# The two partial routes of a pair agree, on (base, S, the partial actions).
+INTERCHANGE_LAWS = (
+    derived_law("action interchange",
+                lambda base, s, u_tensor, k_tensor: product(base.mor_ids(), s.mor_ids()),
+                _first_route, lambda base, s, u_tensor, k_tensor, u, v: s.compose(
+                    u_tensor(u, s.src(v)), k_tensor(base.dst(u), v))),
+)
+
+
 def induced_tensor_bifunctor(vs: VStructureData, cyl: CylinderAssignment) -> FunctorData:
     """The action bifunctor forced by a cylinder assignment.
 
@@ -441,66 +439,49 @@ def induced_tensor_bifunctor(vs: VStructureData, cyl: CylinderAssignment) -> Fun
                 count=len(witnesses))
         return f
 
+    assert_derived(INTERCHANGE_LAWS, base, s, u_tensor, k_tensor,
+                   fail=lambda law, site: WitnessError(f"{law} failed at {site!r}", count=2))
     on_objects = {pair_id(k, x): kx for (k, x), kx in cyl.tensor_obj.items()}
-    on_morphisms = {}
-    for u in base.mor_ids():
-        for v in s.mor_ids():
-            k, l = base.src(u), base.dst(u)
-            x, y = s.src(v), s.dst(v)
-            first = s.compose(k_tensor(k, v), u_tensor(u, y))
-            second = s.compose(u_tensor(u, x), k_tensor(l, v))
-            if first != second:
-                raise WitnessError(
-                    f"action interchange failed at ({u!r}, {v!r})", count=2)
-            on_morphisms[pair_id(u, v)] = first
-
+    on_morphisms = {pair_id(u, v): _first_route(base, s, u_tensor, k_tensor, u, v)
+                    for u in base.mor_ids() for v in s.mor_ids()}
     fn = FunctorData(product_category(base, s), s, on_objects, on_morphisms)
     bad = validate_functor(fn, tag="action")
     if bad:
         raise WitnessError(f"induced action is not a functor: {bad[0]}", count=0)
-    _check_phibar_naturality(vs, cyl, fn)
+    assert_derived(PHIBAR_NATURALITY_LAWS, vs, cyl, m, fn, fail=lambda which, site: WitnessError(
+        f"adjunct family not natural in {which} at {site!r}", count=0))
     return fn
 
 
-def _check_phibar_naturality(vs: VStructureData, cyl: CylinderAssignment,
-                             action: FunctorData) -> None:
-    """The adjunct family is natural in all three arguments once the action
-    exists; failure signals an invalid cylinder."""
-    m = vs.baseV
-    base = m.base
-    s = vs.baseS
-
-    def fail(which: str, site: tuple) -> None:
-        raise WitnessError(f"adjunct family not natural in {which} at {site!r}", count=0)
-
-    for u in base.mor_ids():
-        k, l = base.src(u), base.dst(u)
-        for x in s.objects:
-            ux = action.mor(pair_id(u, s.id_(x)))
-            for y in s.objects:
-                lhs = base.compose(vs.hom_mor(ux, s.id_(y)), cyl.phibar[(k, x, y)])
-                rhs = base.compose(cyl.phibar[(l, x, y)],
-                                   hom_on_morphisms(m, u, base.id_(vs.hom_obj(x, y))))
-                if lhs != rhs:
-                    fail("the tensor variable", (u, x, y))
-    for v in s.mor_ids():
-        w, x = s.src(v), s.dst(v)
-        for k in base.objects:
-            kv = action.mor(pair_id(base.id_(k), v))
-            for y in s.objects:
-                lhs = base.compose(vs.hom_mor(kv, s.id_(y)), cyl.phibar[(k, w, y)])
-                rhs = base.compose(cyl.phibar[(k, x, y)],
-                                   hom_on_morphisms(m, base.id_(k), vs.hom_mor(v, s.id_(y))))
-                if lhs != rhs:
-                    fail("the source variable", (v, k, y))
-    for w in s.mor_ids():
-        y, z = s.src(w), s.dst(w)
-        for (k, x), kx in cyl.tensor_obj.items():
-            lhs = base.compose(vs.hom_mor(s.id_(kx), w), cyl.phibar[(k, x, z)])
-            rhs = base.compose(cyl.phibar[(k, x, y)],
-                               hom_on_morphisms(m, base.id_(k), vs.hom_mor(s.id_(x), w)))
-            if lhs != rhs:
-                fail("the target variable", (w, k, x))
+# The adjunct family is natural in all three arguments once the action
+# exists, on (vs, cyl, base, action); failure signals an invalid cylinder.
+PHIBAR_NATURALITY_LAWS = (
+    derived_law("the tensor variable",
+                lambda vs, cyl, m, act: product(m.base.mor_ids(), vs.baseS.objects, vs.baseS.objects),
+                lambda vs, cyl, m, act, u, x, y: m.base.compose(
+                    vs.hom_mor(act.mor(pair_id(u, vs.baseS.id_(x))), vs.baseS.id_(y)),
+                    cyl.phibar[(m.base.src(u), x, y)]),
+                lambda vs, cyl, m, act, u, x, y: m.base.compose(
+                    cyl.phibar[(m.base.dst(u), x, y)],
+                    hom_on_morphisms(m, u, m.base.id_(vs.hom_obj(x, y))))),
+    derived_law("the source variable",
+                lambda vs, cyl, m, act: product(vs.baseS.mor_ids(), m.base.objects, vs.baseS.objects),
+                lambda vs, cyl, m, act, v, k, y: m.base.compose(
+                    vs.hom_mor(act.mor(pair_id(m.base.id_(k), v)), vs.baseS.id_(y)),
+                    cyl.phibar[(k, vs.baseS.src(v), y)]),
+                lambda vs, cyl, m, act, v, k, y: m.base.compose(
+                    cyl.phibar[(k, vs.baseS.dst(v), y)],
+                    hom_on_morphisms(m, m.base.id_(k), vs.hom_mor(v, vs.baseS.id_(y))))),
+    derived_law("the target variable",
+                lambda vs, cyl, m, act: ((w, k, x) for w in vs.baseS.mor_ids()
+                                         for k, x in cyl.tensor_obj),
+                lambda vs, cyl, m, act, w, k, x: m.base.compose(
+                    vs.hom_mor(vs.baseS.id_(cyl.tensor_obj[(k, x)]), w),
+                    cyl.phibar[(k, x, vs.baseS.dst(w))]),
+                lambda vs, cyl, m, act, w, k, x: m.base.compose(
+                    cyl.phibar[(k, x, vs.baseS.src(w))],
+                    hom_on_morphisms(m, m.base.id_(k), vs.hom_mor(vs.baseS.id_(x), w)))),
+)
 
 
 #: The laws declared here, and the names the checkers report under outside them.

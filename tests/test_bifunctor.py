@@ -3,10 +3,11 @@ one variable at a time.
 
 ``product_category`` computes its composition table entry by entry from the
 factors' tables; it must read exactly as the table written out.
-``validate_functor`` skips the composition sweep of a functor out of a
-product when ``rebuild_bifunctor`` rebuilds it from its axes with no defect
-(Mac Lane, CWM II.3, Prop. 1); with that shortcut switched off it judges
-every site.  On every single-entry swap (the value replaced by each other
+``validate_functor`` judges the composition law of a functor out of a
+product only on its cover, the sites that read an entry where the functor
+and the bifunctor ``rebuild_bifunctor`` rebuilds from its axes differ (Mac
+Lane, CWM II.3, Prop. 1); with the law's gate switched off it judges every
+site.  On every single-entry swap (the value replaced by each other
 morphism of the target) and deletion of the action, hom functor and cotensor
 morphism tables of the module builtins, ``check_closed_module`` must give
 the same reports both ways, or raise the same error with the same message.
@@ -175,28 +176,32 @@ def outcome(check, *data):
 
 
 def spy(mp) -> list[tuple[FunctorData, list]]:
-    """Record each composition sweep of ``validate_functor`` and its sites."""
+    """Record each composition sweep of ``validate_functor``: the functor and
+    the sites ``core._judge`` judges."""
     seen = []
-    judge = core._composition_reports
+    judge = core._judge
+    composition = core.FUNCTOR_LAWS[1].sites
 
-    def recording(fn, tag, sites):
+    def recording(law, sites, data):
         sites = list(sites)
-        seen.append((fn, sites))
-        return judge(fn, tag, sites)
+        if law.sites is composition:
+            seen.append((data[0], sites))
+        return judge(law, sites, data)
 
-    mp.setattr(core, "_composition_reports", recording)
+    mp.setattr(core, "_judge", recording)
     return seen
 
 
 def full_sweep(check, *data):
-    """The reference: ``check`` with the shortcut off, asserted to have
-    judged every composition site of every sweep it reached."""
+    """The reference: ``check`` with the gate-free composition law, asserted
+    to have judged every composition site of every functor it reached."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_is_bifunctor", lambda fn: False)
+        mp.setattr(core, "FUNCTOR_LAWS", tuple(
+            dataclasses.replace(law, gate=None) for law in core.FUNCTOR_LAWS))
         seen = spy(mp)
         got = outcome(check, *data)
     for fn, sites in seen:
-        assert sites == list(fn.srcCat.comp.items())
+        assert sites == list(fn.srcCat.comp)
     return got
 
 
@@ -258,6 +263,21 @@ def test_a_lawful_action_judges_no_composition_site(monkeypatch):
     assert check_closed_module(cm) == []
     assert len(seen) == 4 and all(sites == [] for _, sites in seen)
     assert len(cm.tensorClosed.module.action.srcCat.comp) == 64 * 64
+
+
+def test_an_axis_mutant_is_judged_on_its_cover_only(monkeypatch):
+    """The self(cyc(8)) action with (0, 5) |-> 1: the rebuild repairs the
+    axis entry, B = {(0, 5)}, and only the sites reading it are judged."""
+    cm = module_self(build_cyc(8))
+    action = cm.tensorClosed.module.action
+    mutant = dataclasses.replace(action, onMorphisms={**action.onMorphisms, "(0,5)": "1"})
+    reference = full_sweep(validate_functor, mutant)
+    seen = spy(monkeypatch)
+    got = validate_functor(mutant)
+    assert got == reference and len(got) == 186
+    [(fn, sites)] = seen
+    cover = {key for key, h in action.srcCat.comp.items() if "(0,5)" in (*key, h)}
+    assert fn is mutant and len(sites) == len(set(sites)) == 189 and set(sites) == cover
 
 
 MODULES = {"poset-diamond": build_poset_module, "self(bool)": lambda: module_self(build_bool()),

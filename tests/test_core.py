@@ -195,6 +195,33 @@ def test_opposite_reverses_and_is_involutive(bool_m, trop3):
     assert structural_equal(opposite_category(opposite_category(trop3.base)), trop3.base)
 
 
+def test_each_category_has_one_opposite():
+    base = build_trop(3).base
+    op = opposite_category(base)
+    assert opposite_category(base) is op and opposite_category(op) is base
+
+
+@pytest.mark.parametrize("name", ["poset-diamond", "self(bool)", "self(cyc(3))"])
+def test_a_bimodule_check_validates_each_category_once(monkeypatch, name):
+    """V, S and S^op: the hom functor's source and the cotensor's share
+    one S^op, and the reversed hom functor's source is S^op^op = S."""
+    import encat.core as core
+    from encat.cli import run_checks
+    from encat.equiv import bimodule_completion
+    from encat.interface import Document, parse, serialize
+
+    _, cm = build_instance(parse_instance_name(name))
+    doc = parse(serialize(Document("bimodule", bimodule_completion(cm))))
+    swept = []
+    real = core._category_reports
+    monkeypatch.setattr(core, "_category_reports", lambda cat: swept.append(cat) or real(cat))
+    assert run_checks(doc) == []
+    bm = doc.data
+    s = bm.closedModule.tensorClosed.module.baseS
+    v = bm.closedModule.tensorClosed.module.baseV.base
+    assert len(swept) == 3 and {id(c) for c in swept} == {id(v), id(s), id(opposite_category(s))}
+
+
 def test_morphism_inverse(bool_m, cyc3):
     assert morphism_inverse(bool_m.base, "id:0") == "id:0"
     assert morphism_inverse(bool_m.base, "m01") is None

@@ -1,0 +1,170 @@
+"""Derived laws: consequences of the axioms, judged by ``core.assert_derived``.
+
+The runner judges law by law and site by site, stops at the first unequal
+site and raises there; an error a side raises escapes with its own type.
+Every derived-law tuple of the package is live: on a lawful input, each of
+its laws is reached from the checker or construction that runs it, and a
+lying side makes that entry point raise, naming the law.
+"""
+
+import dataclasses
+
+import pytest
+
+import encat.equiv as equiv
+import encat.monoidal as mon
+import encat.vmodule as vmod
+import encat.vstruct as vst
+from encat.core import (
+    EngineBugError,
+    Law,
+    MissingTableError,
+    WitnessError,
+    assert_derived,
+    derived_law,
+    evaluate,
+    required,
+)
+from encat.instances import build_cyc, build_poset_module, build_trop, module_self
+
+
+def recording_law(name, sites, bad, seen):
+    """A derived law over ``sites`` whose sides differ only at ``bad``;
+    each judged site is appended to ``seen``."""
+    return derived_law(name, lambda: sites,
+                       lambda *site: seen.append(site) or "x",
+                       lambda *site: "y" if site == bad else "x")
+
+
+def test_the_runner_stops_at_the_first_unequal_site():
+    seen = []
+    laws = (recording_law("first", [("a",), ("b",), ("c",)], ("b",), seen),
+            recording_law("second", [("d",)], ("d",), seen))
+    with pytest.raises(EngineBugError, match=r"^derived law failed: first at \('b',\)$"):
+        assert_derived(laws)
+    assert seen == [("a",), ("b",)]
+
+
+def test_the_runner_judges_laws_in_order_and_passes_when_all_hold():
+    seen = []
+    laws = (recording_law("first", [("a",)], None, seen),
+            recording_law("second", [("b", "c")], ("b", "c"), seen))
+    with pytest.raises(EngineBugError, match=r"second at \('b', 'c'\)$"):
+        assert_derived(laws)
+    assert seen == [("a",), ("b", "c")]
+    assert assert_derived(laws[:1]) is None
+
+
+def missing(*site):
+    raise MissingTableError("no such entry")
+
+
+def test_a_side_error_escapes_with_its_own_type():
+    law = derived_law("law", lambda: [("a",)], lambda *site: missing(), lambda *site: "x")
+    with pytest.raises(MissingTableError, match="no such entry"):
+        assert_derived((law,))
+    with pytest.raises(MissingTableError):  # the same side in a report sweep
+        evaluate((law,))
+    # an unmarked side of a checked law leaves its site undefined instead
+    [report] = evaluate((Law("law", lambda: [("a",)], lambda *site: missing(),
+                             lambda *site: "x"),))
+    assert report.witness_count == 0 and report.note == "composite undefined"
+
+
+def test_the_failure_can_be_named_by_the_caller():
+    law = recording_law("the source variable", [("v", "k", "y")], ("v", "k", "y"), [])
+    with pytest.raises(WitnessError) as err:
+        assert_derived((law,), fail=lambda which, site: WitnessError(
+            f"adjunct family not natural in {which} at {site!r}", count=0))
+    assert str(err.value) == "adjunct family not natural in the source variable at ('v', 'k', 'y')"
+    assert err.value.count == 0
+
+
+def _cylinder(m):
+    return mon.self_vstructure(m), mon.self_cylinder(m)
+
+
+def _tensor_closed():
+    return build_poset_module().tensorClosed
+
+
+# Each derived-law tuple, the entry point that judges it on a lawful input,
+# and the error its failure raises: (class, message prefix, count).
+ENGINE_BUG = (EngineBugError, "derived law failed: {} at (", None)
+FAMILIES = {
+    "DERIVED_MONOIDAL_LAWS": (mon, lambda: mon.check_monoidal(build_cyc(3)), ENGINE_BUG),
+    "DERIVED_CLOSED_LAWS": (mon, lambda: mon.check_closed(build_trop(3)), ENGINE_BUG),
+    "IOTA_LAWS": (mon, lambda: mon.check_closed(build_trop(3)), ENGINE_BUG),
+    "PI_BAR_LAWS": (mon, lambda: mon.internal_pi_bar(build_trop(3), "1", "1", "2"), ENGINE_BUG),
+    "DERIVED_MODULE_LAWS": (vmod, lambda: vmod.check_vmodule(_tensor_closed().module),
+                            ENGINE_BUG),
+    "EVALUATION_SQUARE": (vmod, lambda: vmod.check_tensor_closed(_tensor_closed()), ENGINE_BUG),
+    "ENRICHED_ACTION_LAWS": (vmod, lambda: vmod.enriched_action(_tensor_closed()), ENGINE_BUG),
+    "PHIBAR_LAWS": (vmod, lambda: vmod.module_phibar(
+        module_self(build_trop(3)).tensorClosed, "1", "1", "2"), ENGINE_BUG),
+    "DERIVED_CYLINDER_LAWS": (vst, lambda: vst.check_cylinder(*_cylinder(build_cyc(3))),
+                              ENGINE_BUG),
+    "PHIBAR_NATURALITY_LAWS": (vst, lambda: vst.induced_tensor_bifunctor(
+        *_cylinder(build_trop(3))), (WitnessError, "adjunct family not natural in {} at (", 0)),
+    "INTERCHANGE_LAWS": (vst, lambda: vst.induced_tensor_bifunctor(*_cylinder(build_trop(3))),
+                         (WitnessError, "{} failed at (", 2)),
+    "ADJUNCTION_ROUTE_LAWS": (equiv, lambda: equiv.cylinder_to_module(*_cylinder(build_cyc(3))),
+                              ENGINE_BUG),
+}
+CASES = [(family, i) for family, (module, _, _) in FAMILIES.items()
+         for i in range(len(getattr(module, family)))]
+
+
+def test_every_derived_law_tuple_is_listed():
+    """Every tuple of laws a module declares outside its ``LAWS``."""
+    declared = {name for module in (mon, vmod, vst, equiv) for name, value in vars(module).items()
+                if isinstance(value, tuple) and value and isinstance(value[0], Law)
+                and not set(value) <= set(getattr(module, "LAWS", ()))}
+    assert declared == set(FAMILIES)
+
+
+@pytest.mark.parametrize("family,index", CASES)
+def test_each_derived_law_is_judged_and_a_lie_is_caught(monkeypatch, family, index):
+    module, run, (error, prefix, count) = FAMILIES[family]
+    run()  # lawful: every derived law holds
+    laws = getattr(module, family)
+    lie = dataclasses.replace(laws[index], rhs=required(lambda *args: "a lie"))
+    monkeypatch.setattr(module, family, laws[:index] + (lie,) + laws[index + 1:])
+    with pytest.raises(error) as err:
+        run()
+    assert str(err.value).startswith(prefix.format(lie.name)), str(err.value)
+    if count is not None:
+        assert err.value.count == count
+
+
+def shifted(real, calls=None):
+    """``real`` with its answer moved to the next element of cyc(3), on
+    every call or only on the first ``calls``."""
+    count = []
+
+    def lie(*args):
+        count.append(args)
+        value = real(*args)
+        return str((int(value) + 1) % 3) if calls is None or len(count) <= calls else value
+    return lie
+
+
+def test_a_lying_operation_is_caught_by_each_module_family(monkeypatch):
+    """Lies in operations, not in the laws, on one-object instances, where
+    every composite is defined: each raises from the family reading it.  The
+    counit is read on both sides of its square, so it lies once."""
+    cases = [
+        (mon, "hom_on_morphisms", None, lambda: mon.check_closed(build_cyc(3)),
+         "evaluation square"),
+        (vmod, "_counit", 1, lambda: vmod.check_tensor_closed(
+            module_self(build_cyc(3)).tensorClosed), "module evaluation square"),
+        (vst, "varpi", None, lambda: vst.check_cylinder(*_cylinder(build_cyc(3))),
+         "element transport"),
+        (equiv, "varpi_inv", None, lambda: equiv.cylinder_to_module(*_cylinder(build_cyc(3))),
+         "adjunction routes"),
+    ]
+    for module, name, calls, run, law in cases:
+        with monkeypatch.context() as mp:
+            mp.setattr(module, name, shifted(getattr(module, name), calls))
+            with pytest.raises(EngineBugError, match=f"^derived law failed: {law} at "):
+                run()

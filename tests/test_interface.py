@@ -98,6 +98,46 @@ def test_registry_is_part_of_known_laws():
     assert set(LAW_REGISTRY) <= set(KNOWN_LAWS)
 
 
+# The --laws names: derived laws (``core.assert_derived``) and the tagged
+# functor and transformation laws must not add to them.
+PINNED_KNOWN_LAWS = (
+    "assoc.iso", "assoc.natural", "assoc.shape", "bimodule.cp2-8-1", "bimodule.cp2-8-2",
+    "bimodule.cp2-8-3", "bimodule.opposite-vstructure", "category.assoc", "category.composable",
+    "category.identity-shape", "category.reserved-id", "category.shape", "category.total",
+    "category.unit", "closed.bijection", "closed.pi-natural", "closed.shape", "comodule.assoc",
+    "comodule.assoc-iso", "comodule.assoc-natural", "comodule.functor.composition",
+    "comodule.functor.identity", "comodule.functor.shape", "comodule.functor.total",
+    "comodule.lunit-iso", "comodule.lunit-natural", "comodule.shape", "comodule.unit",
+    "cylinder.cp1-1", "cylinder.phibar-iso", "cylinder.shape", "lunit.iso", "lunit.natural",
+    "lunit.shape", "module.assoc", "module.assoc-iso", "module.assoc-natural",
+    "module.functor.composition", "module.functor.identity", "module.functor.shape",
+    "module.functor.total", "module.lunit-iso", "module.lunit-natural", "module.shape",
+    "module.unit", "moduleclosed.cotensor.composition", "moduleclosed.cotensor.identity",
+    "moduleclosed.cotensor.shape", "moduleclosed.cotensor.total",
+    "moduleclosed.functor.composition", "moduleclosed.functor.identity",
+    "moduleclosed.functor.shape", "moduleclosed.functor.total", "moduleclosed.naturality",
+    "path.cp2-1-25", "path.psibar-iso", "path.shape", "pentagon", "runit.iso", "runit.natural",
+    "runit.shape", "symmetry.hexagon", "symmetry.invol", "symmetry.natural", "symmetry.shape",
+    "symmetry.unit", "tensor.identity", "tensor.interchange", "tensor.shape", "tensored.iso",
+    "tensored.shape", "tensored.vnatural", "triangle", "vcat.assoc", "vcat.shape", "vcat.unit",
+    "vfunctor.comp", "vfunctor.shape", "vfunctor.unit", "vnat.hom-square", "vnat.shape",
+    "vnat.square", "vstructure.assoc", "vstructure.functor.composition",
+    "vstructure.functor.identity", "vstructure.functor.shape", "vstructure.functor.total",
+    "vstructure.left-action", "vstructure.phi-bijection", "vstructure.phi-natural",
+    "vstructure.right-action", "vstructure.shape")
+PINNED_LAW_REGISTRY = (
+    "bimodule.cp2-8-1", "bimodule.cp2-8-2", "bimodule.cp2-8-3", "closed.bijection",
+    "comodule.assoc", "comodule.unit", "cylinder.cp1-1", "module.assoc", "module.unit",
+    "moduleclosed.naturality", "path.cp2-1-25", "pentagon", "symmetry.hexagon",
+    "symmetry.invol", "symmetry.unit", "triangle", "vcat.assoc", "vcat.unit", "vstructure.assoc",
+    "vstructure.left-action", "vstructure.right-action")
+
+
+def test_law_names_are_pinned():
+    assert KNOWN_LAWS == PINNED_KNOWN_LAWS
+    assert LAW_REGISTRY == PINNED_LAW_REGISTRY
+
+
 def _row_mutations(body):
     """Copies of a document body with one row of one table deleted, or its
     value replaced by the first other value in the same table."""
