@@ -13,7 +13,9 @@ order (first argument is applied first).
 Every equation outside category validation is a :class:`Law`, judged by one
 site loop, in :func:`evaluate` (reports) or :func:`assert_derived` (laws the
 axioms imply).  Out of a product, a functor's composition law is judged on
-its :func:`bifunctor_cover`, as the tensor's interchange law is.
+its :func:`bifunctor_cover`, as the tensor's interchange law is; the
+naturality of a transformation between two composites of bifunctors, the
+monoidal and the module associators', on its :func:`trinatural_cover`.
 """
 
 from __future__ import annotations
@@ -240,6 +242,33 @@ class FinCategory:
         """The reports of :func:`validate_category`, found once per instance;
         a raised error is not kept."""
         return tuple(_category_reports(self))
+
+    @cached_property
+    def _generators(self) -> tuple[Mor, ...]:
+        """Non-identity morphisms of which every non-identity morphism is a
+        composite, chosen greedily: the indecomposable ones (no composite of
+        two non-identities), which any such set holds, then, in id order,
+        each morphism not yet reached.  Read off a valid category."""
+        composites = self._composites
+        mors = [f for f in self.mor_ids() if not self.is_identity(f)]
+        split = {h for (f, g), h in composites.items()
+                 if not self.is_identity(f) and not self.is_identity(g)}
+        chosen: list[Mor] = []
+        reached: set[Mor] = set()
+        for f in sorted(mors, key=lambda f: (f in split, f)):
+            if f in reached:
+                continue
+            chosen.append(f)
+            todo = [f]
+            while todo:
+                x = todo.pop()
+                if x in reached:
+                    continue
+                reached.add(x)
+                for y in list(reached):
+                    todo += [h for h in (composites.get((x, y)), composites.get((y, x)))
+                             if h is not None and h not in reached]
+        return tuple(chosen)
 
     @cached_property
     def _opposite(self) -> FinCategory:
@@ -628,6 +657,21 @@ class FunctorData:
         except KeyError:
             raise MissingTableError(f"functor morphism table missing {f!r}") from None
 
+    @cached_property
+    def _bifunctor(self) -> Bifunctor | None:
+        """Out of a product A x B (a source whose ``comp`` is a
+        :class:`ProductComp`), this functor as a :class:`Bifunctor`, found
+        once per instance; ``None`` otherwise, or when no rebuild is found.
+        The composition gate of :func:`validate_functor` and every
+        :func:`trinatural_cover` this functor takes part in share it."""
+        comp = self.srcCat.comp
+        if not isinstance(comp, ProductComp):
+            return None
+        a, b = comp.a, comp.b
+        obj = {(x, y): self.onObjects.get(pair_id(x, y)) for x in a.objects for y in b.objects}
+        mor = {fg: self.onMorphisms.get(p) for p, fg in comp.parts.items()}
+        return rebuild_bifunctor(a, b, self.dstCat, obj, mor)
+
 
 def functor_law_names(tag: str) -> tuple[str, ...]:
     """The names :func:`validate_functor` reports under for ``tag``."""
@@ -671,16 +715,10 @@ def _tagged(laws: Iterable[Law], tag: str) -> list[Law]:
 
 def _composition_gate(fn: FunctorData) -> list[tuple[Mor, Mor]] | None:
     """The cover of ``fn``'s composition law, in pair ids, or ``None``."""
-    comp = fn.srcCat.comp
-    if not isinstance(comp, ProductComp):
+    cover = bifunctor_cover(fn._bifunctor)
+    if cover is None:
         return None
-    a, b = comp.a, comp.b
-    obj = {(x, y): fn.onObjects[pair_id(x, y)] for x in a.objects for y in b.objects}
-    mor = {fg: fn.onMorphisms[p] for p, fg in comp.parts.items()}
-    rebuild = rebuild_bifunctor(a, b, fn.dstCat, obj, mor)
-    if rebuild is None:
-        return None
-    return [(pair_id(f, f2), pair_id(g, g2)) for f, f2, g, g2 in bifunctor_cover(a, b, rebuild[1])]
+    return [(pair_id(f, f2), pair_id(g, g2)) for f, f2, g, g2 in cover]
 
 
 # A functor's own laws, on (fn,): it preserves identities and composites.
@@ -694,12 +732,16 @@ FUNCTOR_LAWS = (
 )
 
 
-def bifunctor_cover(a: FinCategory, b: FinCategory,
-                    defects: Iterable[tuple[Mor, Mor]]) -> tuple[tuple[Mor, Mor, Mor, Mor], ...]:
-    """The composable pairs (f, f2), (g, g2) of valid A x B, as (f, f2, g, g2),
-    at which F : A x B -> C reads an entry of ``defects`` through F(f, f2),
-    F(g, g2) or F(f.g, f2.g2), each once: off ``defects`` F is the bifunctor
-    of :func:`rebuild_bifunctor`, so F's composition law holds off the cover."""
+def bifunctor_cover(fn: Bifunctor | None) -> tuple[tuple[Mor, Mor, Mor, Mor], ...] | None:
+    """The composable pairs (f, f2), (g, g2) of A x B, as (f, f2, g, g2), at
+    which F : A x B -> C reads one of its defects through F(f, f2), F(g, g2)
+    or F(f.g, f2.g2), each once: off its defects F is the bifunctor it was
+    rebuilt to, so F's composition law holds off the cover.  ``None`` when
+    ``fn`` is (no rebuild was found)."""
+    if fn is None:
+        return None
+    a, b = fn.a, fn.b
+
     def index(cat: FinCategory):
         post: dict[Obj, list[Mor]] = {}
         pre: dict[Obj, list[Mor]] = {}
@@ -710,7 +752,7 @@ def bifunctor_cover(a: FinCategory, b: FinCategory,
 
     (post_a, pre_a, fibres_a), (post_b, pre_b, fibres_b) = index(a), index(b)
     cover: dict[tuple[Mor, ...], None] = {}
-    for d, d2 in sorted(defects):  # at F(f, f2), at F(g, g2), at F(f.g, f2.g2)
+    for d, d2 in sorted(fn.defects):  # at F(f, f2), at F(g, g2), at F(f.g, f2.g2)
         cover.update(dict.fromkeys(
             (d, d2, g, g2) for g in post_a[a.dst(d)] for g2 in post_b[b.dst(d2)]))
         cover.update(dict.fromkeys(
@@ -720,16 +762,35 @@ def bifunctor_cover(a: FinCategory, b: FinCategory,
     return tuple(cover)
 
 
-# A bifunctor rebuilt from its axes, and the entries B where the table differs.
-Rebuild = tuple[dict[tuple[Mor, Mor], Mor], frozenset[tuple[Mor, Mor]]]
+@dataclass(frozen=True)
+class Bifunctor:
+    """A map F : A x B -> C on morphisms, ``table`` keyed (f, g), with the
+    bifunctor R that :func:`rebuild_bifunctor` rebuilds from its axes,
+    ``rebuilt``, and the entries where they differ, ``defects``."""
+
+    a: FinCategory
+    b: FinCategory
+    c: FinCategory
+    table: Mapping[tuple[Mor, Mor], Mor]
+    rebuilt: Mapping[tuple[Mor, Mor], Mor]
+    defects: frozenset[tuple[Mor, Mor]]
+
+    @cached_property
+    def fibres(self) -> dict[Mor, list[tuple[Mor, Mor]]]:
+        """The pairs (f, g) of A x B at each value F(f, g)."""
+        fibres: dict[Mor, list[tuple[Mor, Mor]]] = {}
+        for fg in product(self.a._mors, self.b._mors):
+            fibres.setdefault(self.table[fg], []).append(fg)
+        return fibres
 
 
 def rebuild_bifunctor(a: FinCategory, b: FinCategory, c: FinCategory,
-                      obj: Mapping[tuple[Obj, Obj], Obj],
-                      mor: Mapping[tuple[Mor, Mor], Mor]) -> Rebuild | None:
-    """A bifunctor R : A x B -> C rebuilt from the axes of the map F given
-    by ``obj`` and ``mor``, and the set B = {(f, g) : F(f, g) != R(f, g)};
-    ``None`` when no rebuild is found.
+                      obj: Mapping[tuple[Obj, Obj], Obj | None],
+                      mor: Mapping[tuple[Mor, Mor], Mor | None]) -> Bifunctor | None:
+    """The map F given by ``obj`` and ``mor`` with a bifunctor R : A x B -> C
+    rebuilt from its axes, and the set B = {(f, g) : F(f, g) != R(f, g)};
+    ``None`` when no rebuild is found, or when ``obj`` or ``mor`` is partial
+    or names a value not declared in C.
 
     The axes are F's entries F(f, 1_y) and F(1_x, g).  The premises, checked
     by :func:`_broken_premise`: A, B and C are valid categories, every axis
@@ -740,12 +801,14 @@ def rebuild_bifunctor(a: FinCategory, b: FinCategory, c: FinCategory,
     lawful value passes.  Under the premises
     R(f, g) = F(f, 1_{src g}) F(1_{dst f}, g) is a bifunctor (Mac Lane,
     CWM II.3, Prop. 1) equal to the axes, so a replaced entry is in B.
-    ``obj`` and ``mor`` must be total, with values declared in C.
     """
     try:
         if validate_category(a) or validate_category(b) or validate_category(c):
             return None
     except MalformedReferenceError:
+        return None
+    if (any(obj.get(xy) not in c._objs for xy in product(a.objects, b.objects))
+            or any(mor.get(fg) not in c._mors for fg in product(a._mors, b._mors))):
         return None
     ids_a, ids_b = a.identity, b.identity
     axes = {}
@@ -767,7 +830,7 @@ def rebuild_bifunctor(a: FinCategory, b: FinCategory, c: FinCategory,
             r = rebuilt[(f, g)] = comp[(axes[(f, ids_b[s2])], axes[(ids_a[d], g)])]
             if mor[(f, g)] != r:
                 defects.add((f, g))
-    return rebuilt, frozenset(defects)
+    return Bifunctor(a, b, c, mor, rebuilt, frozenset(defects))
 
 
 def _broken_premise(a: FinCategory, b: FinCategory, c: FinCategory,
@@ -820,6 +883,70 @@ def _repaired(a: FinCategory, b: FinCategory, c: FinCategory,
                 if not _broken_premise(a, b, c, obj, trial):
                     return trial
     return None
+
+
+def generators(cat: FinCategory) -> tuple[Mor, ...]:
+    """A generating set of valid ``cat``: non-identity morphisms of which
+    every non-identity morphism is a composite, found greedily, once per
+    instance.  trop(n) gets its n - 1 steps, cyc(n) the one rotation."""
+    return cat._generators
+
+
+def separate_variable_sites(a: FinCategory, b: FinCategory,
+                            c: FinCategory) -> Iterator[tuple[Mor, Mor, Mor]]:
+    """The sites (u, 1, 1), (1, v, 1) and (1, 1, w) of A x B x C at which
+    :func:`trinatural_cover` decides naturality in each variable alone:
+    identities everywhere, and u, v, w in the :func:`generators` of their
+    category, since squares paste."""
+    ids_a, ids_b, ids_c = (tuple(cat.identity[x] for x in cat.objects) for cat in (a, b, c))
+    yield from product(ids_a, ids_b, ids_c)
+    yield from product(generators(a), ids_b, ids_c)
+    for v in generators(b):
+        yield from ((i, v, k) for i in ids_a for k in ids_c)
+    for w in generators(c):
+        yield from ((i, j, w) for i in ids_a for j in ids_b)
+
+
+def trinatural_cover(a: FinCategory, b: FinCategory, c: FinCategory, e: FinCategory,
+                     alpha: Mapping[tuple[Obj, Obj, Obj], Mor], g: Bifunctor | None,
+                     f: Bifunctor | None, h: Bifunctor | None,
+                     k: Bifunctor | None) -> tuple[tuple[Mor, Mor, Mor], ...] | None:
+    """The cover of the naturality law of ``alpha`` in (u, v, w) of A x B x C,
+    whose components alpha(x, y, z) : F(G(x, y), z) -> H(x, K(y, z)) are
+    morphisms of E, for G : A x B -> D, F : D x C -> E, K : B x C -> D' and
+    H : A x D' -> E: the sites at which (u, v) is a defect of G,
+    (G(u, v), w) of F, (v, w) of K or (u, K(v, w)) of H.  Off the cover each
+    side of the law is the side of the rebuilds, so the law holds there once
+    ``alpha`` is natural for the rebuilds.  That is decided first, as a
+    predicate on the rebuilds at the :func:`separate_variable_sites`: by
+    Mac Lane, CWM II.3, Prop. 2, iterated, naturality in each variable alone
+    gives naturality in all three.
+
+    ``None``, so that every site is judged, when a map has no rebuild, the
+    categories do not fit together, or ``alpha`` is not natural for the
+    rebuilds in one variable; it reads ``alpha`` as partial and never raises.
+    """
+    if (g is None or f is None or h is None or k is None
+            or not (g.a == a == h.a and g.b == b == k.a and f.b == c == k.b
+                    and f.c == e == h.c and g.c == f.a and k.c == h.b)):
+        return None
+    rg, rf, rh, rk = g.rebuilt, f.rebuilt, h.rebuilt, k.rebuilt
+    ends_a, ends_b, ends_c, comp = a._mors, b._mors, c._mors, e.comp
+    for u, v, w in separate_variable_sites(a, b, c):
+        (s, d), (s2, d2), (s3, d3) = ends_a[u], ends_b[v], ends_c[w]
+        lhs = comp.get((rf[(rg[(u, v)], w)], alpha.get((d, d2, d3))))
+        if lhs is None or lhs != comp.get((alpha.get((s, s2, s3)), rh[(u, rk[(v, w)])])):
+            return None
+    cover: dict[tuple[Mor, Mor, Mor], None] = {}
+    for u, v in sorted(g.defects):
+        cover.update(dict.fromkeys((u, v, w) for w in c._mors))
+    for v, w in sorted(k.defects):
+        cover.update(dict.fromkeys((u, v, w) for u in a._mors))
+    for d, w in sorted(f.defects):
+        cover.update(dict.fromkeys((u, v, w) for u, v in g.fibres.get(d, ())))
+    for u, d in sorted(h.defects):
+        cover.update(dict.fromkeys((u, v, w) for v, w in k.fibres.get(d, ())))
+    return tuple(cover)
 
 
 @dataclass(frozen=True)

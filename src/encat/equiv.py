@@ -33,6 +33,7 @@ from .vmodule import (
     VModuleData,
     _assoc_transport,
     _unit_transport,
+    check_tensor_closed,
     induced_vstructure,
     module_phibar,
 )
@@ -81,14 +82,27 @@ def module_to_cylinder(tc: TensorClosedModuleData
     tensor_obj = {}
     alpha = {}
     phibar = {}
-    for k in m.base.objects:
-        for x in s.objects:
-            kx = mod.act_obj(k, x)
-            tensor_obj[(k, x)] = kx
-            alpha[(k, x)] = tc.phi_of(k, x, kx, s.id_(kx))
-            for y in s.objects:
-                phibar[(k, x, y)] = module_phibar(tc, k, x, y)
+    try:
+        for k in m.base.objects:
+            for x in s.objects:
+                kx = mod.act_obj(k, x)
+                tensor_obj[(k, x)] = kx
+                alpha[(k, x)] = tc.phi_of(k, x, kx, s.id_(kx))
+                for y in s.objects:
+                    phibar[(k, x, y)] = module_phibar(tc, k, x, y)
+    except EncatError:
+        # the adjuncts exist and pass their derived laws on lawful modules,
+        # so a checker report blames the input
+        _blame("module", check_tensor_closed(tc))
+        raise
     return vs, CylinderAssignment(tensor_obj=tensor_obj, alpha=alpha, phibar=phibar)
+
+
+def _blame(what: str, reports: list) -> None:
+    """Raise :class:`LawFailureError` naming the first of ``reports``, if any."""
+    if reports:
+        raise LawFailureError(
+            f"the {what} fails {reports[0].law} at ({', '.join(reports[0].site)})") from None
 
 
 def _module_phi_tables(vs: VStructureData, cyl: CylinderAssignment) -> dict:
@@ -146,11 +160,8 @@ def cylinder_to_module(vs: VStructureData,
     except EncatError:
         # the tables are defined and the routes agree on lawful cylinders, so
         # a checker report blames the input
-        reports = check_vstructure(vs) or check_cylinder(vs, cyl)
-        if not reports:
-            raise
-        raise LawFailureError(
-            f"the cylinder fails {reports[0].law} at ({', '.join(reports[0].site)})") from None
+        _blame("cylinder", check_vstructure(vs) or check_cylinder(vs, cyl))
+        raise
     fibres = {key: Preimages(table) for key, table in phi.items()}
 
     def phi_inv(k: Obj, x: Obj, y: Obj, t: Mor) -> Mor:

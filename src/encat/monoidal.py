@@ -19,14 +19,17 @@ R(f, g) = A(f, 1) A(1, g) is a bifunctor (Prop. 1) that equals A on the
 axes; B is the set of entries where T and R differ.  A ``tensor.interchange``
 site that reads no entry of B has the sides of R, so it holds: only the sites
 reading B through T(f.g, f2.g2), T(f, f2) or T(g, g2), its
-:func:`~encat.core.bifunctor_cover`, are judged.  For
-``assoc.natural`` the separate-variable sites (f, 1, 1), (1, f, 1),
-(1, 1, f) are decided on R; when they hold, Prop. 2 makes the associator
-natural for R, and only the sites where (f, g), (T(f, g), h), (g, h) or
-(f, T(g, h)) is in B are judged.  When no rebuild is found, or the
-associator is not natural for R in one variable, every site is judged, so
-the reports never depend on the localization.  On a lawful table B is empty
-and so are both covers.
+:func:`~encat.core.bifunctor_cover`, are judged.  ``assoc.natural`` is the
+naturality of a : T(T(f, g), h) => T(f, T(g, h)), a transformation between
+two composites of bifunctors, and is judged on
+:func:`~encat.core.trinatural_cover`, the one cover it shares with both sides
+of ``module.assoc-natural``: once the associator is natural for R in each
+variable alone, decided on R at identities and at generators of the base
+(Prop. 2, iterated; squares paste), only the sites where (f, g),
+(T(f, g), h), (g, h) or (f, T(g, h)) is in B are judged.  When no rebuild is
+found, or the associator is not natural for R in one variable, every site is
+judged, so the reports never depend on the localization.  On a lawful table
+B is empty and so are both covers.
 
 The closed structure is given by the hom-object table and the evaluation
 family only; the transpose is recovered by inverting evaluation over each
@@ -51,6 +54,7 @@ from typing import Mapping
 
 from .core import (
     CapabilityError,
+    Bifunctor,
     CheckReport,
     EncatError,
     EngineBugError,
@@ -62,7 +66,6 @@ from .core import (
     Mor,
     Obj,
     Preimages,
-    Rebuild,
     assert_derived,
     bifunctor_cover,
     derived_law,
@@ -75,6 +78,7 @@ from .core import (
     rebuild_bifunctor,
     required,
     sort_reports,
+    trinatural_cover,
     validate_functor,
 )
 
@@ -113,10 +117,10 @@ class MonoidalData:
     closed: ClosedData | None = None
 
     @cached_property
-    def _rebuild(self) -> Rebuild | None:
-        """The tensor rebuilt from its axes by
-        :func:`~encat.core.rebuild_bifunctor`, found once per instance;
-        reads the tables as total, as :func:`check_monoidal` has found them."""
+    def _tensor(self) -> Bifunctor | None:
+        """The tensor with its rebuild from the axes, found once per
+        instance; ``None`` when the tables are partial or no rebuild is
+        found."""
         base = self.base
         return rebuild_bifunctor(base, base, base, self.tensor_obj, self.tensor_mor)
 
@@ -199,36 +203,6 @@ class MonoidalData:
             raise MissingTableError(f"braiding table missing ({x!r}, {y!r})") from None
 
 
-def _assoc_natural_gate(m: MonoidalData, base: FinCategory):
-    """The sites (f, g, h) where (f, g), (T(f, g), h), (g, h) or (f, T(g, h))
-    is in B, once the associator is natural for R in each variable alone
-    (CWM II.3, Prop. 2): by Prop. 2 for R every other site then holds.  The
-    separate-variable sites (f, 1, 1), (1, f, 1), (1, 1, f) are decided on R
-    as a predicate; when one fails, ``None``."""
-    if m._rebuild is None:
-        return None
-    rebuilt, defects = m._rebuild
-    ends, comp, a = base._mors, base.comp, m.assoc
-    ids = [base.id_(x) for x in base.objects]
-    mors = base.mor_ids()
-    gate = [(f, i, j) for f in mors for i, j in product(ids, repeat=2)]
-    gate += [site for f in mors if not base.is_identity(f)
-             for i, j in product(ids, repeat=2) for site in ((i, f, j), (i, j, f))]
-    for f, g, h in gate:
-        (s, d), (s2, d2), (s3, d3) = ends[f], ends[g], ends[h]
-        lhs = comp.get((rebuilt[(rebuilt[(f, g)], h)], a[(d, d2, d3)]))
-        if lhs is None or lhs != comp.get((a[(s, s2, s3)], rebuilt[(f, rebuilt[(g, h)])])):
-            return None
-    fibres = Preimages({fg: m.tensor_mor[fg] for fg in product(mors, repeat=2)}).fibres
-    cover: dict[tuple[Mor, ...], None] = {}
-    for b, b2 in sorted(defects):
-        cover.update(dict.fromkeys((b, b2, h) for h in mors))
-        cover.update(dict.fromkeys((f, b, b2) for f in mors))
-        cover.update(dict.fromkeys((f, g, b2) for f, g in fibres.get(b, ())))
-        cover.update(dict.fromkeys((b, g, h) for g, h in fibres.get(b2, ())))
-    return tuple(cover)
-
-
 MONOIDAL_LAWS = (
     Law("tensor.identity", lambda m, base: product(base.objects, repeat=2),
         lambda m, base, x, y: m.tmor(base.id_(x), base.id_(y)),
@@ -237,13 +211,14 @@ MONOIDAL_LAWS = (
         lambda m, base: ((f, f2, g, g2) for f, g in base.comp for f2, g2 in base.comp),
         lambda m, base, f, f2, g, g2: m.tmor(base.comp[(f, g)], base.comp[(f2, g2)]),
         lambda m, base, f, f2, g, g2: base.compose(m.tmor(f, f2), m.tmor(g, g2)),
-        gate=lambda m, base: None if m._rebuild is None else bifunctor_cover(base, base, m._rebuild[1])),
+        gate=lambda m, base: bifunctor_cover(m._tensor)),
     Law("assoc.natural", lambda m, base: product(base.mor_ids(), repeat=3),
         lambda m, base, f, g, h: base.compose(
             m.tmor(m.tmor(f, g), h), m.a(base.dst(f), base.dst(g), base.dst(h))),
         lambda m, base, f, g, h: base.compose(
             m.a(base.src(f), base.src(g), base.src(h)), m.tmor(f, m.tmor(g, h))),
-        gate=_assoc_natural_gate),
+        gate=lambda m, base: trinatural_cover(
+            base, base, base, base, m.assoc, m._tensor, m._tensor, m._tensor, m._tensor)),
     Law("lunit.natural", lambda m, base: product(base.mor_ids()),
         lambda m, base, f: base.compose(m.tmor(base.id_(m.unit), f), m.l(base.dst(f))),
         lambda m, base, f: base.compose(m.l(base.src(f)), f)),

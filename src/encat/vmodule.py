@@ -8,6 +8,19 @@ of the reversed side (the cotensor acting on the opposite category), so psi
 is checked by running the action-side adjunction checks on that reversed
 tensor-closed module; a closed bimodule, whose reversed side is that same
 module, reports each cotensor failure once.
+
+``module.assoc-natural``, the naturality of a : (u (x) v) (x) w =>
+u (x) (v (x) w) in all three variables, is judged on
+:func:`~encat.core.trinatural_cover`, the cover ``assoc.natural`` uses, with
+V's tensor T as the inner map and the action (the cotensor on the reversed
+side) as the other three.  Its premises: both T and the action are rebuilt
+from their axes (:func:`~encat.core.rebuild_bifunctor`; the action's rebuild
+is the one :func:`~encat.core.validate_functor` found, kept on the functor),
+and the associator is natural for the rebuilds in each variable alone,
+decided as a predicate at identities and at generators of V and S (Mac Lane,
+CWM II.3, Prop. 2, iterated; squares paste).  Under them only the sites
+reading a defect of T or of the action are judged; when one fails, or V's
+tables are partial (``check_vmodule`` does not validate V), every site is.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ from .core import (
     product_category,
     sort_reports,
     structural_equal,
+    trinatural_cover,
     validate_functor,
 )
 from .monoidal import (
@@ -215,7 +229,9 @@ MODULE_LAWS = (
         lambda mod, m, s, u, v, w: s.compose(
             mod.act_mor(m.tmor(u, v), w), mod.a(m.base.dst(u), m.base.dst(v), s.dst(w))),
         lambda mod, m, s, u, v, w: s.compose(
-            mod.a(m.base.src(u), m.base.src(v), s.src(w)), mod.act_mor(u, mod.act_mor(v, w)))),
+            mod.a(m.base.src(u), m.base.src(v), s.src(w)), mod.act_mor(u, mod.act_mor(v, w))),
+        gate=lambda mod, m, s: trinatural_cover(
+            m.base, m.base, s, s, mod.assoc, m._tensor, *(mod.action._bifunctor,) * 3)),
     Law("module.lunit-natural", lambda mod, m, s: product(s.mor_ids()),
         lambda mod, m, s, w: s.compose(mod.act_mor(m.base.id_(m.unit), w), mod.l(s.dst(w))),
         lambda mod, m, s, w: s.compose(mod.l(s.src(w)), w)),

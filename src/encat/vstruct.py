@@ -215,31 +215,44 @@ CYLINDER_LAWS = (
 )
 
 
+def _require_assignment(vs: VStructureData, kind: str, names: tuple[str, str],
+                        objs: Mapping, elements: Mapping, isos: Mapping) -> None:
+    """Raise :class:`MissingTableError` at the first (K, X) or (K, X, Y)
+    where a cylinder or path assignment has no entry, or names an undeclared
+    object; ``names`` name the element and iso tables."""
+    element, iso = names
+    for k in vs.baseV.base.objects:
+        for x in vs.baseS.objects:
+            kx = objs.get((k, x))
+            if kx is None or not vs.baseS.has_obj(kx):
+                raise MissingTableError(f"{kind} object missing/undeclared at ({k!r}, {x!r})")
+            if elements.get((k, x)) is None:
+                raise MissingTableError(f"{kind} {element} missing at ({k!r}, {x!r})")
+            for y in vs.baseS.objects:
+                if isos.get((k, x, y)) is None:
+                    raise MissingTableError(f"{kind} {iso} missing at ({k!r}, {x!r}, {y!r})")
+
+
 def _assignment_reports(vs: VStructureData, kind: str, names: tuple[str, str],
                         objs: Mapping, elements: Mapping, isos: Mapping,
                         hom) -> list[CheckReport]:
     """Shapes of a cylinder (``hom`` is the hom object) or path (``hom`` with
     its arguments swapped) assignment and isomorphy of its family, at every
     (K, X, Y); a missing entry raises.  ``names`` name the two tables."""
+    _require_assignment(vs, kind, names, objs, elements, isos)
     m = vs.baseV
     base = m.base
     s = vs.baseS
-    element, iso = names
+    iso = names[1]
     reports: list[CheckReport] = []
     for k in base.objects:
         for x in s.objects:
-            kx = objs.get((k, x))
-            if kx is None or not s.has_obj(kx):
-                raise MissingTableError(f"{kind} object missing/undeclared at ({k!r}, {x!r})")
-            al = elements.get((k, x))
-            if al is None:
-                raise MissingTableError(f"{kind} {element} missing at ({k!r}, {x!r})")
+            kx = objs[(k, x)]
+            al = elements[(k, x)]
             if not (base.has_mor(al) and base.src(al) == k and base.dst(al) == hom(x, kx)):
                 reports.append(CheckReport(f"{kind}.shape", (k, x, al), witness_count=0))
             for y in s.objects:
-                pb = isos.get((k, x, y))
-                if pb is None:
-                    raise MissingTableError(f"{kind} {iso} missing at ({k!r}, {x!r}, {y!r})")
+                pb = isos[(k, x, y)]
                 ok = (base.has_mor(pb) and base.src(pb) == hom(kx, y)
                       and base.dst(pb) == m.hom_obj(k, hom(x, y)))
                 if not ok:
@@ -406,8 +419,10 @@ def induced_tensor_bifunctor(vs: VStructureData, cyl: CylinderAssignment) -> Fun
     Each partial application is computed by element transport and verified to
     be the unique morphism making the defining square commute, once per
     argument within one call; the two partial routes of a general pair must
-    agree.
+    agree.  A missing cylinder entry raises :class:`MissingTableError`, as
+    :func:`check_cylinder` does.
     """
+    _require_assignment(vs, "cylinder", ("alpha", "phibar"), cyl.tensor_obj, cyl.alpha, cyl.phibar)
     m = vs.baseV
     base = m.base
     s = vs.baseS

@@ -149,10 +149,10 @@ def test_the_rebuild_sends_identities_to_identities():
     repaired and R is the multiplication, a bifunctor."""
     m = IDEMPOTENT
     constant = {fg: "e" for fg in product("1e", repeat=2)}
-    rebuilt, defects = rebuild_bifunctor(m, m, m, {("*", "*"): "*"}, constant)
-    assert rebuilt == m.comp and defects == {("1", "1")}
+    rebuild = rebuild_bifunctor(m, m, m, {("*", "*"): "*"}, constant)
+    assert rebuild.rebuilt == m.comp and rebuild.defects == {("1", "1")}
     fn = FunctorData(product_category(m, m), m, {"(*,*)": "*"},
-                     {pair_id(f, g): h for (f, g), h in rebuilt.items()})
+                     {pair_id(f, g): h for (f, g), h in rebuild.rebuilt.items()})
     assert validate_functor(fn) == []
 
 
@@ -163,7 +163,7 @@ def test_a_tensor_without_its_identity_is_rebuilt_to_the_multiplication():
                           runit={"*": "1"})
     assert check_monoidal(lawful) == []
     mutant = dataclasses.replace(lawful, tensor_mor={**m.comp, ("1", "1"): "e"})
-    assert mutant._rebuild == (m.comp, {("1", "1")})
+    assert (mutant._tensor.rebuilt, mutant._tensor.defects) == (m.comp, {("1", "1")})
     got = check_monoidal(mutant)
     assert "tensor.identity" in {r.law for r in got} and got == full_monoidal_outcome(mutant)
 

@@ -173,3 +173,52 @@ def test_cylinder_to_module_blames_an_invalid_cylinder(tmp_path, self_bool):
                     "-o", str(tmp_path / "module.doc")], out=out) == 2
         assert f"fails {first.law} at ({', '.join(first.site)})" in out.getvalue()
         assert "engine bug" not in out.getvalue()
+
+
+def test_module_to_cylinder_blames_an_invalid_module(tmp_path, self_cyc3):
+    # the action entry (0, 0) |-> 1 breaks the module laws, so the internal
+    # adjunct fails its characterization: construct and roundtrip say which
+    # law fails (exit 2), as check does, and report no engine bug (exit 3)
+    import io
+
+    from encat.cli import cli
+    from encat.interface import Document, serialize
+    from encat.vmodule import check_closed_module
+
+    tc = self_cyc3.tensorClosed
+    action = tc.module.action
+    bad = dataclasses.replace(self_cyc3, tensorClosed=dataclasses.replace(
+        tc, module=dataclasses.replace(tc.module, action=dataclasses.replace(
+            action, onMorphisms={**action.onMorphisms, "(0,0)": "1"}))))
+    first = check_tensor_closed(bad.tensorClosed)[0]
+    assert check_closed_module(bad)
+    doc = tmp_path / "cm.doc"
+    doc.write_text(serialize(Document("closedmodule", bad)), encoding="utf-8")
+    for argv in (["construct", str(doc), "--op", "module-to-cylinder",
+                  "-o", str(tmp_path / "cyl.doc")],
+                 ["roundtrip", str(doc), "--pair", "module-cylinder"]):
+        out = io.StringIO()
+        assert cli(argv, out=out) == 2, out.getvalue()
+        assert f"the module fails {first.law} at ({', '.join(first.site)})" in out.getvalue()
+        assert "engine bug" not in out.getvalue()
+
+
+def test_cylinder_to_module_names_a_missing_cylinder_object(tmp_path, self_cyc3):
+    # a cylinder without its (*, *) row: construct exits 2 with the message
+    # check gives, not a KeyError traceback
+    import io
+    import json
+
+    from encat.cli import cli
+    from encat.interface import Document, serialize
+
+    payload = json.loads(serialize(Document("cylinder", module_to_cylinder(self_cyc3.tensorClosed))))
+    payload["body"]["cylinder"] = []
+    doc = tmp_path / "cyl.doc"
+    doc.write_text(json.dumps(payload), encoding="utf-8")
+    for argv in (["check", str(doc)],
+                 ["construct", str(doc), "--op", "cylinder-to-module",
+                  "-o", str(tmp_path / "module.doc")]):
+        out = io.StringIO()
+        assert cli(argv, out=out) == 2, out.getvalue()
+        assert "cylinder object missing/undeclared at ('*', '*')" in out.getvalue()

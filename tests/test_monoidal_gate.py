@@ -23,39 +23,9 @@ import encat.monoidal as mon
 from encat.core import EncatError, FinCategory
 from encat.instances import build_bool, build_cyc, build_trop
 from encat.monoidal import MonoidalData, check_monoidal
+from nonstrict import doubled_cyc
 
 TABLES = ("tensor_mor", "assoc", "lunit", "runit")
-
-
-def doubled_cyc(n: int) -> MonoidalData:
-    """cyc(n) transported to a category with two isomorphic copies, a and b,
-    of its object: hom(p, q) holds one morphism ``pqi`` per i mod n, and
-    composites add.  The tensor of p and q is the other copy of p, so each
-    associator a(x, y, z) goes from x to the other copy of x, as do the
-    unitors at a."""
-    objs = ("a", "b")
-    other = {"a": "b", "b": "a"}
-
-    def mor(p, q, i):
-        return f"{p}{q}{i % n}"
-
-    def label(f):
-        return int(f[2:])
-
-    morphisms = tuple(sorted((mor(p, q, i), p, q)
-                             for p, q in product(objs, repeat=2) for i in range(n)))
-    comp = {(mor(p, q, i), mor(q, r, j)): mor(p, r, i + j)
-            for p, q, r in product(objs, repeat=3) for i in range(n) for j in range(n)}
-    base = FinCategory(objs, morphisms, {p: mor(p, p, 0) for p in objs}, comp)
-    tobj = {(p, q): other[p] for p, q in product(objs, repeat=2)}
-    tmor = {(f, g): mor(tobj[(s, s2)], tobj[(d, d2)], label(f) + label(g))
-            for (f, s, d), (g, s2, d2) in product(morphisms, repeat=2)}
-    return MonoidalData(
-        base=base, tensor_obj=tobj, tensor_mor=tmor, unit="a",
-        assoc={(x, y, z): mor(tobj[(tobj[(x, y)], z)], tobj[(x, tobj[(y, z)])], 0)
-               for x, y, z in product(objs, repeat=3)},
-        lunit={x: mor(tobj[("a", x)], x, 0) for x in objs},
-        runit={x: mor(tobj[(x, "a")], x, 0) for x in objs})
 
 
 def mutants(m: MonoidalData):
@@ -160,13 +130,13 @@ def localized_sweeps_agree(stride) -> None:
                 continue
             swaps += 1
             axis += any(map(mutant.base.is_identity, key))
-            assert mutant._rebuild is not None, (name, key, other)
+            assert mutant._tensor is not None, (name, key, other)
             if i % step == 0:
                 assert outcome(mutant) == full_outcome(mutant), (name, key, other)
     assert (swaps, axis) == (1616, 957)
     m = build_cyc(2)
     mutant = dataclasses.replace(m, tensor_mor={**m.tensor_mor, ("0", "1"): "0"})
-    assert mutant._rebuild[1] == {("1", "1")}
+    assert mutant._tensor.defects == {("1", "1")}
 
 
 def test_localized_sweeps_agree_on_every_tensor_swap():
@@ -189,7 +159,7 @@ def test_a_tensor_whose_axes_do_not_commute_is_judged_on_every_site():
     base = FinCategory(("*",), tuple((f, "*", "*") for f in mors), {"*": "e"}, comp)
     m = MonoidalData(base=base, tensor_obj={("*", "*"): "*"}, tensor_mor=comp, unit="*",
                      assoc={("*", "*", "*"): "e"}, lunit={"*": "e"}, runit={"*": "e"})
-    assert m._rebuild is None
+    assert m._tensor is None
     got = check_monoidal(m)
     assert any(r.law == "tensor.interchange" for r in got) and got == full_outcome(m)
 
@@ -224,7 +194,7 @@ def test_an_off_axis_mutant_is_judged_on_its_cover_only(monkeypatch):
     m = build_trop(8)
     key = ("m:5:4", "m:5:2")
     mutant = dataclasses.replace(m, tensor_mor={**m.tensor_mor, key: "m:4:2"})
-    assert mutant._rebuild[1] == {key}
+    assert mutant._tensor.defects == {key}
     judged = covers(monkeypatch, mutant, 110)
     interchange, assoc = reads(mutant, key)
     assert len(judged["tensor.interchange"]) == 30
@@ -239,7 +209,7 @@ def test_an_axis_mutant_is_repaired_and_judged_on_its_cover_only(monkeypatch):
     m = build_trop(8)
     key = ("m:5:4", "id:2")
     mutant = dataclasses.replace(m, tensor_mor={**m.tensor_mor, key: "m:4:2"})
-    rebuilt, defects = mutant._rebuild
+    rebuilt, defects = mutant._tensor.rebuilt, mutant._tensor.defects
     assert defects == {key} and rebuilt[key] == m.tensor_mor[key]
     assert rebuilt == m.tensor_mor
     judged = covers(monkeypatch, mutant, 104)
