@@ -1079,7 +1079,7 @@ def _diff(ca: Any, cb: Any, path: str) -> str | None:
 def rename_category(cat: FinCategory,
                     obj_map: Mapping[Obj, Obj] | None = None,
                     mor_map: Mapping[Mor, Mor] | None = None) -> FinCategory:
-    """Rename objects/morphisms by total injective maps (used by round trips)."""
+    """Rename objects/morphisms by total injective maps."""
     om = dict(obj_map or {})
     mm = dict(mor_map or {})
     ro = lambda x: om.get(x, x)

@@ -30,6 +30,7 @@ from .core import (
     opposite_category,
     pair_id,
     product_category,
+    rename_category,
 )
 from .monoidal import (
     ClosedData,
@@ -99,12 +100,7 @@ def build_bool() -> MonoidalData:
     """The two-element meet lattice with implication as hom."""
     cat = _posetal_category(["0", "1"], lambda a, b: a == "0" and b == "1")
     # the single non-identity morphism keeps its traditional short name
-    cat = FinCategory(
-        cat.objects,
-        tuple(sorted((("m01" if m == "m:0:1" else m), s, d) for m, s, d in cat.morphisms)),
-        dict(cat.identity),
-        {(("m01" if f == "m:0:1" else f), ("m01" if g == "m:0:1" else g)):
-         ("m01" if h == "m:0:1" else h) for (f, g), h in cat.comp.items()})
+    cat = rename_category(cat, mor_map={"m:0:1": "m01"})
     objs = cat.objects
     tensor = {(a, b): "1" if a == "1" and b == "1" else "0" for a in objs for b in objs}
     hom_obj = {(a, b): "0" if a == "1" and b == "0" else "1" for a in objs for b in objs}

@@ -371,23 +371,6 @@ def hom_vfunctor(vc: VCategoryData, a: Obj) -> VFunctorData:
                for b in vc.objects for c in vc.objects})
 
 
-def opposite_vcategory(vc: VCategoryData) -> VCategoryData:
-    """Reverse an enriched category; the braiding reorders the compositions."""
-    m = vc.baseV
-    m.require_symmetry()
-    base = m.base
-    comp = {}
-    for a in vc.objects:
-        for bb in vc.objects:
-            for c in vc.objects:
-                comp[(a, bb, c)] = base.compose(
-                    m.braid(vc.hom(bb, a), vc.hom(c, bb)), vc.b(c, bb, a))
-    return VCategoryData(
-        baseV=m, objects=vc.objects,
-        homObj={(a, b): vc.hom(b, a) for a in vc.objects for b in vc.objects},
-        comp=comp, unit=dict(vc.unit))
-
-
 # evaluated on (td, delta, base), delta[(K, X, Y, Z)] the composition
 # hom(K, hom(X, Y)) (x) hom(Y, Z) -> hom(K, hom(X, Z)) through the enriched
 # hom functors; the sites are delta's keys

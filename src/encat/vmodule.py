@@ -4,10 +4,13 @@ closed variants, comodules and closed bimodules.
 The adjunction bijections (phi for the tensor side, psi for the cotensor
 side) are stored as explicit tables; units and counits are derived from them.
 In a closed module the cotensor adjunction psi is the action adjunction phi
-of the reversed side (the cotensor acting on the opposite category), so psi
-is checked by running the action-side adjunction checks on that reversed
-tensor-closed module; a closed bimodule, whose reversed side is that same
-module, reports each cotensor failure once.
+of the reversed side (the cotensor acting on the opposite category), built
+by :func:`dual_tensorclosed` once per check or completion, with a bimodule's
+comodule isomorphisms when there are any.  psi is read only through it: its
+action-side adjunction checks judge psi, and the comodule transports look
+psi up and invert it there.  The cotensor is validated once, as itself; the
+reversed side's module checks judge its action's other laws, so a closed
+bimodule reports each cotensor failure once.
 
 ``module.assoc-natural``, the naturality of a : (u (x) v) (x) w =>
 u (x) (v (x) w) in all three variables, is judged on
@@ -25,7 +28,7 @@ tables are partial (``check_vmodule`` does not validate V), every site is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
 from typing import Mapping
@@ -172,7 +175,8 @@ class TensorClosedModuleData:
 @dataclass(frozen=True)
 class ClosedVModuleData:
     """A tensor-closed module with a cotensor and its adjunction tables
-    psi[(K, X, Y)] : Hom(Y, K cotensor X) -> Hom(K, hom(Y, X))."""
+    psi[(K, X, Y)] : Hom(Y, K cotensor X) -> Hom(K, hom(Y, X)), read through
+    the reversed side (:func:`dual_tensorclosed`) as its action adjunction."""
 
     tensorClosed: TensorClosedModuleData
     cotensor: FunctorData
@@ -183,23 +187,6 @@ class ClosedVModuleData:
             return self.cotensor.onObjects[pair_id(k, x)]
         except KeyError:
             raise MissingTableError(f"cotensor object table missing ({k!r}, {x!r})") from None
-
-    def psi_of(self, k: Obj, x: Obj, y: Obj, g: Mor) -> Mor:
-        try:
-            return self.psi[(k, x, y)][g]
-        except KeyError:
-            raise MissingTableError(f"cotensor adjunction missing ({k!r}, {x!r}, {y!r}, {g!r})") from None
-
-    @cached_property
-    def _psi_fibres(self) -> dict[tuple[Obj, Obj, Obj], Preimages]:
-        """The fibres of each cotensor adjunction table, read once per
-        instance."""
-        return {key: Preimages(table) for key, table in self.psi.items()}
-
-    def psi_inv(self, k: Obj, x: Obj, y: Obj, t: Mor) -> Mor:
-        return self._psi_fibres.get((k, x, y), NO_PREIMAGES).unique(
-            t, lambda n: f"cotensor adjunction at ({k!r}, {x!r}, {y!r}) has {n} "
-                         f"preimages of {t!r}")
 
 
 @dataclass(frozen=True)
@@ -222,6 +209,7 @@ class EnrichedActionData:
 
 
 _ACTION, _HOM_FUNCTOR, _COTENSOR = "module.functor", "moduleclosed.functor", "moduleclosed.cotensor"
+_COTENSOR_LAWS = functor_law_names(_COTENSOR)
 
 MODULE_LAWS = (
     Law("module.assoc-natural",
@@ -252,13 +240,18 @@ MODULE_LAWS = (
 def check_vmodule(mod: VModuleData) -> list[CheckReport]:
     """Functoriality of the action, naturality/isomorphy of its structure
     morphisms, and the two module coherence diagrams."""
+    reports = validate_functor(mod.action, tag=_ACTION)
+    return sort_reports(reports + _module_checks(mod, not reports))
+
+
+def _module_checks(mod: VModuleData, action_lawful: bool) -> list[CheckReport]:
+    """:func:`check_vmodule` past the action's functoriality, which the
+    caller judged; the derived laws run when ``action_lawful`` and no
+    report is found."""
     m = mod.baseV
     vbase = m.base
     s = mod.baseS
     reports: list[CheckReport] = []
-
-    reports.extend(validate_functor(mod.action, tag=_ACTION))
-
     for k in vbase.objects:
         for l in vbase.objects:
             for x in s.objects:
@@ -279,8 +272,7 @@ def check_vmodule(mod: VModuleData) -> list[CheckReport]:
             reports.append(CheckReport("module.lunit-iso", (x,), witness_count=0))
 
     reports += evaluate(MODULE_LAWS, mod, m, s)
-    reports = sort_reports(reports)
-    if not reports:
+    if action_lawful and not reports:
         assert_derived(DERIVED_MODULE_LAWS, mod, m, s)
     return reports
 
@@ -408,22 +400,19 @@ def check_closed_module(cm: ClosedVModuleData) -> list[CheckReport]:
     adjunction checks run on the reversed side, whose adjunction tables are
     psi.  Its hom functor is the hom functor with swapped arguments, already
     validated, so it is not validated again."""
-    return _check_closed_module(ClosedBimoduleData(cm, comodAssoc={}, comodLunit={}))[0]
+    return _closed_checks(cm, dual_tensorclosed(cm))
 
 
-def _check_closed_module(bm: ClosedBimoduleData
-                         ) -> tuple[list[CheckReport], TensorClosedModuleData]:
-    """The closed-module checks of ``bm``'s closed module, with the reversed
-    side they build from ``bm`` (its comodule tables are not read here)."""
-    cm = bm.closedModule
+def _closed_checks(cm: ClosedVModuleData,
+                   reversed_side: TensorClosedModuleData) -> list[CheckReport]:
+    """:func:`check_closed_module` on a reversed side the caller built."""
     reports = check_tensor_closed(cm.tensorClosed)
     reports += validate_functor(cm.cotensor, tag=_COTENSOR)
-    reversed_side = dual_tensorclosed(bm)
     reports += _adjunction_checks(reversed_side, "cotensor adjunction")
     reports = sort_reports(reports)
     if not reports:
         _evaluation_square(reversed_side)
-    return reports, reversed_side
+    return reports
 
 
 def induced_vstructure(tc: TensorClosedModuleData) -> VStructureData:
@@ -606,37 +595,26 @@ PHIBAR_LAWS = (
 )
 
 
-def dual_module(bm: ClosedBimoduleData) -> VModuleData:
-    """The reversed-side module of a bimodule: the cotensor, a functor
-    V x S^op -> S^op, acting on the reversed category, with the stored
-    comodule isomorphisms."""
-    cm = bm.closedModule
-    mod = cm.tensorClosed.module
-    return VModuleData(
-        baseV=mod.baseV,
-        baseS=opposite_category(mod.baseS),
-        action=cm.cotensor,
-        assoc=dict(bm.comodAssoc),
-        lunit=dict(bm.comodLunit))
-
-
-def dual_tensorclosed(bm: ClosedBimoduleData) -> TensorClosedModuleData:
-    """The reversed side as a tensor-closed module: hom tables swap their
-    arguments and the cotensor adjunction becomes the action adjunction."""
-    cm = bm.closedModule
+def dual_tensorclosed(cm: ClosedVModuleData, assoc: Mapping = {},
+                      lunit: Mapping = {}) -> TensorClosedModuleData:
+    """The reversed side of a closed module: the cotensor, a functor
+    V x S^op -> S^op, acting on the reversed category with the comodule
+    isomorphisms ``assoc`` and ``lunit`` (a bimodule's, else none), the hom
+    tables with their arguments swapped, and psi as the action adjunction."""
     tc = cm.tensorClosed
     s = tc.module.baseS
-    mod = dual_module(bm)
-    src_prod = product_category(opposite_category(mod.baseS), mod.baseS)
+    s_op = opposite_category(s)
     hom = tc.homFunctor  # swapped verbatim: a missing entry stays missing
     on_objects = {pair_id(x, y): h for x in s.objects for y in s.objects
                   if (h := hom.onObjects.get(pair_id(y, x))) is not None}
     on_morphisms = {pair_id(u, v): h for u in s.mor_ids() for v in s.mor_ids()
                     if (h := hom.onMorphisms.get(pair_id(v, u))) is not None}
     return TensorClosedModuleData(
-        module=mod,
-        homFunctor=FunctorData(src_prod, tc.module.baseV.base, on_objects, on_morphisms),
-        phi={key: dict(table) for key, table in cm.psi.items()})
+        module=VModuleData(baseV=tc.module.baseV, baseS=s_op, action=cm.cotensor,
+                           assoc=assoc, lunit=lunit),
+        homFunctor=FunctorData(product_category(s, s_op), tc.module.baseV.base,
+                               on_objects, on_morphisms),
+        phi=cm.psi)
 
 
 def comodule_name(law: str) -> str:
@@ -645,21 +623,21 @@ def comodule_name(law: str) -> str:
     return "co" + law if law.startswith("module.") else law
 
 
-def _relabel(reports: list[CheckReport]) -> list[CheckReport]:
-    """Reversed-side module reports under their comodule names."""
-    return [CheckReport(comodule_name(r.law), r.site, r.lhs, r.rhs, r.witness_count, r.note)
-            for r in reports]
-
-
 def check_closed_bimodule(bm: ClosedBimoduleData) -> list[CheckReport]:
     """The closed-module checks (which already cover the reversed side's
-    adjunction), the reversed side's module checks, the requirement that the
-    reversed side carry the reversed hom structure, and the three transport
-    diagrams that pin the comodule isomorphisms."""
-    tc = bm.closedModule.tensorClosed
+    adjunction and its action, the cotensor), the reversed side's module
+    checks, the requirement that the reversed side carry the reversed hom
+    structure, and the three transport diagrams that pin the comodule
+    isomorphisms."""
+    cm = bm.closedModule
+    tc = cm.tensorClosed
     tc.module.baseV.require_symmetry()
-    reports, reversed_side = _check_closed_module(bm)
-    reports.extend(_relabel(check_vmodule(reversed_side.module)))
+    reversed_side = dual_tensorclosed(cm, bm.comodAssoc, bm.comodLunit)
+    reports = _closed_checks(cm, reversed_side)
+    # the reversed side's action is the cotensor, judged above
+    cotensor_lawful = not any(r.law in _COTENSOR_LAWS for r in reports)
+    reports += [replace(r, law=comodule_name(r.law))
+                for r in _module_checks(reversed_side.module, cotensor_lawful)]
 
     # the reversed side's hom structure must be the reversed hom structure
     try:
@@ -673,28 +651,26 @@ def check_closed_bimodule(bm: ClosedBimoduleData) -> list[CheckReport]:
         reports.append(CheckReport("bimodule.opposite-vstructure", (),
                                    witness_count=0, note=str(exc)))
 
-    reports.extend(evaluate(BIMODULE_LAWS, bm, reversed_side, tc.module.baseV, tc.module.baseS))
+    reports.extend(evaluate(BIMODULE_LAWS, cm, reversed_side, tc.module.baseV, tc.module.baseS))
     return sort_reports(reports)
 
 
 @explained
-def _hexagon_direct(bm: ClosedBimoduleData, dual: TensorClosedModuleData, m: MonoidalData,
+def _hexagon_direct(cm: ClosedVModuleData, dual: TensorClosedModuleData, m: MonoidalData,
                     s: FinCategory, k: Obj, l: Obj, x: Obj, y: Obj) -> Mor:
     """The internal adjunct at (K, X, L cot Y), then the reversed side's at
     (L, Y, X) inside hom(K, -)."""
-    tc = bm.closedModule.tensorClosed
-    ly = bm.closedModule.cot_obj(l, y)
     return m.base.compose(
-        module_phibar(tc, k, x, ly, verify=False),
+        module_phibar(cm.tensorClosed, k, x, cm.cot_obj(l, y), verify=False),
         hom_on_morphisms(m, m.base.id_(k), module_phibar(dual, l, y, x, verify=False)))
 
 
 @explained
-def _hexagon_braided(bm: ClosedBimoduleData, dual: TensorClosedModuleData, m: MonoidalData,
+def _hexagon_braided(cm: ClosedVModuleData, dual: TensorClosedModuleData, m: MonoidalData,
                      s: FinCategory, k: Obj, l: Obj, x: Obj, y: Obj) -> Mor:
     """The reversed side's internal adjunct, then the action's inside
     hom(L, -), then the double transpose across the braiding of K and L."""
-    tc = bm.closedModule.tensorClosed
+    tc = cm.tensorClosed
     sxy = tc.hom_obj(x, y)
     return m.base.compose(
         module_phibar(dual, l, y, tc.module.act_obj(k, x), verify=False),
@@ -702,72 +678,68 @@ def _hexagon_braided(bm: ClosedBimoduleData, dual: TensorClosedModuleData, m: Mo
         *internal_swap(m, k, l, sxy))
 
 
-def _comod_assoc_sites(bm: ClosedBimoduleData, dual, m: MonoidalData, s: FinCategory):
-    cm = bm.closedModule
+def _comod_assoc_sites(cm: ClosedVModuleData, dual: TensorClosedModuleData,
+                       m: MonoidalData, s: FinCategory):
     for k, l, x in product(m.base.objects, m.base.objects, s.objects):
-        if (k, l, x) not in bm.comodAssoc:
+        if (k, l, x) not in dual.module.assoc:
             raise MissingTableError(f"comodule associator missing ({k!r}, {l!r}, {x!r})")
         for y in s.objects:
             yield from ((k, l, x, y, g) for g in s.hom(y, cm.cot_obj(k, cm.cot_obj(l, x))))
 
 
-def _comod_unit_sites(bm: ClosedBimoduleData, dual, m: MonoidalData, s: FinCategory):
+def _comod_unit_sites(cm: ClosedVModuleData, dual: TensorClosedModuleData,
+                      m: MonoidalData, s: FinCategory):
     for x in s.objects:
-        if x not in bm.comodLunit:
+        if x not in dual.module.lunit:
             raise MissingTableError(f"comodule unitor missing {x!r}")
         yield from ((x, y, g) for y in s.objects for g in s.hom(y, x))
 
 
-# The three diagrams that force the comodule structure, evaluated on
-# (bm, reversed side, base, S) whatever the other checks found.  A site whose
-# transport cannot be computed is an existence failure of the same law; the
-# hexagon and the comodule morphism's composite carry the error's message.
-BIMODULE_LAWS = (
-    Law("bimodule.cp2-8-1",
-        lambda bm, dual, m, s: product(m.base.objects, m.base.objects, s.objects, s.objects),
-        _hexagon_direct, _hexagon_braided, core=True),
-    Law("bimodule.cp2-8-2", _comod_assoc_sites,
-        explained(lambda bm, dual, m, s, k, l, x, y, g: s.then(g, bm.comodAssoc[(k, l, x)])),
-        lambda bm, dual, m, s, *site: _assoc_transport(bm, *site), core=True),
-    Law("bimodule.cp2-8-3", _comod_unit_sites,
-        explained(lambda bm, dual, m, s, x, y, g: s.then(g, bm.comodLunit[x])),
-        lambda bm, dual, m, s, *site: _unit_transport(bm, *site), core=True),
-)
-
-
-def _assoc_transport(bm: ClosedBimoduleData,
-                     k: Obj, l: Obj, x: Obj, y: Obj, g: Mor) -> Mor:
-    """Send Y -> K cot (L cot X) through the adjunctions, the module
-    associator and the braiding to Y -> (K (x) L) cot X."""
-    cm = bm.closedModule
+def _assoc_transport(cm: ClosedVModuleData, dual: TensorClosedModuleData, m: MonoidalData,
+                     s: FinCategory, k: Obj, l: Obj, x: Obj, y: Obj, g: Mor) -> Mor:
+    """Send Y -> K cot (L cot X) through the adjunctions (psi read as the
+    reversed side ``dual``'s), the module associator and the braiding to
+    Y -> (K (x) L) cot X."""
     tc = cm.tensorClosed
     mod = tc.module
-    m = mod.baseV
-    s = mod.baseS
     g1 = tc.phi_inv(k, y, cm.cot_obj(l, x),
-                    cm.psi_of(k, cm.cot_obj(l, x), y, g))
+                    dual.phi_of(k, cm.cot_obj(l, x), y, g))
     g2 = tc.phi_inv(l, mod.act_obj(k, y), x,
-                    cm.psi_of(l, x, mod.act_obj(k, y), g1))
+                    dual.phi_of(l, x, mod.act_obj(k, y), g1))
     g3 = s.compose(mod.a(l, k, y), g2)
     g4 = s.compose(mod.act_mor(m.braid(k, l), s.id_(y)), g3)
-    return cm.psi_inv(m.tobj(k, l), x, y,
-                      tc.phi_of(m.tobj(k, l), y, x, g4))
+    return dual.phi_inv(m.tobj(k, l), x, y,
+                        tc.phi_of(m.tobj(k, l), y, x, g4))
 
 
-def _unit_transport(bm: ClosedBimoduleData, x: Obj, y: Obj, g: Mor) -> Mor:
+def _unit_transport(cm: ClosedVModuleData, dual: TensorClosedModuleData, m: MonoidalData,
+                    s: FinCategory, x: Obj, y: Obj, g: Mor) -> Mor:
     """Send Y -> X through the unit adjunction to Y -> I cot X."""
-    cm = bm.closedModule
     tc = cm.tensorClosed
-    mod = tc.module
-    m = mod.baseV
-    s = mod.baseS
-    return cm.psi_inv(m.unit, x, y,
-                      tc.phi_of(m.unit, y, x, s.compose(mod.l(y), g)))
+    return dual.phi_inv(m.unit, x, y,
+                        tc.phi_of(m.unit, y, x, s.compose(tc.module.l(y), g)))
+
+
+# The three diagrams that force the comodule structure, evaluated on
+# (closed module, reversed side, base, S) whatever the other checks found;
+# the comodule isomorphisms are the reversed side's.  A site whose transport
+# cannot be computed is an existence failure of the same law; the hexagon
+# and the comodule morphism's composite carry the error's message.
+BIMODULE_LAWS = (
+    Law("bimodule.cp2-8-1",
+        lambda cm, dual, m, s: product(m.base.objects, m.base.objects, s.objects, s.objects),
+        _hexagon_direct, _hexagon_braided, core=True),
+    Law("bimodule.cp2-8-2", _comod_assoc_sites,
+        explained(lambda cm, dual, m, s, k, l, x, y, g: s.then(g, dual.module.assoc[(k, l, x)])),
+        _assoc_transport, core=True),
+    Law("bimodule.cp2-8-3", _comod_unit_sites,
+        explained(lambda cm, dual, m, s, x, y, g: s.then(g, dual.module.lunit[x])),
+        _unit_transport, core=True),
+)
 
 
 #: The laws declared here, and the names the checkers report under outside them.
 LAWS = MODULE_LAWS + ADJUNCTION_LAWS + BIMODULE_LAWS
-CHECKS = functor_law_names(_ACTION) + functor_law_names(_HOM_FUNCTOR) + \
-    functor_law_names(_COTENSOR) + (
+CHECKS = functor_law_names(_ACTION) + functor_law_names(_HOM_FUNCTOR) + _COTENSOR_LAWS + (
         "module.shape", "module.assoc-iso", "module.lunit-iso",
         "bimodule.opposite-vstructure")

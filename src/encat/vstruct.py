@@ -359,15 +359,20 @@ def opposite_vstructure(vs: VStructureData) -> VStructureData:
                           comp=comp, phi=phi)
 
 
-def _alpha_transport(vs: VStructureData, cyl: CylinderAssignment,
-                     k: Obj, x: Obj, target: Obj, element: Mor) -> Mor:
-    """Recover the morphism K (x) X -> target whose coevaluation composite is
-    the given element K -> hom(X, target), through the adjunct family."""
+def _transported(vs: VStructureData, cyl: CylinderAssignment, k: Obj, x: Obj,
+                 target: Obj, element: Mor) -> tuple[Mor, list[Mor]]:
+    """The morphism K (x) X -> target whose coevaluation composite is the
+    given element K -> hom(X, target), recovered through the adjunct family,
+    and every such morphism, found by exhaustive search."""
     m = vs.baseV
+    base = m.base
+    s = vs.baseS
     kx = cyl.tensor_obj[(k, x)]
-    t = varpi(m, element)
-    t2 = m.base.compose(t, morphism_inverse_checked(m.base, cyl.phibar[(k, x, target)]))
-    return vs.phi_inv(kx, target, t2)
+    t = base.compose(varpi(m, element),
+                     morphism_inverse_checked(base, cyl.phibar[(k, x, target)]))
+    f = vs.phi_inv(kx, target, t)
+    return f, [h for h in s.hom(kx, target)
+               if base.compose(cyl.alpha[(k, x)], vs.hom_mor(s.id_(x), h)) == element]
 
 
 def cylinder_unique_iso(vs: VStructureData, cyl_a: CylinderAssignment,
@@ -377,17 +382,7 @@ def cylinder_unique_iso(vs: VStructureData, cyl_a: CylinderAssignment,
     Computed by element transport through the first cylinder's adjunct family
     and verified unique by exhaustive search.
     """
-    m = vs.baseV
-    base = m.base
-    s = vs.baseS
-    kx_a = cyl_a.tensor_obj[(k, x)]
-    kx_b = cyl_b.tensor_obj[(k, x)]
-    alpha_b = cyl_b.alpha[(k, x)]
-
-    f = _alpha_transport(vs, cyl_a, k, x, kx_b, alpha_b)
-
-    witnesses = [h for h in s.hom(kx_a, kx_b)
-                 if base.compose(cyl_a.alpha[(k, x)], vs.hom_mor(s.id_(x), h)) == alpha_b]
+    f, witnesses = _transported(vs, cyl_a, k, x, cyl_b.tensor_obj[(k, x)], cyl_b.alpha[(k, x)])
     if len(witnesses) != 1:
         raise WitnessError(
             f"cylinder comparison at ({k!r}, {x!r}) has {len(witnesses)} witnesses",
@@ -395,7 +390,7 @@ def cylinder_unique_iso(vs: VStructureData, cyl_a: CylinderAssignment,
     if witnesses[0] != f:
         raise EngineBugError("derived law failed: cylinder-iso transport disagrees "
                              "with the exhaustive search")
-    morphism_inverse_checked(s, f)
+    morphism_inverse_checked(vs.baseS, f)
     return f
 
 
@@ -430,10 +425,8 @@ def induced_tensor_bifunctor(vs: VStructureData, cyl: CylinderAssignment) -> Fun
     @cache
     def u_tensor(u: Mor, x: Obj) -> Mor:
         k, l = base.src(u), base.dst(u)
-        element = base.compose(u, cyl.alpha[(l, x)])
-        f = _alpha_transport(vs, cyl, k, x, cyl.tensor_obj[(l, x)], element)
-        witnesses = [h for h in s.hom(cyl.tensor_obj[(k, x)], cyl.tensor_obj[(l, x)])
-                     if base.compose(cyl.alpha[(k, x)], vs.hom_mor(s.id_(x), h)) == element]
+        f, witnesses = _transported(vs, cyl, k, x, cyl.tensor_obj[(l, x)],
+                                    base.compose(u, cyl.alpha[(l, x)]))
         if witnesses != [f]:
             raise WitnessError(
                 f"action of {u!r} on {x!r} has {len(witnesses)} witnesses",
@@ -444,10 +437,8 @@ def induced_tensor_bifunctor(vs: VStructureData, cyl: CylinderAssignment) -> Fun
     def k_tensor(k: Obj, v: Mor) -> Mor:
         x, y = s.src(v), s.dst(v)
         ky = cyl.tensor_obj[(k, y)]
-        element = base.compose(cyl.alpha[(k, y)], vs.hom_mor(v, s.id_(ky)))
-        f = _alpha_transport(vs, cyl, k, x, ky, element)
-        witnesses = [h for h in s.hom(cyl.tensor_obj[(k, x)], ky)
-                     if base.compose(cyl.alpha[(k, x)], vs.hom_mor(s.id_(x), h)) == element]
+        f, witnesses = _transported(vs, cyl, k, x, ky,
+                                    base.compose(cyl.alpha[(k, y)], vs.hom_mor(v, s.id_(ky))))
         if witnesses != [f]:
             raise WitnessError(
                 f"action of {k!r} on {v!r} has {len(witnesses)} witnesses",

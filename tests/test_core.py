@@ -222,6 +222,26 @@ def test_a_bimodule_check_validates_each_category_once(monkeypatch, name):
     assert len(swept) == 3 and {id(c) for c in swept} == {id(v), id(s), id(opposite_category(s))}
 
 
+@pytest.mark.parametrize("name", ["poset-diamond", "self(bool)", "self(cyc(3))"])
+def test_a_bimodule_check_validates_each_functor_once(monkeypatch, name):
+    """The action, the hom functor and the cotensor; the cotensor is also
+    the reversed side's action, and is not validated a second time."""
+    import encat.vmodule as vm
+    from encat.equiv import bimodule_completion
+
+    _, cm = build_instance(parse_instance_name(name))
+    bm = bimodule_completion(cm)
+    validated = []
+    real = vm.validate_functor
+    monkeypatch.setattr(vm, "validate_functor",
+                        lambda fn, tag: validated.append((fn, tag)) or real(fn, tag=tag))
+    assert vm.check_closed_bimodule(bm) == []
+    tc = cm.tensorClosed
+    assert validated == [(tc.module.action, "module.functor"),
+                         (tc.homFunctor, "moduleclosed.functor"),
+                         (cm.cotensor, "moduleclosed.cotensor")]
+
+
 def test_morphism_inverse(bool_m, cyc3):
     assert morphism_inverse(bool_m.base, "id:0") == "id:0"
     assert morphism_inverse(bool_m.base, "m01") is None

@@ -6,8 +6,6 @@ from encat.equiv import (
     cylinder_to_module,
     cylinder_to_tensored,
     module_to_cylinder,
-    roundtrip_cylinder_module,
-    roundtrip_module_cylinder,
     tensored_to_cylinder,
 )
 from encat.monoidal import self_cylinder, self_vstructure
@@ -118,14 +116,15 @@ def test_yoneda_witness_counts(poset_cm):
 def test_roundtrips(poset_cm, self_trop3, self_cyc3):
     for cm in (poset_cm, self_trop3, self_cyc3):
         tc = cm.tensorClosed
-        assert roundtrip_module_cylinder(tc)
+        assert structural_equal(cylinder_to_module(*module_to_cylinder(tc)), tc)
         vs, cyl = module_to_cylinder(tc)
-        assert roundtrip_cylinder_module(vs, cyl)
+        assert structural_equal(module_to_cylinder(cylinder_to_module(vs, cyl)), (vs, cyl))
 
 
 def test_roundtrip_from_self_structures(bool_m, trop3, cyc3):
     for m in (bool_m, trop3, cyc3):
-        assert roundtrip_cylinder_module(self_vstructure(m), self_cylinder(m))
+        vs, cyl = self_vstructure(m), self_cylinder(m)
+        assert structural_equal(module_to_cylinder(cylinder_to_module(vs, cyl)), (vs, cyl))
 
 
 def test_bimodule_completion_values(poset_cm, self_trop3):
@@ -222,3 +221,28 @@ def test_cylinder_to_module_names_a_missing_cylinder_object(tmp_path, self_cyc3)
         out = io.StringIO()
         assert cli(argv, out=out) == 2, out.getvalue()
         assert "cylinder object missing/undeclared at ('*', '*')" in out.getvalue()
+
+
+def test_bimodule_completion_blames_an_invalid_closed_module(tmp_path, self_cyc3):
+    # the psi entry 0 |-> 1 breaks the cotensor adjunction, so a transport
+    # has no unique preimage: construct says which law fails (exit 2), as
+    # check does, and reports no construction failure (exit 3)
+    import io
+
+    from encat.cli import cli
+    from encat.interface import Document, serialize
+    from encat.vmodule import check_closed_module
+
+    psi = {key: dict(table) for key, table in self_cyc3.psi.items()}
+    psi[("*", "*", "*")]["0"] = "1"
+    bad = dataclasses.replace(self_cyc3, psi=psi)
+    first = check_closed_module(bad)[0]
+    assert first.law == "moduleclosed.naturality"
+    doc = tmp_path / "cm.doc"
+    doc.write_text(serialize(Document("closedmodule", bad)), encoding="utf-8")
+    out = io.StringIO()
+    assert cli(["construct", str(doc), "--op", "bimodule-complete",
+                "-o", str(tmp_path / "bm.doc")], out=out) == 2, out.getvalue()
+    assert (f"the closed module fails moduleclosed.naturality at ({', '.join(first.site)})"
+            in out.getvalue())
+    assert "construction failed" not in out.getvalue()

@@ -12,7 +12,6 @@ from encat.vcat import (
     element_id,
     hom_vfunctor,
     identity_vfunctor,
-    opposite_vcategory,
     self_enriched,
     underlying_category,
 )
@@ -143,26 +142,3 @@ def test_vnat_into_base_oracle_equivalence(cyc3):
     reports = check_vnat_into_V(bad)  # both routes must flag, no engine bug
     laws = {r.law for r in reports}
     assert "vnat.square" in laws and "vnat.hom-square" in laws
-
-
-def test_opposite_vcategory(bool_m, cyc3):
-    vc3 = associated_vcategory(self_vstructure(cyc3))
-    assert structural_equal(opposite_vcategory(vc3), vc3)  # one object, abelian
-
-    two = VCategoryData(
-        baseV=bool_m, objects=("P", "Q"),
-        homObj={("P", "P"): "1", ("P", "Q"): "1", ("Q", "P"): "0", ("Q", "Q"): "1"},
-        comp={(a, b, c): _bool_arrow(bool_m, a, b, c)
-              for a in ("P", "Q") for b in ("P", "Q") for c in ("P", "Q")},
-        unit={"P": "id:1", "Q": "id:1"})
-    assert check_vcategory(two) == []
-    op = opposite_vcategory(two)
-    assert check_vcategory(op) == []
-    assert op.homObj[("Q", "P")] == "1" and op.homObj[("P", "Q")] == "0"
-    assert structural_equal(opposite_vcategory(op), two)
-
-
-def _bool_arrow(bool_m, a, b, c):
-    hom = {("P", "P"): "1", ("P", "Q"): "1", ("Q", "P"): "0", ("Q", "Q"): "1"}
-    src = bool_m.tobj(hom[(b, c)], hom[(a, b)])
-    return bool_m.base.hom(src, hom[(a, c)])[0]

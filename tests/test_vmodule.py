@@ -19,7 +19,6 @@ from encat.vmodule import (
     check_closed_module,
     check_tensor_closed,
     check_vmodule,
-    dual_module,
     dual_tensorclosed,
     enriched_action,
     induced_vstructure,
@@ -259,12 +258,13 @@ def test_module_phibar_failures_raise_on_every_call(poset_cm):
 
 def test_dualize_roundtrip_and_dual_module(poset_cm):
     bm = bimodule_completion(poset_cm)
-    dm = dual_module(bm)
-    assert check_vmodule(dm) == []
+    dual = dual_tensorclosed(poset_cm, bm.comodAssoc, bm.comodLunit)
+    assert check_vmodule(dual.module) == []
     # cotensor facts: the false coordinate cotensors to the top
     assert poset_cm.cot_obj("0", "x") == "top"
-    assert dual_tensorclosed(bm).hom_obj("x", "y") == \
-        poset_cm.tensorClosed.hom_obj("y", "x")
+    assert dual.hom_obj("x", "y") == poset_cm.tensorClosed.hom_obj("y", "x")
+    # psi is the reversed side's action adjunction, read in place
+    assert dual.phi is poset_cm.psi and dual.module.action is poset_cm.cotensor
 
 
 def test_bimodule_check_builds_the_reversed_side_once(self_cyc3, monkeypatch):
@@ -272,9 +272,11 @@ def test_bimodule_check_builds_the_reversed_side_once(self_cyc3, monkeypatch):
 
     built = []
     original = vm.dual_tensorclosed
-    monkeypatch.setattr(vm, "dual_tensorclosed", lambda bm: built.append(bm) or original(bm))
-    assert vm.check_closed_bimodule(bimodule_completion(self_cyc3)) == []
-    assert len(built) == 1
+    monkeypatch.setattr(vm, "dual_tensorclosed",
+                        lambda *args: built.append(args) or original(*args))
+    bm = bimodule_completion(self_cyc3)
+    assert vm.check_closed_bimodule(bm) == []
+    assert built == [(bm.closedModule, bm.comodAssoc, bm.comodLunit)]
 
 
 def test_bimodule_checks(poset_cm, self_trop3, self_cyc3):
@@ -329,6 +331,22 @@ def test_bimodule_reports_each_cotensor_failure_once():
     assert "moduleclosed.naturality" in {r.law for r in reports}
     assert len(keys) == len(set(keys))
     # the closed module's own reports are all of its cotensor failures
+    closed = check_closed_module(bad.closedModule)
+    assert [r for r in reports if r.law.startswith("moduleclosed.")] == closed
+
+    # a cotensor functoriality defect is reported under the cotensor's name
+    # only, not again as the reversed side's action
+    cm = bm.closedModule
+    cotensor = dict(cm.cotensor.onMorphisms)
+    cotensor[pair_id("0", "1")] = "0"
+    bad = dataclasses.replace(bm, closedModule=dataclasses.replace(
+        cm, cotensor=dataclasses.replace(cm.cotensor, onMorphisms=cotensor)))
+    reports = check_closed_bimodule(bad)
+    laws = [r.law for r in reports]
+    assert laws.count("moduleclosed.cotensor.composition") == 22
+    assert not any(law.startswith("comodule.functor.") for law in laws)
+    keys = [(r.law, r.site, r.lhs, r.rhs) for r in reports]
+    assert len(keys) == len(set(keys))
     closed = check_closed_module(bad.closedModule)
     assert [r for r in reports if r.law.startswith("moduleclosed.")] == closed
 
