@@ -1,0 +1,189 @@
+"""Golden test of the path checker over a fixed-rule corpus of single-entry
+mutants of the tautological hom structure and path of three closed symmetric
+bases.
+
+For each base V, the hom structure ``self_vstructure(V)`` and the path
+``self_path(V)`` are mutated by one fixed rule, chosen without looking at the
+outcomes: every entry of the path's object, beta and psibar tables, of the
+structure's internal composition, element tables and hom functor (objects and
+morphisms), and of V's braiding is deleted, or its value replaced by each
+other id of its sort (an object or morphism of V), one at a time.
+
+A mutant's outcome is that of ``check_path`` and of ``check_vstructure``
+followed by ``check_path``, which is what ``encat check`` runs on a path
+document: every field of every report, or the class and message of the
+:class:`EncatError` raised (any other exception fails the test).  The sha256
+of each base's outcome list is pinned for every ``STRIDE``-th mutant in
+tier-1 and for all of them under ``-m slow``;
+``PYTHONPATH=src python tests/test_path_corpus.py`` prints both.
+
+Wherever ``check_path`` returns, its reports must equal those of
+:func:`reference`: the dual compatibility square written out directly, and
+the shapes of the assignment read through the hom functor with its
+arguments swapped.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from encat.core import CheckReport, EncatError, Law, evaluate, morphism_inverse, sort_reports
+from encat.instances import build_instance, parse_instance_name
+from encat.monoidal import self_path, self_vstructure
+from encat.vstruct import check_path, check_vstructure
+
+BASES = ("bool", "cyc(3)", "trop(3)")
+STRIDE = 7
+
+# (mutants in the corpus, sha256 of every STRIDE-th outcome, sha256 of all)
+GOLDEN = {
+    "bool": (124, "753c2e0ae651cbab10002b0d37ac67581b1b4744693cde52a586af6d22cccf78",
+             "60d234a827c0d0238ec9c4fe8edb2559b42d60e821975f3bd52e4e8cc4ef417c"),
+    "cyc(3)": (50, "1c32faadd0b68a83dbfffb47f4b4084cda5fa287e5308d0c157939f122e98474",
+               "c72d1eb77bfc7a0bbcfa5f38dca7c5065846de5f9807e18057318d466b54672e"),
+    "trop(3)": (738, "a595a7865828df484b367c1fab0e3d80615b6d0448665abffede09ccfa6a3177",
+                "f0d7dd053f165c733b9599f1180a225ab3126d55738b94c03b73816d7925f839"),
+}
+
+
+# The square beta . hom(Y, -) . b = psibar . ev, with the internal
+# composition read after the braiding, at every (K, X, Y).
+PATH_SQUARE = Law(
+    "path.cp2-1-25",
+    lambda vs, pth, m: ((k, x, y) for k, x in sorted(pth.path_obj) for y in vs.baseS.objects),
+    lambda vs, pth, m, k, x, y: m.base.compose(
+        m.tmor(m.base.id_(vs.hom_obj(y, pth.path_obj[(k, x)])), pth.beta[(k, x)]),
+        m.braid(vs.hom_obj(y, pth.path_obj[(k, x)]), vs.hom_obj(pth.path_obj[(k, x)], x)),
+        vs.b(y, pth.path_obj[(k, x)], x)),
+    lambda vs, pth, m, k, x, y: m.base.compose(
+        m.tmor(pth.psibar[(k, x, y)], m.base.id_(k)), m.ev(k, vs.hom_obj(y, x))))
+
+
+def reference(vs, pth) -> list:
+    """The path checker's reports, computed directly on ``vs``."""
+    m = vs.baseV
+    base = m.base
+    hom = lambda x, y: vs.hom_obj(y, x)  # noqa: E731
+    reports = []
+    for k in base.objects:
+        for x in vs.baseS.objects:
+            kx = pth.path_obj[(k, x)]
+            be = pth.beta[(k, x)]
+            if not (base.has_mor(be) and base.src(be) == k and base.dst(be) == hom(x, kx)):
+                reports.append(CheckReport("path.shape", (k, x, be), witness_count=0))
+            for y in vs.baseS.objects:
+                pb = pth.psibar[(k, x, y)]
+                if not (base.has_mor(pb) and base.src(pb) == hom(kx, y)
+                        and base.dst(pb) == m.hom_obj(k, hom(x, y))):
+                    reports.append(CheckReport("path.shape", (k, x, y, pb), witness_count=0))
+                elif morphism_inverse(base, pb) is None:
+                    reports.append(CheckReport("path.psibar-iso", (k, x, y), witness_count=0))
+    return sort_reports(reports + evaluate((PATH_SQUARE,), vs, pth, m))
+
+
+def _entries(table, values):
+    """Every single-entry copy of ``table``: each key deleted, then given
+    each other value of ``values``."""
+    for key in sorted(table):
+        yield {k: v for k, v in table.items() if k != key}
+        for value in values:
+            if value != table[key]:
+                yield {**table, key: value}
+
+
+def mutants(m):
+    """Every single-entry mutant (structure, path), in a fixed order."""
+    vs, pth = self_vstructure(m), self_path(m)
+    objs, mors = m.base.objects, m.base.mor_ids()
+    for path_obj in _entries(pth.path_obj, objs):
+        yield vs, dataclasses.replace(pth, path_obj=path_obj)
+    for beta in _entries(pth.beta, mors):
+        yield vs, dataclasses.replace(pth, beta=beta)
+    for psibar in _entries(pth.psibar, mors):
+        yield vs, dataclasses.replace(pth, psibar=psibar)
+    for comp in _entries(vs.comp, mors):
+        yield dataclasses.replace(vs, comp=comp), pth
+    for key in sorted(vs.phi):
+        for table in _entries(vs.phi[key], mors):
+            yield dataclasses.replace(vs, phi={**vs.phi, key: table}), pth
+    hom = vs.homFunctor
+    for on_objects in _entries(hom.onObjects, objs):
+        yield dataclasses.replace(
+            vs, homFunctor=dataclasses.replace(hom, onObjects=on_objects)), pth
+    for on_morphisms in _entries(hom.onMorphisms, mors):
+        yield dataclasses.replace(
+            vs, homFunctor=dataclasses.replace(hom, onMorphisms=on_morphisms)), pth
+    for braid in _entries(m.symmetry.braid, mors):
+        mutated = dataclasses.replace(m, symmetry=dataclasses.replace(m.symmetry, braid=braid))
+        yield dataclasses.replace(vs, baseV=mutated), pth
+
+
+def _reports(reports) -> list:
+    return [[r.law, list(r.site), r.lhs, r.rhs, r.witness_count, r.note] for r in reports]
+
+
+def _outcome(run) -> list:
+    try:
+        return run()
+    except EncatError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def outcome(vs, pth) -> list:
+    """What the path checker makes of one mutant."""
+    return [_outcome(lambda: _reports(check_path(vs, pth))),
+            _outcome(lambda: _reports(check_vstructure(vs) + check_path(vs, pth)))]
+
+
+def corpus(name: str, stride: int = 1) -> tuple[int, list]:
+    """The number of mutants of base ``name`` and the outcomes of every
+    ``stride``-th of them."""
+    _, m = build_instance(parse_instance_name(name))
+    found = list(mutants(m))
+    return len(found), [outcome(vs, pth) for vs, pth in found[::stride]]
+
+
+def digest(outcomes: list) -> str:
+    return hashlib.sha256(json.dumps(outcomes).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_strided_corpus_matches_golden(name):
+    count, outcomes = corpus(name, STRIDE)
+    assert (count, digest(outcomes)) == GOLDEN[name][:2]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", BASES)
+def test_corpus_matches_golden(name):
+    count, outcomes = corpus(name)
+    assert (count, digest(outcomes)) == (GOLDEN[name][0], GOLDEN[name][2])
+
+
+def _agrees_with_reference(name: str, stride: int) -> None:
+    _, m = build_instance(parse_instance_name(name))
+    for vs, pth in list(mutants(m))[::stride]:
+        try:
+            got = check_path(vs, pth)
+        except EncatError:
+            continue
+        assert got == reference(vs, pth)
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_strided_path_check_is_the_direct_square_where_it_returns(name):
+    _agrees_with_reference(name, STRIDE)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", BASES)
+def test_path_check_is_the_direct_square_where_it_returns(name):
+    _agrees_with_reference(name, 1)
+
+
+if __name__ == "__main__":
+    for name in BASES:
+        count, every = corpus(name)
+        print(json.dumps(name), (count, digest(every[::STRIDE]), digest(every)))
