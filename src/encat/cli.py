@@ -19,7 +19,6 @@ from .core import (
     EngineBugError,
     WitnessError,
     canonical_diff,
-    structural_equal,
     validate_category,
 )
 from .equiv import (
@@ -193,11 +192,9 @@ def _roundtrip(doc: Document, pair: str, out) -> int:
         back = tensored_to_cylinder(associated_vcategory(vs), cylinder_to_tensored(vs, want))
     else:
         raise DocumentError(f"unknown round-trip pair {pair!r}")
-    if structural_equal(back, want):
-        print("equal", file=out)
-        return 0
-    print(f"unequal: {canonical_diff(back, want)}", file=out)
-    return 1
+    diff = canonical_diff(back, want)
+    print("equal" if diff is None else f"unequal: {diff}", file=out)
+    return 0 if diff is None else 1
 
 
 def _load(path: str) -> Document:

@@ -1019,41 +1019,31 @@ def _same_dataclass(a: Any, b: Any) -> bool:
 
 
 def structural_equal(a: Any, b: Any) -> bool:
-    """Exact table equality after canonical id-sorted normalization.
-
-    Values that are ``==`` have equal canonical forms, so plain equality
-    answers first.  Two dataclasses of one type are equal exactly when each
-    pair of fields is, so they are compared field by field, and canonical
-    forms are built only for the fields that are not ``==``.
-    """
-    return _equal(a, b)
-
-
-def _equal(a: Any, b: Any) -> bool:
-    if a == b:
-        return True
-    if _same_dataclass(a, b):
-        return all(_equal(getattr(a, f.name), getattr(b, f.name))
-                   for f in dataclasses.fields(a))
-    return canonical(a) == canonical(b)
+    """Exact table equality after canonical id-sorted normalization: no
+    :func:`canonical_diff` between ``a`` and ``b``."""
+    return canonical_diff(a, b) is None
 
 
 def canonical_diff(a: Any, b: Any, path: str = "") -> str | None:
-    """Human-readable path to the first difference between canonical forms.
+    """Human-readable path to the first difference between canonical forms,
+    or ``None`` when they are equal.
 
-    The text is ``_diff(canonical(a), canonical(b), path)``.  Two dataclasses
-    of one type are walked field by field, as in :func:`structural_equal`, so
-    only the fields that are not ``==`` are canonicalised; the step into a
-    nested dataclass is its class name, the head of its canonical form.
+    The text is ``_diff(canonical(a), canonical(b), path)``.  Values that are
+    ``==`` have equal canonical forms, so plain equality answers first.  Two
+    dataclasses of one type are walked field by field, so only the fields
+    that are not ``==`` are canonicalised; the step into a nested dataclass
+    is its class name, the head of its canonical form.
     """
+    if a == b:
+        return None
     if not _same_dataclass(a, b):
         return _diff(canonical(a), canonical(b), path)
     for f in dataclasses.fields(a):
         va, vb = getattr(a, f.name), getattr(b, f.name)
-        if va == vb:
-            continue
         if _same_dataclass(va, vb):
             d = canonical_diff(va, vb, f"{path}/{f.name}/{type(va).__name__}")
+        elif va == vb:
+            continue
         else:
             d = _diff((f.name, canonical(va)), (f.name, canonical(vb)), f"{path}/{f.name}")
         if d is not None:

@@ -36,14 +36,14 @@ STRIDE = 9
 
 # (mutants in the corpus, sha256 of every STRIDE-th outcome, sha256 of all)
 GOLDEN = {
-    "poset-diamond": (530, "30762da37ce4b8bf14ed20151c84b7c953ef33f42154e2d23c16d3b9a2332c5c",
-                      "4ed82d785d6ff25434664f39796e81082e021eb1e4aee5dcdf0a0db8d48ec4a8"),
-    "self(bool)": (86, "8f6bc1600a45878451d425c2d8c03ce5a27f1e1311b81fa4f7260c5de92b361d",
-                   "788d101db044ed25059d719a59c5288c48444a4c258297ec534a7c32f0471d8f"),
-    "self(cyc(3))": (43, "325d5cb325fac6ac259f79e2c2c2376db71fdec3b07f560d459cf5a72ed0f5ab",
-                     "f5873360d7c7ab0b8a9fc7e0788154debe92a532a4d9548cc9a78114b287e80b"),
-    "self(trop(3))": (561, "5b9efb46493349fbef165ac83bd0192ee74d91e9ee1e9bffe2adaeabf5b08295",
-                      "274435ef490b07881f0c94ddca5de41b91c729108fc55b00dc93f2dd209e09e8"),
+    "poset-diamond": (530, "b0bb228000fcd6a9e66d319ec6d3bc6b24270d1968f65e235cafaf0749786626",
+                      "035a25311c5c60430db35e13a3852baa7c0a229979bb9da42a11b9b67e383ae0"),
+    "self(bool)": (86, "01420a11dba6e808785dbedd397d222a2e116c87a1588da9dc82cff0539465f0",
+                   "d516f84e489cf5bcdc46293cfe8ba33bb6aa71a52b936df4fe159d16be747aed"),
+    "self(cyc(3))": (43, "5013c2d583d0efd3c96e58be756e0bc1846e798590afa59a01e09302f7dc2c36",
+                     "6fa46bffb7abfc09972b60ee5467780dc7e89f020c0583730832a3db52c12faf"),
+    "self(trop(3))": (561, "261e2332f78f226149cd015a1d003ab8fa6870fceabcb72cbee4fbae2e32be3c",
+                      "a7abc0ecc84045aa21a1e665bcf6735536d18e790cc1fefcc41ac10a756f0d84"),
 }
 
 

@@ -246,3 +246,29 @@ def test_bimodule_completion_blames_an_invalid_closed_module(tmp_path, self_cyc3
     assert (f"the closed module fails moduleclosed.naturality at ({', '.join(first.site)})"
             in out.getvalue())
     assert "construction failed" not in out.getvalue()
+
+
+def test_a_partial_cotensor_object_table_is_reported_not_read(tmp_path, self_cyc3):
+    # the reversed side's action is the cotensor: with an object missing it
+    # cannot be read, so the checks stop at moduleclosed.cotensor.total and
+    # construct names that law (exit 2)
+    import io
+
+    from encat.cli import cli
+    from encat.core import pair_id
+    from encat.interface import Document, serialize
+    from encat.vmodule import ClosedBimoduleData, check_closed_module
+
+    bm = bimodule_completion(self_cyc3)
+    cot = self_cyc3.cotensor
+    bad = dataclasses.replace(self_cyc3, cotensor=dataclasses.replace(cot, onObjects={}))
+    laws = [(r.law, r.site) for r in check_closed_module(bad)]
+    assert laws == [("moduleclosed.cotensor.total", (pair_id("*", "*"),))]
+    assert [(r.law, r.site) for r in check_closed_bimodule(
+        ClosedBimoduleData(bad, bm.comodAssoc, bm.comodLunit))] == laws
+    doc = tmp_path / "cm.doc"
+    doc.write_text(serialize(Document("closedmodule", bad)), encoding="utf-8")
+    out = io.StringIO()
+    assert cli(["construct", str(doc), "--op", "bimodule-complete",
+                "-o", str(tmp_path / "bm.doc")], out=out) == 2, out.getvalue()
+    assert "the closed module fails moduleclosed.cotensor.total at ((*,*))" in out.getvalue()

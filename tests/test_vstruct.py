@@ -3,13 +3,14 @@ import dataclasses
 import pytest
 
 from encat.core import (
+    MissingTableError,
     WitnessError,
     pair_id,
     structural_equal,
 )
 from encat.monoidal import self_cylinder, self_path, self_vstructure
 from encat.vcat import underlying_category
-from encat.vmodule import induced_vstructure
+from encat.vmodule import dual_tensorclosed, induced_vstructure
 from encat.vstruct import (
     CylinderAssignment,
     associated_vcategory,
@@ -123,6 +124,38 @@ def test_opposite_vstructure_involution(bool_m, trop3, cyc3):
         assert structural_equal(opposite_vstructure(ovs), vs)
     vs3 = self_vstructure(cyc3)
     assert structural_equal(opposite_vstructure(vs3), vs3)  # abelian
+
+
+def test_opposite_vstructure_copies_verbatim(trop3, self_trop3):
+    vs = self_vstructure(trop3)
+    # a missing entry stays missing, at its swapped key
+    hom = vs.homFunctor
+    on_morphisms = {k: v for k, v in hom.onMorphisms.items() if k != pair_id("m:1:0", "id:2")}
+    ovs = opposite_vstructure(dataclasses.replace(
+        vs, homFunctor=dataclasses.replace(hom, onMorphisms=on_morphisms)))
+    assert set(opposite_vstructure(vs).homFunctor.onMorphisms) - set(
+        ovs.homFunctor.onMorphisms) == {pair_id("id:2", "m:1:0")}
+    comp = {k: v for k, v in vs.comp.items() if k != ("0", "1", "2")}
+    ovs = opposite_vstructure(dataclasses.replace(vs, comp=comp))
+    assert set(vs.comp) - set(ovs.comp) == {("2", "1", "0")}
+    # a composite that cannot be formed is left out, not raised
+    ovs = opposite_vstructure(mutate_comp(vs, ("0", "1", "2"), "id:0"))
+    assert ("2", "1", "0") not in ovs.comp
+    # the closed module's reversed side shares the reversed hom functor
+    tc = self_trop3.tensorClosed
+    assert structural_equal(dual_tensorclosed(self_trop3).homFunctor,
+                            opposite_vstructure(induced_vstructure(tc)).homFunctor)
+
+
+def test_cylinder_check_on_an_unreadable_structure_returns_its_reports(trop3):
+    # the square never reads b(1, 0, 0); the derived law does not run on a
+    # structure check_vstructure cannot read, so check_cylinder returns
+    vs = self_vstructure(trop3)
+    comp = {k: v for k, v in vs.comp.items() if k != ("1", "0", "0")}
+    broken = dataclasses.replace(vs, comp=comp)
+    assert check_cylinder(broken, self_cylinder(trop3)) == []
+    with pytest.raises(MissingTableError, match="internal composition missing"):
+        check_vstructure(broken)
 
 
 def test_cylinder_unique_iso_identity(bool_m, trop3, cyc3):
