@@ -10,7 +10,13 @@ comodule isomorphisms when there are any.  psi is read only through it: its
 action-side adjunction checks judge psi, and the comodule transports look
 psi up and invert it there.  The cotensor is validated once, as itself; the
 reversed side's module checks judge its action's other laws, so a closed
-bimodule reports each cotensor failure once.
+bimodule reports each cotensor failure once.  An action (or cotensor) whose
+object table misses an entry is reported as that functor's ``.total`` and
+not read further: the laws that would read it are not judged.
+
+The internal adjunct phibar (:func:`module_phibar`) is judged by its
+universal characterization alone, on every module; on the self module it is
+the internal double transpose, which the tests check, not the checker.
 
 ``module.assoc-natural``, the naturality of a : (u (x) v) (x) w =>
 u (x) (v (x) w) in all three variables, is judged on
@@ -57,7 +63,6 @@ from .core import (
     opposite_category,
     pair_id,
     sort_reports,
-    structural_equal,
     trinatural_cover,
     validate_functor,
 )
@@ -65,10 +70,8 @@ from .monoidal import (
     MonoidalData,
     hom_on_morphisms,
     internal_composition_b,
-    internal_pi_bar,
     internal_swap,
     transpose_pi,
-    transpose_pi_inv,
     varpi,
 )
 from .vstruct import VStructureData, opposite_vstructure, reversed_hom
@@ -149,22 +152,6 @@ class TensorClosedModuleData:
         failure is not stored."""
         return {}
 
-    @cached_property
-    def _is_self_module(self) -> bool:
-        """Whether these are exactly the tables of the base acting on itself;
-        decided once per instance."""
-        from .instances import module_self_tensorclosed
-
-        m = self.module.baseV
-        if m.closed is None:
-            return False
-        if tuple(self.module.baseS.objects) != tuple(m.base.objects):
-            return False
-        try:
-            return structural_equal(self, module_self_tensorclosed(m))
-        except EncatError:
-            return False
-
     def phi_inv(self, k: Obj, x: Obj, y: Obj, t: Mor) -> Mor:
         return self._phi_fibres.get((k, x, y), NO_PREIMAGES).unique(
             t, lambda n: f"adjunction table at ({k!r}, {x!r}, {y!r}) has {n} "
@@ -240,7 +227,16 @@ def check_vmodule(mod: VModuleData) -> list[CheckReport]:
     """Functoriality of the action, naturality/isomorphy of its structure
     morphisms, and the two module coherence diagrams."""
     reports = validate_functor(mod.action, tag=_ACTION)
+    if _objects_partial(mod.action):
+        return reports
     return sort_reports(reports + _module_checks(mod, not reports))
+
+
+def _objects_partial(fn: FunctorData) -> bool:
+    """Whether ``fn``'s object table misses an entry: a module whose action
+    it is cannot be read past :func:`~encat.core.validate_functor`, which
+    reports the gap, so its other laws are not judged."""
+    return any(x not in fn.onObjects for x in fn.srcCat.objects)
 
 
 def _module_checks(mod: VModuleData, action_lawful: bool) -> list[CheckReport]:
@@ -387,7 +383,8 @@ def check_tensor_closed(tc: TensorClosedModuleData) -> list[CheckReport]:
     and their naturality in all three variables."""
     reports = check_vmodule(tc.module)
     reports += validate_functor(tc.homFunctor, tag=_HOM_FUNCTOR)
-    reports += _adjunction_checks(tc, "adjunction table")
+    if not _objects_partial(tc.module.action):
+        reports += _adjunction_checks(tc, "adjunction table")
     reports = sort_reports(reports)
     if not reports:
         _evaluation_square(tc)
@@ -402,18 +399,12 @@ def check_closed_module(cm: ClosedVModuleData) -> list[CheckReport]:
     return _closed_checks(cm, dual_tensorclosed(cm))
 
 
-def _cotensor_partial(cm: ClosedVModuleData) -> bool:
-    """Whether the cotensor's object table misses an entry: the reversed
-    side, whose action it is, cannot then be read, and is not checked."""
-    return any(x not in cm.cotensor.onObjects for x in cm.cotensor.srcCat.objects)
-
-
 def _closed_checks(cm: ClosedVModuleData,
                    reversed_side: TensorClosedModuleData) -> list[CheckReport]:
     """:func:`check_closed_module` on a reversed side the caller built."""
     reports = check_tensor_closed(cm.tensorClosed)
     reports += validate_functor(cm.cotensor, tag=_COTENSOR)
-    if _cotensor_partial(cm):
+    if _objects_partial(cm.cotensor):
         return sort_reports(reports)
     reports += _adjunction_checks(reversed_side, "cotensor adjunction")
     reports = sort_reports(reports)
@@ -538,10 +529,9 @@ def module_phibar(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj,
 
     Computed as the inverse of evaluate-then-act and, when ``verify`` is set,
     checked against its universal characterization over every tensor factor;
-    a mismatch there is an engine bug.  On the self module (decided once per
-    ``tc``, see :attr:`TensorClosedModuleData._is_self_module`) it must also
-    agree at every site with the internal double transpose, including the
-    unravelled evaluation form.
+    a mismatch there is an engine bug.  On the self module it is the internal
+    double transpose :func:`~encat.monoidal.internal_pi_bar`; that identity,
+    and its unravelled double-evaluation form, are test references.
 
     The inverse is computed once per distinct (K, X, Y) of ``tc`` and kept
     in a per-instance table; the checks run on every call with ``verify``
@@ -568,22 +558,6 @@ def module_phibar(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj,
         return phibar
 
     assert_derived(PHIBAR_LAWS, mod, tc, phibar, (k, x, y))
-    if tc._is_self_module:
-        if phibar != internal_pi_bar(m, k, x, y):
-            raise EngineBugError(
-                "derived law failed: self-module internal adjunct differs from "
-                "the internal double transpose")
-        h0 = m.hom_obj(k, m.hom_obj(x, y))
-        lhs = transpose_pi_inv(m, morphism_inverse_checked(vbase, phibar),
-                               m.tobj(k, x), y)
-        rhs = vbase.compose(
-            morphism_inverse_checked(vbase, m.a(h0, k, x)),
-            m.tmor(m.ev(k, m.hom_obj(x, y)), vbase.id_(x)),
-            m.ev(x, y))
-        if lhs != rhs:
-            raise EngineBugError(
-                "derived law failed: unravelled self-module adjunct "
-                "differs from the double evaluation")
     return phibar
 
 
@@ -627,14 +601,22 @@ def check_closed_bimodule(bm: ClosedBimoduleData) -> list[CheckReport]:
     adjunction and its action, the cotensor), the reversed side's module
     checks, the requirement that the reversed side carry the reversed hom
     structure, and the three transport diagrams that pin the comodule
-    isomorphisms."""
+    isomorphisms.  A comodule associator or unitor entry the bimodule lacks
+    raises under its comodule name before any of these reads the tables."""
     cm = bm.closedModule
     tc = cm.tensorClosed
     tc.module.baseV.require_symmetry()
     reversed_side = dual_tensorclosed(cm, bm.comodAssoc, bm.comodLunit)
     reports = _closed_checks(cm, reversed_side)
-    if _cotensor_partial(cm):
+    if _objects_partial(cm.cotensor):
         return reports
+    m, s = tc.module.baseV, tc.module.baseS
+    for k, l, x in product(m.base.objects, m.base.objects, s.objects):
+        if (k, l, x) not in bm.comodAssoc:
+            raise MissingTableError(f"comodule associator missing ({k!r}, {l!r}, {x!r})")
+    for x in s.objects:
+        if x not in bm.comodLunit:
+            raise MissingTableError(f"comodule unitor missing {x!r}")
     # the reversed side's action is the cotensor, judged above
     cotensor_lawful = not any(r.law in _COTENSOR_LAWS for r in reports)
     reports += [replace(r, law=comodule_name(r.law))
@@ -652,7 +634,7 @@ def check_closed_bimodule(bm: ClosedBimoduleData) -> list[CheckReport]:
         reports.append(CheckReport("bimodule.opposite-vstructure", (),
                                    witness_count=0, note=str(exc)))
 
-    reports.extend(evaluate(BIMODULE_LAWS, cm, reversed_side, tc.module.baseV, tc.module.baseS))
+    reports.extend(evaluate(BIMODULE_LAWS, cm, reversed_side, m, s))
     return sort_reports(reports)
 
 
@@ -677,23 +659,6 @@ def _hexagon_braided(cm: ClosedVModuleData, dual: TensorClosedModuleData, m: Mon
         module_phibar(dual, l, y, tc.module.act_obj(k, x), verify=False),
         hom_on_morphisms(m, m.base.id_(l), module_phibar(tc, k, x, y, verify=False)),
         *internal_swap(m, k, l, sxy))
-
-
-def _comod_assoc_sites(cm: ClosedVModuleData, dual: TensorClosedModuleData,
-                       m: MonoidalData, s: FinCategory):
-    for k, l, x in product(m.base.objects, m.base.objects, s.objects):
-        if (k, l, x) not in dual.module.assoc:
-            raise MissingTableError(f"comodule associator missing ({k!r}, {l!r}, {x!r})")
-        for y in s.objects:
-            yield from ((k, l, x, y, g) for g in s.hom(y, cm.cot_obj(k, cm.cot_obj(l, x))))
-
-
-def _comod_unit_sites(cm: ClosedVModuleData, dual: TensorClosedModuleData,
-                      m: MonoidalData, s: FinCategory):
-    for x in s.objects:
-        if x not in dual.module.lunit:
-            raise MissingTableError(f"comodule unitor missing {x!r}")
-        yield from ((x, y, g) for y in s.objects for g in s.hom(y, x))
 
 
 def _assoc_transport(cm: ClosedVModuleData, dual: TensorClosedModuleData, m: MonoidalData,
@@ -730,10 +695,16 @@ BIMODULE_LAWS = (
     Law("bimodule.cp2-8-1",
         lambda cm, dual, m, s: product(m.base.objects, m.base.objects, s.objects, s.objects),
         _hexagon_direct, _hexagon_braided, core=True),
-    Law("bimodule.cp2-8-2", _comod_assoc_sites,
+    Law("bimodule.cp2-8-2",
+        lambda cm, dual, m, s: (
+            (k, l, x, y, g) for k, l, x, y in product(m.base.objects, m.base.objects,
+                                                      s.objects, s.objects)
+            for g in s.hom(y, cm.cot_obj(k, cm.cot_obj(l, x)))),
         explained(lambda cm, dual, m, s, k, l, x, y, g: s.then(g, dual.module.assoc[(k, l, x)])),
         _assoc_transport, core=True),
-    Law("bimodule.cp2-8-3", _comod_unit_sites,
+    Law("bimodule.cp2-8-3",
+        lambda cm, dual, m, s: ((x, y, g) for x in s.objects for y in s.objects
+                                for g in s.hom(y, x)),
         explained(lambda cm, dual, m, s, x, y, g: s.then(g, dual.module.lunit[x])),
         _unit_transport, core=True),
 )

@@ -105,8 +105,8 @@ def test_criterion_2_derived_law_oracle():
             for k in tc.module.baseV.base.objects:
                 for x in s.objects:
                     for y in s.objects:
-                        module_phibar(tc, k, x, y)       # characterization,
-                        # plus the self-module double-evaluation identity
+                        module_phibar(tc, k, x, y)       # characterization;
+                        # its self-module identity is a reference in test_vmodule
 
 
 def _rename_vstructure(vs: VStructureData, mor_map) -> VStructureData:

@@ -37,13 +37,13 @@ STRIDE = 9
 # (mutants in the corpus, sha256 of every STRIDE-th outcome, sha256 of all)
 GOLDEN = {
     "poset-diamond": (530, "b0bb228000fcd6a9e66d319ec6d3bc6b24270d1968f65e235cafaf0749786626",
-                      "035a25311c5c60430db35e13a3852baa7c0a229979bb9da42a11b9b67e383ae0"),
+                      "e1ad6daef72e4fd3ba5c991bef163f34e8d578be134b78b20cee364f5b7d3d25"),
     "self(bool)": (86, "01420a11dba6e808785dbedd397d222a2e116c87a1588da9dc82cff0539465f0",
-                   "d516f84e489cf5bcdc46293cfe8ba33bb6aa71a52b936df4fe159d16be747aed"),
+                   "967b2f55acbfb72eb00767587e2f2ac37452440b12184813657d062703ce78e4"),
     "self(cyc(3))": (43, "5013c2d583d0efd3c96e58be756e0bc1846e798590afa59a01e09302f7dc2c36",
-                     "6fa46bffb7abfc09972b60ee5467780dc7e89f020c0583730832a3db52c12faf"),
-    "self(trop(3))": (561, "261e2332f78f226149cd015a1d003ab8fa6870fceabcb72cbee4fbae2e32be3c",
-                      "a7abc0ecc84045aa21a1e665bcf6735536d18e790cc1fefcc41ac10a756f0d84"),
+                     "b94326e83cf8f961225701ea0f4dae5ffe6216a9a49799fce90342d7d9ba4904"),
+    "self(trop(3))": (561, "4fbef5dd21a10a7570ad7789065a89c1c6a2b458d42829064581c1aaed67bc13",
+                      "8ba1bb774d14dd3a32d0a8d79b62e4265340d773b93af6d2d15fdcb1c03357f9"),
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 from encat.core import structural_equal
 from encat.equiv import (
@@ -8,8 +9,17 @@ from encat.equiv import (
     module_to_cylinder,
     tensored_to_cylinder,
 )
-from encat.monoidal import self_cylinder, self_vstructure
-from encat.vcat import check_tensored
+from encat.instances import build_bool, build_cyc, build_trop
+from encat.monoidal import self_cylinder, self_vstructure, varpi
+from encat.vcat import (
+    VFunctorData,
+    VNatData,
+    check_tensored,
+    check_vnat_into_V,
+    hom_vfunctor,
+    self_enriched,
+    underlying_category,
+)
 from encat.vmodule import check_closed_bimodule, check_tensor_closed
 from encat.vstruct import (
     CylinderAssignment,
@@ -38,27 +48,87 @@ def test_tensored_roundtrip(bool_m, trop3, trop4, cyc1, cyc2, cyc3):
         assert structural_equal(back, cyl)
 
 
-def test_tensored_naturality_mutation(cyc3):
-    # a two-object structure admits a non-central corruption of the family
+def two_object_tensored(m):
+    """The tensor assignment of a cylinder on the underlying structure of
+    ``two_object_cyc_vcat(m)``: every adjunct the zero element."""
     from tests.test_vcat import two_object_cyc_vcat
-    from encat.vcat import underlying_category
 
-    _cat, vs = underlying_category(two_object_cyc_vcat(cyc3))
+    _cat, vs = underlying_category(two_object_cyc_vcat(m))
     s = vs.baseS
     cyl = CylinderAssignment(
         tensor_obj={("*", x): x for x in s.objects},
         alpha={("*", x): vs.phi_of(x, x, s.id_(x)) for x in s.objects},
         phibar={("*", x, y): "0" for x in s.objects for y in s.objects})
     assert check_cylinder(vs, cyl) == []
-    td = cylinder_to_tensored(vs, cyl)
+    return cylinder_to_tensored(vs, cyl)
+
+
+def test_tensored_naturality_mutation(cyc3):
+    # a two-object structure admits a non-central corruption of the family
+    td = two_object_tensored(cyc3)
     assert check_tensored(td) == []
 
-    phibar = dict(cyl.phibar)
-    phibar[("*", "P", "Q")] = "1"
-    bad = dataclasses.replace(td, phibar=phibar)
+    bad = dataclasses.replace(td, phibar={**td.phibar, ("*", "P", "Q"): "1"})
     reports = check_tensored(bad)
     assert reports
     assert any("Q" in r.site for r in reports)
+
+
+def tensored_corpus():
+    """Every swap of one adjunct of a lawful tensor assignment to each other
+    morphism of V, in a fixed order: the two-object assignments over
+    cyc(2..4), then the self cylinders of bool, trop(3) and cyc(3)."""
+    lawful = [two_object_tensored(build_cyc(n)) for n in (2, 3, 4)]
+    lawful += [cylinder_to_tensored(self_vstructure(m), self_cylinder(m))
+               for m in (build_bool(), build_trop(3), build_cyc(3))]
+    for td in lawful:
+        for key in sorted(td.phibar):
+            for value in td.vcat.baseV.base.mor_ids():
+                if value != td.phibar[key]:
+                    yield dataclasses.replace(td, phibar={**td.phibar, key: value})
+
+
+def enriched_naturality_holds(td) -> bool:
+    """The reference route: at each (K, X), the family as an enriched
+    transformation hom(K (x) X, -) => hom(K, hom(X, -)) into the base, the
+    target the composite of two enriched hom functors, judged by
+    ``check_vnat_into_V`` (directly and by the hom-square characterization)."""
+    vc = td.vcat
+    m = vc.baseV
+    vself = self_enriched(m)
+    for (k, x), kx in sorted(td.tensorObj.items()):
+        hom_x, hom_k = hom_vfunctor(vc, x), hom_vfunctor(vself, k)
+        target = VFunctorData(
+            src=vc, dst=vself,
+            onObjects={y: hom_k.obj(hom_x.obj(y)) for y in vc.objects},
+            onHom={(y, z): m.base.compose(hom_x.hom(y, z), hom_k.hom(hom_x.obj(y), hom_x.obj(z)))
+                   for y in vc.objects for z in vc.objects})
+        nt = VNatData(source=hom_vfunctor(vc, kx), target=target,
+                      components={y: varpi(m, td.phibar[(k, x, y)]) for y in vc.objects})
+        if check_vnat_into_V(nt):
+            return False
+    return True
+
+
+def test_tensored_check_agrees_with_enriched_naturality():
+    # check_tensored judges one composition square; the enriched-naturality
+    # route decides the same family.  A shape failure stops check_tensored
+    # before the square, and the reference does not see shapes.
+    verdicts = []
+    for td in tensored_corpus():
+        reports = check_tensored(td)
+        laws = {r.law for r in reports}
+        natural = enriched_naturality_holds(td)
+        assert ("tensored.vnatural" not in laws) == natural
+        if "tensored.shape" not in laws:
+            assert (reports == []) == natural
+        assert all(law.startswith("tensored.") for law in laws), laws
+        verdicts.append((natural, tuple(sorted(laws))))
+    assert Counter(verdicts) == {
+        (False, ("tensored.vnatural",)): 24,
+        (True, ("tensored.shape",)): 151,
+        (True, ()): 2,
+    }
 
 
 def test_tensored_check_reports_an_invalid_enriched_category(bool_m):

@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import product
 
 import pytest
 
@@ -6,13 +7,15 @@ from encat.core import (
     EngineBugError,
     FinCategory,
     FunctorData,
+    MissingTableError,
     WitnessError,
+    morphism_inverse_checked,
     pair_id,
     product_category,
     structural_equal,
     validate_category,
 )
-from encat.monoidal import internal_pi_bar, self_vstructure
+from encat.monoidal import internal_pi_bar, self_vstructure, transpose_pi_inv
 from encat.vmodule import (
     VModuleData,
     check_closed_bimodule,
@@ -27,7 +30,14 @@ from encat.vmodule import (
 )
 from encat.vstruct import check_vstructure
 from encat.equiv import bimodule_completion
-from encat.instances import build_cyc, build_trop, module_self, module_self_tensorclosed
+from encat.instances import (
+    build_cyc,
+    build_instance,
+    build_trop,
+    module_self,
+    module_self_tensorclosed,
+    parse_instance_name,
+)
 
 
 def tower_module() -> VModuleData:
@@ -162,40 +172,34 @@ def test_module_phibar_examples(poset_cm, self_trop3, self_cyc3):
     assert module_phibar(poset_cm.tensorClosed, "0", "x", "y") == "id:1"
 
 
-def test_module_phibar_matches_internal_transpose_on_self(trop3):
-    tc = module_self_tensorclosed(trop3)
-    for k in trop3.base.objects:
-        for x in trop3.base.objects:
-            for y in trop3.base.objects:
-                assert module_phibar(tc, k, x, y) == internal_pi_bar(trop3, k, x, y)
+def assert_self_adjunct_is_the_double_transpose(m):
+    """On the self module of ``m``, at every (K, X, Y): the internal adjunct
+    is the internal double transpose, and transposing its inverse back gives
+    the double evaluation (K, X, Y written k, x, y)
+    (hom(k, hom(x, y)) (x) k) (x) x -> hom(x, y) (x) x -> y."""
+    tc = module_self_tensorclosed(m)
+    base = m.base
+    for k, x, y in product(base.objects, repeat=3):
+        phibar = module_phibar(tc, k, x, y)
+        assert phibar == internal_pi_bar(m, k, x, y), (k, x, y)
+        h0 = m.hom_obj(k, m.hom_obj(x, y))
+        unravelled = transpose_pi_inv(m, morphism_inverse_checked(base, phibar), m.tobj(k, x), y)
+        assert unravelled == base.compose(
+            morphism_inverse_checked(base, m.a(h0, k, x)),
+            m.tmor(m.ev(k, m.hom_obj(x, y)), base.id_(x)), m.ev(x, y)), (k, x, y)
 
 
-def test_self_module_oracle_runs_at_every_site(monkeypatch, trop3):
-    # the self-module decision is cached per module; the oracle it enables
-    # must still compare at a site visited after the decision was made
-    import encat.vmodule as vm
-
-    tc = module_self_tensorclosed(trop3)
-    assert module_phibar(tc, "0", "0", "0") == "id:0"
-    real = internal_pi_bar(trop3, "1", "1", "2")
-    wrong = next(f for f in trop3.base.mor_ids() if f != real)
-    monkeypatch.setattr(vm, "internal_pi_bar", lambda *a, **k: wrong)
-    with pytest.raises(EngineBugError):
-        module_phibar(tc, "1", "1", "2")
+def test_module_phibar_matches_internal_transpose_on_self(bool_m, trop3, cyc3):
+    for m in (bool_m, trop3, cyc3):
+        assert_self_adjunct_is_the_double_transpose(m)
 
 
-def test_module_to_cylinder_decides_self_module_once(monkeypatch, trop4):
-    import encat.instances as inst
-    from encat.equiv import module_to_cylinder
-
-    tc = module_self_tensorclosed(trop4)
-    calls = []
-    original = inst.module_self_tensorclosed
-    monkeypatch.setattr(inst, "module_self_tensorclosed",
-                        lambda m: calls.append(m) or original(m))
-    module_to_cylinder(tc)
-    assert tc._is_self_module
-    assert len(calls) <= 1
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["trop(4)", "trop(5)", "cyc(4)", "cyc(5)", "cyc(6)",
+                                  "cyc(7)", "cyc(8)"])
+def test_module_phibar_matches_internal_transpose_on_the_ladder(name):
+    _, m = build_instance(parse_instance_name(name))
+    assert_self_adjunct_is_the_double_transpose(m)
 
 
 def test_module_phibar_inverse_absent_is_witness_error(poset_cm):
@@ -369,3 +373,45 @@ def test_closed_module_runs_the_reversed_evaluation_square(monkeypatch, self_cyc
     psi[("*", "*", "*")]["0"] = "1"
     assert check_closed_module(dataclasses.replace(cm, psi=psi))
     assert seen == [cm.tensorClosed.phi]
+
+
+def test_a_partial_action_object_table_is_reported_not_read(tmp_path):
+    # validate_functor reports the gap; the module laws and the adjunction,
+    # which read the action's objects, are not judged
+    import io
+
+    from encat.cli import cli
+    from encat.interface import Document, serialize
+    from encat.vmodule import ClosedBimoduleData
+
+    deleted = 0
+    for name in ("poset-diamond", "self(bool)", "self(cyc(3))", "self(trop(3))"):
+        _, cm = build_instance(parse_instance_name(name))
+        bm = bimodule_completion(cm)
+        tc = cm.tensorClosed
+        action = tc.module.action
+        for key in sorted(action.onObjects):
+            deleted += 1
+            on_objects = {k: v for k, v in action.onObjects.items() if k != key}
+            bad_tc = dataclasses.replace(tc, module=dataclasses.replace(
+                tc.module, action=dataclasses.replace(action, onObjects=on_objects)))
+            bad_cm = dataclasses.replace(cm, tensorClosed=bad_tc)
+            bad_bm = ClosedBimoduleData(bad_cm, bm.comodAssoc, bm.comodLunit)
+            total = ("module.functor.total", (key,))
+            assert [(r.law, r.site) for r in check_tensor_closed(bad_tc)] == [total]
+            assert [(r.law, r.site) for r in check_closed_module(bad_cm)] == [total]
+            assert total in [(r.law, r.site) for r in check_closed_bimodule(bad_bm)]
+            doc = tmp_path / "bm.doc"
+            doc.write_text(serialize(Document("bimodule", bad_bm)), encoding="utf-8")
+            out = io.StringIO()
+            assert cli(["check", str(doc)], out=out) == 1, (name, key, out.getvalue())
+            assert "module.functor.total" in out.getvalue()
+    assert deleted == 22
+
+
+def test_a_missing_comodule_entry_is_named_as_the_bimodule_names_it(self_cyc3):
+    bm = bimodule_completion(self_cyc3)
+    with pytest.raises(MissingTableError, match=r"^comodule associator missing \('\*', '\*', '\*'\)$"):
+        check_closed_bimodule(dataclasses.replace(bm, comodAssoc={}))
+    with pytest.raises(MissingTableError, match=r"^comodule unitor missing '\*'$"):
+        check_closed_bimodule(dataclasses.replace(bm, comodLunit={}))
