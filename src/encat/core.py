@@ -157,10 +157,10 @@ def _undefined(side: Callable[..., Mor], exc: EncatError) -> str:
 
 
 def derived_law(name: str, sites: Callable[..., Iterable[tuple[str, ...]]],
-                lhs: Callable[..., Mor], rhs: Callable[..., Mor]) -> Law:
+                lhs: Callable[..., Mor], rhs: Callable[..., Mor], gate=None) -> Law:
     """A law the axioms imply, for :func:`assert_derived`: both sides are
     :func:`required`, since each is defined wherever the axioms hold."""
-    return Law(name, sites, required(lhs), required(rhs))
+    return Law(name, sites, required(lhs), required(rhs), gate=gate)
 
 
 def evaluate(laws: Iterable[Law], *data: Any) -> list[CheckReport]:
@@ -193,6 +193,14 @@ def _reports(laws: Iterable[Law], data: tuple) -> Iterator[CheckReport]:
     for law in laws:
         cover = law.gate(*data) if law.gate is not None else None
         yield from _judge(law, law.sites(*data) if cover is None else cover, data)
+
+
+def holds(law: Law, sites: Iterable[tuple[str, ...]], *data: Any) -> bool:
+    """Whether ``law`` holds at all ``sites`` on ``data``; an error fails it."""
+    try:
+        return not any(_judge(law, sites, data))
+    except EncatError:
+        return False
 
 
 def _judge(law: Law, sites: Iterable[tuple[str, ...]], data: tuple) -> Iterator[CheckReport]:

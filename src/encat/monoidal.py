@@ -47,7 +47,7 @@ evaluator is wrong, not the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
 from typing import Mapping
@@ -70,6 +70,8 @@ from .core import (
     bifunctor_cover,
     derived_law,
     evaluate,
+    generators,
+    holds,
     morphism_inverse,
     morphism_inverse_checked,
     opposite_category,
@@ -123,6 +125,11 @@ class MonoidalData:
         found."""
         base = self.base
         return rebuild_bifunctor(base, base, base, self.tensor_obj, self.tensor_mor)
+
+    @cached_property
+    def _verdicts(self) -> dict[str, tuple[CheckReport, ...]]:
+        """The "monoidal" and "closed" laws' reports, kept once found; gates read them."""
+        return {}
 
     @cached_property
     def _transposes(self) -> dict[tuple[Obj, Obj, Obj], Preimages]:
@@ -242,8 +249,10 @@ def check_monoidal(m: MonoidalData) -> list[CheckReport]:
 
     Raises :class:`MissingTableError` when a structure table is partial, and
     :class:`EngineBugError` if a derived law fails on an input whose axioms
-    all hold.
+    all hold.  Runs once per instance: ``m._verdicts`` keeps the reports.
     """
+    if "monoidal" in m._verdicts:
+        return list(m._verdicts["monoidal"])
     base = m.base
     reports: list[CheckReport] = []
     objs = base.objects
@@ -259,27 +268,24 @@ def check_monoidal(m: MonoidalData) -> list[CheckReport]:
             for z in objs:
                 m.a(x, y, z)
 
-    for f in mors:
-        for g in mors:
-            fg = m.tmor(f, g)
-            if not base.has_mor(fg):
-                raise MalformedReferenceError(
-                    f"tensor maps ({f!r}, {g!r}) to undeclared morphism {fg!r}")
-            if (base.src(fg) != m.tobj(base.src(f), base.src(g))
-                    or base.dst(fg) != m.tobj(base.dst(f), base.dst(g))):
-                reports.append(CheckReport("tensor.shape", (f, g), witness_count=0))
+    for f, g in product(mors, repeat=2):
+        fg = m.tmor(f, g)
+        if not base.has_mor(fg):
+            raise MalformedReferenceError(
+                f"tensor maps ({f!r}, {g!r}) to undeclared morphism {fg!r}")
+        if (base.src(fg) != m.tobj(base.src(f), base.src(g))
+                or base.dst(fg) != m.tobj(base.dst(f), base.dst(g))):
+            reports.append(CheckReport("tensor.shape", (f, g), witness_count=0))
     reports += evaluate(MONOIDAL_LAWS, m, base)
 
-    for x in objs:
-        for y in objs:
-            for z in objs:
-                av = m.a(x, y, z)
-                want_s = m.tobj(m.tobj(x, y), z)
-                want_d = m.tobj(x, m.tobj(y, z))
-                if base.src(av) != want_s or base.dst(av) != want_d:
-                    reports.append(CheckReport("assoc.shape", (x, y, z), witness_count=0))
-                elif morphism_inverse(base, av) is None:
-                    reports.append(CheckReport("assoc.iso", (x, y, z), witness_count=0))
+    for x, y, z in product(objs, repeat=3):
+        av = m.a(x, y, z)
+        want_s = m.tobj(m.tobj(x, y), z)
+        want_d = m.tobj(x, m.tobj(y, z))
+        if base.src(av) != want_s or base.dst(av) != want_d:
+            reports.append(CheckReport("assoc.shape", (x, y, z), witness_count=0))
+        elif morphism_inverse(base, av) is None:
+            reports.append(CheckReport("assoc.iso", (x, y, z), witness_count=0))
     for x in objs:
         lv, rv = m.l(x), m.r(x)
         if base.src(lv) != m.tobj(m.unit, x) or base.dst(lv) != x:
@@ -294,6 +300,7 @@ def check_monoidal(m: MonoidalData) -> list[CheckReport]:
     reports = sort_reports(reports)
     if not reports:
         assert_derived(DERIVED_MONOIDAL_LAWS, m, base)
+    m._verdicts["monoidal"] = tuple(reports)
     return reports
 
 
@@ -379,43 +386,58 @@ def transpose_pi(m: MonoidalData, f: Mor, x: Obj, y: Obj) -> Mor:
         f, lambda n: f"transpose of {f!r} at ({x!r}, {y!r}, {z!r}) has {n} witnesses")
 
 
+def _on_generators(law: Law) -> Law:
+    """``law``, whose ``sites(m, base, mors)`` vary h or k over ``mors``, on
+    every morphism, gated on the :func:`~encat.core.generators` of the base.
+    An exact tensor rebuild (a valid base, no defects) makes T a bifunctor,
+    so the law holds at identities, and with e(g) = ev . (g (x) 1) squares
+    paste (CWM II.3): e(g . h2 . h1) = e(g . h2) . (h1 (x) 1) = e(g) .
+    (h2 . h1 (x) 1), and the square at k2 with g = hom(Y, k1) and the
+    bijection give hom(Y, k2 . k1) = hom(Y, k2) . hom(Y, k1).  So once it
+    holds, as a predicate, wherever h or k is a generator, the cover is ()."""
+    def gate(m: MonoidalData, base: FinCategory):
+        t = m._tensor
+        if t is not None and not t.defects and holds(
+                law, law.sites(m, base, generators(base)), m, base):
+            return ()
+    return replace(law, sites=lambda m, base: law.sites(m, base, base.mor_ids()), gate=gate)
+
+
 # Naturality of the transpose in X and in Z: redundant given bijectivity,
 # kept as an explicit check of the adjunction contract.  It runs once the
 # bijection holds, so both composites must exist; an error is the input's.
-CLOSED_LAWS = (
+CLOSED_LAWS = tuple(map(_on_generators, (
     Law("closed.pi-natural",  # h : X' -> X before g : X -> hom(Y, Z)
-        lambda m, base: ((y, z, h, g) for y, z in product(base.objects, repeat=2)
-                         for h in base.mor_ids() for g in base.hom(base.dst(h), m.hom_obj(y, z))),
+        lambda m, base, hs: ((y, z, h, g) for y, z in product(base.objects, repeat=2)
+                             for h in hs for g in base.hom(base.dst(h), m.hom_obj(y, z))),
         required(lambda m, base, y, z, h, g: _transpose_forward(m, base.compose(h, g), y, z)),
         required(lambda m, base, y, z, h, g: base.compose(
             m.tmor(h, base.id_(y)), _transpose_forward(m, g, y, z)))),
     Law("closed.pi-natural",  # k : Z -> Z' after the transpose of g : X -> hom(Y, Z)
-        lambda m, base: ((y, z, k, g) for y, z in product(base.objects, repeat=2)
-                         for k in base.mor_ids() if base.src(k) == z
-                         for x in base.objects for g in base.hom(x, m.hom_obj(y, z))),
+        lambda m, base, ks: ((y, z, k, g) for y, z in product(base.objects, repeat=2)
+                             for k in ks if base.src(k) == z
+                             for x in base.objects for g in base.hom(x, m.hom_obj(y, z))),
         required(lambda m, base, y, z, k, g: _transpose_forward(m, base.compose(
             g, transpose_pi(m, base.compose(m.ev(y, z), k), m.hom_obj(y, z), y)),
             y, base.dst(k))),
         required(lambda m, base, y, z, k, g: base.compose(_transpose_forward(m, g, y, z), k))),
-)
+)))
 
 CLOSED_BIJECTION = "closed.bijection"
 
 
 def check_closed(m: MonoidalData) -> list[CheckReport]:
-    """Bijectivity of the transpose at every (X, Y, Z), plus its naturality.
-
-    A law that raises, or a failed derived law, is passed on only when the
-    monoidal axioms hold; otherwise the :func:`check_monoidal` reports are
-    returned."""
+    """Bijectivity of the transpose at every (X, Y, Z), plus its naturality,
+    kept in ``m._verdicts``; the derived laws run when both hold.  A law that
+    raises, or a failed derived law, is passed on only when the monoidal
+    axioms hold; otherwise the :func:`check_monoidal` reports are returned."""
     m.require_closed()
     base = m.base
-    reports: list[CheckReport] = []
     objs = base.objects
-
-    ev_ok: dict[tuple[Obj, Obj], bool] = {}
-    for y in objs:
-        for z in objs:
+    if "closed" not in m._verdicts:
+        reports: list[CheckReport] = []
+        ev_ok: dict[tuple[Obj, Obj], bool] = {}
+        for y, z in product(objs, repeat=2):
             h = m.hom_obj(y, z)
             if not base.has_obj(h):
                 raise MissingTableError(f"hom object ({y!r},{z!r}) -> undeclared {h!r}")
@@ -424,26 +446,22 @@ def check_closed(m: MonoidalData) -> list[CheckReport]:
             ev_ok[(y, z)] = ok
             if not ok:
                 reports.append(CheckReport("closed.shape", (y, z), witness_count=0))
-
-    for x in objs:
-        for y in objs:
-            for z in objs:
-                dom = base.hom(x, m.hom_obj(y, z))
-                cod = base.hom(m.tobj(x, y), z)
-                if not ev_ok[(y, z)]:
-                    if len(dom) != len(cod):
-                        reports.append(CheckReport(
-                            CLOSED_BIJECTION, (x, y, z), witness_count=len(dom),
-                            note=f"{len(dom)} transposes for {len(cod)} morphisms"))
-                    continue
+        for x, y, z in product(objs, repeat=3):
+            dom = base.hom(x, m.hom_obj(y, z))
+            cod = base.hom(m.tobj(x, y), z)
+            if ev_ok[(y, z)]:
                 reports += _transpose_table(m, x, y, z).check(
                     CLOSED_BIJECTION, (x, y, z), dom, cod, "transpose")
-
-    if reports:
-        return sort_reports(reports)
+            elif len(dom) != len(cod):
+                reports.append(CheckReport(
+                    CLOSED_BIJECTION, (x, y, z), witness_count=len(dom),
+                    note=f"{len(dom)} transposes for {len(cod)} morphisms"))
+        if reports:
+            m._verdicts["closed"] = tuple(sort_reports(reports))
     try:
-        reports = sort_reports(evaluate(CLOSED_LAWS, m, base))
-        if not reports:
+        if "closed" not in m._verdicts:
+            m._verdicts["closed"] = tuple(sort_reports(evaluate(CLOSED_LAWS, m, base)))
+        if not m._verdicts["closed"]:
             assert_derived(DERIVED_CLOSED_LAWS, m, base)
             for x in objs:
                 iota(m, x)
@@ -454,7 +472,7 @@ def check_closed(m: MonoidalData) -> list[CheckReport]:
         if monoidal_reports:
             return monoidal_reports
         raise
-    return reports
+    return list(m._verdicts["closed"])
 
 
 # Consequences of the closed axioms, judged once they hold; with them
@@ -539,8 +557,9 @@ def internal_pi_bar(m: MonoidalData, x: Obj, y: Obj, z: Obj) -> Mor:
     """Internal transpose hom(X (x) Y, Z) -> hom(X, hom(Y, Z)).
 
     Computed as the double transpose of evaluation around the associator and
-    then verified against its universal characterization over every object;
-    a mismatch is an engine bug.  Both run once per distinct (X, Y, Z) of
+    then verified against its universal characterization, at every W and f,
+    or at the generic element once ``m._verdicts`` holds clean verdicts; a
+    mismatch is an engine bug.  Both run once per distinct (X, Y, Z) of
     ``m``: the verified map is kept in a per-instance table, and a failure,
     which is never kept, raises again on every call.
     """
@@ -561,7 +580,15 @@ def internal_pi_bar(m: MonoidalData, x: Obj, y: Obj, z: Obj) -> Mor:
 
 # The characterization of the internal transpose ``outer`` at (X, Y, Z): for
 # every W and f : W (x) (X (x) Y) -> Z the double transpose of f . a equals
-# pi(f) post-composed with ``outer``.
+# pi(f) post-composed with ``outer``.  Given clean verdicts (assoc.natural,
+# T's functoriality, closed.pi-natural) both sides are natural in W, so by
+# Yoneda (CWM III.2) the generic element W = hom(X (x) Y, Z), f = ev covers.
+def _generic_element(m: MonoidalData, outer: Mor, key: tuple[Obj, Obj, Obj]):
+    if m._verdicts.get("monoidal") == () == m._verdicts.get("closed"):
+        xy = m.tobj(*key[:2])
+        return [(*key, m.hom_obj(xy, key[2]), m.ev(xy, key[2]))]
+
+
 PI_BAR_LAWS = (
     derived_law("internal transpose characterization",
                 lambda m, outer, key: ((*key, w, f) for w in m.base.objects for f in m.base.hom(
@@ -569,7 +596,7 @@ PI_BAR_LAWS = (
                 lambda m, outer, key, x, y, z, w, f: transpose_pi(m, transpose_pi(
                     m, m.base.compose(m.a(w, x, y), f), m.tobj(w, x), y), w, x),
                 lambda m, outer, key, x, y, z, w, f: m.base.compose(
-                    transpose_pi(m, f, w, m.tobj(x, y)), outer)),
+                    transpose_pi(m, f, w, m.tobj(x, y)), outer), gate=_generic_element),
 )
 
 

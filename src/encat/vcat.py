@@ -355,12 +355,13 @@ def self_enriched(m: MonoidalData) -> VCategoryData:
         unit={x: varpi(m, base.id_(x)) for x in base.objects})
 
 
-def hom_vfunctor(vc: VCategoryData, a: Obj) -> VFunctorData:
-    """The covariant enriched hom functor at ``a``, valued in the base."""
+def hom_vfunctor(vc: VCategoryData, a: Obj, vself: VCategoryData | None = None) -> VFunctorData:
+    """The covariant enriched hom functor at ``a``, valued in ``vself`` =
+    :func:`self_enriched`, built when not given."""
     m = vc.baseV
     m.require_closed()
     return VFunctorData(
-        src=vc, dst=self_enriched(m),
+        src=vc, dst=self_enriched(m) if vself is None else vself,
         onObjects={b: vc.hom(a, b) for b in vc.objects},
         onHom={(b, c): transpose_pi(m, vc.b(a, b, c), vc.hom(b, c), vc.hom(a, b))
                for b in vc.objects for c in vc.objects})
@@ -409,16 +410,13 @@ def check_tensored(td: TensoredData) -> list[CheckReport]:
     if vcat_reports:
         return sort_reports(reports + vcat_reports)
 
-    hom_x = {x: hom_vfunctor(vc, x) for _, x in td.tensorObj}
-    hom_k = {k: hom_vfunctor(vself, k) for k, _ in td.tensorObj}
+    hom_x = {x: hom_vfunctor(vc, x, vself) for _, x in td.tensorObj}
+    hom_k = {k: hom_vfunctor(vself, k, vself) for k, _ in td.tensorObj}
     delta = {}
-    for k, x in sorted(td.tensorObj):
-        for y in vc.objects:
-            for z in vc.objects:
-                t_yz = base.compose(hom_x[x].hom(y, z),
-                                    hom_k[k].hom(vc.hom(x, y), vc.hom(x, z)))
-                delta[(k, x, y, z)] = transpose_pi_inv(
-                    m, t_yz, m.hom_obj(k, vc.hom(x, y)), m.hom_obj(k, vc.hom(x, z)))
+    for (k, x), y, z in product(sorted(td.tensorObj), vc.objects, vc.objects):
+        t_yz = base.compose(hom_x[x].hom(y, z), hom_k[k].hom(vc.hom(x, y), vc.hom(x, z)))
+        delta[(k, x, y, z)] = transpose_pi_inv(
+            m, t_yz, m.hom_obj(k, vc.hom(x, y)), m.hom_obj(k, vc.hom(x, z)))
     reports += evaluate(TENSORED_LAWS, td, delta, m)
     return sort_reports(reports)
 

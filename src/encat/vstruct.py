@@ -79,6 +79,11 @@ class VStructureData:
             raise MissingTableError(f"element table missing ({x!r}, {y!r}, {f!r})") from None
 
     @cached_property
+    def _verdict(self) -> tuple[CheckReport, ...]:
+        """The reports of :func:`check_vstructure`, found once per instance."""
+        return tuple(_vstructure_reports(self))
+
+    @cached_property
     def _phi_fibres(self) -> dict[tuple[Obj, Obj], Preimages]:
         """The fibres of each element table, read once per instance; the
         bijection check and every :meth:`phi_inv` lookup share them."""
@@ -159,7 +164,12 @@ _HOM_FUNCTOR = "vstructure.functor"
 def check_vstructure(vs: VStructureData) -> list[CheckReport]:
     """Functoriality of the hom tables, bijectivity and naturality of the
     element correspondence, internal associativity, and the two laws tying
-    the hom functor's morphism action to the internal composition."""
+    the hom functor's morphism action to the internal composition.  The
+    sweep runs once per instance: a later call returns the same reports."""
+    return list(vs._verdict)
+
+
+def _vstructure_reports(vs: VStructureData) -> list[CheckReport]:
     m = vs.baseV
     base = m.base
     s = vs.baseS
@@ -167,23 +177,20 @@ def check_vstructure(vs: VStructureData) -> list[CheckReport]:
 
     reports.extend(validate_functor(vs.homFunctor, tag=_HOM_FUNCTOR))
 
-    for x in s.objects:
-        for y in s.objects:
-            for z in s.objects:
-                bv = vs.b(x, y, z)
-                if not (base.has_mor(bv)
-                        and base.src(bv) == m.tobj(vs.hom_obj(y, z), vs.hom_obj(x, y))
-                        and base.dst(bv) == vs.hom_obj(x, z)):
-                    reports.append(CheckReport("vstructure.shape", (x, y, z), witness_count=0))
+    for x, y, z in product(s.objects, repeat=3):
+        bv = vs.b(x, y, z)
+        if not (base.has_mor(bv)
+                and base.src(bv) == m.tobj(vs.hom_obj(y, z), vs.hom_obj(x, y))
+                and base.dst(bv) == vs.hom_obj(x, z)):
+            reports.append(CheckReport("vstructure.shape", (x, y, z), witness_count=0))
 
-    for x in s.objects:
-        for y in s.objects:
-            fibres = vs._phi_fibres.get((x, y))
-            if fibres is None:
-                raise MissingTableError(f"element table missing ({x!r}, {y!r})")
-            reports += fibres.check(
-                "vstructure.phi-bijection", (x, y), s.hom(x, y),
-                base.hom(m.unit, vs.hom_obj(x, y)), "element table")
+    for x, y in product(s.objects, repeat=2):
+        fibres = vs._phi_fibres.get((x, y))
+        if fibres is None:
+            raise MissingTableError(f"element table missing ({x!r}, {y!r})")
+        reports += fibres.check(
+            "vstructure.phi-bijection", (x, y), s.hom(x, y),
+            base.hom(m.unit, vs.hom_obj(x, y)), "element table")
 
     reports += evaluate(VSTRUCTURE_LAWS, vs, m, s)
     return sort_reports(reports)

@@ -1,0 +1,144 @@
+"""The localized closed sweeps of ``check_closed`` against the full sweep.
+
+``closed.pi-natural`` is judged at the generators of the base, and when it
+holds there on an exact tensor rebuild no further site is judged; the
+characterization of the internal transpose (``PI_BAR_LAWS``) is judged at
+the generic element once the monoidal and closed verdicts are on record and
+clean.  With ``gate=None`` on ``CLOSED_LAWS`` and ``PI_BAR_LAWS`` every site
+is judged.  On every single-entry swap (the value replaced by each other
+morphism of the base) and deletion of ``closed.ev``, ``tensor_mor`` and
+``assoc``, both must give the same reports, or raise the same error with the
+same message, with and without a ``check_monoidal`` verdict on record.  The
+associator is read by the characterization away from the generic element,
+so its mutants need the clean monoidal verdict the gate waits for.  Tier-1
+compares a fixed stride of the mutants of the larger bases (see
+``STRIDE``); ``-m slow`` compares every mutant.
+
+With a bifunctor tensor ``closed.pi-natural`` follows from the bijection, so
+no mutant here passes the generator sites and fails elsewhere: those sites
+are a run-time cross-check, pinned by the spy test at the end.
+"""
+
+import dataclasses
+import io
+from itertools import product
+
+import pytest
+
+import encat.monoidal as mon
+from encat.cli import cli
+from encat.core import EncatError, generators
+from encat.instances import build_bool, build_cyc, build_trop
+from encat.monoidal import MonoidalData, check_closed, check_monoidal
+from test_monoidal_gate import spy
+
+GATED = ("CLOSED_LAWS", "PI_BAR_LAWS")
+PI_BAR = mon.PI_BAR_LAWS[0].name
+
+
+def mutants(m: MonoidalData):
+    """Every single-entry swap and deletion of the evaluations, the tensor's
+    morphism table and the associator."""
+    mors = m.base.mor_ids()
+    tables = {
+        "closed.ev": (m.closed.ev,
+                      lambda t: dataclasses.replace(m, closed=dataclasses.replace(m.closed, ev=t))),
+        "tensor_mor": (m.tensor_mor, lambda t: dataclasses.replace(m, tensor_mor=t)),
+        "assoc": (m.assoc, lambda t: dataclasses.replace(m, assoc=t)),
+    }
+    for field, (table, rebuilt) in tables.items():
+        for key, value in table.items():
+            yield (field, key, None), rebuilt({k: v for k, v in table.items() if k != key})
+            for other in mors:
+                if other != value:
+                    yield (field, key, other), rebuilt({**table, key: other})
+
+
+def outcome(m: MonoidalData, recorded: bool):
+    """``check_closed`` on ``m``, after ``check_monoidal`` when ``recorded``."""
+    try:
+        if recorded:
+            try:
+                check_monoidal(m)
+            except EncatError:
+                pass
+        return check_closed(m)
+    except EncatError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def full_outcome(m: MonoidalData, recorded: bool):
+    """The reference: ``outcome`` on a fresh copy of ``m`` with gate-free
+    closed laws and characterization, asserted to have judged every site of
+    each ``closed.pi-natural`` law it reached (a law that raises stops the
+    sweep)."""
+    m = dataclasses.replace(m)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in GATED:
+            mp.setattr(mon, name, tuple(
+                dataclasses.replace(law, gate=None) for law in getattr(mon, name)))
+        seen = spy(mp)
+        got = outcome(m, recorded)
+    judged = seen.get("closed.pi-natural", [])
+    assert judged == [list(law.sites(m, m.base)) for law in mon.CLOSED_LAWS][:len(judged)]
+    return got
+
+
+BASES = {
+    "bool": build_bool, "trop(3)": lambda: build_trop(3), "trop(4)": lambda: build_trop(4),
+    "cyc(2)": lambda: build_cyc(2), "cyc(3)": lambda: build_cyc(3),
+    "cyc(4)": lambda: build_cyc(4),
+}
+
+# Every mutant costs four checks, so by default only every STRIDE-th mutant
+# of the larger bases (in enumeration order) is compared; ``-m slow``
+# compares all of them.  Each entry gives |mor| mutants in a row, one
+# deletion and |mor| - 1 swaps; a stride prime to |mor| (6 and 10 here)
+# visits every position.
+STRIDE = {"trop(3)": 11, "trop(4)": 61}
+
+
+def agree(name: str, stride: int) -> None:
+    for where, mutant in list(mutants(BASES[name]()))[::stride]:
+        for recorded in (False, True):
+            fresh = dataclasses.replace(mutant)
+            assert outcome(fresh, recorded) == full_outcome(mutant, recorded), (where, recorded)
+
+
+@pytest.mark.parametrize("name", list(BASES))
+def test_closed_gates_agree_with_the_full_sweep(name):
+    agree(name, STRIDE.get(name, 1))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(STRIDE))
+def test_closed_gates_agree_with_the_full_sweep_on_every_mutant(name):
+    agree(name, 1)
+
+
+def test_the_cli_judges_the_closed_sweeps_on_generators_and_generic_elements(
+        monkeypatch, tmp_path):
+    """On the lawful trop(8), ``encat check`` judges ``closed.pi-natural``
+    only at the sites whose h or k is a generator, each law's once, and the
+    characterization once per (X, Y, Z), at W = hom(X (x) Y, Z) and f = ev."""
+    path = str(tmp_path / "t8.json")
+    assert cli(["instance", "trop(8)", "-o", path], out=io.StringIO()) == 0
+    seen = spy(monkeypatch)
+    out = io.StringIO()
+    assert cli(["check", path], out=out) == 0
+    monkeypatch.undo()
+    assert out.getvalue() == "OK: all checks passed\n"
+    m = build_trop(8)
+    base = m.base
+    gens = generators(base)
+    judged = [sites for sites in seen["closed.pi-natural"] if sites]
+    assert len(judged) == 2 and all(len(sites) == 364 for sites in judged)
+    for sites, law in zip(judged, mon.CLOSED_LAWS):
+        assert {site[2] for site in sites} <= set(gens)
+        assert set(sites) == {site for site in law.sites(m, base) if site[2] in gens}
+    pi_bar = [site for sites in seen[PI_BAR] for site in sites]
+    keys = [(x, y, z) for x, y, z in product(base.objects, repeat=3)
+            if base.hom(m.tobj(x, y), z)]  # where the double-transpose square asks for pi-bar
+    assert len(pi_bar) == len(keys) == 428
+    assert pi_bar == [(*key, m.hom_obj(m.tobj(*key[:2]), key[2]),
+                       m.ev(m.tobj(*key[:2]), key[2])) for key in keys]

@@ -7,7 +7,9 @@ its laws is reached from the checker or construction that runs it, and a
 lying side makes that entry point raise, naming the law.
 """
 
+import ast
 import dataclasses
+from itertools import product
 
 import pytest
 
@@ -25,7 +27,7 @@ from encat.core import (
     evaluate,
     required,
 )
-from encat.instances import build_cyc, build_poset_module, build_trop, module_self
+from encat.instances import build_bool, build_cyc, build_poset_module, build_trop, module_self
 
 
 def recording_law(name, sites, bad, seen):
@@ -168,3 +170,57 @@ def test_a_lying_operation_is_caught_by_each_module_family(monkeypatch):
             mp.setattr(module, name, shifted(getattr(module, name), calls))
             with pytest.raises(EngineBugError, match=f"^derived law failed: {law} at "):
                 run()
+
+
+def test_a_lying_characterization_is_caught_at_the_generic_element(monkeypatch):
+    """Once the monoidal and closed verdicts are on record and clean, the
+    characterization of the internal transpose is judged at the generic
+    element alone, W = hom(X (x) Y, Z) and f = ev; a lie there still raises,
+    naming that site.  (On a fresh instance every W and f is judged: see
+    ``test_each_derived_law_is_judged_and_a_lie_is_caught``.)"""
+    m = build_trop(3)
+    assert mon.check_monoidal(m) == []
+    lie = dataclasses.replace(mon.PI_BAR_LAWS[0], rhs=required(lambda *args: "a lie"))
+    monkeypatch.setattr(mon, "PI_BAR_LAWS", (lie,))
+    with pytest.raises(EngineBugError) as err:
+        mon.check_closed(m)
+    assert m._verdicts == {"monoidal": (), "closed": ()}
+    prefix = f"derived law failed: {lie.name} at "
+    assert str(err.value).startswith(prefix)
+    x, y, z, w, f = ast.literal_eval(str(err.value)[len(prefix):])
+    xy = m.tobj(x, y)
+    assert (w, f) == (m.hom_obj(xy, z), m.ev(xy, z))
+
+
+def characterization_sites(m) -> int:
+    """The reference for the run-time characterization of the internal
+    transpose: after ``check_monoidal`` and ``check_closed``, which judge it
+    at the generic element only, it holds at every (X, Y, Z, W, f), f :
+    W (x) (X (x) Y) -> Z.  Returns the number of sites."""
+    assert mon.check_monoidal(m) == [] and mon.check_closed(m) == []
+    base, sites = m.base, 0
+    for x, y, z, w in product(base.objects, repeat=4):
+        outer = mon.internal_pi_bar(m, x, y, z)
+        for f in base.hom(m.tobj(w, m.tobj(x, y)), z):
+            inner = mon.transpose_pi(m, base.compose(m.a(w, x, y), f), m.tobj(w, x), y)
+            assert mon.transpose_pi(m, inner, w, x) == base.compose(
+                mon.transpose_pi(m, f, w, m.tobj(x, y)), outer), (x, y, z, w, f)
+            sites += 1
+    return sites
+
+
+LADDER = {"bool": build_bool, **{f"trop({n})": lambda n=n: build_trop(n) for n in (3, 4, 5)},
+          **{f"cyc({n})": lambda n=n: build_cyc(n) for n in range(2, 7)}}
+SLOW_LADDER = {**{f"trop({n})": lambda n=n: build_trop(n) for n in (6, 7, 8)},
+               **{f"cyc({n})": lambda n=n: build_cyc(n) for n in range(8, 13)}}
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_the_internal_transpose_characterization_holds_at_every_site(name):
+    assert characterization_sites(LADDER[name]()) > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(SLOW_LADDER))
+def test_the_internal_transpose_characterization_holds_at_every_site_on_the_ladder(name):
+    assert characterization_sites(SLOW_LADDER[name]()) > 0

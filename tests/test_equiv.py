@@ -1,6 +1,7 @@
 import dataclasses
 from collections import Counter
 
+import encat.vcat as vcat
 from encat.core import structural_equal
 from encat.equiv import (
     bimodule_completion,
@@ -342,3 +343,13 @@ def test_a_partial_cotensor_object_table_is_reported_not_read(tmp_path, self_cyc
     assert cli(["construct", str(doc), "--op", "bimodule-complete",
                 "-o", str(tmp_path / "bm.doc")], out=out) == 2, out.getvalue()
     assert "the closed module fails moduleclosed.cotensor.total at ((*,*))" in out.getvalue()
+
+
+def test_the_tensored_check_builds_the_self_enriched_base_once(monkeypatch, trop4):
+    """The hom functors ``check_tensored`` composes are all valued in one
+    self-enriched base."""
+    td = cylinder_to_tensored(self_vstructure(trop4), self_cylinder(trop4))
+    builds = []
+    build = vcat.self_enriched
+    monkeypatch.setattr(vcat, "self_enriched", lambda m: builds.append(m) or build(m))
+    assert check_tensored(td) == [] and len(builds) == 1

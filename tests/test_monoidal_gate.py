@@ -65,7 +65,9 @@ def spy(mp) -> dict[str, list[list[tuple[str, ...]]]]:
 
 def full_outcome(m: MonoidalData):
     """The reference: ``check_monoidal`` with gate-free laws, asserted to
-    have judged every site of every law once."""
+    have judged every site of every law once.  It judges a copy of ``m``,
+    on which no verdict is on record."""
+    m = dataclasses.replace(m)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mon, "MONOIDAL_LAWS", tuple(
             dataclasses.replace(law, gate=None) for law in mon.MONOIDAL_LAWS))

@@ -1,7 +1,10 @@
 import dataclasses
+import io
 
 import pytest
 
+import encat.vstruct as vst
+from encat.cli import cli
 from encat.core import (
     MissingTableError,
     WitnessError,
@@ -223,3 +226,19 @@ def test_invalid_cylinder_is_a_witness_error(cyc3):
     with pytest.raises(WitnessError):
         # the adjunct transport and the defining square now disagree
         induced_tensor_bifunctor(vs, broken)
+
+
+def test_a_cylinder_check_sweeps_its_hom_structure_once(monkeypatch, tmp_path):
+    """``encat check`` on a cylinder document reports the structure's laws
+    and then asks whether it passes before the derived law runs: both read
+    one verdict, kept on the structure."""
+    module, cylinder = str(tmp_path / "self.json"), str(tmp_path / "cyl.json")
+    assert cli(["instance", "self(trop(3))", "-o", module], out=io.StringIO()) == 0
+    assert cli(["construct", module, "--op", "module-to-cylinder", "-o", cylinder],
+               out=io.StringIO()) == 0
+    calls = []
+    sweep = vst._vstructure_reports
+    monkeypatch.setattr(vst, "_vstructure_reports", lambda vs: calls.append(vs) or sweep(vs))
+    out = io.StringIO()
+    assert cli(["check", cylinder], out=out) == 0
+    assert out.getvalue() == "OK: all checks passed\n" and len(calls) == 1
