@@ -11,7 +11,6 @@ from .core import (
     LawFailureError,
     MalformedReferenceError,
     MissingTableError,
-    NatTransData,
     NonComposablePathError,
     ParameterError,
     WitnessError,
@@ -24,7 +23,6 @@ from .core import (
     structural_equal,
     validate_category,
     validate_functor,
-    validate_nattrans,
 )
 from .monoidal import ClosedData, MonoidalData, SymmetryData
 

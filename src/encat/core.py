@@ -957,41 +957,6 @@ def trinatural_cover(a: FinCategory, b: FinCategory, c: FinCategory, e: FinCateg
     return tuple(cover)
 
 
-@dataclass(frozen=True)
-class NatTransData:
-    """An ordinary natural transformation between parallel functors."""
-
-    source: FunctorData
-    target: FunctorData
-    components: Mapping[Obj, Mor]
-
-
-# The naturality square of a transformation, on (nt,), at each morphism.
-NATTRANS_LAWS = (
-    Law("square", lambda nt: product(nt.source.srcCat.mor_ids()),
-        required(lambda nt, f: nt.source.dstCat.compose(
-            nt.source.mor(f), nt.components[nt.source.srcCat.dst(f)])),
-        required(lambda nt, f: nt.source.dstCat.compose(
-            nt.components[nt.source.srcCat.src(f)], nt.target.mor(f)))),
-)
-
-
-def validate_nattrans(nt: NatTransData, tag: str = "nattrans") -> list[CheckReport]:
-    reports: list[CheckReport] = []
-    src = nt.source.srcCat
-    dst = nt.source.dstCat
-    for x in src.objects:
-        c = nt.components.get(x)
-        if c is None:
-            reports.append(CheckReport(f"{tag}.total", (x,), witness_count=0))
-            continue
-        if dst.src(c) != nt.source.obj(x) or dst.dst(c) != nt.target.obj(x):
-            reports.append(CheckReport(f"{tag}.shape", (x, c), witness_count=0))
-    if not reports:
-        reports = evaluate(_tagged(NATTRANS_LAWS, tag), nt)
-    return sort_reports(reports)
-
-
 def canonical(value: Any) -> Any:
     """Canonical, order-normalized form of any structure in this package.
 

@@ -314,23 +314,6 @@ def test_ambiguous_inverse_detected():
         morphism_inverse(cat, "u")
 
 
-def test_nattrans_validation(cyc3):
-    from encat.core import FunctorData, NatTransData, validate_functor, validate_nattrans
-
-    base = cyc3.base
-    ident = FunctorData(base, base, {"*": "*"}, {f: f for f in base.mor_ids()})
-    double = FunctorData(base, base, {"*": "*"},
-                         {str(k): str((2 * k) % 3) for k in range(3)})
-    assert validate_functor(ident) == []
-    assert validate_functor(double) == []
-    # any constant family is natural between a functor and itself
-    assert validate_nattrans(NatTransData(double, double, {"*": "1"})) == []
-    # but no component can intertwine the identity with the doubling map
-    for k in range(3):
-        reports = validate_nattrans(NatTransData(ident, double, {"*": str(k)}))
-        assert {r.law for r in reports} == {"nattrans.square"}
-
-
 def test_structural_equal_is_table_identity(bool_m):
     assert structural_equal(bool_m.base, build_bool().base)
     renamed = rename_category(bool_m.base, mor_map={"m01": "arrow"})

@@ -18,6 +18,7 @@ from encat.core import (
 from encat.monoidal import internal_pi_bar, self_vstructure, transpose_pi_inv
 from encat.vmodule import (
     VModuleData,
+    _counit,
     check_closed_bimodule,
     check_closed_module,
     check_tensor_closed,
@@ -25,7 +26,6 @@ from encat.vmodule import (
     dual_tensorclosed,
     enriched_action,
     induced_vstructure,
-    module_eta_eps,
     module_phibar,
 )
 from encat.vstruct import check_vstructure
@@ -136,6 +136,27 @@ def test_adjunction_table_mutation(self_cyc3):
     bad = dataclasses.replace(cm, psi=psi)
     reports = check_closed_module(bad)
     assert "moduleclosed.naturality" in {r.law for r in reports}
+
+
+def module_eta_eps(tc, k, x, y):
+    """Unit K -> hom(X, K (x) X) and counit hom(X, Y) (x) X -> Y of the
+    action adjunction, read from the tables; the triangle identities are
+    asserted."""
+    mod = tc.module
+    s = mod.baseS
+    base = mod.baseV.base
+
+    def unit_eta(k, x):
+        kx = mod.act_obj(k, x)
+        return tc.phi_of(k, x, kx, s.id_(kx))
+
+    eta = unit_eta(k, x)
+    eps = _counit(tc, x, y)
+    kx = mod.act_obj(k, x)
+    assert s.compose(mod.act_mor(eta, s.id_(x)), _counit(tc, x, kx)) == s.id_(kx)
+    hxy = tc.hom_obj(x, y)
+    assert base.compose(unit_eta(hxy, x), tc.hom_mor(s.id_(x), eps)) == base.id_(hxy)
+    return eta, eps
 
 
 def test_eta_eps(poset_cm, self_cyc3):
@@ -376,8 +397,9 @@ def test_closed_module_runs_the_reversed_evaluation_square(monkeypatch, self_cyc
 
 
 def test_a_partial_action_object_table_is_reported_not_read(tmp_path):
-    # validate_functor reports the gap; the module laws and the adjunction,
-    # which read the action's objects, are not judged
+    # validate_functor reports the gap; the module laws, the adjunction and
+    # the bimodule's transport diagrams, which read the action's objects, are
+    # not judged
     import io
 
     from encat.cli import cli
@@ -400,7 +422,7 @@ def test_a_partial_action_object_table_is_reported_not_read(tmp_path):
             total = ("module.functor.total", (key,))
             assert [(r.law, r.site) for r in check_tensor_closed(bad_tc)] == [total]
             assert [(r.law, r.site) for r in check_closed_module(bad_cm)] == [total]
-            assert total in [(r.law, r.site) for r in check_closed_bimodule(bad_bm)]
+            assert [(r.law, r.site) for r in check_closed_bimodule(bad_bm)] == [total]
             doc = tmp_path / "bm.doc"
             doc.write_text(serialize(Document("bimodule", bad_bm)), encoding="utf-8")
             out = io.StringIO()
