@@ -246,6 +246,11 @@ class FinCategory:
         return {k: tuple(sorted(v)) for k, v in table.items()}
 
     @cached_property
+    def _thin(self) -> bool:
+        """Whether every hom-set has at most one morphism."""
+        return all(len(hom) == 1 for hom in self._homs.values())
+
+    @cached_property
     def _verdict(self) -> tuple[CheckReport, ...]:
         """The reports of :func:`validate_category`, found once per instance;
         a raised error is not kept."""
@@ -955,6 +960,17 @@ def trinatural_cover(a: FinCategory, b: FinCategory, c: FinCategory, e: FinCateg
     for u, d in sorted(h.defects):
         cover.update(dict.fromkeys((u, v, w) for v, w in k.fibres.get(d, ())))
     return tuple(cover)
+
+
+def thin_cover(cat: FinCategory, premise: bool) -> tuple[()] | None:
+    """The cover of a law equating composites of ``cat``, defined and parallel
+    at every site once ``premise`` (the shape verdicts of the tables it reads)
+    holds: ``()`` when ``cat`` is also valid and thin, where every diagram
+    commutes (Mac Lane, CWM VII.2); else, or if validation raises, ``None``."""
+    try:
+        return () if premise and cat._thin and not cat._verdict else None
+    except EncatError:
+        return None
 
 
 def canonical(value: Any) -> Any:

@@ -31,6 +31,13 @@ found, or the associator is not natural for R in one variable, every site is
 judged, so the reports never depend on the localization.  On a lawful table
 B is empty and so are both covers.
 
+On a thin base (trop, bool) every diagram commutes (CWM §VII.2), so every
+axiom law here holds once the shape loops of the tables it reads are clean.
+Those reports are kept in ``m._shapes`` ahead of the laws, and
+:func:`~encat.core.thin_cover` is tried before any other gate: no site is
+judged and no tensor is rebuilt.  Derived laws keep their sweeps, since they
+exist to catch engine bugs, which a thin cover would not see.
+
 The closed structure is given by the hom-object table and the evaluation
 family only; the transpose is recovered by inverting evaluation over each
 hom-set, once per instance, with a uniqueness check at every lookup, so the
@@ -80,6 +87,7 @@ from .core import (
     rebuild_bifunctor,
     required,
     sort_reports,
+    thin_cover,
     trinatural_cover,
     validate_functor,
 )
@@ -129,6 +137,11 @@ class MonoidalData:
     @cached_property
     def _verdicts(self) -> dict[str, tuple[CheckReport, ...]]:
         """The "monoidal" and "closed" laws' reports, kept once found; gates read them."""
+        return {}
+
+    @cached_property
+    def _shapes(self) -> dict[str, tuple[CheckReport, ...]]:
+        """The "monoidal" and "symmetry" shape loops' reports; thin covers read them."""
         return {}
 
     @cached_property
@@ -210,7 +223,17 @@ class MonoidalData:
             raise MissingTableError(f"braiding table missing ({x!r}, {y!r})") from None
 
 
-MONOIDAL_LAWS = (
+def _thin_first(law: Law, *shapes: str) -> Law:
+    """``law`` gated first on the :func:`~encat.core.thin_cover` of the base,
+    premised on a unit object and clean "monoidal" and ``shapes`` loops."""
+    def gate(m: MonoidalData, base: FinCategory):
+        cover = thin_cover(base, base.has_obj(m.unit) and all(
+            m._shapes.get(name) == () for name in ("monoidal", *shapes)))
+        return law.gate(m, base) if cover is None and law.gate is not None else cover
+    return replace(law, gate=gate)
+
+
+MONOIDAL_LAWS = tuple(map(_thin_first, (
     Law("tensor.identity", lambda m, base: product(base.objects, repeat=2),
         lambda m, base, x, y: m.tmor(base.id_(x), base.id_(y)),
         required(lambda m, base, x, y: base.id_(m.tobj(x, y)))),
@@ -241,7 +264,7 @@ MONOIDAL_LAWS = (
     Law("triangle", lambda m, base: product(base.objects, repeat=2),
         lambda m, base, x, y: base.compose(m.a(x, m.unit, y), m.tmor(base.id_(x), m.l(y))),
         lambda m, base, x, y: m.tmor(m.r(x), base.id_(y)), core=True),
-)
+)))
 
 
 def check_monoidal(m: MonoidalData) -> list[CheckReport]:
@@ -276,8 +299,26 @@ def check_monoidal(m: MonoidalData) -> list[CheckReport]:
         if (base.src(fg) != m.tobj(base.src(f), base.src(g))
                 or base.dst(fg) != m.tobj(base.dst(f), base.dst(g))):
             reports.append(CheckReport("tensor.shape", (f, g), witness_count=0))
+    try:  # ahead of the laws, for their gates; an error is raised after them, as before
+        structure = _structure_shapes(m)
+        m._shapes["monoidal"] = (*reports, *structure)
+    except EncatError as exc:
+        structure = exc
     reports += evaluate(MONOIDAL_LAWS, m, base)
+    if isinstance(structure, EncatError):
+        raise structure
 
+    reports = sort_reports(reports + structure)
+    if not reports:
+        assert_derived(DERIVED_MONOIDAL_LAWS, m, base)
+    m._verdicts["monoidal"] = tuple(reports)
+    return reports
+
+
+def _structure_shapes(m: MonoidalData) -> list[CheckReport]:
+    """The shape and isomorphism reports of the associator and unitors."""
+    base, objs = m.base, m.base.objects
+    reports: list[CheckReport] = []
     for x, y, z in product(objs, repeat=3):
         av = m.a(x, y, z)
         want_s = m.tobj(m.tobj(x, y), z)
@@ -296,11 +337,6 @@ def check_monoidal(m: MonoidalData) -> list[CheckReport]:
             reports.append(CheckReport("runit.shape", (x,), witness_count=0))
         elif morphism_inverse(base, rv) is None:
             reports.append(CheckReport("runit.iso", (x,), witness_count=0))
-
-    reports = sort_reports(reports)
-    if not reports:
-        assert_derived(DERIVED_MONOIDAL_LAWS, m, base)
-    m._verdicts["monoidal"] = tuple(reports)
     return reports
 
 
@@ -314,7 +350,7 @@ DERIVED_MONOIDAL_LAWS = (
 )
 
 
-SYMMETRY_LAWS = (
+SYMMETRY_LAWS = tuple(_thin_first(law, "symmetry") for law in (
     Law("symmetry.natural", lambda m, base: product(base.mor_ids(), repeat=2),
         lambda m, base, f, g: base.compose(m.tmor(f, g), m.braid(base.dst(f), base.dst(g))),
         lambda m, base, f, g: base.compose(m.braid(base.src(f), base.src(g)), m.tmor(g, f))),
@@ -330,7 +366,7 @@ SYMMETRY_LAWS = (
     Law("symmetry.unit", lambda m, base: product(base.objects),
         lambda m, base, x: base.compose(m.braid(m.unit, x), m.r(x)),
         required(lambda m, base, x: m.l(x)), core=True),
-)
+))
 
 
 def check_symmetry(m: MonoidalData) -> list[CheckReport]:
@@ -343,6 +379,7 @@ def check_symmetry(m: MonoidalData) -> list[CheckReport]:
             c = m.braid(x, y)
             if base.src(c) != m.tobj(x, y) or base.dst(c) != m.tobj(y, x):
                 reports.append(CheckReport("symmetry.shape", (x, y), witness_count=0))
+    m._shapes["symmetry"] = tuple(reports)
     reports += evaluate(SYMMETRY_LAWS, m, base)
     return sort_reports(reports)
 
@@ -400,7 +437,8 @@ def _on_generators(law: Law) -> Law:
         if t is not None and not t.defects and holds(
                 law, law.sites(m, base, generators(base)), m, base):
             return ()
-    return replace(law, sites=lambda m, base: law.sites(m, base, base.mor_ids()), gate=gate)
+    return _thin_first(replace(
+        law, sites=lambda m, base: law.sites(m, base, base.mor_ids()), gate=gate))
 
 
 # Naturality of the transpose in X and in Z: redundant given bijectivity,

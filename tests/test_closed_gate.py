@@ -1,7 +1,8 @@
 """The localized closed sweeps of ``check_closed`` against the full sweep.
 
 ``closed.pi-natural`` is judged at the generators of the base, and when it
-holds there on an exact tensor rebuild no further site is judged; the
+holds there on an exact tensor rebuild no further site is judged (on a thin
+base with clean monoidal shape verdicts, no site is judged at all); the
 characterization of the internal transpose (``PI_BAR_LAWS``) is judged at
 the generic element once the monoidal and closed verdicts are on record and
 clean.  With ``gate=None`` on ``CLOSED_LAWS`` and ``PI_BAR_LAWS`` every site
@@ -116,26 +117,39 @@ def test_closed_gates_agree_with_the_full_sweep_on_every_mutant(name):
     agree(name, 1)
 
 
-def test_the_cli_judges_the_closed_sweeps_on_generators_and_generic_elements(
-        monkeypatch, tmp_path):
-    """On the lawful trop(8), ``encat check`` judges ``closed.pi-natural``
-    only at the sites whose h or k is a generator, each law's once, and the
-    characterization once per (X, Y, Z), at W = hom(X (x) Y, Z) and f = ev."""
-    path = str(tmp_path / "t8.json")
-    assert cli(["instance", "trop(8)", "-o", path], out=io.StringIO()) == 0
+def checked(monkeypatch, tmp_path, name: str):
+    """The site families ``encat check`` judges on the lawful ``name``."""
+    path = str(tmp_path / "doc.json")
+    assert cli(["instance", name, "-o", path], out=io.StringIO()) == 0
     seen = spy(monkeypatch)
     out = io.StringIO()
     assert cli(["check", path], out=out) == 0
     monkeypatch.undo()
     assert out.getvalue() == "OK: all checks passed\n"
-    m = build_trop(8)
+    return seen
+
+
+def test_the_cli_judges_the_closed_sweeps_on_generators_and_generic_elements(
+        monkeypatch, tmp_path):
+    """On the lawful cyc(12), which is not thin, ``encat check`` judges
+    ``closed.pi-natural`` only at the sites whose h or k is a generator,
+    each law's once.  On the lawful trop(8), which is thin, it judges no
+    ``closed.pi-natural`` site at all, and the characterization once per
+    (X, Y, Z), at W = hom(X (x) Y, Z) and f = ev."""
+    seen = checked(monkeypatch, tmp_path, "cyc(12)")
+    m = build_cyc(12)
     base = m.base
     gens = generators(base)
     judged = [sites for sites in seen["closed.pi-natural"] if sites]
-    assert len(judged) == 2 and all(len(sites) == 364 for sites in judged)
+    assert len(judged) == 2 and all(len(sites) == 12 for sites in judged)
     for sites, law in zip(judged, mon.CLOSED_LAWS):
         assert {site[2] for site in sites} <= set(gens)
         assert set(sites) == {site for site in law.sites(m, base) if site[2] in gens}
+
+    seen = checked(monkeypatch, tmp_path, "trop(8)")
+    m = build_trop(8)
+    base = m.base
+    assert seen["closed.pi-natural"] == [[], []]
     pi_bar = [site for sites in seen[PI_BAR] for site in sites]
     keys = [(x, y, z) for x, y, z in product(base.objects, repeat=3)
             if base.hom(m.tobj(x, y), z)]  # where the double-transpose square asks for pi-bar

@@ -11,6 +11,14 @@ reports, or raise the same error with the same message.  Tier-1 compares a
 fixed stride of the mutants of the larger bases (see ``STRIDE``), also among
 the ``tensor_mor`` swaps, every one of which it rebuilds; ``-m slow``
 compares every mutant.
+
+On a thin base the axiom laws of ``check_monoidal``, ``check_symmetry`` and
+``check_closed`` are decided by their shape verdicts (the thin cover).  The
+three checkers, run in ``encat check`` order, must give the same outcomes as
+with every gate stripped, on every swap and deletion of the braiding, the
+evaluations and the premise tables ``tensor_mor`` and ``assoc`` of bool,
+trop(3) and trop(4) (a stride of the larger two in tier-1, all under
+``-m slow``).
 """
 
 import dataclasses
@@ -218,3 +226,116 @@ def test_an_axis_mutant_is_repaired_and_judged_on_its_cover_only(monkeypatch):
     interchange, assoc = reads(mutant, key)
     assert set(judged["tensor.interchange"]) == interchange
     assert set(judged["assoc.natural"]) == assoc
+
+
+# The thin cover decides the axiom laws of all three checkers on a thin base
+# once the shape loops they read are clean; the reference strips every gate.
+THIN_GATED = ("MONOIDAL_LAWS", "SYMMETRY_LAWS", "CLOSED_LAWS")
+THIN_TABLES = {
+    "tensor_mor": lambda m: (m.tensor_mor, lambda t: dataclasses.replace(m, tensor_mor=t)),
+    "assoc": lambda m: (m.assoc, lambda t: dataclasses.replace(m, assoc=t)),
+    "braid": lambda m: (m.symmetry.braid, lambda t: dataclasses.replace(
+        m, symmetry=dataclasses.replace(m.symmetry, braid=t))),
+    "ev": lambda m: (m.closed.ev, lambda t: dataclasses.replace(
+        m, closed=dataclasses.replace(m.closed, ev=t))),
+}
+
+
+def thin_mutants(m: MonoidalData):
+    """Every single-entry swap and deletion of the braiding, the evaluations
+    and the tables the monoidal premise reads."""
+    mors = m.base.mor_ids()
+    for field, tables in THIN_TABLES.items():
+        table, rebuilt = tables(m)
+        for key, value in table.items():
+            yield (field, key, None), rebuilt({k: v for k, v in table.items() if k != key})
+            for other in mors:
+                if other != value:
+                    yield (field, key, other), rebuilt({**table, key: other})
+
+
+def checks_outcome(m: MonoidalData):
+    """``check_monoidal``, ``check_symmetry`` and ``check_closed`` on ``m``,
+    in the order ``encat check`` runs them, each whatever the one before
+    it gives."""
+    got = []
+    for check in (check_monoidal, mon.check_symmetry, mon.check_closed):
+        try:
+            got.append(check(m))
+        except EncatError as exc:
+            got.append((type(exc).__name__, str(exc)))
+    return got
+
+
+def full_checks_outcome(m: MonoidalData):
+    """The reference: ``checks_outcome`` on a fresh copy of ``m`` with the
+    laws of all three checkers gate-free, asserted to have judged every site
+    of each of them it reached (a law that raises stops its checker)."""
+    m = dataclasses.replace(m)
+    laws = [law for name in THIN_GATED for law in getattr(mon, name)]
+    with pytest.MonkeyPatch.context() as mp:
+        for name in THIN_GATED:
+            mp.setattr(mon, name, tuple(
+                dataclasses.replace(law, gate=None) for law in getattr(mon, name)))
+        seen = spy(mp)
+        got = checks_outcome(m)
+    for name in {law.name for law in laws}:
+        full = [list(law.sites(m, m.base)) for law in laws if law.name == name]
+        assert seen.get(name, []) == full[:len(seen.get(name, []))], name
+    return got
+
+
+THIN_BASES = {"bool": build_bool, "trop(3)": lambda: build_trop(3),
+              "trop(4)": lambda: build_trop(4)}
+THIN_STRIDE = {"trop(3)": 11, "trop(4)": 61}
+
+
+def thin_agree(name: str, stride: int) -> None:
+    for where, mutant in list(thin_mutants(THIN_BASES[name]()))[::stride]:
+        assert checks_outcome(mutant) == full_checks_outcome(mutant), where
+
+
+@pytest.mark.parametrize("name", list(THIN_BASES))
+def test_thin_covers_agree_with_the_full_sweep(name):
+    thin_agree(name, THIN_STRIDE.get(name, 1))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(THIN_STRIDE))
+def test_thin_covers_agree_with_the_full_sweep_on_every_mutant(name):
+    thin_agree(name, 1)
+
+
+def test_a_lawful_thin_base_judges_no_axiom_site_and_a_misshapen_one_every_site(monkeypatch):
+    """On the lawful trop(4) the thin cover leaves no ``pentagon``,
+    ``symmetry.*`` or ``closed.pi-natural`` site to judge, and no tensor
+    rebuild is built; a tensor entry of the wrong shape breaks the premise,
+    and ``pentagon`` is judged at every site again."""
+    m = build_trop(4)
+    seen = spy(monkeypatch)
+    assert checks_outcome(m) == [[], [], []]
+    monkeypatch.undo()
+    assert seen["pentagon"] == [[]] and seen["closed.pi-natural"] == [[], []]
+    assert all(seen[law.name] == [[]] for law in mon.SYMMETRY_LAWS)
+    assert "_tensor" not in m.__dict__
+    key = ("m:2:1", "id:0")
+    assert m.base.src(m.tensor_mor[key]) != m.base.src("m:3:0")
+    mutant = dataclasses.replace(m, tensor_mor={**m.tensor_mor, key: "m:3:0"})
+    seen = spy(monkeypatch)
+    got = checks_outcome(mutant)
+    monkeypatch.undo()
+    assert got == full_checks_outcome(mutant) and got[0]
+    assert seen["pentagon"] == [list(product(m.base.objects, repeat=4))]
+
+
+def test_an_undeclared_unit_is_judged_on_every_site():
+    """A unit that is not an object of the base, with tensor entries that
+    make every unitor well shaped, leaves the shape loops clean; the unit
+    laws still read its identity, so the thin cover does not apply."""
+    m = build_bool()
+    objs = m.base.objects
+    mutant = dataclasses.replace(m, unit="u", tensor_obj={
+        **m.tensor_obj, **{(x, "u"): x for x in objs}, **{("u", x): x for x in objs}})
+    got = checks_outcome(mutant)
+    assert got == full_checks_outcome(mutant)
+    assert {r.law for r in got[0]} >= {"lunit.natural", "runit.natural"}
