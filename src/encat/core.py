@@ -721,6 +721,17 @@ def validate_functor(fn: FunctorData, tag: str = "functor") -> list[CheckReport]
     return sort_reports(reports)
 
 
+def thin_first(law: Law, cat: Callable[..., FinCategory], premise: Callable[..., bool]) -> Law:
+    """``law`` gated first on the :func:`thin_cover` of ``cat(*data)`` under
+    ``premise(*data)``, read only when that category is thin, then, where
+    the cover is ``None``, on its own gate."""
+    def gate(*data):
+        on = cat(*data)
+        cover = thin_cover(on, on._thin and premise(*data))
+        return law.gate(*data) if cover is None and law.gate is not None else cover
+    return dataclasses.replace(law, gate=gate)
+
+
 def _tagged(laws: Iterable[Law], tag: str) -> list[Law]:
     """``laws`` named ``<tag>.<name>``."""
     return [dataclasses.replace(law, name=f"{tag}.{law.name}") for law in laws]
@@ -735,14 +746,17 @@ def _composition_gate(fn: FunctorData) -> list[tuple[Mor, Mor]] | None:
 
 
 # A functor's own laws, on (fn,): it preserves identities and composites.
-FUNCTOR_LAWS = (
+# They are judged once fn is total and well shaped, so out of a valid source
+# both sides are parallel, and the thin cover of the target decides them.
+FUNCTOR_LAWS = tuple(thin_first(law, lambda fn: fn.dstCat, lambda fn: is_valid(fn.srcCat))
+                     for law in (
     Law("identity", lambda fn: product(fn.srcCat.objects),
         required(lambda fn, x: fn.mor(fn.srcCat.id_(x))),
         required(lambda fn, x: fn.dstCat.id_(fn.obj(x)))),
     Law("composition", lambda fn: fn.srcCat.comp,
         required(lambda fn, f, g: fn.dstCat.comp.get((fn.mor(f), fn.mor(g)))),
         required(lambda fn, f, g: fn.mor(fn.srcCat.comp[(f, g)])), gate=_composition_gate),
-)
+))
 
 
 def bifunctor_cover(fn: Bifunctor | None) -> tuple[tuple[Mor, Mor, Mor, Mor], ...] | None:
@@ -962,15 +976,25 @@ def trinatural_cover(a: FinCategory, b: FinCategory, c: FinCategory, e: FinCateg
     return tuple(cover)
 
 
+def is_valid(cat: FinCategory) -> bool:
+    """Whether ``cat`` is a valid category, by its verdict, found once; a
+    product's (a ``comp`` that is a :class:`ProductComp`) is read off its
+    factors.  A verdict that raises is not valid."""
+    try:
+        comp = cat.comp
+        if isinstance(comp, ProductComp):
+            return not comp.a._verdict and not comp.b._verdict
+        return not cat._verdict
+    except EncatError:
+        return False
+
+
 def thin_cover(cat: FinCategory, premise: bool) -> tuple[()] | None:
     """The cover of a law equating composites of ``cat``, defined and parallel
     at every site once ``premise`` (the shape verdicts of the tables it reads)
     holds: ``()`` when ``cat`` is also valid and thin, where every diagram
-    commutes (Mac Lane, CWM VII.2); else, or if validation raises, ``None``."""
-    try:
-        return () if premise and cat._thin and not cat._verdict else None
-    except EncatError:
-        return None
+    commutes (Mac Lane, CWM VII.2); else ``None``."""
+    return () if premise and cat._thin and is_valid(cat) else None
 
 
 def canonical(value: Any) -> Any:

@@ -33,10 +33,10 @@ B is empty and so are both covers.
 
 On a thin base (trop, bool) every diagram commutes (CWM §VII.2), so every
 axiom law here holds once the shape loops of the tables it reads are clean.
-Those reports are kept in ``m._shapes`` ahead of the laws, and
-:func:`~encat.core.thin_cover` is tried before any other gate: no site is
-judged and no tensor is rebuilt.  Derived laws keep their sweeps, since they
-exist to catch engine bugs, which a thin cover would not see.
+:func:`shape_record` keeps their reports in ``m._shapes``, for these checks
+and the module side's, and :func:`~encat.core.thin_cover` is tried before any
+other gate; a misshapen associator alone sends ``assoc.natural`` only to the
+squares that read it.  Derived laws keep their sweeps (they catch engine bugs).
 
 The closed structure is given by the hom-object table and the evaluation
 family only; the transpose is recovered by inverting evaluation over each
@@ -79,6 +79,7 @@ from .core import (
     evaluate,
     generators,
     holds,
+    is_valid,
     morphism_inverse,
     morphism_inverse_checked,
     opposite_category,
@@ -88,6 +89,7 @@ from .core import (
     required,
     sort_reports,
     thin_cover,
+    thin_first,
     trinatural_cover,
     validate_functor,
 )
@@ -140,8 +142,9 @@ class MonoidalData:
         return {}
 
     @cached_property
-    def _shapes(self) -> dict[str, tuple[CheckReport, ...]]:
-        """The "monoidal" and "symmetry" shape loops' reports; thin covers read them."""
+    def _shapes(self) -> dict[str, tuple[CheckReport, ...] | EncatError]:
+        """Per name of :data:`SHAPE_LOOPS`, that loop's reports or the error it
+        raised, kept by :func:`shape_record`; thin covers read them."""
         return {}
 
     @cached_property
@@ -223,14 +226,34 @@ class MonoidalData:
             raise MissingTableError(f"braiding table missing ({x!r}, {y!r})") from None
 
 
+def shapes_clean(m: MonoidalData, *names: str) -> bool:
+    """Whether ``m`` has a declared unit on a valid base and clean records of
+    the shape loops ``names``: the premise of a thin cover that reads them."""
+    return (m.base.has_obj(m.unit) and is_valid(m.base)
+            and all(shape_record(m, name) == () for name in names))
+
+
 def _thin_first(law: Law, *shapes: str) -> Law:
     """``law`` gated first on the :func:`~encat.core.thin_cover` of the base,
-    premised on a unit object and clean "monoidal" and ``shapes`` loops."""
-    def gate(m: MonoidalData, base: FinCategory):
-        cover = thin_cover(base, base.has_obj(m.unit) and all(
-            m._shapes.get(name) == () for name in ("monoidal", *shapes)))
-        return law.gate(m, base) if cover is None and law.gate is not None else cover
-    return replace(law, gate=gate)
+    premised on clean "tensor", "structure" and ``shapes`` records."""
+    return thin_first(law, lambda m, base: base,
+                      lambda m, base: shapes_clean(m, "tensor", "structure", *shapes))
+
+
+def _assoc_gate(m: MonoidalData, base: FinCategory):
+    """On a thin, valid base whose only shape reports are ``assoc.shape``,
+    the sites whose square reads a misshapen component, at (src f, src g,
+    src h) or (dst f, dst g, dst h): at any other site both sides are
+    parallel.  Otherwise :func:`~encat.core.trinatural_cover`."""
+    if (thin_cover(base, True) == () and shape_record(m, "tensor") == ()
+            and isinstance(structure := shape_record(m, "structure"), tuple)
+            and all(r.law == "assoc.shape" for r in structure)):
+        post = {x: [f for f, s, _ in base.morphisms if s == x] for x in base.objects}
+        pre = {x: [f for f, _, d in base.morphisms if d == x] for x in base.objects}
+        return tuple(dict.fromkeys(site for x, y, z in (r.site for r in structure)
+                                   for ends in (post, pre)
+                                   for site in product(ends[x], ends[y], ends[z])))
+    return trinatural_cover(base, base, base, base, m.assoc, *(m._tensor,) * 4)
 
 
 MONOIDAL_LAWS = tuple(map(_thin_first, (
@@ -247,8 +270,7 @@ MONOIDAL_LAWS = tuple(map(_thin_first, (
             m.tmor(m.tmor(f, g), h), m.a(base.dst(f), base.dst(g), base.dst(h))),
         lambda m, base, f, g, h: base.compose(
             m.a(base.src(f), base.src(g), base.src(h)), m.tmor(f, m.tmor(g, h))),
-        gate=lambda m, base: trinatural_cover(
-            base, base, base, base, m.assoc, m._tensor, m._tensor, m._tensor, m._tensor)),
+        gate=_assoc_gate),
     Law("lunit.natural", lambda m, base: product(base.mor_ids()),
         lambda m, base, f: base.compose(m.tmor(base.id_(m.unit), f), m.l(base.dst(f))),
         lambda m, base, f: base.compose(m.l(base.src(f)), f)),
@@ -277,12 +299,20 @@ def check_monoidal(m: MonoidalData) -> list[CheckReport]:
     if "monoidal" in m._verdicts:
         return list(m._verdicts["monoidal"])
     base = m.base
-    reports: list[CheckReport] = []
-    objs = base.objects
-    mors = base.mor_ids()
+    reports = list(shape_record(m, "tensor", raising=True))
+    reports += evaluate(MONOIDAL_LAWS, m, base)  # an error of the structure loop comes after
+    reports = sort_reports([*reports, *shape_record(m, "structure", raising=True)])
+    if not reports:
+        assert_derived(DERIVED_MONOIDAL_LAWS, m, base)
+    m._verdicts["monoidal"] = tuple(reports)
+    return reports
 
-    # a partial object-level table raises before any report; the shape loop
-    # below reads the tensor's morphism table first, entry by entry
+
+def _tensor_shapes(m: MonoidalData) -> list[CheckReport]:
+    """The shape reports of the tensor, once the object-level tables (the
+    associator's and unitors' too) are found total."""
+    base = m.base
+    objs = base.objects
     for x in objs:
         for y in objs:
             m.tobj(x, y)
@@ -290,8 +320,8 @@ def check_monoidal(m: MonoidalData) -> list[CheckReport]:
         for y in objs:
             for z in objs:
                 m.a(x, y, z)
-
-    for f, g in product(mors, repeat=2):
+    reports: list[CheckReport] = []
+    for f, g in product(base.mor_ids(), repeat=2):
         fg = m.tmor(f, g)
         if not base.has_mor(fg):
             raise MalformedReferenceError(
@@ -299,19 +329,6 @@ def check_monoidal(m: MonoidalData) -> list[CheckReport]:
         if (base.src(fg) != m.tobj(base.src(f), base.src(g))
                 or base.dst(fg) != m.tobj(base.dst(f), base.dst(g))):
             reports.append(CheckReport("tensor.shape", (f, g), witness_count=0))
-    try:  # ahead of the laws, for their gates; an error is raised after them, as before
-        structure = _structure_shapes(m)
-        m._shapes["monoidal"] = (*reports, *structure)
-    except EncatError as exc:
-        structure = exc
-    reports += evaluate(MONOIDAL_LAWS, m, base)
-    if isinstance(structure, EncatError):
-        raise structure
-
-    reports = sort_reports(reports + structure)
-    if not reports:
-        assert_derived(DERIVED_MONOIDAL_LAWS, m, base)
-    m._verdicts["monoidal"] = tuple(reports)
     return reports
 
 
@@ -372,16 +389,16 @@ SYMMETRY_LAWS = tuple(_thin_first(law, "symmetry") for law in (
 def check_symmetry(m: MonoidalData) -> list[CheckReport]:
     """Naturality plus the three braiding axioms."""
     m.require_symmetry()
+    return sort_reports([*shape_record(m, "symmetry", raising=True),
+                         *evaluate(SYMMETRY_LAWS, m, m.base)])
+
+
+def _braid_shapes(m: MonoidalData) -> list[CheckReport]:
+    """The shape reports of the braiding."""
     base = m.base
-    reports: list[CheckReport] = []
-    for x in base.objects:
-        for y in base.objects:
-            c = m.braid(x, y)
-            if base.src(c) != m.tobj(x, y) or base.dst(c) != m.tobj(y, x):
-                reports.append(CheckReport("symmetry.shape", (x, y), witness_count=0))
-    m._shapes["symmetry"] = tuple(reports)
-    reports += evaluate(SYMMETRY_LAWS, m, base)
-    return sort_reports(reports)
+    return [CheckReport("symmetry.shape", (x, y), witness_count=0)
+            for x, y in product(base.objects, repeat=2)
+            if base.src(c := m.braid(x, y)) != m.tobj(x, y) or base.dst(c) != m.tobj(y, x)]
 
 
 def _transpose_forward(m: MonoidalData, g: Mor, y: Obj, z: Obj) -> Mor:
@@ -464,6 +481,56 @@ CLOSED_LAWS = tuple(map(_on_generators, (
 CLOSED_BIJECTION = "closed.bijection"
 
 
+def _closed_shapes(m: MonoidalData) -> list[CheckReport]:
+    """The shape reports of the evaluations and, at every (X, Y, Z), the
+    bijection reports of the transpose, read from :func:`_transpose_table`."""
+    base = m.base
+    objs = base.objects
+    reports: list[CheckReport] = []
+    ev_ok: dict[tuple[Obj, Obj], bool] = {}
+    for y, z in product(objs, repeat=2):
+        h = m.hom_obj(y, z)
+        if not base.has_obj(h):
+            raise MissingTableError(f"hom object ({y!r},{z!r}) -> undeclared {h!r}")
+        e = m.ev(y, z)
+        ok = base.has_mor(e) and base.src(e) == m.tobj(h, y) and base.dst(e) == z
+        ev_ok[(y, z)] = ok
+        if not ok:
+            reports.append(CheckReport("closed.shape", (y, z), witness_count=0))
+    for x, y, z in product(objs, repeat=3):
+        dom = base.hom(x, m.hom_obj(y, z))
+        cod = base.hom(m.tobj(x, y), z)
+        if ev_ok[(y, z)]:
+            reports += _transpose_table(m, x, y, z).check(
+                CLOSED_BIJECTION, (x, y, z), dom, cod, "transpose")
+        elif len(dom) != len(cod):
+            reports.append(CheckReport(
+                CLOSED_BIJECTION, (x, y, z), witness_count=len(dom),
+                note=f"{len(dom)} transposes for {len(cod)} morphisms"))
+    return reports
+
+
+#: The shape loops whose reports :func:`shape_record` keeps in ``m._shapes``.
+SHAPE_LOOPS = {"tensor": _tensor_shapes, "structure": _structure_shapes,
+               "symmetry": _braid_shapes, "closed": _closed_shapes}
+
+
+def shape_record(m: MonoidalData, name: str,
+                 raising: bool = False) -> tuple[CheckReport, ...] | EncatError:
+    """The reports of ``m``'s shape loop ``name``, or the :class:`EncatError`
+    it raised, found once per instance into ``m._shapes``; with ``raising``
+    that error is raised again."""
+    if name not in m._shapes:
+        try:
+            m._shapes[name] = tuple(SHAPE_LOOPS[name](m))
+        except EncatError as exc:
+            m._shapes[name] = exc
+    record = m._shapes[name]
+    if raising and isinstance(record, EncatError):
+        raise record
+    return record
+
+
 def check_closed(m: MonoidalData) -> list[CheckReport]:
     """Bijectivity of the transpose at every (X, Y, Z), plus its naturality,
     kept in ``m._verdicts``; the derived laws run when both hold.  A law that
@@ -471,37 +538,14 @@ def check_closed(m: MonoidalData) -> list[CheckReport]:
     axioms hold; otherwise the :func:`check_monoidal` reports are returned."""
     m.require_closed()
     base = m.base
-    objs = base.objects
-    if "closed" not in m._verdicts:
-        reports: list[CheckReport] = []
-        ev_ok: dict[tuple[Obj, Obj], bool] = {}
-        for y, z in product(objs, repeat=2):
-            h = m.hom_obj(y, z)
-            if not base.has_obj(h):
-                raise MissingTableError(f"hom object ({y!r},{z!r}) -> undeclared {h!r}")
-            e = m.ev(y, z)
-            ok = base.has_mor(e) and base.src(e) == m.tobj(h, y) and base.dst(e) == z
-            ev_ok[(y, z)] = ok
-            if not ok:
-                reports.append(CheckReport("closed.shape", (y, z), witness_count=0))
-        for x, y, z in product(objs, repeat=3):
-            dom = base.hom(x, m.hom_obj(y, z))
-            cod = base.hom(m.tobj(x, y), z)
-            if ev_ok[(y, z)]:
-                reports += _transpose_table(m, x, y, z).check(
-                    CLOSED_BIJECTION, (x, y, z), dom, cod, "transpose")
-            elif len(dom) != len(cod):
-                reports.append(CheckReport(
-                    CLOSED_BIJECTION, (x, y, z), witness_count=len(dom),
-                    note=f"{len(dom)} transposes for {len(cod)} morphisms"))
-        if reports:
-            m._verdicts["closed"] = tuple(sort_reports(reports))
+    if "closed" not in m._verdicts and (reports := shape_record(m, "closed", raising=True)):
+        m._verdicts["closed"] = tuple(sort_reports(reports))
     try:
         if "closed" not in m._verdicts:
             m._verdicts["closed"] = tuple(sort_reports(evaluate(CLOSED_LAWS, m, base)))
         if not m._verdicts["closed"]:
             assert_derived(DERIVED_CLOSED_LAWS, m, base)
-            for x in objs:
+            for x in base.objects:
                 iota(m, x)
     except EncatError:
         # these laws also rest on the monoidal axioms, which are not checked

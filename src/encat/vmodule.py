@@ -30,6 +30,15 @@ decided as a predicate at identities and at generators of V and S (Mac Lane,
 CWM II.3, Prop. 2, iterated; squares paste).  Under them only the sites
 reading a defect of T or of the action are judged; when one fails, or V's
 tables are partial (``check_vmodule`` does not validate V), every site is.
+
+On a thin category every diagram commutes (CWM §VII.2), so ``MODULE_LAWS``
+and the transports of ``BIMODULE_LAWS`` (judged in S, S^op on the reversed
+side), ``ADJUNCTION_LAWS`` and the hexagon (in V) hold once the tables they
+read are well shaped: a thin cover is tried before any other gate.  Its
+premises are verdicts kept once found: V's shape loops, the action,
+hom functor and cotensor verdicts, the ``module.shape`` loop, the phi and psi
+bijection reports and, for ``BIMODULE_LAWS``, every earlier report.  The
+derived laws, ``PHIBAR_LAWS`` and ``ENRICHED_ACTION_LAWS`` keep their sweeps.
 """
 
 from __future__ import annotations
@@ -57,19 +66,23 @@ from .core import (
     evaluate,
     explained,
     functor_law_names,
+    is_valid,
     morphism_inverse,
     morphism_inverse_checked,
     opposite_category,
     pair_id,
     sort_reports,
+    thin_first,
     trinatural_cover,
     validate_functor,
 )
 from .monoidal import (
+    SHAPE_LOOPS,
     MonoidalData,
     hom_on_morphisms,
     internal_composition_b,
     internal_swap,
+    shapes_clean,
     transpose_pi,
     varpi,
 )
@@ -86,6 +99,11 @@ class VModuleData:
     action: FunctorData
     assoc: Mapping[tuple[Obj, Obj, Obj], Mor]
     lunit: Mapping[Obj, Mor]
+
+    @cached_property
+    def _shapes(self) -> dict[str, tuple[CheckReport, ...]]:
+        """The "action" verdict and "module" shape loop reports; thin covers read them."""
+        return {}
 
     def act_obj(self, k: Obj, x: Obj) -> Obj:
         try:
@@ -146,6 +164,12 @@ class TensorClosedModuleData:
         return {key: Preimages(table) for key, table in self.phi.items()}
 
     @cached_property
+    def _shapes(self) -> dict[str, tuple[CheckReport, ...]]:
+        """The "hom" functor verdict, "phi" bijection reports and, on a reversed
+        side, every "bimodule" report before ``BIMODULE_LAWS``; thin covers read them."""
+        return {}
+
+    @cached_property
     def _adjuncts(self) -> dict[tuple[Obj, Obj, Obj], Mor]:
         """Per (K, X, Y), the inverse computed by :func:`module_phibar`; a
         failure is not stored."""
@@ -194,9 +218,16 @@ class EnrichedActionData:
 
 
 _ACTION, _HOM_FUNCTOR, _COTENSOR = "module.functor", "moduleclosed.functor", "moduleclosed.cotensor"
-_COTENSOR_LAWS = functor_law_names(_COTENSOR)
 
-MODULE_LAWS = (
+
+def _module_premise(mod: VModuleData, m: MonoidalData, s: FinCategory) -> bool:
+    """Clean records of every table the module laws read, V's included."""
+    return (mod._shapes.get("action") == () == mod._shapes.get("module")
+            and shapes_clean(m, "tensor", "structure"))
+
+
+# The module laws, on (module, V, S); each is judged in S.
+MODULE_LAWS = tuple(thin_first(law, lambda mod, m, s: s, _module_premise) for law in (
     Law("module.assoc-natural",
         lambda mod, m, s: product(m.base.mor_ids(), m.base.mor_ids(), s.mor_ids()),
         lambda mod, m, s, u, v, w: s.compose(
@@ -219,16 +250,17 @@ MODULE_LAWS = (
         lambda mod, m, s, k, x: s.compose(
             mod.a(k, m.unit, x), mod.act_mor(m.base.id_(k), mod.l(x))),
         lambda mod, m, s, k, x: mod.act_mor(m.r(k), s.id_(x)), core=True),
-)
+))
 
 
 def check_vmodule(mod: VModuleData) -> list[CheckReport]:
     """Functoriality of the action, naturality/isomorphy of its structure
     morphisms, and the two module coherence diagrams."""
     reports = validate_functor(mod.action, tag=_ACTION)
+    mod._shapes["action"] = tuple(reports)
     if _objects_partial(mod.action):
         return reports
-    return sort_reports(reports + _module_checks(mod, not reports))
+    return sort_reports(reports + _module_checks(mod))
 
 
 def _objects_partial(fn: FunctorData) -> bool:
@@ -238,10 +270,10 @@ def _objects_partial(fn: FunctorData) -> bool:
     return any(x not in fn.onObjects for x in fn.srcCat.objects)
 
 
-def _module_checks(mod: VModuleData, action_lawful: bool) -> list[CheckReport]:
-    """:func:`check_vmodule` past the action's functoriality, which the
-    caller judged; the derived laws run when ``action_lawful`` and no
-    report is found."""
+def _module_checks(mod: VModuleData) -> list[CheckReport]:
+    """:func:`check_vmodule` past the action's functoriality, whose verdict
+    the caller keeps in ``mod._shapes``; the derived laws run when it and
+    every report here are clean."""
     m = mod.baseV
     vbase = m.base
     s = mod.baseS
@@ -265,8 +297,9 @@ def _module_checks(mod: VModuleData, action_lawful: bool) -> list[CheckReport]:
         elif morphism_inverse(s, lv) is None:
             reports.append(CheckReport("module.lunit-iso", (x,), witness_count=0))
 
+    mod._shapes["module"] = tuple(reports)
     reports += evaluate(MODULE_LAWS, mod, m, s)
-    if action_lawful and not reports:
+    if mod._shapes["action"] == () and not reports:
         assert_derived(DERIVED_MODULE_LAWS, mod, m, s)
     return reports
 
@@ -286,8 +319,12 @@ def _counit(tc: TensorClosedModuleData, x: Obj, y: Obj) -> Mor:
 
 
 # Naturality of the adjunction tables at f : K (x) X -> Y in the tensor
-# variable (u : K' -> K), the source (v : X' -> X) and the target (w : Y -> Y').
-ADJUNCTION_LAWS = (
+# variable (u : K' -> K), the source (v : X' -> X) and the target (w : Y -> Y'),
+# on (tables, module, V's base, S); each is judged in V, premised on a lawful
+# action and hom functor, bijective tables and a valid S.
+ADJUNCTION_LAWS = tuple(thin_first(law, lambda tc, mod, vbase, s: vbase, lambda tc, mod, vbase, s: (
+    is_valid(s) and mod._shapes.get("action") == ()
+    and tc._shapes.get("hom") == () == tc._shapes.get("phi"))) for law in (
     Law("moduleclosed.naturality",
         lambda tc, mod, vbase, s: (
             (u, x, y, f) for u in vbase.mor_ids() for x in s.objects for y in s.objects
@@ -311,7 +348,7 @@ ADJUNCTION_LAWS = (
         lambda tc, mod, vbase, s, k, x, w, f: tc.phi_of(k, x, s.dst(w), s.then(f, w)),
         lambda tc, mod, vbase, s, k, x, w, f: vbase.compose(
             tc.phi_of(k, x, s.src(w), f), tc.hom_mor(s.id_(x), w)), core=True),
-)
+))
 
 
 def _adjunction_checks(tc: TensorClosedModuleData, what: str) -> list[CheckReport]:
@@ -332,6 +369,7 @@ def _adjunction_checks(tc: TensorClosedModuleData, what: str) -> list[CheckRepor
                     "moduleclosed.naturality", (k, x, y), s.hom(mod.act_obj(k, x), y),
                     vbase.hom(k, tc.hom_obj(x, y)), what)
 
+    tc._shapes["phi"] = tuple(reports)
     return reports + evaluate(ADJUNCTION_LAWS, tc, mod, vbase, s)
 
 
@@ -356,7 +394,8 @@ def check_tensor_closed(tc: TensorClosedModuleData) -> list[CheckReport]:
     """Module axioms, hom functoriality, bijectivity of the adjunction tables
     and their naturality in all three variables."""
     reports = check_vmodule(tc.module)
-    reports += validate_functor(tc.homFunctor, tag=_HOM_FUNCTOR)
+    tc._shapes["hom"] = tuple(validate_functor(tc.homFunctor, tag=_HOM_FUNCTOR))
+    reports += tc._shapes["hom"]
     if not _objects_partial(tc.module.action):
         reports += _adjunction_checks(tc, "adjunction table")
     reports = sort_reports(reports)
@@ -377,7 +416,11 @@ def _closed_checks(cm: ClosedVModuleData,
                    reversed_side: TensorClosedModuleData) -> list[CheckReport]:
     """:func:`check_closed_module` on a reversed side the caller built."""
     reports = check_tensor_closed(cm.tensorClosed)
-    reports += validate_functor(cm.cotensor, tag=_COTENSOR)
+    # the reversed side's action is the cotensor, its hom functor the hom functor's reversal
+    cotensor = reversed_side.module._shapes["action"] = tuple(
+        validate_functor(cm.cotensor, tag=_COTENSOR))
+    reversed_side._shapes["hom"] = cm.tensorClosed._shapes["hom"]
+    reports += cotensor
     if _objects_partial(cm.cotensor):
         return sort_reports(reports)
     reports += _adjunction_checks(reversed_side, "cotensor adjunction")
@@ -594,9 +637,7 @@ def check_closed_bimodule(bm: ClosedBimoduleData) -> list[CheckReport]:
         if x not in bm.comodLunit:
             raise MissingTableError(f"comodule unitor missing {x!r}")
     # the reversed side's action is the cotensor, judged above
-    cotensor_lawful = not any(r.law in _COTENSOR_LAWS for r in reports)
-    reports += [replace(r, law=comodule_name(r.law))
-                for r in _module_checks(reversed_side.module, cotensor_lawful)]
+    reports += [replace(r, law=comodule_name(r.law)) for r in _module_checks(reversed_side.module)]
 
     # the reversed side's hom structure must be the reversed hom structure
     try:
@@ -610,6 +651,7 @@ def check_closed_bimodule(bm: ClosedBimoduleData) -> list[CheckReport]:
         reports.append(CheckReport("bimodule.opposite-vstructure", (),
                                    witness_count=0, note=str(exc)))
 
+    reversed_side._shapes["bimodule"] = tuple(reports)
     reports.extend(evaluate(BIMODULE_LAWS, cm, reversed_side, m, s))
     return sort_reports(reports)
 
@@ -662,32 +704,39 @@ def _unit_transport(cm: ClosedVModuleData, dual: TensorClosedModuleData, m: Mono
                         tc.phi_of(m.unit, y, x, s.compose(tc.module.l(y), g)))
 
 
+def _bimodule_premise(cm: ClosedVModuleData, dual: TensorClosedModuleData,
+                      m: MonoidalData, s: FinCategory) -> bool:
+    """No earlier report, a valid S and clean shape records of V."""
+    return dual._shapes.get("bimodule") == () and is_valid(s) and shapes_clean(m, *SHAPE_LOOPS)
+
+
 # The three diagrams that force the comodule structure, evaluated on
 # (closed module, reversed side, base, S) whatever the other checks found;
 # the comodule isomorphisms are the reversed side's.  A site whose transport
 # cannot be computed is an existence failure of the same law; the hexagon
-# and the comodule morphism's composite carry the error's message.
-BIMODULE_LAWS = (
-    Law("bimodule.cp2-8-1",
-        lambda cm, dual, m, s: product(m.base.objects, m.base.objects, s.objects, s.objects),
-        _hexagon_direct, _hexagon_braided, core=True),
-    Law("bimodule.cp2-8-2",
-        lambda cm, dual, m, s: (
-            (k, l, x, y, g) for k, l, x, y in product(m.base.objects, m.base.objects,
-                                                      s.objects, s.objects)
-            for g in s.hom(y, cm.cot_obj(k, cm.cot_obj(l, x)))),
-        explained(lambda cm, dual, m, s, k, l, x, y, g: s.then(g, dual.module.assoc[(k, l, x)])),
-        _assoc_transport, core=True),
-    Law("bimodule.cp2-8-3",
-        lambda cm, dual, m, s: ((x, y, g) for x in s.objects for y in s.objects
-                                for g in s.hom(y, x)),
-        explained(lambda cm, dual, m, s, x, y, g: s.then(g, dual.module.lunit[x])),
-        _unit_transport, core=True),
-)
+# and the comodule morphism's composite carry the error's message.  The
+# hexagon is judged in V, the transports in S.
+BIMODULE_LAWS = tuple(thin_first(law, cat, _bimodule_premise) for law, cat in (
+    (Law("bimodule.cp2-8-1",
+         lambda cm, dual, m, s: product(m.base.objects, m.base.objects, s.objects, s.objects),
+         _hexagon_direct, _hexagon_braided, core=True), lambda cm, dual, m, s: m.base),
+    (Law("bimodule.cp2-8-2",
+         lambda cm, dual, m, s: (
+             (k, l, x, y, g) for k, l, x, y in product(m.base.objects, m.base.objects,
+                                                       s.objects, s.objects)
+             for g in s.hom(y, cm.cot_obj(k, cm.cot_obj(l, x)))),
+         explained(lambda cm, dual, m, s, k, l, x, y, g: s.then(g, dual.module.assoc[(k, l, x)])),
+         _assoc_transport, core=True), lambda cm, dual, m, s: s),
+    (Law("bimodule.cp2-8-3",
+         lambda cm, dual, m, s: ((x, y, g) for x in s.objects for y in s.objects
+                                 for g in s.hom(y, x)),
+         explained(lambda cm, dual, m, s, x, y, g: s.then(g, dual.module.lunit[x])),
+         _unit_transport, core=True), lambda cm, dual, m, s: s),
+))
 
 
 #: The laws declared here, and the names the checkers report under outside them.
 LAWS = MODULE_LAWS + ADJUNCTION_LAWS + BIMODULE_LAWS
-CHECKS = functor_law_names(_ACTION) + functor_law_names(_HOM_FUNCTOR) + _COTENSOR_LAWS + (
+CHECKS = sum(map(functor_law_names, (_ACTION, _HOM_FUNCTOR, _COTENSOR)), ()) + (
         "module.shape", "module.assoc-iso", "module.lunit-iso",
         "bimodule.opposite-vstructure")

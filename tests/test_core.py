@@ -22,6 +22,7 @@ from encat.core import (
     compose_path,
     evaluate,
     explained,
+    is_valid,
     morphism_inverse,
     morphism_inverse_checked,
     opposite_category,
@@ -527,3 +528,13 @@ def test_evaluate_marked_sides():
               lambda d, x: _missing(d, "rhs"))
     assert evaluate([law], None) == [
         CheckReport("t.explained", ("a",), witness_count=0, note="no entry 'a'")]
+
+
+def test_a_product_is_valid_when_both_factors_are():
+    """A product's validity, which the thin cover of a functor law out of it
+    reads, is read off its factors: either one invalid makes it invalid."""
+    good = build_trop(2).base
+    bad = dataclasses.replace(good, comp={k: v for k, v in good.comp.items() if k != ("id:0", "id:0")})
+    assert is_valid(good) and not is_valid(bad)
+    assert is_valid(product_category(good, good))
+    assert not is_valid(product_category(good, bad)) and not is_valid(product_category(bad, good))

@@ -1,20 +1,29 @@
-"""The localized ``module.assoc-natural`` sweep against the full sweep.
+"""The module-side gates against the full sweep.
 
 ``check_vmodule`` judges ``module.assoc-natural`` on the cover of
 ``core.trinatural_cover``: the sites that read a defect of V's tensor or of
 the action, once the associator is natural for their rebuilds in each
-variable alone, decided on generators; with ``gate=None`` it judges every
-site.  On every single-entry swap (the value replaced by each other
-morphism of its category) and deletion of the action, the module
-associator and V's tensor, and on the bimodules of the reversed side's
-cotensor and comodule associator too, ``check_closed_bimodule`` (or
-``check_vmodule`` on the regular module of ``doubled_cyc(2)``) must give the
-same reports both ways, or raise the same error with the same message.
-Tier-1 compares a fixed stride of the mutants of the larger instances (see
+variable alone, decided on generators.  Ahead of that, on a thin category,
+where every diagram commutes, the thin cover decides ``MODULE_LAWS``,
+``ADJUNCTION_LAWS``, ``BIMODULE_LAWS`` and the functor laws of
+``core.FUNCTOR_LAWS`` once the tables they read are well shaped (the
+verdicts kept once found: V's shape loops, the action, hom functor and
+cotensor verdicts, the ``module.shape`` loop, the phi and psi bijection
+reports, and before ``BIMODULE_LAWS`` every earlier report).
+With ``gate=None`` on all four families every site is judged.
+
+On every single-entry swap (the value replaced by each other morphism of
+its category) and deletion of every table a premise reads,
+``check_closed_bimodule`` (``check_vmodule`` on the regular module of
+``doubled_cyc(2)``, ``check_vstructure`` on the self structure of trop(3))
+must give the same reports both ways, or raise the same error with the same
+message.  self(cyc(3)) and the doubled copy are not thin, and there no thin
+cover applies.  Tier-1 compares a fixed stride of the mutants (see
 ``STRIDE``); ``-m slow`` compares every mutant.
 """
 
 import dataclasses
+from itertools import product
 
 import pytest
 
@@ -23,39 +32,57 @@ import encat.vmodule as vmod
 from encat.core import EncatError, FinCategory, generators, opposite_category, product_category
 from encat.equiv import bimodule_completion
 from encat.instances import build_bool, build_cyc, build_poset_module, build_trop, module_self
+from encat.interface import Document, parse, serialize
+from encat.monoidal import self_vstructure
 from encat.vmodule import check_closed_bimodule, check_vmodule
+from encat.vstruct import check_vstructure
 from nonstrict import doubled_cyc, regular_module
 
 LAW = "module.assoc-natural"
 
-
-def bimodule(cm):
-    return bimodule_completion(cm), check_closed_bimodule
-
-
+# Each instance as (document kind, structure); CHECKS gives its checker.
 INSTANCES = {
-    "poset-diamond": lambda: bimodule(build_poset_module()),
-    "self(bool)": lambda: bimodule(module_self(build_bool())),
-    "self(cyc(3))": lambda: bimodule(module_self(build_cyc(3))),
-    "self(trop(3))": lambda: bimodule(module_self(build_trop(3))),
-    "regular(doubled-cyc(2))": lambda: (regular_module(doubled_cyc(2)), check_vmodule),
+    "poset-diamond": lambda: ("bimodule", bimodule_completion(build_poset_module())),
+    "self(bool)": lambda: ("bimodule", bimodule_completion(module_self(build_bool()))),
+    "self(cyc(3))": lambda: ("bimodule", bimodule_completion(module_self(build_cyc(3)))),
+    "self(trop(3))": lambda: ("bimodule", bimodule_completion(module_self(build_trop(3)))),
+    "regular(doubled-cyc(2))": lambda: ("vmodule", regular_module(doubled_cyc(2))),
+    "self-vstructure(trop(3))": lambda: ("vstructure", self_vstructure(build_trop(3))),
 }
+NOT_THIN = ("self(cyc(3))", "regular(doubled-cyc(2))")
+CHECKS = {"bimodule": check_closed_bimodule, "vmodule": check_vmodule,
+          "vstructure": check_vstructure}
 
 # The tables mutated, as attribute paths from the checked structure, each
 # with the path of the category its values range over.
-MODULE = ("closedModule", "tensorClosed", "module")
-BIMODULE_TABLES = (
-    (MODULE + ("action", "onMorphisms"), MODULE + ("action", "dstCat")),
-    (MODULE + ("assoc",), MODULE + ("baseS",)),
-    (MODULE + ("baseV", "tensor_mor"), MODULE + ("baseV", "base")),
-    (("closedModule", "cotensor", "onMorphisms"), ("closedModule", "cotensor", "dstCat")),
-    (("comodAssoc",), MODULE + ("baseS",)),
-)
+V, S = ("baseV",), ("baseS",)
 VMODULE_TABLES = (
+    (V + ("tensor_mor",), V + ("base",)),
+    (V + ("assoc",), V + ("base",)),
+    (V + ("lunit",), V + ("base",)),
+    (V + ("runit",), V + ("base",)),
+    (V + ("base", "comp"), V + ("base",)),
+    (S + ("comp",), S),
     (("action", "onMorphisms"), ("action", "dstCat")),
-    (("assoc",), ("baseS",)),
-    (("baseV", "tensor_mor"), ("baseV", "base")),
+    (("assoc",), S),
 )
+MODULE = ("closedModule", "tensorClosed", "module")
+TC, CM = ("closedModule", "tensorClosed"), ("closedModule",)
+BIMODULE_TABLES = tuple((MODULE + path, MODULE + values) for path, values in VMODULE_TABLES) + (
+    (MODULE + V + ("symmetry", "braid"), MODULE + V + ("base",)),
+    (MODULE + V + ("closed", "ev"), MODULE + V + ("base",)),
+    (TC + ("homFunctor", "onMorphisms"), TC + ("homFunctor", "dstCat")),
+    (TC + ("phi",), MODULE + V + ("base",)),
+    (CM + ("psi",), MODULE + V + ("base",)),
+    (CM + ("cotensor", "onMorphisms"), CM + ("cotensor", "dstCat")),
+    (("comodAssoc",), MODULE + S),
+    (("comodLunit",), MODULE + S),
+)
+VSTRUCTURE_TABLES = (
+    (("homFunctor", "onMorphisms"), ("homFunctor", "dstCat")),
+    (S + ("comp",), S),
+)
+TABLES = {"bimodule": BIMODULE_TABLES, "vmodule": VMODULE_TABLES, "vstructure": VSTRUCTURE_TABLES}
 
 
 def read(data, path):
@@ -71,17 +98,34 @@ def replaced(data, path, value):
     return dataclasses.replace(data, **{path[0]: replaced(getattr(data, path[0]), path[1:], value)})
 
 
-def mutants(data):
-    """Every single-entry swap and deletion of the mutated tables."""
-    tables = VMODULE_TABLES if isinstance(data, vmod.VModuleData) else BIMODULE_TABLES
-    for path, values in tables:
-        table = read(data, path)
-        for key, value in table.items():
-            rest = {k: v for k, v in table.items() if k != key}
-            yield (path[-1], key, None), replaced(data, path, rest)
-            for other in read(data, values).mor_ids():
-                if other != value:
-                    yield (path[-1], key, other), replaced(data, path, {**table, key: other})
+def entries(table, values):
+    """(where, copy) for every single-entry deletion and swap of ``table``;
+    the adjunction tables phi and psi are mutated inside each of their rows."""
+    for key, value in table.items():
+        if isinstance(value, dict):
+            for (where, row) in entries(value, values):
+                yield (key, *where), {**table, key: row}
+            continue
+        yield (key, None), {k: v for k, v in table.items() if k != key}
+        for other in values:
+            if other != value:
+                yield (key, other), {**table, key: other}
+
+
+def mutants(kind, data):
+    """(where, a function building it) for every mutant of the document
+    ``data`` of ``kind``.  A mutated composition table is read back through
+    the codec, as ``encat check`` reads a document, so that every functor
+    out of the category (the action's, hom functor's and cotensor's sources)
+    sees it."""
+    for path, values in TABLES[kind]:
+        for where, table in entries(read(data, path), read(data, values).mor_ids()):
+            yield (path[-1], *where), lambda path=path, table=table: reread(
+                kind, replaced(data, path, table), path[-1] == "comp")
+
+
+def reread(kind, data, codec: bool):
+    return parse(serialize(Document(kind, data))).data if codec else data
 
 
 def outcome(check, data):
@@ -106,40 +150,65 @@ def spy(mp) -> list[tuple[tuple, list[tuple[str, ...]]]]:
     return seen
 
 
+GATED = ((vmod, "MODULE_LAWS"), (vmod, "ADJUNCTION_LAWS"), (vmod, "BIMODULE_LAWS"),
+         (core, "FUNCTOR_LAWS"))
+
+
 def full_outcome(check, data):
-    """The reference: ``check`` with gate-free module laws, asserted to have
-    judged every site of each module's ``module.assoc-natural`` once."""
+    """The reference: ``check`` with every gate of the gated law families
+    stripped, asserted to have judged every site of each module's
+    ``module.assoc-natural`` once."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vmod, "MODULE_LAWS", tuple(
-            dataclasses.replace(law, gate=None) for law in vmod.MODULE_LAWS))
+        for module, name in GATED:
+            mp.setattr(module, name, tuple(
+                dataclasses.replace(law, gate=None) for law in getattr(module, name)))
         seen = spy(mp)
         got = outcome(check, data)
     if isinstance(got, list):
-        assert len(seen) == (1 if check is check_vmodule else 2)
+        assert len(seen) == {check_vmodule: 1, check_closed_bimodule: 2}.get(check, 0)
         law = vmod.MODULE_LAWS[0]
         for judged_on, sites in seen:
             assert sites == list(law.sites(*judged_on))
     return got
 
 
-# Every mutant costs two checks, so by default only every STRIDE-th mutant of
-# the larger instances (in enumeration order) is compared; ``-m slow``
-# compares all of them.  Each entry gives one deletion and a swap per other
-# morphism of its category in a row (9 or 3 in the diamond, 6 in trop(3), 8
-# in the doubled copy); a stride prime to those visits every position.
-STRIDE = {"poset-diamond": 31, "self(trop(3))": 31, "regular(doubled-cyc(2))": 13}
+def thin_covers(mp) -> list:
+    """Record every cover ``core.thin_cover`` gives."""
+    seen = []
+    thin_cover = core.thin_cover
+
+    def recording(cat, premise):
+        seen.append(thin_cover(cat, premise))
+        return seen[-1]
+
+    mp.setattr(core, "thin_cover", recording)
+    return seen
+
+
+# Every mutant costs two checks, so by default only every STRIDE-th mutant
+# (in enumeration order) is compared; ``-m slow`` compares all of them.  Each
+# entry gives |mor| mutants in a row, one deletion and a swap per other
+# morphism of its category (3 or 9 in the diamond, 3 in bool and cyc(3), 6 in
+# trop(3), 8 in the doubled copy); a stride prime to those visits every position.
+STRIDE = {"poset-diamond": 23, "self(bool)": 7, "self(cyc(3))": 7, "self(trop(3))": 41,
+          "regular(doubled-cyc(2))": 23, "self-vstructure(trop(3))": 7}
 
 
 def agree(name: str, stride: int) -> None:
-    data, check = INSTANCES[name]()
-    assert check(data) == []
-    for where, mutant in list(mutants(data))[::stride]:
-        assert outcome(check, mutant) == full_outcome(check, mutant), where
+    kind, data = INSTANCES[name]()
+    check = CHECKS[kind]
+    with pytest.MonkeyPatch.context() as mp:
+        covers = thin_covers(mp)
+        assert check(data) == []
+        for where, mutant in list(mutants(kind, data))[::stride]:
+            mutant = mutant()
+            assert outcome(check, mutant) == full_outcome(check, mutant), where
+    assert (() in covers) == (name not in NOT_THIN)
 
 
 @pytest.mark.parametrize("name", list(INSTANCES))
 def test_the_module_cover_agrees_with_the_full_sweep(name):
-    agree(name, STRIDE.get(name, 1))
+    agree(name, STRIDE[name])
 
 
 @pytest.mark.slow
@@ -149,9 +218,10 @@ def test_the_module_cover_agrees_with_the_full_sweep_on_every_mutant(name):
 
 
 def test_a_lawful_module_is_judged_on_generators_only(monkeypatch):
-    """self(trop(4)): each side decides 4^3 identity sites and 3 * 3 * 4^2
-    generator sites on the rebuilds, of its 10^3 sites, and judges none."""
-    bm = bimodule_completion(module_self(build_trop(4)))
+    """self(cyc(12)), which is not thin, so no thin cover decides it: each
+    side decides its one identity site and a generator site in each of the
+    three variables on the rebuilds, of its 12^3 sites, and judges none."""
+    bm = bimodule_completion(module_self(build_cyc(12)))
     gate_sites = []
     separate = core.separate_variable_sites
 
@@ -163,9 +233,59 @@ def test_a_lawful_module_is_judged_on_generators_only(monkeypatch):
     monkeypatch.setattr(core, "separate_variable_sites", counting)
     seen = spy(monkeypatch)
     assert check_closed_bimodule(bm) == []
-    assert gate_sites == [4 ** 3 + 3 * 3 * 4 ** 2] * 2
+    assert gate_sites == [1 + 3] * 2
     assert [sites for _, sites in seen] == [[], []]
-    assert [len(list(vmod.MODULE_LAWS[0].sites(*data))) for data, _ in seen] == [10 ** 3] * 2
+    assert [len(list(vmod.MODULE_LAWS[0].sites(*data))) for data, _ in seen] == [12 ** 3] * 2
+
+
+def spy_all(mp) -> dict[str, list[list[tuple[str, ...]]]]:
+    """Record, per law name, the site families ``core._judge`` judges."""
+    seen: dict[str, list[list[tuple[str, ...]]]] = {}
+    judge = core._judge
+
+    def recording(law, sites, data):
+        sites = list(sites)
+        seen.setdefault(law.name, []).append(sites)
+        return judge(law, sites, data)
+
+    mp.setattr(core, "_judge", recording)
+    return seen
+
+
+FUNCTOR_TAGS = ("module.functor", "moduleclosed.functor", "moduleclosed.cotensor")
+
+
+def test_a_lawful_thin_bimodule_judges_no_gated_site(monkeypatch):
+    """self(trop(4)): no site of a gated law is judged, on either side, and
+    no action is rebuilt; the derived laws keep their sweeps."""
+    bm = bimodule_completion(module_self(build_trop(4)))
+    seen = spy_all(monkeypatch)
+    assert check_closed_bimodule(bm) == []
+    monkeypatch.undo()
+    gated = {law.name for law in vmod.MODULE_LAWS + vmod.ADJUNCTION_LAWS + vmod.BIMODULE_LAWS}
+    gated |= {f"{tag}.{law.name}" for tag in FUNCTOR_TAGS for law in core.FUNCTOR_LAWS}
+    assert gated <= set(seen)
+    assert all(sites == [] for name in gated for sites in seen[name])
+    assert "_bifunctor" not in bm.closedModule.tensorClosed.module.action.__dict__
+    assert len(seen["module evaluation square"]) == 2
+    assert all(seen["module evaluation square"]) and all(seen["unit-absorption triangle"])
+
+
+def test_a_misshapen_module_associator_entry_is_judged_at_every_site(monkeypatch):
+    """One module associator entry of self(trop(4)) swapped for a morphism of
+    another shape breaks the ``module.shape`` premise: ``module.assoc`` is
+    judged at all 4^4 sites of the module, and the reversed side's, whose
+    records are clean, at none."""
+    bm = bimodule_completion(module_self(build_trop(4)))
+    mutant = replaced(bm, MODULE + ("assoc",), {**read(bm, MODULE + ("assoc",)),
+                                                ("1", "2", "0"): "m:3:2"})
+    seen = spy_all(monkeypatch)
+    got = check_closed_bimodule(mutant)
+    monkeypatch.undo()
+    assert got == full_outcome(check_closed_bimodule, mutant)
+    assert {r.law for r in got} >= {"module.shape", "module.assoc"}
+    objs = read(bm, MODULE + ("baseS",)).objects
+    assert seen["module.assoc"] == [list(product(objs, repeat=4)), []]
 
 
 def closure(cat: FinCategory, gens) -> set:

@@ -339,3 +339,27 @@ def test_an_undeclared_unit_is_judged_on_every_site():
     got = checks_outcome(mutant)
     assert got == full_checks_outcome(mutant)
     assert {r.law for r in got[0]} >= {"lunit.natural", "runit.natural"}
+
+
+def test_a_misshapen_associator_entry_is_judged_at_its_squares_only(monkeypatch):
+    """One associator entry of trop(4) swapped for a morphism of another
+    shape leaves ``assoc.shape`` the only shape report.  ``assoc.natural``
+    is then judged only at the sites whose square reads that component, at
+    (src f, src g, src h) or (dst f, dst g, dst h): out of 1, 2 and 0 run
+    2 * 3 * 1 morphisms, into them 3 * 2 * 4, and the identities do both,
+    so 29 of the 1,000 sites.  ``pentagon`` and ``triangle`` keep every site."""
+    m = build_trop(4)
+    base, key = m.base, ("1", "2", "0")
+    mutant = dataclasses.replace(m, assoc={**m.assoc, key: "m:3:2"})
+    seen = spy(monkeypatch)
+    got = check_monoidal(mutant)
+    monkeypatch.undo()
+    assert got == full_outcome(mutant)
+    assert {r.law for r in got if r.law.endswith(".shape")} == {"assoc.shape"}
+    [judged] = seen["assoc.natural"]
+    ends = lambda end, site: tuple(map(end, site))
+    assert len(judged) == len(set(judged)) == 29
+    assert set(judged) == {site for site in product(base.mor_ids(), repeat=3)
+                           if key in (ends(base.src, site), ends(base.dst, site))}
+    assert seen["pentagon"] == [list(product(base.objects, repeat=4))]
+    assert seen["triangle"] == [list(product(base.objects, repeat=2))]
