@@ -8,7 +8,6 @@ witness).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -29,7 +28,7 @@ from .equiv import (
     tensored_to_cylinder,
 )
 from .instances import build_instance, parse_instance_name
-from .interface import Document, DocumentError, parse, serialize
+from .interface import Document, DocumentError, dumps, parse, serialize
 from .monoidal import check_closed, check_monoidal, check_symmetry
 from .vcat import check_vcategory, underlying_category
 from .vmodule import (
@@ -118,7 +117,7 @@ def _print_reports(reports: list[CheckReport], fmt: str, out, unselected: int) -
                     "witness_count": r.witness_count, "note": r.note}
                    for r in reports]
         extra = {"unselected": unselected} if unselected else {}
-        print(json.dumps({"reports": records, **extra}, indent=2, sort_keys=True), file=out)
+        print(dumps({"reports": records, **extra}), file=out)
         return
     for r in reports:
         site = "(" + ", ".join(r.site) + ")"

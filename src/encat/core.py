@@ -559,10 +559,10 @@ def product_category(a: FinCategory, b: FinCategory) -> FinCategory:
     either, ``comp`` is the table written out, as a ``dict``.
     """
     objects = tuple(sorted(pair_id(x, y) for x in a.objects for y in b.objects))
-    pairs = [(pair_id(f, g), f, g) for f in a.mor_ids() for g in b.mor_ids()]
-    morphisms = tuple(sorted(
-        (p, pair_id(a.src(f), b.src(g)), pair_id(a.dst(f), b.dst(g))) for p, f, g in pairs
-    ))
+    a_mors, b_mors = sorted(a._mors.items()), sorted(b._mors.items())
+    pairs = [(pair_id(f, g), f, g) for f, _ in a_mors for g, _ in b_mors]
+    morphisms = tuple(sorted((pair_id(f, g), pair_id(fs, gs), pair_id(fd, gd))
+                             for f, (fs, fd) in a_mors for g, (gs, gd) in b_mors))
     parts = {p: (f, g) for p, f, g in pairs}
     identity = {pair_id(x, y): pair_id(a.id_(x), b.id_(y))
                 for x in a.objects for y in b.objects}

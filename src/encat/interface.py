@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _esc
+from operator import itemgetter
 from typing import Any
 
 from .core import (EncatError, FinCategory, FunctorData, MalformedReferenceError,
@@ -21,6 +24,7 @@ from .vmodule import (ClosedBimoduleData, ClosedVModuleData, TensorClosedModuleD
 from .vstruct import CylinderAssignment, PathAssignment, VStructureData
 
 FORMAT = "encat/1"
+_STR, _LIST, _DICT, _SEQ = {str}, {list}, {dict}, {list, tuple}
 
 
 class DocumentError(EncatError):
@@ -75,8 +79,11 @@ def split_pair_id(pid: str) -> tuple[str, str]:
     """Inverse of :func:`encat.core.pair_id`, aware of nested pairs."""
     if not (pid.startswith("(") and pid.endswith(")")):
         raise ParseError(f"not a pair id: {pid!r}")
-    depth = 0
     inner = pid[1:-1]
+    head, comma, tail = inner.partition(",")
+    if comma and "(" not in head and ")" not in head:  # the first comma is the top-level one
+        return head, tail
+    depth = 0
     for i, ch in enumerate(inner):
         if ch == "(":
             depth += 1
@@ -85,6 +92,45 @@ def split_pair_id(pid: str) -> tuple[str, str]:
         elif ch == "," and depth == 0:
             return inner[:i], inner[i + 1:]
     raise ParseError(f"not a pair id: {pid!r}")
+
+
+def dumps(value: Any) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for a
+    tree of dicts with string keys, lists, strings, numbers and ``None``; the
+    stdlib writes indented JSON with its pure-Python encoder."""
+    return _texts([value], "\n")[0]
+
+
+def _texts(values: list, nl: str) -> list:
+    """The texts of ``values``, each starting on a line indented as ``nl``.
+    Strings go through the stdlib's C escaper.  Dicts, or lists, are written
+    together: one ``%`` fills one template per length (lists of one width
+    share a row template) with their cells' texts, found a column at a time,
+    and is split at NUL, which escaped text never holds."""
+    kinds, inner = set(map(type, values)), nl + "  "
+    if kinds <= _STR:
+        return list(map(_esc, values))
+    if kinds == _DICT:
+        items = list(map(sorted, map(dict.items, values)))
+        rows, ends, row, at = list(chain.from_iterable(items)), "{}", "%s: %s", inner
+    elif kinds <= _SEQ:
+        items, ends, at = values, "[]", inner + "  "
+        rows = list(chain.from_iterable(values))
+        if set(map(type, rows)) <= _SEQ and len(set(map(len, rows))) == 1:
+            row = "[" + at + ("," + at).join(["%s"] * len(rows[0])) + inner + "]" if rows[0] else "[]"
+        else:
+            rows, row, at = list(zip(rows)), "%s", inner
+    else:  # numbers, None, or values of mixed kinds
+        return [_texts([v], nl)[0] if isinstance(v, (dict, list, tuple)) else json.dumps(v)
+                for v in values]
+    try:
+        cells = tuple(map(_esc, chain.from_iterable(rows)))
+    except TypeError:
+        cells = tuple(chain.from_iterable(zip(*[_texts(list(col), at) for col in zip(*rows)])))
+    shapes = {n: ends[0] + inner + ("," + inner).join([row] * n) + nl + ends[1] if n else ends
+              for n in set(map(len, items))}
+    text = "\0".join(map(shapes.__getitem__, map(len, items))) % cells
+    return text.split("\0") if len(items) > 1 else [text]
 
 
 @dataclass(frozen=True)
@@ -105,27 +151,29 @@ class _Reader:
             self.fail(ParseError, f"{where}: field {key!r} must be {kind.__name__}", key)
         return value
 
-    def ids(self, cells: list, where: str, token: str) -> None:
+    def ids(self, cells, where: str, token: str) -> None:
         """The one id rule: every id is a string."""
-        if not all(isinstance(v, str) for v in cells):
+        if not set(map(type, cells)) <= _STR:
             self.fail(ParseError, f"{where}: ids must be strings", token)
 
     def rows(self, rows: list, arity: int, where: str, tail: type = str,
              token: str = "") -> dict:
-        """Rows of ``arity`` string ids then one ``tail`` cell, keyed by the
-        ids (a lone id for arity 1); a repeated key is an error."""
+        """Rows of ``arity`` string ids then one ``tail`` cell, checked a column
+        at a time and keyed by the ids (a lone id for arity 1); a repeated key
+        is an error, named at its first repeat."""
         token = token or where.rpartition(".")[2]
-        if not all(isinstance(row, list) and len(row) == arity + 1
-                   and isinstance(row[arity], tail) for row in rows):
+        shaped = set(map(type, rows)) <= _LIST and set(map(len, rows)) <= {arity + 1}
+        cols = list(zip(*rows)) if shaped and rows else [()] * (arity + 1)
+        if not (shaped and set(map(type, cols[arity])) <= {tail}):
             self.fail(ParseError, f"{where}: rows must be {arity} ids and a "
                                   f"{tail.__name__}", token)
-        self.ids([v for row in rows for v in row[:arity]], where, token)
-        out = {}
-        for row in rows:
-            k = row[0] if arity == 1 else tuple(row[:arity])
-            if k in out:
-                self.fail(DuplicateIdError, f"{where}: duplicate entry", row[0])
-            out[k] = row[arity]
+        self.ids(chain.from_iterable(cols[:arity]), where, token)
+        keys = cols[0] if arity == 1 else list(zip(*cols[:arity]))
+        out = dict(zip(keys, cols[arity]))
+        if len(out) < len(rows):
+            seen: set = set()
+            bad = next(k for k in keys if k in seen or seen.add(k))
+            self.fail(DuplicateIdError, f"{where}: duplicate entry", bad if arity == 1 else bad[0])
         return out
 
 
@@ -153,8 +201,8 @@ class Id(_Column):
     def check(self, r: _Reader, ids, where: str, ctx: dict) -> None:
         if self.known is not None:
             known = self.known(ctx["base"])
-            bad = next((v for v in ids if v not in known), None)
-            if bad is not None:
+            if set(ids).difference(known):  # a collection: read again to name the first
+                bad = next(v for v in ids if v not in known)
                 r.fail(UnresolvedReferenceError,
                        f"{where}: {bad!r} is not a declared {self.kind}", bad)
 
@@ -192,15 +240,26 @@ class Table(_Column):
 
     def read(self, r, rows, where, ctx):
         out = r.rows(rows, self.arity, where, self.value.json)
-        self.keys.check(r, out if self.arity == 1 else (p for k in out for p in k), where, ctx)
+        self.keys.check(r, out if self.arity == 1 else list(chain.from_iterable(out)), where, ctx)
         if isinstance(self.value, Table):
-            return {k: self.value.read(r, v, where, ctx) for k, v in out.items()}
+            return dict(zip(out, self.value.read_all(r, out.values(), where, ctx)))
         self.value.check(r, out.values(), where, ctx)
         return out
 
+    def read_all(self, r, tables, where, ctx) -> list:
+        """``read`` of many tables of unchecked ids, in bulk if all are well formed."""
+        rows = list(chain.from_iterable(tables))
+        if (self.arity == 1 and self.keys is ANY and self.value is ANY
+                and set(map(type, rows)) <= _LIST and set(map(len, rows)) <= {2}
+                and set(map(type, chain.from_iterable(rows))) <= _STR):
+            out = list(map(dict, tables))
+            if sum(map(len, out)) == len(rows):
+                return out
+        return [self.read(r, t, where, ctx) for t in tables]
+
     def write(self, table):
-        return sorted([*((k,) if self.arity == 1 else k), self.value.write(v)]
-                      for k, v in table.items())
+        values = table.values() if isinstance(self.value, Id) else map(self.value.write, table.values())
+        return sorted(map(list, zip(*(zip(*table) if self.arity > 1 else (table,)), values)))
 
 
 class Record(_Column):
@@ -255,8 +314,8 @@ class Functor(_Column):
         return FunctorData(srcCat=src, dstCat=dst, **tables)
 
     def write(self, fn):
-        return {key: spec.write({split_pair_id(k): v for k, v in getattr(fn, attr).items()})
-                for key, attr, spec in self.TABLES}
+        return {key: spec.write(dict(zip(map(split_pair_id, table), table.values())))
+                for key, attr, spec in self.TABLES for table in (getattr(fn, attr),)}
 
 
 class Assignment(_Column):
@@ -310,7 +369,7 @@ class _FinCategory(_Column):
             morphisms[row["id"]] = (row["id"], row["src"], row["dst"])
         morphisms = tuple(sorted(morphisms.values()))
         scope = {"base": FinCategory(objects, morphisms, {}, {})}
-        OBJ.check(r, (o for _, s, d in morphisms for o in (s, d)), where, scope)
+        OBJ.check(r, [o for _, s, d in morphisms for o in (s, d)], where, scope)
         identity = r.expect(obj, "identity", dict, where)
         r.ids(list(identity.values()), where, "identity")
         OBJ.check(r, identity, where, scope)
@@ -407,7 +466,7 @@ def serialize(doc: Document) -> str:
     if doc.kind not in KINDS:
         raise ParseError(f"unknown document kind {doc.kind!r}")
     payload = {"format": FORMAT, "kind": doc.kind, "body": SCHEMA[doc.kind].write(doc.data)}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return dumps(payload) + "\n"
 
 
 def parse(text: str) -> Document:

@@ -87,6 +87,15 @@ def test_duplicate_morphism_id(bool_m):
     assert err.value.token == payload["body"]["morphisms"][0]["id"]
 
 
+def test_rows_that_are_not_lists_are_parse_errors(bool_m):
+    payload = json.loads(serialize(Document("fincategory", bool_m.base)))
+    for row in (7, None, "ghost", {"a": "b"}):
+        payload["body"]["comp"].append(row)
+        with pytest.raises(ParseError, match="rows must be 2 ids and a str"):
+            parse(json.dumps(payload))
+        payload["body"]["comp"].pop()
+
+
 def test_unknown_kind(bool_m):
     payload = json.loads(serialize(Document("fincategory", bool_m.base)))
     payload["kind"] = "mystery"
