@@ -103,34 +103,35 @@ def dumps(value: Any) -> str:
 
 def _texts(values: list, nl: str) -> list:
     """The texts of ``values``, each starting on a line indented as ``nl``.
-    Strings go through the stdlib's C escaper.  Dicts, or lists, are written
-    together: one ``%`` fills one template per length (lists of one width
-    share a row template) with their cells' texts, found a column at a time,
-    and is split at NUL, which escaped text never holds."""
+    Strings go through the stdlib's C escaper.  Lists, or dicts with one key
+    order, fill their templates (rows of one width share one) by one ``%``
+    over their cells' texts, found by columns, and split at NUL (no text has one)."""
     kinds, inner = set(map(type, values)), nl + "  "
     if kinds <= _STR:
         return list(map(_esc, values))
-    if kinds == _DICT:
-        items = list(map(sorted, map(dict.items, values)))
-        rows, ends, row, at = list(chain.from_iterable(items)), "{}", "%s: %s", inner
-    elif kinds <= _SEQ:
-        items, ends, at = values, "[]", inner + "  "
-        rows = list(chain.from_iterable(values))
+    if kinds <= _SEQ:
+        rows, at = list(chain.from_iterable(values)), inner + "  "
         if set(map(type, rows)) <= _SEQ and len(set(map(len, rows))) == 1:
             row = "[" + at + ("," + at).join(["%s"] * len(rows[0])) + inner + "]" if rows[0] else "[]"
         else:
             rows, row, at = list(zip(rows)), "%s", inner
-    else:  # numbers, None, or values of mixed kinds
-        return [_texts([v], nl)[0] if isinstance(v, (dict, list, tuple)) else json.dumps(v)
+        shapes = {n: "[" + inner + ("," + inner).join([row] * n) + nl + "]" if n else "[]"
+                  for n in set(map(len, values))}
+        texts = map(shapes.__getitem__, map(len, values))
+    elif kinds == _DICT and len(set(map(tuple, values))) == 1:
+        keys, at = sorted(values[0]), inner
+        rows = list(zip(*[map(itemgetter(k), values) for k in keys]))
+        texts = ["{" + ",".join(f"{inner}{_esc(k).replace('%', '%%')}: %s" for k in keys)
+                 + nl + "}" if keys else "{}"] * len(values)
+    else:  # values of several kinds, or numbers and None: one at a time
+        return [_texts([v], nl)[0] if isinstance(v, (str, dict, list, tuple)) else json.dumps(v)
                 for v in values]
     try:
         cells = tuple(map(_esc, chain.from_iterable(rows)))
     except TypeError:
         cells = tuple(chain.from_iterable(zip(*[_texts(list(col), at) for col in zip(*rows)])))
-    shapes = {n: ends[0] + inner + ("," + inner).join([row] * n) + nl + ends[1] if n else ends
-              for n in set(map(len, items))}
-    text = "\0".join(map(shapes.__getitem__, map(len, items))) % cells
-    return text.split("\0") if len(items) > 1 else [text]
+    text = "\0".join(texts) % cells
+    return text.split("\0") if len(values) > 1 else [text]
 
 
 @dataclass(frozen=True)
@@ -158,9 +159,8 @@ class _Reader:
 
     def rows(self, rows: list, arity: int, where: str, tail: type = str,
              token: str = "") -> dict:
-        """Rows of ``arity`` string ids then one ``tail`` cell, checked a column
-        at a time and keyed by the ids (a lone id for arity 1); a repeated key
-        is an error, named at its first repeat."""
+        """Rows of ``arity`` string ids then one ``tail`` cell, checked by columns
+        and keyed by the ids (a lone id for arity 1); a key's repeat is an error."""
         token = token or where.rpartition(".")[2]
         shaped = set(map(type, rows)) <= _LIST and set(map(len, rows)) <= {arity + 1}
         cols = list(zip(*rows)) if shaped and rows else [()] * (arity + 1)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from encat.cli import CONSTRUCT_OPS, _construct, cli
 from encat.core import FinCategory, structural_equal
 from encat.instances import build_instance, parse_instance_name
-from encat.interface import Document, dumps, parse, serialize
+from encat.interface import Document, DocumentError, dumps, parse, serialize
 from encat.vcat import VCategoryData
 from tests.test_interface import _all_documents
 
@@ -43,7 +43,6 @@ def assert_canonical(doc: Document) -> str:
 def test_fixture_documents_are_stdlib_bytes(bool_m, trop3, cyc3, poset_cm, self_trop3):
     for doc in _all_documents(bool_m, trop3, cyc3, poset_cm, self_trop3):
         assert_canonical(doc)
-        assert structural_equal(parse(serialize(doc)).data, doc.data)
 
 
 def test_builtins_and_constructions_are_stdlib_bytes():
@@ -57,7 +56,7 @@ def test_builtins_and_constructions_are_stdlib_bytes():
             for op in CONSTRUCT_OPS:
                 try:
                     out = _construct(source, op)
-                except Exception:  # an op that does not take this kind
+                except DocumentError:  # an op that does not take this kind
                     continue
                 assert_canonical(out)
                 made.append(op)
