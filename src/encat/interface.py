@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, fields
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _esc
-from operator import itemgetter
 from typing import Any
 
 from .core import (EncatError, FinCategory, FunctorData, MalformedReferenceError,
@@ -77,42 +76,44 @@ def _position_of(text: str, token: str) -> tuple[int, int]:
 
 def split_pair_id(pid: str) -> tuple[str, str]:
     """Inverse of :func:`encat.core.pair_id`, aware of nested pairs."""
-    if not (pid.startswith("(") and pid.endswith(")")):
-        raise ParseError(f"not a pair id: {pid!r}")
     inner = pid[1:-1]
-    head, comma, tail = inner.partition(",")
-    if comma and "(" not in head and ")" not in head:  # the first comma is the top-level one
-        return head, tail
-    depth = 0
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return inner[:i], inner[i + 1:]
-    raise ParseError(f"not a pair id: {pid!r}")
+    i = inner.find(",")
+    while i >= 0 and inner.count("(", 0, i) != inner.count(")", 0, i):  # inside a nested pair
+        i = inner.find(",", i + 1)
+    if i < 0 or not (pid.startswith("(") and pid.endswith(")")):
+        raise ParseError(f"not a pair id: {pid!r}")
+    return inner[:i], inner[i + 1:]
 
 
 def dumps(value: Any) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for a
-    tree of dicts with string keys, lists, strings, numbers and ``None``; the
-    stdlib writes indented JSON with its pure-Python encoder."""
-    return _texts([value], "\n")[0]
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a tree of dicts with string keys,
+    lists, strings, numbers and ``None``, without the stdlib's pure-Python indenting encoder."""
+    return "".join(_pieces(value, "\n"))
+
+
+def _pieces(value: Any, nl: str):
+    """``value``'s text from a line indented as ``nl``, in pieces joined once: a dict
+    entry by entry (a level of its own would copy the text below it), else by ``_texts``."""
+    if type(value) is dict and value:
+        for i, (k, v) in enumerate(sorted(value.items())):
+            yield ("," if i else "{") + nl + "  " + _esc(k) + ": "
+            yield from _pieces(v, nl + "  ")
+        yield nl + "}"
+    else:
+        yield _texts([value], nl)[0]
 
 
 def _texts(values: list, nl: str) -> list:
-    """The texts of ``values``, each starting on a line indented as ``nl``.
-    Strings go through the stdlib's C escaper.  Lists, or dicts with one key
-    order, fill their templates (rows of one width share one) by one ``%``
-    over their cells' texts, found by columns, and split at NUL (no text has one)."""
+    """The texts of ``values``, each indented as ``nl``.  Strings go through the C
+    escaper; lists, or dicts with one key order, fill their templates (rows of one
+    width share one) by one ``%`` over their cells' texts, found by columns."""
     kinds, inner = set(map(type, values)), nl + "  "
     if kinds <= _STR:
         return list(map(_esc, values))
     if kinds <= _SEQ:
         rows, at = list(chain.from_iterable(values)), inner + "  "
-        if set(map(type, rows)) <= _SEQ and len(set(map(len, rows))) == 1:
-            row = "[" + at + ("," + at).join(["%s"] * len(rows[0])) + inner + "]" if rows[0] else "[]"
+        if set(map(type, rows)) <= _SEQ and len(set(map(len, rows))) == 1 and rows[0]:
+            row = "[" + at + ("," + at).join(["%s"] * len(rows[0])) + inner + "]"
         else:
             rows, row, at = list(zip(rows)), "%s", inner
         shapes = {n: "[" + inner + ("," + inner).join([row] * n) + nl + "]" if n else "[]"
@@ -120,18 +121,17 @@ def _texts(values: list, nl: str) -> list:
         texts = map(shapes.__getitem__, map(len, values))
     elif kinds == _DICT and len(set(map(tuple, values))) == 1:
         keys, at = sorted(values[0]), inner
-        rows = list(zip(*[map(itemgetter(k), values) for k in keys]))
+        rows = [tuple(map(v.__getitem__, keys)) for v in values]
         texts = ["{" + ",".join(f"{inner}{_esc(k).replace('%', '%%')}: %s" for k in keys)
                  + nl + "}" if keys else "{}"] * len(values)
-    else:  # values of several kinds, or numbers and None: one at a time
-        return [_texts([v], nl)[0] if isinstance(v, (str, dict, list, tuple)) else json.dumps(v)
-                for v in values]
+    else:  # values of several kinds or key orders, numbers and None
+        return [json.dumps(v) if v is None or isinstance(v, (int, float))
+                else "".join(_pieces(v, nl)) for v in values]
     try:
         cells = tuple(map(_esc, chain.from_iterable(rows)))
     except TypeError:
         cells = tuple(chain.from_iterable(zip(*[_texts(list(col), at) for col in zip(*rows)])))
-    text = "\0".join(texts) % cells
-    return text.split("\0") if len(values) > 1 else [text]
+    return ("\0".join(texts) % cells).split("\0")  # no escaped text holds a NUL
 
 
 @dataclass(frozen=True)
@@ -258,8 +258,8 @@ class Table(_Column):
         return [self.read(r, t, where, ctx) for t in tables]
 
     def write(self, table):
-        values = table.values() if isinstance(self.value, Id) else map(self.value.write, table.values())
-        return sorted(map(list, zip(*(zip(*table) if self.arity > 1 else (table,)), values)))
+        values = table.values() if self.value.json is str else map(self.value.write, table.values())
+        return sorted(zip(*(zip(*table) if self.arity > 1 else (table,)), values))
 
 
 class Record(_Column):
