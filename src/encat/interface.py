@@ -258,6 +258,7 @@ class Table(_Column):
         return [self.read(r, t, where, ctx) for t in tables]
 
     def write(self, table):
+        # an id cell (a JSON string) is written as it is; a bijection writes its pair tables
         values = table.values() if self.value.json is str else map(self.value.write, table.values())
         return sorted(zip(*(zip(*table) if self.arity > 1 else (table,)), values))
 
