@@ -65,8 +65,9 @@ def test_builtins_and_constructions_are_stdlib_bytes():
     assert set(made) == set(CONSTRUCT_OPS) and len(made) >= 30
 
 
-# Each renaming keeps identity ids "id:<object>"; the second nests a pair in
-# every id, so that no pair id's first comma is its top-level one.
+# The first renaming appends characters that need escaping, "%" among them;
+# the second nests a pair in every id, so that no pair id's first comma is
+# its top-level one.
 RENAMINGS = (lambda s: f'{s}"q\\%é∞', lambda s: f'(p,(q,{s}))')
 
 
