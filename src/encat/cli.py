@@ -60,17 +60,17 @@ CONSTRUCT_OPS = (
 )
 
 
-def _color_enabled() -> bool:
+def _color_enabled(out) -> bool:
     env = os.environ.get("ENCAT_COLOR")
     if env == "1":
         return True
     if env == "0":
         return False
-    return sys.stdout.isatty()
+    return hasattr(out, "isatty") and out.isatty()
 
 
-def _paint(text: str, code: str) -> str:
-    if _color_enabled():
+def _paint(text: str, code: str, color: bool) -> str:
+    if color:
         return f"\x1b[{code}m{text}\x1b[0m"
     return text
 
@@ -119,9 +119,10 @@ def _print_reports(reports: list[CheckReport], fmt: str, out, unselected: int) -
         extra = {"unselected": unselected} if unselected else {}
         print(dumps({"reports": records, **extra}), file=out)
         return
+    color = _color_enabled(out)
     for r in reports:
         site = "(" + ", ".join(r.site) + ")"
-        print(f"{_paint('FAIL', '31')} {_paint(r.law, '1')} site={site} "
+        print(f"{_paint('FAIL', '31', color)} {_paint(r.law, '1', color)} site={site} "
               f"lhs={r.lhs} rhs={r.rhs}", file=out)
     if reports:
         print(f"{len(reports)} failing check(s)", file=out)
@@ -234,11 +235,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def cli(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
 

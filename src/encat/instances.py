@@ -77,11 +77,9 @@ def _strict_monoidal(cat: FinCategory, tensor: dict, unit: Obj,
                      hom_obj: dict) -> MonoidalData:
     """Posetal monoidal structure: every component is the unique arrow."""
     objs = cat.objects
-    tensor_mor = {}
-    for f in cat.mor_ids():
-        for g in cat.mor_ids():
-            tensor_mor[(f, g)] = _posetal_arrow(
-                cat, tensor[(cat.src(f), cat.src(g))], tensor[(cat.dst(f), cat.dst(g))])
+    ends = [(f, cat.src(f), cat.dst(f)) for f in cat.mor_ids()]
+    tensor_mor = {(f, g): _posetal_arrow(cat, tensor[(a, c)], tensor[(b, d)])
+                  for f, a, b in ends for g, c, d in ends}
     assoc = {(x, y, z): cat.id_(tensor[(tensor[(x, y)], z)])
              for x in objs for y in objs for z in objs}
     lunit = {x: cat.id_(x) for x in objs}

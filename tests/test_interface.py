@@ -253,13 +253,17 @@ def test_cli_check_flow(tmp_path):
     assert "known laws" in out.getvalue()
 
 
-def test_cli_text_and_json_agree(tmp_path):
+def _bad_cyc3_doc(tmp_path):
     import dataclasses
 
-    cyc = build_cyc(3)
-    bad = dataclasses.replace(cyc, assoc={("*", "*", "*"): "1"})
+    bad = dataclasses.replace(build_cyc(3), assoc={("*", "*", "*"): "1"})
     doc = tmp_path / "bad.doc"
     doc.write_text(serialize(Document("monoidal", bad)), encoding="utf-8")
+    return doc
+
+
+def test_cli_text_and_json_agree(tmp_path):
+    doc = _bad_cyc3_doc(tmp_path)
     text_out, json_out = io.StringIO(), io.StringIO()
     cli(["check", str(doc)], out=text_out)
     cli(["check", str(doc), "--format", "json"], out=json_out)
@@ -387,11 +391,7 @@ def test_cli_non_string_ids_are_parse_errors(tmp_path, bool_m, trop3):
 def test_cli_laws_selection_never_passes_an_unevaluated_law(tmp_path):
     # the broken associator fails the monoidal laws, so symmetry is never
     # evaluated: selecting only a symmetry law must not print OK
-    import dataclasses
-
-    bad = dataclasses.replace(build_cyc(3), assoc={("*", "*", "*"): "1"})
-    doc = tmp_path / "bad.doc"
-    doc.write_text(serialize(Document("monoidal", bad)), encoding="utf-8")
+    doc = _bad_cyc3_doc(tmp_path)
     result = _run_cli("check", str(doc), "--laws", "symmetry.hexagon")
     assert result.returncode == 1, result.stdout + result.stderr
     assert "OK: all checks passed" not in result.stdout
@@ -399,3 +399,66 @@ def test_cli_laws_selection_never_passes_an_unevaluated_law(tmp_path):
     result = _run_cli("check", str(doc), "--laws", "symmetry.hexagon", "--format", "json")
     assert result.returncode == 1
     assert json.loads(result.stdout) == {"reports": [], "unselected": 2}
+
+
+def test_the_shared_parser_keeps_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    # cli parses with one parser built at import; usage errors and an earlier
+    # call's options must not change what a later call answers
+    from encat import cli as cli_module
+
+    lawful, bad = tmp_path / "bool.doc", _bad_cyc3_doc(tmp_path)
+    assert cli(["instance", "bool", "-o", str(lawful)], out=io.StringIO()) == 0
+    calls = [("check", str(lawful), "--laws", "pentagon", "--format", "json"),
+             ("check", str(lawful)),
+             ("check", str(bad), "--laws", "pentagon"),
+             ("check", str(bad))]
+    fresh = [_run_cli(*argv) for argv in calls]
+
+    def rebuild():
+        raise AssertionError("the parser was rebuilt for a call")
+
+    monkeypatch.setattr(cli_module, "_build_parser", rebuild)
+    for argv in ([], ["frobnicate"], ["check"],
+                 ["construct", str(lawful), "--op", "nope", "-o", str(tmp_path / "x.doc")],
+                 ["check", str(lawful), "--format", "xml"]):
+        assert cli(argv, out=io.StringIO()) == 2, argv
+        assert capsys.readouterr().err.startswith("usage: encat"), argv
+    assert cli(["--help"], out=io.StringIO()) == 0
+    assert capsys.readouterr().out.startswith("usage: encat")
+    for argv, want in zip(calls, fresh):
+        out = io.StringIO()
+        assert (cli(list(argv), out=out), out.getvalue()) == (want.returncode, want.stdout), argv
+
+
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+class _Sink:
+    """A stream with ``write`` and no ``isatty``."""
+
+    def __init__(self):
+        self.text = ""
+
+    def write(self, text):
+        self.text += text
+
+
+def test_report_colour_follows_the_output_stream(tmp_path, monkeypatch):
+    # colour is decided by the stream the report is written to, not by
+    # sys.stdout; ENCAT_COLOR=0|1 overrides it either way
+    doc = str(_bad_cyc3_doc(tmp_path))
+    red = "\x1b[31mFAIL\x1b[0m"
+    monkeypatch.delenv("ENCAT_COLOR", raising=False)
+    monkeypatch.setattr(sys, "stdout", _Terminal())
+    for out, painted in ((io.StringIO(), False), (_Terminal(), True)):
+        assert cli(["check", doc], out=out) == 1
+        assert (red in out.getvalue()) is painted
+    sink = _Sink()
+    assert cli(["check", doc], out=sink) == 1
+    assert "FAIL" in sink.text and red not in sink.text
+    for env, out, painted in (("0", _Terminal(), False), ("1", io.StringIO(), True)):
+        monkeypatch.setenv("ENCAT_COLOR", env)
+        assert cli(["check", doc], out=out) == 1
+        assert (red in out.getvalue()) is painted
