@@ -8,10 +8,11 @@ import pytest
 
 import encat
 from encat.core import structural_equal
-from encat.cli import KNOWN_LAWS, LAW_REGISTRY, cli, run_checks
+from encat.cli import CHECKERS, KNOWN_LAWS, LAW_REGISTRY, OPS, PAIRS, cli, run_checks
 from encat.equiv import bimodule_completion, module_to_cylinder
 from encat.instances import build_cyc, module_self
 from encat.interface import (
+    KINDS,
     Document,
     DuplicateIdError,
     ParseError,
@@ -336,6 +337,36 @@ def test_cli_error_exit_codes(tmp_path):
     garbled = tmp_path / "garbled.doc"
     garbled.write_text("{not json", encoding="utf-8")
     assert cli(["check", str(garbled)], out=out) == 2
+    # law names are checked before the document is read
+    out = io.StringIO()
+    assert cli(["check", str(tmp_path / "missing.doc"), "--laws", "nope"], out=out) == 2
+    assert out.getvalue().startswith("unknown law name(s): nope\n")
+
+
+def test_cli_tables_use_the_codec_kinds():
+    assert set(CHECKERS) == set(KINDS)
+    for views, *_ in (*OPS.values(), *PAIRS.values()):
+        assert set(views) <= set(KINDS)
+    assert {kind for _, _, kind in OPS.values()} <= set(KINDS)
+
+
+def test_ops_and_pairs_reject_the_kinds_they_do_not_take(
+        tmp_path, bool_m, trop3, cyc3, poset_cm, self_trop3):
+    output = tmp_path / "out.doc"
+    for i, doc in enumerate(_all_documents(bool_m, trop3, cyc3, poset_cm, self_trop3)):
+        path = tmp_path / f"{i}.doc"
+        path.write_text(serialize(doc), encoding="utf-8")
+        path = str(path)
+        calls = [(op, ["construct", path, "--op", op, "-o", str(output)])
+                 for op, (views, *_) in OPS.items() if doc.kind not in views]
+        calls += [(pair, ["roundtrip", path, "--pair", pair])
+                  for pair, (views, _) in PAIRS.items() if doc.kind not in views]
+        for name, argv in calls:
+            out = io.StringIO()
+            assert cli(argv, out=out) == 2, argv
+            text = out.getvalue()
+            assert text.startswith(f"error: {name} needs a ") and f"got '{doc.kind}'" in text, text
+    assert not output.exists()
 
 
 @pytest.mark.parametrize("kind", ["path", "bimodule"])
@@ -421,10 +452,13 @@ def test_the_shared_parser_keeps_nothing_between_calls(tmp_path, monkeypatch, ca
     for argv in ([], ["frobnicate"], ["check"],
                  ["construct", str(lawful), "--op", "nope", "-o", str(tmp_path / "x.doc")],
                  ["check", str(lawful), "--format", "xml"]):
-        assert cli(argv, out=io.StringIO()) == 2, argv
-        assert capsys.readouterr().err.startswith("usage: encat"), argv
-    assert cli(["--help"], out=io.StringIO()) == 0
-    assert capsys.readouterr().out.startswith("usage: encat")
+        out = io.StringIO()
+        assert cli(argv, out=out) == 2, argv
+        assert out.getvalue().startswith("usage: encat"), argv
+    out = io.StringIO()
+    assert cli(["--help"], out=out) == 0
+    assert out.getvalue().startswith("usage: encat")
+    assert capsys.readouterr() == ("", "")  # nothing went to sys.stdout or sys.stderr
     for argv, want in zip(calls, fresh):
         out = io.StringIO()
         assert (cli(list(argv), out=out), out.getvalue()) == (want.returncode, want.stdout), argv
