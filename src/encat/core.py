@@ -112,6 +112,28 @@ def sort_reports(reports: Iterable[CheckReport]) -> list[CheckReport]:
     return sorted(reports, key=lambda r: (r.law, r.site))
 
 
+def verdict(data: Any, name: str, judge: Callable[[Any], Iterable[CheckReport]],
+            raising: bool = True) -> tuple[CheckReport, ...] | EncatError:
+    """The reports of ``judge(data)``, or the :class:`EncatError` it raised,
+    found once per instance and kept in ``data.__dict__`` under ``name``;
+    with ``raising``, a kept error is raised again."""
+    kept = data.__dict__.setdefault("verdicts", {})
+    if name not in kept:
+        try:
+            kept[name] = tuple(judge(data))
+        except EncatError as exc:
+            kept[name] = exc
+    if raising and isinstance(kept[name], EncatError):
+        raise kept[name]
+    return kept[name]
+
+
+def clean(data: Any, *names: str) -> bool:
+    """Whether each :func:`verdict` ``names`` of ``data`` is on record, with no report."""
+    kept = data.__dict__.get("verdicts", {})
+    return all(kept.get(name) == () for name in names)
+
+
 @dataclass(frozen=True)
 class Law:
     """One commuting diagram, declared once beside the checker that runs it.
@@ -249,12 +271,6 @@ class FinCategory:
     def _thin(self) -> bool:
         """Whether every hom-set has at most one morphism."""
         return all(len(hom) == 1 for hom in self._homs.values())
-
-    @cached_property
-    def _verdict(self) -> tuple[CheckReport, ...]:
-        """The reports of :func:`validate_category`, found once per instance;
-        a raised error is not kept."""
-        return tuple(_category_reports(self))
 
     @cached_property
     def _generators(self) -> tuple[Mor, ...]:
@@ -418,9 +434,9 @@ CHECKS = ("category.total", "category.identity-shape", "category.reserved-id",
 def validate_category(cat: FinCategory) -> list[CheckReport]:
     """Exhaustively check the category axioms; empty list iff they all hold.
 
-    The sweep runs once per instance: a later call returns the same reports.
+    The sweep runs once per instance: a later call gives the same answer.
     """
-    return list(cat._verdict)
+    return list(verdict(cat, "category", _category_reports))
 
 
 def _category_reports(cat: FinCategory) -> list[CheckReport]:
@@ -980,13 +996,9 @@ def is_valid(cat: FinCategory) -> bool:
     """Whether ``cat`` is a valid category, by its verdict, found once; a
     product's (a ``comp`` that is a :class:`ProductComp`) is read off its
     factors.  A verdict that raises is not valid."""
-    try:
-        comp = cat.comp
-        if isinstance(comp, ProductComp):
-            return not comp.a._verdict and not comp.b._verdict
-        return not cat._verdict
-    except EncatError:
-        return False
+    comp = cat.comp
+    cats = (comp.a, comp.b) if isinstance(comp, ProductComp) else (cat,)
+    return all(verdict(c, "category", _category_reports, raising=False) == () for c in cats)
 
 
 def thin_cover(cat: FinCategory, premise: bool) -> tuple[()] | None:

@@ -33,10 +33,11 @@ B is empty and so are both covers.
 
 On a thin base (trop, bool) every diagram commutes (CWM §VII.2), so every
 axiom law here holds once the shape loops of the tables it reads are clean.
-:func:`shape_record` keeps their reports in ``m._shapes``, for these checks
-and the module side's, and :func:`~encat.core.thin_cover` is tried before any
-other gate; a misshapen associator alone sends ``assoc.natural`` only to the
-squares that read it.  Derived laws keep their sweeps (they catch engine bugs).
+Each loop's :func:`~encat.core.verdict`, under its name in ``SHAPE_LOOPS``,
+is read by these checks and the module side's, and
+:func:`~encat.core.thin_cover` is tried before any other gate; a misshapen
+associator alone sends ``assoc.natural`` only to the squares that read it.
+Derived laws keep their sweeps (they catch engine bugs).
 
 The closed structure is given by the hom-object table and the evaluation
 family only; the transpose is recovered by inverting evaluation over each
@@ -49,7 +50,9 @@ triangle, the evaluation squares, the double-transpose square and the
 characterizations) are consequences of the axioms, declared outside ``LAWS``
 and judged by :func:`~encat.core.assert_derived` only after the axioms pass;
 it raises :class:`EngineBugError` on failure: disagreement there means the
-evaluator is wrong, not the input.
+evaluator is wrong, not the input.  Where those axioms are not checked first
+(``check_closed``, the module side), :func:`resting_on_axioms` returns the
+:func:`check_monoidal` reports instead of a failure that rests on them.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .core import (
     CapabilityError,
@@ -75,6 +78,7 @@ from .core import (
     Preimages,
     assert_derived,
     bifunctor_cover,
+    clean,
     derived_law,
     evaluate,
     generators,
@@ -92,6 +96,7 @@ from .core import (
     thin_first,
     trinatural_cover,
     validate_functor,
+    verdict,
 )
 
 
@@ -135,17 +140,6 @@ class MonoidalData:
         found."""
         base = self.base
         return rebuild_bifunctor(base, base, base, self.tensor_obj, self.tensor_mor)
-
-    @cached_property
-    def _verdicts(self) -> dict[str, tuple[CheckReport, ...]]:
-        """The "monoidal" and "closed" laws' reports, kept once found; gates read them."""
-        return {}
-
-    @cached_property
-    def _shapes(self) -> dict[str, tuple[CheckReport, ...] | EncatError]:
-        """Per name of :data:`SHAPE_LOOPS`, that loop's reports or the error it
-        raised, kept by :func:`shape_record`; thin covers read them."""
-        return {}
 
     @cached_property
     def _transposes(self) -> dict[tuple[Obj, Obj, Obj], Preimages]:
@@ -227,10 +221,10 @@ class MonoidalData:
 
 
 def shapes_clean(m: MonoidalData, *names: str) -> bool:
-    """Whether ``m`` has a declared unit on a valid base and clean records of
+    """Whether ``m`` has a declared unit on a valid base and clean verdicts of
     the shape loops ``names``: the premise of a thin cover that reads them."""
     return (m.base.has_obj(m.unit) and is_valid(m.base)
-            and all(shape_record(m, name) == () for name in names))
+            and all(verdict(m, name, SHAPE_LOOPS[name], raising=False) == () for name in names))
 
 
 def _thin_first(law: Law, *shapes: str) -> Law:
@@ -245,8 +239,9 @@ def _assoc_gate(m: MonoidalData, base: FinCategory):
     the sites whose square reads a misshapen component, at (src f, src g,
     src h) or (dst f, dst g, dst h): at any other site both sides are
     parallel.  Otherwise :func:`~encat.core.trinatural_cover`."""
-    if (thin_cover(base, True) == () and shape_record(m, "tensor") == ()
-            and isinstance(structure := shape_record(m, "structure"), tuple)
+    if (thin_cover(base, True) == () and verdict(m, "tensor", _tensor_shapes, raising=False) == ()
+            and isinstance(structure := verdict(m, "structure", _structure_shapes, raising=False),
+                           tuple)
             and all(r.law == "assoc.shape" for r in structure)):
         post = {x: [f for f, s, _ in base.morphisms if s == x] for x in base.objects}
         pre = {x: [f for f, _, d in base.morphisms if d == x] for x in base.objects}
@@ -294,18 +289,32 @@ def check_monoidal(m: MonoidalData) -> list[CheckReport]:
 
     Raises :class:`MissingTableError` when a structure table is partial, and
     :class:`EngineBugError` if a derived law fails on an input whose axioms
-    all hold.  Runs once per instance: ``m._verdicts`` keeps the reports.
+    all hold.  Runs once per instance: the "monoidal" verdict keeps the answer.
     """
-    if "monoidal" in m._verdicts:
-        return list(m._verdicts["monoidal"])
+    return list(verdict(m, "monoidal", _monoidal_reports))
+
+
+def _monoidal_reports(m: MonoidalData) -> list[CheckReport]:
     base = m.base
-    reports = list(shape_record(m, "tensor", raising=True))
+    reports = list(verdict(m, "tensor", _tensor_shapes))
     reports += evaluate(MONOIDAL_LAWS, m, base)  # an error of the structure loop comes after
-    reports = sort_reports([*reports, *shape_record(m, "structure", raising=True)])
+    reports = sort_reports([*reports, *verdict(m, "structure", _structure_shapes)])
     if not reports:
         assert_derived(DERIVED_MONOIDAL_LAWS, m, base)
-    m._verdicts["monoidal"] = tuple(reports)
     return reports
+
+
+def resting_on_axioms(m: MonoidalData, judge: Callable, *data) -> list[CheckReport]:
+    """The reports of ``judge(*data)``, whose laws rest on the monoidal axioms
+    of ``m`` and which does not check them (none when it returns ``None``):
+    an error it raises is the input's exactly when those fail, and then the
+    :func:`check_monoidal` reports are returned instead."""
+    try:
+        return list(judge(*data) or ())
+    except EncatError:
+        if reports := check_monoidal(m):
+            return reports
+        raise
 
 
 def _tensor_shapes(m: MonoidalData) -> list[CheckReport]:
@@ -389,7 +398,7 @@ SYMMETRY_LAWS = tuple(_thin_first(law, "symmetry") for law in (
 def check_symmetry(m: MonoidalData) -> list[CheckReport]:
     """Naturality plus the three braiding axioms."""
     m.require_symmetry()
-    return sort_reports([*shape_record(m, "symmetry", raising=True),
+    return sort_reports([*verdict(m, "symmetry", _braid_shapes),
                          *evaluate(SYMMETRY_LAWS, m, m.base)])
 
 
@@ -510,51 +519,28 @@ def _closed_shapes(m: MonoidalData) -> list[CheckReport]:
     return reports
 
 
-#: The shape loops whose reports :func:`shape_record` keeps in ``m._shapes``.
+#: The shape loops, by the name :func:`~encat.core.verdict` keeps their reports under.
 SHAPE_LOOPS = {"tensor": _tensor_shapes, "structure": _structure_shapes,
                "symmetry": _braid_shapes, "closed": _closed_shapes}
 
 
-def shape_record(m: MonoidalData, name: str,
-                 raising: bool = False) -> tuple[CheckReport, ...] | EncatError:
-    """The reports of ``m``'s shape loop ``name``, or the :class:`EncatError`
-    it raised, found once per instance into ``m._shapes``; with ``raising``
-    that error is raised again."""
-    if name not in m._shapes:
-        try:
-            m._shapes[name] = tuple(SHAPE_LOOPS[name](m))
-        except EncatError as exc:
-            m._shapes[name] = exc
-    record = m._shapes[name]
-    if raising and isinstance(record, EncatError):
-        raise record
-    return record
-
-
 def check_closed(m: MonoidalData) -> list[CheckReport]:
-    """Bijectivity of the transpose at every (X, Y, Z), plus its naturality,
-    kept in ``m._verdicts``; the derived laws run when both hold.  A law that
-    raises, or a failed derived law, is passed on only when the monoidal
-    axioms hold; otherwise the :func:`check_monoidal` reports are returned."""
+    """Bijectivity of the transpose at every (X, Y, Z), the "closed" verdict,
+    then its naturality, "closed-laws", and the derived laws once both hold:
+    these two rest on the monoidal axioms (:func:`resting_on_axioms`)."""
     m.require_closed()
-    base = m.base
-    if "closed" not in m._verdicts and (reports := shape_record(m, "closed", raising=True)):
-        m._verdicts["closed"] = tuple(sort_reports(reports))
-    try:
-        if "closed" not in m._verdicts:
-            m._verdicts["closed"] = tuple(sort_reports(evaluate(CLOSED_LAWS, m, base)))
-        if not m._verdicts["closed"]:
-            assert_derived(DERIVED_CLOSED_LAWS, m, base)
-            for x in base.objects:
-                iota(m, x)
-    except EncatError:
-        # these laws also rest on the monoidal axioms, which are not checked
-        # here: a failure is the input's exactly when those fail
-        monoidal_reports = check_monoidal(m)
-        if monoidal_reports:
-            return monoidal_reports
-        raise
-    return list(m._verdicts["closed"])
+    if reports := verdict(m, "closed", _closed_shapes):
+        return sort_reports(reports)
+    return resting_on_axioms(m, _closed_laws, m)
+
+
+def _closed_laws(m: MonoidalData) -> list[CheckReport]:
+    reports = sort_reports(verdict(m, "closed-laws", lambda m: evaluate(CLOSED_LAWS, m, m.base)))
+    if not reports:
+        assert_derived(DERIVED_CLOSED_LAWS, m, m.base)
+        for x in m.base.objects:
+            iota(m, x)
+    return reports
 
 
 # Consequences of the closed axioms, judged once they hold; with them
@@ -640,10 +626,11 @@ def internal_pi_bar(m: MonoidalData, x: Obj, y: Obj, z: Obj) -> Mor:
 
     Computed as the double transpose of evaluation around the associator and
     then verified against its universal characterization, at every W and f,
-    or at the generic element once ``m._verdicts`` holds clean verdicts; a
-    mismatch is an engine bug.  Both run once per distinct (X, Y, Z) of
-    ``m``: the verified map is kept in a per-instance table, and a failure,
-    which is never kept, raises again on every call.
+    or at the generic element once the "monoidal" and "closed-laws" verdicts
+    of ``m`` are on record and clean; a mismatch is an engine bug.  Both run
+    once per distinct (X, Y, Z) of ``m``: the verified map is kept in a
+    per-instance table, and a failure, which is never kept, raises again on
+    every call.
     """
     m.require_closed()
     outer = m._pi_bars.get((x, y, z))
@@ -666,7 +653,7 @@ def internal_pi_bar(m: MonoidalData, x: Obj, y: Obj, z: Obj) -> Mor:
 # T's functoriality, closed.pi-natural) both sides are natural in W, so by
 # Yoneda (CWM III.2) the generic element W = hom(X (x) Y, Z), f = ev covers.
 def _generic_element(m: MonoidalData, outer: Mor, key: tuple[Obj, Obj, Obj]):
-    if m._verdicts.get("monoidal") == () == m._verdicts.get("closed"):
+    if clean(m, "monoidal", "closed-laws"):
         xy = m.tobj(*key[:2])
         return [(*key, m.hom_obj(xy, key[2]), m.ev(xy, key[2]))]
 

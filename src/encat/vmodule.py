@@ -35,10 +35,12 @@ On a thin category every diagram commutes (CWM §VII.2), so ``MODULE_LAWS``
 and the transports of ``BIMODULE_LAWS`` (judged in S, S^op on the reversed
 side), ``ADJUNCTION_LAWS`` and the hexagon (in V) hold once the tables they
 read are well shaped: a thin cover is tried before any other gate.  Its
-premises are verdicts kept once found: V's shape loops, the action,
-hom functor and cotensor verdicts, the ``module.shape`` loop, the phi and psi
-bijection reports and, for ``BIMODULE_LAWS``, every earlier report.  The
-derived laws, ``PHIBAR_LAWS`` and ``ENRICHED_ACTION_LAWS`` keep their sweeps.
+premises are :func:`~encat.core.verdict` records: V's shape loops, "action"
+(the cotensor's on the reversed side), "hom", the "module" shape loop, "phi"
+(psi's) and, for ``BIMODULE_LAWS``, "bimodule", every earlier report.  The
+derived laws, ``PHIBAR_LAWS`` and ``ENRICHED_ACTION_LAWS`` keep their sweeps;
+a derived law that fails on a V whose axioms fail reports those instead
+(:func:`~encat.monoidal.resting_on_axioms`).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .core import (
     NO_PREIMAGES,
@@ -62,6 +64,7 @@ from .core import (
     WitnessError,
     assert_derived,
     canonical_diff,
+    clean,
     derived_law,
     evaluate,
     explained,
@@ -75,6 +78,7 @@ from .core import (
     thin_first,
     trinatural_cover,
     validate_functor,
+    verdict,
 )
 from .monoidal import (
     SHAPE_LOOPS,
@@ -82,6 +86,7 @@ from .monoidal import (
     hom_on_morphisms,
     internal_composition_b,
     internal_swap,
+    resting_on_axioms,
     shapes_clean,
     transpose_pi,
     varpi,
@@ -99,11 +104,6 @@ class VModuleData:
     action: FunctorData
     assoc: Mapping[tuple[Obj, Obj, Obj], Mor]
     lunit: Mapping[Obj, Mor]
-
-    @cached_property
-    def _shapes(self) -> dict[str, tuple[CheckReport, ...]]:
-        """The "action" verdict and "module" shape loop reports; thin covers read them."""
-        return {}
 
     def act_obj(self, k: Obj, x: Obj) -> Obj:
         try:
@@ -164,12 +164,6 @@ class TensorClosedModuleData:
         return {key: Preimages(table) for key, table in self.phi.items()}
 
     @cached_property
-    def _shapes(self) -> dict[str, tuple[CheckReport, ...]]:
-        """The "hom" functor verdict, "phi" bijection reports and, on a reversed
-        side, every "bimodule" report before ``BIMODULE_LAWS``; thin covers read them."""
-        return {}
-
-    @cached_property
     def _adjuncts(self) -> dict[tuple[Obj, Obj, Obj], Mor]:
         """Per (K, X, Y), the inverse computed by :func:`module_phibar`; a
         failure is not stored."""
@@ -221,9 +215,8 @@ _ACTION, _HOM_FUNCTOR, _COTENSOR = "module.functor", "moduleclosed.functor", "mo
 
 
 def _module_premise(mod: VModuleData, m: MonoidalData, s: FinCategory) -> bool:
-    """Clean records of every table the module laws read, V's included."""
-    return (mod._shapes.get("action") == () == mod._shapes.get("module")
-            and shapes_clean(m, "tensor", "structure"))
+    """Clean verdicts of every table the module laws read, V's included."""
+    return clean(mod, "action", "module") and shapes_clean(m, "tensor", "structure")
 
 
 # The module laws, on (module, V, S); each is judged in S.
@@ -256,8 +249,7 @@ MODULE_LAWS = tuple(thin_first(law, lambda mod, m, s: s, _module_premise) for la
 def check_vmodule(mod: VModuleData) -> list[CheckReport]:
     """Functoriality of the action, naturality/isomorphy of its structure
     morphisms, and the two module coherence diagrams."""
-    reports = validate_functor(mod.action, tag=_ACTION)
-    mod._shapes["action"] = tuple(reports)
+    reports = list(verdict(mod, "action", lambda mod: validate_functor(mod.action, tag=_ACTION)))
     if _objects_partial(mod.action):
         return reports
     return sort_reports(reports + _module_checks(mod))
@@ -271,37 +263,37 @@ def _objects_partial(fn: FunctorData) -> bool:
 
 
 def _module_checks(mod: VModuleData) -> list[CheckReport]:
-    """:func:`check_vmodule` past the action's functoriality, whose verdict
-    the caller keeps in ``mod._shapes``; the derived laws run when it and
-    every report here are clean."""
+    """:func:`check_vmodule` past the "action" verdict; the derived laws, which
+    rest on V's axioms, run when it and every report here are clean."""
     m = mod.baseV
-    vbase = m.base
     s = mod.baseS
-    reports: list[CheckReport] = []
-    for k in vbase.objects:
-        for l in vbase.objects:
-            for x in s.objects:
-                av = mod.a(k, l, x)
-                ok = (s.has_mor(av)
-                      and s.src(av) == mod.act_obj(m.tobj(k, l), x)
-                      and s.dst(av) == mod.act_obj(k, mod.act_obj(l, x)))
-                if not ok:
-                    reports.append(CheckReport("module.shape", (k, l, x), witness_count=0))
-                elif morphism_inverse(s, av) is None:
-                    reports.append(CheckReport("module.assoc-iso", (k, l, x), witness_count=0))
+    reports = list(verdict(mod, "module", _module_shapes))
+    reports += evaluate(MODULE_LAWS, mod, m, s)
+    if clean(mod, "action") and not reports:
+        reports = resting_on_axioms(m, assert_derived, DERIVED_MODULE_LAWS, mod, m, s)
+    return reports
+
+
+def _module_shapes(mod: VModuleData) -> Iterator[CheckReport]:
+    """The shape and isomorphism reports of the module associator and unitor."""
+    m = mod.baseV
+    s = mod.baseS
+    for k, l, x in product(m.base.objects, m.base.objects, s.objects):
+        av = mod.a(k, l, x)
+        ok = (s.has_mor(av)
+              and s.src(av) == mod.act_obj(m.tobj(k, l), x)
+              and s.dst(av) == mod.act_obj(k, mod.act_obj(l, x)))
+        if not ok:
+            yield CheckReport("module.shape", (k, l, x), witness_count=0)
+        elif morphism_inverse(s, av) is None:
+            yield CheckReport("module.assoc-iso", (k, l, x), witness_count=0)
     for x in s.objects:
         lv = mod.l(x)
         ok = (s.has_mor(lv) and s.src(lv) == mod.act_obj(m.unit, x) and s.dst(lv) == x)
         if not ok:
-            reports.append(CheckReport("module.shape", (x,), witness_count=0))
+            yield CheckReport("module.shape", (x,), witness_count=0)
         elif morphism_inverse(s, lv) is None:
-            reports.append(CheckReport("module.lunit-iso", (x,), witness_count=0))
-
-    mod._shapes["module"] = tuple(reports)
-    reports += evaluate(MODULE_LAWS, mod, m, s)
-    if mod._shapes["action"] == () and not reports:
-        assert_derived(DERIVED_MODULE_LAWS, mod, m, s)
-    return reports
+            yield CheckReport("module.lunit-iso", (x,), witness_count=0)
 
 
 # A consequence of the module axioms, judged once they hold.
@@ -323,8 +315,7 @@ def _counit(tc: TensorClosedModuleData, x: Obj, y: Obj) -> Mor:
 # on (tables, module, V's base, S); each is judged in V, premised on a lawful
 # action and hom functor, bijective tables and a valid S.
 ADJUNCTION_LAWS = tuple(thin_first(law, lambda tc, mod, vbase, s: vbase, lambda tc, mod, vbase, s: (
-    is_valid(s) and mod._shapes.get("action") == ()
-    and tc._shapes.get("hom") == () == tc._shapes.get("phi"))) for law in (
+    is_valid(s) and clean(mod, "action") and clean(tc, "hom", "phi"))) for law in (
     Law("moduleclosed.naturality",
         lambda tc, mod, vbase, s: (
             (u, x, y, f) for u in vbase.mor_ids() for x in s.objects for y in s.objects
@@ -357,20 +348,17 @@ def _adjunction_checks(tc: TensorClosedModuleData, what: str) -> list[CheckRepor
     mod = tc.module
     vbase = mod.baseV.base
     s = mod.baseS
-    reports: list[CheckReport] = []
 
-    for k in vbase.objects:
-        for x in s.objects:
-            for y in s.objects:
-                fibres = tc._phi_fibres.get((k, x, y))
-                if fibres is None:
-                    raise MissingTableError(f"{what} missing ({k!r}, {x!r}, {y!r})")
-                reports += fibres.check(
-                    "moduleclosed.naturality", (k, x, y), s.hom(mod.act_obj(k, x), y),
-                    vbase.hom(k, tc.hom_obj(x, y)), what)
+    def bijection(tc: TensorClosedModuleData) -> Iterator[CheckReport]:
+        for k, x, y in product(vbase.objects, s.objects, s.objects):
+            fibres = tc._phi_fibres.get((k, x, y))
+            if fibres is None:
+                raise MissingTableError(f"{what} missing ({k!r}, {x!r}, {y!r})")
+            yield from fibres.check(
+                "moduleclosed.naturality", (k, x, y), s.hom(mod.act_obj(k, x), y),
+                vbase.hom(k, tc.hom_obj(x, y)), what)
 
-    tc._shapes["phi"] = tuple(reports)
-    return reports + evaluate(ADJUNCTION_LAWS, tc, mod, vbase, s)
+    return [*verdict(tc, "phi", bijection), *evaluate(ADJUNCTION_LAWS, tc, mod, vbase, s)]
 
 
 # The evaluation square of the action adjunction, a consequence of the
@@ -386,22 +374,23 @@ EVALUATION_SQUARE = (
 )
 
 
-def _evaluation_square(tc: TensorClosedModuleData) -> None:
-    assert_derived(EVALUATION_SQUARE, tc, tc.module, tc.module.baseV.base, tc.module.baseS)
+def _evaluation_square(tc: TensorClosedModuleData) -> list[CheckReport]:
+    mod = tc.module
+    m = mod.baseV
+    return resting_on_axioms(m, assert_derived, EVALUATION_SQUARE, tc, mod, m.base, mod.baseS)
+
+
+def _hom_verdict(tc: TensorClosedModuleData) -> tuple[CheckReport, ...]:
+    return verdict(tc, "hom", lambda tc: validate_functor(tc.homFunctor, tag=_HOM_FUNCTOR))
 
 
 def check_tensor_closed(tc: TensorClosedModuleData) -> list[CheckReport]:
     """Module axioms, hom functoriality, bijectivity of the adjunction tables
     and their naturality in all three variables."""
-    reports = check_vmodule(tc.module)
-    tc._shapes["hom"] = tuple(validate_functor(tc.homFunctor, tag=_HOM_FUNCTOR))
-    reports += tc._shapes["hom"]
+    reports = check_vmodule(tc.module) + list(_hom_verdict(tc))
     if not _objects_partial(tc.module.action):
         reports += _adjunction_checks(tc, "adjunction table")
-    reports = sort_reports(reports)
-    if not reports:
-        _evaluation_square(tc)
-    return reports
+    return sort_reports(reports) or _evaluation_square(tc)
 
 
 def check_closed_module(cm: ClosedVModuleData) -> list[CheckReport]:
@@ -417,17 +406,13 @@ def _closed_checks(cm: ClosedVModuleData,
     """:func:`check_closed_module` on a reversed side the caller built."""
     reports = check_tensor_closed(cm.tensorClosed)
     # the reversed side's action is the cotensor, its hom functor the hom functor's reversal
-    cotensor = reversed_side.module._shapes["action"] = tuple(
-        validate_functor(cm.cotensor, tag=_COTENSOR))
-    reversed_side._shapes["hom"] = cm.tensorClosed._shapes["hom"]
-    reports += cotensor
+    reports += verdict(reversed_side.module, "action",
+                       lambda mod: validate_functor(mod.action, tag=_COTENSOR))
+    verdict(reversed_side, "hom", lambda _: _hom_verdict(cm.tensorClosed))
     if _objects_partial(cm.cotensor):
         return sort_reports(reports)
     reports += _adjunction_checks(reversed_side, "cotensor adjunction")
-    reports = sort_reports(reports)
-    if not reports:
-        _evaluation_square(reversed_side)
-    return reports
+    return sort_reports(reports) or _evaluation_square(reversed_side)
 
 
 def induced_vstructure(tc: TensorClosedModuleData) -> VStructureData:
@@ -636,8 +621,9 @@ def check_closed_bimodule(bm: ClosedBimoduleData) -> list[CheckReport]:
     for x in s.objects:
         if x not in bm.comodLunit:
             raise MissingTableError(f"comodule unitor missing {x!r}")
-    # the reversed side's action is the cotensor, judged above
-    reports += [replace(r, law=comodule_name(r.law)) for r in _module_checks(reversed_side.module)]
+    # the reversed side's action is the cotensor, judged above; V's reports are listed once
+    reports += [r for r in (replace(r, law=comodule_name(r.law))
+                            for r in _module_checks(reversed_side.module)) if r not in reports]
 
     # the reversed side's hom structure must be the reversed hom structure
     try:
@@ -651,7 +637,7 @@ def check_closed_bimodule(bm: ClosedBimoduleData) -> list[CheckReport]:
         reports.append(CheckReport("bimodule.opposite-vstructure", (),
                                    witness_count=0, note=str(exc)))
 
-    reversed_side._shapes["bimodule"] = tuple(reports)
+    verdict(reversed_side, "bimodule", lambda _: reports)
     reports.extend(evaluate(BIMODULE_LAWS, cm, reversed_side, m, s))
     return sort_reports(reports)
 
@@ -707,7 +693,7 @@ def _unit_transport(cm: ClosedVModuleData, dual: TensorClosedModuleData, m: Mono
 def _bimodule_premise(cm: ClosedVModuleData, dual: TensorClosedModuleData,
                       m: MonoidalData, s: FinCategory) -> bool:
     """No earlier report, a valid S and clean shape records of V."""
-    return dual._shapes.get("bimodule") == () and is_valid(s) and shapes_clean(m, *SHAPE_LOOPS)
+    return clean(dual, "bimodule") and is_valid(s) and shapes_clean(m, *SHAPE_LOOPS)
 
 
 # The three diagrams that force the comodule structure, evaluated on

@@ -38,6 +38,7 @@ from .core import (
     product_category,
     sort_reports,
     validate_functor,
+    verdict,
 )
 from .monoidal import MonoidalData, hom_on_morphisms, varpi
 
@@ -77,11 +78,6 @@ class VStructureData:
             return self.phi[(x, y)][f]
         except KeyError:
             raise MissingTableError(f"element table missing ({x!r}, {y!r}, {f!r})") from None
-
-    @cached_property
-    def _verdict(self) -> tuple[CheckReport, ...]:
-        """The reports of :func:`check_vstructure`, found once per instance."""
-        return tuple(_vstructure_reports(self))
 
     @cached_property
     def _phi_fibres(self) -> dict[tuple[Obj, Obj], Preimages]:
@@ -165,8 +161,8 @@ def check_vstructure(vs: VStructureData) -> list[CheckReport]:
     """Functoriality of the hom tables, bijectivity and naturality of the
     element correspondence, internal associativity, and the two laws tying
     the hom functor's morphism action to the internal composition.  The
-    sweep runs once per instance: a later call returns the same reports."""
-    return list(vs._verdict)
+    sweep runs once per instance: a later call gives the same answer."""
+    return list(verdict(vs, "vstructure", _vstructure_reports))
 
 
 def _vstructure_reports(vs: VStructureData) -> list[CheckReport]:
@@ -267,13 +263,8 @@ def _assignment_reports(vs: VStructureData, kind: str, names: tuple[str, str],
                 elif morphism_inverse(base, pb) is None:
                     reports.append(CheckReport(f"{kind}.{names[1]}-iso", (k, x, y), witness_count=0))
     reports = sort_reports(reports + evaluate(laws, vs, cyl, m))
-    if not reports:
-        try:
-            lawful = not check_vstructure(vs)
-        except MissingTableError:
-            lawful = False
-        if lawful:
-            assert_derived(DERIVED_CYLINDER_LAWS, vs, cyl, m)
+    if not reports and verdict(vs, "vstructure", _vstructure_reports, raising=False) == ():
+        assert_derived(DERIVED_CYLINDER_LAWS, vs, cyl, m)
     return reports
 
 

@@ -243,6 +243,38 @@ def test_a_bimodule_check_validates_each_functor_once(monkeypatch, name):
                          (cm.cotensor, "moduleclosed.cotensor")]
 
 
+def _duplicate_morphism() -> FinCategory:
+    cat = one_object_category()
+    return dataclasses.replace(cat, morphisms=cat.morphisms * 2)
+
+
+def _undeclared_tensor_morphism():
+    m = build_trop(3)
+    return dataclasses.replace(m, tensor_mor={**m.tensor_mor, next(iter(m.tensor_mor)): "ghost"})
+
+
+@pytest.mark.parametrize("module,sweep,checker,data,error", [
+    ("encat.core", "_category_reports", "validate_category", _duplicate_morphism,
+     MalformedReferenceError),
+    ("encat.monoidal", "_tensor_shapes", "check_monoidal", _undeclared_tensor_morphism,
+     MalformedReferenceError),
+])
+def test_a_raised_verdict_is_kept(monkeypatch, module, sweep, checker, data, error):
+    """A sweep that raises runs once per instance: its error is kept, and a
+    later call raises it again without sweeping."""
+    import importlib
+
+    mod = importlib.import_module(module)
+    real, calls = getattr(mod, sweep), []
+    monkeypatch.setattr(mod, sweep, lambda x: calls.append(x) or real(x))
+    x, raised = data(), []
+    for _ in range(2):
+        with pytest.raises(error) as err:
+            getattr(mod, checker)(x)
+        raised.append((type(err.value), str(err.value)))
+    assert len(calls) == 1 and raised[0] == raised[1], (calls, raised)
+
+
 def test_morphism_inverse(bool_m, cyc3):
     assert morphism_inverse(bool_m.base, "id:0") == "id:0"
     assert morphism_inverse(bool_m.base, "m01") is None

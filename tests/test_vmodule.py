@@ -437,3 +437,32 @@ def test_a_missing_comodule_entry_is_named_as_the_bimodule_names_it(self_cyc3):
         check_closed_bimodule(dataclasses.replace(bm, comodAssoc={}))
     with pytest.raises(MissingTableError, match=r"^comodule unitor missing '\*'$"):
         check_closed_bimodule(dataclasses.replace(bm, comodLunit={}))
+
+
+@pytest.mark.parametrize("name", ["poset-diamond", "self(bool)"])
+def test_an_ill_typed_unitor_of_the_base_is_reported_not_blamed_on_the_engine(tmp_path, name):
+    """V = bool with its left unitor at 0 set to id:1: the module's derived
+    unit-absorption triangle rests on V's axioms, which the module checks do
+    not check, so ``encat check`` reports V's failures (exit 1) instead of an
+    engine bug (exit 3), on the closed module and on its bimodule completion,
+    where both sides' derived laws fall back on them but each is listed once."""
+    import io
+    import json
+
+    from encat.cli import cli
+
+    module, bimodule = tmp_path / "cm.json", tmp_path / "bm.json"
+    assert cli(["instance", name, "-o", str(module)], out=io.StringIO()) == 0
+    assert cli(["construct", str(module), "--op", "bimodule-complete", "-o", str(bimodule)],
+               out=io.StringIO()) == 0
+    for path in (module, bimodule):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        body = doc["body"].get("closed_module", doc["body"])
+        lunit = body["tensor_closed"]["module"]["base_v"]["lunit"]
+        next(row for row in lunit if row[0] == "0")[1] = "id:1"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = io.StringIO()
+        assert cli(["check", str(path), "--format", "json"], out=out) == 1, out.getvalue()
+        reports = json.loads(out.getvalue())["reports"]
+        assert "lunit.shape" in {r["law"] for r in reports}, (path.name, reports)
+        assert len({json.dumps(r) for r in reports}) == len(reports), (path.name, reports)
