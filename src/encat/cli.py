@@ -13,7 +13,7 @@ import sys
 
 from . import core, equiv, instances, monoidal, vcat, vmodule, vstruct
 from .core import CheckReport, EncatError, EngineBugError, WitnessError, canonical_diff
-from .interface import Document, DocumentError, dumps, parse, serialize
+from .interface import Document, DocumentError, ParseError, dumps, parse, serialize
 
 _CHECKER_MODULES = (monoidal, vcat, vstruct, vmodule)
 _LAWS = tuple(law for mod in _CHECKER_MODULES for law in mod.LAWS)
@@ -162,7 +162,11 @@ def _construct(doc: Document, op: str) -> Document:
 
 def _load(path: str) -> Document:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse(handle.read())
+        try:
+            return parse(handle.read())
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason} "
+                             f"at byte offset {exc.start}") from None
 
 
 def _write(doc: Document, path: str, out) -> int:

@@ -21,7 +21,7 @@ monoidal and the module associators', on its :func:`trinatural_cover`.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import ItemsView, Mapping
+from collections.abc import ItemsView, KeysView, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -737,13 +737,16 @@ def validate_functor(fn: FunctorData, tag: str = "functor") -> list[CheckReport]
     return sort_reports(reports)
 
 
-def thin_first(law: Law, cat: Callable[..., FinCategory], premise: Callable[..., bool]) -> Law:
+def thin_first(law: Law, cat: Callable[..., FinCategory], premise: Callable[..., Any],
+               readers: Callable[..., Callable] | None = None) -> Law:
     """``law`` gated first on the :func:`thin_cover` of ``cat(*data)`` under
-    ``premise(*data)``, read only when that category is thin, then, where
-    the cover is ``None``, on its own gate."""
+    ``premise(*data)``, read only when that category is thin, or, with
+    ``readers``, on its :func:`read_cover` by ``readers(*data)`` of the keys
+    ``premise(*data)``; then, where the cover is ``None``, on its own gate."""
     def gate(*data):
         on = cat(*data)
-        cover = thin_cover(on, on._thin and premise(*data))
+        cover = (thin_cover(on, on._thin and premise(*data)) if readers is None
+                 else read_cover(on, lambda: premise(*data), lambda bad: readers(*data)(bad)))
         return law.gate(*data) if cover is None and law.gate is not None else cover
     return dataclasses.replace(law, gate=gate)
 
@@ -1007,6 +1010,39 @@ def thin_cover(cat: FinCategory, premise: bool) -> tuple[()] | None:
     holds: ``()`` when ``cat`` is also valid and thin, where every diagram
     commutes (Mac Lane, CWM VII.2); else ``None``."""
     return () if premise and cat._thin and is_valid(cat) else None
+
+
+def read_cover(cat: FinCategory, misshapen: Callable[[], list | None],
+               readers: Callable[[KeysView], Iterable[tuple[str, ...]]]
+               ) -> tuple[tuple[str, ...], ...] | None:
+    """The cover of a law equating composites of ``cat`` that are defined and
+    parallel where they read well-shaped entries only: on a valid thin ``cat``
+    (every diagram commutes, CWM VII.2), the sites ``readers`` finds reading
+    a key of ``misshapen()``, each once; ``None`` elsewhere or if it is."""
+    if thin_cover(cat, True) is None or (bad := misshapen()) is None:
+        return None
+    return tuple(dict.fromkeys(readers(dict.fromkeys(bad).keys()))) if bad else ()
+
+
+def shape_keys(record: tuple[CheckReport, ...] | EncatError, law: str) -> list | None:
+    """The sites of a shape verdict ``record`` whose every report is ``law``."""
+    if isinstance(record, tuple) and all(r.law == law for r in record):
+        return [r.site for r in record]
+    return None
+
+
+def squares(*cats: FinCategory) -> Callable[[KeysView], Iterator[tuple[Mor, ...]]]:
+    """The readers of a naturality law at (f_1, ..., f_n), f_i in ``cats[i]``,
+    whose square reads the component at the sources and at the targets."""
+    return lambda bad: (site for key in bad if len(key) == len(cats) for end in (0, 1)
+                        for site in product(*([f for f, ends in cat._mors.items() if ends[end] == x]
+                                              for cat, x in zip(cats, key))))
+
+
+def reading(sites: Callable[[KeysView], Iterable[tuple[str, ...]]],
+            reads: Callable[..., Iterable[tuple[str, ...]]]) -> Callable[[KeysView], Iterator]:
+    """The readers of a law whose sides read ``reads(*site)`` at ``sites(bad)``."""
+    return lambda bad: (site for site in sites(bad) if not bad.isdisjoint(reads(*site)))
 
 
 def canonical(value: Any) -> Any:

@@ -36,7 +36,8 @@ axiom law here holds once the shape loops of the tables it reads are clean.
 Each loop's :func:`~encat.core.verdict`, under its name in ``SHAPE_LOOPS``,
 is read by these checks and the module side's, and
 :func:`~encat.core.thin_cover` is tried before any other gate; a misshapen
-associator alone sends ``assoc.natural`` only to the squares that read it.
+associator alone sends ``assoc.natural`` only to the squares that read it
+(:func:`~encat.core.read_cover`).
 Derived laws keep their sweeps (they catch engine bugs).
 
 The closed structure is given by the hom-object table and the evaluation
@@ -91,8 +92,9 @@ from .core import (
     product_category,
     rebuild_bifunctor,
     required,
+    shape_keys,
     sort_reports,
-    thin_cover,
+    squares,
     thin_first,
     trinatural_cover,
     validate_functor,
@@ -234,21 +236,12 @@ def _thin_first(law: Law, *shapes: str) -> Law:
                       lambda m, base: shapes_clean(m, "tensor", "structure", *shapes))
 
 
-def _assoc_gate(m: MonoidalData, base: FinCategory):
-    """On a thin, valid base whose only shape reports are ``assoc.shape``,
-    the sites whose square reads a misshapen component, at (src f, src g,
-    src h) or (dst f, dst g, dst h): at any other site both sides are
-    parallel.  Otherwise :func:`~encat.core.trinatural_cover`."""
-    if (thin_cover(base, True) == () and verdict(m, "tensor", _tensor_shapes, raising=False) == ()
-            and isinstance(structure := verdict(m, "structure", _structure_shapes, raising=False),
-                           tuple)
-            and all(r.law == "assoc.shape" for r in structure)):
-        post = {x: [f for f, s, _ in base.morphisms if s == x] for x in base.objects}
-        pre = {x: [f for f, _, d in base.morphisms if d == x] for x in base.objects}
-        return tuple(dict.fromkeys(site for x, y, z in (r.site for r in structure)
-                                   for ends in (post, pre)
-                                   for site in product(ends[x], ends[y], ends[z])))
-    return trinatural_cover(base, base, base, base, m.assoc, *(m._tensor,) * 4)
+def _misshapen_assoc(m: MonoidalData) -> list[tuple[Obj, ...]] | None:
+    """The misshapen associator components, when they are the only shape
+    reports of the tensor and structure loops: on a thin base,
+    ``assoc.natural`` is judged at the squares that read one of them."""
+    return (shape_keys(verdict(m, "structure", _structure_shapes, raising=False), "assoc.shape")
+            if verdict(m, "tensor", _tensor_shapes, raising=False) == () else None)
 
 
 MONOIDAL_LAWS = tuple(map(_thin_first, (
@@ -260,12 +253,15 @@ MONOIDAL_LAWS = tuple(map(_thin_first, (
         lambda m, base, f, f2, g, g2: m.tmor(base.comp[(f, g)], base.comp[(f2, g2)]),
         lambda m, base, f, f2, g, g2: base.compose(m.tmor(f, f2), m.tmor(g, g2)),
         gate=lambda m, base: bifunctor_cover(m._tensor)),
-    Law("assoc.natural", lambda m, base: product(base.mor_ids(), repeat=3),
-        lambda m, base, f, g, h: base.compose(
-            m.tmor(m.tmor(f, g), h), m.a(base.dst(f), base.dst(g), base.dst(h))),
-        lambda m, base, f, g, h: base.compose(
-            m.a(base.src(f), base.src(g), base.src(h)), m.tmor(f, m.tmor(g, h))),
-        gate=_assoc_gate),
+    thin_first(Law("assoc.natural", lambda m, base: product(base.mor_ids(), repeat=3),
+                   lambda m, base, f, g, h: base.compose(
+                       m.tmor(m.tmor(f, g), h), m.a(base.dst(f), base.dst(g), base.dst(h))),
+                   lambda m, base, f, g, h: base.compose(
+                       m.a(base.src(f), base.src(g), base.src(h)), m.tmor(f, m.tmor(g, h))),
+                   gate=lambda m, base: trinatural_cover(
+                       base, base, base, base, m.assoc, *(m._tensor,) * 4)),
+               lambda m, base: base, lambda m, base: _misshapen_assoc(m),
+               lambda m, base: squares(base, base, base)),
     Law("lunit.natural", lambda m, base: product(base.mor_ids()),
         lambda m, base, f: base.compose(m.tmor(base.id_(m.unit), f), m.l(base.dst(f))),
         lambda m, base, f: base.compose(m.l(base.src(f)), f)),

@@ -37,7 +37,13 @@ side), ``ADJUNCTION_LAWS`` and the hexagon (in V) hold once the tables they
 read are well shaped: a thin cover is tried before any other gate.  Its
 premises are :func:`~encat.core.verdict` records: V's shape loops, "action"
 (the cotensor's on the reversed side), "hom", the "module" shape loop, "phi"
-(psi's) and, for ``BIMODULE_LAWS``, "bimodule", every earlier report.  The
+(psi's) and, for ``BIMODULE_LAWS``, "bimodule", every earlier report.  When
+the only faults are misshapen associator or unitor entries of the module or
+of the reversed side (and, for ``BIMODULE_LAWS``, every earlier report is
+one they explain), :func:`~encat.core.read_cover` judges a law only at the
+sites that read one, by the readers declared beside it: comodule entry
+(0, 1, 0) of the self(trop(4)) bimodule set to m:2:1 is judged at 19 of the
+1,000 ``module.assoc-natural`` sites of the reversed side.  The
 derived laws, ``PHIBAR_LAWS`` and ``ENRICHED_ACTION_LAWS`` keep their sweeps;
 a derived law that fails on a V whose axioms fail reports those instead
 (:func:`~encat.monoidal.resting_on_axioms`).
@@ -74,7 +80,11 @@ from .core import (
     morphism_inverse_checked,
     opposite_category,
     pair_id,
+    read_cover,
+    reading,
+    shape_keys,
     sort_reports,
+    squares,
     thin_first,
     trinatural_cover,
     validate_functor,
@@ -214,35 +224,48 @@ class EnrichedActionData:
 _ACTION, _HOM_FUNCTOR, _COTENSOR = "module.functor", "moduleclosed.functor", "moduleclosed.cotensor"
 
 
-def _module_premise(mod: VModuleData, m: MonoidalData, s: FinCategory) -> bool:
-    """Clean verdicts of every table the module laws read, V's included."""
-    return clean(mod, "action", "module") and shapes_clean(m, "tensor", "structure")
+def _misshapen(mod: VModuleData) -> list[tuple[Obj, ...]] | None:
+    """The keys of the misshapen associator (K, L, X) and unitor (X,) entries,
+    when the other tables the module laws read are clean."""
+    return (shape_keys(verdict(mod, "module", _module_shapes, raising=False), "module.shape")
+            if clean(mod, "action") and shapes_clean(mod.baseV, "tensor", "structure") else None)
 
 
-# The module laws, on (module, V, S); each is judged in S.
-MODULE_LAWS = tuple(thin_first(law, lambda mod, m, s: s, _module_premise) for law in (
-    Law("module.assoc-natural",
-        lambda mod, m, s: product(m.base.mor_ids(), m.base.mor_ids(), s.mor_ids()),
-        lambda mod, m, s, u, v, w: s.compose(
-            mod.act_mor(m.tmor(u, v), w), mod.a(m.base.dst(u), m.base.dst(v), s.dst(w))),
-        lambda mod, m, s, u, v, w: s.compose(
-            mod.a(m.base.src(u), m.base.src(v), s.src(w)), mod.act_mor(u, mod.act_mor(v, w))),
-        gate=lambda mod, m, s: trinatural_cover(
-            m.base, m.base, s, s, mod.assoc, m._tensor, *(mod.action._bifunctor,) * 3)),
-    Law("module.lunit-natural", lambda mod, m, s: product(s.mor_ids()),
-        lambda mod, m, s, w: s.compose(mod.act_mor(m.base.id_(m.unit), w), mod.l(s.dst(w))),
-        lambda mod, m, s, w: s.compose(mod.l(s.src(w)), w)),
-    Law("module.assoc",
-        lambda mod, m, s: product(m.base.objects, m.base.objects, m.base.objects, s.objects),
-        lambda mod, m, s, k, l, mm, x: s.compose(
-            mod.a(m.tobj(k, l), mm, x), mod.a(k, l, mod.act_obj(mm, x))),
-        lambda mod, m, s, k, l, mm, x: s.compose(
-            mod.act_mor(m.a(k, l, mm), s.id_(x)), mod.a(k, m.tobj(l, mm), x),
-            mod.act_mor(m.base.id_(k), mod.a(l, mm, x))), core=True),
-    Law("module.unit", lambda mod, m, s: product(m.base.objects, s.objects),
-        lambda mod, m, s, k, x: s.compose(
-            mod.a(k, m.unit, x), mod.act_mor(m.base.id_(k), mod.l(x))),
-        lambda mod, m, s, k, x: mod.act_mor(m.r(k), s.id_(x)), core=True),
+# The module laws, on (module, V, S); each is judged in S.  On a thin S whose
+# only faults are misshapen associator and unitor entries, at the sites that
+# read one: beside each law, the entries its sides read.
+MODULE_LAWS = tuple(thin_first(law, lambda mod, m, s: s, lambda mod, m, s: _misshapen(mod), reads)
+                    for law, reads in (
+    (Law("module.assoc-natural",
+         lambda mod, m, s: product(m.base.mor_ids(), m.base.mor_ids(), s.mor_ids()),
+         lambda mod, m, s, u, v, w: s.compose(
+             mod.act_mor(m.tmor(u, v), w), mod.a(m.base.dst(u), m.base.dst(v), s.dst(w))),
+         lambda mod, m, s, u, v, w: s.compose(
+             mod.a(m.base.src(u), m.base.src(v), s.src(w)), mod.act_mor(u, mod.act_mor(v, w))),
+         gate=lambda mod, m, s: trinatural_cover(
+             m.base, m.base, s, s, mod.assoc, m._tensor, *(mod.action._bifunctor,) * 3)),
+     lambda mod, m, s: squares(m.base, m.base, s)),
+    (Law("module.lunit-natural", lambda mod, m, s: product(s.mor_ids()),
+         lambda mod, m, s, w: s.compose(mod.act_mor(m.base.id_(m.unit), w), mod.l(s.dst(w))),
+         lambda mod, m, s, w: s.compose(mod.l(s.src(w)), w)),
+     lambda mod, m, s: squares(s)),
+    (Law("module.assoc",
+         lambda mod, m, s: product(m.base.objects, m.base.objects, m.base.objects, s.objects),
+         lambda mod, m, s, k, l, mm, x: s.compose(
+             mod.a(m.tobj(k, l), mm, x), mod.a(k, l, mod.act_obj(mm, x))),
+         lambda mod, m, s, k, l, mm, x: s.compose(
+             mod.act_mor(m.a(k, l, mm), s.id_(x)), mod.a(k, m.tobj(l, mm), x),
+             mod.act_mor(m.base.id_(k), mod.a(l, mm, x))), core=True),
+     lambda mod, m, s: reading(
+         lambda bad: product(m.base.objects, m.base.objects, m.base.objects, s.objects),
+         lambda k, l, mm, x: ((m.tobj(k, l), mm, x), (k, l, mod.act_obj(mm, x)),
+                              (k, m.tobj(l, mm), x), (l, mm, x)))),
+    (Law("module.unit", lambda mod, m, s: product(m.base.objects, s.objects),
+         lambda mod, m, s, k, x: s.compose(
+             mod.a(k, m.unit, x), mod.act_mor(m.base.id_(k), mod.l(x))),
+         lambda mod, m, s, k, x: mod.act_mor(m.r(k), s.id_(x)), core=True),
+     lambda mod, m, s: reading(lambda bad: product(m.base.objects, s.objects),
+                               lambda k, x: ((k, m.unit, x), (x,)))),
 ))
 
 
@@ -276,24 +299,24 @@ def _module_checks(mod: VModuleData) -> list[CheckReport]:
 
 def _module_shapes(mod: VModuleData) -> Iterator[CheckReport]:
     """The shape and isomorphism reports of the module associator and unitor."""
-    m = mod.baseV
     s = mod.baseS
-    for k, l, x in product(m.base.objects, m.base.objects, s.objects):
-        av = mod.a(k, l, x)
-        ok = (s.has_mor(av)
-              and s.src(av) == mod.act_obj(m.tobj(k, l), x)
-              and s.dst(av) == mod.act_obj(k, mod.act_obj(l, x)))
-        if not ok:
-            yield CheckReport("module.shape", (k, l, x), witness_count=0)
-        elif morphism_inverse(s, av) is None:
-            yield CheckReport("module.assoc-iso", (k, l, x), witness_count=0)
-    for x in s.objects:
-        lv = mod.l(x)
-        ok = (s.has_mor(lv) and s.src(lv) == mod.act_obj(m.unit, x) and s.dst(lv) == x)
-        if not ok:
-            yield CheckReport("module.shape", (x,), witness_count=0)
-        elif morphism_inverse(s, lv) is None:
-            yield CheckReport("module.lunit-iso", (x,), witness_count=0)
+    for key in (*product(mod.baseV.base.objects, mod.baseV.base.objects, s.objects),
+                *product(s.objects)):
+        entry = mod.a(*key) if len(key) == 3 else mod.l(*key)
+        if not (s.has_mor(entry) and (s.src(entry), s.dst(entry)) == _shape(mod, key)):
+            yield CheckReport("module.shape", key, witness_count=0)
+        elif morphism_inverse(s, entry) is None:
+            yield CheckReport("module.assoc-iso" if len(key) == 3 else "module.lunit-iso", key,
+                              witness_count=0)
+
+
+def _shape(mod: VModuleData, key: tuple[Obj, ...]) -> tuple[Obj, Obj]:
+    """The source and target of the associator entry at (K, L, X), or of the
+    unitor entry at (X,)."""
+    if len(key) == 1:
+        return mod.act_obj(mod.baseV.unit, key[0]), key[0]
+    k, l, x = key
+    return mod.act_obj(mod.baseV.tobj(k, l), x), mod.act_obj(k, mod.act_obj(l, x))
 
 
 # A consequence of the module axioms, judged once they hold.
@@ -690,10 +713,33 @@ def _unit_transport(cm: ClosedVModuleData, dual: TensorClosedModuleData, m: Mono
                         tc.phi_of(m.unit, y, x, s.compose(tc.module.l(y), g)))
 
 
-def _bimodule_premise(cm: ClosedVModuleData, dual: TensorClosedModuleData,
-                      m: MonoidalData, s: FinCategory) -> bool:
-    """No earlier report, a valid S and clean shape records of V."""
-    return clean(dual, "bimodule") and is_valid(s) and shapes_clean(m, *SHAPE_LOOPS)
+# The reports a misshapen module or comodule entry can explain before BIMODULE_LAWS.
+_EXPLAINED = {"bimodule.opposite-vstructure"} | {
+    name for law in ("module.shape", *(law.name for law in MODULE_LAWS))
+    for name in (law, comodule_name(law))}
+
+
+def _explained(cm: ClosedVModuleData, dual: TensorClosedModuleData,
+               m: MonoidalData, s: FinCategory) -> list[tuple[Obj, ...]] | None:
+    """The misshapen associator and unitor entries of the module and of the
+    reversed side, keyed ("module", *key) or ("comodule", *key), when S is
+    valid, V's shape records are clean and they explain every earlier report:
+    none without them; with them, on a thin V and S, each has an isomorphism
+    of its shape (a morphism each way) to stand in for it, and then no report
+    is found before BIMODULE_LAWS, which hold, so a site that reads none of
+    them holds here too.  Else ``None``."""
+    sides = {"module": cm.tensorClosed.module, "comodule": dual.module}
+    found = {side: _misshapen(mod) for side, mod in sides.items()}
+    earlier = dual.__dict__.get("verdicts", {}).get("bimodule")
+    if (None in found.values() or not isinstance(earlier, tuple)
+            or not (is_valid(s) and shapes_clean(m, *SHAPE_LOOPS))):
+        return None
+    bad = [(side, *key) for side, keys in found.items() for key in keys]
+    if not bad:
+        return None if earlier else []
+    ends = (_shape(sides[side], key) for side, *key in bad)
+    return bad if (m.base._thin and s._thin and {r.law for r in earlier} <= _EXPLAINED
+                   and all(s.hom(a, b) and s.hom(b, a) for a, b in ends)) else None
 
 
 # The three diagrams that force the comodule structure, evaluated on
@@ -701,23 +747,46 @@ def _bimodule_premise(cm: ClosedVModuleData, dual: TensorClosedModuleData,
 # the comodule isomorphisms are the reversed side's.  A site whose transport
 # cannot be computed is an existence failure of the same law; the hexagon
 # and the comodule morphism's composite carry the error's message.  The
-# hexagon is judged in V, the transports in S.
-BIMODULE_LAWS = tuple(thin_first(law, cat, _bimodule_premise) for law, cat in (
+# hexagon is judged in V, the transports in S.  Beside each, its readers: the
+# module and comodule entries, as :func:`_explained` keys them, it reads.
+BIMODULE_LAWS = tuple(thin_first(law, cat, _explained, reads) for law, cat, reads in (
     (Law("bimodule.cp2-8-1",
          lambda cm, dual, m, s: product(m.base.objects, m.base.objects, s.objects, s.objects),
-         _hexagon_direct, _hexagon_braided, core=True), lambda cm, dual, m, s: m.base),
+         _hexagon_direct, _hexagon_braided, core=True), lambda cm, dual, m, s: m.base,
+     # module_phibar's, at (hom_V(K, hom(X, Z)), K, X): of the module at (K, X, L cot Y)
+     # and (K, X, Y), of the reversed side at (L, Y, X) and (L, Y, K (x) X); so only
+     # the sites with a bad module entry's (K, X) or a bad comodule entry's (L, Y)
+     lambda cm, dual, m, s: reading(
+         lambda bad: ((p, u, q, z) if side == "module" else (u, p, z, q)
+                      for side, _, p, q in (key for key in bad if len(key) == 4)
+                      for u, z in product(m.base.objects, s.objects)),
+         lambda k, l, x, y: (*(("module", m.hom_obj(k, cm.tensorClosed.hom_obj(x, z)), k, x)
+                               for z in (cm.cot_obj(l, y), y)),
+                             *(("comodule", m.hom_obj(l, dual.hom_obj(y, z)), l, y)
+                               for z in (x, cm.tensorClosed.module.act_obj(k, x)))))),
     (Law("bimodule.cp2-8-2",
          lambda cm, dual, m, s: (
              (k, l, x, y, g) for k, l, x, y in product(m.base.objects, m.base.objects,
                                                        s.objects, s.objects)
              for g in s.hom(y, cm.cot_obj(k, cm.cot_obj(l, x)))),
          explained(lambda cm, dual, m, s, k, l, x, y, g: s.then(g, dual.module.assoc[(k, l, x)])),
-         _assoc_transport, core=True), lambda cm, dual, m, s: s),
+         _assoc_transport, core=True), lambda cm, dual, m, s: s,
+     # the comodule associator at (K, L, X) and the module's at (L, K, Y)
+     lambda cm, dual, m, s: lambda bad: (
+         (k, l, x, y, g) for side, *key in bad if len(key) == 3
+         for k, l, x, y in (((*key, y) for y in s.objects) if side == "comodule" else
+                            ((key[1], key[0], x, key[2]) for x in s.objects))
+         for g in s.hom(y, cm.cot_obj(k, cm.cot_obj(l, x))))),
     (Law("bimodule.cp2-8-3",
          lambda cm, dual, m, s: ((x, y, g) for x in s.objects for y in s.objects
                                  for g in s.hom(y, x)),
          explained(lambda cm, dual, m, s, x, y, g: s.then(g, dual.module.lunit[x])),
-         _unit_transport, core=True), lambda cm, dual, m, s: s),
+         _unit_transport, core=True), lambda cm, dual, m, s: s,
+     # the comodule unitor at X and the module's at Y
+     lambda cm, dual, m, s: lambda bad: (
+         (x, y, g) for side, *key in bad if len(key) == 1
+         for x, y in (product(key, s.objects) if side == "comodule" else product(s.objects, key))
+         for g in s.hom(y, x))),
 ))
 
 

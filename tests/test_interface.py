@@ -343,6 +343,30 @@ def test_cli_error_exit_codes(tmp_path):
     assert out.getvalue().startswith("unknown law name(s): nope\n")
 
 
+def test_a_document_that_is_not_utf8_text_is_a_parse_error(tmp_path):
+    """Bytes that do not decode as UTF-8 are the input's fault: every command
+    that reads a document exits 2 naming the byte offset of the first bad
+    byte, in process and at the process boundary, with no traceback.  The
+    second file's bad byte lies past the decoder's first 8 KiB."""
+    bad, late = tmp_path / "bad.bin", tmp_path / "late.json"
+    bad.write_bytes(b"\xff\xfe\x00\x01{}")
+    late.write_bytes(b"{" + b" " * 9000 + b"\xc3(}")
+    for path, offset in ((bad, 0), (late, 9001)):
+        for argv in (["check", str(path)],
+                     ["construct", str(path), "--op", "bimodule-complete",
+                      "-o", str(tmp_path / "out.json")],
+                     ["roundtrip", str(path), "--pair", "module-cylinder"]):
+            out = io.StringIO()
+            assert cli(argv, out=out) == 2, argv
+            assert out.getvalue() == (f"error: {path} is not UTF-8 text: "
+                                      f"{'invalid start' if offset == 0 else 'invalid continuation'}"
+                                      f" byte at byte offset {offset}\n")
+    result = _run_cli("check", str(bad))
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    assert "byte offset 0" in result.stdout
+
+
 def test_cli_tables_use_the_codec_kinds():
     assert set(CHECKERS) == set(KINDS)
     for views, *_ in (*OPS.values(), *PAIRS.values()):

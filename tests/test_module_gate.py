@@ -9,7 +9,9 @@ where every diagram commutes, the thin cover decides ``MODULE_LAWS``,
 ``core.FUNCTOR_LAWS`` once the tables they read are well shaped (the
 verdicts kept once found: V's shape loops, the action, hom functor and
 cotensor verdicts, the ``module.shape`` loop, the phi and psi bijection
-reports, and before ``BIMODULE_LAWS`` every earlier report).
+reports, and before ``BIMODULE_LAWS`` every earlier report); when the only
+faults are misshapen module or comodule associator and unitor entries,
+``core.read_cover`` judges the sites that read one instead.
 With ``gate=None`` on all four families every site is judged.
 
 On every single-entry swap (the value replaced by each other morphism of
@@ -112,13 +114,13 @@ def entries(table, values):
                 yield (key, other), {**table, key: other}
 
 
-def mutants(kind, data):
+def mutants(kind, data, tables=None):
     """(where, a function building it) for every mutant of the document
-    ``data`` of ``kind``.  A mutated composition table is read back through
-    the codec, as ``encat check`` reads a document, so that every functor
-    out of the category (the action's, hom functor's and cotensor's sources)
-    sees it."""
-    for path, values in TABLES[kind]:
+    ``data`` of ``kind`` in ``tables`` (by default all of ``TABLES``).  A
+    mutated composition table is read back through the codec, as ``encat
+    check`` reads a document, so that every functor out of the category (the
+    action's, hom functor's and cotensor's sources) sees it."""
+    for path, values in tables or TABLES[kind]:
         for where, table in entries(read(data, path), read(data, values).mor_ids()):
             yield (path[-1], *where), lambda path=path, table=table: reread(
                 kind, replaced(data, path, table), path[-1] == "comp")
@@ -194,13 +196,13 @@ STRIDE = {"poset-diamond": 23, "self(bool)": 7, "self(cyc(3))": 7, "self(trop(3)
           "regular(doubled-cyc(2))": 23, "self-vstructure(trop(3))": 7}
 
 
-def agree(name: str, stride: int) -> None:
+def agree(name: str, stride: int, tables=None) -> None:
     kind, data = INSTANCES[name]()
     check = CHECKS[kind]
     with pytest.MonkeyPatch.context() as mp:
         covers = thin_covers(mp)
         assert check(data) == []
-        for where, mutant in list(mutants(kind, data))[::stride]:
+        for where, mutant in list(mutants(kind, data, tables))[::stride]:
             mutant = mutant()
             assert outcome(check, mutant) == full_outcome(check, mutant), where
     assert (() in covers) == (name not in NOT_THIN)
@@ -215,6 +217,25 @@ def test_the_module_cover_agrees_with_the_full_sweep(name):
 @pytest.mark.parametrize("name", list(STRIDE))
 def test_the_module_cover_agrees_with_the_full_sweep_on_every_mutant(name):
     agree(name, 1)
+
+
+# The module's and the comodule's associator and unitor tables, whose
+# misshapen entries the read covers localize; tier-1 compares every
+# STRUCTURE_STRIDE-th of their mutants, a stride prime to each run of |mor|.
+STRUCTURE_TABLES = tuple((path, MODULE + S) for path in (
+    MODULE + ("assoc",), MODULE + ("lunit",), ("comodAssoc",), ("comodLunit",)))
+STRUCTURE_STRIDE = {"self(trop(3))": 11, "poset-diamond": 13}
+
+
+@pytest.mark.parametrize("name", list(STRUCTURE_STRIDE))
+def test_the_structure_covers_agree_with_the_full_sweep(name):
+    agree(name, STRUCTURE_STRIDE[name], STRUCTURE_TABLES)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(STRUCTURE_STRIDE))
+def test_the_structure_covers_agree_with_the_full_sweep_on_every_mutant(name):
+    agree(name, 1, STRUCTURE_TABLES)
 
 
 def test_a_lawful_module_is_judged_on_generators_only(monkeypatch):
@@ -271,21 +292,99 @@ def test_a_lawful_thin_bimodule_judges_no_gated_site(monkeypatch):
     assert all(seen["module evaluation square"]) and all(seen["unit-absorption triangle"])
 
 
-def test_a_misshapen_module_associator_entry_is_judged_at_every_site(monkeypatch):
-    """One module associator entry of self(trop(4)) swapped for a morphism of
-    another shape breaks the ``module.shape`` premise: ``module.assoc`` is
-    judged at all 4^4 sites of the module, and the reversed side's, whose
-    records are clean, at none."""
+class Reads(dict):
+    """A table that records in ``seen`` the keys its entries are looked up by."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.seen = set()
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+
+def spy_judged(mp) -> list[tuple[str, tuple, list[tuple[str, ...]]]]:
+    """Record the law name, data and sites of every ``core._judge`` call."""
+    seen = []
+    judge = core._judge
+
+    def recording(law, sites, data):
+        sites = list(sites)
+        seen.append((law.name, data, sites))
+        return judge(law, sites, data)
+
+    mp.setattr(core, "_judge", recording)
+    return seen
+
+
+def reading(law, data, table: Reads, key) -> set:
+    """The sites of ``law`` on ``data`` whose sides, judged afresh, look
+    ``key`` up in ``table``; the internal adjuncts kept per (K, X, Y) are
+    dropped first, since a kept one reads no entry."""
+    found = set()
+    for site in law.sites(*data):
+        for part in data:
+            getattr(part, "__dict__", {}).pop("_adjuncts", None)
+        table.seen = set()
+        list(core._judge(law, [site], data))
+        if key in table.seen:
+            found.add(site)
+    return found
+
+
+# The laws an associator entry is read by: on each side, and on the bimodule.
+ASSOC_READERS = ("module.assoc-natural", "module.assoc", "module.unit",
+                 "bimodule.cp2-8-1", "bimodule.cp2-8-2")
+
+
+def judged_at_its_readers(monkeypatch, path, key, value, side):
+    """Swap the associator entry at ``key`` of the self(trop(4)) bimodule
+    table at ``path`` for ``value``, of another shape, and check it: the
+    reports are the full sweep's, and each law that reads the table judges
+    exactly the sites whose sides read that entry, on the side ``side`` of
+    the module laws, which the other side judges nowhere.  Returns the number
+    of sites judged per law."""
     bm = bimodule_completion(module_self(build_trop(4)))
-    mutant = replaced(bm, MODULE + ("assoc",), {**read(bm, MODULE + ("assoc",)),
-                                                ("1", "2", "0"): "m:3:2"})
-    seen = spy_all(monkeypatch)
+    table = Reads({**read(bm, path), key: value})
+    mutant = replaced(bm, path, table)
+    seen = spy_judged(monkeypatch)
     got = check_closed_bimodule(mutant)
     monkeypatch.undo()
     assert got == full_outcome(check_closed_bimodule, mutant)
-    assert {r.law for r in got} >= {"module.shape", "module.assoc"}
-    objs = read(bm, MODULE + ("baseS",)).objects
-    assert seen["module.assoc"] == [list(product(objs, repeat=4)), []]
+    assert f"{side}.shape" in {r.law for r in got}
+    laws = {law.name: law for law in vmod.MODULE_LAWS + vmod.BIMODULE_LAWS}
+    counts = {}
+    for name, data, sites in seen:
+        if name not in ASSOC_READERS:
+            continue
+        reads_table = name.startswith("bimodule.") or data[0].assoc is table
+        want = reading(laws[name], data, table, key) if reads_table else set()
+        assert len(sites) == len(set(sites)) and set(sites) == want, name
+        counts[name] = counts.get(name, 0) + len(sites)
+    assert set(counts) == set(ASSOC_READERS)
+    return counts
+
+
+def test_a_misshapen_module_associator_entry_is_judged_where_it_is_read(monkeypatch):
+    """Module associator entry (1, 2, 0) of self(trop(4)) set to m:3:2: the
+    module laws judge only the sites that read it (on 4^4 sites
+    ``module.assoc`` used to sweep), and so do the hexagon and the comodule
+    transport, whose earlier reports it explains."""
+    counts = judged_at_its_readers(monkeypatch, MODULE + ("assoc",), ("1", "2", "0"),
+                                   "m:3:2", "module")
+    assert counts["module.assoc"] < 4 ** 4
+
+
+def test_a_misshapen_comodule_associator_entry_is_judged_where_it_is_read(monkeypatch):
+    """Comodule associator entry (0, 1, 0) of self(trop(4)) set to m:2:1, the
+    site perfbench's seed-1 modules run mutates: the reversed side's module
+    laws, the hexagon and the comodule transport judge only the sites that
+    read it, where each used to sweep all of its sites."""
+    counts = judged_at_its_readers(monkeypatch, ("comodAssoc",), ("0", "1", "0"),
+                                   "m:2:1", "comodule")
+    assert counts == {"module.assoc-natural": 19, "module.assoc": 14, "module.unit": 0,
+                      "bimodule.cp2-8-1": 16, "bimodule.cp2-8-2": 4}
 
 
 def closure(cat: FinCategory, gens) -> set:
