@@ -457,7 +457,7 @@ def _category_reports(cat: FinCategory) -> list[CheckReport]:
     for m, s, d in cat.morphisms:
         if m.startswith(IDENTITY_PREFIX):
             x = m[len(IDENTITY_PREFIX):]
-            if x in set(cat.objects) and cat.identity.get(x) != m:
+            if x in cat._objs and cat.identity.get(x) != m:
                 reports.append(CheckReport("category.reserved-id", (m,), witness_count=0))
 
     for (f, g) in cat.comp:
@@ -608,6 +608,21 @@ def morphism_inverse(cat: FinCategory, f: Mor) -> Mor | None:
         raise AmbiguousInverseError(
             f"{f!r} has {len(found)} two-sided inverses; the tables are corrupt")
     return found[0] if found else None
+
+
+def typed(cat: FinCategory, entries: Iterable[tuple[tuple[str, ...], Mor, Obj, Obj]],
+          law: str, iso: str | None = None) -> list[CheckReport]:
+    """The reports of a table of structure morphisms: ``law`` at each
+    ``(site, f, src, dst)`` of ``entries`` where ``f`` is not a declared
+    morphism ``src -> dst`` of ``cat`` (an undeclared ``f`` too), else, given
+    ``iso``, ``iso`` where ``f`` has no inverse; in the order of ``entries``."""
+    reports = []
+    for site, f, s, d in entries:
+        if cat._mors.get(f) != (s, d):
+            reports.append(CheckReport(law, site, witness_count=0))
+        elif iso is not None and morphism_inverse(cat, f) is None:
+            reports.append(CheckReport(iso, site, witness_count=0))
+    return reports
 
 
 def morphism_inverse_checked(cat: FinCategory, f: Mor) -> Mor:

@@ -85,7 +85,6 @@ from .core import (
     generators,
     holds,
     is_valid,
-    morphism_inverse,
     morphism_inverse_checked,
     opposite_category,
     pair_id,
@@ -97,6 +96,7 @@ from .core import (
     squares,
     thin_first,
     trinatural_cover,
+    typed,
     validate_functor,
     verdict,
 )
@@ -339,27 +339,13 @@ def _tensor_shapes(m: MonoidalData) -> list[CheckReport]:
 
 def _structure_shapes(m: MonoidalData) -> list[CheckReport]:
     """The shape and isomorphism reports of the associator and unitors."""
-    base, objs = m.base, m.base.objects
-    reports: list[CheckReport] = []
-    for x, y, z in product(objs, repeat=3):
-        av = m.a(x, y, z)
-        want_s = m.tobj(m.tobj(x, y), z)
-        want_d = m.tobj(x, m.tobj(y, z))
-        if base.src(av) != want_s or base.dst(av) != want_d:
-            reports.append(CheckReport("assoc.shape", (x, y, z), witness_count=0))
-        elif morphism_inverse(base, av) is None:
-            reports.append(CheckReport("assoc.iso", (x, y, z), witness_count=0))
-    for x in objs:
-        lv, rv = m.l(x), m.r(x)
-        if base.src(lv) != m.tobj(m.unit, x) or base.dst(lv) != x:
-            reports.append(CheckReport("lunit.shape", (x,), witness_count=0))
-        elif morphism_inverse(base, lv) is None:
-            reports.append(CheckReport("lunit.iso", (x,), witness_count=0))
-        if base.src(rv) != m.tobj(x, m.unit) or base.dst(rv) != x:
-            reports.append(CheckReport("runit.shape", (x,), witness_count=0))
-        elif morphism_inverse(base, rv) is None:
-            reports.append(CheckReport("runit.iso", (x,), witness_count=0))
-    return reports
+    base, objs, t = m.base, m.base.objects, m.tobj
+    return [*typed(base, (((x, y, z), m.a(x, y, z), t(t(x, y), z), t(x, t(y, z)))
+                          for x, y, z in product(objs, repeat=3)), "assoc.shape", "assoc.iso"),
+            *typed(base, (((x,), m.l(x), t(m.unit, x), x) for x in objs),
+                   "lunit.shape", "lunit.iso"),
+            *typed(base, (((x,), m.r(x), t(x, m.unit), x) for x in objs),
+                   "runit.shape", "runit.iso")]
 
 
 # Consequences of the monoidal axioms, judged once they hold.
@@ -400,10 +386,8 @@ def check_symmetry(m: MonoidalData) -> list[CheckReport]:
 
 def _braid_shapes(m: MonoidalData) -> list[CheckReport]:
     """The shape reports of the braiding."""
-    base = m.base
-    return [CheckReport("symmetry.shape", (x, y), witness_count=0)
-            for x, y in product(base.objects, repeat=2)
-            if base.src(c := m.braid(x, y)) != m.tobj(x, y) or base.dst(c) != m.tobj(y, x)]
+    return typed(m.base, (((x, y), m.braid(x, y), m.tobj(x, y), m.tobj(y, x))
+                          for x, y in product(m.base.objects, repeat=2)), "symmetry.shape")
 
 
 def _transpose_forward(m: MonoidalData, g: Mor, y: Obj, z: Obj) -> Mor:

@@ -25,12 +25,12 @@ from .core import (
     Mor,
     Obj,
     evaluate,
-    morphism_inverse,
     morphism_inverse_checked,
     opposite_category,
     pair_id,
     product_category,
     sort_reports,
+    typed,
 )
 from .monoidal import (
     MonoidalData,
@@ -79,6 +79,12 @@ class TensoredData:
     tensorObj: Mapping[tuple[Obj, Obj], Obj]
     phibar: Mapping[tuple[Obj, Obj, Obj], Mor]
 
+    def component(self, k: Obj, x: Obj, y: Obj) -> Mor:
+        if (pb := self.phibar.get((k, x, y))) is None:
+            raise MissingTableError(
+                f"tensored structure missing component ({k!r},{x!r},{y!r})")
+        return pb
+
 
 VCATEGORY_LAWS = (
     Law("vcat.assoc", lambda vc, m: product(vc.objects, repeat=4),
@@ -102,7 +108,6 @@ def check_vcategory(vc: VCategoryData) -> list[CheckReport]:
     """Shape, associativity and unit laws of the enriched structure."""
     m = vc.baseV
     base = m.base
-    reports: list[CheckReport] = []
     objs = vc.objects
 
     for a in objs:
@@ -110,19 +115,11 @@ def check_vcategory(vc: VCategoryData) -> list[CheckReport]:
             h = vc.hom(a, bb)
             if not base.has_obj(h):
                 raise MissingTableError(f"hom object ({a!r},{bb!r}) -> undeclared {h!r}")
-    for a in objs:
-        jv = vc.j(a)
-        if not (base.has_mor(jv) and base.src(jv) == m.unit
-                and base.dst(jv) == vc.hom(a, a)):
-            reports.append(CheckReport("vcat.shape", (a, jv), witness_count=0))
-    for a in objs:
-        for bb in objs:
-            for c in objs:
-                bv = vc.b(a, bb, c)
-                if not (base.has_mor(bv)
-                        and base.src(bv) == m.tobj(vc.hom(bb, c), vc.hom(a, bb))
-                        and base.dst(bv) == vc.hom(a, c)):
-                    reports.append(CheckReport("vcat.shape", (a, bb, c, bv), witness_count=0))
+    reports = typed(base, (((a, j), j, m.unit, vc.hom(a, a)) for a in objs for j in (vc.j(a),)),
+                    "vcat.shape")
+    reports += typed(base, (((a, bb, c, bv), bv, m.tobj(vc.hom(bb, c), vc.hom(a, bb)), vc.hom(a, c))
+                            for a, bb, c in product(objs, repeat=3) for bv in (vc.b(a, bb, c),)),
+                     "vcat.shape")
 
     reports += evaluate(VCATEGORY_LAWS, vc, m)
     return sort_reports(reports)
@@ -238,20 +235,10 @@ def check_tensored(td: TensoredData) -> list[CheckReport]:
     m = vc.baseV
     m.require_closed()
     base = m.base
-    reports: list[CheckReport] = []
-
-    for (k, x), kx in sorted(td.tensorObj.items()):
-        for y in vc.objects:
-            pb = td.phibar.get((k, x, y))
-            if pb is None:
-                raise MissingTableError(f"tensored structure missing component ({k!r},{x!r},{y!r})")
-            ok = (base.has_mor(pb)
-                  and base.src(pb) == vc.hom(kx, y)
-                  and base.dst(pb) == m.hom_obj(k, vc.hom(x, y)))
-            if not ok:
-                reports.append(CheckReport("tensored.shape", (k, x, y), witness_count=0))
-            elif morphism_inverse(base, pb) is None:
-                reports.append(CheckReport("tensored.iso", (k, x, y), witness_count=0))
+    reports = typed(base, (((k, x, y), td.component(k, x, y), vc.hom(kx, y),
+                            m.hom_obj(k, vc.hom(x, y)))
+                           for (k, x), kx in sorted(td.tensorObj.items()) for y in vc.objects),
+                    "tensored.shape", "tensored.iso")
     if any(r.law == "tensored.shape" for r in reports):
         return sort_reports(reports)
     vcat_reports = check_vcategory(vc)

@@ -80,13 +80,13 @@ from .core import (
     morphism_inverse_checked,
     opposite_category,
     pair_id,
-    read_cover,
     reading,
     shape_keys,
     sort_reports,
     squares,
     thin_first,
     trinatural_cover,
+    typed,
     validate_functor,
     verdict,
 )
@@ -297,17 +297,13 @@ def _module_checks(mod: VModuleData) -> list[CheckReport]:
     return reports
 
 
-def _module_shapes(mod: VModuleData) -> Iterator[CheckReport]:
+def _module_shapes(mod: VModuleData) -> list[CheckReport]:
     """The shape and isomorphism reports of the module associator and unitor."""
-    s = mod.baseS
-    for key in (*product(mod.baseV.base.objects, mod.baseV.base.objects, s.objects),
-                *product(s.objects)):
-        entry = mod.a(*key) if len(key) == 3 else mod.l(*key)
-        if not (s.has_mor(entry) and (s.src(entry), s.dst(entry)) == _shape(mod, key)):
-            yield CheckReport("module.shape", key, witness_count=0)
-        elif morphism_inverse(s, entry) is None:
-            yield CheckReport("module.assoc-iso" if len(key) == 3 else "module.lunit-iso", key,
-                              witness_count=0)
+    s, v = mod.baseS, mod.baseV.base.objects
+    return [*typed(s, ((key, mod.a(*key), *_shape(mod, key)) for key in product(v, v, s.objects)),
+                   "module.shape", "module.assoc-iso"),
+            *typed(s, ((key, mod.l(*key), *_shape(mod, key)) for key in product(s.objects)),
+                   "module.shape", "module.lunit-iso")]
 
 
 def _shape(mod: VModuleData, key: tuple[Obj, ...]) -> tuple[Obj, Obj]:

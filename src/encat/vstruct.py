@@ -31,12 +31,12 @@ from .core import (
     derived_law,
     evaluate,
     functor_law_names,
-    morphism_inverse,
     morphism_inverse_checked,
     opposite_category,
     pair_id,
     product_category,
     sort_reports,
+    typed,
     validate_functor,
     verdict,
 )
@@ -173,12 +173,9 @@ def _vstructure_reports(vs: VStructureData) -> list[CheckReport]:
 
     reports.extend(validate_functor(vs.homFunctor, tag=_HOM_FUNCTOR))
 
-    for x, y, z in product(s.objects, repeat=3):
-        bv = vs.b(x, y, z)
-        if not (base.has_mor(bv)
-                and base.src(bv) == m.tobj(vs.hom_obj(y, z), vs.hom_obj(x, y))
-                and base.dst(bv) == vs.hom_obj(x, z)):
-            reports.append(CheckReport("vstructure.shape", (x, y, z), witness_count=0))
+    reports += typed(base, (((x, y, z), vs.b(x, y, z), m.tobj(vs.hom_obj(y, z), vs.hom_obj(x, y)),
+                             vs.hom_obj(x, z)) for x, y, z in product(s.objects, repeat=3)),
+                     "vstructure.shape")
 
     for x, y in product(s.objects, repeat=2):
         fibres = vs._phi_fibres.get((x, y))
@@ -247,21 +244,19 @@ def _assignment_reports(vs: VStructureData, kind: str, names: tuple[str, str],
     m = vs.baseV
     base = m.base
     s = vs.baseS
-    reports: list[CheckReport] = []
-    for k in base.objects:
-        for x in s.objects:
-            kx = cyl.tensor_obj[(k, x)]
-            al = cyl.alpha[(k, x)]
-            if not (base.has_mor(al) and base.src(al) == k and base.dst(al) == vs.hom_obj(x, kx)):
-                reports.append(CheckReport(f"{kind}.shape", (k, x, al), witness_count=0))
-            for y in s.objects:
-                pb = cyl.phibar[(k, x, y)]
-                ok = (base.has_mor(pb) and base.src(pb) == vs.hom_obj(kx, y)
-                      and base.dst(pb) == m.hom_obj(k, vs.hom_obj(x, y)))
-                if not ok:
-                    reports.append(CheckReport(f"{kind}.shape", (k, x, y, pb), witness_count=0))
-                elif morphism_inverse(base, pb) is None:
-                    reports.append(CheckReport(f"{kind}.{names[1]}-iso", (k, x, y), witness_count=0))
+    shape, iso = f"{kind}.shape", f"{kind}.{names[1]}-iso"
+    reports = typed(base, (((k, x, al), al, k, vs.hom_obj(x, cyl.tensor_obj[(k, x)]))
+                           for k, x in product(base.objects, s.objects)
+                           for al in (cyl.alpha[(k, x)],)), shape)
+    for k, x, y in product(base.objects, s.objects, s.objects):
+        pb, out = cyl.phibar[(k, x, y)], vs.hom_obj(cyl.tensor_obj[(k, x)], y)
+        # V's internal hom, which may be partial, is read for an entry out of
+        # hom(K (x) X, Y) only.  A misshapen entry is named at (K, X, Y, entry),
+        # a non-invertible one at (K, X, Y).
+        ends = out, (m.hom_obj(k, vs.hom_obj(x, y)) if base._mors.get(pb, (None,))[0] == out
+                     else None)
+        reports += (typed(base, [((k, x, y, pb), pb, *ends)], shape)
+                    or typed(base, [((k, x, y), pb, *ends)], shape, iso))
     reports = sort_reports(reports + evaluate(laws, vs, cyl, m))
     if not reports and verdict(vs, "vstructure", _vstructure_reports, raising=False) == ():
         assert_derived(DERIVED_CYLINDER_LAWS, vs, cyl, m)

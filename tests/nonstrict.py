@@ -1,6 +1,7 @@
 """Non-strict test instances, shared by the gate tests: a monoidal
 category whose associators and unitors are isomorphisms between distinct
-objects, and the module of a monoidal category acting on itself."""
+objects, the module of a monoidal category acting on itself, and a monoidal
+category with a well-shaped structure map that is not invertible."""
 
 from itertools import product
 
@@ -50,3 +51,18 @@ def regular_module(m: MonoidalData) -> VModuleData:
         {pair_id(f, g): m.tensor_mor[(f, g)] for f, g in product(base.mor_ids(), repeat=2)})
     return VModuleData(baseV=m, baseS=base, action=action, assoc=dict(m.assoc),
                        lunit=dict(m.lunit))
+
+
+def absorbing_monoid() -> MonoidalData:
+    """The one-object category of the commutative monoid {1, z} with
+    z.z = z, tensored by its multiplication, with identity structure maps:
+    z is an endomorphism of every shape without an inverse."""
+    def times(f, g):
+        return "z" if "z" in (f, g) else "1"
+
+    base = FinCategory(("*",), (("1", "*", "*"), ("z", "*", "*")), {"*": "1"},
+                       {(f, g): times(f, g) for f, g in product("1z", repeat=2)})
+    return MonoidalData(
+        base=base, tensor_obj={("*", "*"): "*"},
+        tensor_mor={(f, g): times(f, g) for f, g in product("1z", repeat=2)}, unit="*",
+        assoc={("*", "*", "*"): "1"}, lunit={"*": "1"}, runit={"*": "1"})

@@ -31,6 +31,7 @@ from encat.core import (
     rename_category,
     required,
     structural_equal,
+    typed,
     validate_category,
 )
 from encat.instances import (
@@ -298,6 +299,19 @@ def test_morphism_inverse_checked(bool_m, cyc3):
         morphism_inverse_checked(bool_m.base, "m01")
     assert err.value.count == 0
     assert str(err.value) == "required isomorphism 'm01' has no inverse"
+
+
+def test_typed_reports_the_law_then_the_iso(bool_m):
+    """An entry that is not a declared morphism of its ends is reported under
+    ``law``; a well-typed one without an inverse under ``iso``, if given."""
+    base = bool_m.base
+    entries = [(("ok",), "id:0", "0", "0"), (("undeclared",), "ghost", "0", "0"),
+               (("ends",), "m01", "1", "0"), (("no-inverse",), "m01", "0", "1")]
+    assert typed(base, entries, "t.shape", "t.iso") == [
+        CheckReport("t.shape", ("undeclared",), witness_count=0),
+        CheckReport("t.shape", ("ends",), witness_count=0),
+        CheckReport("t.iso", ("no-inverse",), witness_count=0)]
+    assert [r.law for r in typed(base, entries, "t.shape")] == ["t.shape", "t.shape"]
 
 
 def _verdict(table, dom, cod):

@@ -23,6 +23,7 @@ from encat.monoidal import (
     varpi,
     varpi_inv,
 )
+from nonstrict import absorbing_monoid
 
 
 def mutate(m, field, key, value):
@@ -176,6 +177,29 @@ def test_undeclared_tensor_morphism_is_malformed_reference(trop3):
     bad = mutate(trop3, "tensor_mor", ("id:0", "id:0"), "undeclared")
     with pytest.raises(MalformedReferenceError):
         check_monoidal(bad)
+
+
+@pytest.mark.parametrize("case", ["assoc", "lunit", "braid"])
+def test_undeclared_structure_entry_is_a_shape_report(trop3, cyc3, case):
+    """An associator, unitor or braiding entry that names no morphism is
+    misshapen, as an undeclared module or assignment entry is."""
+    bad, check, law = {
+        "assoc": (mutate(trop3, "assoc", ("0", "1", "2"), "undeclared"), check_monoidal,
+                  "assoc.shape"),
+        "lunit": (mutate(trop3, "lunit", "1", "undeclared"), check_monoidal, "lunit.shape"),
+        "braid": (mutate_braid(cyc3, ("*", "*"), "undeclared"), check_symmetry,
+                  "symmetry.shape"),
+    }[case]
+    assert law in {r.law for r in check(bad)}
+
+
+@pytest.mark.parametrize("field,key", [("assoc", ("*", "*", "*")), ("lunit", "*"),
+                                       ("runit", "*")])
+def test_non_invertible_structure_entry_is_an_iso_report(field, key):
+    """z has the shape of every structure map of the absorbing monoid but no
+    inverse; as an associator or unitor it also breaks the triangle."""
+    bad = mutate(absorbing_monoid(), field, key, "z")
+    assert {r.law for r in check_monoidal(bad)} == {f"{field}.iso", "triangle"}
 
 
 def test_hom_on_morphisms(bool_m, cyc3):

@@ -1,9 +1,12 @@
 import dataclasses
 
 from encat.core import structural_equal, validate_category
-from encat.monoidal import self_vstructure, varpi
+from encat.equiv import cylinder_to_tensored
+from encat.instances import build_trop
+from encat.monoidal import self_cylinder, self_vstructure, varpi
 from encat.vcat import (
     VCategoryData,
+    check_tensored,
     check_vcategory,
     element_id,
     self_enriched,
@@ -135,3 +138,18 @@ def test_vnat_into_base_oracle_equivalence(cyc3):
     bad = VNatData(source=s_fn, target=s_fn,
                    components={"P": "1", "Q": "0"})
     assert {r.law for r in check_vnat(bad)} == {"vnat.square"}
+
+
+def test_tensored_shape_and_iso_reports():
+    """Moving 0 (x) 1 of trop(3)'s self tensor assignment to 0 leaves the
+    component at (0, 1, 1), reset to the morphism between its new ends, well
+    shaped but not invertible, and the one at (0, 1, 2) misshapen."""
+    m = build_trop(3)
+    td = cylinder_to_tensored(self_vstructure(m), self_cylinder(m))
+    assert check_tensored(td) == []
+    vc = td.vcat
+    (pb,) = m.base.hom(vc.hom("0", "1"), m.hom_obj("0", vc.hom("1", "1")))
+    bad = dataclasses.replace(td, tensorObj={**td.tensorObj, ("0", "1"): "0"},
+                              phibar={**td.phibar, ("0", "1", "1"): pb})
+    assert [(r.law, r.site) for r in check_tensored(bad)] == [
+        ("tensored.iso", ("0", "1", "1")), ("tensored.shape", ("0", "1", "2"))]

@@ -38,6 +38,7 @@ from encat.instances import (
     module_self_tensorclosed,
     parse_instance_name,
 )
+from nonstrict import absorbing_monoid, regular_module
 
 
 def tower_module() -> VModuleData:
@@ -466,3 +467,13 @@ def test_an_ill_typed_unitor_of_the_base_is_reported_not_blamed_on_the_engine(tm
         reports = json.loads(out.getvalue())["reports"]
         assert "lunit.shape" in {r["law"] for r in reports}, (path.name, reports)
         assert len({json.dumps(r) for r in reports}) == len(reports), (path.name, reports)
+
+
+@pytest.mark.parametrize("field,key", [("assoc", ("*", "*", "*")), ("lunit", "*")])
+def test_non_invertible_module_entry_is_an_iso_report(field, key):
+    """The absorbing monoid's z, as the associator or unitor of the module
+    of the monoid on itself, is well shaped, not invertible, and breaks the
+    unit diagram."""
+    mod = regular_module(absorbing_monoid())
+    bad = dataclasses.replace(mod, **{field: {**getattr(mod, field), key: "z"}})
+    assert {r.law for r in check_vmodule(bad)} == {f"module.{field}-iso", "module.unit"}
