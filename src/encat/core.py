@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import ItemsView, KeysView, Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import product
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -117,21 +117,39 @@ def verdict(data: Any, name: str, judge: Callable[[Any], Iterable[CheckReport]],
     """The reports of ``judge(data)``, or the :class:`EncatError` it raised,
     found once per instance and kept in ``data.__dict__`` under ``name``;
     with ``raising``, a kept error is raised again."""
-    kept = data.__dict__.setdefault("verdicts", {})
-    if name not in kept:
+    record = data.__dict__.setdefault("verdicts", {})
+    if name not in record:
         try:
-            kept[name] = tuple(judge(data))
+            record[name] = tuple(judge(data))
         except EncatError as exc:
-            kept[name] = exc
-    if raising and isinstance(kept[name], EncatError):
-        raise kept[name]
-    return kept[name]
+            record[name] = exc
+    if raising and isinstance(record[name], EncatError):
+        raise record[name]
+    return record[name]
 
 
 def clean(data: Any, *names: str) -> bool:
     """Whether each :func:`verdict` ``names`` of ``data`` is on record, with no report."""
-    kept = data.__dict__.get("verdicts", {})
-    return all(kept.get(name) == () for name in names)
+    record = data.__dict__.get("verdicts", {})
+    return all(record.get(name) == () for name in names)
+
+
+def kept(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """``fn(data, *key)``, computed once per instance and key and kept in
+    ``data.__dict__`` under ``fn``'s name.  A raised error is never kept, so
+    it raises again on every call.  An entry is a pure function of the
+    tables, so concurrent callers at worst compute it twice."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def once(data: Any, *key: Any) -> Any:
+        try:
+            return data.__dict__[name][key]
+        except KeyError:
+            pass
+        value = data.__dict__.setdefault(name, {})[key] = fn(data, *key)
+        return value
+    return once
 
 
 @dataclass(frozen=True)

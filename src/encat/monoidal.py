@@ -42,9 +42,10 @@ Derived laws keep their sweeps (they catch engine bugs).
 
 The closed structure is given by the hom-object table and the evaluation
 family only; the transpose is recovered by inverting evaluation over each
-hom-set, once per instance, with a uniqueness check at every lookup, so the
-inversion doubles as validation of the adjunction.  The internal transpose
-is likewise computed and verified once per argument and instance.
+hom-set, with a uniqueness check at every lookup, so the inversion doubles
+as validation of the adjunction.  That inversion, the internal transpose
+(verified as it is computed) and the internal swap are each found once per
+argument and instance (:func:`~encat.core.kept`).
 
 Derived laws (the unit-coincidence law, the unitor/associator compatibility
 triangle, the evaluation squares, the double-transpose square and the
@@ -85,6 +86,7 @@ from .core import (
     generators,
     holds,
     is_valid,
+    kept,
     morphism_inverse_checked,
     opposite_category,
     pair_id,
@@ -142,26 +144,6 @@ class MonoidalData:
         found."""
         base = self.base
         return rebuild_bifunctor(base, base, base, self.tensor_obj, self.tensor_mor)
-
-    @cached_property
-    def _transposes(self) -> dict[tuple[Obj, Obj, Obj], Preimages]:
-        """Per (X, Y, Z), the preimages under g |-> ev . (g (x) 1_Y) on
-        hom(X, hom(Y, Z)); filled by :func:`_transpose_table` on first need.
-        An entry is a pure function of the tables, so concurrent callers at
-        worst build it twice."""
-        return {}
-
-    @cached_property
-    def _pi_bars(self) -> dict[tuple[Obj, Obj, Obj], Mor]:
-        """Per (X, Y, Z), the internal transpose :func:`internal_pi_bar`
-        computed and verified; a failure is not stored."""
-        return {}
-
-    @cached_property
-    def _swaps(self) -> dict[tuple[Obj, Obj, Obj], tuple[Mor, Mor, Mor]]:
-        """Per (K, L, Z), the steps of :func:`internal_swap`; a failure is
-        not stored."""
-        return {}
 
     def tobj(self, x: Obj, y: Obj) -> Obj:
         try:
@@ -401,20 +383,18 @@ def transpose_pi_inv(m: MonoidalData, g: Mor, y: Obj, z: Obj) -> Mor:
     return _transpose_forward(m, g, y, z)
 
 
+@kept
 def _transpose_table(m: MonoidalData, x: Obj, y: Obj, z: Obj) -> Preimages:
     """The inverse of the forward map over hom(X, hom(Y, Z)), built by one
     exhaustive pass per (X, Y, Z) of ``m``; an undefined image is keyed
     ``None``.  Both :func:`transpose_pi` and ``closed.bijection`` read it."""
-    table = m._transposes.get((x, y, z))
-    if table is None:
-        images: dict[Mor, Mor | None] = {}
-        for g in m.base.hom(x, m.hom_obj(y, z)):
-            try:
-                images[g] = _transpose_forward(m, g, y, z)
-            except EncatError:
-                images[g] = None
-        table = m._transposes[(x, y, z)] = Preimages(images)
-    return table
+    images: dict[Mor, Mor | None] = {}
+    for g in m.base.hom(x, m.hom_obj(y, z)):
+        try:
+            images[g] = _transpose_forward(m, g, y, z)
+        except EncatError:
+            images[g] = None
+    return Preimages(images)
 
 
 def transpose_pi(m: MonoidalData, f: Mor, x: Obj, y: Obj) -> Mor:
@@ -601,6 +581,7 @@ def varpi_inv(m: MonoidalData, t: Mor, x: Obj, y: Obj) -> Mor:
                         transpose_pi_inv(m, t, x, y))
 
 
+@kept
 def internal_pi_bar(m: MonoidalData, x: Obj, y: Obj, z: Obj) -> Mor:
     """Internal transpose hom(X (x) Y, Z) -> hom(X, hom(Y, Z)).
 
@@ -608,14 +589,9 @@ def internal_pi_bar(m: MonoidalData, x: Obj, y: Obj, z: Obj) -> Mor:
     then verified against its universal characterization, at every W and f,
     or at the generic element once the "monoidal" and "closed-laws" verdicts
     of ``m`` are on record and clean; a mismatch is an engine bug.  Both run
-    once per distinct (X, Y, Z) of ``m``: the verified map is kept in a
-    per-instance table, and a failure, which is never kept, raises again on
-    every call.
+    once per (X, Y, Z) of ``m`` (:func:`~encat.core.kept`).
     """
     m.require_closed()
-    outer = m._pi_bars.get((x, y, z))
-    if outer is not None:
-        return outer
     base = m.base
     xy = m.tobj(x, y)
     h0 = m.hom_obj(xy, z)
@@ -623,7 +599,6 @@ def internal_pi_bar(m: MonoidalData, x: Obj, y: Obj, z: Obj) -> Mor:
     inner = transpose_pi(m, composite, m.tobj(h0, x), y)
     outer = transpose_pi(m, inner, h0, x)
     assert_derived(PI_BAR_LAWS, m, outer, (x, y, z))
-    m._pi_bars[(x, y, z)] = outer
     return outer
 
 
@@ -649,19 +624,16 @@ PI_BAR_LAWS = (
 )
 
 
+@kept
 def internal_swap(m: MonoidalData, k: Obj, l: Obj, z: Obj) -> tuple[Mor, Mor, Mor]:
     """The steps hom(L, hom(K, Z)) -> hom(L (x) K, Z) -> hom(K (x) L, Z) ->
     hom(K, hom(L, Z)): the inverse internal transpose, the hom of the
     braiding, the internal transpose.  Callers compose them in their own
     paths; the steps are computed once per (K, L, Z) of ``m``."""
-    steps = m._swaps.get((k, l, z))
-    if steps is None:
-        base = m.base
-        steps = m._swaps[(k, l, z)] = (
-            morphism_inverse_checked(base, internal_pi_bar(m, l, k, z)),
+    base = m.base
+    return (morphism_inverse_checked(base, internal_pi_bar(m, l, k, z)),
             hom_on_morphisms(m, m.braid(k, l), base.id_(z)),
             internal_pi_bar(m, k, l, z))
-    return steps
 
 
 def iota(m: MonoidalData, x: Obj) -> Mor:

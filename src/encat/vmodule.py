@@ -76,6 +76,7 @@ from .core import (
     explained,
     functor_law_names,
     is_valid,
+    kept,
     morphism_inverse,
     morphism_inverse_checked,
     opposite_category,
@@ -172,12 +173,6 @@ class TensorClosedModuleData:
         """The fibres of each adjunction table, read once per instance; the
         bijection check and every :meth:`phi_inv` lookup share them."""
         return {key: Preimages(table) for key, table in self.phi.items()}
-
-    @cached_property
-    def _adjuncts(self) -> dict[tuple[Obj, Obj, Obj], Mor]:
-        """Per (K, X, Y), the inverse computed by :func:`module_phibar`; a
-        failure is not stored."""
-        return {}
 
     def phi_inv(self, k: Obj, x: Obj, y: Obj, t: Mor) -> Mor:
         return self._phi_fibres.get((k, x, y), NO_PREIMAGES).unique(
@@ -544,41 +539,36 @@ ENRICHED_ACTION_LAWS = (
 )
 
 
-def module_phibar(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj,
-                  *, verify: bool = True) -> Mor:
-    """The internal adjunct hom(K (x) X, Y) -> hom_V(K, hom(X, Y)).
-
-    Computed as the inverse of evaluate-then-act and, when ``verify`` is set,
-    checked against its universal characterization over every tensor factor;
-    a mismatch there is an engine bug.  On the self module it is the internal
-    double transpose :func:`~encat.monoidal.internal_pi_bar`; that identity,
-    and its unravelled double-evaluation form, are test references.
-
-    The inverse is computed once per distinct (K, X, Y) of ``tc`` and kept
-    in a per-instance table; the checks run on every call with ``verify``
-    set.  A failure is never kept, so it raises again on every call.
-    """
+@kept
+def _adjunct(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj) -> Mor:
+    """The inverse of evaluate-then-act at (K, X, Y), unverified; found once
+    per (K, X, Y) of ``tc`` (:func:`~encat.core.kept`)."""
     mod = tc.module
     m = mod.baseV
     m.require_closed()
-    vbase = m.base
-    s = mod.baseS
     hxy = tc.hom_obj(x, y)
     kx = mod.act_obj(k, x)
-    phibar = tc._adjuncts.get((k, x, y))
+    forward = m.base.compose(_action_component(tc, k, hxy, x),
+                             tc.hom_mor(mod.baseS.id_(kx), _counit(tc, x, y)))
+    phibar = morphism_inverse(m.base, forward)
     if phibar is None:
-        forward = vbase.compose(_action_component(tc, k, hxy, x),
-                                tc.hom_mor(s.id_(kx), _counit(tc, x, y)))
-        phibar = morphism_inverse(vbase, forward)
-        if phibar is None:
-            raise WitnessError(
-                f"internal adjunct at ({k!r}, {x!r}, {y!r}) is not invertible; "
-                "the module is not tensor-closed", count=0)
-        tc._adjuncts[(k, x, y)] = phibar
-    if not verify:
-        return phibar
+        raise WitnessError(
+            f"internal adjunct at ({k!r}, {x!r}, {y!r}) is not invertible; "
+            "the module is not tensor-closed", count=0)
+    return phibar
 
-    assert_derived(PHIBAR_LAWS, mod, tc, phibar, (k, x, y))
+
+def module_phibar(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj) -> Mor:
+    """The internal adjunct hom(K (x) X, Y) -> hom_V(K, hom(X, Y)).
+
+    The kept inverse of evaluate-then-act (:func:`_adjunct`), checked on
+    every call against its universal characterization over every tensor
+    factor; a mismatch there is an engine bug.  On the self module it is the
+    internal double transpose :func:`~encat.monoidal.internal_pi_bar`; that
+    identity, and its unravelled double-evaluation form, are test references.
+    """
+    phibar = _adjunct(tc, k, x, y)
+    assert_derived(PHIBAR_LAWS, tc.module, tc, phibar, (k, x, y))
     return phibar
 
 
@@ -667,8 +657,8 @@ def _hexagon_direct(cm: ClosedVModuleData, dual: TensorClosedModuleData, m: Mono
     """The internal adjunct at (K, X, L cot Y), then the reversed side's at
     (L, Y, X) inside hom(K, -)."""
     return m.base.compose(
-        module_phibar(cm.tensorClosed, k, x, cm.cot_obj(l, y), verify=False),
-        hom_on_morphisms(m, m.base.id_(k), module_phibar(dual, l, y, x, verify=False)))
+        _adjunct(cm.tensorClosed, k, x, cm.cot_obj(l, y)),
+        hom_on_morphisms(m, m.base.id_(k), _adjunct(dual, l, y, x)))
 
 
 @explained
@@ -679,8 +669,8 @@ def _hexagon_braided(cm: ClosedVModuleData, dual: TensorClosedModuleData, m: Mon
     tc = cm.tensorClosed
     sxy = tc.hom_obj(x, y)
     return m.base.compose(
-        module_phibar(dual, l, y, tc.module.act_obj(k, x), verify=False),
-        hom_on_morphisms(m, m.base.id_(l), module_phibar(tc, k, x, y, verify=False)),
+        _adjunct(dual, l, y, tc.module.act_obj(k, x)),
+        hom_on_morphisms(m, m.base.id_(l), _adjunct(tc, k, x, y)),
         *internal_swap(m, k, l, sxy))
 
 

@@ -249,12 +249,8 @@ def _assignment_reports(vs: VStructureData, kind: str, names: tuple[str, str],
                            for k, x in product(base.objects, s.objects)
                            for al in (cyl.alpha[(k, x)],)), shape)
     for k, x, y in product(base.objects, s.objects, s.objects):
-        pb, out = cyl.phibar[(k, x, y)], vs.hom_obj(cyl.tensor_obj[(k, x)], y)
-        # V's internal hom, which may be partial, is read for an entry out of
-        # hom(K (x) X, Y) only.  A misshapen entry is named at (K, X, Y, entry),
-        # a non-invertible one at (K, X, Y).
-        ends = out, (m.hom_obj(k, vs.hom_obj(x, y)) if base._mors.get(pb, (None,))[0] == out
-                     else None)
+        pb = cyl.phibar[(k, x, y)]
+        ends = vs.hom_obj(cyl.tensor_obj[(k, x)], y), m.hom_obj(k, vs.hom_obj(x, y))
         reports += (typed(base, [((k, x, y, pb), pb, *ends)], shape)
                     or typed(base, [((k, x, y), pb, *ends)], shape, iso))
     reports = sort_reports(reports + evaluate(laws, vs, cyl, m))

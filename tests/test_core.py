@@ -1,10 +1,13 @@
 import dataclasses
+import io
+import json
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from encat.cli import cli
 from encat.core import (
     AmbiguousInverseError,
     CheckReport,
@@ -93,6 +96,28 @@ def test_reserved_identity_prefix_is_enforced():
     )
     laws = {r.law for r in validate_category(cat)}
     assert "category.reserved-id" in laws
+
+
+@pytest.mark.parametrize("edit, want", [
+    (lambda base: base["identity"].pop("2"),
+     [("category.reserved-id", ["id:2"], ""),
+      ("category.total", ["2"], "object without identity")]),
+    (lambda base: base["identity"].update({"2": "m:2:1"}),
+     [("category.identity-shape", ["2", "m:2:1"], ""),
+      ("category.reserved-id", ["id:2"], "")]),
+    (lambda base: base["comp"].append(["m:1:0", "m:2:1", "m:2:0"]),
+     [("category.composable", ["m:1:0", "m:2:1"], "")]),
+], ids=["no-identity", "misshapen-identity", "non-composable-row"])
+def test_identity_and_composability_reports_through_the_cli(tmp_path, edit, want):
+    doc = tmp_path / "trop3.json"
+    assert cli(["instance", "trop(3)", "-o", str(doc)], out=io.StringIO()) == 0
+    data = json.loads(doc.read_text(encoding="utf-8"))
+    edit(data["body"]["base"])
+    doc.write_text(json.dumps(data), encoding="utf-8")
+    out = io.StringIO()
+    assert cli(["check", str(doc), "--format", "json"], out=out) == 1
+    assert [(r["law"], r["site"], r["note"])
+            for r in json.loads(out.getvalue())["reports"]] == want
 
 
 def test_undeclared_reference_raises(bool_m):

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import encat
-from encat.core import structural_equal
+import encat.vmodule
+from encat.core import EngineBugError, WitnessError, structural_equal
 from encat.cli import CHECKERS, KNOWN_LAWS, LAW_REGISTRY, OPS, PAIRS, cli, run_checks
 from encat.equiv import bimodule_completion, module_to_cylinder
 from encat.instances import build_cyc, module_self
@@ -341,6 +342,24 @@ def test_cli_error_exit_codes(tmp_path):
     out = io.StringIO()
     assert cli(["check", str(tmp_path / "missing.doc"), "--laws", "nope"], out=out) == 2
     assert out.getvalue().startswith("unknown law name(s): nope\n")
+
+
+@pytest.mark.parametrize("error, printed", [
+    (WitnessError("no witness here", count=0), "construction failed: no witness here\n"),
+    (EngineBugError("derived law failed: x at ()"), "engine bug: derived law failed: x at ()\n"),
+])
+def test_a_failed_construction_exits_3_and_writes_nothing(tmp_path, monkeypatch, error, printed):
+    doc, target = tmp_path / "pd.json", tmp_path / "vs.json"
+    assert cli(["instance", "poset-diamond", "-o", str(doc)], out=io.StringIO()) == 0
+
+    def fail(tc):
+        raise error
+
+    monkeypatch.setattr(encat.vmodule, "induced_vstructure", fail)
+    out = io.StringIO()
+    assert cli(["construct", str(doc), "--op", "induced-vstructure", "-o", str(target)],
+               out=out) == 3
+    assert out.getvalue() == printed and not target.exists()
 
 
 def test_a_document_that_is_not_utf8_text_is_a_parse_error(tmp_path):

@@ -325,7 +325,7 @@ def reading(law, data, table: Reads, key) -> set:
     found = set()
     for site in law.sites(*data):
         for part in data:
-            getattr(part, "__dict__", {}).pop("_adjuncts", None)
+            getattr(part, "__dict__", {}).pop("_adjunct", None)
         table.seen = set()
         list(core._judge(law, [site], data))
         if key in table.seen:

@@ -18,6 +18,7 @@ from encat.core import (
 from encat.monoidal import internal_pi_bar, self_vstructure, transpose_pi_inv
 from encat.vmodule import (
     VModuleData,
+    _adjunct,
     _counit,
     check_closed_bimodule,
     check_closed_module,
@@ -231,7 +232,7 @@ def test_module_phibar_inverse_absent_is_witness_error(poset_cm):
     broken = dataclasses.replace(
         tc, homFunctor=dataclasses.replace(tc.homFunctor, onObjects=table))
     with pytest.raises(WitnessError):
-        module_phibar(broken, "1", "x", "y", verify=False)
+        _adjunct(broken, "1", "x", "y")
 
 
 def test_module_phibar_keeps_the_inverse_and_checks_every_call(monkeypatch, trop3):
@@ -250,9 +251,9 @@ def test_module_phibar_keeps_the_inverse_and_checks_every_call(monkeypatch, trop
     assert len(inverses) == 1  # the inverse is kept
     assert calls  # the characterization ran again
 
-    # an unverified call runs no check and reuses the inverse
+    # the kept inverse alone runs no check and is not computed again
     calls.clear()
-    assert module_phibar(tc, "1", "1", "2", verify=False) == first
+    assert _adjunct(tc, "1", "1", "2") == first
     assert calls == [] and len(inverses) == 1
     # ... and a lying evaluator is still caught at every verifying call
     monkeypatch.setattr(vm, "transpose_pi", lambda *a: "bogus")
@@ -273,7 +274,7 @@ def test_module_phibar_failures_raise_on_every_call(poset_cm):
         errors.append((str(exc.value), exc.value.count))
     assert errors[0] == errors[1]
 
-    module_phibar(bad, "0", "top", "bot", verify=False)
+    _adjunct(bad, "0", "top", "bot")
     messages = []
     for _ in range(2):
         with pytest.raises(EngineBugError) as exc:

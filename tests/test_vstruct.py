@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 
 import pytest
 
@@ -242,3 +243,25 @@ def test_a_cylinder_check_sweeps_its_hom_structure_once(monkeypatch, tmp_path):
     out = io.StringIO()
     assert cli(["check", cylinder], out=out) == 0
     assert out.getvalue() == "OK: all checks passed\n" and len(calls) == 1
+
+
+@pytest.mark.parametrize("phibar_at_0", [None, "id:1"])
+def test_a_partial_closed_hom_of_v_is_named_whatever_the_adjuncts(tmp_path, phibar_at_0):
+    """V's internal hom is read for every adjunct entry, so a cylinder whose
+    V lacks hom(0, 0) is a missing table (exit 2) whatever its entries are,
+    also when every adjunct at K = 0 is the misshapen ``id:1``."""
+    module, cylinder = str(tmp_path / "self.json"), tmp_path / "cyl.json"
+    assert cli(["instance", "self(trop(3))", "-o", module], out=io.StringIO()) == 0
+    assert cli(["construct", module, "--op", "module-to-cylinder", "-o", str(cylinder)],
+               out=io.StringIO()) == 0
+    doc = json.loads(cylinder.read_text(encoding="utf-8"))
+    hom = doc["body"]["vstructure"]["base_v"]["closed"]["hom_obj"]
+    hom.remove(next(row for row in hom if row[:2] == ["0", "0"]))
+    for k, _, entry in doc["body"]["cylinder"]:
+        if k == "0" and phibar_at_0:
+            for row in entry["phibar"]:
+                row[1] = phibar_at_0
+    cylinder.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    assert cli(["check", str(cylinder)], out=out) == 2
+    assert out.getvalue() == "error: hom object table missing ('0', '0')\n"
