@@ -25,6 +25,7 @@ from collections.abc import ItemsView, KeysView, Mapping
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import product
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 Obj = str
@@ -697,6 +698,27 @@ class Preimages:
 #: with ``count=0``.
 NO_PREIMAGES = Preimages({})
 
+#: The table of an absent key of a table of tables: every :func:`entry` of it
+#: is missing.
+EMPTY: Mapping = MappingProxyType({})
+
+
+def entry(table: Mapping, key: Any, what: str, shown: Any = None) -> Any:
+    """``table[key]``; a missing key raises :class:`MissingTableError`
+    "<what> missing <shown>", ``shown`` (by default ``key``) in ``repr``."""
+    try:
+        return table[key]
+    except KeyError:
+        raise MissingTableError(f"{what} missing {key if shown is None else shown!r}") from None
+
+
+def preimage(fibres: Mapping[Any, Preimages], key: Any, t: Mor, what: str) -> Mor:
+    """The only argument the table at ``key`` sends to ``t``, read off its
+    ``fibres``; otherwise a :class:`WitnessError` "<what> at <key> has <n>
+    preimages of <t>", an absent table having none."""
+    return fibres.get(key, NO_PREIMAGES).unique(
+        t, lambda n: f"{what} at {key!r} has {n} preimages of {t!r}")
+
 
 @dataclass(frozen=True)
 class FunctorData:
@@ -708,16 +730,10 @@ class FunctorData:
     onMorphisms: Mapping[Mor, Mor]
 
     def obj(self, x: Obj) -> Obj:
-        try:
-            return self.onObjects[x]
-        except KeyError:
-            raise MissingTableError(f"functor object table missing {x!r}") from None
+        return entry(self.onObjects, x, "functor object table")
 
     def mor(self, f: Mor) -> Mor:
-        try:
-            return self.onMorphisms[f]
-        except KeyError:
-            raise MissingTableError(f"functor morphism table missing {f!r}") from None
+        return entry(self.onMorphisms, f, "functor morphism table")
 
     @cached_property
     def _bifunctor(self) -> Bifunctor | None:

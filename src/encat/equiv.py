@@ -22,6 +22,7 @@ from .core import (
     derived_law,
     morphism_inverse_checked,
     opposite_category,
+    preimage,
 )
 from .monoidal import transpose_pi_inv, varpi_inv
 from .vcat import TensoredData
@@ -164,12 +165,6 @@ def cylinder_to_module(vs: VStructureData,
         _blame("cylinder", check_vstructure(vs) or check_cylinder(vs, cyl))
         raise
     fibres = {key: Preimages(table) for key, table in phi.items()}
-
-    def phi_inv(k: Obj, x: Obj, y: Obj, t: Mor) -> Mor:
-        return fibres[(k, x, y)].unique(
-            t, lambda n: f"induced adjunction at ({k!r}, {x!r}, {y!r}) has {n} "
-                         f"preimages of {t!r}")
-
     assoc = {}
     for k in base.objects:
         for l in base.objects:
@@ -181,8 +176,8 @@ def cylinder_to_module(vs: VStructureData,
 
                 def family(y: Obj, g: Mor, k=k, l=l, x=x, kl=kl, lx=lx) -> Mor:
                     t = base.compose(phi[(k, lx, y)][g], cyl.phibar[(l, x, y)])
-                    return phi_inv(kl, x, y,
-                                   transpose_pi_inv(m, t, l, vs.hom_obj(x, y)))
+                    t = transpose_pi_inv(m, t, l, vs.hom_obj(x, y))
+                    return preimage(fibres, (kl, x, y), t, "induced adjunction")
 
                 assoc[(k, l, x)] = _yoneda_unique_pre(
                     s, klx, k_lx, family,
@@ -193,7 +188,7 @@ def cylinder_to_module(vs: VStructureData,
         ix = cyl.tensor_obj[(m.unit, x)]
 
         def lfamily(y: Obj, g: Mor, x=x) -> Mor:
-            return phi_inv(m.unit, x, y, vs.phi_of(x, y, g))
+            return preimage(fibres, (m.unit, x, y), vs.phi_of(x, y, g), "induced adjunction")
 
         lunit[x] = _yoneda_unique_pre(
             s, ix, x, lfamily, f"module unitor at {x!r}")

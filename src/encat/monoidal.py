@@ -82,6 +82,7 @@ from .core import (
     bifunctor_cover,
     clean,
     derived_law,
+    entry,
     evaluate,
     generators,
     holds,
@@ -146,34 +147,19 @@ class MonoidalData:
         return rebuild_bifunctor(base, base, base, self.tensor_obj, self.tensor_mor)
 
     def tobj(self, x: Obj, y: Obj) -> Obj:
-        try:
-            return self.tensor_obj[(x, y)]
-        except KeyError:
-            raise MissingTableError(f"tensor object table missing ({x!r}, {y!r})") from None
+        return entry(self.tensor_obj, (x, y), "tensor object table")
 
     def tmor(self, f: Mor, g: Mor) -> Mor:
-        try:
-            return self.tensor_mor[(f, g)]
-        except KeyError:
-            raise MissingTableError(f"tensor morphism table missing ({f!r}, {g!r})") from None
+        return entry(self.tensor_mor, (f, g), "tensor morphism table")
 
     def a(self, x: Obj, y: Obj, z: Obj) -> Mor:
-        try:
-            return self.assoc[(x, y, z)]
-        except KeyError:
-            raise MissingTableError(f"associator table missing ({x!r}, {y!r}, {z!r})") from None
+        return entry(self.assoc, (x, y, z), "associator table")
 
     def l(self, x: Obj) -> Mor:
-        try:
-            return self.lunit[x]
-        except KeyError:
-            raise MissingTableError(f"left unitor table missing {x!r}") from None
+        return entry(self.lunit, x, "left unitor table")
 
     def r(self, x: Obj) -> Mor:
-        try:
-            return self.runit[x]
-        except KeyError:
-            raise MissingTableError(f"right unitor table missing {x!r}") from None
+        return entry(self.runit, x, "right unitor table")
 
     def require_closed(self) -> ClosedData:
         if self.closed is None:
@@ -186,22 +172,13 @@ class MonoidalData:
         return self.symmetry
 
     def hom_obj(self, y: Obj, z: Obj) -> Obj:
-        try:
-            return self.require_closed().hom_obj[(y, z)]
-        except KeyError:
-            raise MissingTableError(f"hom object table missing ({y!r}, {z!r})") from None
+        return entry(self.require_closed().hom_obj, (y, z), "hom object table")
 
     def ev(self, y: Obj, z: Obj) -> Mor:
-        try:
-            return self.require_closed().ev[(y, z)]
-        except KeyError:
-            raise MissingTableError(f"evaluation table missing ({y!r}, {z!r})") from None
+        return entry(self.require_closed().ev, (y, z), "evaluation table")
 
     def braid(self, x: Obj, y: Obj) -> Mor:
-        try:
-            return self.require_symmetry().braid[(x, y)]
-        except KeyError:
-            raise MissingTableError(f"braiding table missing ({x!r}, {y!r})") from None
+        return entry(self.require_symmetry().braid, (x, y), "braiding table")
 
 
 def shapes_clean(m: MonoidalData, *names: str) -> bool:

@@ -24,6 +24,7 @@ from .core import (
     MissingTableError,
     Mor,
     Obj,
+    entry,
     evaluate,
     morphism_inverse_checked,
     opposite_category,
@@ -52,22 +53,13 @@ class VCategoryData:
     unit: Mapping[Obj, Mor]
 
     def hom(self, a: Obj, b: Obj) -> Obj:
-        try:
-            return self.homObj[(a, b)]
-        except KeyError:
-            raise MissingTableError(f"hom object table missing ({a!r}, {b!r})") from None
+        return entry(self.homObj, (a, b), "hom object table")
 
     def b(self, a: Obj, bb: Obj, c: Obj) -> Mor:
-        try:
-            return self.comp[(a, bb, c)]
-        except KeyError:
-            raise MissingTableError(f"internal composition missing ({a!r}, {bb!r}, {c!r})") from None
+        return entry(self.comp, (a, bb, c), "internal composition")
 
     def j(self, a: Obj) -> Mor:
-        try:
-            return self.unit[a]
-        except KeyError:
-            raise MissingTableError(f"unit table missing {a!r}") from None
+        return entry(self.unit, a, "unit table")
 
 
 @dataclass(frozen=True)
@@ -80,10 +72,7 @@ class TensoredData:
     phibar: Mapping[tuple[Obj, Obj, Obj], Mor]
 
     def component(self, k: Obj, x: Obj, y: Obj) -> Mor:
-        if (pb := self.phibar.get((k, x, y))) is None:
-            raise MissingTableError(
-                f"tensored structure missing component ({k!r},{x!r},{y!r})")
-        return pb
+        return entry(self.phibar, (k, x, y), "tensored structure component")
 
 
 VCATEGORY_LAWS = (

@@ -57,13 +57,12 @@ from itertools import product
 from typing import Iterator, Mapping
 
 from .core import (
-    NO_PREIMAGES,
+    EMPTY,
     CheckReport,
     EncatError,
     FinCategory,
     FunctorData,
     Law,
-    MissingTableError,
     Mor,
     Obj,
     Preimages,
@@ -72,6 +71,7 @@ from .core import (
     canonical_diff,
     clean,
     derived_law,
+    entry,
     evaluate,
     explained,
     functor_law_names,
@@ -81,6 +81,7 @@ from .core import (
     morphism_inverse_checked,
     opposite_category,
     pair_id,
+    preimage,
     reading,
     shape_keys,
     sort_reports,
@@ -117,28 +118,16 @@ class VModuleData:
     lunit: Mapping[Obj, Mor]
 
     def act_obj(self, k: Obj, x: Obj) -> Obj:
-        try:
-            return self.action.onObjects[pair_id(k, x)]
-        except KeyError:
-            raise MissingTableError(f"action object table missing ({k!r}, {x!r})") from None
+        return entry(self.action.onObjects, pair_id(k, x), "action object table", (k, x))
 
     def act_mor(self, u: Mor, v: Mor) -> Mor:
-        try:
-            return self.action.onMorphisms[pair_id(u, v)]
-        except KeyError:
-            raise MissingTableError(f"action morphism table missing ({u!r}, {v!r})") from None
+        return entry(self.action.onMorphisms, pair_id(u, v), "action morphism table", (u, v))
 
     def a(self, k: Obj, l: Obj, x: Obj) -> Mor:
-        try:
-            return self.assoc[(k, l, x)]
-        except KeyError:
-            raise MissingTableError(f"module associator missing ({k!r}, {l!r}, {x!r})") from None
+        return entry(self.assoc, (k, l, x), "module associator")
 
     def l(self, x: Obj) -> Mor:
-        try:
-            return self.lunit[x]
-        except KeyError:
-            raise MissingTableError(f"module unitor missing {x!r}") from None
+        return entry(self.lunit, x, "module unitor")
 
 
 @dataclass(frozen=True)
@@ -151,33 +140,23 @@ class TensorClosedModuleData:
     phi: Mapping[tuple[Obj, Obj, Obj], Mapping[Mor, Mor]]
 
     def hom_obj(self, x: Obj, y: Obj) -> Obj:
-        try:
-            return self.homFunctor.onObjects[pair_id(x, y)]
-        except KeyError:
-            raise MissingTableError(f"hom object table missing ({x!r}, {y!r})") from None
+        return entry(self.homFunctor.onObjects, pair_id(x, y), "hom object table", (x, y))
 
     def hom_mor(self, f: Mor, g: Mor) -> Mor:
-        try:
-            return self.homFunctor.onMorphisms[pair_id(f, g)]
-        except KeyError:
-            raise MissingTableError(f"hom functor table missing ({f!r}, {g!r})") from None
+        return entry(self.homFunctor.onMorphisms, pair_id(f, g), "hom functor table", (f, g))
 
     def phi_of(self, k: Obj, x: Obj, y: Obj, f: Mor) -> Mor:
-        try:
-            return self.phi[(k, x, y)][f]
-        except KeyError:
-            raise MissingTableError(f"adjunction table missing ({k!r}, {x!r}, {y!r}, {f!r})") from None
+        return entry(self.phi.get((k, x, y), EMPTY), f, "adjunction table", (k, x, y, f))
 
     @cached_property
     def _phi_fibres(self) -> dict[tuple[Obj, Obj, Obj], Preimages]:
         """The fibres of each adjunction table, read once per instance; the
-        bijection check and every :meth:`phi_inv` lookup share them."""
+        bijection check (through :func:`~encat.core.entry`) and every
+        :meth:`phi_inv` lookup (a :func:`~encat.core.preimage`) share them."""
         return {key: Preimages(table) for key, table in self.phi.items()}
 
     def phi_inv(self, k: Obj, x: Obj, y: Obj, t: Mor) -> Mor:
-        return self._phi_fibres.get((k, x, y), NO_PREIMAGES).unique(
-            t, lambda n: f"adjunction table at ({k!r}, {x!r}, {y!r}) has {n} "
-                         f"preimages of {t!r}")
+        return preimage(self._phi_fibres, (k, x, y), t, "adjunction table")
 
 
 @dataclass(frozen=True)
@@ -191,10 +170,7 @@ class ClosedVModuleData:
     psi: Mapping[tuple[Obj, Obj, Obj], Mapping[Mor, Mor]]
 
     def cot_obj(self, k: Obj, x: Obj) -> Obj:
-        try:
-            return self.cotensor.onObjects[pair_id(k, x)]
-        except KeyError:
-            raise MissingTableError(f"cotensor object table missing ({k!r}, {x!r})") from None
+        return entry(self.cotensor.onObjects, pair_id(k, x), "cotensor object table", (k, x))
 
 
 @dataclass(frozen=True)
@@ -365,10 +341,7 @@ def _adjunction_checks(tc: TensorClosedModuleData, what: str) -> list[CheckRepor
 
     def bijection(tc: TensorClosedModuleData) -> Iterator[CheckReport]:
         for k, x, y in product(vbase.objects, s.objects, s.objects):
-            fibres = tc._phi_fibres.get((k, x, y))
-            if fibres is None:
-                raise MissingTableError(f"{what} missing ({k!r}, {x!r}, {y!r})")
-            yield from fibres.check(
+            yield from entry(tc._phi_fibres, (k, x, y), what).check(
                 "moduleclosed.naturality", (k, x, y), s.hom(mod.act_obj(k, x), y),
                 vbase.hom(k, tc.hom_obj(x, y)), what)
 
@@ -624,12 +597,10 @@ def check_closed_bimodule(bm: ClosedBimoduleData) -> list[CheckReport]:
     if _objects_partial(cm.cotensor) or _objects_partial(tc.module.action):
         return reports
     m, s = tc.module.baseV, tc.module.baseS
-    for k, l, x in product(m.base.objects, m.base.objects, s.objects):
-        if (k, l, x) not in bm.comodAssoc:
-            raise MissingTableError(f"comodule associator missing ({k!r}, {l!r}, {x!r})")
+    for klx in product(m.base.objects, m.base.objects, s.objects):
+        entry(bm.comodAssoc, klx, "comodule associator")
     for x in s.objects:
-        if x not in bm.comodLunit:
-            raise MissingTableError(f"comodule unitor missing {x!r}")
+        entry(bm.comodLunit, x, "comodule unitor")
     # the reversed side's action is the cotensor, judged above; V's reports are listed once
     reports += [r for r in (replace(r, law=comodule_name(r.law))
                             for r in _module_checks(reversed_side.module)) if r not in reports]

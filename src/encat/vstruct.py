@@ -15,7 +15,7 @@ from itertools import product
 from typing import Mapping
 
 from .core import (
-    NO_PREIMAGES,
+    EMPTY,
     CheckReport,
     EncatError,
     EngineBugError,
@@ -29,11 +29,13 @@ from .core import (
     WitnessError,
     assert_derived,
     derived_law,
+    entry,
     evaluate,
     functor_law_names,
     morphism_inverse_checked,
     opposite_category,
     pair_id,
+    preimage,
     product_category,
     sort_reports,
     typed,
@@ -55,40 +57,27 @@ class VStructureData:
     phi: Mapping[tuple[Obj, Obj], Mapping[Mor, Mor]]
 
     def hom_obj(self, x: Obj, y: Obj) -> Obj:
-        try:
-            return self.homFunctor.onObjects[pair_id(x, y)]
-        except KeyError:
-            raise MissingTableError(f"hom object table missing ({x!r}, {y!r})") from None
+        return entry(self.homFunctor.onObjects, pair_id(x, y), "hom object table", (x, y))
 
     def hom_mor(self, f: Mor, g: Mor) -> Mor:
         """The hom functor on a pair (f used contravariantly, g covariantly)."""
-        try:
-            return self.homFunctor.onMorphisms[pair_id(f, g)]
-        except KeyError:
-            raise MissingTableError(f"hom functor table missing ({f!r}, {g!r})") from None
+        return entry(self.homFunctor.onMorphisms, pair_id(f, g), "hom functor table", (f, g))
 
     def b(self, x: Obj, y: Obj, z: Obj) -> Mor:
-        try:
-            return self.comp[(x, y, z)]
-        except KeyError:
-            raise MissingTableError(f"internal composition missing ({x!r}, {y!r}, {z!r})") from None
+        return entry(self.comp, (x, y, z), "internal composition")
 
     def phi_of(self, x: Obj, y: Obj, f: Mor) -> Mor:
-        try:
-            return self.phi[(x, y)][f]
-        except KeyError:
-            raise MissingTableError(f"element table missing ({x!r}, {y!r}, {f!r})") from None
+        return entry(self.phi.get((x, y), EMPTY), f, "element table", (x, y, f))
 
     @cached_property
     def _phi_fibres(self) -> dict[tuple[Obj, Obj], Preimages]:
         """The fibres of each element table, read once per instance; the
-        bijection check and every :meth:`phi_inv` lookup share them."""
+        bijection check (through :func:`~encat.core.entry`) and every
+        :meth:`phi_inv` lookup (a :func:`~encat.core.preimage`) share them."""
         return {key: Preimages(table) for key, table in self.phi.items()}
 
     def phi_inv(self, x: Obj, y: Obj, t: Mor) -> Mor:
-        return self._phi_fibres.get((x, y), NO_PREIMAGES).unique(
-            t, lambda n: f"element correspondence at ({x!r}, {y!r}) has {n} "
-                         f"preimages of {t!r}")
+        return preimage(self._phi_fibres, (x, y), t, "element correspondence")
 
 
 @dataclass(frozen=True)
@@ -178,10 +167,7 @@ def _vstructure_reports(vs: VStructureData) -> list[CheckReport]:
                      "vstructure.shape")
 
     for x, y in product(s.objects, repeat=2):
-        fibres = vs._phi_fibres.get((x, y))
-        if fibres is None:
-            raise MissingTableError(f"element table missing ({x!r}, {y!r})")
-        reports += fibres.check(
+        reports += entry(vs._phi_fibres, (x, y), "element table").check(
             "vstructure.phi-bijection", (x, y), s.hom(x, y),
             base.hom(m.unit, vs.hom_obj(x, y)), "element table")
 

@@ -119,15 +119,15 @@ def _outcome(tmp: str, command: tuple) -> list:
 
 def corpus(tmp: str, stride: int = 1) -> tuple[int, list]:
     """The number of outcomes in the corpus and every ``stride``-th of them."""
-    calls = [(doc, command) for doc in mutants(documents(tmp)) for command in COMMANDS]
-    outcomes, current = [], None
-    for doc, command in calls[::stride]:
-        if doc is not current:
+    count, outcomes = 0, []
+    for doc in mutants(documents(tmp)):
+        picked = [command for i, command in enumerate(COMMANDS, count) if i % stride == 0]
+        count += len(COMMANDS)
+        if picked:
             with open(os.path.join(tmp, "doc.json"), "w", encoding="utf-8") as handle:
                 json.dump(doc, handle, indent=2, sort_keys=True)
-            current = doc
-        outcomes.append(_outcome(tmp, command))
-    return len(calls), outcomes
+            outcomes += [_outcome(tmp, command) for command in picked]
+    return count, outcomes
 
 
 def digest(outcomes: list) -> str:

@@ -13,6 +13,7 @@ from encat.core import (
     CheckReport,
     EncatError,
     FinCategory,
+    FunctorData,
     Law,
     MalformedReferenceError,
     MissingTableError,
@@ -23,6 +24,7 @@ from encat.core import (
     canonical,
     canonical_diff,
     compose_path,
+    entry,
     evaluate,
     explained,
     is_valid,
@@ -30,6 +32,7 @@ from encat.core import (
     morphism_inverse_checked,
     opposite_category,
     pair_id,
+    preimage,
     product_category,
     rename_category,
     required,
@@ -37,6 +40,7 @@ from encat.core import (
     typed,
     validate_category,
 )
+from encat.equiv import cylinder_to_tensored
 from encat.instances import (
     build_bool,
     build_cyc,
@@ -44,6 +48,7 @@ from encat.instances import (
     build_trop,
     parse_instance_name,
 )
+from encat.monoidal import self_cylinder, self_vstructure
 
 
 def mutate_comp(cat: FinCategory, key, value) -> FinCategory:
@@ -370,6 +375,49 @@ def test_preimages_unique_lookup():
             with pytest.raises(WitnessError) as err:
                 inv.unique(image, lambda n: f"{n} preimages")
             assert (err.value.count, str(err.value)) == (count, f"{count} preimages")
+
+
+def test_entry_names_the_table_and_the_key_as_shown():
+    table = {("a", "b"): "f", "x": "g", "a*c": "h"}
+    assert [entry(table, key, "some table") for key in (("a", "b"), "x")] == ["f", "g"]
+    assert entry(table, "a*c", "some table", ("a", "c")) == "h"
+    for key, shown, text in ((("a", "c"), None, "some table missing ('a', 'c')"),
+                             ("y", None, "some table missing 'y'"),
+                             ("a*d", ("a", "d"), "some table missing ('a', 'd')")):
+        with pytest.raises(MissingTableError) as err:
+            entry(table, key, "some table", shown)
+        assert str(err.value) == text
+
+
+def test_preimage_names_the_table_and_counts_the_preimages():
+    fibres = {("k", "x"): Preimages({"a": "t", "b": "t", "c": "u"})}
+    assert preimage(fibres, ("k", "x"), "u", "some table") == "c"
+    # two preimages, none, and an absent table, which has none
+    for key, image, count in ((("k", "x"), "t", 2), (("k", "x"), "v", 0), (("k", "y"), "t", 0)):
+        with pytest.raises(WitnessError) as err:
+            preimage(fibres, key, image, "some table")
+        assert err.value.count == count
+        assert str(err.value) == f"some table at {key!r} has {count} preimages of {image!r}"
+
+
+def test_functor_tables_name_a_missing_entry():
+    cat = one_object_category()
+    fn = FunctorData(cat, cat, {"p": "p"}, {"id:p": "id:p"})
+    assert (fn.obj("p"), fn.mor("id:p")) == ("p", "id:p")
+    with pytest.raises(MissingTableError, match=r"^functor object table missing 'q'$"):
+        fn.obj("q")
+    with pytest.raises(MissingTableError, match=r"^functor morphism table missing 'f'$"):
+        fn.mor("f")
+
+
+def test_a_tensored_structure_names_a_missing_component(trop3):
+    td = cylinder_to_tensored(self_vstructure(trop3), self_cylinder(trop3))
+    assert td.component("0", "1", "2") == td.phibar[("0", "1", "2")]
+    td = dataclasses.replace(td, phibar={key: pb for key, pb in td.phibar.items()
+                                         if key != ("0", "1", "2")})
+    with pytest.raises(MissingTableError) as err:
+        td.component("0", "1", "2")
+    assert str(err.value) == "tensored structure component missing ('0', '1', '2')"
 
 
 def test_ambiguous_inverse_detected():
