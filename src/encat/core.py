@@ -694,10 +694,6 @@ class Preimages:
         return found[0]
 
 
-#: The fibres of an absent table: every lookup is a :class:`WitnessError`
-#: with ``count=0``.
-NO_PREIMAGES = Preimages({})
-
 #: The table of an absent key of a table of tables: every :func:`entry` of it
 #: is missing.
 EMPTY: Mapping = MappingProxyType({})
@@ -714,9 +710,9 @@ def entry(table: Mapping, key: Any, what: str, shown: Any = None) -> Any:
 
 def preimage(fibres: Mapping[Any, Preimages], key: Any, t: Mor, what: str) -> Mor:
     """The only argument the table at ``key`` sends to ``t``, read off its
-    ``fibres``; otherwise a :class:`WitnessError` "<what> at <key> has <n>
-    preimages of <t>", an absent table having none."""
-    return fibres.get(key, NO_PREIMAGES).unique(
+    ``fibres`` through :func:`entry`; otherwise a :class:`WitnessError`
+    "<what> at <key> has <n> preimages of <t>"."""
+    return entry(fibres, key, what).unique(
         t, lambda n: f"{what} at {key!r} has {n} preimages of {t!r}")
 
 
@@ -788,14 +784,14 @@ def validate_functor(fn: FunctorData, tag: str = "functor") -> list[CheckReport]
 
 def thin_first(law: Law, cat: Callable[..., FinCategory], premise: Callable[..., Any],
                readers: Callable[..., Callable] | None = None) -> Law:
-    """``law`` gated first on the :func:`thin_cover` of ``cat(*data)`` under
-    ``premise(*data)``, read only when that category is thin, or, with
-    ``readers``, on its :func:`read_cover` by ``readers(*data)`` of the keys
-    ``premise(*data)``; then, where the cover is ``None``, on its own gate."""
+    """``law`` gated first on the :func:`read_cover` of ``cat(*data)``: by
+    ``readers(*data)`` of the misshapen keys ``premise(*data)``, or, without
+    ``readers``, the empty cover where ``premise(*data)`` holds; then, where
+    the cover is ``None``, on its own gate."""
     def gate(*data):
-        on = cat(*data)
-        cover = (thin_cover(on, on._thin and premise(*data)) if readers is None
-                 else read_cover(on, lambda: premise(*data), lambda bad: readers(*data)(bad)))
+        misshapen = ((lambda: premise(*data)) if readers
+                     else (lambda: [] if premise(*data) else None))
+        cover = read_cover(cat(*data), misshapen, lambda bad: readers(*data)(bad))
         return law.gate(*data) if cover is None and law.gate is not None else cover
     return dataclasses.replace(law, gate=gate)
 
@@ -873,10 +869,7 @@ class Bifunctor:
     @cached_property
     def fibres(self) -> dict[Mor, list[tuple[Mor, Mor]]]:
         """The pairs (f, g) of A x B at each value F(f, g)."""
-        fibres: dict[Mor, list[tuple[Mor, Mor]]] = {}
-        for fg in product(self.a._mors, self.b._mors):
-            fibres.setdefault(self.table[fg], []).append(fg)
-        return fibres
+        return Preimages(self.table).fibres
 
 
 def rebuild_bifunctor(a: FinCategory, b: FinCategory, c: FinCategory,
@@ -1053,14 +1046,6 @@ def is_valid(cat: FinCategory) -> bool:
     return all(verdict(c, "category", _category_reports, raising=False) == () for c in cats)
 
 
-def thin_cover(cat: FinCategory, premise: bool) -> tuple[()] | None:
-    """The cover of a law equating composites of ``cat``, defined and parallel
-    at every site once ``premise`` (the shape verdicts of the tables it reads)
-    holds: ``()`` when ``cat`` is also valid and thin, where every diagram
-    commutes (Mac Lane, CWM VII.2); else ``None``."""
-    return () if premise and cat._thin and is_valid(cat) else None
-
-
 def read_cover(cat: FinCategory, misshapen: Callable[[], list | None],
                readers: Callable[[KeysView], Iterable[tuple[str, ...]]]
                ) -> tuple[tuple[str, ...], ...] | None:
@@ -1068,7 +1053,7 @@ def read_cover(cat: FinCategory, misshapen: Callable[[], list | None],
     parallel where they read well-shaped entries only: on a valid thin ``cat``
     (every diagram commutes, CWM VII.2), the sites ``readers`` finds reading
     a key of ``misshapen()``, each once; ``None`` elsewhere or if it is."""
-    if thin_cover(cat, True) is None or (bad := misshapen()) is None:
+    if not (cat._thin and is_valid(cat)) or (bad := misshapen()) is None:
         return None
     return tuple(dict.fromkeys(readers(dict.fromkeys(bad).keys()))) if bad else ()
 

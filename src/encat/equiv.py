@@ -65,7 +65,7 @@ def tensored_to_cylinder(vcat_data, td: TensoredData) -> CylinderAssignment:
     base = m.base
     alpha = {}
     for (k, x), kx in td.tensorObj.items():
-        t = base.compose(vcat_data.j(kx), td.phibar[(k, x, kx)])
+        t = base.compose(vcat_data.j(kx), td.component(k, x, kx))
         alpha[(k, x)] = varpi_inv(m, t, k, vcat_data.hom(x, kx))
     return CylinderAssignment(tensor_obj=dict(td.tensorObj), alpha=alpha,
                               phibar=dict(td.phibar))

@@ -37,7 +37,6 @@ from .monoidal import (
     MonoidalData,
     SymmetryData,
     hom_functor,
-    hom_on_morphisms,
     transpose_pi,
     transpose_pi_inv,
 )
@@ -248,7 +247,7 @@ def module_self_tensorclosed(m: MonoidalData) -> TensorClosedModuleData:
 
 def module_self(m: MonoidalData) -> ClosedVModuleData:
     """A closed symmetric monoidal category as a closed module over itself:
-    internal homs are the cotensors."""
+    the cotensors are the internal homs, read off the hom functor's tables."""
     m.require_symmetry()
     m.require_closed()
     base = m.base
@@ -256,10 +255,7 @@ def module_self(m: MonoidalData) -> ClosedVModuleData:
     base_op = opposite_category(base)
     cotensor = FunctorData(
         srcCat=product_category(base, base_op), dstCat=base_op,
-        onObjects={pair_id(k, x): m.hom_obj(k, x)
-                   for k in base.objects for x in base.objects},
-        onMorphisms={pair_id(u, v): hom_on_morphisms(m, u, v)
-                     for u in base.mor_ids() for v in base.mor_ids()})
+        onObjects=tc.homFunctor.onObjects, onMorphisms=tc.homFunctor.onMorphisms)
     psi = {}
     for k in base.objects:
         for x in base.objects:

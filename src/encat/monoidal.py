@@ -35,9 +35,9 @@ On a thin base (trop, bool) every diagram commutes (CWM §VII.2), so every
 axiom law here holds once the shape loops of the tables it reads are clean.
 Each loop's :func:`~encat.core.verdict`, under its name in ``SHAPE_LOOPS``,
 is read by these checks and the module side's, and
-:func:`~encat.core.thin_cover` is tried before any other gate; a misshapen
-associator alone sends ``assoc.natural`` only to the squares that read it
-(:func:`~encat.core.read_cover`).
+:func:`~encat.core.read_cover` is tried before any other gate: with every
+loop clean it judges no site, and a misshapen associator alone sends
+``assoc.natural`` only to the squares that read it.
 Derived laws keep their sweeps (they catch engine bugs).
 
 The closed structure is given by the hom-object table and the evaluation
@@ -189,8 +189,8 @@ def shapes_clean(m: MonoidalData, *names: str) -> bool:
 
 
 def _thin_first(law: Law, *shapes: str) -> Law:
-    """``law`` gated first on the :func:`~encat.core.thin_cover` of the base,
-    premised on clean "tensor", "structure" and ``shapes`` records."""
+    """``law`` gated first on the empty :func:`~encat.core.read_cover` of the
+    base, premised on clean "tensor", "structure" and ``shapes`` records."""
     return thin_first(law, lambda m, base: base,
                       lambda m, base: shapes_clean(m, "tensor", "structure", *shapes))
 
@@ -203,7 +203,7 @@ def _misshapen_assoc(m: MonoidalData) -> list[tuple[Obj, ...]] | None:
             if verdict(m, "tensor", _tensor_shapes, raising=False) == () else None)
 
 
-MONOIDAL_LAWS = tuple(map(_thin_first, (
+MONOIDAL_LAWS = (*map(_thin_first, (
     Law("tensor.identity", lambda m, base: product(base.objects, repeat=2),
         lambda m, base, x, y: m.tmor(base.id_(x), base.id_(y)),
         required(lambda m, base, x, y: base.id_(m.tobj(x, y)))),
@@ -211,7 +211,7 @@ MONOIDAL_LAWS = tuple(map(_thin_first, (
         lambda m, base: ((f, f2, g, g2) for f, g in base.comp for f2, g2 in base.comp),
         lambda m, base, f, f2, g, g2: m.tmor(base.comp[(f, g)], base.comp[(f2, g2)]),
         lambda m, base, f, f2, g, g2: base.compose(m.tmor(f, f2), m.tmor(g, g2)),
-        gate=lambda m, base: bifunctor_cover(m._tensor)),
+        gate=lambda m, base: bifunctor_cover(m._tensor)))),
     thin_first(Law("assoc.natural", lambda m, base: product(base.mor_ids(), repeat=3),
                    lambda m, base, f, g, h: base.compose(
                        m.tmor(m.tmor(f, g), h), m.a(base.dst(f), base.dst(g), base.dst(h))),
@@ -221,6 +221,7 @@ MONOIDAL_LAWS = tuple(map(_thin_first, (
                        base, base, base, base, m.assoc, *(m._tensor,) * 4)),
                lambda m, base: base, lambda m, base: _misshapen_assoc(m),
                lambda m, base: squares(base, base, base)),
+    *map(_thin_first, (
     Law("lunit.natural", lambda m, base: product(base.mor_ids()),
         lambda m, base, f: base.compose(m.tmor(base.id_(m.unit), f), m.l(base.dst(f))),
         lambda m, base, f: base.compose(m.l(base.src(f)), f)),
@@ -235,8 +236,8 @@ MONOIDAL_LAWS = tuple(map(_thin_first, (
             m.tmor(base.id_(w), m.a(x, y, z))), core=True),
     Law("triangle", lambda m, base: product(base.objects, repeat=2),
         lambda m, base, x, y: base.compose(m.a(x, m.unit, y), m.tmor(base.id_(x), m.l(y))),
-        lambda m, base, x, y: m.tmor(m.r(x), base.id_(y)), core=True),
-)))
+        lambda m, base, x, y: m.tmor(m.r(x), base.id_(y)), core=True))),
+)
 
 
 def check_monoidal(m: MonoidalData) -> list[CheckReport]:

@@ -34,25 +34,24 @@ tables are partial (``check_vmodule`` does not validate V), every site is.
 On a thin category every diagram commutes (CWM §VII.2), so ``MODULE_LAWS``
 and the transports of ``BIMODULE_LAWS`` (judged in S, S^op on the reversed
 side), ``ADJUNCTION_LAWS`` and the hexagon (in V) hold once the tables they
-read are well shaped: a thin cover is tried before any other gate.  Its
-premises are :func:`~encat.core.verdict` records: V's shape loops, "action"
-(the cotensor's on the reversed side), "hom", the "module" shape loop, "phi"
-(psi's) and, for ``BIMODULE_LAWS``, "bimodule", every earlier report.  When
-the only faults are misshapen associator or unitor entries of the module or
-of the reversed side (and, for ``BIMODULE_LAWS``, every earlier report is
-one they explain), :func:`~encat.core.read_cover` judges a law only at the
-sites that read one, by the readers declared beside it: comodule entry
-(0, 1, 0) of the self(trop(4)) bimodule set to m:2:1 is judged at 19 of the
-1,000 ``module.assoc-natural`` sites of the reversed side.  The
-derived laws, ``PHIBAR_LAWS`` and ``ENRICHED_ACTION_LAWS`` keep their sweeps;
-a derived law that fails on a V whose axioms fail reports those instead
-(:func:`~encat.monoidal.resting_on_axioms`).
+read are well shaped: :func:`~encat.core.read_cover`, tried before any other
+gate, judges no site once its premises, :func:`~encat.core.verdict` records,
+are clean: V's shape loops, "action" (the cotensor's on the reversed side),
+"hom", the "module" shape loop, "phi" (psi's) and, for ``BIMODULE_LAWS``,
+"bimodule", every earlier report.  When the only faults are misshapen
+associator or unitor entries of the module or of the reversed side (and, for
+``BIMODULE_LAWS``, every earlier report is one they explain), it judges a
+law only at the sites that read one, by the readers declared beside it:
+comodule entry (0, 1, 0) of the self(trop(4)) bimodule set to m:2:1 is
+judged at 19 of the 1,000 ``module.assoc-natural`` sites of the reversed
+side.  The derived laws, ``PHIBAR_LAWS`` and ``ENRICHED_ACTION_LAWS`` keep
+their sweeps; a derived law that fails on a V whose axioms fail reports those
+instead (:func:`~encat.monoidal.resting_on_axioms`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import product
 from typing import Iterator, Mapping
 
@@ -65,7 +64,6 @@ from .core import (
     Law,
     Mor,
     Obj,
-    Preimages,
     WitnessError,
     assert_derived,
     canonical_diff,
@@ -103,7 +101,7 @@ from .monoidal import (
     transpose_pi,
     varpi,
 )
-from .vstruct import VStructureData, opposite_vstructure, reversed_hom
+from .vstruct import HomTables, VStructureData, opposite_vstructure, reversed_hom
 
 
 @dataclass(frozen=True)
@@ -131,7 +129,7 @@ class VModuleData:
 
 
 @dataclass(frozen=True)
-class TensorClosedModuleData:
+class TensorClosedModuleData(HomTables):
     """A module whose action has an adjoint hom, witnessed by explicit
     bijection tables phi[(K, X, Y)] : Hom(K (x) X, Y) -> Hom(K, hom(X, Y))."""
 
@@ -139,21 +137,8 @@ class TensorClosedModuleData:
     homFunctor: FunctorData
     phi: Mapping[tuple[Obj, Obj, Obj], Mapping[Mor, Mor]]
 
-    def hom_obj(self, x: Obj, y: Obj) -> Obj:
-        return entry(self.homFunctor.onObjects, pair_id(x, y), "hom object table", (x, y))
-
-    def hom_mor(self, f: Mor, g: Mor) -> Mor:
-        return entry(self.homFunctor.onMorphisms, pair_id(f, g), "hom functor table", (f, g))
-
     def phi_of(self, k: Obj, x: Obj, y: Obj, f: Mor) -> Mor:
         return entry(self.phi.get((k, x, y), EMPTY), f, "adjunction table", (k, x, y, f))
-
-    @cached_property
-    def _phi_fibres(self) -> dict[tuple[Obj, Obj, Obj], Preimages]:
-        """The fibres of each adjunction table, read once per instance; the
-        bijection check (through :func:`~encat.core.entry`) and every
-        :meth:`phi_inv` lookup (a :func:`~encat.core.preimage`) share them."""
-        return {key: Preimages(table) for key, table in self.phi.items()}
 
     def phi_inv(self, k: Obj, x: Obj, y: Obj, t: Mor) -> Mor:
         return preimage(self._phi_fibres, (k, x, y), t, "adjunction table")

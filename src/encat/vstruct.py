@@ -45,8 +45,31 @@ from .core import (
 from .monoidal import MonoidalData, hom_on_morphisms, varpi
 
 
+class HomTables:
+    """A hom functor ``homFunctor`` : S^op x S -> V and bijections ``phi``
+    onto hom-sets of V, the shape a V-structure (Hom(X, Y) = Hom_V(I, hom(X, Y)))
+    and a tensor-closed module (Hom(K (x) X, Y) = Hom_V(K, hom(X, Y))) share."""
+
+    homFunctor: FunctorData
+    phi: Mapping[tuple[Obj, ...], Mapping[Mor, Mor]]
+
+    def hom_obj(self, x: Obj, y: Obj) -> Obj:
+        return entry(self.homFunctor.onObjects, pair_id(x, y), "hom object table", (x, y))
+
+    def hom_mor(self, f: Mor, g: Mor) -> Mor:
+        """The hom functor on a pair (f used contravariantly, g covariantly)."""
+        return entry(self.homFunctor.onMorphisms, pair_id(f, g), "hom functor table", (f, g))
+
+    @cached_property
+    def _phi_fibres(self) -> dict[tuple[Obj, ...], Preimages]:
+        """The fibres of each ``phi`` table, read once per instance; the
+        bijection check (through :func:`~encat.core.entry`) and every
+        ``phi_inv`` lookup (a :func:`~encat.core.preimage`) share them."""
+        return {key: Preimages(table) for key, table in self.phi.items()}
+
+
 @dataclass(frozen=True)
-class VStructureData:
+class VStructureData(HomTables):
     """An ordinary category with hom objects, internal composition and the
     element correspondence between its hom-sets and global elements."""
 
@@ -56,25 +79,11 @@ class VStructureData:
     comp: Mapping[tuple[Obj, Obj, Obj], Mor]
     phi: Mapping[tuple[Obj, Obj], Mapping[Mor, Mor]]
 
-    def hom_obj(self, x: Obj, y: Obj) -> Obj:
-        return entry(self.homFunctor.onObjects, pair_id(x, y), "hom object table", (x, y))
-
-    def hom_mor(self, f: Mor, g: Mor) -> Mor:
-        """The hom functor on a pair (f used contravariantly, g covariantly)."""
-        return entry(self.homFunctor.onMorphisms, pair_id(f, g), "hom functor table", (f, g))
-
     def b(self, x: Obj, y: Obj, z: Obj) -> Mor:
         return entry(self.comp, (x, y, z), "internal composition")
 
     def phi_of(self, x: Obj, y: Obj, f: Mor) -> Mor:
         return entry(self.phi.get((x, y), EMPTY), f, "element table", (x, y, f))
-
-    @cached_property
-    def _phi_fibres(self) -> dict[tuple[Obj, Obj], Preimages]:
-        """The fibres of each element table, read once per instance; the
-        bijection check (through :func:`~encat.core.entry`) and every
-        :meth:`phi_inv` lookup (a :func:`~encat.core.preimage`) share them."""
-        return {key: Preimages(table) for key, table in self.phi.items()}
 
     def phi_inv(self, x: Obj, y: Obj, t: Mor) -> Mor:
         return preimage(self._phi_fibres, (x, y), t, "element correspondence")
@@ -386,28 +395,24 @@ def induced_tensor_bifunctor(vs: VStructureData, cyl: CylinderAssignment) -> Fun
     base = m.base
     s = vs.baseS
 
-    @cache
-    def u_tensor(u: Mor, x: Obj) -> Mor:
-        k, l = base.src(u), base.dst(u)
-        f, witnesses = _transported(vs, cyl, k, x, cyl.tensor_obj[(l, x)],
-                                    base.compose(u, cyl.alpha[(l, x)]))
+    def acted(k: Obj, x: Obj, target: Obj, element: Mor, what: str) -> Mor:
+        f, witnesses = _transported(vs, cyl, k, x, target, element)
         if witnesses != [f]:
-            raise WitnessError(
-                f"action of {u!r} on {x!r} has {len(witnesses)} witnesses",
-                count=len(witnesses))
+            raise WitnessError(f"action of {what} has {len(witnesses)} witnesses",
+                               count=len(witnesses))
         return f
 
     @cache
+    def u_tensor(u: Mor, x: Obj) -> Mor:
+        l = base.dst(u)
+        return acted(base.src(u), x, cyl.tensor_obj[(l, x)],
+                     base.compose(u, cyl.alpha[(l, x)]), f"{u!r} on {x!r}")
+
+    @cache
     def k_tensor(k: Obj, v: Mor) -> Mor:
-        x, y = s.src(v), s.dst(v)
-        ky = cyl.tensor_obj[(k, y)]
-        f, witnesses = _transported(vs, cyl, k, x, ky,
-                                    base.compose(cyl.alpha[(k, y)], vs.hom_mor(v, s.id_(ky))))
-        if witnesses != [f]:
-            raise WitnessError(
-                f"action of {k!r} on {v!r} has {len(witnesses)} witnesses",
-                count=len(witnesses))
-        return f
+        ky = cyl.tensor_obj[(k, s.dst(v))]
+        return acted(k, s.src(v), ky, base.compose(cyl.alpha[(k, s.dst(v))],
+                                                    vs.hom_mor(v, s.id_(ky))), f"{k!r} on {v!r}")
 
     assert_derived(INTERCHANGE_LAWS, base, s, u_tensor, k_tensor,
                    fail=lambda law, site: WitnessError(f"{law} failed at {site!r}", count=2))

@@ -4,17 +4,19 @@ documents with one table row deleted.
 The documents are those of ``trop(3)`` and ``cyc(3)`` and, for each of
 self(trop(3)), self(cyc(3)) and poset-diamond, its closedmodule document and
 the cylinder, bimodule, vstructure, vcategory and tensorclosed documents the
-``construct`` ops make from it.  They are mutated by one fixed rule, chosen
+``construct`` ops make from it.  They are mutated by two fixed rules, chosen
 without looking at the outcomes: in every row table (a list of lists reached
-through the document's objects alone), its first, middle and last row are
+through the document's objects alone), or, by the second rule, in every
+nonempty row table nested in a row of one (a cylinder row's phibar family,
+the inner table of an adjunction row), its first, middle and last row are
 deleted, one at a time.  Every mutant is given to ``check --format json``,
 to ``construct`` with each op and to ``roundtrip`` with each pair.
 
 An outcome is the exit code, the printed text with the scratch directory
-written as ``<tmp>``, and the sha256 of the document written, if any.  The
-sha256 of every ``STRIDE``-th outcome is pinned in tier-1, and that of all
-of them under ``-m slow``; ``PYTHONPATH=src python tests/test_cli_corpus.py``
-prints both.
+written as ``<tmp>``, and the sha256 of the document written, if any.  For
+each rule, the sha256 of every ``STRIDE``-th (``NESTED_STRIDE``-th) outcome
+is pinned in tier-1, and that of all of them under ``-m slow``;
+``PYTHONPATH=src python tests/test_cli_corpus.py`` prints them.
 """
 
 import hashlib
@@ -41,11 +43,16 @@ PAIRS = ("module-cylinder", "cylinder-tensored")
 COMMANDS = (("check", "--format", "json"),
             *(("construct", "--op", op, "-o") for op in OPS),
             *(("roundtrip", "--pair", pair) for pair in PAIRS))
-STRIDE = 8
+# prime to len(COMMANDS), so every command is sampled; the nested rule's
+# mutants are mostly module documents, whose commands cost more
+STRIDE, NESTED_STRIDE = 8, 16
 
-# (outcomes in the corpus, sha256 of every STRIDE-th outcome, sha256 of all)
-GOLDEN = (8602, "76a8d05b43290a86c1a8da8df6910b7a869acf9bf2badc2937ea2262392507f8",
-          "f4474ffc6de2ba925c55944e660bfdb25ac6c7357c5fd162639e65285cf5dc89")
+# (outcomes in the corpus, sha256 of every STRIDE-th outcome, sha256 of all),
+# and the same for the nested rule with NESTED_STRIDE
+GOLDEN = (8602, "48ece33a075d9773ab070fd0d78640cdc13d157324add33038dad216f284f926",
+          "1611b87056711f785a6e66d75064a2d602c27d53cc2b1f8992d127d168633ece")
+GOLDEN_NESTED = (3773, "79a4830871a0fcbbc69a5493517827c0bb818125e8cfa1e003bc3193c373d3e2",
+                 "2cf2c0eea86e3c9a2466ca6a8231212428f557d12027e3064d3990d9f4097271")
 
 
 def _run(tmp: str, *argv: str) -> tuple[int, str]:
@@ -85,22 +92,32 @@ def _tables(value, path=()):
         yield path
 
 
-def _deleted(doc: dict, path: tuple, index: int) -> dict:
-    doc = json.loads(json.dumps(doc))
-    node = doc
+def _at(doc, path: tuple):
     for key in path:
-        node = node[key]
-    del node[index]
+        doc = doc[key]
     return doc
 
 
-def mutants(docs: list[dict]):
-    """Every document of ``docs`` with one row deleted, in a fixed order."""
+def _nested_tables(doc: dict):
+    """The paths of the nonempty row tables nested in a row of a row table."""
+    for path in _tables(doc):
+        for i, row in enumerate(_at(doc, path)):
+            for j, cell in enumerate(row):
+                yield from _tables(cell, path + (i, j))
+
+
+def _deleted(doc: dict, path: tuple, index: int) -> dict:
+    doc = json.loads(json.dumps(doc))
+    del _at(doc, path)[index]
+    return doc
+
+
+def mutants(docs: list[dict], tables=_tables):
+    """Every document of ``docs`` with one row of a table at a path of
+    ``tables(doc)`` deleted, in a fixed order."""
     for doc in docs:
-        for path in _tables(doc):
-            node = doc
-            for key in path:
-                node = node[key]
+        for path in tables(doc):
+            node = _at(doc, path)
             for index in sorted({0, len(node) // 2, len(node) - 1}):
                 yield _deleted(doc, path, index)
 
@@ -117,10 +134,11 @@ def _outcome(tmp: str, command: tuple) -> list:
     return [code, text, digest]
 
 
-def corpus(tmp: str, stride: int = 1) -> tuple[int, list]:
-    """The number of outcomes in the corpus and every ``stride``-th of them."""
+def corpus(tmp: str, stride: int = 1, tables=_tables) -> tuple[int, list]:
+    """The number of outcomes in the corpus of the rule ``tables`` and every
+    ``stride``-th of them."""
     count, outcomes = 0, []
-    for doc in mutants(documents(tmp)):
+    for doc in mutants(documents(tmp), tables):
         picked = [command for i, command in enumerate(COMMANDS, count) if i % stride == 0]
         count += len(COMMANDS)
         if picked:
@@ -145,7 +163,19 @@ def test_corpus_matches_golden(tmp_path):
     assert (count, digest(outcomes)) == (GOLDEN[0], GOLDEN[2])
 
 
+def test_strided_nested_corpus_matches_golden(tmp_path):
+    count, outcomes = corpus(str(tmp_path), NESTED_STRIDE, _nested_tables)
+    assert (count, digest(outcomes)) == GOLDEN_NESTED[:2]
+
+
+@pytest.mark.slow
+def test_nested_corpus_matches_golden(tmp_path):
+    count, outcomes = corpus(str(tmp_path), tables=_nested_tables)
+    assert (count, digest(outcomes)) == (GOLDEN_NESTED[0], GOLDEN_NESTED[2])
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        count, every = corpus(tmp)
-    print((count, digest(every[::STRIDE]), digest(every)))
+    for tables, stride in ((_tables, STRIDE), (_nested_tables, NESTED_STRIDE)):
+        with tempfile.TemporaryDirectory() as tmp:
+            count, every = corpus(tmp, tables=tables)
+        print((count, digest(every[::stride]), digest(every)))

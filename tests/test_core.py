@@ -392,12 +392,14 @@ def test_entry_names_the_table_and_the_key_as_shown():
 def test_preimage_names_the_table_and_counts_the_preimages():
     fibres = {("k", "x"): Preimages({"a": "t", "b": "t", "c": "u"})}
     assert preimage(fibres, ("k", "x"), "u", "some table") == "c"
-    # two preimages, none, and an absent table, which has none
-    for key, image, count in ((("k", "x"), "t", 2), (("k", "x"), "v", 0), (("k", "y"), "t", 0)):
+    # two preimages and none; an absent table is a missing table
+    for key, image, count in ((("k", "x"), "t", 2), (("k", "x"), "v", 0)):
         with pytest.raises(WitnessError) as err:
             preimage(fibres, key, image, "some table")
         assert err.value.count == count
         assert str(err.value) == f"some table at {key!r} has {count} preimages of {image!r}"
+    with pytest.raises(MissingTableError, match=r"^some table missing \('k', 'y'\)$"):
+        preimage(fibres, ("k", "y"), "t", "some table")
 
 
 def test_functor_tables_name_a_missing_entry():

@@ -475,6 +475,18 @@ def test_cli_laws_selection_never_passes_an_unevaluated_law(tmp_path):
     assert json.loads(result.stdout) == {"reports": [], "unselected": 2}
 
 
+def test_an_unselected_failure_is_printed_as_not_checked(tmp_path, trop3):
+    # the text form of a --laws run whose only failures lie outside the selection
+    doc = json.loads(serialize(Document("monoidal", trop3)))
+    next(row for row in doc["body"]["tensor_mor"] if row[:2] == ["id:0", "id:1"])[2] = "id:0"
+    path = tmp_path / "trop3.doc"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    assert cli(["check", str(path), "--laws", "symmetry.hexagon"], out=out) == 1
+    assert out.getvalue() == ("NOT CHECKED: 23 failing check(s) outside the selected laws; "
+                              "the selected laws may not have been evaluated\n")
+
+
 def test_the_shared_parser_keeps_nothing_between_calls(tmp_path, monkeypatch, capsys):
     # cli parses with one parser built at import; usage errors and an earlier
     # call's options must not change what a later call answers

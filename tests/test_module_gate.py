@@ -175,15 +175,15 @@ def full_outcome(check, data):
 
 
 def thin_covers(mp) -> list:
-    """Record every cover ``core.thin_cover`` gives."""
+    """Record every cover ``core.read_cover`` gives."""
     seen = []
-    thin_cover = core.thin_cover
+    read_cover = core.read_cover
 
-    def recording(cat, premise):
-        seen.append(thin_cover(cat, premise))
+    def recording(cat, misshapen, readers):
+        seen.append(read_cover(cat, misshapen, readers))
         return seen[-1]
 
-    mp.setattr(core, "thin_cover", recording)
+    mp.setattr(core, "read_cover", recording)
     return seen
 
 
