@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Exit codes: 0 success / all checks pass; 1 check failure or round-trip
-mismatch; 2 invalid input; 3 construction failure (missing or ambiguous
-witness).
+mismatch; 2 invalid input, which is also what ``construct`` and ``roundtrip``
+print when they fail on input ``check`` flags (``_built``); 3 construction
+failure on input ``check`` passes (missing or ambiguous witness).
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import os
 import sys
 
 from . import core, equiv, instances, monoidal, vcat, vmodule, vstruct
-from .core import CheckReport, EncatError, EngineBugError, WitnessError, canonical_diff
+from .core import (CheckReport, EncatError, EngineBugError, LawFailureError, WitnessError,
+                   canonical_diff)
 from .interface import Document, DocumentError, ParseError, dumps, parse, serialize
 
 _CHECKER_MODULES = (monoidal, vcat, vstruct, vmodule)
@@ -155,9 +157,23 @@ def _view(name: str, views: dict, doc: Document):
     return view(doc.data)
 
 
+def _built(name: str, views: dict, build, doc: Document):
+    """``build`` on ``doc`` as the op or pair ``name`` reads it.  A failure on
+    input ``check`` flags raises ``check``'s first report or error instead."""
+    data = _view(name, views, doc)
+    try:
+        return build(data)
+    except EncatError:
+        reports = run_checks(doc)
+        if not reports:
+            raise
+        raise LawFailureError(f"the {doc.kind} document fails {reports[0].law} "
+                              f"at ({', '.join(reports[0].site)})") from None
+
+
 def _construct(doc: Document, op: str) -> Document:
     views, build, kind = OPS[op]
-    return Document(kind, build(_view(op, views, doc)))
+    return Document(kind, _built(op, views, build, doc))
 
 
 def _load(path: str) -> Document:
@@ -196,7 +212,7 @@ def _check(args, out) -> int:
 
 def _roundtrip(args, out) -> int:
     views, there_and_back = PAIRS[args.pair]
-    back, want = there_and_back(_view(args.pair, views, _load(args.file)))
+    back, want = _built(args.pair, views, there_and_back, _load(args.file))
     diff = canonical_diff(back, want)
     print("equal" if diff is None else f"unequal: {diff}", file=out)
     return 0 if diff is None else 1

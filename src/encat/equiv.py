@@ -2,18 +2,17 @@
 assignments on the associated enriched category, and tensor-closed modules,
 plus the completion of a closed module to a closed bimodule.
 
-Every construction is deterministic, and the inverse direction reproduces the
-input as an exact table equality.  Yoneda-style extractions (the module
-associator, the module unitor, the comodule structure) evaluate a natural
-family at the identity and then verify by brute force that the extracted
-morphism induces the whole family.
+Every construction assumes lawful input, raising its own error otherwise (to
+judge the input is its checker's job); it is deterministic, and the inverse
+direction reproduces the input as an exact table equality.  Yoneda-style
+extractions (the module associator, the module unitor, the comodule
+structure) evaluate a natural family at the identity and then verify by brute
+force that the extracted morphism induces the whole family.
 """
 
 from __future__ import annotations
 
 from .core import (
-    EncatError,
-    LawFailureError,
     Mor,
     Obj,
     Preimages,
@@ -33,8 +32,6 @@ from .vmodule import (
     VModuleData,
     _assoc_transport,
     _unit_transport,
-    check_closed_module,
-    check_tensor_closed,
     dual_tensorclosed,
     induced_vstructure,
     module_phibar,
@@ -43,8 +40,6 @@ from .vstruct import (
     CylinderAssignment,
     VStructureData,
     associated_vcategory,
-    check_cylinder,
-    check_vstructure,
     induced_tensor_bifunctor,
 )
 
@@ -84,27 +79,14 @@ def module_to_cylinder(tc: TensorClosedModuleData
     tensor_obj = {}
     alpha = {}
     phibar = {}
-    try:
-        for k in m.base.objects:
-            for x in s.objects:
-                kx = mod.act_obj(k, x)
-                tensor_obj[(k, x)] = kx
-                alpha[(k, x)] = tc.phi_of(k, x, kx, s.id_(kx))
-                for y in s.objects:
-                    phibar[(k, x, y)] = module_phibar(tc, k, x, y)
-    except EncatError:
-        # the adjuncts exist and pass their derived laws on lawful modules,
-        # so a checker report blames the input
-        _blame("module", check_tensor_closed(tc))
-        raise
+    for k in m.base.objects:
+        for x in s.objects:
+            kx = mod.act_obj(k, x)
+            tensor_obj[(k, x)] = kx
+            alpha[(k, x)] = tc.phi_of(k, x, kx, s.id_(kx))
+            for y in s.objects:
+                phibar[(k, x, y)] = module_phibar(tc, k, x, y)
     return vs, CylinderAssignment(tensor_obj=tensor_obj, alpha=alpha, phibar=phibar)
-
-
-def _blame(what: str, reports: list) -> None:
-    """Raise :class:`LawFailureError` naming the first of ``reports``, if any."""
-    if reports:
-        raise LawFailureError(
-            f"the {what} fails {reports[0].law} at ({', '.join(reports[0].site)})") from None
 
 
 def _module_phi_tables(vs: VStructureData, cyl: CylinderAssignment) -> dict:
@@ -157,13 +139,7 @@ def cylinder_to_module(vs: VStructureData,
     base = m.base
     s = vs.baseS
     action = induced_tensor_bifunctor(vs, cyl)
-    try:
-        phi = _module_phi_tables(vs, cyl)
-    except EncatError:
-        # the tables are defined and the routes agree on lawful cylinders, so
-        # a checker report blames the input
-        _blame("cylinder", check_vstructure(vs) or check_cylinder(vs, cyl))
-        raise
+    phi = _module_phi_tables(vs, cyl)
     fibres = {key: Preimages(table) for key, table in phi.items()}
     assoc = {}
     for k in base.objects:
@@ -211,30 +187,19 @@ def bimodule_completion(cm: ClosedVModuleData) -> ClosedBimoduleData:
     s_op = opposite_category(s)
     dual = dual_tensorclosed(cm)
     comod_assoc, comod_lunit = {}, {}
-    try:
-        for k in base.objects:
-            for l in base.objects:
-                for x in s.objects:
-                    src = cm.cot_obj(k, cm.cot_obj(l, x))
-                    dst = cm.cot_obj(m.tobj(k, l), x)
-                    comod_assoc[(k, l, x)] = _yoneda_unique_pre(
-                        s_op, dst, src,
-                        lambda y, g, k=k, l=l, x=x: _assoc_transport(cm, dual, m, s, k, l, x, y, g),
-                        f"comodule associator at ({k!r}, {l!r}, {x!r})")
-        for x in s.objects:
-            comod_lunit[x] = _yoneda_unique_pre(
-                s_op, cm.cot_obj(m.unit, x), x,
-                lambda y, g, x=x: _unit_transport(cm, dual, m, s, x, y, g),
-                f"comodule unitor at {x!r}")
-    except EncatError as exc:
-        # the transports exist and are represented on lawful closed modules,
-        # so a checker report blames the input; a checker that cannot judge
-        # the input leaves this error standing
-        try:
-            reports = check_closed_module(cm)
-        except EncatError:
-            raise exc from None
-        _blame("closed module", reports)
-        raise
+    for k in base.objects:
+        for l in base.objects:
+            for x in s.objects:
+                src = cm.cot_obj(k, cm.cot_obj(l, x))
+                dst = cm.cot_obj(m.tobj(k, l), x)
+                comod_assoc[(k, l, x)] = _yoneda_unique_pre(
+                    s_op, dst, src,
+                    lambda y, g, k=k, l=l, x=x: _assoc_transport(cm, dual, m, s, k, l, x, y, g),
+                    f"comodule associator at ({k!r}, {l!r}, {x!r})")
+    for x in s.objects:
+        comod_lunit[x] = _yoneda_unique_pre(
+            s_op, cm.cot_obj(m.unit, x), x,
+            lambda y, g, x=x: _unit_transport(cm, dual, m, s, x, y, g),
+            f"comodule unitor at {x!r}")
     return ClosedBimoduleData(closedModule=cm, comodAssoc=comod_assoc,
                               comodLunit=comod_lunit)

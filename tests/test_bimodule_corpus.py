@@ -36,14 +36,14 @@ STRIDE = 9
 
 # (mutants in the corpus, sha256 of every STRIDE-th outcome, sha256 of all)
 GOLDEN = {
-    "poset-diamond": (530, "b0bb228000fcd6a9e66d319ec6d3bc6b24270d1968f65e235cafaf0749786626",
-                      "e1ad6daef72e4fd3ba5c991bef163f34e8d578be134b78b20cee364f5b7d3d25"),
-    "self(bool)": (86, "01420a11dba6e808785dbedd397d222a2e116c87a1588da9dc82cff0539465f0",
-                   "967b2f55acbfb72eb00767587e2f2ac37452440b12184813657d062703ce78e4"),
-    "self(cyc(3))": (43, "5013c2d583d0efd3c96e58be756e0bc1846e798590afa59a01e09302f7dc2c36",
-                     "b94326e83cf8f961225701ea0f4dae5ffe6216a9a49799fce90342d7d9ba4904"),
-    "self(trop(3))": (561, "4fbef5dd21a10a7570ad7789065a89c1c6a2b458d42829064581c1aaed67bc13",
-                      "8ba1bb774d14dd3a32d0a8d79b62e4265340d773b93af6d2d15fdcb1c03357f9"),
+    "poset-diamond": (530, "df3b7c2de31d5e089419c7e5b40270cbe72ab1fe392acf5faa100ee853fc22e3",
+                      "a54de7215f989ac0cd720901f0f80fb8670f1b119e74c24ca5d6dd1eab5e4a58"),
+    "self(bool)": (86, "8f8ceccebb8afcc288965e9e9cdd8d660604063744ca5a32ec6a431a9f64ccea",
+                   "45dfbe8fbf6ea91458818cc6a2a5f5c4f74d400d17dac89505d119cf3720d5db"),
+    "self(cyc(3))": (43, "5b02caa0803489ffc18ddcff81511da27cbc3e486f590e5967d2e5a64484a7c4",
+                     "a087fddb83450040fed797e5c9185846ba5377df7bb4cf28f654a13d8744f2dd"),
+    "self(trop(3))": (561, "814c5a40ab7e74dad2b5cc9446a2d0c48c020105de17ef108b1f1b9b79221393",
+                      "a77ef85238c39cb2d380684baec7642eef061e79454bb047393e544e3b31c55c"),
 }
 
 

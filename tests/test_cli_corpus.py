@@ -17,10 +17,16 @@ written as ``<tmp>``, and the sha256 of the document written, if any.  For
 each rule, the sha256 of every ``STRIDE``-th (``NESTED_STRIDE``-th) outcome
 is pinned in tier-1, and that of all of them under ``-m slow``;
 ``PYTHONPATH=src python tests/test_cli_corpus.py`` prints them.
+
+The same mutants pin the blame contract: a ``construct`` or ``roundtrip``
+that fails (exit 2 or 3) on a document ``check`` flags prints ``check``'s
+verdict, its first report as ``the <kind> document fails <law> at (<site>)``
+or its error text, unless the command does not read the document's kind.
 """
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -49,10 +55,10 @@ STRIDE, NESTED_STRIDE = 8, 16
 
 # (outcomes in the corpus, sha256 of every STRIDE-th outcome, sha256 of all),
 # and the same for the nested rule with NESTED_STRIDE
-GOLDEN = (8602, "48ece33a075d9773ab070fd0d78640cdc13d157324add33038dad216f284f926",
-          "1611b87056711f785a6e66d75064a2d602c27d53cc2b1f8992d127d168633ece")
-GOLDEN_NESTED = (3773, "79a4830871a0fcbbc69a5493517827c0bb818125e8cfa1e003bc3193c373d3e2",
-                 "2cf2c0eea86e3c9a2466ca6a8231212428f557d12027e3064d3990d9f4097271")
+GOLDEN = (8602, "cfd43859213d359d13ef1eefe564f064530f25fb9922fdcfde472c08aa79a702",
+          "754ad47b7463e14d0c112be9da923c2144d6ee245fb3726b8a1a704fb4b7ab45")
+GOLDEN_NESTED = (3773, "a2946016da3aff36b811bfcb6a1c4c9fa540009e8255dd11accb44cf74f8feab",
+                 "df072c24e895dc211c8c0511b12a7ef908478c23efa192d2bbd95cc1b1cd9aab")
 
 
 def _run(tmp: str, *argv: str) -> tuple[int, str]:
@@ -148,6 +154,29 @@ def corpus(tmp: str, stride: int = 1, tables=_tables) -> tuple[int, list]:
     return count, outcomes
 
 
+def disagreements(tmp: str, stride: int = 1, tables=_tables) -> list:
+    """The failed ``construct`` and ``roundtrip`` outcomes of every
+    ``stride``-th mutant of the rule ``tables`` that do not print what
+    ``check`` makes of the mutant, with the text ``check`` implies."""
+    found = []
+    for doc in itertools.islice(mutants(documents(tmp), tables), 0, None, stride):
+        with open(os.path.join(tmp, "doc.json"), "w", encoding="utf-8") as handle:
+            json.dump(doc, handle, indent=2, sort_keys=True)
+        code, want, _ = _outcome(tmp, COMMANDS[0])
+        if code == 0:
+            continue
+        if code == 1:
+            first = json.loads(want)["reports"][0]
+            want = (f"error: the {doc['kind']} document fails {first['law']} "
+                    f"at ({', '.join(first['site'])})\n")
+        for command in COMMANDS[1:]:
+            code, text, _ = _outcome(tmp, command)
+            if (code in (2, 3) and text != want
+                    and not text.startswith(f"error: {command[2]} needs a ")):
+                found.append([command[2], text, want])
+    return found
+
+
 def digest(outcomes: list) -> str:
     return hashlib.sha256(json.dumps(outcomes).encode("utf-8")).hexdigest()
 
@@ -172,6 +201,17 @@ def test_strided_nested_corpus_matches_golden(tmp_path):
 def test_nested_corpus_matches_golden(tmp_path):
     count, outcomes = corpus(str(tmp_path), tables=_nested_tables)
     assert (count, digest(outcomes)) == (GOLDEN_NESTED[0], GOLDEN_NESTED[2])
+
+
+def test_strided_failures_print_what_check_reports(tmp_path):
+    assert disagreements(str(tmp_path), STRIDE) == []
+    assert disagreements(str(tmp_path), NESTED_STRIDE, _nested_tables) == []
+
+
+@pytest.mark.slow
+def test_failures_print_what_check_reports(tmp_path):
+    assert disagreements(str(tmp_path)) == []
+    assert disagreements(str(tmp_path), tables=_nested_tables) == []
 
 
 if __name__ == "__main__":

@@ -240,21 +240,19 @@ def test_cylinder_to_module_blames_an_invalid_cylinder(tmp_path, self_bool):
 
 def test_module_to_cylinder_blames_an_invalid_module(tmp_path, self_cyc3):
     # the action entry (0, 0) |-> 1 breaks the module laws, so the internal
-    # adjunct fails its characterization: construct and roundtrip say which
-    # law fails (exit 2), as check does, and report no engine bug (exit 3)
+    # adjunct fails its characterization: construct and roundtrip name the
+    # first law check reports (exit 2), and report no engine bug (exit 3)
     import io
 
-    from encat.cli import cli
+    from encat.cli import cli, run_checks
     from encat.interface import Document, serialize
-    from encat.vmodule import check_closed_module
 
     tc = self_cyc3.tensorClosed
     action = tc.module.action
     bad = dataclasses.replace(self_cyc3, tensorClosed=dataclasses.replace(
         tc, module=dataclasses.replace(tc.module, action=dataclasses.replace(
             action, onMorphisms={**action.onMorphisms, "(0,0)": "1"}))))
-    first = check_tensor_closed(bad.tensorClosed)[0]
-    assert check_closed_module(bad)
+    first = run_checks(Document("closedmodule", bad))[0]
     doc = tmp_path / "cm.doc"
     doc.write_text(serialize(Document("closedmodule", bad)), encoding="utf-8")
     for argv in (["construct", str(doc), "--op", "module-to-cylinder",
@@ -262,7 +260,8 @@ def test_module_to_cylinder_blames_an_invalid_module(tmp_path, self_cyc3):
                  ["roundtrip", str(doc), "--pair", "module-cylinder"]):
         out = io.StringIO()
         assert cli(argv, out=out) == 2, out.getvalue()
-        assert f"the module fails {first.law} at ({', '.join(first.site)})" in out.getvalue()
+        assert (f"the closedmodule document fails {first.law} at ({', '.join(first.site)})"
+                in out.getvalue())
         assert "engine bug" not in out.getvalue()
 
 
@@ -307,8 +306,8 @@ def test_bimodule_completion_blames_an_invalid_closed_module(tmp_path, self_cyc3
     out = io.StringIO()
     assert cli(["construct", str(doc), "--op", "bimodule-complete",
                 "-o", str(tmp_path / "bm.doc")], out=out) == 2, out.getvalue()
-    assert (f"the closed module fails moduleclosed.naturality at ({', '.join(first.site)})"
-            in out.getvalue())
+    assert (f"the closedmodule document fails moduleclosed.naturality "
+            f"at ({', '.join(first.site)})" in out.getvalue())
     assert "construction failed" not in out.getvalue()
 
 
@@ -335,7 +334,8 @@ def test_a_partial_cotensor_object_table_is_reported_not_read(tmp_path, self_cyc
     out = io.StringIO()
     assert cli(["construct", str(doc), "--op", "bimodule-complete",
                 "-o", str(tmp_path / "bm.doc")], out=out) == 2, out.getvalue()
-    assert "the closed module fails moduleclosed.cotensor.total at ((*,*))" in out.getvalue()
+    assert ("the closedmodule document fails moduleclosed.cotensor.total at ((*,*))"
+            in out.getvalue())
 
 
 def test_the_tensored_check_builds_no_self_enriched_base(monkeypatch, trop4):
