@@ -119,7 +119,7 @@ def _through_tensored(data):
     # elements are recomputed from the units, so both ops route through it
     vs, cyl = data
     td = equiv.cylinder_to_tensored(vs, cyl)
-    return vs, equiv.tensored_to_cylinder(vstruct.associated_vcategory(vs), td)
+    return vs, equiv.tensored_to_cylinder(td.vcat, td)
 
 
 # op -> (the view of the data for each input kind, construction, output kind)

@@ -37,15 +37,20 @@ Each loop's :func:`~encat.core.verdict`, under its name in ``SHAPE_LOOPS``,
 is read by these checks and the module side's, and
 :func:`~encat.core.read_cover` is tried before any other gate: with every
 loop clean it judges no site, and a misshapen associator alone sends
-``assoc.natural`` only to the squares that read it.
-Derived laws keep their sweeps (they catch engine bugs).
+``assoc.natural`` only to the squares that read it.  Misshapen tensor
+entries alone send the laws that read T only beside identities (all but
+``tensor.interchange`` and ``assoc.natural``) to the sites that read one.
+The derived monoidal and closed laws are gated on the empty cover too: on a
+thin base they judge no site, and ``check_closed`` never asks for the
+internal transpose.
 
 The closed structure is given by the hom-object table and the evaluation
 family only; the transpose is recovered by inverting evaluation over each
 hom-set, with a uniqueness check at every lookup, so the inversion doubles
-as validation of the adjunction.  That inversion, the internal transpose
-(verified as it is computed) and the internal swap are each found once per
-argument and instance (:func:`~encat.core.kept`).
+as validation of the adjunction.  That inversion, the hom bifunctor on
+morphisms, the internal transpose (verified as it is computed) and the
+internal swap are each found once per argument and instance
+(:func:`~encat.core.kept`).
 
 Derived laws (the unit-coincidence law, the unitor/associator compatibility
 triangle, the evaluation squares, the double-transpose square and the
@@ -189,10 +194,11 @@ def shapes_clean(m: MonoidalData, *names: str) -> bool:
 
 
 def _thin_first(law: Law, *shapes: str) -> Law:
-    """``law`` gated first on the empty :func:`~encat.core.read_cover` of the
-    base, premised on clean "tensor", "structure" and ``shapes`` records."""
-    return thin_first(law, lambda m, base: base,
-                      lambda m, base: shapes_clean(m, "tensor", "structure", *shapes))
+    """``law``, on data (m, ...), gated first on the empty
+    :func:`~encat.core.read_cover` of the base, premised on clean "tensor",
+    "structure" and ``shapes`` records."""
+    return thin_first(law, lambda m, *_: m.base,
+                      lambda m, *_: shapes_clean(m, "tensor", "structure", *shapes))
 
 
 def _misshapen_assoc(m: MonoidalData) -> list[tuple[Obj, ...]] | None:
@@ -203,15 +209,41 @@ def _misshapen_assoc(m: MonoidalData) -> list[tuple[Obj, ...]] | None:
             if verdict(m, "tensor", _tensor_shapes, raising=False) == () else None)
 
 
-MONOIDAL_LAWS = (*map(_thin_first, (
-    Law("tensor.identity", lambda m, base: product(base.objects, repeat=2),
+def _misshapen_tensor(m: MonoidalData) -> list[tuple[Mor, Mor]] | None:
+    """The misshapen tensor entries (f, g), when they are the only shape
+    reports of the tensor and structure loops and the unit is declared."""
+    return (shape_keys(verdict(m, "tensor", _tensor_shapes, raising=False), "tensor.shape")
+            if shapes_clean(m, "structure") else None)
+
+
+def _tensor_read(law: Law, readers: Callable) -> Law:
+    """``law`` gated first on the :func:`~encat.core.read_cover` of the base
+    by ``readers(m, ids)`` of the :func:`_misshapen_tensor` entries, ``ids``
+    the inverted identity map 1_x -> x: on a thin base, a law that reads T
+    only at fixed entries is judged at the sites that read a misshapen one."""
+    return thin_first(law, lambda m, base: base, lambda m, base: _misshapen_tensor(m),
+                      lambda m, base: readers(m, {base.id_(x): x for x in base.objects}))
+
+
+def _beside_identity(ids: dict, first: Mapping, second: Mapping) -> Callable:
+    """The readers of a law whose site (*k, v) reads T(first[k], 1_v) and
+    whose site (v, *k) reads T(1_v, second[k]), through the tables' fibres."""
+    fst, snd = Preimages(first).fibres, Preimages(second).fibres
+    return lambda bad: (site for f, g in bad for site in (
+        [(*k, ids[g]) for k in fst.get(f, ())] if g in ids else []) + (
+        [(ids[f], *k) for k in snd.get(g, ())] if f in ids else []))
+
+
+MONOIDAL_LAWS = (
+    _tensor_read(Law("tensor.identity", lambda m, base: product(base.objects, repeat=2),
         lambda m, base, x, y: m.tmor(base.id_(x), base.id_(y)),
         required(lambda m, base, x, y: base.id_(m.tobj(x, y)))),
-    Law("tensor.interchange",
+        lambda m, ids: lambda bad: ((ids[f], ids[g]) for f, g in bad if f in ids and g in ids)),
+    _thin_first(Law("tensor.interchange",
         lambda m, base: ((f, f2, g, g2) for f, g in base.comp for f2, g2 in base.comp),
         lambda m, base, f, f2, g, g2: m.tmor(base.comp[(f, g)], base.comp[(f2, g2)]),
         lambda m, base, f, f2, g, g2: base.compose(m.tmor(f, f2), m.tmor(g, g2)),
-        gate=lambda m, base: bifunctor_cover(m._tensor)))),
+        gate=lambda m, base: bifunctor_cover(m._tensor))),
     thin_first(Law("assoc.natural", lambda m, base: product(base.mor_ids(), repeat=3),
                    lambda m, base, f, g, h: base.compose(
                        m.tmor(m.tmor(f, g), h), m.a(base.dst(f), base.dst(g), base.dst(h))),
@@ -221,22 +253,26 @@ MONOIDAL_LAWS = (*map(_thin_first, (
                        base, base, base, base, m.assoc, *(m._tensor,) * 4)),
                lambda m, base: base, lambda m, base: _misshapen_assoc(m),
                lambda m, base: squares(base, base, base)),
-    *map(_thin_first, (
-    Law("lunit.natural", lambda m, base: product(base.mor_ids()),
+    _tensor_read(Law("lunit.natural", lambda m, base: product(base.mor_ids()),
         lambda m, base, f: base.compose(m.tmor(base.id_(m.unit), f), m.l(base.dst(f))),
         lambda m, base, f: base.compose(m.l(base.src(f)), f)),
-    Law("runit.natural", lambda m, base: product(base.mor_ids()),
+        lambda m, ids: lambda bad: ((g,) for f, g in bad if ids.get(f) == m.unit)),
+    _tensor_read(Law("runit.natural", lambda m, base: product(base.mor_ids()),
         lambda m, base, f: base.compose(m.tmor(f, base.id_(m.unit)), m.r(base.dst(f))),
         lambda m, base, f: base.compose(m.r(base.src(f)), f)),
-    Law("pentagon", lambda m, base: product(base.objects, repeat=4),
+        lambda m, ids: lambda bad: ((f,) for f, g in bad if ids.get(g) == m.unit)),
+    _tensor_read(Law("pentagon", lambda m, base: product(base.objects, repeat=4),
         lambda m, base, w, x, y, z: base.compose(
             m.a(m.tobj(w, x), y, z), m.a(w, x, m.tobj(y, z))),
         lambda m, base, w, x, y, z: base.compose(
             m.tmor(m.a(w, x, y), base.id_(z)), m.a(w, m.tobj(x, y), z),
             m.tmor(base.id_(w), m.a(x, y, z))), core=True),
-    Law("triangle", lambda m, base: product(base.objects, repeat=2),
+        lambda m, ids: _beside_identity(ids, m.assoc, m.assoc)),
+    _tensor_read(Law("triangle", lambda m, base: product(base.objects, repeat=2),
         lambda m, base, x, y: base.compose(m.a(x, m.unit, y), m.tmor(base.id_(x), m.l(y))),
-        lambda m, base, x, y: m.tmor(m.r(x), base.id_(y)), core=True))),
+        lambda m, base, x, y: m.tmor(m.r(x), base.id_(y)), core=True),
+        lambda m, ids: _beside_identity(ids, {(x,): f for x, f in m.runit.items()},
+                                        {(y,): f for y, f in m.lunit.items()})),
 )
 
 
@@ -308,14 +344,18 @@ def _structure_shapes(m: MonoidalData) -> list[CheckReport]:
                    "runit.shape", "runit.iso")]
 
 
-# Consequences of the monoidal axioms, judged once they hold.
-DERIVED_MONOIDAL_LAWS = (
+# Consequences of the monoidal axioms, judged once they hold.  Like the
+# derived closed laws below, they are gated on the empty thin cover: with
+# clean shape verdicts (the closed ones too, for those) every side is a
+# defined composite of typed entries and unique transposes, both sides are
+# parallel, and on a valid thin base parallel morphisms are equal.
+DERIVED_MONOIDAL_LAWS = tuple(map(_thin_first, (
     derived_law("unitors at the unit", lambda m, base: [()],
                 lambda m, base: m.l(m.unit), lambda m, base: m.r(m.unit)),
     derived_law("left-unitor triangle", lambda m, base: product(base.objects, repeat=2),
                 lambda m, base, x, y: base.compose(m.a(m.unit, x, y), m.l(m.tobj(x, y))),
                 lambda m, base, x, y: m.tmor(m.l(x), base.id_(y))),
-)
+)))
 
 
 SYMMETRY_LAWS = tuple(_thin_first(law, "symmetry") for law in (
@@ -482,8 +522,10 @@ def _closed_laws(m: MonoidalData) -> list[CheckReport]:
 
 
 # Consequences of the closed axioms, judged once they hold; with them
-# check_closed runs iota, whose unit-coordinate squares are its own.
-DERIVED_CLOSED_LAWS = (
+# check_closed runs iota, whose unit-coordinate squares are its own; both
+# are gated on the empty thin cover with the "closed" verdict (its shape and
+# every bijection) clean as well.
+DERIVED_CLOSED_LAWS = tuple(_thin_first(law, "closed") for law in (
     derived_law("transpose round trip",  # transpose and un-transpose are mutually inverse
         lambda m, base: ((x, y, z, g) for x, y, z in product(base.objects, repeat=3)
                          for g in base.hom(x, m.hom_obj(y, z))),
@@ -502,9 +544,10 @@ DERIVED_CLOSED_LAWS = (
         lambda m, base, x, y, z, h: base.compose(
             varpi(m, h), internal_pi_bar(m, x, y, z)),
         lambda m, base, x, y, z, h: varpi(m, transpose_pi(m, h, x, y))),
-)
+))
 
 
+@kept
 def hom_on_morphisms(m: MonoidalData, f: Mor, h: Mor) -> Mor:
     """The hom bifunctor on morphisms: hom(f, h) for f : X' -> X, h : Z -> Z'."""
     m.require_closed()
@@ -623,13 +666,12 @@ def iota(m: MonoidalData, x: Obj) -> Mor:
 
 
 # The unit-coordinate square of ``out`` = iota(X) at each f into X.
-IOTA_LAWS = (
+IOTA_LAWS = (_thin_first(
     derived_law("unit-coordinate square",
                 lambda m, x, out: ((f,) for f in m.base.mor_ids() if m.base.dst(f) == x),
                 lambda m, x, out, f: transpose_pi(
                     m, m.base.compose(m.r(m.base.src(f)), f), m.base.src(f), m.unit),
-                lambda m, x, out, f: m.base.compose(f, out)),
-)
+                lambda m, x, out, f: m.base.compose(f, out)), "closed"),)
 
 
 def self_vstructure(m: MonoidalData):

@@ -5,7 +5,8 @@ holds there on an exact tensor rebuild no further site is judged (on a thin
 base with clean monoidal shape verdicts, no site is judged at all); the
 characterization of the internal transpose (``PI_BAR_LAWS``) is judged at
 the generic element once the monoidal and closed verdicts are on record and
-clean.  With ``gate=None`` on ``CLOSED_LAWS`` and ``PI_BAR_LAWS`` every site
+clean (on a thin base ``check_closed`` judges no derived law and does not ask
+for the internal transpose at all).  With ``gate=None`` on ``CLOSED_LAWS`` and ``PI_BAR_LAWS`` every site
 is judged.  On every single-entry swap (the value replaced by each other
 morphism of the base) and deletion of ``closed.ev``, ``tensor_mor`` and
 ``assoc``, both must give the same reports, or raise the same error with the
@@ -22,7 +23,6 @@ are a run-time cross-check, pinned by the spy test at the end.
 
 import dataclasses
 import io
-from itertools import product
 
 import pytest
 
@@ -133,9 +133,11 @@ def test_the_cli_judges_the_closed_sweeps_on_generators_and_generic_elements(
         monkeypatch, tmp_path):
     """On the lawful cyc(12), which is not thin, ``encat check`` judges
     ``closed.pi-natural`` only at the sites whose h or k is a generator,
-    each law's once.  On the lawful trop(8), which is thin, it judges no
-    ``closed.pi-natural`` site at all, and the characterization once per
-    (X, Y, Z), at W = hom(X (x) Y, Z) and f = ev."""
+    each law's once, every site of the derived closed laws, and the
+    characterization once, at W = hom(X (x) Y, Z) and f = ev.  On the lawful
+    trop(8), which is thin, it judges no ``closed.pi-natural`` site, no site
+    of a derived closed law, and never asks for the internal transpose, so
+    no characterization site either."""
     seen = checked(monkeypatch, tmp_path, "cyc(12)")
     m = build_cyc(12)
     base = m.base
@@ -145,14 +147,15 @@ def test_the_cli_judges_the_closed_sweeps_on_generators_and_generic_elements(
     for sites, law in zip(judged, mon.CLOSED_LAWS):
         assert {site[2] for site in sites} <= set(gens)
         assert set(sites) == {site for site in law.sites(m, base) if site[2] in gens}
+    for law in mon.DERIVED_CLOSED_LAWS:
+        assert seen[law.name] == [list(law.sites(m, base))], law.name
+    [iota] = mon.IOTA_LAWS
+    assert seen[iota.name] == [[(f,) for f in base.mor_ids()]]
+    xy = m.tobj("*", "*")
+    assert seen[PI_BAR] == [[("*", "*", "*", m.hom_obj(xy, "*"), m.ev(xy, "*"))]]
 
     seen = checked(monkeypatch, tmp_path, "trop(8)")
-    m = build_trop(8)
-    base = m.base
     assert seen["closed.pi-natural"] == [[], []]
-    pi_bar = [site for sites in seen[PI_BAR] for site in sites]
-    keys = [(x, y, z) for x, y, z in product(base.objects, repeat=3)
-            if base.hom(m.tobj(x, y), z)]  # where the double-transpose square asks for pi-bar
-    assert len(pi_bar) == len(keys) == 428
-    assert pi_bar == [(*key, m.hom_obj(m.tobj(*key[:2]), key[2]),
-                       m.ev(m.tobj(*key[:2]), key[2])) for key in keys]
+    for law in (*mon.DERIVED_CLOSED_LAWS, *mon.IOTA_LAWS):  # iota once per object
+        assert seen[law.name] and all(sites == [] for sites in seen[law.name]), law.name
+    assert PI_BAR not in seen

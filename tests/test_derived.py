@@ -4,7 +4,9 @@ The runner judges law by law and site by site, stops at the first unequal
 site and raises there; an error a side raises escapes with its own type.
 Every derived-law tuple of the package is live: on a lawful input, each of
 its laws is reached from the checker or construction that runs it, and a
-lying side makes that entry point raise, naming the law.
+lying side makes that entry point raise, naming the law.  On a thin base the
+derived monoidal and closed laws judge no site, so their lies are caught on
+cyc(3), and a reference sweep holds them gate-free on the thin ladder.
 """
 
 import ast
@@ -29,6 +31,7 @@ from encat.core import (
     required,
 )
 from encat.instances import build_bool, build_cyc, build_poset_module, build_trop, module_self
+from test_monoidal_gate import spy
 
 
 def recording_law(name, sites, bad, seen):
@@ -96,8 +99,8 @@ def _tensor_closed():
 ENGINE_BUG = (EngineBugError, "derived law failed: {} at (", None)
 FAMILIES = {
     "DERIVED_MONOIDAL_LAWS": (mon, lambda: mon.check_monoidal(build_cyc(3)), ENGINE_BUG),
-    "DERIVED_CLOSED_LAWS": (mon, lambda: mon.check_closed(build_trop(3)), ENGINE_BUG),
-    "IOTA_LAWS": (mon, lambda: mon.check_closed(build_trop(3)), ENGINE_BUG),
+    "DERIVED_CLOSED_LAWS": (mon, lambda: mon.check_closed(build_cyc(3)), ENGINE_BUG),
+    "IOTA_LAWS": (mon, lambda: mon.check_closed(build_cyc(3)), ENGINE_BUG),
     "PI_BAR_LAWS": (mon, lambda: mon.internal_pi_bar(build_trop(3), "1", "1", "2"), ENGINE_BUG),
     "DERIVED_MODULE_LAWS": (vmod, lambda: vmod.check_vmodule(_tensor_closed().module),
                             ENGINE_BUG),
@@ -178,8 +181,10 @@ def test_a_lying_characterization_is_caught_at_the_generic_element(monkeypatch):
     characterization of the internal transpose is judged at the generic
     element alone, W = hom(X (x) Y, Z) and f = ev; a lie there still raises,
     naming that site.  (On a fresh instance every W and f is judged: see
-    ``test_each_derived_law_is_judged_and_a_lie_is_caught``.)"""
-    m = build_trop(3)
+    ``test_each_derived_law_is_judged_and_a_lie_is_caught``.)  The base is
+    cyc(3), which is not thin: on a thin base ``check_closed`` judges no
+    derived law and never asks for the internal transpose."""
+    m = build_cyc(3)
     assert mon.check_monoidal(m) == []
     lie = dataclasses.replace(mon.PI_BAR_LAWS[0], rhs=required(lambda *args: "a lie"))
     monkeypatch.setattr(mon, "PI_BAR_LAWS", (lie,))
@@ -225,3 +230,43 @@ def test_the_internal_transpose_characterization_holds_at_every_site(name):
 @pytest.mark.parametrize("name", list(SLOW_LADDER))
 def test_the_internal_transpose_characterization_holds_at_every_site_on_the_ladder(name):
     assert characterization_sites(SLOW_LADDER[name]()) > 0
+
+
+THIN_DERIVED = ("DERIVED_MONOIDAL_LAWS", "DERIVED_CLOSED_LAWS", "IOTA_LAWS")
+
+
+def thin_derived_sites(monkeypatch, m) -> int:
+    """The reference for the derived monoidal and closed laws on a thin
+    base: ``check_monoidal`` and ``check_closed`` find no report and judge
+    none of their sites, and with ``gate=None`` each holds at every site.
+    Returns the number of sites."""
+    seen = spy(monkeypatch)
+    assert mon.check_monoidal(m) == [] and mon.check_closed(m) == []
+    monkeypatch.undo()
+    names = {law.name for family in THIN_DERIVED for law in getattr(mon, family)}
+    assert names <= set(seen) and all(seen[name] == [[]] * len(seen[name]) for name in names)
+    assert mon.PI_BAR_LAWS[0].name not in seen  # no internal transpose was asked for
+    base, sites = m.base, 0
+    data = {"DERIVED_MONOIDAL_LAWS": [(m, base)], "DERIVED_CLOSED_LAWS": [(m, base)],
+            "IOTA_LAWS": [(m, x, mon.transpose_pi(m, m.r(x), x, m.unit)) for x in base.objects]}
+    for family in THIN_DERIVED:
+        free = [dataclasses.replace(law, gate=None) for law in getattr(mon, family)]
+        for args in data[family]:
+            assert_derived(free, *args)
+            sites += sum(len(list(law.sites(*args))) for law in free)
+    return sites
+
+
+THIN_LADDER = {"bool": build_bool, **{f"trop({n})": lambda n=n: build_trop(n) for n in (3, 4, 5)}}
+SLOW_THIN_LADDER = {f"trop({n})": lambda n=n: build_trop(n) for n in (6, 7, 8)}
+
+
+@pytest.mark.parametrize("name", list(THIN_LADDER))
+def test_thin_derived_laws_hold_at_every_site(monkeypatch, name):
+    assert thin_derived_sites(monkeypatch, THIN_LADDER[name]()) > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(SLOW_THIN_LADDER))
+def test_thin_derived_laws_hold_at_every_site_on_the_ladder(monkeypatch, name):
+    assert thin_derived_sites(monkeypatch, SLOW_THIN_LADDER[name]()) > 0

@@ -18,7 +18,9 @@ three checkers, run in ``encat check`` order, must give the same outcomes as
 with every gate stripped, on every swap and deletion of the braiding, the
 evaluations and the premise tables ``tensor_mor`` and ``assoc`` of bool,
 trop(3) and trop(4) (a stride of the larger two in tier-1, all under
-``-m slow``).
+``-m slow``).  Misshapen tensor or associator entries alone send the laws
+that read them to the sites that read one, checked against a scan of every
+site.
 """
 
 import dataclasses
@@ -306,11 +308,26 @@ def test_thin_covers_agree_with_the_full_sweep_on_every_mutant(name):
     thin_agree(name, 1)
 
 
-def test_a_lawful_thin_base_judges_no_axiom_site_and_a_misshapen_one_every_site(monkeypatch):
+def tensor_reads(m: MonoidalData) -> dict:
+    """The tensor entries read at a site, by the name of each law that reads
+    T only at identities and structure maps, written out from its sides."""
+    i, a = m.base.id_, m.assoc
+    return {"tensor.identity": lambda x, y: [(i(x), i(y))],
+            "lunit.natural": lambda f: [(i(m.unit), f)],
+            "runit.natural": lambda f: [(f, i(m.unit))],
+            "pentagon": lambda w, x, y, z: [(a[(w, x, y)], i(z)), (i(w), a[(x, y, z)])],
+            "triangle": lambda x, y: [(i(x), m.lunit[y]), (m.runit[x], i(y))]}
+
+
+def test_a_thin_base_judges_no_lawful_site_and_a_bad_tensor_entry_where_read(monkeypatch):
     """On the lawful trop(4) the thin cover leaves no ``pentagon``,
     ``symmetry.*`` or ``closed.pi-natural`` site to judge, and no tensor
-    rebuild is built; a tensor entry of the wrong shape breaks the premise,
-    and ``pentagon`` is judged at every site again."""
+    rebuild is built.  A tensor entry of the wrong shape leaves
+    ``tensor.shape`` the only shape report, and the laws of ``tensor_reads``
+    are judged only at the sites a scan of every site finds reading it:
+    ``pentagon`` reads T(m:2:1, 1_0) nowhere, and T(1_1, 1_0) at the three
+    sites where a(w, x, y) = 1_1 and z = 0, one of which also has w = 1 and
+    a(x, y, z) = 1_0."""
     m = build_trop(4)
     seen = spy(monkeypatch)
     assert checks_outcome(m) == [[], [], []]
@@ -318,14 +335,20 @@ def test_a_lawful_thin_base_judges_no_axiom_site_and_a_misshapen_one_every_site(
     assert seen["pentagon"] == [[]] and seen["closed.pi-natural"] == [[], []]
     assert all(seen[law.name] == [[]] for law in mon.SYMMETRY_LAWS)
     assert "_tensor" not in m.__dict__
-    key = ("m:2:1", "id:0")
-    assert m.base.src(m.tensor_mor[key]) != m.base.src("m:3:0")
-    mutant = dataclasses.replace(m, tensor_mor={**m.tensor_mor, key: "m:3:0"})
-    seen = spy(monkeypatch)
-    got = checks_outcome(mutant)
-    monkeypatch.undo()
-    assert got == full_checks_outcome(mutant) and got[0]
-    assert seen["pentagon"] == [list(product(m.base.objects, repeat=4))]
+    laws = {law.name: law for law in mon.MONOIDAL_LAWS}
+    for key, pentagon in ((("m:2:1", "id:0"), 0), (("id:1", "id:0"), 3)):
+        assert m.base.src(m.tensor_mor[key]) != m.base.src("m:3:0")
+        mutant = dataclasses.replace(m, tensor_mor={**m.tensor_mor, key: "m:3:0"})
+        seen = spy(monkeypatch)
+        got = checks_outcome(mutant)
+        monkeypatch.undo()
+        assert got == full_checks_outcome(mutant) and got[0]
+        assert {r.law for r in got[0] if r.law.endswith(".shape")} == {"tensor.shape"}
+        for name, reads in tensor_reads(mutant).items():
+            [judged] = seen[name]
+            scan = {site for site in laws[name].sites(mutant, m.base) if key in reads(*site)}
+            assert len(judged) == len(set(judged)) and set(judged) == scan, (key, name)
+        assert len(seen["pentagon"][0]) == pentagon
 
 
 def test_an_undeclared_unit_is_judged_on_every_site():
