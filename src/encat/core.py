@@ -236,14 +236,6 @@ def _reports(laws: Iterable[Law], data: tuple) -> Iterator[CheckReport]:
         yield from _judge(law, law.sites(*data) if cover is None else cover, data)
 
 
-def holds(law: Law, sites: Iterable[tuple[str, ...]], *data: Any) -> bool:
-    """Whether ``law`` holds at all ``sites`` on ``data``; an error fails it."""
-    try:
-        return not any(_judge(law, sites, data))
-    except EncatError:
-        return False
-
-
 def _judge(law: Law, sites: Iterable[tuple[str, ...]], data: tuple) -> Iterator[CheckReport]:
     for site in sites:
         note = None

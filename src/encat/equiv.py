@@ -6,8 +6,8 @@ Every construction assumes lawful input, raising its own error otherwise (to
 judge the input is its checker's job); it is deterministic, and the inverse
 direction reproduces the input as an exact table equality.  Yoneda-style
 extractions (the module associator, the module unitor, the comodule
-structure) evaluate a natural family at the identity and then verify by brute
-force that the extracted morphism induces the whole family.
+structure) try every candidate morphism against the whole family, at every
+probe, and keep the one that induces it, which must be unique.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Monoidal, symmetric and closed structure on a finite category.
 
 Each axiom that equates two composites is a :class:`~encat.core.Law` in
-``MONOIDAL_LAWS``, ``SYMMETRY_LAWS`` or ``CLOSED_LAWS``, judged by
+``MONOIDAL_LAWS`` or ``SYMMETRY_LAWS``, judged by
 :func:`~encat.core.evaluate`; the checkers keep the shape, isomorphism,
 totality and bijection checks and the order between them.
 
@@ -47,24 +47,29 @@ internal transpose.
 The closed structure is given by the hom-object table and the evaluation
 family only; the transpose is recovered by inverting evaluation over each
 hom-set, with a uniqueness check at every lookup, so the inversion doubles
-as validation of the adjunction.  That inversion, the hom bifunctor on
-morphisms, the internal transpose (verified as it is computed) and the
-internal swap are each found once per argument and instance
-(:func:`~encat.core.kept`).
+as validation of the adjunction.  Its naturality in X and in Z is not a
+law of its own (CWM II.3): with e(g) = ev . (g (x) 1_Y), e(g . h) =
+e(g) . (h (x) 1) since T is a bifunctor, and with t the transpose of
+k . ev the bijection gives e(t) = k . ev, so e(t . g) = e(t) . (g (x) 1) =
+k . e(g).  That inversion, the hom bifunctor on morphisms, the internal
+transpose (verified as it is computed) and the internal swap are each found
+once per argument and instance (:func:`~encat.core.kept`).
 
 Derived laws (the unit-coincidence law, the unitor/associator compatibility
 triangle, the evaluation squares, the double-transpose square and the
 characterizations) are consequences of the axioms, declared outside ``LAWS``
 and judged by :func:`~encat.core.assert_derived` only after the axioms pass;
 it raises :class:`EngineBugError` on failure: disagreement there means the
-evaluator is wrong, not the input.  Where those axioms are not checked first
-(``check_closed``, the module side), :func:`resting_on_axioms` returns the
-:func:`check_monoidal` reports instead of a failure that rests on them.
+evaluator is wrong, not the input.  ``check_closed`` judges its derived laws
+only once the :func:`check_monoidal` reports are clean, and returns them
+otherwise; where those axioms are not checked first (the module side),
+:func:`resting_on_axioms` returns the :func:`check_monoidal` reports instead
+of a failure that rests on them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Callable, Mapping
@@ -89,8 +94,6 @@ from .core import (
     derived_law,
     entry,
     evaluate,
-    generators,
-    holds,
     is_valid,
     kept,
     morphism_inverse_checked,
@@ -427,44 +430,6 @@ def transpose_pi(m: MonoidalData, f: Mor, x: Obj, y: Obj) -> Mor:
         f, lambda n: f"transpose of {f!r} at ({x!r}, {y!r}, {z!r}) has {n} witnesses")
 
 
-def _on_generators(law: Law) -> Law:
-    """``law``, whose ``sites(m, base, mors)`` vary h or k over ``mors``, on
-    every morphism, gated on the :func:`~encat.core.generators` of the base.
-    An exact tensor rebuild (a valid base, no defects) makes T a bifunctor,
-    so the law holds at identities, and with e(g) = ev . (g (x) 1) squares
-    paste (CWM II.3): e(g . h2 . h1) = e(g . h2) . (h1 (x) 1) = e(g) .
-    (h2 . h1 (x) 1), and the square at k2 with g = hom(Y, k1) and the
-    bijection give hom(Y, k2 . k1) = hom(Y, k2) . hom(Y, k1).  So once it
-    holds, as a predicate, wherever h or k is a generator, the cover is ()."""
-    def gate(m: MonoidalData, base: FinCategory):
-        t = m._tensor
-        if t is not None and not t.defects and holds(
-                law, law.sites(m, base, generators(base)), m, base):
-            return ()
-    return _thin_first(replace(
-        law, sites=lambda m, base: law.sites(m, base, base.mor_ids()), gate=gate))
-
-
-# Naturality of the transpose in X and in Z: redundant given bijectivity,
-# kept as an explicit check of the adjunction contract.  It runs once the
-# bijection holds, so both composites must exist; an error is the input's.
-CLOSED_LAWS = tuple(map(_on_generators, (
-    Law("closed.pi-natural",  # h : X' -> X before g : X -> hom(Y, Z)
-        lambda m, base, hs: ((y, z, h, g) for y, z in product(base.objects, repeat=2)
-                             for h in hs for g in base.hom(base.dst(h), m.hom_obj(y, z))),
-        required(lambda m, base, y, z, h, g: _transpose_forward(m, base.compose(h, g), y, z)),
-        required(lambda m, base, y, z, h, g: base.compose(
-            m.tmor(h, base.id_(y)), _transpose_forward(m, g, y, z)))),
-    Law("closed.pi-natural",  # k : Z -> Z' after the transpose of g : X -> hom(Y, Z)
-        lambda m, base, ks: ((y, z, k, g) for y, z in product(base.objects, repeat=2)
-                             for k in ks if base.src(k) == z
-                             for x in base.objects for g in base.hom(x, m.hom_obj(y, z))),
-        required(lambda m, base, y, z, k, g: _transpose_forward(m, base.compose(
-            g, transpose_pi(m, base.compose(m.ev(y, z), k), m.hom_obj(y, z), y)),
-            y, base.dst(k))),
-        required(lambda m, base, y, z, k, g: base.compose(_transpose_forward(m, g, y, z), k))),
-)))
-
 CLOSED_BIJECTION = "closed.bijection"
 
 
@@ -503,22 +468,18 @@ SHAPE_LOOPS = {"tensor": _tensor_shapes, "structure": _structure_shapes,
 
 
 def check_closed(m: MonoidalData) -> list[CheckReport]:
-    """Bijectivity of the transpose at every (X, Y, Z), the "closed" verdict,
-    then its naturality, "closed-laws", and the derived laws once both hold:
-    these two rest on the monoidal axioms (:func:`resting_on_axioms`)."""
+    """Bijectivity of the transpose at every (X, Y, Z), the "closed" verdict;
+    once it is clean, the :func:`check_monoidal` reports, on which the derived
+    laws rest; once both are clean, the derived laws and :func:`iota`."""
     m.require_closed()
     if reports := verdict(m, "closed", _closed_shapes):
         return sort_reports(reports)
-    return resting_on_axioms(m, _closed_laws, m)
-
-
-def _closed_laws(m: MonoidalData) -> list[CheckReport]:
-    reports = sort_reports(verdict(m, "closed-laws", lambda m: evaluate(CLOSED_LAWS, m, m.base)))
-    if not reports:
-        assert_derived(DERIVED_CLOSED_LAWS, m, m.base)
-        for x in m.base.objects:
-            iota(m, x)
-    return reports
+    if reports := check_monoidal(m):
+        return reports
+    assert_derived(DERIVED_CLOSED_LAWS, m, m.base)
+    for x in m.base.objects:
+        iota(m, x)
+    return []
 
 
 # Consequences of the closed axioms, judged once they hold; with them
@@ -608,8 +569,8 @@ def internal_pi_bar(m: MonoidalData, x: Obj, y: Obj, z: Obj) -> Mor:
 
     Computed as the double transpose of evaluation around the associator and
     then verified against its universal characterization, at every W and f,
-    or at the generic element once the "monoidal" and "closed-laws" verdicts
-    of ``m`` are on record and clean; a mismatch is an engine bug.  Both run
+    or at the generic element once the "monoidal" and "closed" verdicts of
+    ``m`` are on record and clean; a mismatch is an engine bug.  Both run
     once per (X, Y, Z) of ``m`` (:func:`~encat.core.kept`).
     """
     m.require_closed()
@@ -626,10 +587,11 @@ def internal_pi_bar(m: MonoidalData, x: Obj, y: Obj, z: Obj) -> Mor:
 # The characterization of the internal transpose ``outer`` at (X, Y, Z): for
 # every W and f : W (x) (X (x) Y) -> Z the double transpose of f . a equals
 # pi(f) post-composed with ``outer``.  Given clean verdicts (assoc.natural,
-# T's functoriality, closed.pi-natural) both sides are natural in W, so by
-# Yoneda (CWM III.2) the generic element W = hom(X (x) Y, Z), f = ev covers.
+# T's functoriality, the bijection and so the transpose's naturality) both
+# sides are natural in W, so by Yoneda (CWM III.2) the generic element
+# W = hom(X (x) Y, Z), f = ev covers.
 def _generic_element(m: MonoidalData, outer: Mor, key: tuple[Obj, Obj, Obj]):
-    if clean(m, "monoidal", "closed-laws"):
+    if clean(m, "monoidal", "closed"):
         xy = m.tobj(*key[:2])
         return [(*key, m.hom_obj(xy, key[2]), m.ev(xy, key[2]))]
 
@@ -730,6 +692,6 @@ def self_path(m: MonoidalData):
 
 
 #: The laws declared here, and the names the checkers report under outside them.
-LAWS = MONOIDAL_LAWS + SYMMETRY_LAWS + CLOSED_LAWS
+LAWS = MONOIDAL_LAWS + SYMMETRY_LAWS
 CHECKS = ("tensor.shape", "assoc.shape", "assoc.iso", "lunit.shape", "lunit.iso",
           "runit.shape", "runit.iso", "symmetry.shape", "closed.shape", CLOSED_BIJECTION)

@@ -115,7 +115,7 @@ PINNED_KNOWN_LAWS = (
     "assoc.iso", "assoc.natural", "assoc.shape", "bimodule.cp2-8-1", "bimodule.cp2-8-2",
     "bimodule.cp2-8-3", "bimodule.opposite-vstructure", "category.assoc", "category.composable",
     "category.identity-shape", "category.reserved-id", "category.shape", "category.total",
-    "category.unit", "closed.bijection", "closed.pi-natural", "closed.shape", "comodule.assoc",
+    "category.unit", "closed.bijection", "closed.shape", "comodule.assoc",
     "comodule.assoc-iso", "comodule.assoc-natural", "comodule.functor.composition",
     "comodule.functor.identity", "comodule.functor.shape", "comodule.functor.total",
     "comodule.lunit-iso", "comodule.lunit-natural", "comodule.shape", "comodule.unit",
@@ -342,6 +342,36 @@ def test_cli_error_exit_codes(tmp_path):
     out = io.StringIO()
     assert cli(["check", str(tmp_path / "missing.doc"), "--laws", "nope"], out=out) == 2
     assert out.getvalue().startswith("unknown law name(s): nope\n")
+
+
+def test_a_document_that_is_not_an_object_exits_2(tmp_path):
+    listed = tmp_path / "list.json"
+    listed.write_text("[]\n", encoding="utf-8")
+    out = io.StringIO()
+    assert cli(["check", str(listed)], out=out) == 2
+    assert out.getvalue() == "error: document must be a JSON object\n"
+
+
+def test_a_vcategory_hom_object_that_is_not_declared_exits_2(tmp_path):
+    """The self(trop(3)) vcategory document, made as the CLI makes it, with
+    its first ``hom_obj`` row sent to an object V does not declare: ``check``
+    and the ``underlying`` construction both name the row."""
+    paths = {stem: str(tmp_path / f"{stem}.json") for stem in ("cm", "vs", "vc", "bad", "out")}
+    assert cli(["instance", "self(trop(3))", "-o", paths["cm"]], out=io.StringIO()) == 0
+    for src, op, dst in (("cm", "induced-vstructure", "vs"), ("vs", "associated-vcat", "vc")):
+        assert cli(["construct", paths[src], "--op", op, "-o", paths[dst]],
+                   out=io.StringIO()) == 0
+    data = json.loads(open(paths["vc"], encoding="utf-8").read())
+    assert data["body"]["hom_obj"][0] == ["0", "0", "0"]
+    data["body"]["hom_obj"][0][-1] = "nope"
+    with open(paths["bad"], "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    for argv in (["check", paths["bad"]],
+                 ["construct", paths["bad"], "--op", "underlying", "-o", paths["out"]]):
+        out = io.StringIO()
+        assert cli(argv, out=out) == 2, argv
+        assert out.getvalue() == "error: hom object ('0','0') -> undeclared 'nope'\n"
+    assert not os.path.exists(paths["out"])
 
 
 @pytest.mark.parametrize("error, printed", [
