@@ -312,10 +312,10 @@ class FinCategory:
 
     @cached_property
     def _opposite(self) -> FinCategory:
-        """The opposite category, built once; its own opposite is ``self``."""
+        """The opposite category, built once; its opposite and ``_original`` is ``self``."""
         op = FinCategory(self.objects, tuple(sorted((m, d, s) for m, s, d in self.morphisms)),
                          dict(self.identity), {(g, f): h for (f, g), h in self.comp.items()})
-        op.__dict__["_opposite"] = self
+        op.__dict__.update(_opposite=self, _original=self)
         return op
 
     def has_obj(self, x: Obj) -> bool:
@@ -603,8 +603,9 @@ def product_category(a: FinCategory, b: FinCategory) -> FinCategory:
 
 def opposite_category(a: FinCategory) -> FinCategory:
     """Reverse all morphisms; ids are preserved.  Each ``a`` has one
-    opposite, built once, whose opposite is ``a`` itself, so the verdict of
-    :func:`validate_category` on either is found once."""
+    opposite, built once, whose opposite is ``a`` itself.  The category
+    axioms are self-dual, so :func:`is_valid` on the opposite reads the
+    verdict of ``a``; :func:`validate_category` finds the reports of each."""
     return a._opposite
 
 
@@ -882,10 +883,7 @@ def rebuild_bifunctor(a: FinCategory, b: FinCategory, c: FinCategory,
     R(f, g) = F(f, 1_{src g}) F(1_{dst f}, g) is a bifunctor (Mac Lane,
     CWM II.3, Prop. 1) equal to the axes, so a replaced entry is in B.
     """
-    try:
-        if validate_category(a) or validate_category(b) or validate_category(c):
-            return None
-    except MalformedReferenceError:
+    if not (is_valid(a) and is_valid(b) and is_valid(c)):
         return None
     if (any(obj.get(xy) not in c._objs for xy in product(a.objects, b.objects))
             or any(mor.get(fg) not in c._mors for fg in product(a._mors, b._mors))):
@@ -1032,10 +1030,12 @@ def trinatural_cover(a: FinCategory, b: FinCategory, c: FinCategory, e: FinCateg
 def is_valid(cat: FinCategory) -> bool:
     """Whether ``cat`` is a valid category, by its verdict, found once; a
     product's (a ``comp`` that is a :class:`ProductComp`) is read off its
-    factors.  A verdict that raises is not valid."""
+    factors, an opposite's off its original, since the axioms are
+    self-dual.  A verdict that raises is not valid."""
     comp = cat.comp
     cats = (comp.a, comp.b) if isinstance(comp, ProductComp) else (cat,)
-    return all(verdict(c, "category", _category_reports, raising=False) == () for c in cats)
+    return all(verdict(c.__dict__.get("_original", c), "category", _category_reports,
+                       raising=False) == () for c in cats)
 
 
 def read_cover(cat: FinCategory, misshapen: Callable[[], list | None],

@@ -40,7 +40,9 @@ from .vstruct import (
     CylinderAssignment,
     VStructureData,
     associated_vcategory,
+    _hom_first,
     induced_tensor_bifunctor,
+    recorded,
 )
 
 
@@ -104,14 +106,12 @@ def _module_phi_tables(vs: VStructureData, cyl: CylinderAssignment) -> dict:
 
 
 # The element-composition route agrees with the adjunct-transport route.
-ADJUNCTION_ROUTE_LAWS = (
-    derived_law("adjunction routes",
+ADJUNCTION_ROUTE_LAWS = (_hom_first(derived_law("adjunction routes",
                 lambda vs, cyl, phi: ((*key, f) for key, table in phi.items() for f in table),
                 lambda vs, cyl, phi, k, x, y, f: phi[(k, x, y)][f],
                 lambda vs, cyl, phi, k, x, y, f: varpi_inv(vs.baseV, vs.baseV.base.compose(
                     vs.phi_of(cyl.tensor_obj[(k, x)], y, f), cyl.phibar[(k, x, y)]),
-                    k, vs.hom_obj(x, y))),
-)
+                    k, vs.hom_obj(x, y))), ("tensor", "structure", "closed")),)
 
 
 def _yoneda_unique_pre(s, src: Obj, dst: Obj, family, what: str) -> Mor:
@@ -133,11 +133,13 @@ def cylinder_to_module(vs: VStructureData,
                        cyl: CylinderAssignment) -> TensorClosedModuleData:
     """From a cylinder to a tensor-closed module: the induced action, the
     element-route adjunction tables, and structure isomorphisms extracted by
-    representing the transported hom families."""
+    representing the transported hom families.  The cylinder's derived laws
+    read its "cylinder" record (:func:`~encat.vstruct.recorded`)."""
     m = vs.baseV
     m.require_closed()
     base = m.base
     s = vs.baseS
+    cyl = recorded(vs, cyl)
     action = induced_tensor_bifunctor(vs, cyl)
     phi = _module_phi_tables(vs, cyl)
     fibres = {key: Preimages(table) for key, table in phi.items()}

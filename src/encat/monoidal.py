@@ -435,9 +435,13 @@ CLOSED_BIJECTION = "closed.bijection"
 
 def _closed_shapes(m: MonoidalData) -> list[CheckReport]:
     """The shape reports of the evaluations and, at every (X, Y, Z), the
-    bijection reports of the transpose, read from :func:`_transpose_table`."""
+    bijection reports of the transpose, read from :func:`_transpose_table`;
+    on a valid thin base with a clean "tensor" record and ev(Y, Z) well shaped
+    (a typed forward map between hom-sets of at most one element), from
+    whether Hom(X, hom(Y, Z)) alone is empty."""
     base = m.base
     objs = base.objects
+    thin = base._thin and is_valid(base) and clean(m, "tensor")
     reports: list[CheckReport] = []
     ev_ok: dict[tuple[Obj, Obj], bool] = {}
     for y, z in product(objs, repeat=2):
@@ -453,8 +457,9 @@ def _closed_shapes(m: MonoidalData) -> list[CheckReport]:
         dom = base.hom(x, m.hom_obj(y, z))
         cod = base.hom(m.tobj(x, y), z)
         if ev_ok[(y, z)]:
-            reports += _transpose_table(m, x, y, z).check(
-                CLOSED_BIJECTION, (x, y, z), dom, cod, "transpose")
+            if not (thin and dom):  # on a thin base, the empty table's reports
+                reports += (Preimages({}) if thin else _transpose_table(m, x, y, z)).check(
+                    CLOSED_BIJECTION, (x, y, z), dom, cod, "transpose")
         elif len(dom) != len(cod):
             reports.append(CheckReport(
                 CLOSED_BIJECTION, (x, y, z), witness_count=len(dom),

@@ -44,9 +44,9 @@ associator or unitor entries of the module or of the reversed side (and, for
 law only at the sites that read one, by the readers declared beside it:
 comodule entry (0, 1, 0) of the self(trop(4)) bimodule set to m:2:1 is
 judged at 19 of the 1,000 ``module.assoc-natural`` sites of the reversed
-side.  The derived laws, ``PHIBAR_LAWS`` and ``ENRICHED_ACTION_LAWS`` keep
-their sweeps; a derived law that fails on a V whose axioms fail reports those
-instead (:func:`~encat.monoidal.resting_on_axioms`).
+side.  Of the derived laws only ``PHIBAR_LAWS`` takes the empty thin cover;
+a derived law that fails on a V whose axioms fail reports those instead
+(:func:`~encat.monoidal.resting_on_axioms`).
 """
 
 from __future__ import annotations
@@ -317,20 +317,26 @@ ADJUNCTION_LAWS = tuple(thin_first(law, lambda tc, mod, vbase, s: vbase, lambda 
 ))
 
 
-def _adjunction_checks(tc: TensorClosedModuleData, what: str) -> list[CheckReport]:
-    """Bijectivity of the adjunction tables and their naturality in all three
-    variables; ``what`` names the tables in notes and errors."""
-    mod = tc.module
-    vbase = mod.baseV.base
-    s = mod.baseS
+def _phi_verdict(tc: TensorClosedModuleData, what: str = "adjunction table",
+                 raising: bool = True) -> tuple[CheckReport, ...] | EncatError:
+    """The "phi" record: the bijection reports of the adjunction tables,
+    named ``what`` in notes and errors."""
+    mod, vbase, s = tc.module, tc.module.baseV.base, tc.module.baseS
 
     def bijection(tc: TensorClosedModuleData) -> Iterator[CheckReport]:
         for k, x, y in product(vbase.objects, s.objects, s.objects):
             yield from entry(tc._phi_fibres, (k, x, y), what).check(
                 "moduleclosed.naturality", (k, x, y), s.hom(mod.act_obj(k, x), y),
                 vbase.hom(k, tc.hom_obj(x, y)), what)
+    return verdict(tc, "phi", bijection, raising)
 
-    return [*verdict(tc, "phi", bijection), *evaluate(ADJUNCTION_LAWS, tc, mod, vbase, s)]
+
+def _adjunction_checks(tc: TensorClosedModuleData, what: str) -> list[CheckReport]:
+    """Bijectivity of the adjunction tables and their naturality in all three
+    variables; ``what`` names the tables in notes and errors."""
+    mod = tc.module
+    return [*_phi_verdict(tc, what),
+            *evaluate(ADJUNCTION_LAWS, tc, mod, mod.baseV.base, mod.baseS)]
 
 
 # The evaluation square of the action adjunction, a consequence of the
@@ -352,8 +358,8 @@ def _evaluation_square(tc: TensorClosedModuleData) -> list[CheckReport]:
     return resting_on_axioms(m, assert_derived, EVALUATION_SQUARE, tc, mod, m.base, mod.baseS)
 
 
-def _hom_verdict(tc: TensorClosedModuleData) -> tuple[CheckReport, ...]:
-    return verdict(tc, "hom", lambda tc: validate_functor(tc.homFunctor, tag=_HOM_FUNCTOR))
+def _hom_verdict(tc: TensorClosedModuleData, raising: bool = True) -> tuple[CheckReport, ...]:
+    return verdict(tc, "hom", lambda tc: validate_functor(tc.homFunctor, tag=_HOM_FUNCTOR), raising)
 
 
 def check_tensor_closed(tc: TensorClosedModuleData) -> list[CheckReport]:
@@ -530,11 +536,21 @@ def module_phibar(tc: TensorClosedModuleData, k: Obj, x: Obj, y: Obj) -> Mor:
     return phibar
 
 
+@kept
+def _adjunct_records(tc: TensorClosedModuleData) -> bool:
+    """Whether V's "tensor" and "closed" records, S and the "module", "hom"
+    and "phi" records of a module's own adjunction are clean; found once."""
+    mod = tc.module
+    return (shapes_clean(mod.baseV, "tensor", "closed") and is_valid(mod.baseS)
+            and verdict(mod, "module", _module_shapes, raising=False) == ()
+            and _hom_verdict(tc, raising=False) == () == _phi_verdict(tc, raising=False))
+
+
 # The characterization of the internal adjunct ``phibar`` at (K, X, Y): for
 # every L and g : L (x) (K (x) X) -> Y, transposing the adjunct of g . a
-# gives the adjunct of g followed by ``phibar``.
-PHIBAR_LAWS = (
-    derived_law("internal adjunct characterization",
+# gives the adjunct of g followed by ``phibar``.  Given :func:`_adjunct_records`,
+# both sides are morphisms L -> hom_V(K, hom(X, Y)), equal on a thin V.
+PHIBAR_LAWS = (thin_first(derived_law("internal adjunct characterization",
                 lambda mod, tc, phibar, key: ((*key, l, g) for l in mod.baseV.base.objects
                                               for g in mod.baseS.hom(mod.act_obj(
                                                   l, mod.act_obj(*key[:2])), key[2])),
@@ -542,7 +558,7 @@ PHIBAR_LAWS = (
                     mod.baseV.tobj(l, k), x, y, mod.baseS.compose(mod.a(l, k, x), g)), l, k),
                 lambda mod, tc, phibar, key, k, x, y, l, g: mod.baseV.base.compose(
                     tc.phi_of(l, mod.act_obj(k, x), y, g), phibar)),
-)
+    lambda mod, *_: mod.baseV.base, lambda mod, tc, *_: _adjunct_records(tc)),)
 
 
 def dual_tensorclosed(cm: ClosedVModuleData, assoc: Mapping = {},

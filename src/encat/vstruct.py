@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import product
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .core import (
     EMPTY,
     CheckReport,
     EncatError,
-    EngineBugError,
     FinCategory,
     FunctorData,
     Law,
@@ -28,21 +27,26 @@ from .core import (
     Preimages,
     WitnessError,
     assert_derived,
+    clean,
     derived_law,
     entry,
     evaluate,
     functor_law_names,
+    is_valid,
     morphism_inverse_checked,
     opposite_category,
     pair_id,
     preimage,
     product_category,
+    reading,
+    shape_keys,
     sort_reports,
+    thin_first,
     typed,
     validate_functor,
     verdict,
 )
-from .monoidal import MonoidalData, hom_on_morphisms, varpi
+from .monoidal import MonoidalData, hom_on_morphisms, shapes_clean, varpi
 
 
 class HomTables:
@@ -117,39 +121,75 @@ def _phi_acted(vs: VStructureData, m: MonoidalData, s: FinCategory, f: Mor, h: M
     return m.base.compose(vs.phi_of(s.src(h), s.dst(h), h), vs.hom_mor(f, s.id_(s.dst(h))))
 
 
-VSTRUCTURE_LAWS = (
+def _hom_structure(vs: VStructureData) -> list[CheckReport]:
+    """The "hom structure" record: the hom functor's reports, the shapes of
+    the internal composition and the bijection reports of the elements."""
+    m = vs.baseV
+    s = vs.baseS
+    reports = validate_functor(vs.homFunctor, tag=_HOM_FUNCTOR)
+    reports += typed(m.base, (((x, y, z), vs.b(x, y, z), m.tobj(vs.hom_obj(y, z), vs.hom_obj(x, y)),
+                               vs.hom_obj(x, z)) for x, y, z in product(s.objects, repeat=3)),
+                     "vstructure.shape")
+    for x, y in product(s.objects, repeat=2):
+        reports += entry(vs._phi_fibres, (x, y), "element table").check(
+            "vstructure.phi-bijection", (x, y), s.hom(x, y),
+            m.base.hom(m.unit, vs.hom_obj(x, y)), "element table")
+    return reports
+
+
+def _hom_first(law: Law, shapes: tuple[str, ...], reads: Callable | None = None) -> Law:
+    """``law``, an equation in V on data (vs, ...), gated first on the
+    :func:`~encat.core.read_cover` of V's base, premised on a valid S, clean V
+    ``shapes`` and "hom structure" records and, for an assignment ``data[1]``,
+    its "cylinder" record: then its sides are parallel composites, equal on a
+    thin V (CWM VII.2).  Misshapen internal composition entries alone send it
+    to the sites whose ``reads(*data, *site)`` names one, else to every site."""
+    def misshapen(vs: VStructureData, cyl, *_) -> list | None:
+        bad = (shape_keys(verdict(vs, "hom structure", _hom_structure, raising=False),
+                          "vstructure.shape")
+               if is_valid(vs.baseS) and shapes_clean(vs.baseV, *shapes) and (
+                   not isinstance(cyl, CylinderAssignment) or clean(cyl, "cylinder")) else None)
+        return bad if reads or not bad else None
+    return thin_first(law, lambda vs, *_: vs.baseV.base, misshapen, lambda *data: reading(
+        lambda bad: law.sites(*data), lambda *site: reads(*data, *site)))
+
+
+VSTRUCTURE_LAWS = tuple(_hom_first(law, ("tensor", "structure"), reads) for law, reads in (
     # Naturality of the element correspondence: each composable pair (f, h)
     # has two squares, f's element post-composed with h and h's element
     # pre-composed with f.  A sweep over the morphisms meets the square of
     # the lesser id first, so two failures at one pair are listed that way.
-    *(Law("vstructure.phi-natural",
-          lambda vs, m, s: ((f, h) for f, h in product(s.mor_ids(), repeat=2)
-                            if s.dst(f) == s.src(h)),
-          lambda vs, m, s, f, h: vs.phi_of(s.src(f), s.dst(h), s.then(f, h)),
-          lambda vs, m, s, f, h, first=first: _phi_acted(vs, m, s, f, h, (f <= h) == first))
-      for first in (True, False)),
-    Law("vstructure.assoc", lambda vs, m, s: product(s.objects, repeat=4),
-        lambda vs, m, s, x, y, z, w: m.base.compose(
-            m.tmor(vs.b(y, z, w), m.base.id_(vs.hom_obj(x, y))), vs.b(x, y, w)),
-        lambda vs, m, s, x, y, z, w: m.base.compose(
-            m.a(vs.hom_obj(z, w), vs.hom_obj(y, z), vs.hom_obj(x, y)),
-            m.tmor(m.base.id_(vs.hom_obj(z, w)), vs.b(x, y, z)), vs.b(x, z, w)), core=True),
+    *((Law("vstructure.phi-natural",
+           lambda vs, m, s: ((f, h) for f, h in product(s.mor_ids(), repeat=2)
+                             if s.dst(f) == s.src(h)),
+           lambda vs, m, s, f, h: vs.phi_of(s.src(f), s.dst(h), s.then(f, h)),
+           lambda vs, m, s, f, h, first=first: _phi_acted(vs, m, s, f, h, (f <= h) == first)),
+       lambda *_: ()) for first in (True, False)),
+    (Law("vstructure.assoc", lambda vs, m, s: product(s.objects, repeat=4),
+         lambda vs, m, s, x, y, z, w: m.base.compose(
+             m.tmor(vs.b(y, z, w), m.base.id_(vs.hom_obj(x, y))), vs.b(x, y, w)),
+         lambda vs, m, s, x, y, z, w: m.base.compose(
+             m.a(vs.hom_obj(z, w), vs.hom_obj(y, z), vs.hom_obj(x, y)),
+             m.tmor(m.base.id_(vs.hom_obj(z, w)), vs.b(x, y, z)), vs.b(x, z, w)), core=True),
+     lambda vs, m, s, x, y, z, w: ((y, z, w), (x, y, w), (x, y, z), (x, z, w))),
     # the hom functor acts by composition with elements: hom(f, Z) tensors
     # the element of f : X -> Y on the right, hom(X, g) that of g on the left
-    Law("vstructure.right-action", lambda vs, m, s: product(s.mor_ids(), s.objects),
-        lambda vs, m, s, f, z: vs.hom_mor(f, s.id_(z)),
-        lambda vs, m, s, f, z: m.base.compose(
-            morphism_inverse_checked(m.base, m.r(vs.hom_obj(s.dst(f), z))),
-            m.tmor(m.base.id_(vs.hom_obj(s.dst(f), z)), vs.phi_of(s.src(f), s.dst(f), f)),
-            vs.b(s.src(f), s.dst(f), z)), core=True),
-    Law("vstructure.left-action",
-        lambda vs, m, s: ((x, g) for g in s.mor_ids() for x in s.objects),
-        lambda vs, m, s, x, g: vs.hom_mor(s.id_(x), g),
-        lambda vs, m, s, x, g: m.base.compose(
-            morphism_inverse_checked(m.base, m.l(vs.hom_obj(x, s.src(g)))),
-            m.tmor(vs.phi_of(s.src(g), s.dst(g), g), m.base.id_(vs.hom_obj(x, s.src(g)))),
-            vs.b(x, s.src(g), s.dst(g))), core=True),
-)
+    (Law("vstructure.right-action", lambda vs, m, s: product(s.mor_ids(), s.objects),
+         lambda vs, m, s, f, z: vs.hom_mor(f, s.id_(z)),
+         lambda vs, m, s, f, z: m.base.compose(
+             morphism_inverse_checked(m.base, m.r(vs.hom_obj(s.dst(f), z))),
+             m.tmor(m.base.id_(vs.hom_obj(s.dst(f), z)), vs.phi_of(s.src(f), s.dst(f), f)),
+             vs.b(s.src(f), s.dst(f), z)), core=True),
+     lambda vs, m, s, f, z: ((s.src(f), s.dst(f), z),)),
+    (Law("vstructure.left-action",
+         lambda vs, m, s: ((x, g) for g in s.mor_ids() for x in s.objects),
+         lambda vs, m, s, x, g: vs.hom_mor(s.id_(x), g),
+         lambda vs, m, s, x, g: m.base.compose(
+             morphism_inverse_checked(m.base, m.l(vs.hom_obj(x, s.src(g)))),
+             m.tmor(vs.phi_of(s.src(g), s.dst(g), g), m.base.id_(vs.hom_obj(x, s.src(g)))),
+             vs.b(x, s.src(g), s.dst(g))), core=True),
+     lambda vs, m, s, x, g: ((x, s.src(g), s.dst(g)),)),
+))
 
 
 _HOM_FUNCTOR = "vstructure.functor"
@@ -164,24 +204,8 @@ def check_vstructure(vs: VStructureData) -> list[CheckReport]:
 
 
 def _vstructure_reports(vs: VStructureData) -> list[CheckReport]:
-    m = vs.baseV
-    base = m.base
-    s = vs.baseS
-    reports: list[CheckReport] = []
-
-    reports.extend(validate_functor(vs.homFunctor, tag=_HOM_FUNCTOR))
-
-    reports += typed(base, (((x, y, z), vs.b(x, y, z), m.tobj(vs.hom_obj(y, z), vs.hom_obj(x, y)),
-                             vs.hom_obj(x, z)) for x, y, z in product(s.objects, repeat=3)),
-                     "vstructure.shape")
-
-    for x, y in product(s.objects, repeat=2):
-        reports += entry(vs._phi_fibres, (x, y), "element table").check(
-            "vstructure.phi-bijection", (x, y), s.hom(x, y),
-            base.hom(m.unit, vs.hom_obj(x, y)), "element table")
-
-    reports += evaluate(VSTRUCTURE_LAWS, vs, m, s)
-    return sort_reports(reports)
+    return sort_reports([*verdict(vs, "hom structure", _hom_structure),
+                         *evaluate(VSTRUCTURE_LAWS, vs, vs.baseV, vs.baseS)])
 
 
 def associated_vcategory(vs: VStructureData):
@@ -199,14 +223,15 @@ def associated_vcategory(vs: VStructureData):
 
 
 CYLINDER_LAWS = (
-    Law("cylinder.cp1-1",
+    _hom_first(Law("cylinder.cp1-1",
         lambda vs, cyl, m: ((k, x, y) for k, x in sorted(cyl.tensor_obj) for y in vs.baseS.objects),
         lambda vs, cyl, m, k, x, y: m.base.compose(
             m.tmor(m.base.id_(vs.hom_obj(cyl.tensor_obj[(k, x)], y)), cyl.alpha[(k, x)]),
             vs.b(x, cyl.tensor_obj[(k, x)], y)),
         lambda vs, cyl, m, k, x, y: m.base.compose(
             m.tmor(cyl.phibar[(k, x, y)], m.base.id_(k)), m.ev(k, vs.hom_obj(x, y))),
-        core=True),
+        core=True), ("tensor", "closed"),
+        lambda vs, cyl, m, k, x, y: ((x, cyl.tensor_obj[(k, x)], y),)),
 )
 
 
@@ -228,27 +253,38 @@ def _require_assignment(vs: VStructureData, kind: str, names: tuple[str, str],
                     raise MissingTableError(f"{kind} {iso} missing at ({k!r}, {x!r}, {y!r})")
 
 
+def recorded(vs: VStructureData, cyl: CylinderAssignment, kind: str = "cylinder",
+             names: tuple[str, str] = ("alpha", "phibar")) -> CylinderAssignment:
+    """A copy of ``cyl`` carrying its "cylinder" record over ``vs``: shapes and
+    isomorphy of its family at every (K, X, Y), named by ``kind`` and ``names``,
+    or a missing entry's error.  It is kept on the copy alone, which only ``vs``
+    reads, so an assignment shared by several structures never reads another's."""
+    def shapes(cyl: CylinderAssignment) -> list[CheckReport]:
+        _require_assignment(vs, kind, names, cyl.tensor_obj, cyl.alpha, cyl.phibar)
+        m, s = vs.baseV, vs.baseS
+        shape, iso = f"{kind}.shape", f"{kind}.{names[1]}-iso"
+        reports = typed(m.base, (((k, x, al), al, k, vs.hom_obj(x, cyl.tensor_obj[(k, x)]))
+                                 for k, x in product(m.base.objects, s.objects)
+                                 for al in (cyl.alpha[(k, x)],)), shape)
+        for k, x, y in product(m.base.objects, s.objects, s.objects):
+            pb = cyl.phibar[(k, x, y)]
+            ends = vs.hom_obj(cyl.tensor_obj[(k, x)], y), m.hom_obj(k, vs.hom_obj(x, y))
+            reports += (typed(m.base, [((k, x, y, pb), pb, *ends)], shape)
+                        or typed(m.base, [((k, x, y), pb, *ends)], shape, iso))
+        return reports
+    cyl = replace(cyl)
+    verdict(cyl, "cylinder", shapes, raising=False)
+    return cyl
+
+
 def _assignment_reports(vs: VStructureData, kind: str, names: tuple[str, str],
                         cyl: CylinderAssignment, laws: tuple[Law, ...]) -> list[CheckReport]:
-    """Shapes and isomorphy of an assignment's family at every (K, X, Y),
-    then ``laws``; a missing entry raises.  ``kind`` and ``names`` name the
-    assignment and its element and iso tables in reports and errors.  The
-    derived laws run when nothing is reported and ``vs`` passes
-    :func:`check_vstructure`; a structure it cannot read does not pass."""
-    _require_assignment(vs, kind, names, cyl.tensor_obj, cyl.alpha, cyl.phibar)
-    m = vs.baseV
-    base = m.base
-    s = vs.baseS
-    shape, iso = f"{kind}.shape", f"{kind}.{names[1]}-iso"
-    reports = typed(base, (((k, x, al), al, k, vs.hom_obj(x, cyl.tensor_obj[(k, x)]))
-                           for k, x in product(base.objects, s.objects)
-                           for al in (cyl.alpha[(k, x)],)), shape)
-    for k, x, y in product(base.objects, s.objects, s.objects):
-        pb = cyl.phibar[(k, x, y)]
-        ends = vs.hom_obj(cyl.tensor_obj[(k, x)], y), m.hom_obj(k, vs.hom_obj(x, y))
-        reports += (typed(base, [((k, x, y, pb), pb, *ends)], shape)
-                    or typed(base, [((k, x, y), pb, *ends)], shape, iso))
-    reports = sort_reports(reports + evaluate(laws, vs, cyl, m))
+    """The "cylinder" record of an assignment (:func:`recorded`), its error
+    raised, then ``laws``.  The derived laws run when nothing is reported and
+    ``vs`` passes :func:`check_vstructure`; a structure it cannot read does
+    not pass."""
+    cyl, m = recorded(vs, cyl, kind, names), vs.baseV
+    reports = sort_reports([*verdict(cyl, "cylinder", None), *evaluate(laws, vs, cyl, m)])
     if not reports and verdict(vs, "vstructure", _vstructure_reports, raising=False) == ():
         assert_derived(DERIVED_CYLINDER_LAWS, vs, cyl, m)
     return reports
@@ -263,7 +299,7 @@ def check_cylinder(vs: VStructureData, cyl: CylinderAssignment) -> list[CheckRep
 
 # Adjunct transport of elements agrees with the coevaluation route: a
 # consequence of the cylinder and hom-structure axioms, judged once they hold.
-DERIVED_CYLINDER_LAWS = (
+DERIVED_CYLINDER_LAWS = tuple(_hom_first(law, ("tensor", "structure", "closed")) for law in (
     derived_law("element transport",
                 lambda vs, cyl, m: ((k, x, y, f) for (k, x), kx in cyl.tensor_obj.items()
                                     for y in vs.baseS.objects for f in vs.baseS.hom(kx, y)),
@@ -271,7 +307,7 @@ DERIVED_CYLINDER_LAWS = (
                     vs.phi_of(cyl.tensor_obj[(k, x)], y, f), cyl.phibar[(k, x, y)]),
                 lambda vs, cyl, m, k, x, y, f: varpi(m, m.base.compose(
                     cyl.alpha[(k, x)], vs.hom_mor(vs.baseS.id_(x), f)))),
-)
+))
 
 
 def dualize_path(pth: PathAssignment) -> CylinderAssignment:
@@ -348,25 +384,6 @@ def _transported(vs: VStructureData, cyl: CylinderAssignment, k: Obj, x: Obj,
                if base.compose(cyl.alpha[(k, x)], vs.hom_mor(s.id_(x), h)) == element]
 
 
-def cylinder_unique_iso(vs: VStructureData, cyl_a: CylinderAssignment,
-                        cyl_b: CylinderAssignment, k: Obj, x: Obj) -> Mor:
-    """The unique isomorphism between two chosen cylinders at (K, X).
-
-    Computed by element transport through the first cylinder's adjunct family
-    and verified unique by exhaustive search.
-    """
-    f, witnesses = _transported(vs, cyl_a, k, x, cyl_b.tensor_obj[(k, x)], cyl_b.alpha[(k, x)])
-    if len(witnesses) != 1:
-        raise WitnessError(
-            f"cylinder comparison at ({k!r}, {x!r}) has {len(witnesses)} witnesses",
-            count=len(witnesses))
-    if witnesses[0] != f:
-        raise EngineBugError("derived law failed: cylinder-iso transport disagrees "
-                             "with the exhaustive search")
-    morphism_inverse_checked(vs.baseS, f)
-    return f
-
-
 def _first_route(base, s, u_tensor, k_tensor, u: Mor, v: Mor) -> Mor:
     """K (x) v, then u (x) Y, for u : K -> L and v : X -> Y."""
     return s.compose(k_tensor(base.src(u), v), u_tensor(u, s.dst(v)))
@@ -421,7 +438,7 @@ def induced_tensor_bifunctor(vs: VStructureData, cyl: CylinderAssignment) -> Fun
 
 # The adjunct family is natural in all three arguments once the action
 # exists, on (vs, cyl, base, action); failure signals an invalid cylinder.
-PHIBAR_NATURALITY_LAWS = (
+PHIBAR_NATURALITY_LAWS = tuple(_hom_first(law, ("tensor", "closed")) for law in (
     derived_law("the tensor variable",
                 lambda vs, cyl, m, act: product(m.base.mor_ids(), vs.baseS.objects, vs.baseS.objects),
                 lambda vs, cyl, m, act, u, x, y: m.base.compose(
@@ -447,7 +464,7 @@ PHIBAR_NATURALITY_LAWS = (
                 lambda vs, cyl, m, act, w, k, x: m.base.compose(
                     cyl.phibar[(k, x, vs.baseS.src(w))],
                     hom_on_morphisms(m, m.base.id_(k), vs.hom_mor(vs.baseS.id_(x), w)))),
-)
+))
 
 
 #: The laws declared here, and the names the checkers report under outside them.

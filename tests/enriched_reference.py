@@ -1,7 +1,8 @@
 """Enriched functors and transformations, a test reference for
 ``vcat.check_tensored``: the enriched naturality of a tensor assignment's
 adjunct family, judged as a transformation into the base on one route,
-the enriched naturality rectangle ``vnat.square``."""
+the enriched naturality rectangle ``vnat.square``; and the comparison
+isomorphism between two chosen cylinders, :func:`cylinder_unique_iso`."""
 
 from dataclasses import dataclass
 from itertools import product
@@ -9,16 +10,19 @@ from typing import Mapping
 
 from encat.core import (
     CheckReport,
+    EngineBugError,
     Law,
     MissingTableError,
     Mor,
     Obj,
+    WitnessError,
     evaluate,
     morphism_inverse_checked,
     sort_reports,
 )
 from encat.monoidal import MonoidalData, transpose_pi
 from encat.vcat import VCategoryData, self_enriched
+from encat.vstruct import CylinderAssignment, VStructureData, _transported
 
 
 @dataclass(frozen=True)
@@ -96,3 +100,22 @@ def check_vnat(nt: VNatData) -> list[CheckReport]:
         return sort_reports(reports)
     reports += evaluate(VNAT_LAWS, nt, m)
     return sort_reports(reports)
+
+
+def cylinder_unique_iso(vs: VStructureData, cyl_a: CylinderAssignment,
+                        cyl_b: CylinderAssignment, k: Obj, x: Obj) -> Mor:
+    """The unique isomorphism between two chosen cylinders at (K, X).
+
+    Computed by element transport through the first cylinder's adjunct family
+    and verified unique by exhaustive search.
+    """
+    f, witnesses = _transported(vs, cyl_a, k, x, cyl_b.tensor_obj[(k, x)], cyl_b.alpha[(k, x)])
+    if len(witnesses) != 1:
+        raise WitnessError(
+            f"cylinder comparison at ({k!r}, {x!r}) has {len(witnesses)} witnesses",
+            count=len(witnesses))
+    if witnesses[0] != f:
+        raise EngineBugError("derived law failed: cylinder-iso transport disagrees "
+                             "with the exhaustive search")
+    morphism_inverse_checked(vs.baseS, f)
+    return f

@@ -45,8 +45,8 @@ from encat.vstruct import (
     VStructureData,
     associated_vcategory,
     check_vstructure,
-    cylinder_unique_iso,
 )
+from tests.enriched_reference import cylinder_unique_iso
 
 
 @contextmanager

@@ -5,8 +5,9 @@ site and raises there; an error a side raises escapes with its own type.
 Every derived-law tuple of the package is live: on a lawful input, each of
 its laws is reached from the checker or construction that runs it, and a
 lying side makes that entry point raise, naming the law.  On a thin base the
-derived monoidal and closed laws judge no site, so their lies are caught on
-cyc(3), and a reference sweep holds them gate-free on the thin ladder.
+derived monoidal, closed and hom-structure laws judge no site, so their lies
+are caught on cyc(3), and reference sweeps hold them gate-free on the thin
+ladder.
 """
 
 import ast
@@ -108,11 +109,11 @@ FAMILIES = {
     "EVALUATION_SQUARE": (vmod, lambda: vmod.check_tensor_closed(_tensor_closed()), ENGINE_BUG),
     "ENRICHED_ACTION_LAWS": (vmod, lambda: vmod.enriched_action(_tensor_closed()), ENGINE_BUG),
     "PHIBAR_LAWS": (vmod, lambda: vmod.module_phibar(
-        module_self(build_trop(3)).tensorClosed, "1", "1", "2"), ENGINE_BUG),
+        module_self(build_cyc(3)).tensorClosed, "*", "*", "*"), ENGINE_BUG),
     "DERIVED_CYLINDER_LAWS": (vst, lambda: vst.check_cylinder(*_cylinder(build_cyc(3))),
                               ENGINE_BUG),
     "PHIBAR_NATURALITY_LAWS": (vst, lambda: vst.induced_tensor_bifunctor(
-        *_cylinder(build_trop(3))), (WitnessError, "adjunct family not natural in {} at (", 0)),
+        *_cylinder(build_cyc(3))), (WitnessError, "adjunct family not natural in {} at (", 0)),
     "ADJUNCTION_ROUTE_LAWS": (equiv, lambda: equiv.cylinder_to_module(*_cylinder(build_cyc(3))),
                               ENGINE_BUG),
 }
@@ -290,3 +291,52 @@ def test_thin_derived_laws_hold_at_every_site(monkeypatch, name):
 @pytest.mark.parametrize("name", list(SLOW_THIN_LADDER))
 def test_thin_derived_laws_hold_at_every_site_on_the_ladder(monkeypatch, name):
     assert thin_derived_sites(monkeypatch, SLOW_THIN_LADDER[name]()) > 0
+
+
+HOM_DERIVED = {"DERIVED_CYLINDER_LAWS": vst, "PHIBAR_NATURALITY_LAWS": vst,
+               "ADJUNCTION_ROUTE_LAWS": equiv, "PHIBAR_LAWS": vmod}
+
+
+def hom_derived_sites(monkeypatch, tc) -> int:
+    """The reference for the derived laws of the hom-structure side on a thin
+    V: ``module_to_cylinder``, ``check_cylinder`` and ``cylinder_to_module``
+    find no report and judge none of their sites, and with ``gate=None``
+    each holds at every site.  Returns the number of sites."""
+    seen = spy(monkeypatch)
+    vs, cyl = equiv.module_to_cylinder(tc)
+    assert vst.check_vstructure(vs) == [] and vst.check_cylinder(vs, cyl) == []
+    equiv.cylinder_to_module(vs, cyl)
+    monkeypatch.undo()
+    names = {law.name for family, module in HOM_DERIVED.items() for law in getattr(module, family)}
+    assert names <= set(seen) and not any(map(any, (seen[name] for name in names)))
+    mod, m = tc.module, vs.baseV
+    keys = product(m.base.objects, mod.baseS.objects, mod.baseS.objects)
+    data = {"DERIVED_CYLINDER_LAWS": [(vs, cyl, m)],
+            "PHIBAR_NATURALITY_LAWS": [(vs, cyl, m, vst.induced_tensor_bifunctor(vs, cyl))],
+            "ADJUNCTION_ROUTE_LAWS": [(vs, cyl, equiv._module_phi_tables(vs, cyl))],
+            "PHIBAR_LAWS": [(mod, tc, vmod._adjunct(tc, *key), key) for key in keys]}
+    sites = 0
+    for family, module in HOM_DERIVED.items():
+        free = [dataclasses.replace(law, gate=None) for law in getattr(module, family)]
+        for args in data[family]:
+            assert_derived(free, *args)
+            sites += sum(len(list(law.sites(*args))) for law in free)
+    return sites
+
+
+HOM_LADDER = {**{name: lambda build=build: module_self(build()).tensorClosed
+                 for name, build in THIN_LADDER.items()},
+              "poset-diamond": _tensor_closed}
+SLOW_HOM_LADDER = {name: lambda build=build: module_self(build()).tensorClosed
+                   for name, build in SLOW_THIN_LADDER.items()}
+
+
+@pytest.mark.parametrize("name", list(HOM_LADDER))
+def test_thin_hom_derived_laws_hold_at_every_site(monkeypatch, name):
+    assert hom_derived_sites(monkeypatch, HOM_LADDER[name]()) > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(SLOW_HOM_LADDER))
+def test_thin_hom_derived_laws_hold_at_every_site_on_the_ladder(monkeypatch, name):
+    assert hom_derived_sites(monkeypatch, SLOW_HOM_LADDER[name]()) > 0

@@ -1,0 +1,117 @@
+"""The hom-structure side's thin covers against the full sweep.
+
+On a valid thin V every diagram commutes (CWM §VII.2), so the laws of
+``check_vstructure`` and ``check_cylinder`` (``VSTRUCTURE_LAWS`` and
+``CYLINDER_LAWS``; ``PATH_LAWS`` shares the cylinder square's gate) hold at
+every site once the records their sides read are clean: V's shape records,
+S, the "hom structure" record (hom functor, internal composition shapes,
+element bijections) and the "cylinder" record (shapes and isomorphy of the
+assignment).  Misshapen internal composition entries alone send each law
+to the sites that read one.  With ``gate=None`` every site is judged.
+
+On every cylinder document of the value-swap golden
+(``tests/test_value_swap_corpus.py``), what ``encat check`` runs on it must
+give the same reports both ways, or raise the same error with the same
+message, each on its own parse.  Tier-1 compares every ``STRIDE``-th
+mutant; ``-m slow`` compares all of them.
+"""
+
+import dataclasses
+import json
+from itertools import product
+
+import pytest
+
+import encat.vstruct as vst
+from encat.cli import run_checks
+from encat.core import EncatError
+from encat.interface import parse
+from test_monoidal_gate import spy
+from test_value_swap_corpus import BASES, documents, mutants
+
+GATED = ("VSTRUCTURE_LAWS", "CYLINDER_LAWS")
+# prime to the size of every sort, so that every position of a run is visited
+STRIDE = 29
+
+
+def outcome(text: str):
+    try:
+        return run_checks(parse(text))
+    except EncatError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def full_outcome(text: str):
+    with pytest.MonkeyPatch.context() as mp:
+        for name in GATED:
+            mp.setattr(vst, name, tuple(
+                dataclasses.replace(law, gate=None) for law in getattr(vst, name)))
+        return outcome(text)
+
+
+def cylinder_mutants(tmp: str) -> list[str]:
+    return [json.dumps(doc) for doc in mutants(documents(tmp)) if doc["kind"] == "cylinder"]
+
+
+def agree(tmp: str, stride: int) -> None:
+    found = cylinder_mutants(tmp)
+    assert len(found) == 2010
+    for text in found[::stride]:
+        assert outcome(text) == full_outcome(text), text
+
+
+def test_the_hom_covers_agree_with_the_full_sweep(tmp_path):
+    agree(str(tmp_path), STRIDE)
+
+
+@pytest.mark.slow
+def test_the_hom_covers_agree_with_the_full_sweep_on_every_mutant(tmp_path):
+    agree(str(tmp_path), 1)
+
+
+def cylinder_document(tmp: str, name: str) -> dict:
+    """The cylinder document of base ``name`` of the golden."""
+    return dict(zip(BASES, documents(tmp)[1::2]))[name]
+
+
+def test_a_lawful_thin_cylinder_judges_no_gated_site(monkeypatch, tmp_path):
+    doc = cylinder_document(str(tmp_path), "poset-diamond")
+    seen = spy(monkeypatch)
+    assert run_checks(parse(json.dumps(doc))) == []
+    monkeypatch.undo()
+    names = {law.name for name in GATED for law in getattr(vst, name)}
+    assert names <= set(seen) and not any(map(any, (seen[name] for name in names)))
+
+
+def test_a_misshapen_composition_entry_is_judged_where_it_is_read(monkeypatch, tmp_path):
+    """The internal composition of self(trop(3)) at (0, 1, 2) swapped for a
+    morphism of another shape leaves ``vstructure.shape`` the only report of
+    the "hom structure" record: each gated law is judged at the sites that
+    read that entry, found by a scan of every site, and reports as the full
+    sweep does."""
+    doc = cylinder_document(str(tmp_path), "self(trop(3))")
+    [row] = [row for row in doc["body"]["vstructure"]["comp"] if row[:3] == ["0", "1", "2"]]
+    row[3] = "id:0"
+    text = json.dumps(doc)
+    seen = spy(monkeypatch)
+    got = outcome(text)
+    monkeypatch.undo()
+    assert got == full_outcome(text)
+    assert {r.law for r in got if r.law.endswith(".shape")} == {"vstructure.shape"}
+    vs, cyl = parse(text).data
+    s, key = vs.baseS, ("0", "1", "2")
+    scans = {
+        "vstructure.assoc": {(x, y, z, w) for x, y, z, w in product(s.objects, repeat=4)
+                             if key in ((y, z, w), (x, y, w), (x, y, z), (x, z, w))},
+        "vstructure.right-action": {(f, z) for f in s.mor_ids() for z in s.objects
+                                    if (s.src(f), s.dst(f), z) == key},
+        "vstructure.left-action": {(x, g) for g in s.mor_ids() for x in s.objects
+                                   if (x, s.src(g), s.dst(g)) == key},
+        "cylinder.cp1-1": {(k, x, y) for (k, x), kx in cyl.tensor_obj.items()
+                           for y in s.objects if (x, kx, y) == key},
+        "vstructure.phi-natural": set(),
+    }
+    for name, scan in scans.items():
+        for judged in seen[name]:
+            assert len(judged) == len(set(judged)) and set(judged) == scan, name
+    assert scans["vstructure.assoc"] and scans["cylinder.cp1-1"]

@@ -21,11 +21,11 @@ from encat.vstruct import (
     check_cylinder,
     check_path,
     check_vstructure,
-    cylinder_unique_iso,
     dualize_path,
     induced_tensor_bifunctor,
     opposite_vstructure,
 )
+from tests.enriched_reference import cylinder_unique_iso
 
 
 def mutate_comp(vs, key, value):
