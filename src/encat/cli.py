@@ -4,6 +4,8 @@ Exit codes: 0 success / all checks pass; 1 check failure or round-trip
 mismatch; 2 invalid input, which is also what ``construct`` and ``roundtrip``
 print when they fail on input ``check`` flags (``_built``); 3 construction
 failure on input ``check`` passes (missing or ambiguous witness).
+Every ``CHECKERS`` row is one library call, which judges the document's
+base V first (:func:`~encat.monoidal.check_v`).
 """
 
 from __future__ import annotations
@@ -45,30 +47,17 @@ def _paint(text: str, code: str, color: bool) -> str:
     return text
 
 
-def _monoidal_checks(data) -> list[CheckReport]:
-    # each stage runs only when every stage before it passed
-    reports = core.validate_category(data.base)
-    if reports:
-        return reports
-    reports = monoidal.check_monoidal(data)
-    if not reports and data.symmetry is not None:
-        reports += monoidal.check_symmetry(data)
-    if not reports and data.closed is not None:
-        reports += monoidal.check_closed(data)
-    return reports
-
-
 # The table rows look functions up on their modules when they run, so that a
 # function rebound there (perfbench's --trace wrappers) is the one called.
 
 # kind -> the checker stack of its documents
 CHECKERS = {
     "fincategory": lambda cat: core.validate_category(cat),
-    "monoidal": _monoidal_checks,
+    "monoidal": lambda m: monoidal.check_v(m),
     "vcategory": lambda vc: vcat.check_vcategory(vc),
     "vstructure": lambda vs: vstruct.check_vstructure(vs),
-    "cylinder": lambda data: vstruct.check_vstructure(data[0]) + vstruct.check_cylinder(*data),
-    "path": lambda data: vstruct.check_vstructure(data[0]) + vstruct.check_path(*data),
+    "cylinder": lambda data: vstruct.check_cylinder(*data),
+    "path": lambda data: vstruct.check_path(*data),
     "vmodule": lambda mod: vmodule.check_vmodule(mod),
     "tensorclosed": lambda tc: vmodule.check_tensor_closed(tc),
     "closedmodule": lambda cm: vmodule.check_closed_module(cm),

@@ -62,9 +62,8 @@ and judged by :func:`~encat.core.assert_derived` only after the axioms pass;
 it raises :class:`EngineBugError` on failure: disagreement there means the
 evaluator is wrong, not the input.  ``check_closed`` judges its derived laws
 only once the :func:`check_monoidal` reports are clean, and returns them
-otherwise; where those axioms are not checked first (the module side),
-:func:`resting_on_axioms` returns the :func:`check_monoidal` reports instead
-of a failure that rests on them.
+otherwise.  :func:`check_v` is V's one checker stack; every checker above
+this module returns its reports, or raises its error, before its own laws.
 """
 
 from __future__ import annotations
@@ -108,6 +107,7 @@ from .core import (
     thin_first,
     trinatural_cover,
     typed,
+    validate_category,
     validate_functor,
     verdict,
 )
@@ -299,19 +299,6 @@ def _monoidal_reports(m: MonoidalData) -> list[CheckReport]:
     return reports
 
 
-def resting_on_axioms(m: MonoidalData, judge: Callable, *data) -> list[CheckReport]:
-    """The reports of ``judge(*data)``, whose laws rest on the monoidal axioms
-    of ``m`` and which does not check them (none when it returns ``None``):
-    an error it raises is the input's exactly when those fail, and then the
-    :func:`check_monoidal` reports are returned instead."""
-    try:
-        return list(judge(*data) or ())
-    except EncatError:
-        if reports := check_monoidal(m):
-            return reports
-        raise
-
-
 def _tensor_shapes(m: MonoidalData) -> list[CheckReport]:
     """The shape reports of the tensor, once the object-level tables (the
     associator's and unitors' too) are found total."""
@@ -485,6 +472,18 @@ def check_closed(m: MonoidalData) -> list[CheckReport]:
     for x in m.base.objects:
         iota(m, x)
     return []
+
+
+def check_v(m: MonoidalData) -> list[CheckReport]:
+    """The base category, then the monoidal axioms, then the symmetry and
+    closed structure where declared, each once those before it are clean."""
+    return list(verdict(m, "V", _v_reports))
+
+
+def _v_reports(m: MonoidalData) -> list[CheckReport]:
+    return (validate_category(m.base) or check_monoidal(m)
+            or (check_symmetry(m) if m.symmetry is not None else [])
+            or (check_closed(m) if m.closed is not None else []))
 
 
 # Consequences of the closed axioms, judged once they hold; with them

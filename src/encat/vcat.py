@@ -35,6 +35,7 @@ from .core import (
 )
 from .monoidal import (
     MonoidalData,
+    check_v,
     internal_composition_b,
     transpose_pi,
     transpose_pi_inv,
@@ -94,8 +95,10 @@ VCATEGORY_LAWS = (
 
 
 def check_vcategory(vc: VCategoryData) -> list[CheckReport]:
-    """Shape, associativity and unit laws of the enriched structure."""
+    """V's reports (:func:`check_v`), then shape, associativity and unit laws."""
     m = vc.baseV
+    if reports := check_v(m):
+        return reports
     base = m.base
     objs = vc.objects
 
@@ -223,6 +226,8 @@ def check_tensored(td: TensoredData) -> list[CheckReport]:
     vc = td.vcat
     m = vc.baseV
     m.require_closed()
+    if reports := check_v(m):
+        return reports
     base = m.base
     reports = typed(base, (((k, x, y), td.component(k, x, y), vc.hom(kx, y),
                             m.hom_obj(k, vc.hom(x, y)))

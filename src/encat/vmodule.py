@@ -28,8 +28,8 @@ is the one :func:`~encat.core.validate_functor` found, kept on the functor),
 and the associator is natural for the rebuilds in each variable alone,
 decided as a predicate at identities and at generators of V and S (Mac Lane,
 CWM II.3, Prop. 2, iterated; squares paste).  Under them only the sites
-reading a defect of T or of the action are judged; when one fails, or V's
-tables are partial (``check_vmodule`` does not validate V), every site is.
+reading a defect of T or of the action are judged; when one fails, every
+site is.
 
 On a thin category every diagram commutes (CWM §VII.2), so ``MODULE_LAWS``
 and the transports of ``BIMODULE_LAWS`` (judged in S, S^op on the reversed
@@ -44,9 +44,9 @@ associator or unitor entries of the module or of the reversed side (and, for
 law only at the sites that read one, by the readers declared beside it:
 comodule entry (0, 1, 0) of the self(trop(4)) bimodule set to m:2:1 is
 judged at 19 of the 1,000 ``module.assoc-natural`` sites of the reversed
-side.  Of the derived laws only ``PHIBAR_LAWS`` takes the empty thin cover;
-a derived law that fails on a V whose axioms fail reports those instead
-(:func:`~encat.monoidal.resting_on_axioms`).
+side.  Of the derived laws only ``PHIBAR_LAWS`` takes the empty thin cover.
+Every checker here judges V first (:func:`~encat.monoidal.check_v`), so a
+derived law that fails is an engine bug.
 """
 
 from __future__ import annotations
@@ -93,10 +93,10 @@ from .core import (
 from .monoidal import (
     SHAPE_LOOPS,
     MonoidalData,
+    check_v,
     hom_on_morphisms,
     internal_composition_b,
     internal_swap,
-    resting_on_axioms,
     shapes_clean,
     transpose_pi,
     varpi,
@@ -227,7 +227,9 @@ MODULE_LAWS = tuple(thin_first(law, lambda mod, m, s: s, lambda mod, m, s: _miss
 
 def check_vmodule(mod: VModuleData) -> list[CheckReport]:
     """Functoriality of the action, naturality/isomorphy of its structure
-    morphisms, and the two module coherence diagrams."""
+    morphisms, and the two module coherence diagrams, after :func:`check_v`."""
+    if reports := check_v(mod.baseV):
+        return reports
     reports = list(verdict(mod, "action", lambda mod: validate_functor(mod.action, tag=_ACTION)))
     if _objects_partial(mod.action):
         return reports
@@ -242,14 +244,13 @@ def _objects_partial(fn: FunctorData) -> bool:
 
 
 def _module_checks(mod: VModuleData) -> list[CheckReport]:
-    """:func:`check_vmodule` past the "action" verdict; the derived laws, which
-    rest on V's axioms, run when it and every report here are clean."""
-    m = mod.baseV
-    s = mod.baseS
+    """:func:`check_vmodule` past V and the "action" verdict; the derived
+    laws run when it and every report here are clean."""
+    m, s = mod.baseV, mod.baseS
     reports = list(verdict(mod, "module", _module_shapes))
     reports += evaluate(MODULE_LAWS, mod, m, s)
     if clean(mod, "action") and not reports:
-        reports = resting_on_axioms(m, assert_derived, DERIVED_MODULE_LAWS, mod, m, s)
+        assert_derived(DERIVED_MODULE_LAWS, mod, m, s)
     return reports
 
 
@@ -353,9 +354,8 @@ EVALUATION_SQUARE = (
 
 
 def _evaluation_square(tc: TensorClosedModuleData) -> list[CheckReport]:
-    mod = tc.module
-    m = mod.baseV
-    return resting_on_axioms(m, assert_derived, EVALUATION_SQUARE, tc, mod, m.base, mod.baseS)
+    assert_derived(EVALUATION_SQUARE, tc, tc.module, tc.module.baseV.base, tc.module.baseS)
+    return []
 
 
 def _hom_verdict(tc: TensorClosedModuleData, raising: bool = True) -> tuple[CheckReport, ...]:
@@ -364,7 +364,9 @@ def _hom_verdict(tc: TensorClosedModuleData, raising: bool = True) -> tuple[Chec
 
 def check_tensor_closed(tc: TensorClosedModuleData) -> list[CheckReport]:
     """Module axioms, hom functoriality, bijectivity of the adjunction tables
-    and their naturality in all three variables."""
+    and their naturality in all three variables, after :func:`check_v`."""
+    if reports := check_v(tc.module.baseV):
+        return reports
     reports = check_vmodule(tc.module) + list(_hom_verdict(tc))
     if not _objects_partial(tc.module.action):
         reports += _adjunction_checks(tc, "adjunction table")
@@ -375,8 +377,8 @@ def check_closed_module(cm: ClosedVModuleData) -> list[CheckReport]:
     """Tensor-closed checks, cotensor functoriality, and the action-side
     adjunction checks run on the reversed side, whose adjunction tables are
     psi.  Its hom functor is the hom functor with swapped arguments, already
-    validated, so it is not validated again."""
-    return _closed_checks(cm, dual_tensorclosed(cm))
+    validated, so it is not validated again.  V's reports come first."""
+    return check_v(cm.tensorClosed.module.baseV) or _closed_checks(cm, dual_tensorclosed(cm))
 
 
 def _closed_checks(cm: ClosedVModuleData,
@@ -593,6 +595,8 @@ def check_closed_bimodule(bm: ClosedBimoduleData) -> list[CheckReport]:
     cm = bm.closedModule
     tc = cm.tensorClosed
     tc.module.baseV.require_symmetry()
+    if reports := check_v(tc.module.baseV):
+        return reports
     reversed_side = dual_tensorclosed(cm, bm.comodAssoc, bm.comodLunit)
     reports = _closed_checks(cm, reversed_side)
     if _objects_partial(cm.cotensor) or _objects_partial(tc.module.action):
@@ -602,9 +606,8 @@ def check_closed_bimodule(bm: ClosedBimoduleData) -> list[CheckReport]:
         entry(bm.comodAssoc, klx, "comodule associator")
     for x in s.objects:
         entry(bm.comodLunit, x, "comodule unitor")
-    # the reversed side's action is the cotensor, judged above; V's reports are listed once
-    reports += [r for r in (replace(r, law=comodule_name(r.law))
-                            for r in _module_checks(reversed_side.module)) if r not in reports]
+    # the reversed side's action is the cotensor, judged above
+    reports += [replace(r, law=comodule_name(r.law)) for r in _module_checks(reversed_side.module)]
 
     # the reversed side's hom structure must be the reversed hom structure
     try:

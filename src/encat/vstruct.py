@@ -46,7 +46,7 @@ from .core import (
     validate_functor,
     verdict,
 )
-from .monoidal import MonoidalData, hom_on_morphisms, shapes_clean, varpi
+from .monoidal import MonoidalData, check_v, hom_on_morphisms, shapes_clean, varpi
 
 
 class HomTables:
@@ -198,14 +198,14 @@ _HOM_FUNCTOR = "vstructure.functor"
 def check_vstructure(vs: VStructureData) -> list[CheckReport]:
     """Functoriality of the hom tables, bijectivity and naturality of the
     element correspondence, internal associativity, and the two laws tying
-    the hom functor's morphism action to the internal composition.  The
-    sweep runs once per instance: a later call gives the same answer."""
+    the hom functor's morphism action to the internal composition, after
+    :func:`check_v`.  Runs once per instance: a later call gives the same answer."""
     return list(verdict(vs, "vstructure", _vstructure_reports))
 
 
 def _vstructure_reports(vs: VStructureData) -> list[CheckReport]:
-    return sort_reports([*verdict(vs, "hom structure", _hom_structure),
-                         *evaluate(VSTRUCTURE_LAWS, vs, vs.baseV, vs.baseS)])
+    return check_v(vs.baseV) or sort_reports([*verdict(vs, "hom structure", _hom_structure),
+                                              *evaluate(VSTRUCTURE_LAWS, vs, vs.baseV, vs.baseS)])
 
 
 def associated_vcategory(vs: VStructureData):
@@ -291,10 +291,11 @@ def _assignment_reports(vs: VStructureData, kind: str, names: tuple[str, str],
 
 
 def check_cylinder(vs: VStructureData, cyl: CylinderAssignment) -> list[CheckReport]:
-    """Isomorphy of the adjunct family and its compatibility square with the
-    coevaluation elements, at every (K, X, Y)."""
+    """:func:`check_vstructure`, then isomorphy of the adjunct family and
+    its compatibility square with the coevaluation elements at every (K, X, Y)."""
     vs.baseV.require_closed()
-    return _assignment_reports(vs, "cylinder", ("alpha", "phibar"), cyl, CYLINDER_LAWS)
+    return check_v(vs.baseV) or check_vstructure(vs) + _assignment_reports(
+        vs, "cylinder", ("alpha", "phibar"), cyl, CYLINDER_LAWS)
 
 
 # Adjunct transport of elements agrees with the coevaluation route: a
@@ -324,14 +325,14 @@ PATH_LAWS = (replace(CYLINDER_LAWS[0], name="path.cp2-1-25"),)
 
 
 def check_path(vs: VStructureData, pth: PathAssignment) -> list[CheckReport]:
-    """The cylinder check of the path, read as a cylinder assignment
-    (:func:`dualize_path`), on the reversed structure
+    """:func:`check_vstructure`, then the cylinder check of the path read as a
+    cylinder assignment (:func:`dualize_path`) on the reversed structure
     (:func:`opposite_vstructure`), reported under the path's names."""
     m = vs.baseV
     m.require_symmetry()
     m.require_closed()
-    return _assignment_reports(opposite_vstructure(vs), "path", ("beta", "psibar"),
-                               dualize_path(pth), PATH_LAWS)
+    return check_v(m) or check_vstructure(vs) + _assignment_reports(
+        opposite_vstructure(vs), "path", ("beta", "psibar"), dualize_path(pth), PATH_LAWS)
 
 
 def reversed_hom(hom: FunctorData, s: FinCategory) -> FunctorData:

@@ -22,7 +22,7 @@ from encat.interface import (
     parse,
     serialize,
 )
-from encat.monoidal import self_cylinder, self_path, self_vstructure
+from encat.monoidal import check_v, self_cylinder, self_path, self_vstructure
 from encat.vcat import self_enriched
 
 
@@ -352,26 +352,106 @@ def test_a_document_that_is_not_an_object_exits_2(tmp_path):
     assert out.getvalue() == "error: document must be a JSON object\n"
 
 
-def test_a_vcategory_hom_object_that_is_not_declared_exits_2(tmp_path):
-    """The self(trop(3)) vcategory document, made as the CLI makes it, with
-    its first ``hom_obj`` row sent to an object V does not declare: ``check``
-    and the ``underlying`` construction both name the row."""
-    paths = {stem: str(tmp_path / f"{stem}.json") for stem in ("cm", "vs", "vc", "bad", "out")}
-    assert cli(["instance", "self(trop(3))", "-o", paths["cm"]], out=io.StringIO()) == 0
-    for src, op, dst in (("cm", "induced-vstructure", "vs"), ("vs", "associated-vcat", "vc")):
-        assert cli(["construct", paths[src], "--op", op, "-o", paths[dst]],
-                   out=io.StringIO()) == 0
-    data = json.loads(open(paths["vc"], encoding="utf-8").read())
-    assert data["body"]["hom_obj"][0] == ["0", "0", "0"]
-    data["body"]["hom_obj"][0][-1] = "nope"
-    with open(paths["bad"], "w", encoding="utf-8") as handle:
+# kind -> (the document it is made from and the op, the path to its V in the
+# body, its V in the parsed data)
+MADE = {"closedmodule": (None, ("tensor_closed", "module", "base_v"),
+                         lambda cm: cm.tensorClosed.module.baseV),
+        "vstructure": (("closedmodule", "induced-vstructure"), ("base_v",), lambda vs: vs.baseV),
+        "vcategory": (("vstructure", "associated-vcat"), ("base_v",), lambda vc: vc.baseV),
+        "cylinder": (("closedmodule", "module-to-cylinder"), ("vstructure", "base_v"),
+                     lambda data: data[0].baseV),
+        "tensorclosed": (("cylinder", "cylinder-to-module"), ("module", "base_v"),
+                         lambda tc: tc.module.baseV),
+        "bimodule": (("closedmodule", "bimodule-complete"),
+                     ("closed_module", "tensor_closed", "module", "base_v"),
+                     lambda bm: bm.closedModule.tensorClosed.module.baseV)}
+
+
+def _made(tmp_path, kind: str) -> dict:
+    """The self(trop(3)) document of ``kind``, made as the CLI makes it."""
+    path = str(tmp_path / f"{kind}.json")
+    source = MADE[kind][0]
+    if source is None:
+        assert cli(["instance", "self(trop(3))", "-o", path], out=io.StringIO()) == 0
+    else:
+        _made(tmp_path, source[0])
+        assert cli(["construct", str(tmp_path / f"{source[0]}.json"), "--op", source[1],
+                    "-o", path], out=io.StringIO()) == 0
+    return json.loads(open(path, encoding="utf-8").read())
+
+
+def _base_v(body: dict, kind: str) -> dict:
+    for key in MADE[kind][1]:
+        body = body[key]
+    return body
+
+
+def _undeclared_hom_object(body):
+    assert body["hom_obj"][0] == ["0", "0", "0"]
+    body["hom_obj"][0][-1] = "nope"
+
+
+def _without_eval_00(body):
+    v = _base_v(body, "closedmodule")["closed"]
+    v["eval"] = [row for row in v["eval"] if row[:2] != ["0", "0"]]
+
+
+@pytest.mark.parametrize("kind, mutate, commands, printed", [
+    # its first hom_obj row sent to an object V does not declare
+    ("vcategory", _undeclared_hom_object, (("construct", "--op", "underlying"),),
+     "error: hom object ('0','0') -> undeclared 'nope'\n"),
+    # V's evaluation row ('0', '0') deleted: V's closed tables are judged
+    ("closedmodule", _without_eval_00,
+     (("construct", "--op", "module-to-cylinder"), ("roundtrip", "--pair", "module-cylinder")),
+     "error: evaluation table missing ('0', '0')\n"),
+], ids=["vcategory-hom-object", "closedmodule-eval-row"])
+def test_a_table_gap_is_named_by_check_and_by_the_construction(
+        tmp_path, kind, mutate, commands, printed):
+    """A self(trop(3)) document with one table fault: ``check`` exits 2 and
+    names the row, and so does every construction or round trip given it."""
+    data = _made(tmp_path, kind)
+    mutate(data["body"])
+    bad, out_path = str(tmp_path / "bad.json"), str(tmp_path / "out.json")
+    with open(bad, "w", encoding="utf-8") as handle:
         json.dump(data, handle)
-    for argv in (["check", paths["bad"]],
-                 ["construct", paths["bad"], "--op", "underlying", "-o", paths["out"]]):
+    for command in (("check",), *commands):
         out = io.StringIO()
-        assert cli(argv, out=out) == 2, argv
-        assert out.getvalue() == "error: hom object ('0','0') -> undeclared 'nope'\n"
-    assert not os.path.exists(paths["out"])
+        output = ["-o", out_path] if command[0] == "construct" else []
+        assert cli([command[0], bad, *command[1:], *output], out=out) == 2, command
+        assert out.getvalue() == printed
+    assert not os.path.exists(out_path)
+
+
+def test_a_gap_in_the_composition_of_v_is_named_on_a_vcategory(tmp_path):
+    """The self(trop(3)) vcategory with V's composition row (id:0, id:0)
+    deleted: ``check`` reports ``category.total`` there first, and the
+    ``underlying`` construction names it."""
+    data = _made(tmp_path, "vcategory")
+    base = data["body"]["base_v"]["base"]
+    base["comp"] = [row for row in base["comp"] if row[:2] != ["id:0", "id:0"]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    out = io.StringIO()
+    assert cli(["check", str(bad), "--format", "json"], out=out) == 1
+    first = json.loads(out.getvalue())["reports"][0]
+    assert (first["law"], first["site"]) == ("category.total", ["id:0", "id:0"])
+    out = io.StringIO()
+    assert cli(["construct", str(bad), "--op", "underlying", "-o", str(tmp_path / "u.json")],
+               out=out) == 2
+    assert out.getvalue() == "error: the vcategory document fails category.total at (id:0, id:0)\n"
+
+
+@pytest.mark.parametrize("kind", list(MADE))
+def test_a_document_whose_v_fails_is_judged_by_v_alone(tmp_path, kind):
+    """V's evaluation at ('1', '0') of the self(trop(3)) document of ``kind``
+    set from m:1:0 to id:0: its checker returns exactly V's reports."""
+    data = _made(tmp_path, kind)
+    ev = _base_v(data["body"], kind)["closed"]["eval"]
+    next(row for row in ev if row[:2] == ["1", "0"])[2] = "id:0"
+    text = json.dumps(data)
+    want = check_v(MADE[kind][2](parse(text).data))
+    assert want and {r.law for r in want} <= set(KNOWN_LAWS)
+    assert run_checks(parse(text)) == want
 
 
 @pytest.mark.parametrize("error, printed", [
@@ -444,8 +524,8 @@ def test_ops_and_pairs_reject_the_kinds_they_do_not_take(
 
 @pytest.mark.parametrize("kind", ["path", "bimodule"])
 def test_cli_check_missing_braid_entry(tmp_path, kind):
-    # a braiding table without the entry a law reads is reported (exit 1),
-    # never a KeyError traceback
+    # a braiding table without the entry a law reads is named as V's missing
+    # table (exit 2), as on a monoidal document, never a KeyError traceback
     cyc3 = build_cyc(3)
     if kind == "path":
         payload = json.loads(serialize(Document("path", (self_vstructure(cyc3), self_path(cyc3)))))
@@ -460,9 +540,9 @@ def test_cli_check_missing_braid_entry(tmp_path, kind):
     result = subprocess.run(
         [sys.executable, "-c", "from encat.cli import main; main()", "check", str(doc)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert result.returncode == 1, result.stderr
+    assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stdout + result.stderr
-    assert "failing check(s)" in result.stdout
+    assert result.stdout == "error: braiding table missing ('*', '*')\n"
 
 
 def _run_cli(*argv):

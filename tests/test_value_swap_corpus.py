@@ -18,6 +18,8 @@ code, the first line printed and the sha256 of the document written, if
 any.  The sha256 of every ``STRIDE``-th outcome is pinned in tier-1, and
 that of all of them under ``-m slow``;
 ``PYTHONPATH=src python tests/test_value_swap_corpus.py`` prints both.
+The full corpus also pins the checker contract: no construction fails
+(exit 2 or 3) on a mutant ``check`` passes.
 """
 
 import hashlib
@@ -37,8 +39,8 @@ KINDS = {"closedmodule": (("tensor_closed", "module"), "module-to-cylinder"),
 STRIDE = 37  # prime to the two commands of a mutant and to every sort's size
 
 # (outcomes in the corpus, sha256 of every STRIDE-th outcome, sha256 of all)
-GOLDEN = (10010, "ae15ee219b73592e14470019662e8bf483f6f7b1c5d860414b5d3fe8c28bbc68",
-          "1aa79f8f59f6414235591371b82e26c18c85f776845a09846d3316b46b6660f3")
+GOLDEN = (10010, "d0334b82e097afe02f78c9d8ff2206aafbebd4d409fa504fec86c835f6a21a0c",
+          "094728720157260c3e1bbeb24ecbb17b1597152ffefe093d25652acede889fdc")
 
 
 def _run(*argv: str) -> tuple[int, str]:
@@ -152,6 +154,10 @@ def test_strided_corpus_matches_golden(tmp_path):
 def test_corpus_matches_golden(tmp_path):
     count, outcomes = corpus(str(tmp_path))
     assert (count, digest(outcomes)) == (GOLDEN[0], GOLDEN[2])
+    # each mutant's outcomes are check's, then its construction's: a
+    # construction never fails (exit 2 or 3) on a document check passes
+    assert [(checked, built) for checked, built in zip(outcomes[::2], outcomes[1::2])
+            if checked[0] == 0 and built[0] in (2, 3)] == []
 
 
 if __name__ == "__main__":

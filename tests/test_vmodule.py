@@ -446,10 +446,10 @@ def test_a_missing_comodule_entry_is_named_as_the_bimodule_names_it(self_cyc3):
 @pytest.mark.parametrize("name", ["poset-diamond", "self(bool)"])
 def test_an_ill_typed_unitor_of_the_base_is_reported_not_blamed_on_the_engine(tmp_path, name):
     """V = bool with its left unitor at 0 set to id:1: the module's derived
-    unit-absorption triangle rests on V's axioms, which the module checks do
-    not check, so ``encat check`` reports V's failures (exit 1) instead of an
-    engine bug (exit 3), on the closed module and on its bimodule completion,
-    where both sides' derived laws fall back on them but each is listed once."""
+    unit-absorption triangle rests on V's axioms, which the module checkers
+    judge first, so ``encat check`` reports V's failures (exit 1), each once,
+    instead of an engine bug (exit 3), on the closed module and on its
+    bimodule completion."""
     import io
     import json
 
