@@ -87,7 +87,7 @@ class EngineBugError(EncatError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CheckReport:
     """One law violation found by a checker.
 
@@ -104,9 +104,12 @@ class CheckReport:
     witness_count: int | None = None
     note: str = ""
 
-    def __post_init__(self):
-        if self.lhs is not None and self.rhs is not None and self.lhs == self.rhs:
+    def __init__(self, law: str, site: tuple[str, ...], lhs: Mor | None = None,
+                 rhs: Mor | None = None, witness_count: int | None = None, note: str = ""):
+        if lhs is not None and rhs is not None and lhs == rhs:
             raise ValueError("a CheckReport must record two composites that differ")
+        self.__dict__.update(law=law, site=site, lhs=lhs, rhs=rhs,
+                             witness_count=witness_count, note=note)  # one write, not six
 
 
 def sort_reports(reports: Iterable[CheckReport]) -> list[CheckReport]:
@@ -227,6 +230,11 @@ def assert_derived(laws: Iterable[Law], *data: Any,
         if fail is not None:
             raise fail(report.law, report.site)
         raise EngineBugError(f"derived law failed: {report.law} at {report.site!r}")
+
+
+def holds(laws: Iterable[Law], *data: Any) -> bool:
+    """Whether ``laws`` hold on ``data``, judged up to the first site that fails."""
+    return next(_reports(laws, data), None) is None
 
 
 def _reports(laws: Iterable[Law], data: tuple) -> Iterator[CheckReport]:
@@ -609,6 +617,7 @@ def opposite_category(a: FinCategory) -> FinCategory:
     return a._opposite
 
 
+@kept
 def morphism_inverse(cat: FinCategory, f: Mor) -> Mor | None:
     """The unique two-sided inverse of ``f``, or ``None`` if there is none."""
     s, d = cat.src(f), cat.dst(f)
@@ -1027,6 +1036,7 @@ def trinatural_cover(a: FinCategory, b: FinCategory, c: FinCategory, e: FinCateg
     return tuple(cover)
 
 
+@kept
 def is_valid(cat: FinCategory) -> bool:
     """Whether ``cat`` is a valid category, by its verdict, found once; a
     product's (a ``comp`` that is a :class:`ProductComp`) is read off its

@@ -5,12 +5,14 @@ plus the completion of a closed module to a closed bimodule.
 Every construction assumes lawful input, raising its own error otherwise (to
 judge the input is its checker's job); it is deterministic, and the inverse
 direction reproduces the input as an exact table equality.  Yoneda-style
-extractions (the module associator, the module unitor, the comodule
-structure) try every candidate morphism against the whole family, at every
-probe, and keep the one that induces it, which must be unique.
+extractions (module associator and unitor, comodule structure) keep the one
+candidate that represents the family, each judged by ``YONEDA_LAWS`` up to its
+first failing probe; ``cylinder_to_module`` judges none on a thin cover.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from .core import (
     Mor,
@@ -19,6 +21,7 @@ from .core import (
     WitnessError,
     assert_derived,
     derived_law,
+    holds,
     morphism_inverse_checked,
     opposite_category,
     preimage,
@@ -114,18 +117,23 @@ ADJUNCTION_ROUTE_LAWS = (_hom_first(derived_law("adjunction routes",
                     k, vs.hom_obj(x, y))), ("tensor", "structure", "closed")),)
 
 
-def _yoneda_unique_pre(s, src: Obj, dst: Obj, family, what: str) -> Mor:
-    """The unique h : src -> dst with family(Y, g) = g . h for all probes
-    g : dst -> Y."""
-    candidates = []
-    for h in s.hom(src, dst):
-        if all(s.then(h, g) == family(y, g)
-               for y in s.objects for g in s.hom(dst, y)):
-            candidates.append(h)
+# h : src -> dst represents the family at the probe (Y, g : dst -> Y) when g . h = family(Y, g),
+# on (vs, cyl, S, family, h).  Given the records, phi at (K, X, Y) lands in Hom_V(K, hom(X, Y)),
+# as large as Hom_S(K (x) X, Y): on a thin S the family is total and both sides are equal.
+_PROBE = derived_law("yoneda probe",
+    lambda vs, cyl, s, family, h: ((y, g) for y in s.objects for g in s.hom(s.dst(h), y)),
+    lambda vs, cyl, s, family, h, y, g: s.then(h, g),
+    lambda vs, cyl, s, family, h, y, g: family(y, g))
+YONEDA_LAWS = (_hom_first(_PROBE, ("tensor", "structure", "closed"), cat=lambda *data: data[2]),)
+
+
+def _yoneda_unique_pre(laws, vs, cyl, s, src: Obj, dst: Obj, family, what: str) -> Mor:
+    """The unique h : src -> dst with family(Y, g) = g . h for all probes g : dst -> Y,
+    each candidate judged by ``laws`` up to its first failing probe (none on their cover)."""
+    candidates = [h for h in s.hom(src, dst) if holds(laws, vs, cyl, s, family, h)]
     if len(candidates) != 1:
-        raise WitnessError(
-            f"{what}: {len(candidates)} witnesses representing the family",
-            count=len(candidates))
+        raise WitnessError(f"{what}: {len(candidates)} witnesses representing the family",
+                           count=len(candidates))
     return candidates[0]
 
 
@@ -144,32 +152,27 @@ def cylinder_to_module(vs: VStructureData,
     phi = _module_phi_tables(vs, cyl)
     fibres = {key: Preimages(table) for key, table in phi.items()}
     assoc = {}
-    for k in base.objects:
-        for l in base.objects:
-            for x in s.objects:
-                kl = m.tobj(k, l)
-                lx = cyl.tensor_obj[(l, x)]
-                klx = cyl.tensor_obj[(kl, x)]
-                k_lx = cyl.tensor_obj[(k, lx)]
+    for k, l, x in product(base.objects, base.objects, s.objects):
+        kl = m.tobj(k, l)
+        lx = cyl.tensor_obj[(l, x)]
+        klx = cyl.tensor_obj[(kl, x)]
+        k_lx = cyl.tensor_obj[(k, lx)]
 
-                def family(y: Obj, g: Mor, k=k, l=l, x=x, kl=kl, lx=lx) -> Mor:
-                    t = base.compose(phi[(k, lx, y)][g], cyl.phibar[(l, x, y)])
-                    t = transpose_pi_inv(m, t, l, vs.hom_obj(x, y))
-                    return preimage(fibres, (kl, x, y), t, "induced adjunction")
+        def family(y: Obj, g: Mor, k=k, l=l, x=x, kl=kl, lx=lx) -> Mor:
+            t = base.compose(phi[(k, lx, y)][g], cyl.phibar[(l, x, y)])
+            t = transpose_pi_inv(m, t, l, vs.hom_obj(x, y))
+            return preimage(fibres, (kl, x, y), t, "induced adjunction")
 
-                assoc[(k, l, x)] = _yoneda_unique_pre(
-                    s, klx, k_lx, family,
-                    f"module associator at ({k!r}, {l!r}, {x!r})")
+        assoc[(k, l, x)] = _yoneda_unique_pre(YONEDA_LAWS, vs, cyl, s, klx, k_lx, family,
+                                              f"module associator at ({k!r}, {l!r}, {x!r})")
 
     lunit = {}
     for x in s.objects:
-        ix = cyl.tensor_obj[(m.unit, x)]
-
         def lfamily(y: Obj, g: Mor, x=x) -> Mor:
             return preimage(fibres, (m.unit, x, y), vs.phi_of(x, y, g), "induced adjunction")
 
-        lunit[x] = _yoneda_unique_pre(
-            s, ix, x, lfamily, f"module unitor at {x!r}")
+        lunit[x] = _yoneda_unique_pre(YONEDA_LAWS, vs, cyl, s, cyl.tensor_obj[(m.unit, x)], x,
+                                      lfamily, f"module unitor at {x!r}")
 
     module = VModuleData(baseV=m, baseS=s, action=action, assoc=assoc, lunit=lunit)
     return TensorClosedModuleData(module=module, homFunctor=vs.homFunctor, phi=phi)
@@ -189,18 +192,16 @@ def bimodule_completion(cm: ClosedVModuleData) -> ClosedBimoduleData:
     s_op = opposite_category(s)
     dual = dual_tensorclosed(cm)
     comod_assoc, comod_lunit = {}, {}
-    for k in base.objects:
-        for l in base.objects:
-            for x in s.objects:
-                src = cm.cot_obj(k, cm.cot_obj(l, x))
-                dst = cm.cot_obj(m.tobj(k, l), x)
-                comod_assoc[(k, l, x)] = _yoneda_unique_pre(
-                    s_op, dst, src,
-                    lambda y, g, k=k, l=l, x=x: _assoc_transport(cm, dual, m, s, k, l, x, y, g),
-                    f"comodule associator at ({k!r}, {l!r}, {x!r})")
+    for k, l, x in product(base.objects, base.objects, s.objects):
+        src = cm.cot_obj(k, cm.cot_obj(l, x))
+        dst = cm.cot_obj(m.tobj(k, l), x)
+        comod_assoc[(k, l, x)] = _yoneda_unique_pre(
+            (_PROBE,), None, None, s_op, dst, src,
+            lambda y, g, k=k, l=l, x=x: _assoc_transport(cm, dual, m, s, k, l, x, y, g),
+            f"comodule associator at ({k!r}, {l!r}, {x!r})")
     for x in s.objects:
         comod_lunit[x] = _yoneda_unique_pre(
-            s_op, cm.cot_obj(m.unit, x), x,
+            (_PROBE,), None, None, s_op, cm.cot_obj(m.unit, x), x,
             lambda y, g, x=x: _unit_transport(cm, dual, m, s, x, y, g),
             f"comodule unitor at {x!r}")
     return ClosedBimoduleData(closedModule=cm, comodAssoc=comod_assoc,

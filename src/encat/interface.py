@@ -9,7 +9,7 @@ it, and every table is written in sorted order, so the bytes are canonical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _esc
 from typing import Any
@@ -139,6 +139,7 @@ class _Reader:
     """Schema-checking view over parsed JSON, with positioned diagnostics."""
 
     text: str
+    categories: list = field(default_factory=list)  # equal tables are read as one category
 
     def fail(self, exc_type, message: str, token: str = "") -> None:
         line, col = _position_of(self.text, token) if token else (0, 0)
@@ -368,6 +369,11 @@ class _FinCategory(_Column):
             if row["id"] in morphisms:
                 r.fail(DuplicateIdError, f"{where}: duplicate morphism id", row["id"])
             morphisms[row["id"]] = (row["id"], row["src"], row["dst"])
+        if any(map("".join(ids := [*objects, *morphisms]).__contains__, ",()")):
+            for i in ids:  # a pair id "(a,b)" is split at its first comma outside parentheses
+                if i.count("(") != i.count(")") or split_pair_id(f"({i},)") != (i, ""):
+                    r.fail(ParseError, f"{where}: a pair id cannot carry {i!r}: a comma "
+                                       "outside parentheses or unbalanced parentheses", i)
         morphisms = tuple(sorted(morphisms.values()))
         scope = {"base": FinCategory(objects, morphisms, {}, {})}
         OBJ.check(r, [o for _, s, d in morphisms for o in (s, d)], where, scope)
@@ -375,8 +381,9 @@ class _FinCategory(_Column):
         r.ids(list(identity.values()), where, "identity")
         OBJ.check(r, identity, where, scope)
         MOR.check(r, identity.values(), where, scope)
-        return FinCategory(objects, morphisms, identity,
-                           self.COMP.field(r, obj, "comp", where, scope))
+        r.categories.append(FinCategory(objects, morphisms, identity,
+                                        self.COMP.field(r, obj, "comp", where, scope)))
+        return r.categories[r.categories.index(r.categories[-1])]
 
     def write(self, cat):
         return {"objects": sorted(cat.objects),

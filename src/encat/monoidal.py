@@ -189,6 +189,7 @@ class MonoidalData:
         return entry(self.require_symmetry().braid, (x, y), "braiding table")
 
 
+@kept
 def shapes_clean(m: MonoidalData, *names: str) -> bool:
     """Whether ``m`` has a declared unit on a valid base and clean verdicts of
     the shape loops ``names``: the premise of a thin cover that reads them."""

@@ -656,14 +656,14 @@ def _assoc_transport(cm: ClosedVModuleData, dual: TensorClosedModuleData, m: Mon
     Y -> (K (x) L) cot X."""
     tc = cm.tensorClosed
     mod = tc.module
-    g1 = tc.phi_inv(k, y, cm.cot_obj(l, x),
-                    dual.phi_of(k, cm.cot_obj(l, x), y, g))
-    g2 = tc.phi_inv(l, mod.act_obj(k, y), x,
-                    dual.phi_of(l, x, mod.act_obj(k, y), g1))
+    lx = cm.cot_obj(l, x)  # each table entry is read once, in the order the steps need it
+    g1 = tc.phi_inv(k, y, lx, dual.phi_of(k, lx, y, g))
+    ky = mod.act_obj(k, y)
+    g2 = tc.phi_inv(l, ky, x, dual.phi_of(l, x, ky, g1))
     g3 = s.compose(mod.a(l, k, y), g2)
     g4 = s.compose(mod.act_mor(m.braid(k, l), s.id_(y)), g3)
-    return dual.phi_inv(m.tobj(k, l), x, y,
-                        tc.phi_of(m.tobj(k, l), y, x, g4))
+    kl = m.tobj(k, l)
+    return dual.phi_inv(kl, x, y, tc.phi_of(kl, y, x, g4))
 
 
 def _unit_transport(cm: ClosedVModuleData, dual: TensorClosedModuleData, m: MonoidalData,

@@ -10,7 +10,7 @@ uniqueness operation documents the remaining freedom.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import product
 from typing import Callable, Mapping
 
@@ -137,20 +137,21 @@ def _hom_structure(vs: VStructureData) -> list[CheckReport]:
     return reports
 
 
-def _hom_first(law: Law, shapes: tuple[str, ...], reads: Callable | None = None) -> Law:
+def _hom_first(law: Law, shapes: tuple[str, ...], reads: Callable | None = None,
+               cat: Callable = lambda vs, *_: vs.baseV.base) -> Law:
     """``law``, an equation in V on data (vs, ...), gated first on the
-    :func:`~encat.core.read_cover` of V's base, premised on a valid S, clean V
-    ``shapes`` and "hom structure" records and, for an assignment ``data[1]``,
-    its "cylinder" record: then its sides are parallel composites, equal on a
-    thin V (CWM VII.2).  Misshapen internal composition entries alone send it
-    to the sites whose ``reads(*data, *site)`` names one, else to every site."""
+    :func:`~encat.core.read_cover` of V's base (of ``cat(*data)`` for one in S),
+    premised on a valid S, clean V ``shapes`` and "hom structure" records and, for
+    an assignment ``data[1]``, its "cylinder" record: then its sides are parallel,
+    so equal on a thin category (CWM VII.2).  Misshapen internal composition entries
+    alone send it to the sites whose ``reads(*data, *site)`` names one, else to every site."""
     def misshapen(vs: VStructureData, cyl, *_) -> list | None:
         bad = (shape_keys(verdict(vs, "hom structure", _hom_structure, raising=False),
                           "vstructure.shape")
                if is_valid(vs.baseS) and shapes_clean(vs.baseV, *shapes) and (
                    not isinstance(cyl, CylinderAssignment) or clean(cyl, "cylinder")) else None)
         return bad if reads or not bad else None
-    return thin_first(law, lambda vs, *_: vs.baseV.base, misshapen, lambda *data: reading(
+    return thin_first(law, cat, misshapen, lambda *data: reading(
         lambda bad: law.sites(*data), lambda *site: reads(*data, *site)))
 
 
@@ -373,16 +374,23 @@ def _transported(vs: VStructureData, cyl: CylinderAssignment, k: Obj, x: Obj,
                  target: Obj, element: Mor) -> tuple[Mor, list[Mor]]:
     """The morphism K (x) X -> target whose coevaluation composite is the
     given element K -> hom(X, target), recovered through the adjunct family,
-    and every such morphism, found by exhaustive search."""
-    m = vs.baseV
-    base = m.base
-    s = vs.baseS
+    and every such morphism: each h at which ``WITNESS_LAWS`` hold."""
+    base = vs.baseV.base
     kx = cyl.tensor_obj[(k, x)]
-    t = base.compose(varpi(m, element),
+    t = base.compose(varpi(vs.baseV, element),
                      morphism_inverse_checked(base, cyl.phibar[(k, x, target)]))
     f = vs.phi_inv(kx, target, t)
-    return f, [h for h in s.hom(kx, target)
-               if base.compose(cyl.alpha[(k, x)], vs.hom_mor(s.id_(x), h)) == element]
+    failed = {r.site for r in evaluate(WITNESS_LAWS, vs, cyl, k, x, target, element)}
+    return f, [h for h in vs.baseS.hom(kx, target) if (h,) not in failed]
+
+
+# h : K (x) X -> T witnesses e : K -> hom(X, T) when alpha . hom(1, h) = e, on (vs, cyl, K,
+# X, T, e).  Given the records both sides lie in Hom_V(K, hom(X, T)): on a thin V every h does.
+WITNESS_LAWS = (_hom_first(derived_law("action witness",
+    lambda vs, cyl, k, x, t, e: product(vs.baseS.hom(cyl.tensor_obj[(k, x)], t)),
+    lambda vs, cyl, k, x, t, e, h: vs.baseV.base.compose(
+        cyl.alpha[(k, x)], vs.hom_mor(vs.baseS.id_(x), h)),
+    lambda vs, cyl, k, x, t, e, h: e), ("tensor", "closed")),)
 
 
 def _first_route(base, s, u_tensor, k_tensor, u: Mor, v: Mor) -> Mor:
@@ -394,20 +402,22 @@ def induced_tensor_bifunctor(vs: VStructureData, cyl: CylinderAssignment) -> Fun
     """The action bifunctor forced by a cylinder assignment.
 
     Each partial application is computed by element transport and verified to
-    be the unique morphism making the defining square commute, once per
-    argument within one call, so each sends identities to identities.  The
-    action is F(u, v) = (K (x) v) then (u (x) Y); its composition law at
-    ((u, 1_X), (1_L, v)) is the agreement of the two partial routes of
-    (u, v), judged with the rest of F's functor laws.  A missing cylinder
-    entry raises :class:`MissingTableError`, as :func:`check_cylinder` does.
+    be the unique morphism making the defining square commute (``WITNESS_LAWS``,
+    by typing alone on a thin V), once per argument and element in one call, so each
+    sends identities to identities.  The action is F(u, v) = (K (x) v) then
+    (u (x) Y); its composition law at ((u, 1_X), (1_L, v)) is the agreement of
+    the two partial routes of (u, v), judged with the rest of F's functor laws.
+    A missing cylinder entry raises :class:`MissingTableError`, as :func:`check_cylinder` does.
     """
     _require_assignment(vs, "cylinder", ("alpha", "phibar"), cyl.tensor_obj, cyl.alpha, cyl.phibar)
     m = vs.baseV
     base = m.base
     s = vs.baseS
 
+    transported = cache(partial(_transported, vs, cyl))  # a (K, X, T, e) recurs: one search
+
     def acted(k: Obj, x: Obj, target: Obj, element: Mor, what: str) -> Mor:
-        f, witnesses = _transported(vs, cyl, k, x, target, element)
+        f, witnesses = transported(k, x, target, element)
         if witnesses != [f]:
             raise WitnessError(f"action of {what} has {len(witnesses)} witnesses",
                                count=len(witnesses))

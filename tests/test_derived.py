@@ -33,6 +33,7 @@ from encat.core import (
     required,
 )
 from encat.instances import build_bool, build_cyc, build_poset_module, build_trop, module_self
+from test_hom_gate import search_data
 from test_monoidal_gate import spy
 
 
@@ -116,6 +117,11 @@ FAMILIES = {
         *_cylinder(build_cyc(3))), (WitnessError, "adjunct family not natural in {} at (", 0)),
     "ADJUNCTION_ROUTE_LAWS": (equiv, lambda: equiv.cylinder_to_module(*_cylinder(build_cyc(3))),
                               ENGINE_BUG),
+    # the searches: a lying probe or witness test leaves no candidate
+    "YONEDA_LAWS": (equiv, lambda: equiv.cylinder_to_module(*_cylinder(build_cyc(3))),
+                    (WitnessError, "module associator at ('*', '*', '*'): 0 witnesses", 0)),
+    "WITNESS_LAWS": (vst, lambda: vst.induced_tensor_bifunctor(*_cylinder(build_cyc(3))),
+                     (WitnessError, "action of '*' on '0' has 0 witnesses", 0)),
 }
 CASES = [(family, i) for family, (module, _, _) in FAMILIES.items()
          for i in range(len(getattr(module, family)))]
@@ -294,17 +300,21 @@ def test_thin_derived_laws_hold_at_every_site_on_the_ladder(monkeypatch, name):
 
 
 HOM_DERIVED = {"DERIVED_CYLINDER_LAWS": vst, "PHIBAR_NATURALITY_LAWS": vst,
-               "ADJUNCTION_ROUTE_LAWS": equiv, "PHIBAR_LAWS": vmod}
+               "ADJUNCTION_ROUTE_LAWS": equiv, "PHIBAR_LAWS": vmod,
+               "YONEDA_LAWS": equiv, "WITNESS_LAWS": vst}
 
 
 def hom_derived_sites(monkeypatch, tc) -> int:
-    """The reference for the derived laws of the hom-structure side on a thin
-    V: ``module_to_cylinder``, ``check_cylinder`` and ``cylinder_to_module``
-    find no report and judge none of their sites, and with ``gate=None``
-    each holds at every site.  Returns the number of sites."""
+    """The reference for the derived laws and searches of the hom-structure
+    side on a thin V: ``module_to_cylinder``, ``check_cylinder`` and
+    ``cylinder_to_module`` find no report and judge none of their sites, and
+    with ``gate=None`` each holds at every site: every candidate represents
+    its family and every morphism witnesses its element.  Returns the number
+    of sites."""
     seen = spy(monkeypatch)
     vs, cyl = equiv.module_to_cylinder(tc)
     assert vst.check_vstructure(vs) == [] and vst.check_cylinder(vs, cyl) == []
+    probes, witnesses = search_data(monkeypatch)
     equiv.cylinder_to_module(vs, cyl)
     monkeypatch.undo()
     names = {law.name for family, module in HOM_DERIVED.items() for law in getattr(module, family)}
@@ -314,7 +324,9 @@ def hom_derived_sites(monkeypatch, tc) -> int:
     data = {"DERIVED_CYLINDER_LAWS": [(vs, cyl, m)],
             "PHIBAR_NATURALITY_LAWS": [(vs, cyl, m, vst.induced_tensor_bifunctor(vs, cyl))],
             "ADJUNCTION_ROUTE_LAWS": [(vs, cyl, equiv._module_phi_tables(vs, cyl))],
-            "PHIBAR_LAWS": [(mod, tc, vmod._adjunct(tc, *key), key) for key in keys]}
+            "PHIBAR_LAWS": [(mod, tc, vmod._adjunct(tc, *key), key) for key in keys],
+            "YONEDA_LAWS": probes, "WITNESS_LAWS": witnesses}
+    assert probes and witnesses
     sites = 0
     for family, module in HOM_DERIVED.items():
         free = [dataclasses.replace(law, gate=None) for law in getattr(module, family)]

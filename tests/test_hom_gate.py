@@ -14,6 +14,11 @@ On every cylinder document of the value-swap golden
 give the same reports both ways, or raise the same error with the same
 message, each on its own parse.  Tier-1 compares every ``STRIDE``-th
 mutant; ``-m slow`` compares all of them.
+
+The same records gate the two searches of ``cylinder_to_module``: the Yoneda
+probes (``equiv.YONEDA_LAWS``, on the thin cover of S) and the witnesses of
+the induced action (``vstruct.WITNESS_LAWS``).  On a thin rung neither is
+judged at any site; on cyc(3) every probe and witness reaches the judge.
 """
 
 import dataclasses
@@ -22,9 +27,11 @@ from itertools import product
 
 import pytest
 
+import encat.equiv as equiv
 import encat.vstruct as vst
 from encat.cli import run_checks
 from encat.core import EncatError
+from encat.instances import build_cyc, build_poset_module, build_trop, module_self
 from encat.interface import parse
 from test_monoidal_gate import spy
 from test_value_swap_corpus import BASES, documents, mutants
@@ -115,3 +122,46 @@ def test_a_misshapen_composition_entry_is_judged_where_it_is_read(monkeypatch, t
         for judged in seen[name]:
             assert len(judged) == len(set(judged)) and set(judged) == scan, name
     assert scans["vstructure.assoc"] and scans["cylinder.cp1-1"]
+
+
+def search_data(mp) -> tuple[list[tuple], list[tuple]]:
+    """Record the data on which ``cylinder_to_module`` judges its searches:
+    (vs, cyl, S, family, h) for each candidate h of each Yoneda extraction
+    (``equiv.YONEDA_LAWS``), and (vs, cyl, K, X, T, e) for each partial
+    action (``vstruct.WITNESS_LAWS``)."""
+    probes, witnesses = [], []
+    extract, transported = equiv._yoneda_unique_pre, vst._transported
+
+    def extracting(laws, vs, cyl, s, src, dst, family, what):
+        probes.extend((vs, cyl, s, family, h) for h in s.hom(src, dst))
+        return extract(laws, vs, cyl, s, src, dst, family, what)
+
+    def transporting(*data):
+        witnesses.append(data)
+        return transported(*data)
+
+    mp.setattr(equiv, "_yoneda_unique_pre", extracting)
+    mp.setattr(vst, "_transported", transporting)
+    return probes, witnesses
+
+
+SEARCH_BASES = {"self(trop(4))": lambda: module_self(build_trop(4)),
+                "poset-diamond": build_poset_module, "self(cyc(3))": lambda: module_self(build_cyc(3))}
+
+
+@pytest.mark.parametrize("name", list(SEARCH_BASES))
+def test_the_searches_judge_no_site_on_a_thin_cover_and_every_site_off_it(monkeypatch, name):
+    """On a lawful thin cylinder each candidate of a Yoneda extraction and
+    each witness of a partial action is its hom-set's only element, so
+    ``cylinder_to_module`` judges no probe and no witness; on self(cyc(3)),
+    which is not thin, every probe of every candidate and every witness
+    reaches the judge, as without a gate."""
+    vs, cyl = equiv.module_to_cylinder(SEARCH_BASES[name]().tensorClosed)
+    seen = spy(monkeypatch)
+    probes, witnesses = search_data(monkeypatch)
+    equiv.cylinder_to_module(vs, cyl)
+    monkeypatch.undo()
+    thin = name != "self(cyc(3))"
+    for [law], data in ((equiv.YONEDA_LAWS, probes), (vst.WITNESS_LAWS, witnesses)):
+        full = [list(law.sites(*args)) for args in data]
+        assert data and all(full) and seen[law.name] == ([[]] * len(data) if thin else full)

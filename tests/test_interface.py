@@ -11,7 +11,7 @@ import encat.vmodule
 from encat.core import EngineBugError, WitnessError, structural_equal
 from encat.cli import CHECKERS, KNOWN_LAWS, LAW_REGISTRY, OPS, PAIRS, cli, run_checks
 from encat.equiv import bimodule_completion, module_to_cylinder
-from encat.instances import build_cyc, module_self
+from encat.instances import build_cyc, build_trop, module_self
 from encat.interface import (
     KINDS,
     Document,
@@ -87,6 +87,27 @@ def test_duplicate_morphism_id(bool_m):
     with pytest.raises(DuplicateIdError) as err:
         parse(json.dumps(payload))
     assert err.value.token == payload["body"]["morphisms"][0]["id"]
+
+
+@pytest.mark.parametrize("bad", ["x,y", "(p,q),r", "x(", "x)"])
+def test_an_id_that_a_pair_id_cannot_carry_is_a_parse_error(tmp_path, bad):
+    """A functor's rows are keyed by pair ids ``(a,b)``, read back at the
+    first comma outside parentheses, so an id with a comma there, or with
+    unbalanced parentheses, would lose or misplace rows (with object 1 of
+    self(trop(4)) named "x,y", the hom functor row at ("x,y", "2") reads
+    back as ("x", "y,2")).  Parse rejects such an id, naming it, and
+    ``check`` exits 2; nested pair ids stay valid."""
+    text = serialize(Document("vstructure", self_vstructure(build_trop(4))))
+    renamed = text.replace('"1"', json.dumps(bad))
+    with pytest.raises(ParseError, match="a pair id cannot carry") as err:
+        parse(renamed)
+    assert err.value.token == bad
+    doc = tmp_path / "bad.json"
+    doc.write_text(renamed, encoding="utf-8")
+    out = io.StringIO()
+    assert cli(["check", str(doc)], out=out) == 2 and repr(bad) in out.getvalue()
+    nested = parse(text.replace('"1"', json.dumps("(p,(q,1))")))
+    assert run_checks(nested) == [] and structural_equal(parse(serialize(nested)).data, nested.data)
 
 
 def test_rows_that_are_not_lists_are_parse_errors(bool_m):
