@@ -7,7 +7,9 @@ hom object that the morphism corresponds to.  Keeping the witness in the name
 makes the round trip with the enriched-hom structure an exact table equality.
 
 :func:`check_tensored` decides a tensor assignment along one route, the
-composition square ``tensored.vnatural``, and reports each failure once.
+composition square ``tensored.vnatural``, and reports each failure once.  On
+a thin V, where every diagram commutes (CWM §VII.2), ``VCATEGORY_LAWS`` judge
+no site once V's shape loops and the ``vcat.shape`` record are clean.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .core import (
     MissingTableError,
     Mor,
     Obj,
+    clean,
     entry,
     evaluate,
     morphism_inverse_checked,
@@ -31,12 +34,15 @@ from .core import (
     pair_id,
     product_category,
     sort_reports,
+    thin_first,
     typed,
+    verdict,
 )
 from .monoidal import (
     MonoidalData,
     check_v,
     internal_composition_b,
+    shapes_clean,
     transpose_pi,
     transpose_pi_inv,
     varpi,
@@ -76,7 +82,10 @@ class TensoredData:
         return entry(self.phibar, (k, x, y), "tensored structure component")
 
 
-VCATEGORY_LAWS = (
+# On (vc, V).  Once V's tensor and structure loops and the "shape" record are clean, each side
+# is (hom(C, D) (x) hom(B, C)) (x) hom(A, B) -> hom(A, D) or I (x) hom(A, B) -> hom(A, B) in V.
+VCATEGORY_LAWS = tuple(thin_first(law, lambda vc, m: m.base, lambda vc, m: (
+    shapes_clean(m, "tensor", "structure") and clean(vc, "shape"))) for law in (
     Law("vcat.assoc", lambda vc, m: product(vc.objects, repeat=4),
         lambda vc, m, a, bb, c, d: m.base.compose(
             m.tmor(vc.b(bb, c, d), m.base.id_(vc.hom(a, bb))), vc.b(a, bb, d)),
@@ -91,30 +100,25 @@ VCATEGORY_LAWS = (
         lambda vc, m, a, bb, _: m.base.compose(
             m.tmor(m.base.id_(vc.hom(a, bb)), vc.j(a)), vc.b(a, a, bb)),
         lambda vc, m, a, bb, _: m.r(vc.hom(a, bb)), core=True),
-)
+))
 
 
 def check_vcategory(vc: VCategoryData) -> list[CheckReport]:
     """V's reports (:func:`check_v`), then shape, associativity and unit laws."""
-    m = vc.baseV
-    if reports := check_v(m):
-        return reports
-    base = m.base
-    objs = vc.objects
+    return check_v(vc.baseV) or sort_reports(
+        [*verdict(vc, "shape", _vcat_shapes), *evaluate(VCATEGORY_LAWS, vc, vc.baseV)])
 
-    for a in objs:
-        for bb in objs:
-            h = vc.hom(a, bb)
-            if not base.has_obj(h):
-                raise MissingTableError(f"hom object ({a!r},{bb!r}) -> undeclared {h!r}")
-    reports = typed(base, (((a, j), j, m.unit, vc.hom(a, a)) for a in objs for j in (vc.j(a),)),
-                    "vcat.shape")
-    reports += typed(base, (((a, bb, c, bv), bv, m.tobj(vc.hom(bb, c), vc.hom(a, bb)), vc.hom(a, c))
-                            for a, bb, c in product(objs, repeat=3) for bv in (vc.b(a, bb, c),)),
-                     "vcat.shape")
 
-    reports += evaluate(VCATEGORY_LAWS, vc, m)
-    return sort_reports(reports)
+def _vcat_shapes(vc: VCategoryData) -> list[CheckReport]:
+    """The "shape" record: ``vcat.shape`` of the units and the composition."""
+    m, objs = vc.baseV, vc.objects
+    for a, bb in product(objs, repeat=2):
+        if not m.base.has_obj(h := vc.hom(a, bb)):
+            raise MissingTableError(f"hom object ({a!r},{bb!r}) -> undeclared {h!r}")
+    return typed(m.base, [*(((a, j), j, m.unit, vc.hom(a, a)) for a in objs for j in (vc.j(a),)),
+                          *(((a, bb, c, bv), bv, m.tobj(vc.hom(bb, c), vc.hom(a, bb)), vc.hom(a, c))
+                            for a, bb, c in product(objs, repeat=3) for bv in (vc.b(a, bb, c),))],
+                 "vcat.shape")
 
 
 def element_id(a: Obj, b: Obj, witness: Mor) -> str:

@@ -39,12 +39,12 @@ gate, judges no site once its premises, :func:`~encat.core.verdict` records,
 are clean: V's shape loops, "action" (the cotensor's on the reversed side),
 "hom", the "module" shape loop, "phi" (psi's) and, for ``BIMODULE_LAWS``,
 "bimodule", every earlier report.  When the only faults are misshapen
-associator or unitor entries of the module or of the reversed side (and, for
-``BIMODULE_LAWS``, every earlier report is one they explain), it judges a
-law only at the sites that read one, by the readers declared beside it:
-comodule entry (0, 1, 0) of the self(trop(4)) bimodule set to m:2:1 is
-judged at 19 of the 1,000 ``module.assoc-natural`` sites of the reversed
-side.  Of the derived laws only ``PHIBAR_LAWS`` takes the empty thin cover.
+entries, of the action (:func:`_misread`) or, but for ``ADJUNCTION_LAWS``,
+of the associators and unitors (for ``BIMODULE_LAWS`` explaining every
+earlier report), it judges a law only at the sites that read one, by the
+readers declared beside it: comodule entry (0, 1, 0) of the self(trop(4))
+bimodule set to m:2:1 is judged at 19 of the 1,000 ``module.assoc-natural``
+sites of the reversed side.  The derived laws take the empty thin cover.
 Every checker here judges V first (:func:`~encat.monoidal.check_v`), so a
 derived law that fails is an engine bug.
 """
@@ -52,7 +52,7 @@ derived law that fails is an engine bug.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import chain, product
 from typing import Iterator, Mapping
 
 from .core import (
@@ -180,16 +180,27 @@ class EnrichedActionData:
 _ACTION, _HOM_FUNCTOR, _COTENSOR = "module.functor", "moduleclosed.functor", "moduleclosed.cotensor"
 
 
+def _misread(mod: VModuleData) -> list[tuple[Mor, Mor]] | None:
+    """The (u, v) of the misshapen entries of the action (the cotensor on
+    the reversed side), when its "action" record holds only shape reports."""
+    record = mod.__dict__.get("verdicts", {}).get("action")
+    sites = shape_keys(record, f"{_ACTION}.shape") or shape_keys(record, f"{_COTENSOR}.shape")
+    parts = getattr(mod.action.srcCat.comp, "parts", {})  # a product's: pair id -> (u, v)
+    return None if sites is None or not all(f in parts for f, _ in sites) else [
+        parts[f] for f, _ in sites]
+
+
 def _misshapen(mod: VModuleData) -> list[tuple[Obj, ...]] | None:
-    """The keys of the misshapen associator (K, L, X) and unitor (X,) entries,
-    when the other tables the module laws read are clean."""
-    return (shape_keys(verdict(mod, "module", _module_shapes, raising=False), "module.shape")
-            if clean(mod, "action") and shapes_clean(mod.baseV, "tensor", "structure") else None)
+    """The keys of the misshapen associator (K, L, X), unitor (X,) and action
+    (u, v) entries, when the other tables the module laws read are clean."""
+    keys = (shape_keys(verdict(mod, "module", _module_shapes, raising=False), "module.shape")
+            if shapes_clean(mod.baseV, "tensor", "structure") else None)
+    return None if keys is None or (action := _misread(mod)) is None else keys + action
 
 
 # The module laws, on (module, V, S); each is judged in S.  On a thin S whose
-# only faults are misshapen associator and unitor entries, at the sites that
-# read one: beside each law, the entries its sides read.
+# only faults are misshapen associator, unitor and action entries, at the
+# sites that read one: beside each law, the entries its sides read.
 MODULE_LAWS = tuple(thin_first(law, lambda mod, m, s: s, lambda mod, m, s: _misshapen(mod), reads)
                     for law, reads in (
     (Law("module.assoc-natural",
@@ -200,11 +211,18 @@ MODULE_LAWS = tuple(thin_first(law, lambda mod, m, s: s, lambda mod, m, s: _miss
              mod.a(m.base.src(u), m.base.src(v), s.src(w)), mod.act_mor(u, mod.act_mor(v, w))),
          gate=lambda mod, m, s: trinatural_cover(
              m.base, m.base, s, s, mod.assoc, m._tensor, *(mod.action._bifunctor,) * 3)),
-     lambda mod, m, s: squares(m.base, m.base, s)),
+     # the action at (u (x) v, w), (v, w) and (u, v (x) w)
+     lambda mod, m, s: lambda bad: chain(squares(m.base, m.base, s)(bad), (
+         site for p, q in (key for key in bad if len(key) == 2) for site in chain(
+             ((u, v, q) for u, v in product(m.base.mor_ids(), repeat=2) if m.tmor(u, v) == p),
+             product(m.base.mor_ids(), (p,), (q,)),
+             ((p, v, w) for v, w in product(m.base.mor_ids(), s.mor_ids())
+              if mod.act_mor(v, w) == q))))),
     (Law("module.lunit-natural", lambda mod, m, s: product(s.mor_ids()),
          lambda mod, m, s, w: s.compose(mod.act_mor(m.base.id_(m.unit), w), mod.l(s.dst(w))),
          lambda mod, m, s, w: s.compose(mod.l(s.src(w)), w)),
-     lambda mod, m, s: squares(s)),
+     lambda mod, m, s: lambda bad: chain(squares(s)(bad), (  # the action at (1_I, w)
+         key[1:] for key in bad if len(key) == 2 and key[0] == m.base.id_(m.unit)))),
     (Law("module.assoc",
          lambda mod, m, s: product(m.base.objects, m.base.objects, m.base.objects, s.objects),
          lambda mod, m, s, k, l, mm, x: s.compose(
@@ -215,13 +233,15 @@ MODULE_LAWS = tuple(thin_first(law, lambda mod, m, s: s, lambda mod, m, s: _miss
      lambda mod, m, s: reading(
          lambda bad: product(m.base.objects, m.base.objects, m.base.objects, s.objects),
          lambda k, l, mm, x: ((m.tobj(k, l), mm, x), (k, l, mod.act_obj(mm, x)),
-                              (k, m.tobj(l, mm), x), (l, mm, x)))),
+                              (k, m.tobj(l, mm), x), (l, mm, x), (m.a(k, l, mm), s.id_(x)),
+                              (m.base.id_(k), mod.a(l, mm, x))))),
     (Law("module.unit", lambda mod, m, s: product(m.base.objects, s.objects),
          lambda mod, m, s, k, x: s.compose(
              mod.a(k, m.unit, x), mod.act_mor(m.base.id_(k), mod.l(x))),
          lambda mod, m, s, k, x: mod.act_mor(m.r(k), s.id_(x)), core=True),
      lambda mod, m, s: reading(lambda bad: product(m.base.objects, s.objects),
-                               lambda k, x: ((k, m.unit, x), (x,)))),
+                               lambda k, x: ((k, m.unit, x), (x,), (m.base.id_(k), mod.l(x)),
+                                             (m.r(k), s.id_(x))))),
 ))
 
 
@@ -272,12 +292,13 @@ def _shape(mod: VModuleData, key: tuple[Obj, ...]) -> tuple[Obj, Obj]:
     return mod.act_obj(mod.baseV.tobj(k, l), x), mod.act_obj(k, mod.act_obj(l, x))
 
 
-# A consequence of the module axioms, judged once they hold.
-DERIVED_MODULE_LAWS = (
+# A consequence of the module axioms, judged once they hold.  With no misshapen
+# entry (:func:`_misshapen`) both sides are (I (x) K) (x) X -> K (x) X in S.
+DERIVED_MODULE_LAWS = (thin_first(
     derived_law("unit-absorption triangle", lambda mod, m, s: product(m.base.objects, s.objects),
                 lambda mod, m, s, k, x: s.compose(mod.a(m.unit, k, x), mod.l(mod.act_obj(k, x))),
                 lambda mod, m, s, k, x: mod.act_mor(m.l(k), s.id_(x))),
-)
+    lambda mod, m, s: s, lambda mod, m, s: _misshapen(mod) == []),)
 
 
 def _counit(tc: TensorClosedModuleData, x: Obj, y: Obj) -> Mor:
@@ -286,13 +307,20 @@ def _counit(tc: TensorClosedModuleData, x: Obj, y: Obj) -> Mor:
                       tc.module.baseV.base.id_(tc.hom_obj(x, y)))
 
 
+def _adjoint(tc: TensorClosedModuleData, mod: VModuleData, vbase: FinCategory,
+             s: FinCategory) -> list[tuple[Mor, Mor]] | None:
+    """The misshapen action entries once S, the hom functor and phi are clean."""
+    return _misread(mod) if is_valid(s) and clean(tc, "hom", "phi") else None
+
+
 # Naturality of the adjunction tables at f : K (x) X -> Y in the tensor
 # variable (u : K' -> K), the source (v : X' -> X) and the target (w : Y -> Y'),
-# on (tables, module, V's base, S); each is judged in V, premised on a lawful
-# action and hom functor, bijective tables and a valid S.
-ADJUNCTION_LAWS = tuple(thin_first(law, lambda tc, mod, vbase, s: vbase, lambda tc, mod, vbase, s: (
-    is_valid(s) and clean(mod, "action") and clean(tc, "hom", "phi"))) for law in (
-    Law("moduleclosed.naturality",
+# on (tables, module, V's base, S), judged in V.  Under :func:`_adjoint`, which reads no
+# associator (a closed module's reversed side has none), each side is a morphism K' ->
+# hom(X, Y), K -> hom(X', Y) or K -> hom(X, Y') where the action entry beside it is well shaped.
+ADJUNCTION_LAWS = tuple(thin_first(law, lambda tc, mod, vbase, s: vbase, _adjoint, reads)
+                        for law, reads in (
+    (Law("moduleclosed.naturality",
         lambda tc, mod, vbase, s: (
             (u, x, y, f) for u in vbase.mor_ids() for x in s.objects for y in s.objects
             for f in s.hom(mod.act_obj(vbase.dst(u), x), y)),
@@ -300,7 +328,10 @@ ADJUNCTION_LAWS = tuple(thin_first(law, lambda tc, mod, vbase, s: vbase, lambda 
             vbase.src(u), x, y, s.compose(mod.act_mor(u, s.id_(x)), f)),
         lambda tc, mod, vbase, s, u, x, y, f: vbase.compose(
             u, tc.phi_of(vbase.dst(u), x, y, f)), core=True),
-    Law("moduleclosed.naturality",
+     lambda tc, mod, vbase, s: lambda bad: (  # the action at (u, 1_X)
+         (p, s.src(q), y, f) for p, q in bad if s.is_identity(q) for y in s.objects
+         for f in s.hom(mod.act_obj(vbase.dst(p), s.src(q)), y))),
+    (Law("moduleclosed.naturality",
         lambda tc, mod, vbase, s: (
             (k, v, y, f) for v in s.mor_ids() for k in vbase.objects for y in s.objects
             for f in s.hom(mod.act_obj(k, s.dst(v)), y)),
@@ -308,13 +339,17 @@ ADJUNCTION_LAWS = tuple(thin_first(law, lambda tc, mod, vbase, s: vbase, lambda 
             k, s.src(v), y, s.compose(mod.act_mor(vbase.id_(k), v), f)),
         lambda tc, mod, vbase, s, k, v, y, f: vbase.compose(
             tc.phi_of(k, s.dst(v), y, f), tc.hom_mor(v, s.id_(y))), core=True),
-    Law("moduleclosed.naturality",
+     lambda tc, mod, vbase, s: lambda bad: (  # the action at (1_K, v)
+         (vbase.src(p), q, y, f) for p, q in bad if vbase.is_identity(p) for y in s.objects
+         for f in s.hom(mod.act_obj(vbase.src(p), s.dst(q)), y))),
+    (Law("moduleclosed.naturality",
         lambda tc, mod, vbase, s: (
             (k, x, w, f) for w in s.mor_ids() for k in vbase.objects for x in s.objects
             for f in s.hom(mod.act_obj(k, x), s.src(w))),
         lambda tc, mod, vbase, s, k, x, w, f: tc.phi_of(k, x, s.dst(w), s.then(f, w)),
         lambda tc, mod, vbase, s, k, x, w, f: vbase.compose(
             tc.phi_of(k, x, s.src(w), f), tc.hom_mor(s.id_(x), w)), core=True),
+     lambda *data: lambda bad: ()),  # no action entry
 ))
 
 
@@ -341,8 +376,9 @@ def _adjunction_checks(tc: TensorClosedModuleData, what: str) -> list[CheckRepor
 
 
 # The evaluation square of the action adjunction, a consequence of the
-# axioms, on the data of ADJUNCTION_LAWS: judged once they hold.
-EVALUATION_SQUARE = (
+# axioms, on the data of ADJUNCTION_LAWS: judged once they hold.  With no misshapen
+# entry (:func:`_adjoint`) both sides are defined, hom(Y, Z) (x) X -> Z in S.
+EVALUATION_SQUARE = (thin_first(
     derived_law("module evaluation square",
                 lambda tc, mod, vbase, s: product(s.mor_ids(), s.objects),
                 lambda tc, mod, vbase, s, f, z: s.compose(
@@ -350,7 +386,7 @@ EVALUATION_SQUARE = (
                 lambda tc, mod, vbase, s, f, z: s.compose(
                     mod.act_mor(tc.hom_mor(f, s.id_(z)), s.id_(s.src(f))),
                     _counit(tc, s.src(f), z))),
-)
+    lambda tc, mod, vbase, s: s, lambda *data: _adjoint(*data) == []),)
 
 
 def _evaluation_square(tc: TensorClosedModuleData) -> list[CheckReport]:
@@ -682,13 +718,13 @@ _EXPLAINED = {"bimodule.opposite-vstructure"} | {
 
 def _explained(cm: ClosedVModuleData, dual: TensorClosedModuleData,
                m: MonoidalData, s: FinCategory) -> list[tuple[Obj, ...]] | None:
-    """The misshapen associator and unitor entries of the module and of the
-    reversed side, keyed ("module", *key) or ("comodule", *key), when S is
-    valid, V's shape records are clean and they explain every earlier report:
-    none without them; with them, on a thin V and S, each has an isomorphism
-    of its shape (a morphism each way) to stand in for it, and then no report
-    is found before BIMODULE_LAWS, which hold, so a site that reads none of
-    them holds here too.  Else ``None``."""
+    """The misshapen associator and unitor entries of both sides, keyed
+    ("module", *key) or ("comodule", *key), when S is valid, V's shape
+    records are clean and they explain every earlier report (a misshapen
+    action entry's never is): none without them; with them, on a thin V and
+    S, each has an isomorphism of its shape (a morphism each way) to stand
+    in for it, and then no report is found before BIMODULE_LAWS, which hold,
+    so a site that reads none of them holds here too.  Else ``None``."""
     sides = {"module": cm.tensorClosed.module, "comodule": dual.module}
     found = {side: _misshapen(mod) for side, mod in sides.items()}
     earlier = dual.__dict__.get("verdicts", {}).get("bimodule")

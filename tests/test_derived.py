@@ -5,9 +5,9 @@ site and raises there; an error a side raises escapes with its own type.
 Every derived-law tuple of the package is live: on a lawful input, each of
 its laws is reached from the checker or construction that runs it, and a
 lying side makes that entry point raise, naming the law.  On a thin base the
-derived monoidal, closed and hom-structure laws judge no site, so their lies
-are caught on cyc(3), and reference sweeps hold them gate-free on the thin
-ladder.
+derived monoidal, closed, hom-structure and module laws judge no site, so
+their lies are caught on cyc(3), and reference sweeps hold them gate-free on
+the thin ladder.
 """
 
 import ast
@@ -105,9 +105,10 @@ FAMILIES = {
     "DERIVED_CLOSED_LAWS": (mon, lambda: mon.check_closed(build_cyc(3)), ENGINE_BUG),
     "IOTA_LAWS": (mon, lambda: mon.check_closed(build_cyc(3)), ENGINE_BUG),
     "PI_BAR_LAWS": (mon, lambda: mon.internal_pi_bar(build_trop(3), "1", "1", "2"), ENGINE_BUG),
-    "DERIVED_MODULE_LAWS": (vmod, lambda: vmod.check_vmodule(_tensor_closed().module),
-                            ENGINE_BUG),
-    "EVALUATION_SQUARE": (vmod, lambda: vmod.check_tensor_closed(_tensor_closed()), ENGINE_BUG),
+    "DERIVED_MODULE_LAWS": (vmod, lambda: vmod.check_vmodule(
+        module_self(build_cyc(3)).tensorClosed.module), ENGINE_BUG),
+    "EVALUATION_SQUARE": (vmod, lambda: vmod.check_tensor_closed(
+        module_self(build_cyc(3)).tensorClosed), ENGINE_BUG),
     "ENRICHED_ACTION_LAWS": (vmod, lambda: vmod.enriched_action(_tensor_closed()), ENGINE_BUG),
     "PHIBAR_LAWS": (vmod, lambda: vmod.module_phibar(
         module_self(build_cyc(3)).tensorClosed, "*", "*", "*"), ENGINE_BUG),
@@ -352,3 +353,50 @@ def test_thin_hom_derived_laws_hold_at_every_site(monkeypatch, name):
 @pytest.mark.parametrize("name", list(SLOW_HOM_LADDER))
 def test_thin_hom_derived_laws_hold_at_every_site_on_the_ladder(monkeypatch, name):
     assert hom_derived_sites(monkeypatch, SLOW_HOM_LADDER[name]()) > 0
+
+
+MODULE_DERIVED = ("DERIVED_MODULE_LAWS", "EVALUATION_SQUARE")
+
+
+def module_derived_sites(monkeypatch, cm) -> int:
+    """The reference for the derived laws of the module checks on a thin S:
+    ``check_closed_bimodule`` on the completion of the closed module ``cm``
+    finds no report and judges none of their sites, on either side, and with
+    ``gate=None`` each holds at every site.  Returns the number of sites."""
+    bm = equiv.bimodule_completion(cm)
+    seen = spy(monkeypatch)
+    assert vmod.check_closed_bimodule(bm) == []
+    monkeypatch.undo()
+    names = {law.name for family in MODULE_DERIVED for law in getattr(vmod, family)}
+    assert all(seen[name] == [[], []] for name in names)
+    tc = bm.closedModule.tensorClosed
+    m, s = tc.module.baseV, tc.module.baseS
+    sides = (tc, vmod.dual_tensorclosed(bm.closedModule, bm.comodAssoc, bm.comodLunit))
+    data = {"DERIVED_MODULE_LAWS": [(side.module, m, side.module.baseS) for side in sides],
+            "EVALUATION_SQUARE": [(side, side.module, m.base, side.module.baseS)
+                                  for side in sides]}
+    assert s._thin and sides[1].module.baseS._thin
+    sites = 0
+    for family in MODULE_DERIVED:
+        free = [dataclasses.replace(law, gate=None) for law in getattr(vmod, family)]
+        for args in data[family]:
+            assert_derived(free, *args)
+            sites += sum(len(list(law.sites(*args))) for law in free)
+    return sites
+
+
+MODULE_LADDER = {"self(bool)": lambda: module_self(build_bool()),
+                 "self(trop(3))": lambda: module_self(build_trop(3)),
+                 "poset-diamond": build_poset_module}
+SLOW_MODULE_LADDER = {f"self(trop({n}))": lambda n=n: module_self(build_trop(n)) for n in (4, 5)}
+
+
+@pytest.mark.parametrize("name", list(MODULE_LADDER))
+def test_thin_module_derived_laws_hold_at_every_site(monkeypatch, name):
+    assert module_derived_sites(monkeypatch, MODULE_LADDER[name]()) > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(SLOW_MODULE_LADDER))
+def test_thin_module_derived_laws_hold_at_every_site_on_the_ladder(monkeypatch, name):
+    assert module_derived_sites(monkeypatch, SLOW_MODULE_LADDER[name]()) > 0

@@ -6,16 +6,19 @@ the action, once the associator is natural for their rebuilds in each
 variable alone, decided on generators.  Ahead of that, on a thin category,
 where every diagram commutes, the thin cover decides ``MODULE_LAWS``,
 ``ADJUNCTION_LAWS``, ``BIMODULE_LAWS`` and the functor laws of
-``core.FUNCTOR_LAWS`` once the tables they read are well shaped (the
+``core.FUNCTOR_LAWS``, and the derived ``EVALUATION_SQUARE`` and
+``DERIVED_MODULE_LAWS``, once the tables they read are well shaped (the
 verdicts kept once found: V's shape loops, the action, hom functor and
 cotensor verdicts, the ``module.shape`` loop, the phi and psi bijection
 reports, and before ``BIMODULE_LAWS`` every earlier report); when the only
-faults are misshapen module or comodule associator and unitor entries,
-``core.read_cover`` judges the sites that read one instead.
-With ``gate=None`` on all four families every site is judged.
+faults are misshapen module or comodule associator and unitor entries, or
+misshapen action or cotensor entries, ``core.read_cover`` judges the sites
+that read one instead.  With ``gate=None`` on all six families every site
+is judged.
 
 On every single-entry swap (the value replaced by each other morphism of
-its category) and deletion of every table a premise reads,
+its category, or for a functor's object table each other object) and
+deletion of every table a premise reads,
 ``check_closed_bimodule`` (``check_vmodule`` on the regular module of
 ``doubled_cyc(2)``, ``check_vstructure`` on the self structure of trop(3))
 must give the same reports both ways, or raise the same error with the same
@@ -31,12 +34,14 @@ import pytest
 
 import encat.core as core
 import encat.vmodule as vmod
-from encat.core import EncatError, FinCategory, generators, opposite_category, product_category
+from encat.core import (EncatError, FinCategory, generators, opposite_category, pair_id,
+                        product_category)
 from encat.equiv import bimodule_completion
 from encat.instances import build_bool, build_cyc, build_poset_module, build_trop, module_self
 from encat.interface import Document, parse, serialize
 from encat.monoidal import check_v, self_vstructure
-from encat.vmodule import check_closed_bimodule, check_vmodule
+from encat.vmodule import (check_closed_bimodule, check_closed_module, check_tensor_closed,
+                           check_vmodule)
 from encat.vstruct import check_vstructure
 from nonstrict import doubled_cyc, regular_module
 
@@ -66,6 +71,7 @@ VMODULE_TABLES = (
     (V + ("base", "comp"), V + ("base",)),
     (S + ("comp",), S),
     (("action", "onMorphisms"), ("action", "dstCat")),
+    (("action", "onObjects"), ("action", "dstCat")),
     (("assoc",), S),
 )
 MODULE = ("closedModule", "tensorClosed", "module")
@@ -77,6 +83,7 @@ BIMODULE_TABLES = tuple((MODULE + path, MODULE + values) for path, values in VMO
     (TC + ("phi",), MODULE + V + ("base",)),
     (CM + ("psi",), MODULE + V + ("base",)),
     (CM + ("cotensor", "onMorphisms"), CM + ("cotensor", "dstCat")),
+    (CM + ("cotensor", "onObjects"), CM + ("cotensor", "dstCat")),
     (("comodAssoc",), MODULE + S),
     (("comodLunit",), MODULE + S),
 )
@@ -119,9 +126,13 @@ def mutants(kind, data, tables=None):
     ``data`` of ``kind`` in ``tables`` (by default all of ``TABLES``).  A
     mutated composition table is read back through the codec, as ``encat
     check`` reads a document, so that every functor out of the category (the
-    action's, hom functor's and cotensor's sources) sees it."""
+    action's, hom functor's and cotensor's sources) sees it.  A functor's
+    object table takes the objects of its target, every other table the
+    morphisms."""
     for path, values in tables or TABLES[kind]:
-        for where, table in entries(read(data, path), read(data, values).mor_ids()):
+        cat = read(data, values)
+        choices = cat.objects if path[-1] == "onObjects" else cat.mor_ids()
+        for where, table in entries(read(data, path), choices):
             yield (path[-1], *where), lambda path=path, table=table: reread(
                 kind, replaced(data, path, table), path[-1] == "comp")
 
@@ -153,14 +164,29 @@ def spy(mp) -> list[tuple[tuple, list[tuple[str, ...]]]]:
 
 
 GATED = ((vmod, "MODULE_LAWS"), (vmod, "ADJUNCTION_LAWS"), (vmod, "BIMODULE_LAWS"),
-         (core, "FUNCTOR_LAWS"))
+         (core, "FUNCTOR_LAWS"), (vmod, "EVALUATION_SQUARE"), (vmod, "DERIVED_MODULE_LAWS"))
+
+
+def sweeps(check, data) -> int:
+    """The ``module.assoc-natural`` sweeps ``check`` makes on ``data``: none
+    where V fails ``check_v``, since then V's reports are all the checker
+    returns, else one per module side read past an object table that misses
+    no entry (the action's, then for a bimodule's reversed side the
+    cotensor's too)."""
+    if check is check_vstructure:
+        return 0
+    prefix = {check_vmodule: (), check_tensor_closed: ("module",),
+              check_closed_module: ("tensorClosed", "module")}.get(check, MODULE)
+    if check_v(read(data, prefix + V)) or vmod._objects_partial(read(data, prefix + ("action",))):
+        return 0
+    return 1 + (check is check_closed_bimodule
+                and not vmod._objects_partial(read(data, CM + ("cotensor",))))
 
 
 def full_outcome(check, data):
     """The reference: ``check`` with every gate of the gated law families
     stripped, asserted to have judged every site of each module's
-    ``module.assoc-natural`` once where V passes ``check_v``, and none where
-    it fails, since then V's reports are all the checker returns."""
+    ``module.assoc-natural`` once where it is judged (``sweeps``)."""
     with pytest.MonkeyPatch.context() as mp:
         for module, name in GATED:
             mp.setattr(module, name, tuple(
@@ -168,9 +194,7 @@ def full_outcome(check, data):
         seen = spy(mp)
         got = outcome(check, data)
     if isinstance(got, list):
-        v = read(data, MODULE + V if check is check_closed_bimodule else V)
-        assert len(seen) == (0 if check_v(v) else
-                             {check_vmodule: 1, check_closed_bimodule: 2}.get(check, 0))
+        assert len(seen) == sweeps(check, data)
         law = vmod.MODULE_LAWS[0]
         for judged_on, sites in seen:
             assert sites == list(law.sites(*judged_on))
@@ -194,7 +218,8 @@ def thin_covers(mp) -> list:
 # (in enumeration order) is compared; ``-m slow`` compares all of them.  Each
 # entry gives |mor| mutants in a row, one deletion and a swap per other
 # morphism of its category (3 or 9 in the diamond, 3 in bool and cyc(3), 6 in
-# trop(3), 8 in the doubled copy); a stride prime to those visits every position.
+# trop(3), 8 in the doubled copy), or |obj| for an object table (2, 3 or 4;
+# 1 in cyc(3)); a stride prime to those visits every position.
 STRIDE = {"poset-diamond": 23, "self(bool)": 7, "self(cyc(3))": 7, "self(trop(3))": 41,
           "regular(doubled-cyc(2))": 23, "self-vstructure(trop(3))": 7}
 
@@ -206,8 +231,8 @@ def agree(name: str, stride: int, tables=None) -> None:
         covers = thin_covers(mp)
         assert check(data) == []
         for where, mutant in list(mutants(kind, data, tables))[::stride]:
-            mutant = mutant()
-            assert outcome(check, mutant) == full_outcome(check, mutant), where
+            # each side on its own copy, so the gate-free run keeps no verdict the gated one found
+            assert outcome(check, mutant()) == full_outcome(check, mutant()), where
     assert (() in covers) == (name not in NOT_THIN)
 
 
@@ -282,7 +307,9 @@ FUNCTOR_TAGS = ("module.functor", "moduleclosed.functor", "moduleclosed.cotensor
 
 def test_a_lawful_thin_bimodule_judges_no_gated_site(monkeypatch):
     """self(trop(4)): no site of a gated law is judged, on either side, and
-    no action is rebuilt; the derived laws keep their sweeps."""
+    no action is rebuilt; nor is any site of the derived module evaluation
+    square and unit-absorption triangle, which used to sweep all of theirs
+    (80 and 32 here; ``tests/test_derived.py`` holds them gate-free)."""
     bm = bimodule_completion(module_self(build_trop(4)))
     seen = spy_all(monkeypatch)
     assert check_closed_bimodule(bm) == []
@@ -292,8 +319,8 @@ def test_a_lawful_thin_bimodule_judges_no_gated_site(monkeypatch):
     assert gated <= set(seen)
     assert all(sites == [] for name in gated for sites in seen[name])
     assert "_bifunctor" not in bm.closedModule.tensorClosed.module.action.__dict__
-    assert len(seen["module evaluation square"]) == 2
-    assert all(seen["module evaluation square"]) and all(seen["unit-absorption triangle"])
+    assert seen["module evaluation square"] == [[], []]
+    assert seen["unit-absorption triangle"] == [[], []]
 
 
 class Reads(dict):
@@ -308,14 +335,14 @@ class Reads(dict):
         return super().__getitem__(key)
 
 
-def spy_judged(mp) -> list[tuple[str, tuple, list[tuple[str, ...]]]]:
-    """Record the law name, data and sites of every ``core._judge`` call."""
+def spy_judged(mp) -> list[tuple[core.Law, tuple, list[tuple[str, ...]]]]:
+    """Record the law, data and sites of every ``core._judge`` call."""
     seen = []
     judge = core._judge
 
     def recording(law, sites, data):
         sites = list(sites)
-        seen.append((law.name, data, sites))
+        seen.append((law, data, sites))
         return judge(law, sites, data)
 
     mp.setattr(core, "_judge", recording)
@@ -357,15 +384,14 @@ def judged_at_its_readers(monkeypatch, path, key, value, side):
     monkeypatch.undo()
     assert got == full_outcome(check_closed_bimodule, mutant)
     assert f"{side}.shape" in {r.law for r in got}
-    laws = {law.name: law for law in vmod.MODULE_LAWS + vmod.BIMODULE_LAWS}
     counts = {}
-    for name, data, sites in seen:
-        if name not in ASSOC_READERS:
+    for law, data, sites in seen:
+        if law.name not in ASSOC_READERS:
             continue
-        reads_table = name.startswith("bimodule.") or data[0].assoc is table
-        want = reading(laws[name], data, table, key) if reads_table else set()
-        assert len(sites) == len(set(sites)) and set(sites) == want, name
-        counts[name] = counts.get(name, 0) + len(sites)
+        reads_table = law.name.startswith("bimodule.") or data[0].assoc is table
+        want = reading(law, data, table, key) if reads_table else set()
+        assert len(sites) == len(set(sites)) and set(sites) == want, law.name
+        counts[law.name] = counts.get(law.name, 0) + len(sites)
     assert set(counts) == set(ASSOC_READERS)
     return counts
 
@@ -389,6 +415,74 @@ def test_a_misshapen_comodule_associator_entry_is_judged_where_it_is_read(monkey
                                    "m:2:1", "comodule")
     assert counts == {"module.assoc-natural": 19, "module.assoc": 14, "module.unit": 0,
                       "bimodule.cp2-8-1": 16, "bimodule.cp2-8-2": 4}
+
+
+# The laws that read the action (the cotensor on the reversed side) through ``act_mor``.
+ACTION_READERS = ("module.assoc-natural", "module.lunit-natural", "module.assoc", "module.unit",
+                  "moduleclosed.naturality")
+
+
+def judged_where_the_action_is_read(monkeypatch, check, build, path, uv, value):
+    """Swap the morphism entry at ``uv`` of the functor at ``path`` of the
+    structure ``build()`` for ``value``, of another shape, and ``check`` it:
+    the reports are the full sweep's, and each law that reads the functor
+    judges exactly the sites whose sides read that entry; a law reading the
+    other side's functor judges none.  Returns the number of sites judged
+    per law."""
+    def mutant(table):  # a fresh structure each time, so no verdict is shared
+        data = build()
+        functor = read(data, path)
+        return replaced(data, path, dataclasses.replace(functor, onMorphisms=table(
+            {**functor.onMorphisms, pair_id(*uv): value})))
+    got = mutant(Reads)
+    table = read(got, path).onMorphisms
+    seen = spy_judged(monkeypatch)
+    reports = check(got)
+    monkeypatch.undo()
+    assert reports == full_outcome(check, mutant(dict))
+    assert any(r.law.endswith(".shape") for r in reports)
+    counts = {}
+    for law, data, sites in seen:
+        if law.name not in ACTION_READERS:
+            continue
+        mod = data[1] if law.name.startswith("moduleclosed.") else data[0]
+        want = reading(law, data, table, pair_id(*uv)) if mod.action.onMorphisms is table else set()
+        assert len(sites) == len(set(sites)) and set(sites) == want, law.name
+        counts[law.name] = counts.get(law.name, 0) + len(sites)
+    assert set(counts) == set(ACTION_READERS)
+    return counts
+
+
+# The action entries of the self(trop(4)) tensorclosed document and the
+# cotensor entries of its closedmodule that perfbench's seed-1 modules run
+# swaps, each with its new value and the sites judged: ``module.assoc`` (of
+# 4^4) and the three ``moduleclosed.naturality`` sweeps (of 375 together).
+SEED_1_ACTION = {(("id:1", "m:2:0"), "id:3"): (0, 2), (("m:3:1", "m:2:1"), "m:3:0"): (0, 0),
+                 (("m:1:0", "m:3:1"), "m:3:2"): (0, 0), (("id:2", "m:3:0"), "m:1:0"): (0, 3)}
+SEED_1_COTENSOR = {(("id:0", "m:2:1"), "m:1:0"): 2, (("m:2:1", "m:2:1"), "id:2"): 0}
+
+
+@pytest.mark.parametrize("entry", list(SEED_1_ACTION))
+def test_a_misshapen_action_entry_is_judged_where_it_is_read(monkeypatch, entry):
+    """Where ``module.assoc`` and ``moduleclosed.naturality`` used to sweep
+    all of their sites, each judges only those that read the entry."""
+    (uv, value), (assoc, naturality) = entry, SEED_1_ACTION[entry]
+    counts = judged_where_the_action_is_read(
+        monkeypatch, check_tensor_closed, lambda: module_self(build_trop(4)).tensorClosed,
+        ("module", "action"), uv, value)
+    assert (counts["module.assoc"], counts["moduleclosed.naturality"]) == (assoc, naturality)
+
+
+@pytest.mark.parametrize("entry", list(SEED_1_COTENSOR))
+def test_a_misshapen_cotensor_entry_is_judged_where_it_is_read(monkeypatch, entry):
+    """The reversed side reads the cotensor as its action; the tensor side's
+    laws read no cotensor entry, and a closed module has no reversed-side
+    module laws."""
+    (uv, value), naturality = entry, SEED_1_COTENSOR[entry]
+    counts = judged_where_the_action_is_read(
+        monkeypatch, check_closed_module, lambda: module_self(build_trop(4)),
+        ("cotensor",), uv, value)
+    assert counts["moduleclosed.naturality"] == naturality
 
 
 def closure(cat: FinCategory, gens) -> set:

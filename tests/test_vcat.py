@@ -1,8 +1,11 @@
 import dataclasses
 
+import pytest
+
+import encat.vcat as vcat
 from encat.core import structural_equal, validate_category
 from encat.equiv import cylinder_to_tensored
-from encat.instances import build_trop
+from encat.instances import build_cyc, build_poset_module, build_trop, module_self
 from encat.monoidal import self_cylinder, self_vstructure, varpi
 from encat.vcat import (
     VCategoryData,
@@ -12,7 +15,10 @@ from encat.vcat import (
     self_enriched,
     underlying_category,
 )
+from encat.vmodule import induced_vstructure
 from encat.vstruct import associated_vcategory, check_vstructure
+from test_module_gate import entries, outcome
+from test_monoidal_gate import spy
 from tests.enriched_reference import VFunctorData, VNatData, check_vnat, hom_vfunctor
 
 
@@ -153,3 +159,50 @@ def test_tensored_shape_and_iso_reports():
                               phibar={**td.phibar, ("0", "1", "1"): pb})
     assert [(r.law, r.site) for r in check_tensored(bad)] == [
         ("tensored.iso", ("0", "1", "1")), ("tensored.shape", ("0", "1", "2"))]
+
+
+# The vcategory documents of three closed modules, as ``encat construct --op
+# induced-vstructure`` then ``--op associated-vcat`` build them.  self(cyc(3))
+# is not thin, and there no thin cover applies.
+VCATS = {"self(trop(3))": lambda: module_self(build_trop(3)),
+         "poset-diamond": build_poset_module,
+         "self(cyc(3))": lambda: module_self(build_cyc(3))}
+# Tier-1 compares every VCAT_STRIDE-th mutant, a stride prime to each run of
+# |mor| mutants of an entry (3 in bool, 6 in trop(3)); ``-m slow`` all of them.
+VCAT_STRIDE = {"self(trop(3))": 7, "poset-diamond": 7, "self(cyc(3))": 1}
+
+
+def vcat_agree(name: str, stride: int) -> None:
+    """``check_vcategory`` on every ``stride``-th single-entry deletion and
+    swap of ``comp`` and ``unit`` gives the outcome it gives with
+    ``gate=None`` on ``VCATEGORY_LAWS``; the lawful document judges no site
+    of them exactly when V is thin."""
+    vc = associated_vcategory(induced_vstructure(VCATS[name]().tensorClosed))
+    with pytest.MonkeyPatch.context() as mp:
+        seen = spy(mp)
+        assert check_vcategory(vc) == []
+    judged = sum(map(len, seen["vcat.assoc"] + seen["vcat.unit"]))
+    assert (judged == 0) == (name != "self(cyc(3))")
+    cases = [(where, field, table) for field in ("comp", "unit")
+             for where, table in entries(getattr(vc, field), vc.baseV.base.mor_ids())][::stride]
+    # each side on its own copy, so the gate-free run keeps no verdict the gated one found
+    gated = [outcome(check_vcategory, dataclasses.replace(vc, **{field: table}))
+             for _, field, table in cases]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vcat, "VCATEGORY_LAWS", tuple(
+            dataclasses.replace(law, gate=None) for law in vcat.VCATEGORY_LAWS))
+        free = [outcome(check_vcategory, dataclasses.replace(vc, **{field: table}))
+                for _, field, table in cases]
+    for (where, _, _), got, want in zip(cases, gated, free):
+        assert got == want, where
+
+
+@pytest.mark.parametrize("name", list(VCATS))
+def test_the_vcategory_cover_agrees_with_the_full_sweep(name):
+    vcat_agree(name, VCAT_STRIDE[name])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(VCATS))
+def test_the_vcategory_cover_agrees_with_the_full_sweep_on_every_mutant(name):
+    vcat_agree(name, 1)
