@@ -24,7 +24,7 @@ import dataclasses
 from collections.abc import ItemsView, KeysView, Mapping
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import product
+from itertools import chain, product
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -296,26 +296,23 @@ class FinCategory:
         """Non-identity morphisms of which every non-identity morphism is a
         composite, chosen greedily: the indecomposable ones (no composite of
         two non-identities), which any such set holds, then, in id order,
-        each morphism not yet reached.  Read off a valid category."""
-        composites = self._composites
-        mors = [f for f in self.mor_ids() if not self.is_identity(f)]
-        split = {h for (f, g), h in composites.items()
-                 if not self.is_identity(f) and not self.is_identity(g)}
+        each morphism not yet reached.  Read off a valid category, and by
+        :func:`validate_category` once its other passes, pairs too, are clean."""
+        comp, ids = self.comp, set(self.identity.values())
+        split = {h for (f, g), h in comp.items() if f not in ids and g not in ids}
         chosen: list[Mor] = []
         reached: set[Mor] = set()
-        for f in sorted(mors, key=lambda f: (f in split, f)):
+        for f in sorted(self._mors.keys() - ids, key=lambda f: (f in split, f)):
             if f in reached:
                 continue
             chosen.append(f)
-            todo = [f]
+            # a left fold of chosen ones ends in f, or extends one newly reached
+            todo = [f, *(comp.get((x, f)) for x in reached)]
             while todo:
                 x = todo.pop()
-                if x in reached:
-                    continue
-                reached.add(x)
-                for y in list(reached):
-                    todo += [h for h in (composites.get((x, y)), composites.get((y, x)))
-                             if h is not None and h not in reached]
+                if x is not None and x not in reached:
+                    reached.add(x)
+                    todo += [comp.get((x, g)) for g in chosen]
         return tuple(chosen)
 
     @cached_property
@@ -422,26 +419,23 @@ def _composite_miss(cat: FinCategory, acc: Mor, step: Mor, i: int) -> None:
 
 
 def _check_category_references(cat: FinCategory) -> None:
-    objs = list(cat.objects)
-    if len(set(objs)) != len(objs):
+    if len(cat._objs) != len(cat.objects):
         raise MalformedReferenceError("duplicate object id")
     ids = [m for m, _, _ in cat.morphisms]
     if len(set(ids)) != len(ids):
         dup = sorted(m for m in set(ids) if ids.count(m) > 1)[0]
         raise MalformedReferenceError(f"duplicate morphism id {dup!r}")
-    objset = set(objs)
     for m, s, d in cat.morphisms:
-        if s not in objset or d not in objset:
+        if s not in cat._objs or d not in cat._objs:
             raise MalformedReferenceError(f"morphism {m!r} references undeclared object")
-    morset = set(ids)
     for x, m in cat.identity.items():
-        if x not in objset:
+        if x not in cat._objs:
             raise MalformedReferenceError(f"identity table references undeclared object {x!r}")
-        if m not in morset:
+        if m not in cat._mors:
             raise MalformedReferenceError(f"identity table references undeclared morphism {m!r}")
     for (f, g), h in cat.comp.items():
         for m in (f, g, h):
-            if m not in morset:
+            if m not in cat._mors:
                 raise MalformedReferenceError(f"composition table references undeclared morphism {m!r}")
 
 
@@ -451,10 +445,14 @@ CHECKS = ("category.total", "category.identity-shape", "category.reserved-id",
 
 
 def validate_category(cat: FinCategory) -> list[CheckReport]:
-    """Exhaustively check the category axioms; empty list iff they all hold.
+    """Check the category axioms; empty list iff they all hold.
 
-    The sweep runs once per instance: a later call gives the same answer.
-    """
+    Totality, units and shapes are judged at the composable pairs, through
+    the morphisms out of each object; associativity where it can fail: on a
+    thin category whose earlier passes are clean, at the triples reading a
+    pair the pair pass flagged; on another with every pass clean, at the
+    triples ending in a :func:`generators` member, and at the rest only if
+    one fails; otherwise at every triple.  Runs once per instance."""
     return list(verdict(cat, "category", _category_reports))
 
 
@@ -462,13 +460,12 @@ def _category_reports(cat: FinCategory) -> list[CheckReport]:
     _check_category_references(cat)
     reports: list[CheckReport] = []
 
+    ends, comp = cat._mors, cat.comp
     for x in cat.objects:
         if x not in cat.identity:
             reports.append(CheckReport("category.total", (x,), witness_count=0,
                                        note="object without identity"))
-            continue
-        i = cat.identity[x]
-        if cat.src(i) != x or cat.dst(i) != x:
+        elif ends[i := cat.identity[x]] != (x, x):
             reports.append(CheckReport("category.identity-shape", (x, i), witness_count=0))
 
     # The prefix "id:" is reserved: a morphism named id:<obj> must be the
@@ -479,51 +476,73 @@ def _category_reports(cat: FinCategory) -> list[CheckReport]:
             if x in cat._objs and cat.identity.get(x) != m:
                 reports.append(CheckReport("category.reserved-id", (m,), witness_count=0))
 
-    for (f, g) in cat.comp:
-        if cat.dst(f) != cat.src(g):
+    for (f, g) in comp:
+        if ends[f][1] != ends[g][0]:
             reports.append(CheckReport("category.composable", (f, g), witness_count=0))
 
-    mor_ids = cat.mor_ids()
-    for f in mor_ids:
-        for g in mor_ids:
-            if cat.dst(f) != cat.src(g):
-                continue
-            if (f, g) not in cat.comp:
-                reports.append(CheckReport("category.total", (f, g), witness_count=0))
-                continue
-            h = cat.comp[(f, g)]
-            if cat.is_identity(g):
-                if h != f:
-                    reports.append(CheckReport("category.unit", (f, g), lhs=h, rhs=f))
-                continue
-            if cat.is_identity(f):
-                if h != g:
-                    reports.append(CheckReport("category.unit", (f, g), lhs=h, rhs=g))
-                continue
-            if cat.src(h) != cat.src(f) or cat.dst(h) != cat.dst(g):
-                reports.append(CheckReport("category.shape", (f, g, h), witness_count=0))
-
-    ends, comp = cat._mors, cat.comp
+    early, mor_ids = len(reports), cat.mor_ids()
+    ids = {i for x, i in cat.identity.items() if ends[i] == (x, x)}  # what is_identity accepts
     post: dict[Obj, list[Mor]] = {}  # the morphisms out of each object, in id order
     for f in mor_ids:
         post.setdefault(ends[f][0], []).append(f)
     for f in mor_ids:
         for g in post.get(ends[f][1], ()):
-            fg = comp.get((f, g))
-            if fg is None:
-                continue
-            for h in post.get(ends[g][1], ()):
-                gh = comp.get((g, h))
-                if gh is None:
-                    continue
-                lhs = comp.get((fg, h)) if ends[fg][1] == ends[h][0] else None
-                rhs = comp.get((f, gh)) if ends[f][1] == ends[gh][0] else None
-                if lhs is None or rhs is None:
-                    continue  # already reported as unit/shape failure
-                if lhs != rhs:
-                    reports.append(CheckReport("category.assoc", (f, g, h), lhs=lhs, rhs=rhs))
+            h = comp.get((f, g))
+            if h is None:
+                reports.append(CheckReport("category.total", (f, g), witness_count=0))
+            elif g in ids or f in ids:
+                if h != (want := f if g in ids else g):
+                    reports.append(CheckReport("category.unit", (f, g), lhs=h, rhs=want))
+            elif ends[h] != (ends[f][0], ends[g][1]):
+                reports.append(CheckReport("category.shape", (f, g, h), witness_count=0))
+    flagged = [r.site[:2] for r in reports[early:]]
 
+    if cat._thin and not early:
+        # (f, g, h) reads (f, g), (g, h), (f.g, h) and (f, g.h); if none is
+        # flagged its sides are parallel, so equal (CWM VII.2).  A flagged
+        # (p, q) is found in each place through the arrows into p and comp's fibres.
+        fibres = Preimages(comp).fibres if flagged else {}
+        cover = dict.fromkeys(site for p, q in flagged for site in chain(
+            ((p, q, h) for h in post.get(ends[q][1], ())),
+            ((f, p, q) for f in mor_ids if ends[f][1] == ends[p][0]),
+            ((f, g, q) for f, g in fibres.get(p, ()) if ends[g][1] == ends[q][0]),
+            ((p, g, h) for g, h in fibres.get(q, ()) if ends[p][1] == ends[g][0])))
+        return sort_reports(reports + _associativity(cat, ((f, g, (h,)) for f, g, h in cover)))
+
+    def chains(last: Callable[[Mor], bool]):
+        outs = {x: [h for h in hs if last(h)] for x, hs in post.items()}
+        return ((f, g, outs.get(ends[g][1], ())) for f in mor_ids for g in post.get(ends[f][1], ()))
+
+    if early or flagged:
+        return sort_reports(reports + _associativity(cat, chains(lambda h: True)))
+    # Light's test (Clifford and Preston, *The Algebraic Theory of Semigroups* 1.1): the h with
+    # (f.g).h = f.(g.h) for all f, g hold 1 and are closed under composition: all, with the gens.
+    gens = set(cat._generators)
+    reports = _associativity(cat, chains(gens.__contains__))
+    if reports:
+        reports += _associativity(cat, chains(lambda h: h not in gens))
     return sort_reports(reports)
+
+
+def _associativity(cat: FinCategory, sites: Iterable[tuple[Mor, Mor, Iterable[Mor]]]
+                   ) -> list[CheckReport]:
+    """The ``category.assoc`` reports at the composable triples (f, g, h),
+    h in hs, of ``sites`` (f, g, hs); an undefined side is the pair pass's."""
+    ends, comp = cat._mors, cat.comp
+    reports = []
+    for f, g, hs in sites:
+        fg = comp.get((f, g))
+        if fg is None:
+            continue
+        for h in hs:
+            gh = comp.get((g, h))
+            if gh is None:
+                continue
+            lhs = comp.get((fg, h)) if ends[fg][1] == ends[h][0] else None
+            rhs = comp.get((f, gh)) if ends[f][1] == ends[gh][0] else None
+            if lhs is not None and rhs is not None and lhs != rhs:
+                reports.append(CheckReport("category.assoc", (f, g, h), lhs=lhs, rhs=rhs))
+    return reports
 
 
 def pair_id(a: str, b: str) -> str:
@@ -973,9 +992,9 @@ def _repaired(a: FinCategory, b: FinCategory, c: FinCategory,
 
 
 def generators(cat: FinCategory) -> tuple[Mor, ...]:
-    """A generating set of valid ``cat``: non-identity morphisms of which
-    every non-identity morphism is a composite, found greedily, once per
-    instance.  trop(n) gets its n - 1 steps, cyc(n) the one rotation."""
+    """The greedy generating set of ``cat``, valid or with clean passes up to
+    the pair pass (:attr:`FinCategory._generators`): trop(n) gets its n - 1
+    steps, cyc(n) the one rotation."""
     return cat._generators
 
 

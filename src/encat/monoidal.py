@@ -302,25 +302,26 @@ def _monoidal_reports(m: MonoidalData) -> list[CheckReport]:
 
 def _tensor_shapes(m: MonoidalData) -> list[CheckReport]:
     """The shape reports of the tensor, once the object-level tables (the
-    associator's and unitors' too) are found total."""
-    base = m.base
-    objs = base.objects
+    associator's and unitors' too) are found total.  ``table.get(key) or
+    accessor(key)`` calls the accessor only on a miss: its errors, in order."""
+    base, tobj, tmor, assoc = m.base, m.tensor_obj, m.tensor_mor, m.assoc
+    objs, mors = base.objects, [(f, base._mors[f]) for f in base.mor_ids()]
     for x in objs:
         for y in objs:
-            m.tobj(x, y)
-        m.l(x), m.r(x)
-        for y in objs:
-            for z in objs:
-                m.a(x, y, z)
+            (x, y) in tobj or m.tobj(x, y)
+        x in m.lunit or m.l(x), x in m.runit or m.r(x)
+        for y, z in product(objs, repeat=2):
+            (x, y, z) in assoc or m.a(x, y, z)
     reports: list[CheckReport] = []
-    for f, g in product(base.mor_ids(), repeat=2):
-        fg = m.tmor(f, g)
-        if not base.has_mor(fg):
-            raise MalformedReferenceError(
-                f"tensor maps ({f!r}, {g!r}) to undeclared morphism {fg!r}")
-        if (base.src(fg) != m.tobj(base.src(f), base.src(g))
-                or base.dst(fg) != m.tobj(base.dst(f), base.dst(g))):
-            reports.append(CheckReport("tensor.shape", (f, g), witness_count=0))
+    for f, (s, d) in mors:
+        for g, (s2, d2) in mors:
+            fg = tmor.get((f, g)) or m.tmor(f, g)
+            if (e := base._mors.get(fg)) is None:
+                raise MalformedReferenceError(
+                    f"tensor maps ({f!r}, {g!r}) to undeclared morphism {fg!r}")
+            if (e[0] != (tobj.get((s, s2)) or m.tobj(s, s2))
+                    or e[1] != (tobj.get((d, d2)) or m.tobj(d, d2))):
+                reports.append(CheckReport("tensor.shape", (f, g), witness_count=0))
     return reports
 
 

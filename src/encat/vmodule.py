@@ -64,6 +64,7 @@ from .core import (
     Law,
     Mor,
     Obj,
+    Preimages,
     WitnessError,
     assert_derived,
     canonical_diff,
@@ -230,19 +231,38 @@ MODULE_LAWS = tuple(thin_first(law, lambda mod, m, s: s, lambda mod, m, s: _miss
          lambda mod, m, s, k, l, mm, x: s.compose(
              mod.act_mor(m.a(k, l, mm), s.id_(x)), mod.a(k, m.tobj(l, mm), x),
              mod.act_mor(m.base.id_(k), mod.a(l, mm, x))), core=True),
-     lambda mod, m, s: reading(
-         lambda bad: product(m.base.objects, m.base.objects, m.base.objects, s.objects),
-         lambda k, l, mm, x: ((m.tobj(k, l), mm, x), (k, l, mod.act_obj(mm, x)),
-                              (k, m.tobj(l, mm), x), (l, mm, x), (m.a(k, l, mm), s.id_(x)),
-                              (m.base.id_(k), mod.a(l, mm, x))))),
+     lambda mod, m, s: lambda bad: _assoc_readers(mod, m, s, bad)),
     (Law("module.unit", lambda mod, m, s: product(m.base.objects, s.objects),
          lambda mod, m, s, k, x: s.compose(
              mod.a(k, m.unit, x), mod.act_mor(m.base.id_(k), mod.l(x))),
          lambda mod, m, s, k, x: mod.act_mor(m.r(k), s.id_(x)), core=True),
-     lambda mod, m, s: reading(lambda bad: product(m.base.objects, s.objects),
-                               lambda k, x: ((k, m.unit, x), (x,), (m.base.id_(k), mod.l(x)),
-                                             (m.r(k), s.id_(x))))),
+     # the associator at (K, I, X), the unitor at X, the action at (1_K, l(X)), (r(K), 1_X)
+     lambda mod, m, s: lambda bad: (site for key in bad for site in (
+         ([(key[0], key[2])] if key[1] == m.unit else []) if len(key) == 3 else
+         [(k, key[0]) for k in m.base.objects] if len(key) == 1 else
+         [(k, s.src(key[1])) for k in m.base.objects
+          if s.is_identity(key[1]) and m.r(k) == key[0]]
+         + [(m.base.src(key[0]), x) for x in s.objects
+            if m.base.is_identity(key[0]) and mod.l(x) == key[1]]))),
 ))
+
+
+def _assoc_readers(mod: VModuleData, m: MonoidalData, s: FinCategory, bad) -> list:
+    """The sites (K, L, M, X) of ``module.assoc`` reading a key of ``bad``,
+    through the fibres of the tables its sides read: the module associator at
+    (K (x) L, M, X), (K, L (x) M, X), (K, L, M (x) X) and (L, M, X), the
+    action at (a(K, L, M), 1_X) and (1_K, a(L, M, X))."""
+    objs, t, va = m.base.objects, Preimages(m.tensor_obj).fibres, Preimages(m.assoc).fibres
+    act = Preimages({kx: mod.act_obj(*kx) for kx in product(objs, s.objects)}).fibres
+    ma = Preimages({key: mod.a(*key) for key in product(objs, objs, s.objects)}).fibres
+    keys, action = [key for key in bad if len(key) == 3], [key for key in bad if len(key) == 2]
+    return ([(*kl, l, x) for k, l, x in keys for kl in t.get(k, ())]
+            + [(k, *lm, x) for k, l, x in keys for lm in t.get(l, ())]
+            + [(k, l, *mx) for k, l, x in keys for mx in act.get(x, ())]
+            + [(j, *key) for key in keys for j in objs]
+            + [(*klm, s.src(w)) for u, w in action if s.is_identity(w) for klm in va.get(u, ())]
+            + [(m.base.src(u), *lmx) for u, w in action if m.base.is_identity(u)
+               for lmx in ma.get(w, ())])
 
 
 def check_vmodule(mod: VModuleData) -> list[CheckReport]:

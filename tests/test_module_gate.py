@@ -24,7 +24,10 @@ deletion of every table a premise reads,
 must give the same reports both ways, or raise the same error with the same
 message.  self(cyc(3)) and the doubled copy are not thin, and there no thin
 cover applies.  Tier-1 compares a fixed stride of the mutants (see
-``STRIDE``); ``-m slow`` compares every mutant.
+``STRIDE``); ``-m slow`` compares every mutant.  The sites at which
+``module.assoc`` and ``module.unit`` read a misshapen key, which their
+readers find through table fibres, are compared with a scan of every
+site's read set.
 """
 
 import dataclasses
@@ -483,6 +486,82 @@ def test_a_misshapen_cotensor_entry_is_judged_where_it_is_read(monkeypatch, entr
         monkeypatch, check_closed_module, lambda: module_self(build_trop(4)),
         ("cotensor",), uv, value)
     assert counts["moduleclosed.naturality"] == naturality
+
+
+def scanned_readers(mod, m, s, bad):
+    """The sites of ``module.assoc`` and ``module.unit`` that read a key of
+    ``bad``, found by testing the read set of every site."""
+    v = m.base
+    assoc = core.reading(
+        lambda bad: product(v.objects, v.objects, v.objects, s.objects),
+        lambda k, l, mm, x: ((m.tobj(k, l), mm, x), (k, l, mod.act_obj(mm, x)),
+                             (k, m.tobj(l, mm), x), (l, mm, x), (m.a(k, l, mm), s.id_(x)),
+                             (v.id_(k), mod.a(l, mm, x))))
+    unit = core.reading(lambda bad: product(v.objects, s.objects),
+                        lambda k, x: ((k, m.unit, x), (x,), (v.id_(k), mod.l(x)),
+                                      (m.r(k), s.id_(x))))
+    return set(assoc(bad)), set(unit(bad))
+
+
+def coherence_reader_cases():
+    """The self(trop(4)) module with each seed-1 action swap, with each
+    action entry beside an identity set to the first morphism of another
+    shape, and with each module associator entry set to every other
+    morphism (of another shape: S is thin), each with its misshapen key."""
+    mod = module_self(build_trop(4)).tensorClosed.module
+    action, v, s = mod.action, mod.baseV.base, mod.baseS
+    swaps = dict(SEED_1_ACTION)
+    for u, w in product(v.mor_ids(), s.mor_ids()):
+        if v.is_identity(u) or s.is_identity(w):
+            value = action.onMorphisms[pair_id(u, w)]
+            swaps[((u, w), next(f for f in s.mor_ids() if s._mors[f] != s._mors[value]))] = None
+    for uv, value in swaps:
+        table = {**action.onMorphisms, pair_id(*uv): value}
+        yield replaced(mod, ("action",), dataclasses.replace(action, onMorphisms=table)), [uv]
+    for key, value in mod.assoc.items():
+        for other in s.mor_ids():
+            if other != value:
+                yield dataclasses.replace(mod, assoc={**mod.assoc, key: other}), [key]
+
+
+def test_the_module_coherence_readers_are_found_through_fibres(monkeypatch):
+    """In each case ``module.assoc`` and ``module.unit`` judge the sites a
+    scan of every site's read set finds; the readers find them through the
+    fibres of the tables read."""
+    count = 0
+    for mod, bad in coherence_reader_cases():
+        seen = spy_judged(monkeypatch)
+        check_vmodule(mod)
+        monkeypatch.undo()
+        got = {law.name: set(sites) for law, _, sites in seen
+               if law.name in ("module.assoc", "module.unit")}
+        want = scanned_readers(mod, mod.baseV, mod.baseS, dict.fromkeys(bad).keys())
+        assert (got["module.assoc"], got["module.unit"]) == want, bad
+        count += 1
+    assert count == len(SEED_1_ACTION) + 64 + 64 * 9
+
+
+def test_the_module_coherence_readers_match_a_scan_on_every_key(monkeypatch):
+    """The self(trop(4)) module with V's associator and right unitor and the
+    module's associator and unitor set off the identities, so that no two
+    read positions agree: given any one key, the cover ``module.assoc`` and
+    ``module.unit`` take is the sites a scan of every read set finds."""
+    mod = module_self(build_trop(4)).tensorClosed.module
+    v, s = mod.baseV.base, mod.baseS
+
+    def moved(table, mors):
+        return {key: mors[(7 * i + 3) % len(mors)] for i, key in enumerate(table)}
+
+    m = dataclasses.replace(mod.baseV, assoc=moved(mod.baseV.assoc, v.mor_ids()),
+                            runit=moved(mod.baseV.runit, v.mor_ids()))
+    mod = dataclasses.replace(mod, baseV=m, assoc=moved(mod.assoc, s.mor_ids()),
+                              lunit=moved(mod.lunit, s.mor_ids()))
+    laws = {law.name: law for law in vmod.MODULE_LAWS if law.name in ("module.assoc", "module.unit")}
+    keys = [*product(v.mor_ids(), s.mor_ids()), *product(s.objects), *mod.assoc]
+    for key in keys:
+        monkeypatch.setattr(vmod, "_misshapen", lambda mod: [key])
+        got = set(laws["module.assoc"].gate(mod, m, s)), set(laws["module.unit"].gate(mod, m, s))
+        assert got == scanned_readers(mod, m, s, {key: None}.keys()), key
 
 
 def closure(cat: FinCategory, gens) -> set:
