@@ -126,7 +126,6 @@ OPS = {
     "bimodule-complete": ({"closedmodule": _same}, lambda cm: equiv.bimodule_completion(cm),
                           "bimodule"),
 }
-CONSTRUCT_OPS = tuple(OPS)
 
 # pair -> (the view of the data for each input kind, (there and back, original))
 PAIRS = {

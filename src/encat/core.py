@@ -15,7 +15,8 @@ site loop, in :func:`evaluate` (reports) or :func:`assert_derived` (laws the
 axioms imply).  Out of a product, a functor's composition law is judged on
 its :func:`bifunctor_cover`, as the tensor's interchange law is; the
 naturality of a transformation between two composites of bifunctors, the
-monoidal and the module associators', on its :func:`trinatural_cover`.
+monoidal and the module associators', on its :func:`trinatural_cover`;
+another naturality law, once its premises hold, on generators (:func:`natural`).
 """
 
 from __future__ import annotations
@@ -998,19 +999,38 @@ def generators(cat: FinCategory) -> tuple[Mor, ...]:
     return cat._generators
 
 
-def separate_variable_sites(a: FinCategory, b: FinCategory,
-                            c: FinCategory) -> Iterator[tuple[Mor, Mor, Mor]]:
-    """The sites (u, 1, 1), (1, v, 1) and (1, 1, w) of A x B x C at which
-    :func:`trinatural_cover` decides naturality in each variable alone:
-    identities everywhere, and u, v, w in the :func:`generators` of their
-    category, since squares paste."""
-    ids_a, ids_b, ids_c = (tuple(cat.identity[x] for x in cat.objects) for cat in (a, b, c))
-    yield from product(ids_a, ids_b, ids_c)
-    yield from product(generators(a), ids_b, ids_c)
-    for v in generators(b):
-        yield from ((i, v, k) for i in ids_a for k in ids_c)
-    for w in generators(c):
-        yield from ((i, j, w) for i in ids_a for j in ids_b)
+def separate_variable_sites(*cats: FinCategory) -> Iterator[tuple[Mor, ...]]:
+    """The sites of A_1 x ... x A_n with a :func:`generators` member in one
+    variable and identities in the others, at which :func:`trinatural_cover`
+    and :func:`natural` decide naturality in each variable alone."""
+    ids = [tuple(cat.identity[x] for x in cat.objects) for cat in cats]
+    for i, cat in enumerate(cats):
+        for u in generators(cat):
+            yield from product(*ids[:i], (u,), *ids[i + 1:])
+
+
+def natural(law: Law, cats: Callable[..., tuple[FinCategory, ...]], premise: Callable[..., Any],
+            around: Callable[..., Iterable[tuple[str, ...]]] | None = None) -> Law:
+    """``law``, naturality in the morphism variables of ``cats(*data)``, at the
+    sites ``around(*data, *u)`` of each tuple u of them (by default u; sites of
+    ``None`` sweep every u), gated on the empty cover if ``premise(*data)`` and
+    the law around each u of the :func:`separate_variable_sites` hold, decided
+    as a predicate; else ``None``.  The premise, read off verdicts on record,
+    makes both sides functors and each component well typed: then squares at
+    identities commute, a square at a composite pastes those at its factors,
+    and the generators in one variable compose every site (CWM II.3, Prop. 2)."""
+    def over(data: tuple, tuples: Iterable[tuple[Mor, ...]]) -> Iterator[tuple[str, ...]]:
+        return (site for u in tuples for site in (around(*data, *u) if around else (u,)))
+
+    def gate(*data):
+        try:
+            return () if premise(*data) and all(
+                law.lhs(*data, *site) == law.rhs(*data, *site)
+                for site in over(data, separate_variable_sites(*cats(*data)))) else None
+        except EncatError:
+            return None
+    return dataclasses.replace(law, gate=gate, sites=law.sites or (lambda *data: over(
+        data, product(*(cat.mor_ids() for cat in cats(*data))))))
 
 
 def trinatural_cover(a: FinCategory, b: FinCategory, c: FinCategory, e: FinCategory,
@@ -1024,9 +1044,10 @@ def trinatural_cover(a: FinCategory, b: FinCategory, c: FinCategory, e: FinCateg
     (G(u, v), w) of F, (v, w) of K or (u, K(v, w)) of H.  Off the cover each
     side of the law is the side of the rebuilds, so the law holds there once
     ``alpha`` is natural for the rebuilds.  That is decided first, as a
-    predicate on the rebuilds at the :func:`separate_variable_sites`: by
-    Mac Lane, CWM II.3, Prop. 2, iterated, naturality in each variable alone
-    gives naturality in all three.
+    predicate on the rebuilds at identities, where it reads every component
+    of ``alpha``, and at the :func:`separate_variable_sites`: by Mac Lane,
+    CWM II.3, Prop. 2, iterated, naturality in each variable alone gives
+    naturality in all three.
 
     ``None``, so that every site is judged, when a map has no rebuild, the
     categories do not fit together, or ``alpha`` is not natural for the
@@ -1038,7 +1059,8 @@ def trinatural_cover(a: FinCategory, b: FinCategory, c: FinCategory, e: FinCateg
         return None
     rg, rf, rh, rk = g.rebuilt, f.rebuilt, h.rebuilt, k.rebuilt
     ends_a, ends_b, ends_c, comp = a._mors, b._mors, c._mors, e.comp
-    for u, v, w in separate_variable_sites(a, b, c):
+    for u, v, w in chain(product(*(cat.identity.values() for cat in (a, b, c))),
+                         separate_variable_sites(a, b, c)):
         (s, d), (s2, d2), (s3, d3) = ends_a[u], ends_b[v], ends_c[w]
         lhs = comp.get((rf[(rg[(u, v)], w)], alpha.get((d, d2, d3))))
         if lhs is None or lhs != comp.get((alpha.get((s, s2, s3)), rh[(u, rk[(v, w)])])):

@@ -26,10 +26,13 @@ two composites of bifunctors, and is judged on
 of ``module.assoc-natural``: once the associator is natural for R in each
 variable alone, decided on R at identities and at generators of the base
 (Prop. 2, iterated; squares paste), only the sites where (f, g),
-(T(f, g), h), (g, h) or (f, T(g, h)) is in B are judged.  When no rebuild is
-found, or the associator is not natural for R in one variable, every site is
-judged, so the reports never depend on the localization.  On a lawful table
-B is empty and so are both covers.
+(T(f, g), h), (g, h) or (f, T(g, h)) is in B are judged.  ``symmetry.natural``
+is decided at generators (:func:`~encat.core.natural`) once the base is valid
+and the "monoidal" and "symmetry" records are clean.  When no rebuild is
+found, a premise fails or a generator square does not commute, every site is
+judged, so the reports never depend on the localization.  A lawful table
+judges no site of the three.  ``lunit.natural`` and ``runit.natural`` keep
+their sweeps: T's functoriality, their premise, is judged in the same pass.
 
 On a thin base (trop, bool) every diagram commutes (CWM §VII.2), so every
 axiom law here holds once the shape loops of the tables it reads are clean.
@@ -96,6 +99,7 @@ from .core import (
     is_valid,
     kept,
     morphism_inverse_checked,
+    natural,
     opposite_category,
     pair_id,
     product_category,
@@ -351,9 +355,11 @@ DERIVED_MONOIDAL_LAWS = tuple(map(_thin_first, (
 
 
 SYMMETRY_LAWS = tuple(_thin_first(law, "symmetry") for law in (
-    Law("symmetry.natural", lambda m, base: product(base.mor_ids(), repeat=2),
+    natural(Law("symmetry.natural", None,
         lambda m, base, f, g: base.compose(m.tmor(f, g), m.braid(base.dst(f), base.dst(g))),
         lambda m, base, f, g: base.compose(m.braid(base.src(f), base.src(g)), m.tmor(g, f))),
+        lambda m, base: (base, base),
+        lambda m, base: is_valid(base) and clean(m, "monoidal", "symmetry")),
     Law("symmetry.invol", lambda m, base: product(base.objects, repeat=2),
         lambda m, base, x, y: base.compose(m.braid(x, y), m.braid(y, x)),
         required(lambda m, base, x, y: base.id_(m.tobj(x, y))), core=True),

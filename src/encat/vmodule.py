@@ -29,7 +29,10 @@ and the associator is natural for the rebuilds in each variable alone,
 decided as a predicate at identities and at generators of V and S (Mac Lane,
 CWM II.3, Prop. 2, iterated; squares paste).  Under them only the sites
 reading a defect of T or of the action are judged; when one fails, every
-site is.
+site is.  ``module.lunit-natural`` and ``moduleclosed.naturality`` are decided
+at generators (:func:`~encat.core.natural`) once V, S and the records their
+sides read ("action" and "module", or "action", "hom" and "phi") are clean;
+else, or when a generator square fails, every site is judged.
 
 On a thin category every diagram commutes (CWM §VII.2), so ``MODULE_LAWS``
 and the transports of ``BIMODULE_LAWS`` (judged in S, S^op on the reversed
@@ -78,6 +81,7 @@ from .core import (
     kept,
     morphism_inverse,
     morphism_inverse_checked,
+    natural,
     opposite_category,
     pair_id,
     preimage,
@@ -219,9 +223,10 @@ MODULE_LAWS = tuple(thin_first(law, lambda mod, m, s: s, lambda mod, m, s: _miss
              product(m.base.mor_ids(), (p,), (q,)),
              ((p, v, w) for v, w in product(m.base.mor_ids(), s.mor_ids())
               if mod.act_mor(v, w) == q))))),
-    (Law("module.lunit-natural", lambda mod, m, s: product(s.mor_ids()),
+    (natural(Law("module.lunit-natural", None,
          lambda mod, m, s, w: s.compose(mod.act_mor(m.base.id_(m.unit), w), mod.l(s.dst(w))),
          lambda mod, m, s, w: s.compose(mod.l(s.src(w)), w)),
+         lambda mod, m, s: (s,), lambda mod, m, s: is_valid(s) and clean(mod, "action", "module")),
      lambda mod, m, s: lambda bad: chain(squares(s)(bad), (  # the action at (1_I, w)
          key[1:] for key in bad if len(key) == 2 and key[0] == m.base.id_(m.unit)))),
     (Law("module.assoc",
@@ -338,37 +343,35 @@ def _adjoint(tc: TensorClosedModuleData, mod: VModuleData, vbase: FinCategory,
 # on (tables, module, V's base, S), judged in V.  Under :func:`_adjoint`, which reads no
 # associator (a closed module's reversed side has none), each side is a morphism K' ->
 # hom(X, Y), K -> hom(X', Y) or K -> hom(X, Y') where the action entry beside it is well shaped.
-ADJUNCTION_LAWS = tuple(thin_first(law, lambda tc, mod, vbase, s: vbase, _adjoint, reads)
-                        for law, reads in (
-    (Law("moduleclosed.naturality",
-        lambda tc, mod, vbase, s: (
-            (u, x, y, f) for u in vbase.mor_ids() for x in s.objects for y in s.objects
-            for f in s.hom(mod.act_obj(vbase.dst(u), x), y)),
+ADJUNCTION_LAWS = tuple(thin_first(natural(law, cats, lambda tc, mod, vbase, s: (
+    is_valid(vbase) and is_valid(s) and clean(mod, "action") and clean(tc, "hom", "phi")), around),
+    lambda tc, mod, vbase, s: vbase, _adjoint, reads) for law, cats, around, reads in (
+    (Law("moduleclosed.naturality", None,
         lambda tc, mod, vbase, s, u, x, y, f: tc.phi_of(
             vbase.src(u), x, y, s.compose(mod.act_mor(u, s.id_(x)), f)),
         lambda tc, mod, vbase, s, u, x, y, f: vbase.compose(
             u, tc.phi_of(vbase.dst(u), x, y, f)), core=True),
+     lambda *data: data[2:3], lambda tc, mod, vbase, s, u: ((u, x, y, f) for x in s.objects
+         for y in s.objects for f in s.hom(mod.act_obj(vbase.dst(u), x), y)),
      lambda tc, mod, vbase, s: lambda bad: (  # the action at (u, 1_X)
          (p, s.src(q), y, f) for p, q in bad if s.is_identity(q) for y in s.objects
          for f in s.hom(mod.act_obj(vbase.dst(p), s.src(q)), y))),
-    (Law("moduleclosed.naturality",
-        lambda tc, mod, vbase, s: (
-            (k, v, y, f) for v in s.mor_ids() for k in vbase.objects for y in s.objects
-            for f in s.hom(mod.act_obj(k, s.dst(v)), y)),
+    (Law("moduleclosed.naturality", None,
         lambda tc, mod, vbase, s, k, v, y, f: tc.phi_of(
             k, s.src(v), y, s.compose(mod.act_mor(vbase.id_(k), v), f)),
         lambda tc, mod, vbase, s, k, v, y, f: vbase.compose(
             tc.phi_of(k, s.dst(v), y, f), tc.hom_mor(v, s.id_(y))), core=True),
+     lambda *data: data[3:], lambda tc, mod, vbase, s, v: ((k, v, y, f) for k in vbase.objects
+         for y in s.objects for f in s.hom(mod.act_obj(k, s.dst(v)), y)),
      lambda tc, mod, vbase, s: lambda bad: (  # the action at (1_K, v)
          (vbase.src(p), q, y, f) for p, q in bad if vbase.is_identity(p) for y in s.objects
          for f in s.hom(mod.act_obj(vbase.src(p), s.dst(q)), y))),
-    (Law("moduleclosed.naturality",
-        lambda tc, mod, vbase, s: (
-            (k, x, w, f) for w in s.mor_ids() for k in vbase.objects for x in s.objects
-            for f in s.hom(mod.act_obj(k, x), s.src(w))),
+    (Law("moduleclosed.naturality", None,
         lambda tc, mod, vbase, s, k, x, w, f: tc.phi_of(k, x, s.dst(w), s.then(f, w)),
         lambda tc, mod, vbase, s, k, x, w, f: vbase.compose(
             tc.phi_of(k, x, s.src(w), f), tc.hom_mor(s.id_(x), w)), core=True),
+     lambda *data: data[3:], lambda tc, mod, vbase, s, w: ((k, x, w, f) for k in vbase.objects
+         for x in s.objects for f in s.hom(mod.act_obj(k, x), s.src(w))),
      lambda *data: lambda bad: ()),  # no action entry
 ))
 

@@ -5,6 +5,12 @@ A cylinder assignment fixes one cylinder per (K, X) even though the data is
 only determined up to unique isomorphism; every downstream construction uses
 the fixed choice so that round trips are exact table equalities.  The
 uniqueness operation documents the remaining freedom.
+
+``vstructure.phi-natural`` is decided on generators (:func:`~encat.core.natural`),
+each of its two squares in its one variable, once S and V are valid and the
+"hom structure" record is clean; otherwise, or when a generator square fails,
+every site is judged.  ``PHIBAR_NATURALITY_LAWS`` keep their sweep: they judge
+a construction's input, which is not checked first.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .core import (
     functor_law_names,
     is_valid,
     morphism_inverse_checked,
+    natural,
     opposite_category,
     pair_id,
     preimage,
@@ -112,15 +119,6 @@ class PathAssignment:
     psibar: Mapping[tuple[Obj, Obj, Obj], Mor]
 
 
-def _phi_acted(vs: VStructureData, m: MonoidalData, s: FinCategory, f: Mor, h: Mor,
-               post: bool) -> Mor:
-    """For a composable pair (f, h): the element of f post-composed with h,
-    or the element of h pre-composed with f."""
-    if post:
-        return m.base.compose(vs.phi_of(s.src(f), s.dst(f), f), vs.hom_mor(s.id_(s.src(f)), h))
-    return m.base.compose(vs.phi_of(s.src(h), s.dst(h), h), vs.hom_mor(f, s.id_(s.dst(h))))
-
-
 def _hom_structure(vs: VStructureData) -> list[CheckReport]:
     """The "hom structure" record: the hom functor's reports, the shapes of
     the internal composition and the bijection reports of the elements."""
@@ -155,16 +153,27 @@ def _hom_first(law: Law, shapes: tuple[str, ...], reads: Callable | None = None,
         lambda bad: law.sites(*data), lambda *site: reads(*data, *site)))
 
 
+# The squares of vstructure.phi-natural at (f, h): f's element post-composed
+# with h, natural in h, and h's element pre-composed with f, natural in f.
+_PHI_SQUARES = {post: natural(Law("vstructure.phi-natural",
+    lambda vs, m, s: ((f, h) for f, h in product(s.mor_ids(), repeat=2) if s.dst(f) == s.src(h)),
+    lambda vs, m, s, f, h: vs.phi_of(s.src(f), s.dst(h), s.then(f, h)), rhs), lambda vs, m, s: (s,),
+    lambda vs, m, s: is_valid(s) and is_valid(m.base) and clean(vs, "hom structure"), around)
+    for post, rhs, around in (
+        (True, lambda vs, m, s, f, h: m.base.compose(
+            vs.phi_of(s.src(f), s.dst(f), f), vs.hom_mor(s.id_(s.src(f)), h)),
+         lambda vs, m, s, u: ((f, u) for x in s.objects for f in s.hom(x, s.src(u)))),
+        (False, lambda vs, m, s, f, h: m.base.compose(
+            vs.phi_of(s.src(h), s.dst(h), h), vs.hom_mor(f, s.id_(s.dst(h)))),
+         lambda vs, m, s, u: ((u, h) for x in s.objects for h in s.hom(s.dst(u), x))))}
+
+
 VSTRUCTURE_LAWS = tuple(_hom_first(law, ("tensor", "structure"), reads) for law, reads in (
-    # Naturality of the element correspondence: each composable pair (f, h)
-    # has two squares, f's element post-composed with h and h's element
-    # pre-composed with f.  A sweep over the morphisms meets the square of
-    # the lesser id first, so two failures at one pair are listed that way.
-    *((Law("vstructure.phi-natural",
-           lambda vs, m, s: ((f, h) for f, h in product(s.mor_ids(), repeat=2)
-                             if s.dst(f) == s.src(h)),
-           lambda vs, m, s, f, h: vs.phi_of(s.src(f), s.dst(h), s.then(f, h)),
-           lambda vs, m, s, f, h, first=first: _phi_acted(vs, m, s, f, h, (f <= h) == first)),
+    # A sweep over the morphisms meets the square of the lesser id first, so
+    # two failures at one pair are listed that way.
+    *((replace(_PHI_SQUARES[True], gate=lambda *data: (
+        () if all(square.gate(*data) == () for square in _PHI_SQUARES.values()) else None),
+        rhs=lambda *data, first=first: _PHI_SQUARES[(data[3] <= data[4]) == first].rhs(*data)),
        lambda *_: ()) for first in (True, False)),
     (Law("vstructure.assoc", lambda vs, m, s: product(s.objects, repeat=4),
          lambda vs, m, s, x, y, z, w: m.base.compose(

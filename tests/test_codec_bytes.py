@@ -16,7 +16,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from encat.cli import CONSTRUCT_OPS, _construct, cli
+from encat.cli import OPS, _construct, cli
 from encat.core import FinCategory, structural_equal
 from encat.instances import build_instance, parse_instance_name
 from encat.interface import Document, DocumentError, dumps, parse, serialize
@@ -53,7 +53,7 @@ def test_builtins_and_constructions_are_stdlib_bytes():
         todo = [doc]
         while todo:  # every construction that takes the document, and its outputs
             source = todo.pop()
-            for op in CONSTRUCT_OPS:
+            for op in OPS:
                 try:
                     out = _construct(source, op)
                 except DocumentError:  # an op that does not take this kind
@@ -62,7 +62,7 @@ def test_builtins_and_constructions_are_stdlib_bytes():
                 made.append(op)
                 if op in ("module-to-cylinder", "induced-vstructure", "associated-vcat"):
                     todo.append(out)
-    assert set(made) == set(CONSTRUCT_OPS) and len(made) >= 30
+    assert set(made) == set(OPS) and len(made) >= 30
 
 
 # The first renaming appends characters that need escaping, "%" among them;

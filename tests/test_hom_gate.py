@@ -124,6 +124,26 @@ def test_a_misshapen_composition_entry_is_judged_where_it_is_read(monkeypatch, t
     assert scans["vstructure.assoc"] and scans["cylinder.cp1-1"]
 
 
+def test_an_unnatural_element_table_is_judged_on_every_site(monkeypatch, tmp_path):
+    """The lawful self(cyc(3)) cylinder, which is not thin, decides both
+    ``vstructure.phi-natural`` sweeps on generators and judges none of their
+    sites.  Its element table with two values exchanged is still a bijection,
+    so the "hom structure" record stays clean; the generator gate finds it
+    unnatural, and both sweeps judge all 9 composable pairs, with the reports
+    of the gate-free laws."""
+    doc = cylinder_document(str(tmp_path), "self(cyc(3))")
+    for judged in (0, 9):
+        text = json.dumps(doc)
+        seen = spy(monkeypatch)
+        got = outcome(text)
+        monkeypatch.undo()
+        assert got == full_outcome(text)
+        assert list(map(len, seen["vstructure.phi-natural"])) == [judged] * 2
+        [row] = doc["body"]["vstructure"]["phi"]
+        row[2] = [[f, {"1": "2", "2": "1"}.get(t, t)] for f, t in row[2]]
+    assert "vstructure.phi-natural" in {r.law for r in got}
+
+
 def search_data(mp) -> tuple[list[tuple], list[tuple]]:
     """Record the data on which ``cylinder_to_module`` judges its searches:
     (vs, cyl, S, family, h) for each candidate h of each Yoneda extraction

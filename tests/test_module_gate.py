@@ -271,24 +271,70 @@ def test_the_structure_covers_agree_with_the_full_sweep_on_every_mutant(name):
 
 def test_a_lawful_module_is_judged_on_generators_only(monkeypatch):
     """self(cyc(12)), which is not thin, so no thin cover decides it: each
-    side decides its one identity site and a generator site in each of the
-    three variables on the rebuilds, of its 12^3 sites, and judges none.
-    V's own ``assoc.natural``, judged first, decides the same four sites."""
+    side decides ``module.assoc-natural`` on the rebuilds at its identity site
+    and a generator site in each of the three variables, of its 12^3 sites,
+    and judges none; V's own ``assoc.natural``, judged first, decides the same
+    sites.  ``symmetry.natural`` (in two variables), ``module.lunit-natural``
+    and the three ``moduleclosed.naturality`` sweeps of each side are decided
+    at the generator, the rotation, of each variable, and judge none;
+    ``lunit.natural`` and ``runit.natural`` keep their sweeps."""
     bm = bimodule_completion(module_self(build_cyc(12)))
     gate_sites = []
     separate = core.separate_variable_sites
 
-    def counting(a, b, c):
-        sites = list(separate(a, b, c))
+    def counting(*cats):
+        sites = list(separate(*cats))
         gate_sites.append(len(sites))
         return sites
 
     monkeypatch.setattr(core, "separate_variable_sites", counting)
     seen = spy(monkeypatch)
+    judged = spy_all(monkeypatch)
     assert check_closed_bimodule(bm) == []
-    assert gate_sites == [1 + 3] * 3
+    # assoc.natural, symmetry.natural, then per side module.assoc-natural,
+    # module.lunit-natural and the three moduleclosed.naturality sweeps
+    assert gate_sites == [3, 2, 3, 1, 1, 1, 1, 1, 1, 1, 3, 1]
     assert [sites for _, sites in seen] == [[], []]
     assert [len(list(vmod.MODULE_LAWS[0].sites(*data))) for data, _ in seen] == [12 ** 3] * 2
+    counts = {name: list(map(len, sites)) for name, sites in judged.items() if "natural" in name}
+    assert counts == {"assoc.natural": [0], "lunit.natural": [12], "runit.natural": [12],
+                      "symmetry.natural": [0], "module.assoc-natural": [0, 0],
+                      "module.lunit-natural": [0, 0], "moduleclosed.naturality": [0] * 6}
+
+
+def unnatural_cases():
+    """(checker, law, a function building the mutant, how many sites each of
+    its sweeps judges): the module unitor of regular(doubled-cyc(2)) at a set
+    to the other morphism of its shape, and two values of the phi and of the
+    psi row of self(cyc(3)) exchanged.  Each leaves every record the law's
+    generator gate reads clean, and the law unnatural on its side alone."""
+    def unitor():
+        mod = regular_module(doubled_cyc(2))
+        return replaced(mod, ("lunit",), {**mod.lunit, "a": "ba1"})
+
+    def exchanged(path):
+        cm = module_self(build_cyc(3))
+        key, row = next(iter(read(cm, path).items()))
+        return replaced(cm, path, {key: {**row, "1": row["2"], "2": row["1"]}})
+    yield check_vmodule, "module.lunit-natural", unitor, [8]
+    yield check_closed_module, "moduleclosed.naturality", lambda: exchanged(
+        ("tensorClosed", "phi")), [9, 9, 9, 0, 0, 0]
+    yield check_closed_module, "moduleclosed.naturality", lambda: exchanged(("psi",)), [0, 0, 0, 9, 9, 9]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_an_unnatural_table_with_clean_records_is_judged_on_every_site(monkeypatch, case):
+    """Its generator gate finds the law unnatural, so each sweep on the
+    mutated side judges every site, with the reports of the gate-free laws;
+    the other side is decided on generators and judges none."""
+    check, name, build, counts = list(unnatural_cases())[case]
+    seen = spy_judged(monkeypatch)
+    got = check(build())
+    monkeypatch.undo()
+    assert got == full_outcome(check, build()) and name in {r.law for r in got}
+    sweeps = [(law, data, sites) for law, data, sites in seen if law.name == name]
+    assert [len(sites) for _, _, sites in sweeps] == counts
+    assert all(sites in ([], list(law.sites(*data))) for law, data, sites in sweeps)
 
 
 def spy_all(mp) -> dict[str, list[list[tuple[str, ...]]]]:

@@ -12,6 +12,14 @@ fixed stride of the mutants of the larger bases (see ``STRIDE``), also among
 the ``tensor_mor`` swaps, every one of which it rebuilds; ``-m slow``
 compares every mutant.
 
+On the non-thin cyc(2), cyc(3) and cyc(4), ``check_v`` decides
+``symmetry.natural`` on generators once the "monoidal" and "symmetry"
+records are clean; it must give the outcomes of a run with every gate of
+``MONOIDAL_LAWS`` and ``SYMMETRY_LAWS`` stripped, on every swap of
+``tensor_mor``, ``assoc`` and the unitors and every deletion and swap of the
+braiding, and on every deletion and swap of the braiding of a braided
+doubled_cyc(2) (a stride in tier-1, all under ``-m slow``).
+
 On a thin base the axiom laws of ``check_monoidal``, ``check_symmetry`` and
 ``check_closed`` are decided by their shape verdicts (the thin cover).  The
 three checkers, run in ``encat check`` order, must give the same outcomes as
@@ -32,7 +40,7 @@ import encat.core as core
 import encat.monoidal as mon
 from encat.core import EncatError, FinCategory
 from encat.instances import build_bool, build_cyc, build_trop
-from encat.monoidal import MonoidalData, check_monoidal
+from encat.monoidal import MonoidalData, SymmetryData, check_monoidal, check_v
 from nonstrict import doubled_cyc
 
 TABLES = ("tensor_mor", "assoc", "lunit", "runit")
@@ -244,12 +252,12 @@ THIN_TABLES = {
 }
 
 
-def thin_mutants(m: MonoidalData):
+def thin_mutants(m: MonoidalData, fields=tuple(THIN_TABLES)):
     """Every single-entry swap and deletion of the braiding, the evaluations
-    and the tables the monoidal premise reads."""
+    and the tables the monoidal premise reads (of those in ``fields``)."""
     mors = m.base.mor_ids()
-    for field, tables in THIN_TABLES.items():
-        table, rebuilt = tables(m)
+    for field in fields:
+        table, rebuilt = THIN_TABLES[field](m)
         for key, value in table.items():
             yield (field, key, None), rebuilt({k: v for k, v in table.items() if k != key})
             for other in mors:
@@ -386,3 +394,90 @@ def test_a_misshapen_associator_entry_is_judged_at_its_squares_only(monkeypatch)
                            if key in (ends(base.src, site), ends(base.dst, site))}
     assert seen["pentagon"] == [list(product(base.objects, repeat=4))]
     assert seen["triangle"] == [list(product(base.objects, repeat=2))]
+
+
+def v_outcome(m: MonoidalData):
+    try:
+        return check_v(m)
+    except EncatError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def full_v_outcome(m: MonoidalData):
+    """The reference: ``check_v`` on a fresh copy of ``m`` with the laws of
+    ``THIN_GATED`` gate-free."""
+    m = dataclasses.replace(m)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in THIN_GATED:
+            mp.setattr(mon, name, tuple(
+                dataclasses.replace(law, gate=None) for law in getattr(mon, name)))
+        return v_outcome(m)
+
+
+def braided_doubled_cyc() -> MonoidalData:
+    """doubled_cyc(2), braided by its label-0 morphisms: symmetric."""
+    m = doubled_cyc(2)
+    return dataclasses.replace(m, symmetry=SymmetryData({
+        (p, q): f"{m.tobj(p, q)}{m.tobj(q, p)}0" for p, q in product(m.base.objects, repeat=2)}))
+
+
+def v_mutants():
+    """Every swap of the monoidal tables and every deletion and swap of the
+    braiding of cyc(2), cyc(3) and cyc(4), then every deletion and swap of
+    the braiding of the braided doubled_cyc(2).  In an abelian cyc every
+    constant braiding is natural, so only the four same-shape braiding swaps
+    of the doubled copy keep the premise of ``symmetry.natural`` and break
+    the law."""
+    for name in ("cyc(2)", "cyc(3)", "cyc(4)"):
+        m = BASES[name]()
+        yield from ((name, where, mutant) for where, mutant in mutants(m) if where[2] is not None)
+        yield from ((name, where, mutant) for where, mutant in thin_mutants(m, ("braid",)))
+    yield from (("doubled-cyc(2)", where, mutant)
+                for where, mutant in thin_mutants(braided_doubled_cyc(), ("braid",)))
+
+
+def v_agree(stride: int) -> None:
+    cases = list(v_mutants())
+    assert len(cases) == 97 + 32
+    for name, where, mutant in cases[::stride]:
+        assert v_outcome(mutant) == full_v_outcome(mutant), (name, where)
+
+
+def test_check_v_agrees_with_the_gate_free_laws_on_non_thin_bases():
+    v_agree(4)
+
+
+@pytest.mark.slow
+def test_check_v_agrees_with_the_gate_free_laws_on_every_non_thin_mutant():
+    v_agree(1)
+
+
+def test_symmetry_natural_is_decided_on_generators(monkeypatch):
+    """The lawful cyc(12) judges none of its 144 ``symmetry.natural`` sites,
+    and neither does a braiding of cyc(4) swapped for another rotation: in
+    an abelian group every constant braiding is natural.  The premise is
+    read off verdicts on record only: ``check_symmetry`` alone, with no
+    "monoidal" verdict, judges all 16 sites of that swap.  The braided
+    doubled_cyc(2) with its braiding at (a, b) set to the other morphism of
+    that shape leaves the "monoidal" and "symmetry" records clean, so
+    naturality is decided on generators, found to fail, and every site is
+    judged, as without a gate."""
+    swap = dataclasses.replace(build_cyc(4), symmetry=SymmetryData({("*", "*"): "1"}))
+    for m in (build_cyc(12), swap):
+        seen = spy(monkeypatch)
+        v_outcome(m)
+        monkeypatch.undo()
+        assert seen["symmetry.natural"] == [[]] and mon.clean(m, "monoidal", "symmetry")
+    seen = spy(monkeypatch)
+    mon.check_symmetry(dataclasses.replace(swap))
+    monkeypatch.undo()
+    assert list(map(len, seen["symmetry.natural"])) == [16]
+    m = braided_doubled_cyc()
+    mutant = dataclasses.replace(m, symmetry=SymmetryData({**m.symmetry.braid, ("a", "b"): "ba1"}))
+    for m, judged in ((m, 0), (mutant, 64)):
+        seen = spy(monkeypatch)
+        got = v_outcome(m)
+        monkeypatch.undo()
+        assert got == full_v_outcome(m) and mon.clean(m, "monoidal", "symmetry")
+        assert list(map(len, seen["symmetry.natural"])) == [judged]
+    assert "symmetry.natural" in {r.law for r in got}
