@@ -100,11 +100,9 @@ from .monoidal import (
     MonoidalData,
     check_v,
     hom_on_morphisms,
-    internal_composition_b,
     internal_swap,
     shapes_clean,
     transpose_pi,
-    varpi,
 )
 from .vstruct import HomTables, VStructureData, opposite_vstructure, reversed_hom
 
@@ -172,14 +170,6 @@ class ClosedBimoduleData:
     closedModule: ClosedVModuleData
     comodAssoc: Mapping[tuple[Obj, Obj, Obj], Mor]
     comodLunit: Mapping[Obj, Mor]
-
-
-@dataclass(frozen=True)
-class EnrichedActionData:
-    """Hom-object components of the action in its tensor variable:
-    components[(K, L, X)] : hom_V(K, L) -> hom(K (x) X, L (x) X)."""
-
-    components: Mapping[tuple[Obj, Obj, Obj], Mor]
 
 
 _ACTION, _HOM_FUNCTOR, _COTENSOR = "module.functor", "moduleclosed.functor", "moduleclosed.cotensor"
@@ -491,77 +481,6 @@ def _action_component(tc: TensorClosedModuleData, k: Obj, l: Obj, x: Obj) -> Mor
         morphism_inverse_checked(s, mod.a(hkl, k, x)),
         mod.act_mor(m.ev(k, l), s.id_(x)))
     return tc.phi_of(hkl, mod.act_obj(k, x), mod.act_obj(l, x), composite)
-
-
-def enriched_action(tc: TensorClosedModuleData) -> EnrichedActionData:
-    """All components of the enriched action, with the functor laws, the
-    enriched naturality of the components and of the evaluations asserted."""
-    mod = tc.module
-    m = mod.baseV
-    m.require_closed()
-    ivs = induced_vstructure(tc)
-    components = {(k, l, x): _action_component(tc, k, l, x)
-                  for k in m.base.objects for l in m.base.objects for x in mod.baseS.objects}
-    assert_derived(ENRICHED_ACTION_LAWS, tc, mod, m, ivs, components)
-    return EnrichedActionData(components=components)
-
-
-def _action_naturality(tc, mod, m, ivs, c, k, l, mm, x) -> Mor:
-    kx, lx, mx = mod.act_obj(k, x), mod.act_obj(l, x), mod.act_obj(mm, x)
-    return m.base.compose(
-        c[(l, mm, x)],
-        transpose_pi(m, ivs.b(kx, lx, mx), tc.hom_obj(lx, mx), tc.hom_obj(kx, lx)),
-        hom_on_morphisms(m, c[(k, l, x)], m.base.id_(tc.hom_obj(kx, mx))))
-
-
-def _evaluation_naturality(tc, mod, m, ivs, c, x, y, z) -> Mor:
-    sxy = tc.hom_obj(x, y)
-    return m.base.compose(
-        transpose_pi(m, ivs.b(x, y, z), tc.hom_obj(y, z), sxy), c[(sxy, tc.hom_obj(x, z), x)],
-        tc.hom_mor(mod.baseS.id_(mod.act_obj(sxy, x)), _counit(tc, x, z)))
-
-
-def _action_sites(tc, mod, m, ivs, c):
-    """Sites (K, L, M, X), X outermost."""
-    return ((*klm, x) for x in mod.baseS.objects for klm in product(m.base.objects, repeat=3))
-
-
-# The laws of the enriched action, consequences of the axioms, on (tc, its
-# module, the base, the induced hom structure ivs, the components c).
-ENRICHED_ACTION_LAWS = (
-    derived_law("enriched action composition", _action_sites,
-                lambda tc, mod, m, ivs, c, k, l, mm, x: m.base.compose(
-                    internal_composition_b(m, k, l, mm), c[(k, mm, x)]),
-                lambda tc, mod, m, ivs, c, k, l, mm, x: m.base.compose(
-                    m.tmor(c[(l, mm, x)], c[(k, l, x)]),
-                    ivs.b(mod.act_obj(k, x), mod.act_obj(l, x), mod.act_obj(mm, x)))),
-    derived_law("enriched action unit",
-                lambda tc, mod, m, ivs, c: ((k, x) for x in mod.baseS.objects
-                                            for k in m.base.objects),
-                lambda tc, mod, m, ivs, c, k, x: m.base.compose(
-                    varpi(m, m.base.id_(k)), c[(k, k, x)]),
-                lambda tc, mod, m, ivs, c, k, x: tc.phi_of(
-                    m.unit, mod.act_obj(k, x), mod.act_obj(k, x), mod.l(mod.act_obj(k, x)))),
-    derived_law("enriched action naturality", _action_sites,  # in the target variable
-                lambda tc, mod, m, ivs, c, k, l, mm, x: m.base.compose(
-                    transpose_pi(m, internal_composition_b(m, k, l, mm),
-                                 m.hom_obj(l, mm), m.hom_obj(k, l)),
-                    hom_on_morphisms(m, m.base.id_(m.hom_obj(k, l)), c[(k, mm, x)])),
-                _action_naturality),
-    derived_law("enriched action element transport",  # acting on an element
-                lambda tc, mod, m, ivs, c: product(m.base.mor_ids(), mod.baseS.objects),
-                lambda tc, mod, m, ivs, c, u, x: m.base.compose(
-                    varpi(m, u), c[(m.base.src(u), m.base.dst(u), x)]),
-                lambda tc, mod, m, ivs, c, u, x: tc.phi_of(
-                    m.unit, mod.act_obj(m.base.src(u), x), mod.act_obj(m.base.dst(u), x),
-                    mod.baseS.compose(mod.l(mod.act_obj(m.base.src(u), x)),
-                                      mod.act_mor(u, mod.baseS.id_(x))))),
-    derived_law("evaluation enriched naturality",
-                lambda tc, mod, m, ivs, c: product(mod.baseS.objects, repeat=3),
-                lambda tc, mod, m, ivs, c, x, y, z: tc.hom_mor(
-                    _counit(tc, x, y), mod.baseS.id_(z)),
-                _evaluation_naturality),
-)
 
 
 @kept

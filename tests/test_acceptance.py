@@ -38,7 +38,6 @@ from encat.vmodule import (
     check_closed_module,
     check_tensor_closed,
     check_vmodule,
-    enriched_action,
     module_phibar,
 )
 from encat.vstruct import (
@@ -46,7 +45,7 @@ from encat.vstruct import (
     associated_vcategory,
     check_vstructure,
 )
-from tests.enriched_reference import cylinder_unique_iso
+from tests.enriched_reference import cylinder_unique_iso, enriched_action
 
 
 @contextmanager

@@ -6,12 +6,14 @@ factors' tables; it must read exactly as the table written out.
 ``validate_functor`` judges the composition law of a functor out of a
 product only on its cover, the sites that read an entry where the functor
 and the bifunctor ``rebuild_bifunctor`` rebuilds from its axes differ (Mac
-Lane, CWM II.3, Prop. 1); with the law's gate switched off it judges every
+Lane, CWM II.3, Prop. 1); gate-free (``harness.gate_free``) it judges every
 site.  On every single-entry swap (the value replaced by each other
 morphism of the target) and deletion of the action, hom functor and cotensor
 morphism tables of the module builtins, ``check_closed_module`` must give
-the same reports both ways, or raise the same error with the same message.
-Tier-1 compares a fixed stride of the mutants of the larger modules (see
+the same reports both ways, or raise the same error with the same message,
+each way on its own copy of the mutant, and the gate-free way must judge
+the composition law of every functor the gated one reaches.  Tier-1
+compares a fixed stride of the mutants of the larger modules (see
 ``STRIDE``); ``-m slow`` compares every mutant.
 """
 
@@ -22,7 +24,6 @@ import pytest
 
 import encat.core as core
 from encat.core import (
-    EncatError,
     FinCategory,
     FunctorData,
     ProductComp,
@@ -37,6 +38,7 @@ from encat.core import (
 from encat.instances import build_bool, build_cyc, build_poset_module, build_trop, module_self
 from encat.monoidal import MonoidalData, check_monoidal
 from encat.vmodule import check_closed_module
+from harness import agree, entries, gate_free, outcome, read, replaced, spied
 from test_monoidal_gate import full_outcome as full_monoidal_outcome
 
 BASES = {
@@ -168,41 +170,31 @@ def test_a_tensor_without_its_identity_is_rebuilt_to_the_multiplication():
     assert "tensor.identity" in {r.law for r in got} and got == full_monoidal_outcome(mutant)
 
 
-def outcome(check, *data):
-    try:
-        return check(*data)
-    except EncatError as exc:
-        return type(exc).__name__, str(exc)
+COMPOSITION = core.FUNCTOR_LAWS[1].sites
 
 
-def spy(mp) -> list[tuple[FunctorData, list]]:
-    """Record each composition sweep of ``validate_functor``: the functor and
-    the sites ``core._judge`` judges."""
-    seen = []
-    judge = core._judge
-    composition = core.FUNCTOR_LAWS[1].sites
-
-    def recording(law, sites, data):
-        sites = list(sites)
-        if law.sites is composition:
-            seen.append((data[0], sites))
-        return judge(law, sites, data)
-
-    mp.setattr(core, "_judge", recording)
-    return seen
+def swept(check, *data):
+    """``check``'s outcome on ``data`` and the composition sweeps of
+    ``validate_functor`` it makes: the law's name, which tags the functor,
+    the functor and the sites judged."""
+    got, seen = spied(outcome, check, *data)
+    return got, [(law.name, d[0], sites) for law, d, sites in seen if law.sites is COMPOSITION]
 
 
 def full_sweep(check, *data):
-    """The reference: ``check`` with the gate-free composition law, asserted
-    to have judged every composition site of every functor it reached."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "FUNCTOR_LAWS", tuple(
-            dataclasses.replace(law, gate=None) for law in core.FUNCTOR_LAWS))
-        seen = spy(mp)
-        got = outcome(check, *data)
-    for fn, sites in seen:
+    """The reference: ``check`` gate-free, asserted to have judged every
+    composition site of every functor it reached."""
+    with gate_free():
+        got, sweeps = swept(check, *data)
+    for _, fn, sites in sweeps:
         assert sites == list(fn.srcCat.comp)
-    return got
+    return got, sweeps
+
+
+def reached(result) -> tuple:
+    """An outcome with the names of the functors whose composition law was judged."""
+    got, sweeps = result
+    return got, sorted({name for name, _, _ in sweeps})
 
 
 def out_of_product(a: FinCategory, b: FinCategory, c: FinCategory, table) -> FunctorData:
@@ -253,29 +245,27 @@ def test_a_map_that_breaks_a_premise_is_judged_on_every_site(name):
     fn = NON_BIFUNCTORS[name]()
     got = validate_functor(fn)
     assert [r.law for r in got if r.law != "functor.composition"] == []
-    assert got and got == full_sweep(validate_functor, fn)
+    assert got and got == full_sweep(validate_functor, fn)[0]
 
 
-def test_a_lawful_action_judges_no_composition_site(monkeypatch):
+def test_a_lawful_action_judges_no_composition_site():
     cm = module_self(build_cyc(8))
-    seen = spy(monkeypatch)
-    assert validate_functor(cm.tensorClosed.module.action) == []
-    assert check_closed_module(cm) == []
-    assert len(seen) == 4 and all(sites == [] for _, sites in seen)
+    got, seen = swept(lambda: [validate_functor(cm.tensorClosed.module.action),
+                               check_closed_module(cm)])
+    assert got == [[], []]
+    assert len(seen) == 4 and all(sites == [] for _, _, sites in seen)
     assert len(cm.tensorClosed.module.action.srcCat.comp) == 64 * 64
 
 
-def test_an_axis_mutant_is_judged_on_its_cover_only(monkeypatch):
+def test_an_axis_mutant_is_judged_on_its_cover_only():
     """The self(cyc(8)) action with (0, 5) |-> 1: the rebuild repairs the
     axis entry, B = {(0, 5)}, and only the sites reading it are judged."""
     cm = module_self(build_cyc(8))
     action = cm.tensorClosed.module.action
     mutant = dataclasses.replace(action, onMorphisms={**action.onMorphisms, "(0,5)": "1"})
-    reference = full_sweep(validate_functor, mutant)
-    seen = spy(monkeypatch)
-    got = validate_functor(mutant)
+    reference = full_sweep(validate_functor, mutant)[0]
+    got, [(_, fn, sites)] = swept(validate_functor, mutant)
     assert got == reference and len(got) == 186
-    [(fn, sites)] = seen
     cover = {key for key, h in action.srcCat.comp.items() if "(0,5)" in (*key, h)}
     assert fn is mutant and len(sites) == len(set(sites)) == 189 and set(sites) == cover
 
@@ -292,44 +282,31 @@ MODULES = {"poset-diamond": build_poset_module, "self(bool)": lambda: module_sel
 STRIDE = {"poset-diamond": 7, "self(trop(3))": 7}
 
 
-def replace_functor(cm, table: str, fn: FunctorData):
-    tc = cm.tensorClosed
-    if table == "action":
-        return dataclasses.replace(cm, tensorClosed=dataclasses.replace(
-            tc, module=dataclasses.replace(tc.module, action=fn)))
-    if table == "homFunctor":
-        return dataclasses.replace(cm, tensorClosed=dataclasses.replace(tc, homFunctor=fn))
-    return dataclasses.replace(cm, cotensor=fn)
+FUNCTORS = {"action": ("tensorClosed", "module", "action"),
+            "homFunctor": ("tensorClosed", "homFunctor"), "cotensor": ("cotensor",)}
 
 
 def mutants(cm):
     """Every single-entry swap and deletion of the three functors' morphism tables."""
-    tc = cm.tensorClosed
-    for table, fn in (("action", tc.module.action), ("homFunctor", tc.homFunctor),
-                      ("cotensor", cm.cotensor)):
-        values = fn.dstCat.mor_ids()
-        for key, value in fn.onMorphisms.items():
-            rest = {k: v for k, v in fn.onMorphisms.items() if k != key}
-            yield (table, key, None), replace_functor(
-                cm, table, dataclasses.replace(fn, onMorphisms=rest))
-            for other in values:
-                if other != value:
-                    yield (table, key, other), replace_functor(cm, table, dataclasses.replace(
-                        fn, onMorphisms={**fn.onMorphisms, key: other}))
+    for table, path in FUNCTORS.items():
+        fn = read(cm, path)
+        for where, mutated in entries(fn.onMorphisms, fn.dstCat.mor_ids()):
+            yield (table, *where), replaced(cm, path + ("onMorphisms",), mutated)
 
 
-def agree(name: str, stride: int) -> None:
-    for where, mutant in list(mutants(MODULES[name]()))[::stride]:
-        got = outcome(check_closed_module, mutant)
-        assert got == full_sweep(check_closed_module, mutant), where
+def bifunctor_agree(name: str, stride: int) -> None:
+    """Each mutant's outcome equals the reference's, and the reference judges
+    the composition law of every functor a fresh run reaches, and no other."""
+    agree(lambda: mutants(MODULES[name]()), lambda cm: reached(swept(check_closed_module, cm)),
+          stride, lambda cm: reached(full_sweep(check_closed_module, cm)))
 
 
 @pytest.mark.parametrize("name", list(MODULES))
 def test_the_bifunctor_shortcut_agrees_with_the_full_sweep(name):
-    agree(name, STRIDE.get(name, 1))
+    bifunctor_agree(name, STRIDE.get(name, 1))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", list(STRIDE))
 def test_the_bifunctor_shortcut_agrees_with_the_full_sweep_on_every_mutant(name):
-    agree(name, 1)
+    bifunctor_agree(name, 1)

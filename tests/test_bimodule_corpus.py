@@ -20,16 +20,14 @@ pinned for every ``STRIDE``-th mutant in tier-1 and for all of them under
 both.
 """
 
-import dataclasses
-import hashlib
 import json
 
 import pytest
 
-from encat.core import EncatError
 from encat.equiv import bimodule_completion
 from encat.instances import build_instance, parse_instance_name
 from encat.vmodule import ClosedBimoduleData, check_closed_bimodule, check_closed_module
+from harness import digest, entries, outcome, read, replaced, rows
 
 BUILTINS = ("poset-diamond", "self(bool)", "self(cyc(3))", "self(trop(3))")
 STRIDE = 9
@@ -47,59 +45,31 @@ GOLDEN = {
 }
 
 
-def _entries(table, values):
-    """Every single-entry copy of ``table``: each key deleted, then given
-    each other value of ``values``."""
-    for key in sorted(table):
-        yield {k: v for k, v in table.items() if k != key}
-        for value in values:
-            if value != table[key]:
-                yield {**table, key: value}
-
-
 def mutants(cm, bm):
     """Every single-entry mutant, as a closed module or a bimodule, in a
     fixed order."""
-    cot = cm.cotensor
-    dst = cot.dstCat
-    for on_objects in _entries(cot.onObjects, dst.objects):
-        yield dataclasses.replace(cm, cotensor=dataclasses.replace(cot, onObjects=on_objects))
-    for on_morphisms in _entries(cot.onMorphisms, dst.mor_ids()):
-        yield dataclasses.replace(cm, cotensor=dataclasses.replace(cot, onMorphisms=on_morphisms))
-    v_mors = cm.tensorClosed.module.baseV.base.mor_ids()
-    for key in sorted(cm.psi):
-        for table in _entries(cm.psi[key], v_mors):
-            yield dataclasses.replace(cm, psi={**cm.psi, key: table})
-    s_mors = cm.tensorClosed.module.baseS.mor_ids()
-    for assoc in _entries(bm.comodAssoc, s_mors):
-        yield dataclasses.replace(bm, comodAssoc=assoc)
-    for lunit in _entries(bm.comodLunit, s_mors):
-        yield dataclasses.replace(bm, comodLunit=lunit)
+    cot, mod = cm.cotensor, cm.tensorClosed.module
+    for data, path, values in ((cm, ("cotensor", "onObjects"), cot.dstCat.objects),
+                               (cm, ("cotensor", "onMorphisms"), cot.dstCat.mor_ids()),
+                               (cm, ("psi",), mod.baseV.base.mor_ids()),
+                               (bm, ("comodAssoc",), mod.baseS.mor_ids()),
+                               (bm, ("comodLunit",), mod.baseS.mor_ids())):
+        for _, table in entries(read(data, path), values, sorted):
+            yield replaced(data, path, table)
 
 
-def _reports(reports) -> list:
-    return [[r.law, list(r.site), r.lhs, r.rhs, r.witness_count, r.note] for r in reports]
-
-
-def _outcome(run) -> list:
-    try:
-        return run()
-    except EncatError as exc:
-        return [type(exc).__name__, str(exc)]
-
-
-def outcome(mutant, bm) -> list:
+def outcome_of(mutant, bm) -> list:
     """What the closed-module layer makes of one mutant."""
     if isinstance(mutant, ClosedBimoduleData):
-        return [_outcome(lambda: _reports(check_closed_bimodule(mutant)))]
+        return [outcome(lambda: rows(check_closed_bimodule(mutant)))]
 
     def complete():
         done = bimodule_completion(mutant)
         return [sorted(done.comodAssoc.items()), sorted(done.comodLunit.items())]
 
-    return [_outcome(lambda: _reports(check_closed_module(mutant))),
-            _outcome(complete),
-            _outcome(lambda: _reports(check_closed_bimodule(
+    return [outcome(lambda: rows(check_closed_module(mutant))),
+            outcome(complete),
+            outcome(lambda: rows(check_closed_bimodule(
                 ClosedBimoduleData(mutant, bm.comodAssoc, bm.comodLunit))))]
 
 
@@ -109,11 +79,7 @@ def corpus(name: str, stride: int = 1) -> tuple[int, list]:
     _, cm = build_instance(parse_instance_name(name))
     bm = bimodule_completion(cm)
     found = list(mutants(cm, bm))
-    return len(found), [outcome(mutant, bm) for mutant in found[::stride]]
-
-
-def digest(outcomes: list) -> str:
-    return hashlib.sha256(json.dumps(outcomes).encode("utf-8")).hexdigest()
+    return len(found), [outcome_of(mutant, bm) for mutant in found[::stride]]
 
 
 @pytest.mark.parametrize("name", BUILTINS)

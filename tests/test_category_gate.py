@@ -27,9 +27,10 @@ import pytest
 import encat.core as core
 import encat.monoidal as mon
 from category_reference import composable_triples, full_category_reports, reads
-from encat.core import CheckReport, EncatError, FinCategory, MalformedReferenceError
+from encat.core import CheckReport, FinCategory, MalformedReferenceError
 from encat.instances import build_bool, build_cyc, build_poset_module, build_trop
 from encat.monoidal import MonoidalData, check_monoidal
+from harness import agree, entries, outcome
 from nonstrict import doubled_cyc
 
 BASES = {
@@ -52,43 +53,30 @@ def mutants(cat: FinCategory):
     """Every single-entry deletion and swap of ``comp``, then every
     ``DOUBLE_STRIDE``-th swap of two entries."""
     comp, mors = dict(cat.comp), cat.mor_ids()
-    for key, value in comp.items():
-        yield (key, None), {k: v for k, v in comp.items() if k != key}
-        for other in mors:
-            if other != value:
-                yield (key, other), {**comp, key: other}
+    yield from entries(comp, mors)
     doubles = ((((k1, v1), (k2, v2)), {**comp, k1: v1, k2: v2})
                for k1, k2 in combinations(comp, 2)
                for v1, v2 in product(mors, repeat=2) if v1 != comp[k1] and v2 != comp[k2])
     yield from islice(doubles, 0, None, DOUBLE_STRIDE)
 
 
-def outcome(judge, cat: FinCategory):
-    try:
-        return judge(cat)
-    except EncatError as exc:
-        return type(exc).__name__, str(exc)
-
-
-def agree(stride: int) -> int:
+def category_agree(stride: int) -> int:
     count = 0
     for name, build in BASES.items():
         cat = build()
-        for where, comp in islice(mutants(cat), 0, None, stride):
-            mutant = fresh(cat, comp)
-            assert (outcome(core.validate_category, mutant)
-                    == outcome(full_category_reports, mutant)), (name, where)
-            count += 1
+        count += agree(lambda: (((name, where), comp) for where, comp in mutants(cat)),
+                       lambda comp: core.validate_category(fresh(cat, comp)), stride,
+                       lambda comp: outcome(full_category_reports, fresh(cat, comp)))
     return count
 
 
 def test_the_covers_agree_with_the_full_sweep():
-    assert agree(TIER1_STRIDE) > 700
+    assert category_agree(TIER1_STRIDE) > 700
 
 
 @pytest.mark.slow
 def test_the_covers_agree_with_the_full_sweep_on_every_mutant():
-    assert agree(1) > 3600
+    assert category_agree(1) > 3600
 
 
 def test_the_builtins_validate_as_the_full_sweep_does():

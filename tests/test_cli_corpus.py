@@ -25,8 +25,6 @@ or its error text, and none fails on a document ``check`` passes, unless the
 command does not read the document's kind.
 """
 
-import hashlib
-import io
 import itertools
 import json
 import os
@@ -34,7 +32,7 @@ import tempfile
 
 import pytest
 
-from encat.cli import cli
+from harness import cli_corpus, command, digest
 
 INSTANCES = ("trop(3)", "cyc(3)")
 MODULES = ("self(trop(3))", "self(cyc(3))", "poset-diamond")
@@ -62,12 +60,6 @@ GOLDEN_NESTED = (3773, "a2946016da3aff36b811bfcb6a1c4c9fa540009e8255dd11accb44cf
                  "df072c24e895dc211c8c0511b12a7ef908478c23efa192d2bbd95cc1b1cd9aab")
 
 
-def _run(tmp: str, *argv: str) -> tuple[int, str]:
-    out = io.StringIO()
-    code = cli(list(argv), out=out)
-    return code, out.getvalue().replace(tmp, "<tmp>")
-
-
 def documents(tmp: str) -> list[dict]:
     """The lawful documents of the corpus, in a fixed order."""
     def at(stem: str) -> str:
@@ -75,14 +67,14 @@ def documents(tmp: str) -> list[dict]:
 
     stems = list(INSTANCES)
     for name in INSTANCES:
-        assert _run(tmp, "instance", name, "-o", at(name))[0] == 0
+        assert command(tmp, "instance", name, "-o", at(name))[0] == 0
     for name in MODULES:
         stems.append(f"{name}.closedmodule")
-        assert _run(tmp, "instance", name, "-o", at(stems[-1]))[0] == 0
+        assert command(tmp, "instance", name, "-o", at(stems[-1]))[0] == 0
         for kind, source, op in MADE:
             stems.append(f"{name}.{kind}")
-            assert _run(tmp, "construct", at(f"{name}.{source}"), "--op", op,
-                        "-o", at(stems[-1]))[0] == 0
+            assert command(tmp, "construct", at(f"{name}.{source}"), "--op", op,
+                           "-o", at(stems[-1]))[0] == 0
     docs = []
     for stem in stems:
         with open(at(stem), encoding="utf-8") as handle:
@@ -129,30 +121,15 @@ def mutants(docs: list[dict], tables=_tables):
                 yield _deleted(doc, path, index)
 
 
-def _outcome(tmp: str, command: tuple) -> list:
-    written = os.path.join(tmp, "out.json")
-    output = (written,) if command[0] == "construct" else ()
-    code, text = _run(tmp, command[0], os.path.join(tmp, "doc.json"), *command[1:], *output)
-    digest = None
-    if os.path.exists(written):
-        with open(written, "rb") as handle:
-            digest = hashlib.sha256(handle.read()).hexdigest()
-        os.remove(written)
-    return [code, text, digest]
+def _outcome(tmp: str, argv: tuple) -> list:
+    output = (os.path.join(tmp, "out.json"),) if argv[0] == "construct" else ()
+    return command(tmp, argv[0], os.path.join(tmp, "doc.json"), *argv[1:], *output)
 
 
 def corpus(tmp: str, stride: int = 1, tables=_tables) -> tuple[int, list]:
     """The number of outcomes in the corpus of the rule ``tables`` and every
     ``stride``-th of them."""
-    count, outcomes = 0, []
-    for doc in mutants(documents(tmp), tables):
-        picked = [command for i, command in enumerate(COMMANDS, count) if i % stride == 0]
-        count += len(COMMANDS)
-        if picked:
-            with open(os.path.join(tmp, "doc.json"), "w", encoding="utf-8") as handle:
-                json.dump(doc, handle, indent=2, sort_keys=True)
-            outcomes += [_outcome(tmp, command) for command in picked]
-    return count, outcomes
+    return cli_corpus(tmp, mutants(documents(tmp), tables), lambda doc: COMMANDS, _outcome, stride)
 
 
 def disagreements(tmp: str, stride: int = 1, tables=_tables) -> list:
@@ -162,25 +139,18 @@ def disagreements(tmp: str, stride: int = 1, tables=_tables) -> list:
     where ``check`` passes, so that no failure is what it implies)."""
     found = []
     for doc in itertools.islice(mutants(documents(tmp), tables), 0, None, stride):
-        with open(os.path.join(tmp, "doc.json"), "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-        verdict, want, _ = _outcome(tmp, COMMANDS[0])
+        (verdict, want, _), *rest = cli_corpus(tmp, [doc], lambda doc: COMMANDS, _outcome)[1]
         if verdict == 0:
             want = None
         elif verdict == 1:
             first = json.loads(want)["reports"][0]
             want = (f"error: the {doc['kind']} document fails {first['law']} "
                     f"at ({', '.join(first['site'])})\n")
-        for command in COMMANDS[1:]:
-            code, text, _ = _outcome(tmp, command)
+        for argv, (code, text, _) in zip(COMMANDS[1:], rest):
             if (code in (2, 3) and text != want
-                    and not text.startswith(f"error: {command[2]} needs a ")):
-                found.append([command[2], text, want])
+                    and not text.startswith(f"error: {argv[2]} needs a ")):
+                found.append([argv[2], text, want])
     return found
-
-
-def digest(outcomes: list) -> str:
-    return hashlib.sha256(json.dumps(outcomes).encode("utf-8")).hexdigest()
 
 
 def test_strided_corpus_matches_golden(tmp_path):

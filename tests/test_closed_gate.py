@@ -3,12 +3,12 @@
 The characterization of the internal transpose (``PI_BAR_LAWS``) is judged
 at the generic element once the monoidal and closed verdicts are on record
 and clean (on a thin base ``check_closed`` judges no derived law and does
-not ask for the internal transpose at all).  With ``gate=None`` on
-``PI_BAR_LAWS`` every site is judged.  On every single-entry swap (the value
-replaced by each other morphism of the base) and deletion of ``closed.ev``,
-``tensor_mor`` and ``assoc``, both must give the same reports, or raise the
-same error with the same message, with and without a ``check_monoidal``
-verdict on record.  The associator is read by the characterization away
+not ask for the internal transpose at all).  The reference,
+``harness.gate_free``, judges every site of every law.  On every
+single-entry swap (the value replaced by each other morphism of the base)
+and deletion of ``closed.ev``, ``tensor_mor`` and ``assoc``, both must give
+the same reports, or raise the same error with the same message, with and
+without a ``check_monoidal`` verdict on record.  The associator is read by the characterization away
 from the generic element, so its mutants need the clean monoidal verdict
 the gate waits for.  Tier-1 compares a fixed stride of the mutants of the
 larger bases (see ``STRIDE``); ``-m slow`` compares every mutant.
@@ -22,61 +22,32 @@ returns the ``check_monoidal`` reports before any derived law runs.
 """
 
 import dataclasses
-import io
+import os
 
 import pytest
 
 import encat.monoidal as mon
-from encat.cli import cli
-from encat.core import EncatError
 from encat.instances import build_bool, build_cyc, build_trop
 from encat.monoidal import MonoidalData, check_closed, check_monoidal
-from test_monoidal_gate import spy
+from harness import agree, by_law, command, mutated, outcome, spied
 
-GATED = ("PI_BAR_LAWS",)
 PI_BAR = mon.PI_BAR_LAWS[0].name
 
 
 def mutants(m: MonoidalData):
     """Every single-entry swap and deletion of the evaluations, the tensor's
     morphism table and the associator."""
-    mors = m.base.mor_ids()
-    tables = {
-        "closed.ev": (m.closed.ev,
-                      lambda t: dataclasses.replace(m, closed=dataclasses.replace(m.closed, ev=t))),
-        "tensor_mor": (m.tensor_mor, lambda t: dataclasses.replace(m, tensor_mor=t)),
-        "assoc": (m.assoc, lambda t: dataclasses.replace(m, assoc=t)),
-    }
-    for field, (table, rebuilt) in tables.items():
-        for key, value in table.items():
-            yield (field, key, None), rebuilt({k: v for k, v in table.items() if k != key})
-            for other in mors:
-                if other != value:
-                    yield (field, key, other), rebuilt({**table, key: other})
+    return mutated(m, {"closed.ev": ("closed", "ev"), "tensor_mor": ("tensor_mor",),
+                       "assoc": ("assoc",)}, m.base.mor_ids())
 
 
-def outcome(m: MonoidalData, recorded: bool):
-    """``check_closed`` on ``m``, after ``check_monoidal`` when ``recorded``."""
-    try:
-        if recorded:
-            try:
-                check_monoidal(m)
-            except EncatError:
-                pass
-        return check_closed(m)
-    except EncatError as exc:
-        return type(exc).__name__, str(exc)
-
-
-def full_outcome(m: MonoidalData, recorded: bool):
-    """The reference: ``outcome`` on a fresh copy of ``m`` with a gate-free
-    characterization."""
+def both_outcomes(m: MonoidalData):
+    """``check_closed`` on a fresh copy of ``m``, then on another after
+    ``check_monoidal``, so with its verdict on record."""
+    first = outcome(check_closed, dataclasses.replace(m))
     m = dataclasses.replace(m)
-    with pytest.MonkeyPatch.context() as mp:
-        for name in GATED:
-            mp.setattr(mon, name, tuple(
-                dataclasses.replace(law, gate=None) for law in getattr(mon, name)))
-        return outcome(m, recorded)
+    outcome(check_monoidal, m)
+    return [first, outcome(check_closed, m)]
 
 
 BASES = {
@@ -93,43 +64,33 @@ BASES = {
 STRIDE = {"trop(3)": 11, "trop(4)": 61}
 
 
-def agree(name: str, stride: int) -> None:
-    for where, mutant in list(mutants(BASES[name]()))[::stride]:
-        for recorded in (False, True):
-            fresh = dataclasses.replace(mutant)
-            assert outcome(fresh, recorded) == full_outcome(mutant, recorded), (where, recorded)
-
-
 @pytest.mark.parametrize("name", list(BASES))
 def test_closed_gates_agree_with_the_full_sweep(name):
-    agree(name, STRIDE.get(name, 1))
+    agree(lambda: mutants(BASES[name]()), both_outcomes, STRIDE.get(name, 1))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", list(STRIDE))
 def test_closed_gates_agree_with_the_full_sweep_on_every_mutant(name):
-    agree(name, 1)
+    agree(lambda: mutants(BASES[name]()), both_outcomes, 1)
 
 
-def checked(monkeypatch, tmp_path, name: str):
+def checked(tmp: str, name: str):
     """The site families ``encat check`` judges on the lawful ``name``."""
-    path = str(tmp_path / "doc.json")
-    assert cli(["instance", name, "-o", path], out=io.StringIO()) == 0
-    seen = spy(monkeypatch)
-    out = io.StringIO()
-    assert cli(["check", path], out=out) == 0
-    monkeypatch.undo()
-    assert out.getvalue() == "OK: all checks passed\n"
-    return seen
+    path = os.path.join(tmp, "doc.json")
+    assert command(tmp, "instance", name, "-o", path)[0] == 0
+    got, seen = spied(command, tmp, "check", path)
+    assert got == [0, "OK: all checks passed\n", None]
+    return by_law(seen)
 
 
-def test_the_cli_judges_the_closed_sweeps_on_generic_elements(monkeypatch, tmp_path):
+def test_the_cli_judges_the_closed_sweeps_on_generic_elements(tmp_path):
     """On the lawful cyc(12), which is not thin, ``encat check`` judges every
     site of the derived closed laws and the characterization once, at
     W = hom(X (x) Y, Z) and f = ev.  On the lawful trop(8), which is thin, it
     judges no site of a derived closed law, and never asks for the internal
     transpose, so no characterization site either."""
-    seen = checked(monkeypatch, tmp_path, "cyc(12)")
+    seen = checked(str(tmp_path), "cyc(12)")
     m = build_cyc(12)
     base = m.base
     for law in mon.DERIVED_CLOSED_LAWS:
@@ -139,7 +100,7 @@ def test_the_cli_judges_the_closed_sweeps_on_generic_elements(monkeypatch, tmp_p
     xy = m.tobj("*", "*")
     assert seen[PI_BAR] == [[("*", "*", "*", m.hom_obj(xy, "*"), m.ev(xy, "*"))]]
 
-    seen = checked(monkeypatch, tmp_path, "trop(8)")
+    seen = checked(str(tmp_path), "trop(8)")
     for law in (*mon.DERIVED_CLOSED_LAWS, *mon.IOTA_LAWS):  # iota once per object
         assert seen[law.name] and all(sites == [] for sites in seen[law.name]), law.name
     assert PI_BAR not in seen

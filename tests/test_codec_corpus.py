@@ -32,6 +32,7 @@ import pytest
 
 from encat.core import EncatError
 from encat.interface import serialize, parse
+from harness import digest
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "codec_golden.json")
 
@@ -117,7 +118,7 @@ def golden(documents) -> dict:
         "documents": digests,
         "kinds": {kind: {"inputs": len(entry["outcomes"]),
                          "classes": dict(sorted(entry["classes"].items())),
-                         "sha256": _sha(json.dumps(entry["outcomes"]))}
+                         "sha256": digest(entry["outcomes"])}
                   for kind, entry in kinds.items()},
     }
 
@@ -128,8 +129,8 @@ def last_row(documents, stride: int = 1) -> dict:
     found: dict = {}
     for doc in documents:
         found.setdefault(doc.kind, []).extend(mutations(json.loads(serialize(doc)), last=True))
-    return {kind: (len(inputs), _sha(json.dumps(
-                [outcome(json.dumps(m, sort_keys=True)) for m in inputs[::stride]])))
+    return {kind: (len(inputs), digest(
+                [outcome(json.dumps(m, sort_keys=True)) for m in inputs[::stride]]))
             for kind, inputs in found.items()}
 
 
@@ -193,8 +194,8 @@ if __name__ == "__main__":
                           module_self(trop3))
     if "--last" in sys.argv:
         strided, every = last_row(docs, STRIDE), last_row(docs)
-        for kind, (n, digest) in strided.items():
-            print(f"    {kind!r}: ({n}, {digest!r},\n{' ' * 8}{every[kind][1]!r}),")
+        for kind, (n, sha) in strided.items():
+            print(f"    {kind!r}: ({n}, {sha!r},\n{' ' * 8}{every[kind][1]!r}),")
     else:
         with open(GOLDEN, "w", encoding="utf-8") as handle:
             json.dump(golden(docs), handle, indent=2, sort_keys=True)

@@ -236,12 +236,13 @@ def test_each_category_has_one_opposite():
 def opposite_validity_cases():
     """Every base of the monoidal corpus and every single-entry mutant of its
     composition table, as ``(where, build)``: each build gives a fresh base."""
-    from test_monoidal_corpus import BUILTINS, _entries
+    from harness import entries
+    from test_monoidal_corpus import BUILTINS
 
     for name in BUILTINS:
         base = build_instance(parse_instance_name(name))[1].base
         yield name, lambda base=base: dataclasses.replace(base)
-        for i, comp in enumerate(_entries(base.comp, base.mor_ids())):
+        for i, (_, comp) in enumerate(entries(base.comp, base.mor_ids(), sorted)):
             yield (name, i), lambda base=base, comp=comp: dataclasses.replace(base, comp=comp)
 
 

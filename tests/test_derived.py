@@ -11,7 +11,6 @@ the thin ladder.
 """
 
 import ast
-import dataclasses
 from itertools import product
 
 import pytest
@@ -30,11 +29,11 @@ from encat.core import (
     derived_law,
     evaluate,
     pair_id,
-    required,
 )
 from encat.instances import build_bool, build_cyc, build_poset_module, build_trop, module_self
+from harness import by_law, gate_free, lying, spied, spy
 from test_hom_gate import search_data
-from test_monoidal_gate import spy
+from tests import enriched_reference as enriched
 
 
 def recording_law(name, sites, bad, seen):
@@ -109,7 +108,8 @@ FAMILIES = {
         module_self(build_cyc(3)).tensorClosed.module), ENGINE_BUG),
     "EVALUATION_SQUARE": (vmod, lambda: vmod.check_tensor_closed(
         module_self(build_cyc(3)).tensorClosed), ENGINE_BUG),
-    "ENRICHED_ACTION_LAWS": (vmod, lambda: vmod.enriched_action(_tensor_closed()), ENGINE_BUG),
+    "ENRICHED_ACTION_LAWS": (enriched, lambda: enriched.enriched_action(_tensor_closed()),
+                             ENGINE_BUG),
     "PHIBAR_LAWS": (vmod, lambda: vmod.module_phibar(
         module_self(build_cyc(3)).tensorClosed, "*", "*", "*"), ENGINE_BUG),
     "DERIVED_CYLINDER_LAWS": (vst, lambda: vst.check_cylinder(*_cylinder(build_cyc(3))),
@@ -129,20 +129,20 @@ CASES = [(family, i) for family, (module, _, _) in FAMILIES.items()
 
 
 def test_every_derived_law_tuple_is_listed():
-    """Every tuple of laws a module declares outside its ``LAWS``."""
-    declared = {name for module in (mon, vmod, vst, equiv) for name, value in vars(module).items()
+    """Every tuple of laws a module declares outside its ``LAWS``; the
+    enriched reference's ``VNAT_LAWS`` are the laws its checker judges."""
+    declared = {name for module in (mon, vmod, vst, equiv, enriched)
+                for name, value in vars(module).items()
                 if isinstance(value, tuple) and value and isinstance(value[0], Law)
                 and not set(value) <= set(getattr(module, "LAWS", ()))}
-    assert declared == set(FAMILIES)
+    assert declared - {"VNAT_LAWS"} == set(FAMILIES)
 
 
 @pytest.mark.parametrize("family,index", CASES)
 def test_each_derived_law_is_judged_and_a_lie_is_caught(monkeypatch, family, index):
     module, run, (error, prefix, count) = FAMILIES[family]
     run()  # lawful: every derived law holds
-    laws = getattr(module, family)
-    lie = dataclasses.replace(laws[index], rhs=required(lambda *args: "a lie"))
-    monkeypatch.setattr(module, family, laws[:index] + (lie,) + laws[index + 1:])
+    lie = lying(monkeypatch, module, family, index)
     with pytest.raises(error) as err:
         run()
     assert str(err.value).startswith(prefix.format(lie.name)), str(err.value)
@@ -214,8 +214,7 @@ def test_a_lying_characterization_is_caught_at_the_generic_element(monkeypatch):
     derived law and never asks for the internal transpose."""
     m = build_cyc(3)
     assert mon.check_monoidal(m) == []
-    lie = dataclasses.replace(mon.PI_BAR_LAWS[0], rhs=required(lambda *args: "a lie"))
-    monkeypatch.setattr(mon, "PI_BAR_LAWS", (lie,))
+    lie = lying(monkeypatch, mon, "PI_BAR_LAWS", 0)
     with pytest.raises(EngineBugError) as err:
         mon.check_closed(m)
     assert clean(m, "monoidal", "closed")
@@ -263,14 +262,14 @@ def test_the_internal_transpose_characterization_holds_at_every_site_on_the_ladd
 THIN_DERIVED = ("DERIVED_MONOIDAL_LAWS", "DERIVED_CLOSED_LAWS", "IOTA_LAWS")
 
 
-def thin_derived_sites(monkeypatch, m) -> int:
+def thin_derived_sites(m) -> int:
     """The reference for the derived monoidal and closed laws on a thin
     base: ``check_monoidal`` and ``check_closed`` find no report and judge
-    none of their sites, and with ``gate=None`` each holds at every site.
+    none of their sites, and judged gate-free each holds at every site.
     Returns the number of sites."""
-    seen = spy(monkeypatch)
-    assert mon.check_monoidal(m) == [] and mon.check_closed(m) == []
-    monkeypatch.undo()
+    got, seen = spied(lambda: [mon.check_monoidal(m), mon.check_closed(m)])
+    assert got == [[], []]
+    seen = by_law(seen)
     names = {law.name for family in THIN_DERIVED for law in getattr(mon, family)}
     assert names <= set(seen) and all(seen[name] == [[]] * len(seen[name]) for name in names)
     assert mon.PI_BAR_LAWS[0].name not in seen  # no internal transpose was asked for
@@ -278,10 +277,11 @@ def thin_derived_sites(monkeypatch, m) -> int:
     data = {"DERIVED_MONOIDAL_LAWS": [(m, base)], "DERIVED_CLOSED_LAWS": [(m, base)],
             "IOTA_LAWS": [(m, x, mon.transpose_pi(m, m.r(x), x, m.unit)) for x in base.objects]}
     for family in THIN_DERIVED:
-        free = [dataclasses.replace(law, gate=None) for law in getattr(mon, family)]
+        laws = getattr(mon, family)
         for args in data[family]:
-            assert_derived(free, *args)
-            sites += sum(len(list(law.sites(*args))) for law in free)
+            with gate_free():
+                assert_derived(laws, *args)
+            sites += sum(len(list(law.sites(*args))) for law in laws)
     return sites
 
 
@@ -290,14 +290,14 @@ SLOW_THIN_LADDER = {f"trop({n})": lambda n=n: build_trop(n) for n in (6, 7, 8)}
 
 
 @pytest.mark.parametrize("name", list(THIN_LADDER))
-def test_thin_derived_laws_hold_at_every_site(monkeypatch, name):
-    assert thin_derived_sites(monkeypatch, THIN_LADDER[name]()) > 0
+def test_thin_derived_laws_hold_at_every_site(name):
+    assert thin_derived_sites(THIN_LADDER[name]()) > 0
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", list(SLOW_THIN_LADDER))
-def test_thin_derived_laws_hold_at_every_site_on_the_ladder(monkeypatch, name):
-    assert thin_derived_sites(monkeypatch, SLOW_THIN_LADDER[name]()) > 0
+def test_thin_derived_laws_hold_at_every_site_on_the_ladder(name):
+    assert thin_derived_sites(SLOW_THIN_LADDER[name]()) > 0
 
 
 HOM_DERIVED = {"DERIVED_CYLINDER_LAWS": vst, "PHIBAR_NATURALITY_LAWS": vst,
@@ -309,7 +309,7 @@ def hom_derived_sites(monkeypatch, tc) -> int:
     """The reference for the derived laws and searches of the hom-structure
     side on a thin V: ``module_to_cylinder``, ``check_cylinder`` and
     ``cylinder_to_module`` find no report and judge none of their sites, and
-    with ``gate=None`` each holds at every site: every candidate represents
+    judged gate-free each holds at every site: every candidate represents
     its family and every morphism witnesses its element.  Returns the number
     of sites."""
     seen = spy(monkeypatch)
@@ -318,6 +318,7 @@ def hom_derived_sites(monkeypatch, tc) -> int:
     probes, witnesses = search_data(monkeypatch)
     equiv.cylinder_to_module(vs, cyl)
     monkeypatch.undo()
+    seen = by_law(seen)
     names = {law.name for family, module in HOM_DERIVED.items() for law in getattr(module, family)}
     assert names <= set(seen) and not any(map(any, (seen[name] for name in names)))
     mod, m = tc.module, vs.baseV
@@ -330,10 +331,11 @@ def hom_derived_sites(monkeypatch, tc) -> int:
     assert probes and witnesses
     sites = 0
     for family, module in HOM_DERIVED.items():
-        free = [dataclasses.replace(law, gate=None) for law in getattr(module, family)]
+        laws = getattr(module, family)
         for args in data[family]:
-            assert_derived(free, *args)
-            sites += sum(len(list(law.sites(*args))) for law in free)
+            with gate_free():
+                assert_derived(laws, *args)
+            sites += sum(len(list(law.sites(*args))) for law in laws)
     return sites
 
 
@@ -358,15 +360,15 @@ def test_thin_hom_derived_laws_hold_at_every_site_on_the_ladder(monkeypatch, nam
 MODULE_DERIVED = ("DERIVED_MODULE_LAWS", "EVALUATION_SQUARE")
 
 
-def module_derived_sites(monkeypatch, cm) -> int:
+def module_derived_sites(cm) -> int:
     """The reference for the derived laws of the module checks on a thin S:
     ``check_closed_bimodule`` on the completion of the closed module ``cm``
-    finds no report and judges none of their sites, on either side, and with
-    ``gate=None`` each holds at every site.  Returns the number of sites."""
+    finds no report and judges none of their sites, on either side, and
+    judged gate-free each holds at every site.  Returns the number of sites."""
     bm = equiv.bimodule_completion(cm)
-    seen = spy(monkeypatch)
-    assert vmod.check_closed_bimodule(bm) == []
-    monkeypatch.undo()
+    got, seen = spied(vmod.check_closed_bimodule, bm)
+    assert got == []
+    seen = by_law(seen)
     names = {law.name for family in MODULE_DERIVED for law in getattr(vmod, family)}
     assert all(seen[name] == [[], []] for name in names)
     tc = bm.closedModule.tensorClosed
@@ -378,10 +380,11 @@ def module_derived_sites(monkeypatch, cm) -> int:
     assert s._thin and sides[1].module.baseS._thin
     sites = 0
     for family in MODULE_DERIVED:
-        free = [dataclasses.replace(law, gate=None) for law in getattr(vmod, family)]
+        laws = getattr(vmod, family)
         for args in data[family]:
-            assert_derived(free, *args)
-            sites += sum(len(list(law.sites(*args))) for law in free)
+            with gate_free():
+                assert_derived(laws, *args)
+            sites += sum(len(list(law.sites(*args))) for law in laws)
     return sites
 
 
@@ -392,11 +395,11 @@ SLOW_MODULE_LADDER = {f"self(trop({n}))": lambda n=n: module_self(build_trop(n))
 
 
 @pytest.mark.parametrize("name", list(MODULE_LADDER))
-def test_thin_module_derived_laws_hold_at_every_site(monkeypatch, name):
-    assert module_derived_sites(monkeypatch, MODULE_LADDER[name]()) > 0
+def test_thin_module_derived_laws_hold_at_every_site(name):
+    assert module_derived_sites(MODULE_LADDER[name]()) > 0
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", list(SLOW_MODULE_LADDER))
-def test_thin_module_derived_laws_hold_at_every_site_on_the_ladder(monkeypatch, name):
-    assert module_derived_sites(monkeypatch, SLOW_MODULE_LADDER[name]()) > 0
+def test_thin_module_derived_laws_hold_at_every_site_on_the_ladder(name):
+    assert module_derived_sites(SLOW_MODULE_LADDER[name]()) > 0

@@ -7,7 +7,8 @@ every site once the records their sides read are clean: V's shape records,
 S, the "hom structure" record (hom functor, internal composition shapes,
 element bijections) and the "cylinder" record (shapes and isomorphy of the
 assignment).  Misshapen internal composition entries alone send each law
-to the sites that read one.  With ``gate=None`` every site is judged.
+to the sites that read one.  The reference, ``harness.gate_free``, judges
+every site of every law.
 
 On every cylinder document of the value-swap golden
 (``tests/test_value_swap_corpus.py``), what ``encat check`` runs on it must
@@ -21,7 +22,6 @@ the induced action (``vstruct.WITNESS_LAWS``).  On a thin rung neither is
 judged at any site; on cyc(3) every probe and witness reaches the judge.
 """
 
-import dataclasses
 import json
 from itertools import product
 
@@ -30,10 +30,9 @@ import pytest
 import encat.equiv as equiv
 import encat.vstruct as vst
 from encat.cli import run_checks
-from encat.core import EncatError
 from encat.instances import build_cyc, build_poset_module, build_trop, module_self
 from encat.interface import parse
-from test_monoidal_gate import spy
+from harness import agree, by_law, outcome, reference, spied, spy
 from test_value_swap_corpus import BASES, documents, mutants
 
 GATED = ("VSTRUCTURE_LAWS", "CYLINDER_LAWS")
@@ -41,39 +40,24 @@ GATED = ("VSTRUCTURE_LAWS", "CYLINDER_LAWS")
 STRIDE = 29
 
 
-def outcome(text: str):
-    try:
-        return run_checks(parse(text))
-    except EncatError as exc:
-        return type(exc).__name__, str(exc)
+def checked(text: str):
+    """What ``encat check`` runs on the document ``text``, on its own parse."""
+    return run_checks(parse(text))
 
 
-def full_outcome(text: str):
-    with pytest.MonkeyPatch.context() as mp:
-        for name in GATED:
-            mp.setattr(vst, name, tuple(
-                dataclasses.replace(law, gate=None) for law in getattr(vst, name)))
-        return outcome(text)
-
-
-def cylinder_mutants(tmp: str) -> list[str]:
-    return [json.dumps(doc) for doc in mutants(documents(tmp)) if doc["kind"] == "cylinder"]
-
-
-def agree(tmp: str, stride: int) -> None:
-    found = cylinder_mutants(tmp)
+def hom_agree(tmp: str, stride: int) -> None:
+    found = [json.dumps(doc) for doc in mutants(documents(tmp)) if doc["kind"] == "cylinder"]
     assert len(found) == 2010
-    for text in found[::stride]:
-        assert outcome(text) == full_outcome(text), text
+    agree(lambda: ((text, text) for text in found), checked, stride)
 
 
 def test_the_hom_covers_agree_with_the_full_sweep(tmp_path):
-    agree(str(tmp_path), STRIDE)
+    hom_agree(str(tmp_path), STRIDE)
 
 
 @pytest.mark.slow
 def test_the_hom_covers_agree_with_the_full_sweep_on_every_mutant(tmp_path):
-    agree(str(tmp_path), 1)
+    hom_agree(str(tmp_path), 1)
 
 
 def cylinder_document(tmp: str, name: str) -> dict:
@@ -81,16 +65,16 @@ def cylinder_document(tmp: str, name: str) -> dict:
     return dict(zip(BASES, documents(tmp)[1::2]))[name]
 
 
-def test_a_lawful_thin_cylinder_judges_no_gated_site(monkeypatch, tmp_path):
+def test_a_lawful_thin_cylinder_judges_no_gated_site(tmp_path):
     doc = cylinder_document(str(tmp_path), "poset-diamond")
-    seen = spy(monkeypatch)
-    assert run_checks(parse(json.dumps(doc))) == []
-    monkeypatch.undo()
+    got, seen = spied(checked, json.dumps(doc))
+    assert got == []
+    seen = by_law(seen)
     names = {law.name for name in GATED for law in getattr(vst, name)}
     assert names <= set(seen) and not any(map(any, (seen[name] for name in names)))
 
 
-def test_a_misshapen_composition_entry_is_judged_where_it_is_read(monkeypatch, tmp_path):
+def test_a_misshapen_composition_entry_is_judged_where_it_is_read(tmp_path):
     """The internal composition of self(trop(3)) at (0, 1, 2) swapped for a
     morphism of another shape leaves ``vstructure.shape`` the only report of
     the "hom structure" record: each gated law is judged at the sites that
@@ -100,10 +84,9 @@ def test_a_misshapen_composition_entry_is_judged_where_it_is_read(monkeypatch, t
     [row] = [row for row in doc["body"]["vstructure"]["comp"] if row[:3] == ["0", "1", "2"]]
     row[3] = "id:0"
     text = json.dumps(doc)
-    seen = spy(monkeypatch)
-    got = outcome(text)
-    monkeypatch.undo()
-    assert got == full_outcome(text)
+    got, seen = spied(outcome, checked, text)
+    seen = by_law(seen)
+    assert got == reference(checked, text)
     assert {r.law for r in got if r.law.endswith(".shape")} == {"vstructure.shape"}
     vs, cyl = parse(text).data
     s, key = vs.baseS, ("0", "1", "2")
@@ -124,7 +107,7 @@ def test_a_misshapen_composition_entry_is_judged_where_it_is_read(monkeypatch, t
     assert scans["vstructure.assoc"] and scans["cylinder.cp1-1"]
 
 
-def test_an_unnatural_element_table_is_judged_on_every_site(monkeypatch, tmp_path):
+def test_an_unnatural_element_table_is_judged_on_every_site(tmp_path):
     """The lawful self(cyc(3)) cylinder, which is not thin, decides both
     ``vstructure.phi-natural`` sweeps on generators and judges none of their
     sites.  Its element table with two values exchanged is still a bijection,
@@ -134,11 +117,9 @@ def test_an_unnatural_element_table_is_judged_on_every_site(monkeypatch, tmp_pat
     doc = cylinder_document(str(tmp_path), "self(cyc(3))")
     for judged in (0, 9):
         text = json.dumps(doc)
-        seen = spy(monkeypatch)
-        got = outcome(text)
-        monkeypatch.undo()
-        assert got == full_outcome(text)
-        assert list(map(len, seen["vstructure.phi-natural"])) == [judged] * 2
+        got, seen = spied(outcome, checked, text)
+        assert got == reference(checked, text)
+        assert list(map(len, by_law(seen)["vstructure.phi-natural"])) == [judged] * 2
         [row] = doc["body"]["vstructure"]["phi"]
         row[2] = [[f, {"1": "2", "2": "1"}.get(t, t)] for f, t in row[2]]
     assert "vstructure.phi-natural" in {r.law for r in got}
@@ -181,6 +162,7 @@ def test_the_searches_judge_no_site_on_a_thin_cover_and_every_site_off_it(monkey
     probes, witnesses = search_data(monkeypatch)
     equiv.cylinder_to_module(vs, cyl)
     monkeypatch.undo()
+    seen = by_law(seen)
     thin = name != "self(cyc(3))"
     for [law], data in ((equiv.YONEDA_LAWS, probes), (vst.WITNESS_LAWS, witnesses)):
         full = [list(law.sites(*args)) for args in data]

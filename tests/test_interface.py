@@ -191,20 +191,14 @@ def _lawful_documents():
 def test_every_declared_law_is_reached(monkeypatch, tmp_path):
     """Each law a checker module declares, and so each ``--laws`` name it
     gives, is judged by ``encat check`` on some lawful document."""
-    from encat import core, monoidal, vcat, vmodule, vstruct
+    from encat import monoidal, vcat, vmodule, vstruct
+    from harness import spy
 
-    judged = set()
-    reports = core._reports
-
-    def spy(laws, data):
-        laws = tuple(laws)
-        judged.update(laws)
-        return reports(laws, data)
-
-    monkeypatch.setattr(core, "_reports", spy)
+    seen = spy(monkeypatch)
     for doc in _lawful_documents():
         # parsed afresh, so that no verdict is on record before the check
         assert run_checks(parse(serialize(doc))) == [], doc.kind
+    judged = {law for law, _, _ in seen}
     declared = [law for mod in (monoidal, vcat, vstruct, vmodule) for law in mod.LAWS]
     assert sorted({law.name for law in declared if law not in judged}) == []
 

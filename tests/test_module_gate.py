@@ -13,8 +13,8 @@ cotensor verdicts, the ``module.shape`` loop, the phi and psi bijection
 reports, and before ``BIMODULE_LAWS`` every earlier report); when the only
 faults are misshapen module or comodule associator and unitor entries, or
 misshapen action or cotensor entries, ``core.read_cover`` judges the sites
-that read one instead.  With ``gate=None`` on all six families every site
-is judged.
+that read one instead.  The reference, ``harness.gate_free``, judges every
+site of every law.
 
 On every single-entry swap (the value replaced by each other morphism of
 its category, or for a functor's object table each other object) and
@@ -37,8 +37,7 @@ import pytest
 
 import encat.core as core
 import encat.vmodule as vmod
-from encat.core import (EncatError, FinCategory, generators, opposite_category, pair_id,
-                        product_category)
+from encat.core import FinCategory, generators, opposite_category, pair_id, product_category
 from encat.equiv import bimodule_completion
 from encat.instances import build_bool, build_cyc, build_poset_module, build_trop, module_self
 from encat.interface import Document, parse, serialize
@@ -46,6 +45,7 @@ from encat.monoidal import check_v, self_vstructure
 from encat.vmodule import (check_closed_bimodule, check_closed_module, check_tensor_closed,
                            check_vmodule)
 from encat.vstruct import check_vstructure
+from harness import agree, by_law, entries, gate_free, outcome, read, replaced, spied, spy
 from nonstrict import doubled_cyc, regular_module
 
 LAW = "module.assoc-natural"
@@ -97,33 +97,6 @@ VSTRUCTURE_TABLES = (
 TABLES = {"bimodule": BIMODULE_TABLES, "vmodule": VMODULE_TABLES, "vstructure": VSTRUCTURE_TABLES}
 
 
-def read(data, path):
-    for name in path:
-        data = getattr(data, name)
-    return data
-
-
-def replaced(data, path, value):
-    """``data`` with the attribute at ``path`` set to ``value``."""
-    if not path:
-        return value
-    return dataclasses.replace(data, **{path[0]: replaced(getattr(data, path[0]), path[1:], value)})
-
-
-def entries(table, values):
-    """(where, copy) for every single-entry deletion and swap of ``table``;
-    the adjunction tables phi and psi are mutated inside each of their rows."""
-    for key, value in table.items():
-        if isinstance(value, dict):
-            for (where, row) in entries(value, values):
-                yield (key, *where), {**table, key: row}
-            continue
-        yield (key, None), {k: v for k, v in table.items() if k != key}
-        for other in values:
-            if other != value:
-                yield (key, other), {**table, key: other}
-
-
 def mutants(kind, data, tables=None):
     """(where, a function building it) for every mutant of the document
     ``data`` of ``kind`` in ``tables`` (by default all of ``TABLES``).  A
@@ -144,32 +117,6 @@ def reread(kind, data, codec: bool):
     return parse(serialize(Document(kind, data))).data if codec else data
 
 
-def outcome(check, data):
-    try:
-        return check(data)
-    except EncatError as exc:
-        return type(exc).__name__, str(exc)
-
-
-def spy(mp) -> list[tuple[tuple, list[tuple[str, ...]]]]:
-    """Record the data and the sites of each ``module.assoc-natural`` sweep."""
-    seen = []
-    judge = core._judge
-
-    def recording(law, sites, data):
-        sites = list(sites)
-        if law.name == LAW:
-            seen.append((data, sites))
-        return judge(law, sites, data)
-
-    mp.setattr(core, "_judge", recording)
-    return seen
-
-
-GATED = ((vmod, "MODULE_LAWS"), (vmod, "ADJUNCTION_LAWS"), (vmod, "BIMODULE_LAWS"),
-         (core, "FUNCTOR_LAWS"), (vmod, "EVALUATION_SQUARE"), (vmod, "DERIVED_MODULE_LAWS"))
-
-
 def sweeps(check, data) -> int:
     """The ``module.assoc-natural`` sweeps ``check`` makes on ``data``: none
     where V fails ``check_v``, since then V's reports are all the checker
@@ -187,16 +134,13 @@ def sweeps(check, data) -> int:
 
 
 def full_outcome(check, data):
-    """The reference: ``check`` with every gate of the gated law families
-    stripped, asserted to have judged every site of each module's
-    ``module.assoc-natural`` once where it is judged (``sweeps``)."""
-    with pytest.MonkeyPatch.context() as mp:
-        for module, name in GATED:
-            mp.setattr(module, name, tuple(
-                dataclasses.replace(law, gate=None) for law in getattr(module, name)))
-        seen = spy(mp)
-        got = outcome(check, data)
+    """The reference: ``check`` gate-free, asserted to have judged every
+    site of each module's ``module.assoc-natural`` once where it is judged
+    (``sweeps``)."""
+    with gate_free():
+        got, seen = spied(outcome, check, data)
     if isinstance(got, list):
+        seen = [(on, sites) for law, on, sites in seen if law.name == LAW]
         assert len(seen) == sweeps(check, data)
         law = vmod.MODULE_LAWS[0]
         for judged_on, sites in seen:
@@ -227,27 +171,26 @@ STRIDE = {"poset-diamond": 23, "self(bool)": 7, "self(cyc(3))": 7, "self(trop(3)
           "regular(doubled-cyc(2))": 23, "self-vstructure(trop(3))": 7}
 
 
-def agree(name: str, stride: int, tables=None) -> None:
+def module_agree(name: str, stride: int, tables=None) -> None:
     kind, data = INSTANCES[name]()
     check = CHECKS[kind]
     with pytest.MonkeyPatch.context() as mp:
         covers = thin_covers(mp)
         assert check(data) == []
-        for where, mutant in list(mutants(kind, data, tables))[::stride]:
-            # each side on its own copy, so the gate-free run keeps no verdict the gated one found
-            assert outcome(check, mutant()) == full_outcome(check, mutant()), where
+        agree(lambda: mutants(*INSTANCES[name](), tables), lambda mutant: check(mutant()),
+              stride, lambda mutant: full_outcome(check, mutant()))
     assert (() in covers) == (name not in NOT_THIN)
 
 
 @pytest.mark.parametrize("name", list(INSTANCES))
 def test_the_module_cover_agrees_with_the_full_sweep(name):
-    agree(name, STRIDE[name])
+    module_agree(name, STRIDE[name])
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", list(STRIDE))
 def test_the_module_cover_agrees_with_the_full_sweep_on_every_mutant(name):
-    agree(name, 1)
+    module_agree(name, 1)
 
 
 # The module's and the comodule's associator and unitor tables, whose
@@ -260,13 +203,13 @@ STRUCTURE_STRIDE = {"self(trop(3))": 11, "poset-diamond": 13}
 
 @pytest.mark.parametrize("name", list(STRUCTURE_STRIDE))
 def test_the_structure_covers_agree_with_the_full_sweep(name):
-    agree(name, STRUCTURE_STRIDE[name], STRUCTURE_TABLES)
+    module_agree(name, STRUCTURE_STRIDE[name], STRUCTURE_TABLES)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", list(STRUCTURE_STRIDE))
 def test_the_structure_covers_agree_with_the_full_sweep_on_every_mutant(name):
-    agree(name, 1, STRUCTURE_TABLES)
+    module_agree(name, 1, STRUCTURE_TABLES)
 
 
 def test_a_lawful_module_is_judged_on_generators_only(monkeypatch):
@@ -289,14 +232,15 @@ def test_a_lawful_module_is_judged_on_generators_only(monkeypatch):
 
     monkeypatch.setattr(core, "separate_variable_sites", counting)
     seen = spy(monkeypatch)
-    judged = spy_all(monkeypatch)
     assert check_closed_bimodule(bm) == []
     # assoc.natural, symmetry.natural, then per side module.assoc-natural,
     # module.lunit-natural and the three moduleclosed.naturality sweeps
     assert gate_sites == [3, 2, 3, 1, 1, 1, 1, 1, 1, 1, 3, 1]
-    assert [sites for _, sites in seen] == [[], []]
-    assert [len(list(vmod.MODULE_LAWS[0].sites(*data))) for data, _ in seen] == [12 ** 3] * 2
-    counts = {name: list(map(len, sites)) for name, sites in judged.items() if "natural" in name}
+    assoc = [(data, sites) for law, data, sites in seen if law.name == LAW]
+    assert [sites for _, sites in assoc] == [[], []]
+    assert [len(list(vmod.MODULE_LAWS[0].sites(*data))) for data, _ in assoc] == [12 ** 3] * 2
+    counts = {name: list(map(len, sites)) for name, sites in by_law(seen).items()
+              if "natural" in name}
     assert counts == {"assoc.natural": [0], "lunit.natural": [12], "runit.natural": [12],
                       "symmetry.natural": [0], "module.assoc-natural": [0, 0],
                       "module.lunit-natural": [0, 0], "moduleclosed.naturality": [0] * 6}
@@ -323,46 +267,30 @@ def unnatural_cases():
 
 
 @pytest.mark.parametrize("case", range(3))
-def test_an_unnatural_table_with_clean_records_is_judged_on_every_site(monkeypatch, case):
+def test_an_unnatural_table_with_clean_records_is_judged_on_every_site(case):
     """Its generator gate finds the law unnatural, so each sweep on the
     mutated side judges every site, with the reports of the gate-free laws;
     the other side is decided on generators and judges none."""
     check, name, build, counts = list(unnatural_cases())[case]
-    seen = spy_judged(monkeypatch)
-    got = check(build())
-    monkeypatch.undo()
+    got, seen = spied(check, build())
     assert got == full_outcome(check, build()) and name in {r.law for r in got}
     sweeps = [(law, data, sites) for law, data, sites in seen if law.name == name]
     assert [len(sites) for _, _, sites in sweeps] == counts
     assert all(sites in ([], list(law.sites(*data))) for law, data, sites in sweeps)
 
 
-def spy_all(mp) -> dict[str, list[list[tuple[str, ...]]]]:
-    """Record, per law name, the site families ``core._judge`` judges."""
-    seen: dict[str, list[list[tuple[str, ...]]]] = {}
-    judge = core._judge
-
-    def recording(law, sites, data):
-        sites = list(sites)
-        seen.setdefault(law.name, []).append(sites)
-        return judge(law, sites, data)
-
-    mp.setattr(core, "_judge", recording)
-    return seen
-
-
 FUNCTOR_TAGS = ("module.functor", "moduleclosed.functor", "moduleclosed.cotensor")
 
 
-def test_a_lawful_thin_bimodule_judges_no_gated_site(monkeypatch):
+def test_a_lawful_thin_bimodule_judges_no_gated_site():
     """self(trop(4)): no site of a gated law is judged, on either side, and
     no action is rebuilt; nor is any site of the derived module evaluation
     square and unit-absorption triangle, which used to sweep all of theirs
     (80 and 32 here; ``tests/test_derived.py`` holds them gate-free)."""
     bm = bimodule_completion(module_self(build_trop(4)))
-    seen = spy_all(monkeypatch)
-    assert check_closed_bimodule(bm) == []
-    monkeypatch.undo()
+    got, seen = spied(check_closed_bimodule, bm)
+    assert got == []
+    seen = by_law(seen)
     gated = {law.name for law in vmod.MODULE_LAWS + vmod.ADJUNCTION_LAWS + vmod.BIMODULE_LAWS}
     gated |= {f"{tag}.{law.name}" for tag in FUNCTOR_TAGS for law in core.FUNCTOR_LAWS}
     assert gated <= set(seen)
@@ -382,20 +310,6 @@ class Reads(dict):
     def __getitem__(self, key):
         self.seen.add(key)
         return super().__getitem__(key)
-
-
-def spy_judged(mp) -> list[tuple[core.Law, tuple, list[tuple[str, ...]]]]:
-    """Record the law, data and sites of every ``core._judge`` call."""
-    seen = []
-    judge = core._judge
-
-    def recording(law, sites, data):
-        sites = list(sites)
-        seen.append((law, data, sites))
-        return judge(law, sites, data)
-
-    mp.setattr(core, "_judge", recording)
-    return seen
 
 
 def reading(law, data, table: Reads, key) -> set:
@@ -418,20 +332,20 @@ ASSOC_READERS = ("module.assoc-natural", "module.assoc", "module.unit",
                  "bimodule.cp2-8-1", "bimodule.cp2-8-2")
 
 
-def judged_at_its_readers(monkeypatch, path, key, value, side):
+def judged_at_its_readers(path, key, value, side):
     """Swap the associator entry at ``key`` of the self(trop(4)) bimodule
     table at ``path`` for ``value``, of another shape, and check it: the
     reports are the full sweep's, and each law that reads the table judges
     exactly the sites whose sides read that entry, on the side ``side`` of
     the module laws, which the other side judges nowhere.  Returns the number
     of sites judged per law."""
-    bm = bimodule_completion(module_self(build_trop(4)))
-    table = Reads({**read(bm, path), key: value})
-    mutant = replaced(bm, path, table)
-    seen = spy_judged(monkeypatch)
-    got = check_closed_bimodule(mutant)
-    monkeypatch.undo()
-    assert got == full_outcome(check_closed_bimodule, mutant)
+    def mutant(table):  # a fresh structure each time, so no verdict is shared
+        bm = bimodule_completion(module_self(build_trop(4)))
+        return replaced(bm, path, table({**read(bm, path), key: value}))
+    checked = mutant(Reads)
+    table = read(checked, path)
+    got, seen = spied(check_closed_bimodule, checked)
+    assert got == full_outcome(check_closed_bimodule, mutant(dict))
     assert f"{side}.shape" in {r.law for r in got}
     counts = {}
     for law, data, sites in seen:
@@ -445,23 +359,21 @@ def judged_at_its_readers(monkeypatch, path, key, value, side):
     return counts
 
 
-def test_a_misshapen_module_associator_entry_is_judged_where_it_is_read(monkeypatch):
+def test_a_misshapen_module_associator_entry_is_judged_where_it_is_read():
     """Module associator entry (1, 2, 0) of self(trop(4)) set to m:3:2: the
     module laws judge only the sites that read it (on 4^4 sites
     ``module.assoc`` used to sweep), and so do the hexagon and the comodule
     transport, whose earlier reports it explains."""
-    counts = judged_at_its_readers(monkeypatch, MODULE + ("assoc",), ("1", "2", "0"),
-                                   "m:3:2", "module")
+    counts = judged_at_its_readers(MODULE + ("assoc",), ("1", "2", "0"), "m:3:2", "module")
     assert counts["module.assoc"] < 4 ** 4
 
 
-def test_a_misshapen_comodule_associator_entry_is_judged_where_it_is_read(monkeypatch):
+def test_a_misshapen_comodule_associator_entry_is_judged_where_it_is_read():
     """Comodule associator entry (0, 1, 0) of self(trop(4)) set to m:2:1, the
     site perfbench's seed-1 modules run mutates: the reversed side's module
     laws, the hexagon and the comodule transport judge only the sites that
     read it, where each used to sweep all of its sites."""
-    counts = judged_at_its_readers(monkeypatch, ("comodAssoc",), ("0", "1", "0"),
-                                   "m:2:1", "comodule")
+    counts = judged_at_its_readers(("comodAssoc",), ("0", "1", "0"), "m:2:1", "comodule")
     assert counts == {"module.assoc-natural": 19, "module.assoc": 14, "module.unit": 0,
                       "bimodule.cp2-8-1": 16, "bimodule.cp2-8-2": 4}
 
@@ -471,7 +383,7 @@ ACTION_READERS = ("module.assoc-natural", "module.lunit-natural", "module.assoc"
                   "moduleclosed.naturality")
 
 
-def judged_where_the_action_is_read(monkeypatch, check, build, path, uv, value):
+def judged_where_the_action_is_read(check, build, path, uv, value):
     """Swap the morphism entry at ``uv`` of the functor at ``path`` of the
     structure ``build()`` for ``value``, of another shape, and ``check`` it:
     the reports are the full sweep's, and each law that reads the functor
@@ -485,9 +397,7 @@ def judged_where_the_action_is_read(monkeypatch, check, build, path, uv, value):
             {**functor.onMorphisms, pair_id(*uv): value})))
     got = mutant(Reads)
     table = read(got, path).onMorphisms
-    seen = spy_judged(monkeypatch)
-    reports = check(got)
-    monkeypatch.undo()
+    reports, seen = spied(check, got)
     assert reports == full_outcome(check, mutant(dict))
     assert any(r.law.endswith(".shape") for r in reports)
     counts = {}
@@ -512,25 +422,24 @@ SEED_1_COTENSOR = {(("id:0", "m:2:1"), "m:1:0"): 2, (("m:2:1", "m:2:1"), "id:2")
 
 
 @pytest.mark.parametrize("entry", list(SEED_1_ACTION))
-def test_a_misshapen_action_entry_is_judged_where_it_is_read(monkeypatch, entry):
+def test_a_misshapen_action_entry_is_judged_where_it_is_read(entry):
     """Where ``module.assoc`` and ``moduleclosed.naturality`` used to sweep
     all of their sites, each judges only those that read the entry."""
     (uv, value), (assoc, naturality) = entry, SEED_1_ACTION[entry]
     counts = judged_where_the_action_is_read(
-        monkeypatch, check_tensor_closed, lambda: module_self(build_trop(4)).tensorClosed,
+        check_tensor_closed, lambda: module_self(build_trop(4)).tensorClosed,
         ("module", "action"), uv, value)
     assert (counts["module.assoc"], counts["moduleclosed.naturality"]) == (assoc, naturality)
 
 
 @pytest.mark.parametrize("entry", list(SEED_1_COTENSOR))
-def test_a_misshapen_cotensor_entry_is_judged_where_it_is_read(monkeypatch, entry):
+def test_a_misshapen_cotensor_entry_is_judged_where_it_is_read(entry):
     """The reversed side reads the cotensor as its action; the tensor side's
     laws read no cotensor entry, and a closed module has no reversed-side
     module laws."""
     (uv, value), naturality = entry, SEED_1_COTENSOR[entry]
     counts = judged_where_the_action_is_read(
-        monkeypatch, check_closed_module, lambda: module_self(build_trop(4)),
-        ("cotensor",), uv, value)
+        check_closed_module, lambda: module_self(build_trop(4)), ("cotensor",), uv, value)
     assert counts["moduleclosed.naturality"] == naturality
 
 
@@ -570,15 +479,13 @@ def coherence_reader_cases():
                 yield dataclasses.replace(mod, assoc={**mod.assoc, key: other}), [key]
 
 
-def test_the_module_coherence_readers_are_found_through_fibres(monkeypatch):
+def test_the_module_coherence_readers_are_found_through_fibres():
     """In each case ``module.assoc`` and ``module.unit`` judge the sites a
     scan of every site's read set finds; the readers find them through the
     fibres of the tables read."""
     count = 0
     for mod, bad in coherence_reader_cases():
-        seen = spy_judged(monkeypatch)
-        check_vmodule(mod)
-        monkeypatch.undo()
+        _, seen = spied(check_vmodule, mod)
         got = {law.name: set(sites) for law, _, sites in seen
                if law.name in ("module.assoc", "module.unit")}
         want = scanned_readers(mod, mod.baseV, mod.baseS, dict.fromkeys(bad).keys())

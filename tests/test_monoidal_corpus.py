@@ -17,12 +17,11 @@ tier-1 and for all of them under ``-m slow``;
 """
 
 import dataclasses
-import hashlib
 import json
 
 import pytest
 
-from encat.core import EncatError, verdict
+from encat.core import verdict
 from encat.instances import build_instance, parse_instance_name
 from encat.monoidal import (
     SHAPE_LOOPS,
@@ -31,6 +30,7 @@ from encat.monoidal import (
     check_monoidal,
     check_symmetry,
 )
+from harness import digest, mutated, outcome, rows
 
 BUILTINS = ("bool", "trop(3)", "cyc(2)", "cyc(3)")
 STRIDE = 5
@@ -48,36 +48,18 @@ GOLDEN = {
 }
 
 
-def _entries(table, values):
-    """Every single-entry copy of ``table``: each key deleted, then given
-    each other value of ``values``."""
-    for key in sorted(table):
-        yield {k: v for k, v in table.items() if k != key}
-        for value in values:
-            if value != table[key]:
-                yield {**table, key: value}
-
-
 def mutants(m: MonoidalData):
     """Every single-entry mutant of ``m``, in a fixed order."""
-    mors = m.base.mor_ids()
-    for field in ("tensor_mor", "assoc", "lunit", "runit"):
-        for table in _entries(getattr(m, field), mors):
-            yield dataclasses.replace(m, **{field: table})
-    for braid in _entries(m.symmetry.braid, mors):
-        yield dataclasses.replace(m, symmetry=dataclasses.replace(m.symmetry, braid=braid))
-    for ev in _entries(m.closed.ev, mors):
-        yield dataclasses.replace(m, closed=dataclasses.replace(m.closed, ev=ev))
+    paths = {"tensor_mor": ("tensor_mor",), "assoc": ("assoc",), "lunit": ("lunit",),
+             "runit": ("runit",), "braid": ("symmetry", "braid"), "ev": ("closed", "ev")}
+    return (mutant for _, mutant in mutated(m, paths, m.base.mor_ids(), sorted))
 
 
 def _outcome(check, m: MonoidalData) -> list:
-    try:
-        return [[r.law, list(r.site), r.lhs, r.rhs, r.witness_count, r.note] for r in check(m)]
-    except EncatError as exc:
-        return [type(exc).__name__, str(exc)]
+    return outcome(lambda: rows(check(m)))
 
 
-def outcome(m: MonoidalData) -> list:
+def outcome_of(m: MonoidalData) -> list:
     """What the three checkers make of one mutant."""
     return [_outcome(check, m) for check in (check_monoidal, check_symmetry, check_closed)]
 
@@ -86,11 +68,7 @@ def corpus(name: str, stride: int = 1) -> tuple[int, list]:
     """The number of mutants of builtin ``name`` and the outcomes of every
     ``stride``-th of them."""
     found = list(mutants(build_instance(parse_instance_name(name))[1]))
-    return len(found), [outcome(mutant) for mutant in found[::stride]]
-
-
-def digest(outcomes: list) -> str:
-    return hashlib.sha256(json.dumps(outcomes).encode("utf-8")).hexdigest()
+    return len(found), [outcome_of(mutant) for mutant in found[::stride]]
 
 
 def rests_on_the_axioms(name: str, stride: int = 1) -> int:

@@ -4,10 +4,10 @@
 entry if it must, and judges ``tensor.interchange`` and ``assoc.natural``
 only on the sites that read an entry where the table and the rebuild differ
 (once the associator is natural in each variable alone for the rebuild);
-with ``gate=None`` it judges every site.  On every single-entry swap (the
-value replaced by each other morphism of the base) and deletion of
-``tensor_mor``, ``assoc``, ``lunit`` and ``runit``, both must give the same
-reports, or raise the same error with the same message.  Tier-1 compares a
+gate-free (``harness.gate_free``) it judges every site.  On every
+single-entry swap (the value replaced by each other morphism of the base)
+and deletion of ``tensor_mor``, ``assoc``, ``lunit`` and ``runit``, both
+must give the same reports, or raise the same error with the same message.  Tier-1 compares a
 fixed stride of the mutants of the larger bases (see ``STRIDE``), also among
 the ``tensor_mor`` swaps, every one of which it rebuilds; ``-m slow``
 compares every mutant.
@@ -36,64 +36,33 @@ from itertools import product
 
 import pytest
 
-import encat.core as core
 import encat.monoidal as mon
-from encat.core import EncatError, FinCategory
+from encat.core import FinCategory
 from encat.instances import build_bool, build_cyc, build_trop
 from encat.monoidal import MonoidalData, SymmetryData, check_monoidal, check_v
+from harness import agree, by_law, gate_free, mutated, outcome, reference, spied
 from nonstrict import doubled_cyc
 
-TABLES = ("tensor_mor", "assoc", "lunit", "runit")
+PATHS = {"tensor_mor": ("tensor_mor",), "assoc": ("assoc",), "lunit": ("lunit",),
+         "runit": ("runit",), "braid": ("symmetry", "braid"), "ev": ("closed", "ev")}
 
 
-def mutants(m: MonoidalData):
-    """Every single-entry swap and deletion of the structure tables."""
-    mors = m.base.mor_ids()
-    for field in TABLES:
-        table = getattr(m, field)
-        for key, value in table.items():
-            rest = {k: v for k, v in table.items() if k != key}
-            yield (field, key, None), dataclasses.replace(m, **{field: rest})
-            for other in mors:
-                if other != value:
-                    yield ((field, key, other),
-                           dataclasses.replace(m, **{field: {**table, key: other}}))
-
-
-def outcome(m: MonoidalData):
-    try:
-        return check_monoidal(m)
-    except EncatError as exc:
-        return type(exc).__name__, str(exc)
-
-
-def spy(mp) -> dict[str, list[list[tuple[str, ...]]]]:
-    """Record, per law name, the site families ``core.evaluate`` judges."""
-    seen: dict[str, list[list[tuple[str, ...]]]] = {}
-    judge = core._judge
-
-    def recording(law, sites, data):
-        sites = list(sites)
-        seen.setdefault(law.name, []).append(sites)
-        return judge(law, sites, data)
-
-    mp.setattr(core, "_judge", recording)
-    return seen
+def mutants(m: MonoidalData, fields=("tensor_mor", "assoc", "lunit", "runit")):
+    """Every single-entry swap and deletion of the tables ``fields``, by
+    default the structure tables."""
+    return mutated(m, {field: PATHS[field] for field in fields}, m.base.mor_ids())
 
 
 def full_outcome(m: MonoidalData):
-    """The reference: ``check_monoidal`` with gate-free laws, asserted to
-    have judged every site of every law once.  It judges a copy of ``m``,
-    on which no verdict is on record."""
+    """The reference: ``check_monoidal`` gate-free, asserted to have judged
+    every site of every law once.  It judges a copy of ``m``, on which no
+    verdict is on record."""
     m = dataclasses.replace(m)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mon, "MONOIDAL_LAWS", tuple(
-            dataclasses.replace(law, gate=None) for law in mon.MONOIDAL_LAWS))
-        seen = spy(mp)
-        got = outcome(m)
+    with gate_free():
+        got, seen = spied(outcome, check_monoidal, m)
     if isinstance(got, list):
         for law in mon.MONOIDAL_LAWS:
-            assert seen[law.name] == [list(law.sites(m, m.base))], law.name
+            assert by_law(seen)[law.name] == [list(law.sites(m, m.base))], law.name
     return got
 
 
@@ -119,20 +88,15 @@ BASES = {
 STRIDE = {"trop(3)": 5, "trop(4)": 31, "doubled-cyc(2)": 7}
 
 
-def agree(name: str, stride: int) -> None:
-    for where, mutant in list(mutants(BASES[name]()))[::stride]:
-        assert outcome(mutant) == full_outcome(mutant), where
-
-
 @pytest.mark.parametrize("name", list(BASES))
 def test_gates_agree_with_the_full_sweep(name):
-    agree(name, STRIDE.get(name, 1))
+    agree(lambda: mutants(BASES[name]()), check_monoidal, STRIDE.get(name, 1), full_outcome)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", list(STRIDE))
 def test_gates_agree_with_the_full_sweep_on_every_mutant(name):
-    agree(name, 1)
+    agree(lambda: mutants(BASES[name]()), check_monoidal, 1, full_outcome)
 
 
 def localized_sweeps_agree(stride) -> None:
@@ -152,7 +116,7 @@ def localized_sweeps_agree(stride) -> None:
             axis += any(map(mutant.base.is_identity, key))
             assert mutant._tensor is not None, (name, key, other)
             if i % step == 0:
-                assert outcome(mutant) == full_outcome(mutant), (name, key, other)
+                assert outcome(check_monoidal, mutant) == full_outcome(mutant), (name, key, other)
     assert (swaps, axis) == (1616, 957)
     m = build_cyc(2)
     mutant = dataclasses.replace(m, tensor_mor={**m.tensor_mor, ("0", "1"): "0"})
@@ -184,15 +148,13 @@ def test_a_tensor_whose_axes_do_not_commute_is_judged_on_every_site():
     assert any(r.law == "tensor.interchange" for r in got) and got == full_outcome(m)
 
 
-def covers(monkeypatch, mutant: MonoidalData, count: int):
+def covers(mutant: MonoidalData, count: int):
     """Run ``check_monoidal`` on ``mutant``, expecting ``count`` reports equal
     to the full sweep's; return the one site family judged per localized law,
     each asserted free of repeats."""
-    seen = spy(monkeypatch)
-    got = check_monoidal(mutant)
-    monkeypatch.undo()
+    got, seen = spied(check_monoidal, mutant)
     assert got == full_outcome(mutant) and len(got) == count
-    judged = {}
+    judged, seen = {}, by_law(seen)
     for law in ("tensor.interchange", "assoc.natural"):
         [judged[law]] = seen[law]
         assert len(judged[law]) == len(set(judged[law])), law
@@ -210,19 +172,19 @@ def reads(mutant: MonoidalData, key):
     return interchange, assoc
 
 
-def test_an_off_axis_mutant_is_judged_on_its_cover_only(monkeypatch):
+def test_an_off_axis_mutant_is_judged_on_its_cover_only():
     m = build_trop(8)
     key = ("m:5:4", "m:5:2")
     mutant = dataclasses.replace(m, tensor_mor={**m.tensor_mor, key: "m:4:2"})
     assert mutant._tensor.defects == {key}
-    judged = covers(monkeypatch, mutant, 110)
+    judged = covers(mutant, 110)
     interchange, assoc = reads(mutant, key)
     assert len(judged["tensor.interchange"]) == 30
     assert set(judged["tensor.interchange"]) == interchange
     assert len(judged["assoc.natural"]) == 91 and set(judged["assoc.natural"]) == assoc
 
 
-def test_an_axis_mutant_is_repaired_and_judged_on_its_cover_only(monkeypatch):
+def test_an_axis_mutant_is_repaired_and_judged_on_its_cover_only():
     """T(m:5:4, 1_2) is swapped for a morphism of another shape: the axis
     breaks the shape premise, and the lawful entry, the only morphism of its
     shape in the poset, repairs it."""
@@ -232,7 +194,7 @@ def test_an_axis_mutant_is_repaired_and_judged_on_its_cover_only(monkeypatch):
     rebuilt, defects = mutant._tensor.rebuilt, mutant._tensor.defects
     assert defects == {key} and rebuilt[key] == m.tensor_mor[key]
     assert rebuilt == m.tensor_mor
-    judged = covers(monkeypatch, mutant, 104)
+    judged = covers(mutant, 104)
     interchange, assoc = reads(mutant, key)
     assert set(judged["tensor.interchange"]) == interchange
     assert set(judged["assoc.natural"]) == assoc
@@ -242,54 +204,26 @@ def test_an_axis_mutant_is_repaired_and_judged_on_its_cover_only(monkeypatch):
 # on a thin base once the shape loops they read are clean; the reference
 # strips every gate.
 THIN_GATED = ("MONOIDAL_LAWS", "SYMMETRY_LAWS")
-THIN_TABLES = {
-    "tensor_mor": lambda m: (m.tensor_mor, lambda t: dataclasses.replace(m, tensor_mor=t)),
-    "assoc": lambda m: (m.assoc, lambda t: dataclasses.replace(m, assoc=t)),
-    "braid": lambda m: (m.symmetry.braid, lambda t: dataclasses.replace(
-        m, symmetry=dataclasses.replace(m.symmetry, braid=t))),
-    "ev": lambda m: (m.closed.ev, lambda t: dataclasses.replace(
-        m, closed=dataclasses.replace(m.closed, ev=t))),
-}
-
-
-def thin_mutants(m: MonoidalData, fields=tuple(THIN_TABLES)):
-    """Every single-entry swap and deletion of the braiding, the evaluations
-    and the tables the monoidal premise reads (of those in ``fields``)."""
-    mors = m.base.mor_ids()
-    for field in fields:
-        table, rebuilt = THIN_TABLES[field](m)
-        for key, value in table.items():
-            yield (field, key, None), rebuilt({k: v for k, v in table.items() if k != key})
-            for other in mors:
-                if other != value:
-                    yield (field, key, other), rebuilt({**table, key: other})
+# the tables the monoidal premise reads, the braiding and the evaluations
+THIN_TABLES = ("tensor_mor", "assoc", "braid", "ev")
 
 
 def checks_outcome(m: MonoidalData):
     """``check_monoidal``, ``check_symmetry`` and ``check_closed`` on ``m``,
     in the order ``encat check`` runs them, each whatever the one before
     it gives."""
-    got = []
-    for check in (check_monoidal, mon.check_symmetry, mon.check_closed):
-        try:
-            got.append(check(m))
-        except EncatError as exc:
-            got.append((type(exc).__name__, str(exc)))
-    return got
+    return [outcome(check, m) for check in (check_monoidal, mon.check_symmetry, mon.check_closed)]
 
 
 def full_checks_outcome(m: MonoidalData):
-    """The reference: ``checks_outcome`` on a fresh copy of ``m`` with the
-    laws of both checkers gate-free, asserted to have judged every site
-    of each of them it reached (a law that raises stops its checker)."""
+    """The reference: ``checks_outcome`` on a fresh copy of ``m`` gate-free,
+    asserted to have judged every site of each law of both checkers it
+    reached (a law that raises stops its checker)."""
     m = dataclasses.replace(m)
     laws = [law for name in THIN_GATED for law in getattr(mon, name)]
-    with pytest.MonkeyPatch.context() as mp:
-        for name in THIN_GATED:
-            mp.setattr(mon, name, tuple(
-                dataclasses.replace(law, gate=None) for law in getattr(mon, name)))
-        seen = spy(mp)
-        got = checks_outcome(m)
+    with gate_free():
+        got, seen = spied(checks_outcome, m)
+    seen = by_law(seen)
     for name in {law.name for law in laws}:
         full = [list(law.sites(m, m.base)) for law in laws if law.name == name]
         assert seen.get(name, []) == full[:len(seen.get(name, []))], name
@@ -302,8 +236,8 @@ THIN_STRIDE = {"trop(3)": 11, "trop(4)": 61}
 
 
 def thin_agree(name: str, stride: int) -> None:
-    for where, mutant in list(thin_mutants(THIN_BASES[name]()))[::stride]:
-        assert checks_outcome(mutant) == full_checks_outcome(mutant), where
+    agree(lambda: mutants(THIN_BASES[name](), THIN_TABLES), checks_outcome, stride,
+          full_checks_outcome)
 
 
 @pytest.mark.parametrize("name", list(THIN_BASES))
@@ -328,7 +262,7 @@ def tensor_reads(m: MonoidalData) -> dict:
             "triangle": lambda x, y: [(i(x), m.lunit[y]), (m.runit[x], i(y))]}
 
 
-def test_a_thin_base_judges_no_lawful_site_and_a_bad_tensor_entry_where_read(monkeypatch):
+def test_a_thin_base_judges_no_lawful_site_and_a_bad_tensor_entry_where_read():
     """On the lawful trop(4) the thin cover leaves no ``pentagon`` or
     ``symmetry.*`` site to judge, and no tensor rebuild is built.  A tensor entry of the wrong shape leaves
     ``tensor.shape`` the only shape report, and the laws of ``tensor_reads``
@@ -337,9 +271,9 @@ def test_a_thin_base_judges_no_lawful_site_and_a_bad_tensor_entry_where_read(mon
     sites where a(w, x, y) = 1_1 and z = 0, one of which also has w = 1 and
     a(x, y, z) = 1_0."""
     m = build_trop(4)
-    seen = spy(monkeypatch)
-    assert checks_outcome(m) == [[], [], []]
-    monkeypatch.undo()
+    got, seen = spied(checks_outcome, m)
+    assert got == [[], [], []]
+    seen = by_law(seen)
     assert seen["pentagon"] == [[]]
     assert all(seen[law.name] == [[]] for law in mon.SYMMETRY_LAWS)
     assert "_tensor" not in m.__dict__
@@ -347,9 +281,8 @@ def test_a_thin_base_judges_no_lawful_site_and_a_bad_tensor_entry_where_read(mon
     for key, pentagon in ((("m:2:1", "id:0"), 0), (("id:1", "id:0"), 3)):
         assert m.base.src(m.tensor_mor[key]) != m.base.src("m:3:0")
         mutant = dataclasses.replace(m, tensor_mor={**m.tensor_mor, key: "m:3:0"})
-        seen = spy(monkeypatch)
-        got = checks_outcome(mutant)
-        monkeypatch.undo()
+        got, seen = spied(checks_outcome, mutant)
+        seen = by_law(seen)
         assert got == full_checks_outcome(mutant) and got[0]
         assert {r.law for r in got[0] if r.law.endswith(".shape")} == {"tensor.shape"}
         for name, reads in tensor_reads(mutant).items():
@@ -372,7 +305,7 @@ def test_an_undeclared_unit_is_judged_on_every_site():
     assert {r.law for r in got[0]} >= {"lunit.natural", "runit.natural"}
 
 
-def test_a_misshapen_associator_entry_is_judged_at_its_squares_only(monkeypatch):
+def test_a_misshapen_associator_entry_is_judged_at_its_squares_only():
     """One associator entry of trop(4) swapped for a morphism of another
     shape leaves ``assoc.shape`` the only shape report.  ``assoc.natural``
     is then judged only at the sites whose square reads that component, at
@@ -382,9 +315,8 @@ def test_a_misshapen_associator_entry_is_judged_at_its_squares_only(monkeypatch)
     m = build_trop(4)
     base, key = m.base, ("1", "2", "0")
     mutant = dataclasses.replace(m, assoc={**m.assoc, key: "m:3:2"})
-    seen = spy(monkeypatch)
-    got = check_monoidal(mutant)
-    monkeypatch.undo()
+    got, seen = spied(check_monoidal, mutant)
+    seen = by_law(seen)
     assert got == full_outcome(mutant)
     assert {r.law for r in got if r.law.endswith(".shape")} == {"assoc.shape"}
     [judged] = seen["assoc.natural"]
@@ -394,24 +326,6 @@ def test_a_misshapen_associator_entry_is_judged_at_its_squares_only(monkeypatch)
                            if key in (ends(base.src, site), ends(base.dst, site))}
     assert seen["pentagon"] == [list(product(base.objects, repeat=4))]
     assert seen["triangle"] == [list(product(base.objects, repeat=2))]
-
-
-def v_outcome(m: MonoidalData):
-    try:
-        return check_v(m)
-    except EncatError as exc:
-        return type(exc).__name__, str(exc)
-
-
-def full_v_outcome(m: MonoidalData):
-    """The reference: ``check_v`` on a fresh copy of ``m`` with the laws of
-    ``THIN_GATED`` gate-free."""
-    m = dataclasses.replace(m)
-    with pytest.MonkeyPatch.context() as mp:
-        for name in THIN_GATED:
-            mp.setattr(mon, name, tuple(
-                dataclasses.replace(law, gate=None) for law in getattr(mon, name)))
-        return v_outcome(m)
 
 
 def braided_doubled_cyc() -> MonoidalData:
@@ -430,17 +344,15 @@ def v_mutants():
     the law."""
     for name in ("cyc(2)", "cyc(3)", "cyc(4)"):
         m = BASES[name]()
-        yield from ((name, where, mutant) for where, mutant in mutants(m) if where[2] is not None)
-        yield from ((name, where, mutant) for where, mutant in thin_mutants(m, ("braid",)))
-    yield from (("doubled-cyc(2)", where, mutant)
-                for where, mutant in thin_mutants(braided_doubled_cyc(), ("braid",)))
+        yield from (((name, where), mutant) for where, mutant in mutants(m) if where[2] is not None)
+        yield from (((name, where), mutant) for where, mutant in mutants(m, ("braid",)))
+    yield from ((("doubled-cyc(2)", where), mutant)
+                for where, mutant in mutants(braided_doubled_cyc(), ("braid",)))
 
 
 def v_agree(stride: int) -> None:
-    cases = list(v_mutants())
-    assert len(cases) == 97 + 32
-    for name, where, mutant in cases[::stride]:
-        assert v_outcome(mutant) == full_v_outcome(mutant), (name, where)
+    assert len(list(v_mutants())) == 97 + 32
+    agree(v_mutants, check_v, stride)
 
 
 def test_check_v_agrees_with_the_gate_free_laws_on_non_thin_bases():
@@ -452,7 +364,7 @@ def test_check_v_agrees_with_the_gate_free_laws_on_every_non_thin_mutant():
     v_agree(1)
 
 
-def test_symmetry_natural_is_decided_on_generators(monkeypatch):
+def test_symmetry_natural_is_decided_on_generators():
     """The lawful cyc(12) judges none of its 144 ``symmetry.natural`` sites,
     and neither does a braiding of cyc(4) swapped for another rotation: in
     an abelian group every constant braiding is natural.  The premise is
@@ -464,20 +376,15 @@ def test_symmetry_natural_is_decided_on_generators(monkeypatch):
     judged, as without a gate."""
     swap = dataclasses.replace(build_cyc(4), symmetry=SymmetryData({("*", "*"): "1"}))
     for m in (build_cyc(12), swap):
-        seen = spy(monkeypatch)
-        v_outcome(m)
-        monkeypatch.undo()
-        assert seen["symmetry.natural"] == [[]] and mon.clean(m, "monoidal", "symmetry")
-    seen = spy(monkeypatch)
-    mon.check_symmetry(dataclasses.replace(swap))
-    monkeypatch.undo()
-    assert list(map(len, seen["symmetry.natural"])) == [16]
+        _, seen = spied(outcome, check_v, m)
+        assert by_law(seen)["symmetry.natural"] == [[]] and mon.clean(m, "monoidal", "symmetry")
+    _, seen = spied(mon.check_symmetry, dataclasses.replace(swap))
+    assert list(map(len, by_law(seen)["symmetry.natural"])) == [16]
     m = braided_doubled_cyc()
     mutant = dataclasses.replace(m, symmetry=SymmetryData({**m.symmetry.braid, ("a", "b"): "ba1"}))
     for m, judged in ((m, 0), (mutant, 64)):
-        seen = spy(monkeypatch)
-        got = v_outcome(m)
-        monkeypatch.undo()
-        assert got == full_v_outcome(m) and mon.clean(m, "monoidal", "symmetry")
-        assert list(map(len, seen["symmetry.natural"])) == [judged]
+        got, seen = spied(outcome, check_v, m)
+        assert got == reference(check_v, dataclasses.replace(m))
+        assert mon.clean(m, "monoidal", "symmetry")
+        assert list(map(len, by_law(seen)["symmetry.natural"])) == [judged]
     assert "symmetry.natural" in {r.law for r in got}

@@ -25,8 +25,6 @@ the shapes of the assignment read through the hom functor with its
 arguments swapped.
 """
 
-import dataclasses
-import hashlib
 import json
 
 import pytest
@@ -35,6 +33,7 @@ from encat.core import CheckReport, EncatError, Law, evaluate, morphism_inverse,
 from encat.instances import build_instance, parse_instance_name
 from encat.monoidal import check_v, self_path, self_vstructure
 from encat.vstruct import check_path, check_vstructure
+from harness import digest, entries, outcome, read, replaced, rows
 
 BASES = ("bool", "cyc(3)", "trop(3)")
 STRIDE = 7
@@ -85,57 +84,23 @@ def reference(vs, pth) -> list:
     return sort_reports(reports + evaluate((PATH_SQUARE,), vs, pth, m))
 
 
-def _entries(table, values):
-    """Every single-entry copy of ``table``: each key deleted, then given
-    each other value of ``values``."""
-    for key in sorted(table):
-        yield {k: v for k, v in table.items() if k != key}
-        for value in values:
-            if value != table[key]:
-                yield {**table, key: value}
-
-
 def mutants(m):
     """Every single-entry mutant (structure, path), in a fixed order."""
     vs, pth = self_vstructure(m), self_path(m)
     objs, mors = m.base.objects, m.base.mor_ids()
-    for path_obj in _entries(pth.path_obj, objs):
-        yield vs, dataclasses.replace(pth, path_obj=path_obj)
-    for beta in _entries(pth.beta, mors):
-        yield vs, dataclasses.replace(pth, beta=beta)
-    for psibar in _entries(pth.psibar, mors):
-        yield vs, dataclasses.replace(pth, psibar=psibar)
-    for comp in _entries(vs.comp, mors):
-        yield dataclasses.replace(vs, comp=comp), pth
-    for key in sorted(vs.phi):
-        for table in _entries(vs.phi[key], mors):
-            yield dataclasses.replace(vs, phi={**vs.phi, key: table}), pth
-    hom = vs.homFunctor
-    for on_objects in _entries(hom.onObjects, objs):
-        yield dataclasses.replace(
-            vs, homFunctor=dataclasses.replace(hom, onObjects=on_objects)), pth
-    for on_morphisms in _entries(hom.onMorphisms, mors):
-        yield dataclasses.replace(
-            vs, homFunctor=dataclasses.replace(hom, onMorphisms=on_morphisms)), pth
-    for braid in _entries(m.symmetry.braid, mors):
-        mutated = dataclasses.replace(m, symmetry=dataclasses.replace(m.symmetry, braid=braid))
-        yield dataclasses.replace(vs, baseV=mutated), pth
+    for data, path, values in ((pth, ("path_obj",), objs), (pth, ("beta",), mors),
+                               (pth, ("psibar",), mors), (vs, ("comp",), mors),
+                               (vs, ("phi",), mors), (vs, ("homFunctor", "onObjects"), objs),
+                               (vs, ("homFunctor", "onMorphisms"), mors),
+                               (vs, ("baseV", "symmetry", "braid"), mors)):
+        for _, table in entries(read(data, path), values, sorted):
+            mutant = replaced(data, path, table)
+            yield (vs, mutant) if data is pth else (mutant, pth)
 
 
-def _reports(reports) -> list:
-    return [[r.law, list(r.site), r.lhs, r.rhs, r.witness_count, r.note] for r in reports]
-
-
-def _outcome(run) -> list:
-    try:
-        return run()
-    except EncatError as exc:
-        return [type(exc).__name__, str(exc)]
-
-
-def outcome(vs, pth) -> list:
+def outcome_of(vs, pth) -> list:
     """What the path checker makes of one mutant."""
-    return _outcome(lambda: _reports(check_path(vs, pth)))
+    return outcome(lambda: rows(check_path(vs, pth)))
 
 
 def corpus(name: str, stride: int = 1) -> tuple[int, list]:
@@ -143,11 +108,7 @@ def corpus(name: str, stride: int = 1) -> tuple[int, list]:
     ``stride``-th of them."""
     _, m = build_instance(parse_instance_name(name))
     found = list(mutants(m))
-    return len(found), [outcome(vs, pth) for vs, pth in found[::stride]]
-
-
-def digest(outcomes: list) -> str:
-    return hashlib.sha256(json.dumps(outcomes).encode("utf-8")).hexdigest()
+    return len(found), [outcome_of(vs, pth) for vs, pth in found[::stride]]
 
 
 @pytest.mark.parametrize("name", BASES)

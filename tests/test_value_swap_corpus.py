@@ -22,15 +22,13 @@ The full corpus also pins the checker contract: no construction fails
 (exit 2 or 3) on a mutant ``check`` passes.
 """
 
-import hashlib
-import io
 import json
 import os
 import tempfile
 
 import pytest
 
-from encat.cli import cli
+from harness import cli_corpus, command, digest
 
 BASES = ("self(bool)", "self(trop(3))", "self(cyc(3))", "poset-diamond")
 # kind -> (where its module's V and S are declared, the construction it is given to)
@@ -43,19 +41,14 @@ GOLDEN = (10010, "d0334b82e097afe02f78c9d8ff2206aafbebd4d409fa504fec86c835f6a21a
           "094728720157260c3e1bbeb24ecbb17b1597152ffefe093d25652acede889fdc")
 
 
-def _run(*argv: str) -> tuple[int, str]:
-    out = io.StringIO()
-    code = cli(list(argv), out=out)
-    return code, out.getvalue()
-
-
 def documents(tmp: str) -> list[dict]:
     """The lawful documents of the corpus, in a fixed order."""
     docs = []
     for name in BASES:
         module, cylinder = (os.path.join(tmp, f"{name}.{kind}.json") for kind in KINDS)
-        assert _run("instance", name, "-o", module)[0] == 0
-        assert _run("construct", module, "--op", "module-to-cylinder", "-o", cylinder)[0] == 0
+        assert command(tmp, "instance", name, "-o", module)[0] == 0
+        assert command(tmp, "construct", module, "--op", "module-to-cylinder",
+                       "-o", cylinder)[0] == 0
         for path in (module, cylinder):
             with open(path, encoding="utf-8") as handle:
                 docs.append(json.load(handle))
@@ -112,14 +105,8 @@ def mutants(docs: list[dict]):
 
 
 def _outcome(tmp: str, argv: tuple) -> list:
-    written = os.path.join(tmp, "out.json")
-    code, text = _run(*argv)
-    digest = None
-    if os.path.exists(written):
-        with open(written, "rb") as handle:
-            digest = hashlib.sha256(handle.read()).hexdigest()
-        os.remove(written)
-    return [code, text.split("\n", 1)[0].replace(tmp, "<tmp>"), digest]
+    code, text, sha = command(tmp, *argv)
+    return [code, text.split("\n", 1)[0], sha]
 
 
 def commands(tmp: str, kind: str) -> tuple[tuple, tuple]:
@@ -129,20 +116,8 @@ def commands(tmp: str, kind: str) -> tuple[tuple, tuple]:
 
 def corpus(tmp: str, stride: int = 1) -> tuple[int, list]:
     """The number of outcomes in the corpus and every ``stride``-th of them."""
-    count, outcomes = 0, []
-    for doc in mutants(documents(tmp)):
-        argvs = commands(tmp, doc["kind"])
-        picked = [argv for i, argv in enumerate(argvs, count) if i % stride == 0]
-        count += len(argvs)
-        if picked:
-            with open(os.path.join(tmp, "doc.json"), "w", encoding="utf-8") as handle:
-                json.dump(doc, handle, indent=2, sort_keys=True)
-            outcomes += [_outcome(tmp, argv) for argv in picked]
-    return count, outcomes
-
-
-def digest(outcomes: list) -> str:
-    return hashlib.sha256(json.dumps(outcomes).encode("utf-8")).hexdigest()
+    return cli_corpus(tmp, mutants(documents(tmp)), lambda doc: commands(tmp, doc["kind"]),
+                      _outcome, stride)
 
 
 def test_strided_corpus_matches_golden(tmp_path):

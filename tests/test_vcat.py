@@ -2,7 +2,6 @@ import dataclasses
 
 import pytest
 
-import encat.vcat as vcat
 from encat.core import structural_equal, validate_category
 from encat.equiv import cylinder_to_tensored
 from encat.instances import build_cyc, build_poset_module, build_trop, module_self
@@ -17,8 +16,7 @@ from encat.vcat import (
 )
 from encat.vmodule import induced_vstructure
 from encat.vstruct import associated_vcategory, check_vstructure
-from test_module_gate import entries, outcome
-from test_monoidal_gate import spy
+from harness import agree, by_law, mutated, spied
 from tests.enriched_reference import VFunctorData, VNatData, check_vnat, hom_vfunctor
 
 
@@ -172,29 +170,26 @@ VCATS = {"self(trop(3))": lambda: module_self(build_trop(3)),
 VCAT_STRIDE = {"self(trop(3))": 7, "poset-diamond": 7, "self(cyc(3))": 1}
 
 
+def vcategory(name: str) -> VCategoryData:
+    return associated_vcategory(induced_vstructure(VCATS[name]().tensorClosed))
+
+
+def vcat_mutants(vc: VCategoryData):
+    """Every single-entry deletion and swap of ``comp``, then of ``unit``."""
+    return mutated(vc, {"comp": ("comp",), "unit": ("unit",)}, vc.baseV.base.mor_ids())
+
+
 def vcat_agree(name: str, stride: int) -> None:
     """``check_vcategory`` on every ``stride``-th single-entry deletion and
-    swap of ``comp`` and ``unit`` gives the outcome it gives with
-    ``gate=None`` on ``VCATEGORY_LAWS``; the lawful document judges no site
-    of them exactly when V is thin."""
-    vc = associated_vcategory(induced_vstructure(VCATS[name]().tensorClosed))
-    with pytest.MonkeyPatch.context() as mp:
-        seen = spy(mp)
-        assert check_vcategory(vc) == []
+    swap of ``comp`` and ``unit`` gives the outcome of the gate-free
+    reference; the lawful document judges no site of ``VCATEGORY_LAWS``
+    exactly when V is thin."""
+    got, seen = spied(check_vcategory, vcategory(name))
+    assert got == []
+    seen = by_law(seen)
     judged = sum(map(len, seen["vcat.assoc"] + seen["vcat.unit"]))
     assert (judged == 0) == (name != "self(cyc(3))")
-    cases = [(where, field, table) for field in ("comp", "unit")
-             for where, table in entries(getattr(vc, field), vc.baseV.base.mor_ids())][::stride]
-    # each side on its own copy, so the gate-free run keeps no verdict the gated one found
-    gated = [outcome(check_vcategory, dataclasses.replace(vc, **{field: table}))
-             for _, field, table in cases]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vcat, "VCATEGORY_LAWS", tuple(
-            dataclasses.replace(law, gate=None) for law in vcat.VCATEGORY_LAWS))
-        free = [outcome(check_vcategory, dataclasses.replace(vc, **{field: table}))
-                for _, field, table in cases]
-    for (where, _, _), got, want in zip(cases, gated, free):
-        assert got == want, where
+    agree(lambda: vcat_mutants(vcategory(name)), check_vcategory, stride)
 
 
 @pytest.mark.parametrize("name", list(VCATS))

@@ -25,7 +25,6 @@ from encat.vmodule import (
     check_tensor_closed,
     check_vmodule,
     dual_tensorclosed,
-    enriched_action,
     induced_vstructure,
     module_phibar,
 )
@@ -40,6 +39,7 @@ from encat.instances import (
     parse_instance_name,
 )
 from nonstrict import absorbing_monoid, regular_module
+from tests.enriched_reference import enriched_action
 
 
 def tower_module() -> VModuleData:
