@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _esc
+from operator import itemgetter
 from typing import Any
 
 from .core import (EncatError, FinCategory, FunctorData, MalformedReferenceError,
@@ -23,7 +24,7 @@ from .vmodule import (ClosedBimoduleData, ClosedVModuleData, TensorClosedModuleD
 from .vstruct import CylinderAssignment, PathAssignment, VStructureData
 
 FORMAT = "encat/1"
-_STR, _LIST, _DICT, _SEQ = {str}, {list}, {dict}, {list, tuple}
+_STR, _LIST, _DICT, _SEQ, _SCALAR = {str}, {list}, {dict}, {list, tuple}, {str, int, type(None)}
 
 
 class DocumentError(EncatError):
@@ -104,28 +105,32 @@ def _pieces(value: Any, nl: str):
 
 
 def _texts(values: list, nl: str) -> list:
-    """The texts of ``values``, each indented as ``nl``.  Strings go through the C
-    escaper; lists, or dicts with one key order, fill their templates (rows of one
-    width share one) by one ``%`` over their cells' texts, found by columns."""
+    """The texts of ``values``, each indented as ``nl``.  Strings (through the C
+    escaper), ``None`` and plain ints are written by one map.  Lists, or dicts with
+    one key order, fill their templates (one per list length; rows of one width share
+    one) by one ``%`` over their cells' texts: a table's or the dicts' found by
+    columns, the cells of ragged lists found together."""
     kinds, inner = set(map(type, values)), nl + "  "
     if kinds <= _STR:
         return list(map(_esc, values))
+    if kinds <= _SCALAR:  # not bool or float: json.dumps writes those
+        return [_esc(v) if type(v) is str else "null" if v is None else repr(v) for v in values]
     if kinds <= _SEQ:
         rows, at = list(chain.from_iterable(values)), inner + "  "
-        if set(map(type, rows)) <= _SEQ and len(set(map(len, rows))) == 1 and rows[0]:
-            row = "[" + at + ("," + at).join(["%s"] * len(rows[0])) + inner + "]"
-        else:
-            rows, row, at = list(zip(rows)), "%s", inner
+        table = set(map(type, rows)) <= _SEQ and len(set(map(len, rows))) == 1 and rows[0]
+        row = "[" + at + ("," + at).join(["%s"] * len(rows[0])) + inner + "]" if table else "%s"
         shapes = {n: "[" + inner + ("," + inner).join([row] * n) + nl + "]" if n else "[]"
                   for n in set(map(len, values))}
         texts = map(shapes.__getitem__, map(len, values))
+        if not table:  # ragged lists: their cells' texts found together
+            return ("\0".join(texts) % tuple(_texts(rows, inner))).split("\0")
     elif kinds == _DICT and len(set(map(tuple, values))) == 1:
         keys, at = sorted(values[0]), inner
-        rows = [tuple(map(v.__getitem__, keys)) for v in values]
+        rows = list(zip(*[map(itemgetter(k), values) for k in keys]))
         texts = ["{" + ",".join(f"{inner}{_esc(k).replace('%', '%%')}: %s" for k in keys)
                  + nl + "}" if keys else "{}"] * len(values)
-    else:  # values of several kinds or key orders, numbers and None
-        return [json.dumps(v) if v is None or isinstance(v, (int, float))
+    else:  # values of several kinds or key orders, bools and floats
+        return [json.dumps(v) if type(v) not in _SCALAR and isinstance(v, (int, float))
                 else "".join(_pieces(v, nl)) for v in values]
     try:
         cells = tuple(map(_esc, chain.from_iterable(rows)))

@@ -12,13 +12,15 @@ pairs.
 import dataclasses
 import io
 import json
+import sys
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from encat.cli import OPS, _construct, cli
 from encat.core import FinCategory, structural_equal
-from encat.instances import build_instance, parse_instance_name
+from encat.instances import build_cyc, build_instance, parse_instance_name
 from encat.interface import Document, DocumentError, dumps, parse, serialize
 from encat.vcat import VCategoryData
 from tests.test_interface import _all_documents
@@ -29,6 +31,19 @@ BUILTINS = ("bool", "trop(2)", "trop(4)", "trop(10)", "cyc(1)", "cyc(16)", "pose
 
 def stdlib(text: str) -> str:
     return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def interface_dumps_calls(write, *args):
+    """``write(*args)`` and the number of ``json.dumps`` calls made from
+    inside ``encat.interface`` while it ran."""
+    calls, real = [], json.dumps
+
+    def spy(*a, **k):
+        calls.append(sys._getframe(1).f_globals["__name__"] == "encat.interface")
+        return real(*a, **k)
+
+    with mock.patch.object(json, "dumps", spy):
+        return write(*args), sum(calls)
 
 
 def assert_canonical(doc: Document) -> str:
@@ -111,41 +126,68 @@ def test_empty_tables_and_null_records_are_stdlib_bytes(bool_m, trop3, self_trop
 def test_check_json_reports_are_stdlib_bytes(tmp_path, trop4, cyc3):
     # trop(4) with one associator entry swapped, and with one evaluation
     # entry swapped (reports without composites); cyc(3) with its associator
-    # swapped (composites that differ)
+    # swapped (composites that differ); cyc(8) with its tensor entry
+    # ('4', '0') set to '3' (215 reports, sites of 1, 3 and 4 ids, no
+    # witness counts)
     assoc, ev = dict(trop4.assoc), dict(trop4.closed.ev)
     assoc[next(k for k, v in sorted(assoc.items()) if v != "id:0")] = "id:0"
     ev[sorted(ev)[3]] = "m:1:0"
+    cyc8 = build_cyc(8)
     found = []
     for mutant in (dataclasses.replace(trop4, assoc=assoc),
                    dataclasses.replace(trop4, closed=dataclasses.replace(trop4.closed, ev=ev)),
-                   dataclasses.replace(cyc3, assoc={("*", "*", "*"): "1"})):
+                   dataclasses.replace(cyc3, assoc={("*", "*", "*"): "1"}),
+                   dataclasses.replace(cyc8, tensor_mor={**cyc8.tensor_mor, ("4", "0"): "3"})):
         doc = tmp_path / "bad.doc"
         doc.write_text(serialize(Document("monoidal", mutant)), encoding="utf-8")
         out = io.StringIO()
-        assert cli(["check", str(doc), "--format", "json"], out=out) == 1
+        code, calls = interface_dumps_calls(cli, ["check", str(doc), "--format", "json"], out)
+        assert (code, calls) == (1, 0)
         text = out.getvalue()
         assert text == stdlib(text)
-        found += json.loads(text)["reports"]
+        reports = json.loads(text)["reports"]
+        found += reports
     assert {type(r["lhs"]) for r in found} == {str, type(None)}
     assert {type(r["witness_count"]) for r in found} == {int, type(None)}
+    assert (len(reports), {len(r["site"]) for r in reports},
+            {r["witness_count"] for r in reports}) == (215, {1, 3, 4}, {None})
 
 
 # strings drawn mostly from the characters that need care: escapes, "%"
 # (the row templates' format character) and non-ASCII
 TEXT = st.text(st.sampled_from('a%s"\\(),é\x00\u2028'), max_size=4) | st.text(max_size=4)
+# a report as ``check --format json`` writes it
+REPORT = st.fixed_dictionaries({
+    "law": TEXT, "site": st.lists(TEXT, max_size=4), "lhs": st.none() | TEXT,
+    "rhs": st.none() | TEXT, "witness_count": st.none() | st.integers(0, 9),
+    "note": st.none() | TEXT})
 JSON = st.recursive(
-    st.none() | st.integers() | TEXT,
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | TEXT,
     lambda inner: (st.lists(inner, max_size=5)
                    | st.dictionaries(TEXT, inner, max_size=5)
                    | st.integers(1, 3).flatmap(lambda w: st.lists(
                        st.lists(inner, min_size=w, max_size=w), max_size=4))
                    | st.lists(TEXT, min_size=1, max_size=3, unique=True).flatmap(
                        lambda keys: st.lists(st.fixed_dictionaries({k: inner for k in keys}),
-                                             max_size=4))),
+                                             max_size=4))
+                   | st.lists(st.lists(TEXT, max_size=4), max_size=5)  # ragged lists of ids
+                   | st.lists(REPORT, max_size=5)),
     max_leaves=40)
+
+
+def leaves(tree) -> list:
+    if isinstance(tree, (dict, list)):
+        return [leaf for v in (tree.values() if isinstance(tree, dict) else tree)
+                for leaf in leaves(v)]
+    return [tree]
 
 
 @settings(max_examples=200, deadline=None)
 @given(JSON)
 def test_writer_matches_stdlib(tree):
-    assert dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+    # only bools and floats are written by json.dumps
+    want = json.dumps(tree, indent=2, sort_keys=True)
+    text, calls = interface_dumps_calls(dumps, tree)
+    assert text == want
+    assert calls == 0 or any(type(leaf) in (bool, float) for leaf in leaves(tree))
