@@ -51,17 +51,12 @@ def _posetal_category(objects: list[Obj], leq) -> FinCategory:
     def arrow(a: Obj, b: Obj) -> Mor:
         return f"id:{a}" if a == b else f"m:{a}:{b}"
 
-    morphisms = []
-    for a in objects:
-        for b in objects:
-            if a == b or leq(a, b):
-                morphisms.append((arrow(a, b), a, b))
+    morphisms = [(arrow(a, b), a, b) for a in objects for b in objects if a == b or leq(a, b)]
     identity = {a: f"id:{a}" for a in objects}
-    comp = {}
-    for f, a, b in morphisms:
-        for g, b2, c in morphisms:
-            if b == b2:
-                comp[(f, g)] = arrow(a, c)
+    out: dict[Obj, list] = {}  # the morphisms out of each object, in order
+    for g, b, c in morphisms:
+        out.setdefault(b, []).append((g, c))
+    comp = {(f, g): arrow(a, c) for f, a, b in morphisms for g, c in out[b]}
     return FinCategory(tuple(sorted(objects)), tuple(sorted(morphisms)), identity, comp)
 
 
@@ -75,16 +70,17 @@ def _posetal_arrow(cat: FinCategory, a: Obj, b: Obj) -> Mor:
 def _strict_monoidal(cat: FinCategory, tensor: dict, unit: Obj,
                      hom_obj: dict) -> MonoidalData:
     """Posetal monoidal structure: every component is the unique arrow."""
-    objs = cat.objects
-    ends = [(f, cat.src(f), cat.dst(f)) for f in cat.mor_ids()]
-    tensor_mor = {(f, g): _posetal_arrow(cat, tensor[(a, c)], tensor[(b, d)])
-                  for f, a, b in ends for g, c, d in ends}
-    assoc = {(x, y, z): cat.id_(tensor[(tensor[(x, y)], z)])
+    objs, ends, ident = cat.objects, sorted(cat.morphisms), cat.identity
+    # (src, dst) -> its arrow; a missing or ambiguous one is _posetal_arrow's error
+    unique = {hom: h[0] for hom, h in cat._homs.items() if len(h) == 1}
+    tensor_mor = {(f, g): unique.get(k := (tensor[(a, c)], tensor[(b, d)]))
+                  or _posetal_arrow(cat, *k) for f, a, b in ends for g, c, d in ends}
+    assoc = {(x, y, z): ident[tensor[(tensor[(x, y)], z)]]
              for x in objs for y in objs for z in objs}
-    lunit = {x: cat.id_(x) for x in objs}
-    runit = {x: cat.id_(x) for x in objs}
-    braid = {(x, y): cat.id_(tensor[(x, y)]) for x in objs for y in objs}
-    ev = {(y, z): _posetal_arrow(cat, tensor[(hom_obj[(y, z)], y)], z)
+    lunit = {x: ident[x] for x in objs}
+    runit = dict(lunit)
+    braid = {(x, y): ident[tensor[(x, y)]] for x in objs for y in objs}
+    ev = {(y, z): unique.get(k := (tensor[(hom_obj[(y, z)], y)], z)) or _posetal_arrow(cat, *k)
           for y in objs for z in objs}
     return MonoidalData(
         base=cat, tensor_obj=tensor, tensor_mor=tensor_mor, unit=unit,

@@ -106,10 +106,10 @@ def _pieces(value: Any, nl: str):
 
 def _texts(values: list, nl: str) -> list:
     """The texts of ``values``, each indented as ``nl``.  Strings (through the C
-    escaper), ``None`` and plain ints are written by one map.  Lists, or dicts with
-    one key order, fill their templates (one per list length; rows of one width share
-    one) by one ``%`` over their cells' texts: a table's or the dicts' found by
-    columns, the cells of ragged lists found together."""
+    escaper), ``None`` and plain ints are written by one map, tables of strings by
+    ``_joined``.  Other lists, or dicts with one key order, fill their templates (one
+    per list length; rows of one width share one) by one ``%`` over their cells' texts:
+    the rows' or the dicts' found by columns, the cells of ragged lists found together."""
     kinds, inner = set(map(type, values)), nl + "  "
     if kinds <= _STR:
         return list(map(_esc, values))
@@ -118,6 +118,13 @@ def _texts(values: list, nl: str) -> list:
     if kinds <= _SEQ:
         rows, at = list(chain.from_iterable(values)), inner + "  "
         table = set(map(type, rows)) <= _SEQ and len(set(map(len, rows))) == 1 and rows[0]
+        if table:
+            try:  # the distinct cells, joined
+                cells = "".join(set(chain.from_iterable(rows)))
+            except TypeError:  # rows holding lists or dicts fill the templates below
+                pass
+            else:
+                return _joined(values, nl, cells)
         row = "[" + at + ("," + at).join(["%s"] * len(rows[0])) + inner + "]" if table else "%s"
         shapes = {n: "[" + inner + ("," + inner).join([row] * n) + nl + "]" if n else "[]"
                   for n in set(map(len, values))}
@@ -137,6 +144,17 @@ def _texts(values: list, nl: str) -> list:
     except TypeError:
         cells = tuple(chain.from_iterable(zip(*[_texts(list(col), at) for col in zip(*rows)])))
     return ("\0".join(texts) % cells).split("\0")  # no escaped text holds a NUL
+
+
+def _joined(tables: list, nl: str, cells: str) -> list:
+    """The texts of tables of equal-width rows of strings, ``cells`` their distinct cells
+    joined: a row is one join, a table one more; cells are escaped only if one needs it."""
+    inner, at, q = nl + "  ", nl + "    ", '"'
+    if not (cells.isascii() and cells.isprintable()) or '"' in cells or "\\" in cells:
+        tables, q = [[[*map(_esc, row)] for row in t] for t in tables], ""
+    cell, row = q + "," + at + q, q + inner + "]," + inner + "[" + at + q
+    ends = "[" + inner + "[" + at + q, q + inner + "]" + nl + "]"  # around the rows, one copy
+    return [row.join(map(cell.join, t)).join(ends) if t else "[]" for t in tables]
 
 
 @dataclass(frozen=True)
@@ -479,7 +497,7 @@ def serialize(doc: Document) -> str:
     if doc.kind not in KINDS:
         raise ParseError(f"unknown document kind {doc.kind!r}")
     payload = {"format": FORMAT, "kind": doc.kind, "body": SCHEMA[doc.kind].write(doc.data)}
-    return dumps(payload) + "\n"
+    return "".join(chain(_pieces(payload, "\n"), "\n"))  # dumps(payload) and its last line end
 
 
 def parse(text: str) -> Document:

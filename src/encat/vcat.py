@@ -45,7 +45,6 @@ from .monoidal import (
     shapes_clean,
     transpose_pi,
     transpose_pi_inv,
-    varpi,
 )
 
 
@@ -193,19 +192,6 @@ def underlying_category(vc: VCategoryData):
     vs = VStructureData(baseS=cat, baseV=m, homFunctor=hom_fn,
                         comp=dict(vc.comp), phi=phi)
     return cat, vs
-
-
-def self_enriched(m: MonoidalData) -> VCategoryData:
-    """A closed monoidal category as a category enriched over itself."""
-    m.require_closed()
-    base = m.base
-    return VCategoryData(
-        baseV=m,
-        objects=tuple(base.objects),
-        homObj={(y, z): m.hom_obj(y, z) for y in base.objects for z in base.objects},
-        comp={(x, y, z): internal_composition_b(m, x, y, z)
-              for x in base.objects for y in base.objects for z in base.objects},
-        unit={x: varpi(m, base.id_(x)) for x in base.objects})
 
 
 # evaluated on (td, delta, base), delta[(K, X, Y, Z)] the composition

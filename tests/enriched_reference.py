@@ -1,10 +1,10 @@
 """Enriched functors and transformations, a test reference for
 ``vcat.check_tensored``: the enriched naturality of a tensor assignment's
-adjunct family, judged as a transformation into the base on one route,
-the enriched naturality rectangle ``vnat.square``; the comparison
-isomorphism between two chosen cylinders, :func:`cylinder_unique_iso`; and
-the enriched action of a tensor-closed module, :func:`enriched_action`, with
-its derived laws."""
+adjunct family, judged as a transformation into the base enriched over
+itself (:func:`self_enriched`) on one route, the enriched naturality
+rectangle ``vnat.square``; the comparison isomorphism between two chosen
+cylinders, :func:`cylinder_unique_iso`; and the enriched action of a
+tensor-closed module, :func:`enriched_action`, with its derived laws."""
 
 from dataclasses import dataclass
 from itertools import product
@@ -31,7 +31,7 @@ from encat.monoidal import (
     transpose_pi,
     varpi,
 )
-from encat.vcat import VCategoryData, self_enriched
+from encat.vcat import VCategoryData
 from encat.vmodule import (
     TensorClosedModuleData,
     _action_component,
@@ -67,6 +67,19 @@ class VNatData:
     source: VFunctorData
     target: VFunctorData
     components: Mapping[Obj, Mor]
+
+
+def self_enriched(m: MonoidalData) -> VCategoryData:
+    """A closed monoidal category as a category enriched over itself."""
+    m.require_closed()
+    base = m.base
+    return VCategoryData(
+        baseV=m,
+        objects=tuple(base.objects),
+        homObj={(y, z): m.hom_obj(y, z) for y in base.objects for z in base.objects},
+        comp={(x, y, z): internal_composition_b(m, x, y, z)
+              for x in base.objects for y in base.objects for z in base.objects},
+        unit={x: varpi(m, base.id_(x)) for x in base.objects})
 
 
 def hom_vfunctor(vc: VCategoryData, a: Obj) -> VFunctorData:

@@ -18,6 +18,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import encat.interface
 from encat.cli import OPS, _construct, cli
 from encat.core import FinCategory, structural_equal
 from encat.instances import build_cyc, build_instance, parse_instance_name
@@ -191,3 +192,39 @@ def test_writer_matches_stdlib(tree):
     text, calls = interface_dumps_calls(dumps, tree)
     assert text == want
     assert calls == 0 or any(type(leaf) in (bool, float) for leaf in leaves(tree))
+
+
+# an id table as the writer gets it: rows of one width, as lists or as tuples,
+# of strings from printable ASCII and the characters the escaper must see
+CELL = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e)
+               | st.sampled_from('"\\%\x00\x1f\x7fé\u2028'), max_size=4)
+TABLE = st.tuples(st.integers(1, 4), st.sampled_from([list, tuple])).flatmap(
+    lambda shape: st.lists(st.lists(CELL, min_size=shape[0], max_size=shape[0]).map(shape[1]),
+                           max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(TABLE, TABLE)
+def test_tables_are_stdlib_bytes(table, other):
+    for tree in (table, {"t": table, "u": [table, other]}):
+        assert dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def tables(tree) -> list:
+    """The tables (non-empty lists of lists) inside a parsed document."""
+    if isinstance(tree, dict):
+        return [t for v in tree.values() for t in tables(v)]
+    return [tree] if tree and isinstance(tree, list) and all(
+        isinstance(row, list) for row in tree) else []
+
+
+def test_table_cells_are_not_escaped_one_by_one():
+    """Writing trop(10) escapes its keys, object list and morphism rows, but
+    not its table cells one by one: the tables are written by row joins."""
+    doc = Document(*build_instance(parse_instance_name("trop(10)")))
+    calls, real = [], encat.interface._esc
+    with mock.patch.object(encat.interface, "_esc", lambda s: calls.append(s) or real(s)):
+        text = serialize(doc)
+    assert text == stdlib(text)
+    cells = sum(len(row) for table in tables(json.loads(text)) for row in table)
+    assert cells > 10_000 and len(calls) < cells

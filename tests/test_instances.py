@@ -1,9 +1,13 @@
+import dataclasses
+
 import pytest
 
-from encat.core import ParameterError, structural_equal, validate_category
+import encat.instances
+from encat.core import FinCategory, ParameterError, structural_equal, validate_category
 from encat.instances import (
     DIAMOND_RELATION,
     InstanceSpec,
+    _posetal_arrow,
     build_bool,
     build_cyc,
     build_instance,
@@ -11,7 +15,15 @@ from encat.instances import (
     build_trop,
     parse_instance_name,
 )
-from encat.monoidal import check_closed, check_monoidal, check_symmetry, transpose_pi
+from encat.monoidal import (
+    ClosedData,
+    MonoidalData,
+    SymmetryData,
+    check_closed,
+    check_monoidal,
+    check_symmetry,
+    transpose_pi,
+)
 from encat.vmodule import check_closed_module
 from encat.equiv import bimodule_completion
 
@@ -113,3 +125,78 @@ def test_builders_are_deterministic():
     assert structural_equal(build_bool(), build_bool())
     assert structural_equal(build_poset_module(DIAMOND_RELATION),
                             build_poset_module())
+
+
+# The posetal builders as first written, entry by entry: every pair of
+# morphisms tested for a composite, every arrow looked up on its own.
+def per_entry_posetal_category(objects, leq) -> FinCategory:
+    def arrow(a, b):
+        return f"id:{a}" if a == b else f"m:{a}:{b}"
+
+    morphisms = []
+    for a in objects:
+        for b in objects:
+            if a == b or leq(a, b):
+                morphisms.append((arrow(a, b), a, b))
+    identity = {a: f"id:{a}" for a in objects}
+    comp = {}
+    for f, a, b in morphisms:
+        for g, b2, c in morphisms:
+            if b == b2:
+                comp[(f, g)] = arrow(a, c)
+    return FinCategory(tuple(sorted(objects)), tuple(sorted(morphisms)), identity, comp)
+
+
+def per_entry_strict_monoidal(cat, tensor, unit, hom_obj) -> MonoidalData:
+    objs = cat.objects
+    ends = [(f, cat.src(f), cat.dst(f)) for f in cat.mor_ids()]
+    tensor_mor = {(f, g): _posetal_arrow(cat, tensor[(a, c)], tensor[(b, d)])
+                  for f, a, b in ends for g, c, d in ends}
+    assoc = {(x, y, z): cat.id_(tensor[(tensor[(x, y)], z)])
+             for x in objs for y in objs for z in objs}
+    lunit = {x: cat.id_(x) for x in objs}
+    runit = {x: cat.id_(x) for x in objs}
+    braid = {(x, y): cat.id_(tensor[(x, y)]) for x in objs for y in objs}
+    ev = {(y, z): _posetal_arrow(cat, tensor[(hom_obj[(y, z)], y)], z)
+          for y in objs for z in objs}
+    return MonoidalData(
+        base=cat, tensor_obj=tensor, tensor_mor=tensor_mor, unit=unit,
+        assoc=assoc, lunit=lunit, runit=runit,
+        symmetry=SymmetryData(braid=braid),
+        closed=ClosedData(hom_obj=hom_obj, ev=ev))
+
+
+def entries(value):
+    """``value`` with every mapping as its list of entries, in insertion order."""
+    if dataclasses.is_dataclass(value):
+        return [(f.name, entries(getattr(value, f.name))) for f in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        return [(k, entries(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [entries(v) for v in value]
+    return value
+
+
+POSETAL_BUILDS = [("bool", build_bool), ("poset-diamond", build_poset_module),
+                  *((f"trop({n})", lambda n=n: build_trop(n)) for n in range(2, 11))]
+
+
+@pytest.mark.parametrize("name, build", POSETAL_BUILDS, ids=[n for n, _ in POSETAL_BUILDS])
+def test_posetal_builders_fill_the_per_entry_tables(monkeypatch, name, build):
+    """The lookups fill every table of the posetal builtins with the entries
+    of the per-entry builders, in the same insertion order."""
+    got = build()
+    monkeypatch.setattr(encat.instances, "_posetal_category", per_entry_posetal_category)
+    monkeypatch.setattr(encat.instances, "_strict_monoidal", per_entry_strict_monoidal)
+    assert entries(got) == entries(build())
+
+
+def test_a_missing_or_ambiguous_arrow_is_a_parameter_error():
+    cat = encat.instances._posetal_category(["0", "1"], lambda a, b: a == "0" and b == "1")
+    with pytest.raises(ParameterError, match="unique morphism '1' -> '0'"):
+        encat.instances._strict_monoidal(cat, {(a, b): a for a in "01" for b in "01"}, "0",
+                                         {(a, b): "1" for a in "01" for b in "01"})
+    two = dataclasses.replace(cat, morphisms=(*cat.morphisms, ("m2", "0", "1")))
+    with pytest.raises(ParameterError, match="unique morphism '0' -> '1'"):
+        encat.instances._strict_monoidal(two, {(a, b): b for a in "01" for b in "01"}, "0",
+                                         {(a, b): b for a in "01" for b in "01"})

@@ -23,7 +23,7 @@ from encat.interface import (
     serialize,
 )
 from encat.monoidal import check_v, self_cylinder, self_path, self_vstructure
-from encat.vcat import self_enriched
+from tests.enriched_reference import self_enriched
 
 
 def _all_documents(bool_m, trop3, cyc3, poset_cm, self_trop3):

@@ -11,13 +11,13 @@ from encat.vcat import (
     check_tensored,
     check_vcategory,
     element_id,
-    self_enriched,
     underlying_category,
 )
 from encat.vmodule import induced_vstructure
 from encat.vstruct import associated_vcategory, check_vstructure
 from harness import agree, by_law, mutated, spied
-from tests.enriched_reference import VFunctorData, VNatData, check_vnat, hom_vfunctor
+from tests.enriched_reference import (VFunctorData, VNatData, check_vnat, hom_vfunctor,
+                                      self_enriched)
 
 
 def two_object_cyc_vcat(cyc3) -> VCategoryData:
