@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import ItemsView, KeysView, Mapping
-from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import chain, product
+from operator import attrgetter
+from reprlib import recursive_repr
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -88,8 +89,82 @@ class EngineBugError(EncatError):
     """
 
 
-@dataclass(frozen=True, init=False)
-class CheckReport:
+class Record:
+    """A subclass is a frozen record of its annotated fields, declared by
+    :func:`record` as the class is made.  The ``__init__``, ``==``, ``hash``,
+    ``repr`` and frozen ``__setattr__`` and ``__delattr__`` of a
+    ``dataclass(frozen=True)``, with its messages, are written here once: on
+    CPython 3.11 the stdlib compiles them for each class, most of its cost."""
+
+    def __init_subclass__(cls) -> None:
+        record(cls)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        names, fields = self._names, self.__dict__
+        if not kwargs and len(args) == len(names):  # the all-positional call
+            fields.update(zip(names, args))
+            return
+        if args or kwargs.keys() != self._fieldset:  # unless the all-keyword call
+            kwargs = _bound(type(self), args, kwargs)
+        for name in names:
+            fields[name] = kwargs[name]
+
+    def __eq__(self, other: object) -> bool:
+        key = self._key
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _bound(cls: type, args: tuple, kwargs: dict) -> dict[str, Any]:
+    """The fields of ``cls(*args, **kwargs)`` with their values, defaults filled,
+    or the ``TypeError`` that the stdlib's generated ``__init__`` raises."""
+    names, defaults, where = cls._names, cls._defaults, f"{cls.__qualname__}.__init__()"
+    values = dict(zip(names, args))
+    for name, value in kwargs.items():
+        if name in values or name not in names:
+            raise TypeError(f"{where} got multiple values for argument {name!r}" if name in values
+                            else f"{where} got an unexpected keyword argument {name!r}")
+        values[name] = value
+    if len(args) > len(names):
+        least = f"from {len(names) - len(defaults) + 1} to " if defaults else ""
+        raise TypeError(f"{where} takes {least}{len(names) + 1} positional arguments "
+                        f"but {len(args) + 1} were given")
+    missing = [repr(name) for name in names if name not in values and name not in defaults]
+    if missing:
+        listed = ", ".join(missing[:-1]) + "," * (len(missing) > 2) + " and " if missing[1:] else ""
+        raise TypeError(f"{where} missing {len(missing)} required positional "
+                        f"argument{'s' * (len(missing) > 1)}: {listed}{missing[-1]}")
+    return {name: values[name] if name in values else defaults[name]() for name in names}
+
+
+def record(cls: type) -> type:
+    """Declare ``cls``, a subclass of :class:`Record`, a frozen record of its
+    annotated fields.  ``dataclasses`` reads the fields and writes no method, so
+    ``fields``, ``replace``, ``is_dataclass`` and ``__match_args__`` work."""
+    fields = dataclasses.fields(dataclasses.dataclass(init=False, repr=False, eq=False)(cls))
+    cls._names = names = tuple(f.name for f in fields)
+    cls._fieldset, get = frozenset(names), attrgetter(*names)
+    cls._key = staticmethod(get if len(names) > 1 else lambda data: (get(data),))
+    absent = dataclasses.MISSING
+    cls._defaults = {f.name: f.default_factory if f.default is absent else (lambda v=f.default: v)
+                     for f in fields if f.default is not absent or f.default_factory is not absent}
+    return cls
+
+
+class CheckReport(Record):
     """One law violation found by a checker.
 
     ``site`` names the objects/morphisms instantiating the failed diagram.
@@ -157,8 +232,7 @@ def kept(fn: Callable[..., Any]) -> Callable[..., Any]:
     return once
 
 
-@dataclass(frozen=True)
-class Law:
+class Law(Record):
     """One commuting diagram, declared once beside the checker that runs it.
 
     At every site ``sites(*data)`` yields, the composites ``lhs(*data, *site)``
@@ -263,8 +337,7 @@ def _judge(law: Law, sites: Iterable[tuple[str, ...]], data: tuple) -> Iterator[
             yield CheckReport(law.name, site, lhs=lhs, rhs=rhs)
 
 
-@dataclass(frozen=True)
-class FinCategory:
+class FinCategory(Record):
     """A finite category: objects, morphisms and a total composition table."""
 
     objects: tuple[Obj, ...]
@@ -738,8 +811,7 @@ def preimage(fibres: Mapping[Any, Preimages], key: Any, t: Mor, what: str) -> Mo
         t, lambda n: f"{what} at {key!r} has {n} preimages of {t!r}")
 
 
-@dataclass(frozen=True)
-class FunctorData:
+class FunctorData(Record):
     """A functor between finite categories, as explicit object/morphism maps."""
 
     srcCat: FinCategory
@@ -875,8 +947,7 @@ def bifunctor_cover(fn: Bifunctor | None) -> tuple[tuple[Mor, Mor, Mor, Mor], ..
     return tuple(cover)
 
 
-@dataclass(frozen=True)
-class Bifunctor:
+class Bifunctor(Record):
     """A map F : A x B -> C on morphisms, ``table`` keyed (f, g), with the
     bifunctor R that :func:`rebuild_bifunctor` rebuilds from its axes,
     ``rebuilt``, and the entries where they differ, ``defects``."""
@@ -1125,20 +1196,18 @@ def reading(sites: Callable[[KeysView], Iterable[tuple[str, ...]]],
 def canonical(value: Any) -> Any:
     """Canonical, order-normalized form of any structure in this package.
 
-    Dataclasses become ``(classname, (field, canonical(value)), ...)`` tuples,
+    Records become ``(classname, (field, canonical(value)), ...)`` tuples,
     finite maps become key-sorted tuples, sequences become tuples.  Two
     structures are equal exactly when their canonical forms are.
     """
-    # the common exact types first: the dataclass and Mapping tests are slow
+    # the common exact types first: the Mapping test is slow
     if isinstance(value, str):
         return value
     if type(value) is tuple:
         return tuple(canonical(v) for v in value)
-    if (type(value) is not dict and dataclasses.is_dataclass(value)
-            and not isinstance(value, type)):
+    if isinstance(value, Record):
         return (type(value).__name__,) + tuple(
-            (f.name, canonical(getattr(value, f.name))) for f in dataclasses.fields(value)
-        )
+            (name, canonical(getattr(value, name))) for name in value._names)
     if type(value) is dict or isinstance(value, Mapping):
         return ("map",) + tuple(sorted(
             ((canonical(k), canonical(v)) for k, v in value.items()),
@@ -1149,11 +1218,6 @@ def canonical(value: Any) -> Any:
     if isinstance(value, (int, bool, float)) or value is None:
         return value
     raise TypeError(f"no canonical form for {type(value).__name__}")
-
-
-def _same_dataclass(a: Any, b: Any) -> bool:
-    return (type(a) is type(b) and dataclasses.is_dataclass(a)
-            and not isinstance(a, type))
 
 
 def structural_equal(a: Any, b: Any) -> bool:
@@ -1168,22 +1232,22 @@ def canonical_diff(a: Any, b: Any, path: str = "") -> str | None:
 
     The text is ``_diff(canonical(a), canonical(b), path)``.  Values that are
     ``==`` have equal canonical forms, so plain equality answers first.  Two
-    dataclasses of one type are walked field by field, so only the fields
-    that are not ``==`` are canonicalised; the step into a nested dataclass
-    is its class name, the head of its canonical form.
+    records of one type are walked field by field, so only the fields that
+    are not ``==`` are canonicalised; the step into a nested record is its
+    class name, the head of its canonical form.
     """
     if a == b:
         return None
-    if not _same_dataclass(a, b):
+    if not (type(a) is type(b) and isinstance(a, Record)):
         return _diff(canonical(a), canonical(b), path)
-    for f in dataclasses.fields(a):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if _same_dataclass(va, vb):
-            d = canonical_diff(va, vb, f"{path}/{f.name}/{type(va).__name__}")
+    for name in a._names:
+        va, vb = getattr(a, name), getattr(b, name)
+        if type(va) is type(vb) and isinstance(va, Record):
+            d = canonical_diff(va, vb, f"{path}/{name}/{type(va).__name__}")
         elif va == vb:
             continue
         else:
-            d = _diff((f.name, canonical(va)), (f.name, canonical(vb)), f"{path}/{f.name}")
+            d = _diff((name, canonical(va)), (name, canonical(vb)), f"{path}/{name}")
         if d is not None:
             return d
     return None

@@ -19,14 +19,13 @@ hand-computed expected values tractable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     FinCategory,
     FunctorData,
     Mor,
     Obj,
     ParameterError,
+    Record,
     opposite_category,
     pair_id,
     product_category,
@@ -265,8 +264,7 @@ def module_self(m: MonoidalData) -> ClosedVModuleData:
     return ClosedVModuleData(tensorClosed=tc, cotensor=cotensor, psi=psi)
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class InstanceSpec(Record):
     """A parsed builtin-instance name."""
 
     name: str

@@ -9,14 +9,14 @@ it, and every table is written in sorted order, so the bytes are canonical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import field, fields
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _esc
 from operator import itemgetter
 from typing import Any
 
 from .core import (EncatError, FinCategory, FunctorData, MalformedReferenceError,
-                   opposite_category, pair_id, product_category)
+                   Record as _Record, opposite_category, pair_id, product_category)
 from .monoidal import ClosedData, MonoidalData, SymmetryData
 from .vcat import VCategoryData
 from .vmodule import (ClosedBimoduleData, ClosedVModuleData, TensorClosedModuleData,
@@ -55,8 +55,7 @@ class VersionMismatchError(DocumentError):
     pass
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(_Record):
     """A parsed document: its kind and the structure it denotes."""
 
     kind: str
@@ -157,8 +156,7 @@ def _joined(tables: list, nl: str, cells: str) -> list:
     return [row.join(map(cell.join, t)).join(ends) if t else "[]" for t in tables]
 
 
-@dataclass(frozen=True)
-class _Reader:
+class _Reader(_Record):
     """Schema-checking view over parsed JSON, with positioned diagnostics."""
 
     text: str

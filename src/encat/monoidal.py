@@ -71,7 +71,6 @@ this module returns its reports, or raises its error, before its own laws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Callable, Mapping
@@ -90,6 +89,7 @@ from .core import (
     Mor,
     Obj,
     Preimages,
+    Record,
     assert_derived,
     bifunctor_cover,
     clean,
@@ -117,23 +117,20 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class SymmetryData:
+class SymmetryData(Record):
     """The braiding components c[(X, Y)] : X (x) Y -> Y (x) X."""
 
     braid: Mapping[tuple[Obj, Obj], Mor]
 
 
-@dataclass(frozen=True)
-class ClosedData:
+class ClosedData(Record):
     """Internal homs: hom_obj[(Y, Z)] and the evaluations ev[(Y, Z)]."""
 
     hom_obj: Mapping[tuple[Obj, Obj], Obj]
     ev: Mapping[tuple[Obj, Obj], Mor]
 
 
-@dataclass(frozen=True)
-class MonoidalData:
+class MonoidalData(Record):
     """Tensor tables, unit and structure isomorphisms on a finite category.
 
     ``symmetry`` and ``closed`` are optional capabilities; operations that
@@ -646,61 +643,6 @@ IOTA_LAWS = (_thin_first(
                 lambda m, x, out, f: transpose_pi(
                     m, m.base.compose(m.r(m.base.src(f)), f), m.base.src(f), m.unit),
                 lambda m, x, out, f: m.base.compose(f, out)), "closed"),)
-
-
-def self_vstructure(m: MonoidalData):
-    """Package the internal structure of a closed monoidal category as an
-    enriched-hom structure of the category over itself."""
-    from .vstruct import VStructureData
-
-    m.require_closed()
-    base = m.base
-    comp = {(x, y, z): internal_composition_b(m, x, y, z)
-            for x in base.objects for y in base.objects for z in base.objects}
-    phi = {(x, y): {f: varpi(m, f) for f in base.hom(x, y)}
-           for x in base.objects for y in base.objects}
-    return VStructureData(baseS=base, baseV=m, homFunctor=hom_functor(m),
-                          comp=comp, phi=phi)
-
-
-def self_cylinder(m: MonoidalData):
-    """The tautological cylinder of a closed monoidal category over itself."""
-    from .vstruct import CylinderAssignment
-
-    m.require_closed()
-    base = m.base
-    tensor_obj = {}
-    alpha = {}
-    phibar = {}
-    for k in base.objects:
-        for x in base.objects:
-            kx = m.tobj(k, x)
-            tensor_obj[(k, x)] = kx
-            alpha[(k, x)] = transpose_pi(m, base.id_(kx), k, x)
-            for y in base.objects:
-                phibar[(k, x, y)] = internal_pi_bar(m, k, x, y)
-    return CylinderAssignment(tensor_obj=tensor_obj, alpha=alpha, phibar=phibar)
-
-
-def self_path(m: MonoidalData):
-    """The tautological path structure; needs symmetry as well as closedness."""
-    from .vstruct import PathAssignment
-
-    m.require_symmetry()
-    m.require_closed()
-    base = m.base
-    path_obj = {}
-    beta = {}
-    psibar = {}
-    for k in base.objects:
-        for x in base.objects:
-            kx = m.hom_obj(k, x)
-            path_obj[(k, x)] = kx
-            beta[(k, x)] = transpose_pi(
-                m, base.compose(m.braid(k, kx), m.ev(k, x)), k, kx)
-            for y in base.objects:
-                psibar[(k, x, y)] = base.compose(*internal_swap(m, k, y, x))
-    return PathAssignment(path_obj=path_obj, beta=beta, psibar=psibar)
 
 
 #: The laws declared here, and the names the checkers report under outside them.

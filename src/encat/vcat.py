@@ -14,7 +14,6 @@ no site once V's shape loops and the ``vcat.shape`` record are clean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
@@ -26,6 +25,7 @@ from .core import (
     MissingTableError,
     Mor,
     Obj,
+    Record,
     clean,
     entry,
     evaluate,
@@ -48,8 +48,7 @@ from .monoidal import (
 )
 
 
-@dataclass(frozen=True)
-class VCategoryData:
+class VCategoryData(Record):
     """Objects with hom objects in V, internal composition and units."""
 
     baseV: MonoidalData
@@ -68,8 +67,7 @@ class VCategoryData:
         return entry(self.unit, a, "unit table")
 
 
-@dataclass(frozen=True)
-class TensoredData:
+class TensoredData(Record):
     """A tensor assignment on an enriched category: objects K (x) X together
     with the hom-adjunct isomorphism family, enriched-naturally in the target."""
 

@@ -54,7 +54,7 @@ derived law that fails is an engine bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import chain, product
 from typing import Iterator, Mapping
 
@@ -68,6 +68,7 @@ from .core import (
     Mor,
     Obj,
     Preimages,
+    Record,
     WitnessError,
     assert_derived,
     canonical_diff,
@@ -107,8 +108,7 @@ from .monoidal import (
 from .vstruct import HomTables, VStructureData, opposite_vstructure, reversed_hom
 
 
-@dataclass(frozen=True)
-class VModuleData:
+class VModuleData(Record):
     """An action of the base on a category with associativity and unit
     isomorphisms."""
 
@@ -131,8 +131,7 @@ class VModuleData:
         return entry(self.lunit, x, "module unitor")
 
 
-@dataclass(frozen=True)
-class TensorClosedModuleData(HomTables):
+class TensorClosedModuleData(HomTables, Record):
     """A module whose action has an adjoint hom, witnessed by explicit
     bijection tables phi[(K, X, Y)] : Hom(K (x) X, Y) -> Hom(K, hom(X, Y))."""
 
@@ -147,8 +146,7 @@ class TensorClosedModuleData(HomTables):
         return preimage(self._phi_fibres, (k, x, y), t, "adjunction table")
 
 
-@dataclass(frozen=True)
-class ClosedVModuleData:
+class ClosedVModuleData(Record):
     """A tensor-closed module with a cotensor and its adjunction tables
     psi[(K, X, Y)] : Hom(Y, K cotensor X) -> Hom(K, hom(Y, X)), read through
     the reversed side (:func:`dual_tensorclosed`) as its action adjunction."""
@@ -161,8 +159,7 @@ class ClosedVModuleData:
         return entry(self.cotensor.onObjects, pair_id(k, x), "cotensor object table", (k, x))
 
 
-@dataclass(frozen=True)
-class ClosedBimoduleData:
+class ClosedBimoduleData(Record):
     """A closed module together with the comodule associativity and unit
     isomorphisms that make the reversed side a tensor-closed module carrying
     the reversed hom structure."""

@@ -15,7 +15,7 @@ a construction's input, which is not checked first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cache, cached_property, partial
 from itertools import product
 from typing import Callable, Mapping
@@ -31,6 +31,7 @@ from .core import (
     Mor,
     Obj,
     Preimages,
+    Record,
     WitnessError,
     assert_derived,
     clean,
@@ -79,8 +80,7 @@ class HomTables:
         return {key: Preimages(table) for key, table in self.phi.items()}
 
 
-@dataclass(frozen=True)
-class VStructureData(HomTables):
+class VStructureData(HomTables, Record):
     """An ordinary category with hom objects, internal composition and the
     element correspondence between its hom-sets and global elements."""
 
@@ -100,8 +100,7 @@ class VStructureData(HomTables):
         return preimage(self._phi_fibres, (x, y), t, "element correspondence")
 
 
-@dataclass(frozen=True)
-class CylinderAssignment:
+class CylinderAssignment(Record):
     """Per (K, X): the object K (x) X, the coevaluation-like element alpha and
     the hom-adjunct isomorphism family phibar."""
 
@@ -110,8 +109,7 @@ class CylinderAssignment:
     phibar: Mapping[tuple[Obj, Obj, Obj], Mor]
 
 
-@dataclass(frozen=True)
-class PathAssignment:
+class PathAssignment(Record):
     """The dual assignment: cotensor objects, beta and psibar."""
 
     path_obj: Mapping[tuple[Obj, Obj], Obj]

@@ -4,7 +4,10 @@ adjunct family, judged as a transformation into the base enriched over
 itself (:func:`self_enriched`) on one route, the enriched naturality
 rectangle ``vnat.square``; the comparison isomorphism between two chosen
 cylinders, :func:`cylinder_unique_iso`; and the enriched action of a
-tensor-closed module, :func:`enriched_action`, with its derived laws."""
+tensor-closed module, :func:`enriched_action`, with its derived laws; and
+a closed monoidal category's tautological hom structure, cylinder and path
+over itself, :func:`self_vstructure`, :func:`self_cylinder` and
+:func:`self_path`."""
 
 from dataclasses import dataclass
 from itertools import product
@@ -26,8 +29,11 @@ from encat.core import (
 )
 from encat.monoidal import (
     MonoidalData,
+    hom_functor,
     hom_on_morphisms,
     internal_composition_b,
+    internal_pi_bar,
+    internal_swap,
     transpose_pi,
     varpi,
 )
@@ -38,7 +44,7 @@ from encat.vmodule import (
     _counit,
     induced_vstructure,
 )
-from encat.vstruct import CylinderAssignment, VStructureData, _transported
+from encat.vstruct import CylinderAssignment, PathAssignment, VStructureData, _transported
 
 
 @dataclass(frozen=True)
@@ -80,6 +86,55 @@ def self_enriched(m: MonoidalData) -> VCategoryData:
         comp={(x, y, z): internal_composition_b(m, x, y, z)
               for x in base.objects for y in base.objects for z in base.objects},
         unit={x: varpi(m, base.id_(x)) for x in base.objects})
+
+
+def self_vstructure(m: MonoidalData):
+    """Package the internal structure of a closed monoidal category as an
+    enriched-hom structure of the category over itself."""
+    m.require_closed()
+    base = m.base
+    comp = {(x, y, z): internal_composition_b(m, x, y, z)
+            for x in base.objects for y in base.objects for z in base.objects}
+    phi = {(x, y): {f: varpi(m, f) for f in base.hom(x, y)}
+           for x in base.objects for y in base.objects}
+    return VStructureData(baseS=base, baseV=m, homFunctor=hom_functor(m),
+                          comp=comp, phi=phi)
+
+
+def self_cylinder(m: MonoidalData):
+    """The tautological cylinder of a closed monoidal category over itself."""
+    m.require_closed()
+    base = m.base
+    tensor_obj = {}
+    alpha = {}
+    phibar = {}
+    for k in base.objects:
+        for x in base.objects:
+            kx = m.tobj(k, x)
+            tensor_obj[(k, x)] = kx
+            alpha[(k, x)] = transpose_pi(m, base.id_(kx), k, x)
+            for y in base.objects:
+                phibar[(k, x, y)] = internal_pi_bar(m, k, x, y)
+    return CylinderAssignment(tensor_obj=tensor_obj, alpha=alpha, phibar=phibar)
+
+
+def self_path(m: MonoidalData):
+    """The tautological path structure; needs symmetry as well as closedness."""
+    m.require_symmetry()
+    m.require_closed()
+    base = m.base
+    path_obj = {}
+    beta = {}
+    psibar = {}
+    for k in base.objects:
+        for x in base.objects:
+            kx = m.hom_obj(k, x)
+            path_obj[(k, x)] = kx
+            beta[(k, x)] = transpose_pi(
+                m, base.compose(m.braid(k, kx), m.ev(k, x)), k, kx)
+            for y in base.objects:
+                psibar[(k, x, y)] = base.compose(*internal_swap(m, k, y, x))
+    return PathAssignment(path_obj=path_obj, beta=beta, psibar=psibar)
 
 
 def hom_vfunctor(vc: VCategoryData, a: Obj) -> VFunctorData:

@@ -28,9 +28,6 @@ from encat.monoidal import (
     hom_functor,
     internal_pi_bar,
     iota,
-    self_cylinder,
-    self_path,
-    self_vstructure,
 )
 from encat.vcat import element_id, underlying_category
 from encat.vmodule import (
@@ -45,7 +42,8 @@ from encat.vstruct import (
     associated_vcategory,
     check_vstructure,
 )
-from tests.enriched_reference import cylinder_unique_iso, enriched_action
+from tests.enriched_reference import (cylinder_unique_iso, enriched_action, self_cylinder, self_path,
+                                      self_vstructure)
 
 
 @contextmanager

@@ -48,7 +48,7 @@ from encat.instances import (
     build_trop,
     parse_instance_name,
 )
-from encat.monoidal import self_cylinder, self_vstructure
+from tests.enriched_reference import self_cylinder, self_vstructure
 
 
 def mutate_comp(cat: FinCategory, key, value) -> FinCategory:
@@ -532,7 +532,6 @@ def _deep_mutations():
     inside, or in one field's type or order, with what each pair is."""
     from encat.equiv import bimodule_completion
     from encat.instances import module_self
-    from encat.monoidal import self_vstructure
 
     m = build_cyc(3)
     vs = self_vstructure(m)
@@ -693,3 +692,114 @@ def test_a_product_is_valid_when_both_factors_are():
     assert is_valid(good) and not is_valid(bad)
     assert is_valid(product_category(good, good))
     assert not is_valid(product_category(good, bad)) and not is_valid(product_category(bad, good))
+
+
+def _records():
+    from encat import core, instances, interface, monoidal, vcat, vmodule, vstruct
+    return (core.CheckReport, core.Law, core.FinCategory, core.FunctorData, core.Bifunctor,
+            instances.InstanceSpec, interface.Document, interface._Reader, monoidal.SymmetryData,
+            monoidal.ClosedData, monoidal.MonoidalData, vcat.VCategoryData, vcat.TensoredData,
+            vmodule.VModuleData, vmodule.TensorClosedModuleData, vmodule.ClosedVModuleData,
+            vmodule.ClosedBimoduleData, vstruct.VStructureData, vstruct.CylinderAssignment,
+            vstruct.PathAssignment)
+
+
+def _twin(cls):
+    """A stdlib ``dataclass(frozen=True)`` with the fields of ``cls``, under its name."""
+    return dataclasses.make_dataclass(cls.__name__, [
+        (f.name, f.type, dataclasses.field(default=f.default, default_factory=f.default_factory))
+        for f in dataclasses.fields(cls)], frozen=True)
+
+
+def _outcome(make):
+    """What ``make()`` gives: the instance's repr and ``__dict__`` items in order, or
+    the type and message of the error it raises."""
+    try:
+        made = make()
+    except (TypeError, ValueError, dataclasses.FrozenInstanceError) as exc:
+        return type(exc), str(exc)
+    return repr(made), list(vars(made).items())
+
+
+def test_the_records_are_every_record_class():
+    from encat.core import Record
+    assert len(_records()) == 20 and set(_records()) == set(Record.__subclasses__())
+
+
+@pytest.mark.parametrize("cls", _records(), ids=lambda cls: cls.__name__)
+def test_a_record_behaves_as_a_stdlib_frozen_dataclass(cls):
+    twin = _twin(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    required = [f.name for f in dataclasses.fields(cls)
+                if f.default is f.default_factory is dataclasses.MISSING]
+    values = [f"{cls.__name__}.{name}" for name in names]
+    other = values[:-1] + ["another value"]
+    kw = dict(zip(names, values))
+    calls = [  # (args, kwargs): every split of positional and keyword, defaults, and bad calls
+        *((values[:k], dict(reversed(list(kw.items())[k:]))) for k in range(len(names) + 1)),
+        (values[:len(required)], {}), ((), dict(list(kw.items())[:len(required)])),
+        (values[:len(required) - 1], {}), ((), {}), (values[1:], {}), (values + ["extra"], {}),
+        (values, {"bogus": 1}), ((), {**dict(list(kw.items())[:-1]), "bogus": 1}),
+        (values, {names[0]: 1}), (values[:1], {names[0]: 1, **dict(list(kw.items())[1:])}),
+    ]
+    for args, kwargs in calls:
+        assert _outcome(lambda: cls(*args, **kwargs)) == _outcome(lambda: twin(*args, **kwargs)), (
+            args, kwargs)
+
+    rec, same, differs = cls(*values), cls(**kw), cls(*other)
+    twin_rec, twin_same, twin_differs = twin(*values), twin(**kw), twin(*other)
+    assert (rec == same, rec == differs, rec != same, rec != differs) == (
+        twin_rec == twin_same, twin_rec == twin_differs, twin_rec != twin_same,
+        twin_rec != twin_differs)
+    assert rec.__eq__(twin_rec) is NotImplemented and rec != twin_rec and rec != object()
+    assert all(rec.__eq__(o(*[None] * len(dataclasses.fields(o)))) is NotImplemented
+               for o in _records() if o is not cls and o.__name__ != "CheckReport")
+    assert hash(rec) == hash(twin_rec) == hash(same) and hash(differs) == hash(twin_differs)
+    assert repr(rec) == repr(twin_rec) and repr(differs) == repr(twin_differs)
+    unhashable = [{"a": 1}] * len(names)
+    if cls.__name__ != "CheckReport":  # its lhs and rhs must differ
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(cls(*unhashable))
+    for name in (names[0], names[-1], "not_a_field"):
+        assert (_outcome(lambda: setattr(rec, name, 1))
+                == _outcome(lambda: setattr(twin_rec, name, 1)))
+        assert _outcome(lambda: delattr(rec, name)) == _outcome(lambda: delattr(twin_rec, name))
+    assert _outcome(lambda: setattr(rec, "x", 1))[0] is dataclasses.FrozenInstanceError
+    assert repr(rec) == repr(twin_rec)  # nothing was set or deleted
+    replaced = dataclasses.replace(rec, **{names[-1]: "another value"})
+    assert type(replaced) is cls and replaced == differs
+    assert repr(replaced) == repr(dataclasses.replace(twin_rec, **{names[-1]: "another value"}))
+    assert dataclasses.is_dataclass(rec) and dataclasses.is_dataclass(cls)
+    assert [f.name for f in dataclasses.fields(rec)] == names == list(cls.__match_args__)
+    assert cls.__match_args__ == twin.__match_args__
+
+
+def test_a_reader_gets_a_fresh_list_of_categories():
+    from encat.interface import _Reader
+    a, b = _Reader("text"), _Reader(text="text")
+    assert a.categories == b.categories == [] and a.categories is not b.categories
+    assert a == b and repr(a) == "_Reader(text='text', categories=[])"
+
+
+def test_records_keep_what_is_found_on_the_instance():
+    from encat.core import kept, verdict
+    cat = one_object_category()
+    assert "_objs" not in vars(cat) and cat._objs == frozenset(cat.objects) and "_objs" in vars(cat)
+    found = []
+
+    @kept
+    def probe(data, x):
+        found.append(x)
+        return len(found)
+
+    assert probe(cat, "a") == probe(cat, "a") == 1 and vars(cat)["probe"] == {("a",): 1}
+    assert verdict(cat, "probe", lambda data: []) == () and vars(cat)["verdicts"]["probe"] == ()
+    assert cat == dataclasses.replace(cat) and hash(CheckReport("law", ("x",))) == hash(
+        CheckReport("law", ("x",)))
+
+
+def test_a_check_report_with_equal_sides_raises():
+    with pytest.raises(ValueError, match="two composites that differ"):
+        CheckReport("law", ("x",), lhs="f", rhs="f")
+    with pytest.raises(ValueError, match="two composites that differ"):
+        CheckReport(law="law", site=("x",), lhs="f", rhs="f")

@@ -89,7 +89,7 @@ def test_the_failure_can_be_named_by_the_caller():
 
 
 def _cylinder(m):
-    return mon.self_vstructure(m), mon.self_cylinder(m)
+    return enriched.self_vstructure(m), enriched.self_cylinder(m)
 
 
 def _tensor_closed():

@@ -11,7 +11,7 @@ from encat.equiv import (
     tensored_to_cylinder,
 )
 from encat.instances import build_bool, build_cyc, build_trop
-from encat.monoidal import self_cylinder, self_vstructure, varpi
+from encat.monoidal import varpi
 from encat.vcat import check_tensored, underlying_category
 from encat.vmodule import check_closed_bimodule, check_tensor_closed
 from encat.vstruct import (
@@ -21,7 +21,7 @@ from encat.vstruct import (
     check_vstructure,
 )
 from tests.enriched_reference import (VFunctorData, VNatData, check_vnat, hom_vfunctor,
-                                      self_enriched)
+                                      self_cylinder, self_enriched, self_vstructure)
 
 
 def test_cylinder_to_tensored(bool_m, trop3, cyc3):

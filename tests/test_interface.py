@@ -22,8 +22,8 @@ from encat.interface import (
     parse,
     serialize,
 )
-from encat.monoidal import check_v, self_cylinder, self_path, self_vstructure
-from tests.enriched_reference import self_enriched
+from encat.monoidal import check_v
+from tests.enriched_reference import self_cylinder, self_enriched, self_path, self_vstructure
 
 
 def _all_documents(bool_m, trop3, cyc3, poset_cm, self_trop3):

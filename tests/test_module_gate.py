@@ -41,12 +41,13 @@ from encat.core import FinCategory, generators, opposite_category, pair_id, prod
 from encat.equiv import bimodule_completion
 from encat.instances import build_bool, build_cyc, build_poset_module, build_trop, module_self
 from encat.interface import Document, parse, serialize
-from encat.monoidal import check_v, self_vstructure
+from encat.monoidal import check_v
 from encat.vmodule import (check_closed_bimodule, check_closed_module, check_tensor_closed,
                            check_vmodule)
 from encat.vstruct import check_vstructure
 from harness import agree, by_law, entries, gate_free, outcome, read, replaced, spied, spy
 from nonstrict import doubled_cyc, regular_module
+from tests.enriched_reference import self_vstructure
 
 LAW = "module.assoc-natural"
 

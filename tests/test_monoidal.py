@@ -15,15 +15,13 @@ from encat.monoidal import (
     internal_pi_bar,
     internal_swap,
     iota,
-    self_cylinder,
-    self_path,
-    self_vstructure,
     transpose_pi,
     transpose_pi_inv,
     varpi,
     varpi_inv,
 )
 from nonstrict import absorbing_monoid
+from tests.enriched_reference import self_cylinder, self_path, self_vstructure
 
 
 def mutate(m, field, key, value):

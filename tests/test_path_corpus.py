@@ -31,9 +31,10 @@ import pytest
 
 from encat.core import CheckReport, EncatError, Law, evaluate, morphism_inverse, sort_reports
 from encat.instances import build_instance, parse_instance_name
-from encat.monoidal import check_v, self_path, self_vstructure
+from encat.monoidal import check_v
 from encat.vstruct import check_path, check_vstructure
 from harness import digest, entries, outcome, read, replaced, rows
+from tests.enriched_reference import self_path, self_vstructure
 
 BASES = ("bool", "cyc(3)", "trop(3)")
 STRIDE = 7

@@ -5,7 +5,7 @@ import pytest
 from encat.core import structural_equal, validate_category
 from encat.equiv import cylinder_to_tensored
 from encat.instances import build_cyc, build_poset_module, build_trop, module_self
-from encat.monoidal import self_cylinder, self_vstructure, varpi
+from encat.monoidal import varpi
 from encat.vcat import (
     VCategoryData,
     check_tensored,
@@ -17,7 +17,7 @@ from encat.vmodule import induced_vstructure
 from encat.vstruct import associated_vcategory, check_vstructure
 from harness import agree, by_law, mutated, spied
 from tests.enriched_reference import (VFunctorData, VNatData, check_vnat, hom_vfunctor,
-                                      self_enriched)
+                                      self_cylinder, self_enriched, self_vstructure)
 
 
 def two_object_cyc_vcat(cyc3) -> VCategoryData:

@@ -15,7 +15,7 @@ from encat.core import (
     structural_equal,
     validate_category,
 )
-from encat.monoidal import internal_pi_bar, self_vstructure, transpose_pi_inv
+from encat.monoidal import internal_pi_bar, transpose_pi_inv
 from encat.vmodule import (
     VModuleData,
     _adjunct,
@@ -39,7 +39,7 @@ from encat.instances import (
     parse_instance_name,
 )
 from nonstrict import absorbing_monoid, regular_module
-from tests.enriched_reference import enriched_action
+from tests.enriched_reference import enriched_action, self_vstructure
 
 
 def tower_module() -> VModuleData:

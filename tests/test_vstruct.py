@@ -12,7 +12,6 @@ from encat.core import (
     pair_id,
     structural_equal,
 )
-from encat.monoidal import self_cylinder, self_path, self_vstructure
 from encat.vcat import underlying_category
 from encat.vmodule import dual_tensorclosed, induced_vstructure
 from encat.vstruct import (
@@ -25,7 +24,7 @@ from encat.vstruct import (
     induced_tensor_bifunctor,
     opposite_vstructure,
 )
-from tests.enriched_reference import cylinder_unique_iso
+from tests.enriched_reference import cylinder_unique_iso, self_cylinder, self_path, self_vstructure
 
 
 def mutate_comp(vs, key, value):
